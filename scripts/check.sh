@@ -35,45 +35,37 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # -- Baseline diffs (before any --trace run touches the reports) -------
 # F9 mixes simulated metrics with host wall-clock timings; only the
-# simulated lines are expected to be bit-identical. F10 is fully
-# simulation-deterministic, so it must match exactly.
+# simulated lines are expected to be bit-identical.
 filter_host_timing() {
   grep -vE '"(incremental|reference)_(wall_s|us_per_flow|us_per_event)"|"speedup_per_flow"' "$1"
 }
 diff <(filter_host_timing "$BUILD_DIR/BENCH_f9_churn.json") \
      <(filter_host_timing BENCH_f9_churn.json) \
   || { echo "check.sh: BENCH_f9_churn.json deviates from baseline"; exit 1; }
-diff "$BUILD_DIR/BENCH_f10_faults.json" BENCH_f10_faults.json \
-  || { echo "check.sh: BENCH_f10_faults.json deviates from baseline"; exit 1; }
-diff "$BUILD_DIR/BENCH_f11_gray.json" BENCH_f11_gray.json \
-  || { echo "check.sh: BENCH_f11_gray.json deviates from baseline"; exit 1; }
-diff "$BUILD_DIR/BENCH_f12_serving.json" BENCH_f12_serving.json \
-  || { echo "check.sh: BENCH_f12_serving.json deviates from baseline"; exit 1; }
-# F14 (durability under correlated failure) is fully simulation-
-# deterministic: every column must match the baseline bit for bit.
-diff "$BUILD_DIR/BENCH_f14_durability.json" BENCH_f14_durability.json \
-  || { echo "check.sh: BENCH_f14_durability.json deviates from baseline"; exit 1; }
-# F15 (fair share under contention) is fully simulation-deterministic.
-diff "$BUILD_DIR/BENCH_f15_fairness.json" BENCH_f15_fairness.json \
-  || { echo "check.sh: BENCH_f15_fairness.json deviates from baseline"; exit 1; }
-# F16 (partitions + metastability defenses) is fully simulation-
-# deterministic.
-diff "$BUILD_DIR/BENCH_f16_partitions.json" BENCH_f16_partitions.json \
-  || { echo "check.sh: BENCH_f16_partitions.json deviates from baseline"; exit 1; }
-# F17 (tablet serving under Zipf skew) is fully simulation-deterministic.
-diff "$BUILD_DIR/BENCH_f17_tablets.json" BENCH_f17_tablets.json \
-  || { echo "check.sh: BENCH_f17_tablets.json deviates from baseline"; exit 1; }
+# These reports are fully simulation-deterministic: every column must
+# match the tracked baseline bit for bit. F5 pins replicated-GET tier
+# selection and cache admission, A5 cold erasure-coded and replicated
+# GETs.
+DETERMINISTIC_BENCHES=(f5_storage a5_redundancy f10_faults f11_gray
+                       f12_serving f14_durability f15_fairness
+                       f16_partitions f17_tablets)
+for bench in "${DETERMINISTIC_BENCHES[@]}"; do
+  diff "$BUILD_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
+    || { echo "check.sh: BENCH_$bench.json deviates from baseline"; exit 1; }
+done
 echo "check.sh: bench metrics match the tracked baselines"
+
+# Prints the value of top-level key $2 in the bench report $1.
+bench_metric() {
+  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
+}
 
 # -- F15 fairness gate --------------------------------------------------
 # The fair-share scheduler must actually deliver fairness: Jain index
 # >= 0.9 with the pool tree on, and a real gap over the priority-only
 # baseline. Both values are simulation-deterministic.
-f15_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
-}
-jain_fair=$(f15_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_fair)
-jain_priority=$(f15_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_priority)
+jain_fair=$(bench_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_fair)
+jain_priority=$(bench_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_priority)
 awk -v fair="$jain_fair" -v prio="$jain_priority" 'BEGIN {
   if (fair < 0.9) {
     printf "check.sh: F15 Jain index with fair share on is %.3f (< 0.9 floor)\n", fair
@@ -92,13 +84,10 @@ awk -v fair="$jain_fair" -v prio="$jain_priority" 'BEGIN {
 # lease TTL's worth of seconds degraded; defenses-off must exhibit the
 # measurably degraded (retry-storm) recovery the defenses exist to
 # prevent. All four values are simulation-deterministic.
-f16_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
-}
-on_recovery=$(f16_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_recovery_ratio)
-off_recovery=$(f16_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_recovery_ratio)
-on_degraded=$(f16_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_degraded_seconds)
-off_degraded=$(f16_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_degraded_seconds)
+on_recovery=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_recovery_ratio)
+off_recovery=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_recovery_ratio)
+on_degraded=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_degraded_seconds)
+off_degraded=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_degraded_seconds)
 awk -v on="$on_recovery" -v off="$off_recovery" \
     -v ond="$on_degraded" -v offd="$off_degraded" 'BEGIN {
   if (on < 0.9) {
@@ -127,15 +116,12 @@ awk -v on="$on_recovery" -v off="$off_recovery" \
 # windows and stale-route retries the balancer causes. The balancer must
 # also have done real work (splits and moves both nonzero). All values
 # are simulation-deterministic.
-f17_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
-}
-f17_on_p99=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_p99_ms)
-f17_off_p99=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_p99_ms)
-f17_on_goodput=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_goodput)
-f17_off_goodput=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_goodput)
-f17_splits=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_splits)
-f17_moves=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_moves)
+f17_on_p99=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_p99_ms)
+f17_off_p99=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_p99_ms)
+f17_on_goodput=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_goodput)
+f17_off_goodput=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_goodput)
+f17_splits=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_splits)
+f17_moves=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_moves)
 awk -v onp="$f17_on_p99" -v offp="$f17_off_p99" \
     -v ong="$f17_on_goodput" -v offg="$f17_off_goodput" \
     -v splits="$f17_splits" -v moves="$f17_moves" 'BEGIN {
@@ -165,13 +151,10 @@ diff <(filter_f13_host_timing "$BUILD_DIR/BENCH_f13_scale.json") \
      <(filter_f13_host_timing BENCH_f13_scale.json) \
   || { echo "check.sh: BENCH_f13_scale.json deviates from baseline"; exit 1; }
 
-f13_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
-}
-base_eps=$(f13_metric BENCH_f13_scale.json cal_10k_events_per_sec)
-base_speedup=$(f13_metric BENCH_f13_scale.json speedup_10k)
-fresh_eps=$(f13_metric "$BUILD_DIR/BENCH_f13_scale.json" cal_10k_events_per_sec)
-fresh_speedup=$(f13_metric "$BUILD_DIR/BENCH_f13_scale.json" speedup_10k)
+base_eps=$(bench_metric BENCH_f13_scale.json cal_10k_events_per_sec)
+base_speedup=$(bench_metric BENCH_f13_scale.json speedup_10k)
+fresh_eps=$(bench_metric "$BUILD_DIR/BENCH_f13_scale.json" cal_10k_events_per_sec)
+fresh_speedup=$(bench_metric "$BUILD_DIR/BENCH_f13_scale.json" speedup_10k)
 # The tracked baseline must keep claiming >= 3x; the fresh run only has to
 # clear a noise-tolerant floor (slower CI hosts, no pinned cores).
 awk -v fresh="$fresh_eps" -v base="$base_eps" -v speedup="$fresh_speedup" \
@@ -194,19 +177,14 @@ awk -v fresh="$fresh_eps" -v base="$base_eps" -v speedup="$fresh_speedup" \
 # -- Traced runs + strict JSON validation ------------------------------
 (cd "$BUILD_DIR" && ./bench/bench_t1_endtoend --trace --json)
 (cd "$BUILD_DIR" && ./bench/bench_f10_faults --trace --json)
-# Tracing must not perturb the simulation: the traced F11 rerun has to
-# reproduce the tracked baseline bit for bit.
-(cd "$BUILD_DIR" && ./bench/bench_f11_gray --trace --json)
-diff "$BUILD_DIR/BENCH_f11_gray.json" BENCH_f11_gray.json \
-  || { echo "check.sh: BENCH_f11_gray.json changed under --trace"; exit 1; }
-# Same observational-tracing guarantee for the serving bench.
-(cd "$BUILD_DIR" && ./bench/bench_f12_serving --trace --json)
-diff "$BUILD_DIR/BENCH_f12_serving.json" BENCH_f12_serving.json \
-  || { echo "check.sh: BENCH_f12_serving.json changed under --trace"; exit 1; }
-# Tablet spans (tablet.op/serve/exec/wal/flush) must be observational too.
-(cd "$BUILD_DIR" && ./bench/bench_f17_tablets --trace --json)
-diff "$BUILD_DIR/BENCH_f17_tablets.json" BENCH_f17_tablets.json \
-  || { echo "check.sh: BENCH_f17_tablets.json changed under --trace"; exit 1; }
+# Tracing must not perturb the simulation: the traced gray-failure,
+# serving and tablet reruns (tablet spans included) have to reproduce
+# their tracked baselines bit for bit.
+for bench in f11_gray f12_serving f17_tablets; do
+  (cd "$BUILD_DIR" && "./bench/bench_$bench" --trace --json)
+  diff "$BUILD_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
+    || { echo "check.sh: BENCH_$bench.json changed under --trace"; exit 1; }
+done
 (cd "$BUILD_DIR" && ./tools/json_check BENCH_*.json TRACE_*.json)
 
 if [[ "${EVOLVE_SKIP_SANITIZERS:-0}" != "1" ]]; then
