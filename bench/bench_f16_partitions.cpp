@@ -60,7 +60,9 @@ constexpr util::TimeNs kRecoverUntil = util::seconds(70);
 constexpr util::TimeNs kHorizon = util::seconds(90);
 
 struct WindowStats {
-  double span_s = 1.0;
+  explicit WindowStats(double span = 1.0) : span_s(span) {}
+
+  double span_s;
   std::int64_t completed = 0;
   std::int64_t goodput = 0;  // completed within SLO
   std::vector<double> latencies_ms;

@@ -28,6 +28,31 @@ std::uint64_t string_hash(const std::string& text) {
   return mix_hash(h);
 }
 
+/// Index into `holders` of the best one no branch in `tried` has read
+/// yet: the lowest non-negative `rank(i)`, first in holder order among
+/// equals. A negative rank rules a holder out; -1 when none is left. The
+/// scan stops at the first rank of 0, so ranks are computed only as far
+/// as needed.
+template <typename Branches, typename Rank>
+int untried_holder(const std::vector<cluster::NodeId>& holders,
+                   const Branches& tried, Rank rank) {
+  int best = -1;
+  int best_rank = 0;
+  for (std::size_t i = 0; i < holders.size(); ++i) {
+    if (std::any_of(tried.begin(), tried.end(), [&](const auto& branch) {
+          return branch.server == holders[i];
+        })) {
+      continue;
+    }
+    const int r = rank(i);
+    if (r < 0 || (best >= 0 && r >= best_rank)) continue;
+    best = static_cast<int>(i);
+    best_rank = r;
+    if (r == 0) break;
+  }
+  return best;
+}
+
 }  // namespace
 
 ObjectStore::ObjectStore(sim::Simulation& sim,
@@ -206,17 +231,10 @@ std::vector<cluster::NodeId> ObjectStore::locate(const ObjectKey& key) const {
   return place_copies(key);
 }
 
-cluster::NodeId ObjectStore::choose_replica(
-    const std::vector<cluster::NodeId>& replicas,
-    cluster::NodeId client) const {
-  for (cluster::NodeId r : replicas) {
-    if (r == client) return r;
-  }
-  const auto& topo = fabric_.topology();
-  for (cluster::NodeId r : replicas) {
-    if (topo.same_rack(r, client)) return r;
-  }
-  return replicas.front();
+int ObjectStore::proximity(cluster::NodeId holder,
+                           cluster::NodeId reader) const {
+  if (holder == reader) return 0;
+  return fabric_.topology().same_rack(holder, reader) ? 1 : 2;
 }
 
 void ObjectStore::write_durable(cluster::NodeId server, const ObjectKey& key,
@@ -363,346 +381,17 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
 
 void ObjectStore::get(cluster::NodeId client, const ObjectKey& key,
                       GetCallback on_done) {
-  const util::TimeNs start = sim_.now();
-  metrics_.count("get_requests");
-  const trace::SpanId span =
-      trace::begin_span(tracer_, trace::Layer::kStorage, "store.get");
-  if (span != trace::kNoSpan) tracer_->annotate(span, "key", key.full());
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
-    metrics_.count("get_misses");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "result", "miss");
-    sim_.after(config_.metadata_latency,
-               [this, span, cb = std::move(on_done)] {
-                 trace::end_span(tracer_, span);
-                 cb(GetResult{});
-               });
-    return;
-  }
-  if (health(it->second) == Health::kLost) {
-    // Every replica (or too many fragments) died with its node: the
-    // object is unreadable until someone re-writes it.
-    metrics_.count("get_lost");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "result", "lost");
-    sim_.after(config_.metadata_latency,
-               [this, span, cb = std::move(on_done)] {
-                 trace::end_span(tracer_, span);
-                 cb(GetResult{});
-               });
-    return;
-  }
-  const bool degraded_object = health(it->second) == Health::kDegraded;
-  if (degraded_object) {
-    metrics_.count("degraded_reads");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "degraded", "1");
-  }
-  const util::Bytes size = it->second.size;
-  if (config_.redundancy == Redundancy::kErasure) {
-    get_erasure(client, key, it->second, start, span, std::move(on_done));
-    return;
-  }
-  // Replication path: the primary read (branch 0) optionally races a
-  // hedge read (branch 1) fired after a latency-quantile delay.
-  auto race = std::make_shared<ReadRace>();
-  race->key = key;
-  race->client = client;
-  race->size = size;
-  race->start = start;
-  race->span = span;
-  race->cb = std::move(on_done);
-  race->degraded = degraded_object;
-  race->inflight = 1;
-  const cluster::NodeId server = choose_replica(it->second.replicas, client);
-  if (span != trace::kNoSpan) {
-    tracer_->annotate(span, "bytes", std::to_string(size));
-  }
-  sim_.after(config_.metadata_latency,
-             [this, race, server] { run_read_branch(race, 0, server); });
-
-  if (config_.hedged_reads && it->second.replicas.size() >= 2) {
-    sim_.after(hedge_delay(), [this, race] {
-      if (race->decided) return;
-      auto obj = objects_.find(race->key);
-      if (obj == objects_.end()) return;
-      // Prefer an untried clean replica; fall back to any untried one
-      // (the checksum path fails over if it turns out rotten).
-      cluster::NodeId target = cluster::kInvalidNode;
-      for (cluster::NodeId r : obj->second.replicas) {
-        if (race->tried.count(r) != 0) continue;
-        if (replica_corrupted(race->key, r)) continue;
-        target = r;
-        break;
-      }
-      if (target == cluster::kInvalidNode) {
-        for (cluster::NodeId r : obj->second.replicas) {
-          if (race->tried.count(r) == 0) {
-            target = r;
-            break;
-          }
-        }
-      }
-      if (target == cluster::kInvalidNode) return;
-      ++hedges_launched_;
-      metrics_.count("hedges_launched");
-      race->hedged = true;
-      race->hedge_span = trace::begin_span(
-          tracer_, trace::Layer::kStorage, "store.hedge", race->span);
-      if (race->hedge_span != trace::kNoSpan) {
-        tracer_->annotate(race->hedge_span, "server", std::to_string(target));
-      }
-      ++race->inflight;
-      run_read_branch(race, 1, target);
-    });
-  }
-}
-
-void ObjectStore::run_read_branch(const std::shared_ptr<ReadRace>& race,
-                                  int branch, cluster::NodeId server) {
-  race->tried.insert(server);
-  ServerState& state = server_state(server);
-  const util::Bytes size = race->size;
-  const std::string full = race->key.full();
-
-  // Which tier serves the read?
-  std::string tier_name;
-  if (config_.cache_on_get) {
-    if (auto tier = state.cache->get(full); tier.has_value()) {
-      tier_name = state.cache_tiers[static_cast<std::size_t>(*tier)];
-    } else {
-      tier_name = state.durable_device;
-      state.cache->put(full, size);  // admit on miss
-    }
-  } else {
-    if (auto tier = state.cache->peek(full); tier.has_value()) {
-      tier_name = state.cache_tiers[static_cast<std::size_t>(*tier)];
-    } else {
-      tier_name = state.durable_device;
-    }
-  }
-  metrics_.count("get_tier_" + tier_name);
-  metrics_.count("get_bytes", size);
-  if (branch == 0 && race->span != trace::kNoSpan) {
-    tracer_->annotate(race->span, "tier", tier_name);
-  }
-
-  GetResult& result = race->result[branch];
-  result.found = true;
-  result.size = size;
-  result.served_by = server;
-  result.tier = tier_name;
-
-  io_.device(server, tier_name)
-      .submit(IoKind::kRead, size, [this, race, branch, server] {
-        if (race->decided) {
-          --race->inflight;
-          return;
-        }
-        // Checksum verification as the payload leaves the media.
-        if (replica_corrupted(race->key, server)) {
-          if (config_.checksum_reads) {
-            ++checksum_failures_;
-            metrics_.count("checksum_failures");
-            drop_corrupted_replica(race->key, server);
-            // Transparent failover to a clean replica we haven't tried.
-            cluster::NodeId next = cluster::kInvalidNode;
-            if (auto obj = objects_.find(race->key); obj != objects_.end()) {
-              for (cluster::NodeId r : obj->second.replicas) {
-                if (race->tried.count(r) == 0 &&
-                    !replica_corrupted(race->key, r)) {
-                  next = r;
-                  break;
-                }
-              }
-            }
-            if (next != cluster::kInvalidNode) {
-              run_read_branch(race, branch, next);
-              return;
-            }
-            abandon_read_branch(race);
-            return;
-          }
-          // No verification: the rotten payload is served as-is.
-          race->result[branch].corrupted = true;
-        }
-        trace::ScopedContext tctx(
-            tracer_, branch == 1 ? race->hedge_span : race->span);
-        race->flow[branch] =
-            fabric_.transfer(server, race->client, race->size,
-                             [this, race, branch] {
-                               finish_read_branch(race, branch);
-                             });
-        race->flow_active[branch] = true;
-      });
-}
-
-void ObjectStore::finish_read_branch(const std::shared_ptr<ReadRace>& race,
-                                     int branch) {
-  race->flow_active[branch] = false;
-  --race->inflight;
-  if (race->decided) return;
-  race->decided = true;
-
-  GetResult result = race->result[branch];
-  result.hedged = race->hedged;
-  result.hedge_won = branch == 1;
-  result.degraded = race->degraded;
-  if (branch == 1) {
-    ++hedge_wins_;
-    metrics_.count("hedge_wins");
-    if (race->span != trace::kNoSpan) {
-      tracer_->annotate(race->span, "hedge_won", "1");
-      tracer_->annotate(race->span, "tier", result.tier);
-    }
-  }
-  if (result.corrupted) {
-    ++corrupted_reads_surfaced_;
-    metrics_.count("corrupted_reads_surfaced");
-    if (race->span != trace::kNoSpan) {
-      tracer_->annotate(race->span, "corrupted", "1");
-    }
-  }
-  // The loser is cancelled: an active flow is torn off the fabric (its
-  // bytes were wasted); a branch still in device I/O just fizzles.
-  if (race->inflight > 0) {
-    const int other = 1 - branch;
-    ++hedges_cancelled_;
-    metrics_.count("hedges_cancelled");
-    if (race->flow_active[other]) {
-      fabric_.cancel(race->flow[other]);
-      race->flow_active[other] = false;
-      --race->inflight;  // its completion callback will never run
-      hedge_wasted_bytes_ += race->size;
-      metrics_.count("hedge_wasted_bytes", race->size);
-    }
-  }
-  trace::end_span(tracer_, race->hedge_span);
-  const auto latency_us = (sim_.now() - race->start) / util::kMicrosecond;
-  metrics_.observe("get_latency_us", latency_us);
-  if (result.degraded) metrics_.observe("degraded_get_latency_us", latency_us);
-  trace::end_span(tracer_, race->span);
-  race->cb(result);
-}
-
-void ObjectStore::abandon_read_branch(const std::shared_ptr<ReadRace>& race) {
-  --race->inflight;
-  if (race->decided || race->inflight > 0) return;
-  // Every branch ran out of clean replicas: with verification on the
-  // read reports not-found rather than surfacing rotten bytes.
-  race->decided = true;
-  metrics_.count("get_unreadable");
-  if (race->span != trace::kNoSpan) {
-    tracer_->annotate(race->span, "result", "unreadable");
-  }
-  trace::end_span(tracer_, race->hedge_span);
-  trace::end_span(tracer_, race->span);
-  race->cb(GetResult{});
+  start_fetch(client, key, 0, std::move(on_done));
 }
 
 void ObjectStore::read_block(cluster::NodeId client, const ObjectKey& key,
                              util::Bytes bytes, GetCallback on_done) {
   if (bytes <= 0) throw std::invalid_argument("read_block: bytes <= 0");
-  const util::TimeNs start = sim_.now();
-  metrics_.count("block_read_requests");
-  const trace::SpanId span =
-      trace::begin_span(tracer_, trace::Layer::kStorage, "store.read_block");
-  if (span != trace::kNoSpan) tracer_->annotate(span, "key", key.full());
-  auto it = objects_.find(key);
-  if (it == objects_.end() || health(it->second) == Health::kLost) {
-    metrics_.count(it == objects_.end() ? "get_misses" : "get_lost");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "result", "miss");
-    sim_.after(config_.metadata_latency,
-               [this, span, cb = std::move(on_done)] {
-                 trace::end_span(tracer_, span);
-                 cb(GetResult{});
-               });
-    return;
+  if (config_.redundancy == Redundancy::kErasure) {
+    // A fragment holds a slice of the stripe, never a whole block.
+    throw std::invalid_argument("read_block: store is erasure-coded");
   }
-  auto read = std::make_shared<BlockRead>();
-  read->key = key;
-  read->client = client;
-  read->block = std::min(bytes, it->second.size);
-  read->start = start;
-  read->span = span;
-  read->cb = std::move(on_done);
-  read->degraded = health(it->second) == Health::kDegraded;
-  if (read->degraded) {
-    metrics_.count("degraded_reads");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "degraded", "1");
-  }
-  metrics_.count("block_read_bytes", read->block);
-  if (span != trace::kNoSpan) {
-    tracer_->annotate(span, "bytes", std::to_string(read->block));
-  }
-  const cluster::NodeId server = choose_replica(it->second.replicas, client);
-  sim_.after(config_.metadata_latency,
-             [this, read, server] { run_block_read(read, server); });
-}
-
-void ObjectStore::run_block_read(const std::shared_ptr<BlockRead>& read,
-                                 cluster::NodeId server) {
-  read->tried.insert(server);
-  ServerState& state = server_state(server);
-  // Served from whichever tier already holds the object — a point read
-  // should not evict whole-object cache residents, so it never admits.
-  std::string tier_name;
-  if (auto tier = state.cache->peek(read->key.full()); tier.has_value()) {
-    tier_name = state.cache_tiers[static_cast<std::size_t>(*tier)];
-  } else {
-    tier_name = state.durable_device;
-  }
-  metrics_.count("block_read_tier_" + tier_name);
-  io_.device(server, tier_name)
-      .submit(IoKind::kRead, read->block, [this, read, server, tier_name] {
-        if (replica_corrupted(read->key, server)) {
-          if (config_.checksum_reads) {
-            ++checksum_failures_;
-            metrics_.count("checksum_failures");
-            drop_corrupted_replica(read->key, server);
-            cluster::NodeId next = cluster::kInvalidNode;
-            if (auto obj = objects_.find(read->key); obj != objects_.end()) {
-              for (cluster::NodeId r : obj->second.replicas) {
-                if (read->tried.count(r) == 0 &&
-                    !replica_corrupted(read->key, r)) {
-                  next = r;
-                  break;
-                }
-              }
-            }
-            if (next != cluster::kInvalidNode) {
-              run_block_read(read, next);
-              return;
-            }
-            metrics_.count("get_unreadable");
-            if (read->span != trace::kNoSpan) {
-              tracer_->annotate(read->span, "result", "unreadable");
-            }
-            trace::end_span(tracer_, read->span);
-            read->cb(GetResult{});
-            return;
-          }
-          read->corrupted = true;
-        }
-        trace::ScopedContext tctx(tracer_, read->span);
-        fabric_.transfer(
-            server, read->client, read->block, [this, read, server,
-                                                tier_name] {
-              GetResult result;
-              result.found = true;
-              result.size = read->block;
-              result.served_by = server;
-              result.tier = tier_name;
-              result.corrupted = read->corrupted;
-              result.degraded = read->degraded;
-              if (result.corrupted) {
-                ++corrupted_reads_surfaced_;
-                metrics_.count("corrupted_reads_surfaced");
-              }
-              metrics_.observe("block_read_latency_us",
-                               (sim_.now() - read->start) / util::kMicrosecond);
-              trace::end_span(tracer_, read->span);
-              read->cb(result);
-            });
-      });
+  start_fetch(client, key, bytes, std::move(on_done));
 }
 
 util::TimeNs ObjectStore::hedge_delay() const {
@@ -720,278 +409,309 @@ util::TimeNs ObjectStore::hedge_delay() const {
   return delay;
 }
 
-void ObjectStore::get_erasure(cluster::NodeId client, const ObjectKey& key,
-                              const ObjectMeta& meta, util::TimeNs start,
-                              trace::SpanId span, GetCallback on_done) {
-  // Rank surviving fragment holders by proximity to the client and read
-  // the k nearest. Any k of the k+m fragments reconstruct, so a
-  // degraded stripe (up to m fragments dead) still completes — the read
-  // set just includes parity fragments and pays the reconstruction cost.
-  std::vector<std::pair<cluster::NodeId, int>> ranked;
-  ranked.reserve(meta.replicas.size());
-  for (std::size_t i = 0; i < meta.replicas.size(); ++i) {
-    ranked.emplace_back(meta.replicas[i], meta.fragments[i]);
+void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
+                              util::Bytes block, GetCallback on_done) {
+  const util::TimeNs start = sim_.now();
+  metrics_.count(block > 0 ? "block_read_requests" : "get_requests");
+  const trace::SpanId span =
+      trace::begin_span(tracer_, trace::Layer::kStorage,
+                        block > 0 ? "store.read_block" : "store.get");
+  if (span != trace::kNoSpan) tracer_->annotate(span, "key", key.full());
+  auto it = objects_.find(key);
+  if (it == objects_.end() || health(it->second) == Health::kLost) {
+    // Unknown, or every replica (too many fragments) died with its node:
+    // unreadable until someone re-writes it.
+    const bool lost = it != objects_.end();
+    metrics_.count(lost ? "get_lost" : "get_misses");
+    if (span != trace::kNoSpan) {
+      tracer_->annotate(span, "result", lost ? "lost" : "miss");
+    }
+    sim_.after(config_.metadata_latency,
+               [this, span, cb = std::move(on_done)] {
+                 trace::end_span(tracer_, span);
+                 cb(GetResult{});
+               });
+    return;
   }
-  // Captures by value: the hedge callback runs this after get_erasure's
-  // frame is gone.
-  auto proximity = [this, client](cluster::NodeId n) {
-    if (n == client) return 0;
-    return fabric_.topology().same_rack(n, client) ? 1 : 2;
+  const ObjectMeta& meta = it->second;
+  const bool ec = config_.redundancy == Redundancy::kErasure;
+  auto f = std::make_shared<Fetch>();
+  f->key = key;
+  f->full_key = key.full();
+  f->client = client;
+  f->block = block > 0;
+  f->size = f->block ? std::min(block, meta.size) : meta.size;
+  f->branch_bytes = ec ? meta.per_server_bytes : f->size;
+  f->k = ec ? config_.ec_data : 1;
+  f->admit = config_.cache_on_get && !f->block;
+  f->hedge = config_.hedged_reads && !f->block &&
+             static_cast<int>(meta.replicas.size()) > f->k;
+  f->degraded = health(meta) == Health::kDegraded;
+  if (ec) {
+    f->decode_ns = static_cast<util::TimeNs>(
+        std::ceil(static_cast<double>(meta.size) * config_.ec_ns_per_byte));
+    f->reconstruct_ns = static_cast<util::TimeNs>(std::ceil(
+        static_cast<double>(meta.size) * config_.ec_reconstruct_ns_per_byte));
+  }
+  f->start = start;
+  f->span = span;
+  f->cb = std::move(on_done);
+  f->waiting = f->k;
+  f->inflight = f->k;
+  if (f->degraded) {
+    metrics_.count("degraded_reads");
+    if (span != trace::kNoSpan) tracer_->annotate(span, "degraded", "1");
+  }
+  if (f->block) metrics_.count("block_read_bytes", f->size);
+  if (span != trace::kNoSpan) {
+    tracer_->annotate(span, "bytes", std::to_string(f->size));
+  }
+
+  // Data fragments before parity (a pure-data read set skips the
+  // reconstruction math), then nearest the client, first in replica
+  // order among equals. For replication that is just the nearest replica.
+  const auto nearest_data = [&](std::size_t i) {
+    const bool parity = ec && meta.fragments[i] >= config_.ec_data;
+    return (parity ? 3 : 0) + proximity(meta.replicas[i], client);
   };
-  const int k = config_.ec_data;
-  // Data fragments first (a pure-data read set skips the reconstruction
-  // math), nearest first within each class; parity fills in only for
-  // dead or rotten data fragments.
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [&](const auto& a, const auto& b) {
-                     const bool pa = a.second >= k;
-                     const bool pb = b.second >= k;
-                     if (pa != pb) return pb;
-                     return proximity(a.first) < proximity(b.first);
-                   });
-
-  auto read = std::make_shared<EcRead>();
-  read->key = key;
-  read->client = client;
-  read->size = meta.size;
-  read->fragment_bytes = meta.per_server_bytes;
-  read->start = start;
-  read->span = span;
-  read->cb = std::move(on_done);
-  read->meta_degraded =
-      static_cast<int>(meta.replicas.size()) < placed_copies();
-  read->waiting = k;
-  read->served_by = ranked.front().first;
-  for (int i = 0; i < k; ++i) {
-    launch_ec_branch(read, ranked[static_cast<std::size_t>(i)].first,
-                     ranked[static_cast<std::size_t>(i)].second,
-                     /*hedge=*/false);
-  }
-
-  if (config_.hedged_reads &&
-      static_cast<int>(meta.replicas.size()) > k) {
-    // Straggler hedge: after the latency-quantile delay, read one extra
-    // surviving fragment — whichever k fragments land first win.
-    sim_.after(hedge_delay(), [this, read, proximity] {
-      if (read->done || read->hedged) return;
-      auto obj = objects_.find(read->key);
-      if (obj == objects_.end()) return;
-      const ObjectMeta& now_meta = obj->second;
-      cluster::NodeId target = cluster::kInvalidNode;
-      int target_fragment = -1;
-      int best_rank = 3;
-      bool best_clean = false;
-      for (std::size_t i = 0; i < now_meta.replicas.size(); ++i) {
-        const cluster::NodeId r = now_meta.replicas[i];
-        if (read->tried.count(r) != 0) continue;
-        const bool clean = !replica_corrupted(read->key, r);
-        const int rank = proximity(r);
-        // Prefer a clean fragment, then the nearest one.
-        if (target == cluster::kInvalidNode || (clean && !best_clean) ||
-            (clean == best_clean && rank < best_rank)) {
-          target = r;
-          target_fragment = now_meta.fragments[i];
-          best_rank = rank;
-          best_clean = clean;
-        }
-      }
-      if (target == cluster::kInvalidNode) return;
-      ++hedges_launched_;
-      metrics_.count("hedges_launched");
-      read->hedged = true;
-      read->hedge_span = trace::begin_span(
-          tracer_, trace::Layer::kStorage, "store.hedge", read->span);
-      if (read->hedge_span != trace::kNoSpan) {
-        tracer_->annotate(read->hedge_span, "server", std::to_string(target));
-      }
-      launch_ec_branch(read, target, target_fragment, /*hedge=*/true);
-    });
-  }
-}
-
-void ObjectStore::launch_ec_branch(const std::shared_ptr<EcRead>& read,
-                                   cluster::NodeId server, int fragment,
-                                   bool hedge) {
-  const int branch = static_cast<int>(read->branches.size());
-  read->branches.push_back(EcBranch{server, fragment, 0, false, false, hedge});
-  read->tried.insert(server);
-  ++read->inflight;
-  ServerState& state = server_state(server);
-  const util::Bytes bytes = read->fragment_bytes;
-  const std::string full = read->key.full();
-  std::string tier_name;
-  if (config_.cache_on_get) {
-    if (auto tier = state.cache->get(full); tier.has_value()) {
-      tier_name = state.cache_tiers[static_cast<std::size_t>(*tier)];
-    } else {
-      tier_name = state.durable_device;
-      state.cache->put(full, bytes);
+  if (ec) {
+    // Every fragment branch pays its own metadata round.
+    for (int i = 0; i < f->k; ++i) {
+      const auto pick = static_cast<std::size_t>(
+          untried_holder(meta.replicas, f->branches, nearest_data));
+      launch_branch(f, meta.replicas[pick], meta.fragments[pick],
+                    /*hedge=*/false);
     }
   } else {
-    tier_name = state.durable_device;
+    // One metadata round before the primary; hedges and failovers skip it.
+    const cluster::NodeId server = meta.replicas[static_cast<std::size_t>(
+        untried_holder(meta.replicas, f->branches, nearest_data))];
+    sim_.after(config_.metadata_latency, [this, f, server] {
+      launch_branch(f, server, 0, /*hedge=*/false);
+    });
   }
-  metrics_.count("get_tier_" + tier_name);
-  metrics_.count("get_bytes", bytes);
-  if (read->tier.empty()) {
-    read->tier = tier_name;
-    if (read->span != trace::kNoSpan) {
-      tracer_->annotate(read->span, "tier", tier_name);
+  if (!f->hedge) return;
+
+  // Straggler hedge: after the latency-quantile delay, read one more
+  // untried holder — whichever k branches land first win.
+  sim_.after(hedge_delay(), [this, f, ec] {
+    if (f->done || f->hedged) return;
+    auto obj = objects_.find(f->key);
+    if (obj == objects_.end()) return;
+    const auto& holders = obj->second.replicas;
+    // Clean before rotten (the checksum path fails over from a rotten
+    // one); an erasure-coded hedge then takes the nearest fragment.
+    const int pick = untried_holder(holders, f->branches, [&](std::size_t i) {
+      const int rotten = replica_corrupted(f->key, holders[i]) ? 3 : 0;
+      return ec ? rotten + proximity(holders[i], f->client) : rotten;
+    });
+    if (pick < 0) return;
+    const auto i = static_cast<std::size_t>(pick);
+    const cluster::NodeId target = holders[i];
+    ++hedges_launched_;
+    metrics_.count("hedges_launched");
+    f->hedged = true;
+    f->hedge_span = trace::begin_span(tracer_, trace::Layer::kStorage,
+                                      "store.hedge", f->span);
+    if (f->hedge_span != trace::kNoSpan) {
+      tracer_->annotate(f->hedge_span, "server", std::to_string(target));
     }
-  }
-  sim_.after(config_.metadata_latency, [this, read, branch, server,
-                                        tier_name] {
-    io_.device(server, tier_name)
-        .submit(IoKind::kRead, read->fragment_bytes, [this, read, branch,
-                                                      server] {
-          if (read->done) {
-            --read->inflight;
-            return;
-          }
-          // Checksum verification as the fragment leaves the media.
-          if (replica_corrupted(read->key, server)) {
-            if (config_.checksum_reads) {
-              ++checksum_failures_;
-              metrics_.count("checksum_failures");
-              drop_corrupted_replica(read->key, server);
-              // Fail over to the nearest untried clean survivor: any
-              // other fragment substitutes in the decode.
-              cluster::NodeId next = cluster::kInvalidNode;
-              int next_fragment = -1;
-              if (auto obj = objects_.find(read->key);
-                  obj != objects_.end()) {
-                for (std::size_t i = 0; i < obj->second.replicas.size();
-                     ++i) {
-                  const cluster::NodeId r = obj->second.replicas[i];
-                  if (read->tried.count(r) != 0) continue;
-                  if (replica_corrupted(read->key, r)) continue;
-                  next = r;
-                  next_fragment = obj->second.fragments[i];
-                  break;
-                }
-              }
-              if (next != cluster::kInvalidNode) {
-                const bool was_hedge = read->branches[branch].hedge;
-                --read->inflight;  // replaced by the failover branch
-                launch_ec_branch(read, next, next_fragment, was_hedge);
-                return;
-              }
-              abandon_ec_branch(read);
-              return;
-            }
-            // No verification: the rotten fragment corrupts the decode.
-            read->corrupted = true;
-          }
-          trace::ScopedContext tctx(tracer_, read->branches[branch].hedge
-                                                 ? read->hedge_span
-                                                 : read->span);
-          read->branches[branch].flow =
-              fabric_.transfer(server, read->client, read->fragment_bytes,
-                               [this, read, branch] {
-                                 finish_ec_branch(read, branch);
-                               });
-          read->branches[branch].flow_active = true;
-        });
+    ++f->inflight;
+    launch_branch(f, target, obj->second.fragments[i], /*hedge=*/true);
   });
 }
 
-void ObjectStore::finish_ec_branch(const std::shared_ptr<EcRead>& read,
-                                   int branch) {
-  EcBranch& b = read->branches[static_cast<std::size_t>(branch)];
-  b.flow_active = false;
-  --read->inflight;
-  if (read->done) return;
-  b.landed = true;
-  if (--read->waiting > 0) return;
-  complete_ec_read(read);
-}
-
-void ObjectStore::abandon_ec_branch(const std::shared_ptr<EcRead>& read) {
-  --read->inflight;
-  if (read->done || read->inflight >= read->waiting) return;
-  // Fewer clean fragments than k remain in flight: with verification on
-  // the read reports not-found rather than decoding rotten bytes. Any
-  // still-running branches fizzle against the done flag.
-  read->done = true;
-  metrics_.count("get_unreadable");
-  if (read->span != trace::kNoSpan) {
-    tracer_->annotate(read->span, "result", "unreadable");
+void ObjectStore::launch_branch(const std::shared_ptr<Fetch>& f,
+                                cluster::NodeId server, int fragment,
+                                bool hedge) {
+  const bool ec = config_.redundancy == Redundancy::kErasure;
+  const std::size_t b = f->branches.size();
+  Fetch::Branch branch;
+  branch.server = server;
+  branch.parity = ec && fragment >= config_.ec_data;
+  branch.hedge = hedge;
+  // Which tier serves the read? A cache miss admits the object when the
+  // plan says so; otherwise the read comes from wherever it already is.
+  ServerState& state = server_state(server);
+  const std::optional<int> cached = f->admit
+                                        ? state.cache->get(f->full_key)
+                                        : state.cache->peek(f->full_key);
+  if (f->admit && !cached) state.cache->put(f->full_key, f->branch_bytes);
+  branch.tier = cached ? state.cache_tiers[static_cast<std::size_t>(*cached)]
+                       : state.durable_device;
+  if (f->block) {
+    metrics_.count("block_read_tier_" + branch.tier);
+  } else {
+    metrics_.count("get_tier_" + branch.tier);
+    metrics_.count("get_bytes", f->branch_bytes);
   }
-  trace::end_span(tracer_, read->hedge_span);
-  trace::end_span(tracer_, read->span);
-  read->cb(GetResult{});
+  f->branches.push_back(std::move(branch));
+
+  auto read = [this, f, b, server] {
+    io_.device(server, f->branches[b].tier)
+        .submit(IoKind::kRead, f->branch_bytes, [this, f, b, server] {
+          if (f->done) {
+            --f->inflight;
+            return;
+          }
+          // Checksum verification as the payload leaves the media.
+          if (replica_corrupted(f->key, server)) {
+            if (!config_.checksum_reads) {
+              f->branches[b].rotten = true;  // served as-is
+            } else {
+              ++checksum_failures_;
+              metrics_.count("checksum_failures");
+              drop_corrupted_replica(f->key, server);
+              // Transparent failover to the first untried clean holder
+              // in replica order; any fragment substitutes in the decode.
+              int next = -1;
+              auto obj = objects_.find(f->key);
+              if (obj != objects_.end()) {
+                const auto& holders = obj->second.replicas;
+                next = untried_holder(holders, f->branches, [&](std::size_t i) {
+                  return replica_corrupted(f->key, holders[i]) ? -1 : 0;
+                });
+              }
+              if (next < 0) {
+                branch_abandoned(f);
+                return;
+              }
+              const auto i = static_cast<std::size_t>(next);
+              launch_branch(f, obj->second.replicas[i],
+                            obj->second.fragments[i], f->branches[b].hedge);
+              return;
+            }
+          }
+          trace::ScopedContext tctx(
+              tracer_, f->branches[b].hedge ? f->hedge_span : f->span);
+          f->branches[b].flow = fabric_.transfer(
+              server, f->client, f->branch_bytes,
+              [this, f, b] { branch_landed(f, b); });
+          f->branches[b].flow_active = true;
+        });
+  };
+  // An erasure-coded branch pays its own metadata round; replicated and
+  // block reads paid theirs once, before the primary.
+  if (ec) {
+    sim_.after(config_.metadata_latency, std::move(read));
+  } else {
+    read();
+  }
 }
 
-void ObjectStore::complete_ec_read(const std::shared_ptr<EcRead>& read) {
-  read->done = true;
-  // Cancel straggler transfers (only possible when a hedge over-
-  // provisioned the read set); branches still in device I/O fizzle.
-  for (EcBranch& b : read->branches) {
-    if (b.landed || !b.flow_active) continue;
-    fabric_.cancel(b.flow);
-    b.flow_active = false;
-    --read->inflight;
+void ObjectStore::branch_landed(const std::shared_ptr<Fetch>& f,
+                                std::size_t b) {
+  f->branches[b].flow_active = false;
+  --f->inflight;
+  if (f->done) return;
+  f->branches[b].landed = true;
+  if (--f->waiting > 0) return;
+  f->done = true;
+  const bool ec = config_.redundancy == Redundancy::kErasure;
+
+  // The stragglers lose: a flow still on the wire is torn off the fabric
+  // (its bytes were wasted), a branch still in device I/O fizzles
+  // against `done`. A replicated race counts its one loser either way;
+  // an erasure-coded read counts the flows it tears off, and a rotten
+  // fragment already on the wire still corrupts its decode.
+  if (!ec && f->inflight > 0) {
     ++hedges_cancelled_;
     metrics_.count("hedges_cancelled");
-    hedge_wasted_bytes_ += read->fragment_bytes;
-    metrics_.count("hedge_wasted_bytes", read->fragment_bytes);
   }
-  bool hedge_won = false;
-  int parity_used = 0;
-  for (const EcBranch& b : read->branches) {
-    if (!b.landed) continue;
-    if (b.hedge) hedge_won = true;
-    if (b.fragment >= config_.ec_data) ++parity_used;
-  }
-  const bool reconstructed = parity_used > 0;
-  if (hedge_won) {
-    ++hedge_wins_;
-    metrics_.count("hedge_wins");
-    if (read->span != trace::kNoSpan) {
-      tracer_->annotate(read->span, "hedge_won", "1");
+  GetResult result;
+  for (Fetch::Branch& s : f->branches) {
+    if (s.landed) {
+      result.hedge_won = result.hedge_won || s.hedge;
+      result.corrupted = result.corrupted || s.rotten;
+      if (s.parity) ++result.parity_fragments_used;
+      continue;
+    }
+    if (!s.flow_active) continue;
+    fabric_.cancel(s.flow);
+    s.flow_active = false;
+    --f->inflight;  // its completion callback will never run
+    hedge_wasted_bytes_ += f->branch_bytes;
+    metrics_.count("hedge_wasted_bytes", f->branch_bytes);
+    if (ec) {
+      ++hedges_cancelled_;
+      metrics_.count("hedges_cancelled");
+      result.corrupted = result.corrupted || s.rotten;
     }
   }
-  trace::end_span(tracer_, read->hedge_span);
-
-  GetResult result;
+  // An erasure-coded read reports the nearest fragment it opened with,
+  // a replicated one the holder whose bytes won.
+  const Fetch::Branch& shown = ec ? f->branches.front() : f->branches[b];
   result.found = true;
-  result.size = read->size;
-  result.served_by = read->served_by;
-  result.tier = read->tier;
-  result.hedged = read->hedged;
-  result.hedge_won = hedge_won;
-  result.corrupted = read->corrupted;
-  result.degraded = read->meta_degraded || reconstructed;
-  result.parity_fragments_used = parity_used;
+  result.size = f->size;
+  result.served_by = shown.server;
+  result.tier = shown.tier;
+  result.hedged = f->hedged;
+  result.degraded = f->degraded || result.parity_fragments_used > 0;
+  if (result.hedge_won) {
+    ++hedge_wins_;
+    metrics_.count("hedge_wins");
+    if (f->span != trace::kNoSpan) {
+      tracer_->annotate(f->span, "hedge_won", "1");
+    }
+  }
   if (result.corrupted) {
     ++corrupted_reads_surfaced_;
     metrics_.count("corrupted_reads_surfaced");
-    if (read->span != trace::kNoSpan) {
-      tracer_->annotate(read->span, "corrupted", "1");
+    if (f->span != trace::kNoSpan) {
+      tracer_->annotate(f->span, "corrupted", "1");
     }
   }
+  trace::end_span(tracer_, f->hedge_span);
   // Decode at the client: stripe assembly, plus the Reed-Solomon
-  // recovery math when parity stood in for dead data fragments.
-  auto decode_ns = static_cast<util::TimeNs>(std::ceil(
-      static_cast<double>(read->size) * config_.ec_ns_per_byte));
-  if (reconstructed) {
-    decode_ns += static_cast<util::TimeNs>(std::ceil(
-        static_cast<double>(read->size) * config_.ec_reconstruct_ns_per_byte));
+  // recovery math when parity stood in for dead or rotten data.
+  util::TimeNs decode_ns = f->decode_ns;
+  if (result.parity_fragments_used > 0) {
+    decode_ns += f->reconstruct_ns;
     metrics_.count("ec_reconstructed_reads");
-    if (read->span != trace::kNoSpan) {
-      tracer_->annotate(read->span, "reconstructed", "1");
-      tracer_->annotate(read->span, "parity_fragments",
-                        std::to_string(parity_used));
+    if (f->span != trace::kNoSpan) {
+      tracer_->annotate(f->span, "reconstructed", "1");
+      tracer_->annotate(f->span, "parity_fragments",
+                        std::to_string(result.parity_fragments_used));
     }
   }
-  sim_.after(decode_ns, [this, read, result] {
-    const auto latency_us = (sim_.now() - read->start) / util::kMicrosecond;
-    metrics_.observe("get_latency_us", latency_us);
-    if (result.degraded) {
-      metrics_.observe("degraded_get_latency_us", latency_us);
+  auto deliver = [this, f, result] {
+    const auto latency_us = (sim_.now() - f->start) / util::kMicrosecond;
+    if (f->block) {
+      // Never feeds get_latency_us: the hedge delay is a GET quantile.
+      metrics_.observe("block_read_latency_us", latency_us);
+    } else {
+      metrics_.observe("get_latency_us", latency_us);
+      if (result.degraded) {
+        metrics_.observe("degraded_get_latency_us", latency_us);
+      }
     }
-    trace::end_span(tracer_, read->span);
-    read->cb(result);
-  });
+    if (f->span != trace::kNoSpan) {
+      tracer_->annotate(f->span, "tier", result.tier);
+    }
+    trace::end_span(tracer_, f->span);
+    f->cb(result);
+  };
+  if (ec) {
+    sim_.after(decode_ns, std::move(deliver));
+  } else {
+    deliver();  // nothing to decode
+  }
+}
+
+void ObjectStore::branch_abandoned(const std::shared_ptr<Fetch>& f) {
+  --f->inflight;
+  // Enough live branches remain to land the missing ones: carry on.
+  if (f->done || f->inflight >= f->waiting) return;
+  // With verification on the read reports not-found rather than
+  // surfacing rotten bytes. Branches still running fizzle against `done`.
+  f->done = true;
+  metrics_.count("get_unreadable");
+  if (f->span != trace::kNoSpan) {
+    tracer_->annotate(f->span, "result", "unreadable");
+  }
+  trace::end_span(tracer_, f->hedge_span);
+  trace::end_span(tracer_, f->span);
+  f->cb(GetResult{});
 }
 
 void ObjectStore::preload(const ObjectKey& key, util::Bytes size,
@@ -1636,8 +1356,12 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
   }
 
   if (config_.redundancy == Redundancy::kReplication) {
-    // Stream one surviving copy to the target.
-    const cluster::NodeId source = choose_replica(meta.replicas, target);
+    // Stream the surviving copy nearest the target.
+    const cluster::NodeId source = *std::min_element(
+        meta.replicas.begin(), meta.replicas.end(),
+        [&](cluster::NodeId a, cluster::NodeId b) {
+          return proximity(a, target) < proximity(b, target);
+        });
     io_.device(source, server_state(source).durable_device)
         .submit(IoKind::kRead, fragment,
                 [this, key, source, target, fragment, version, span] {
@@ -1654,14 +1378,9 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
   // the target, then persist.
   const int k = config_.ec_data;
   std::vector<cluster::NodeId> sources = meta.replicas;
-  const auto& topo = fabric_.topology();
   std::stable_sort(sources.begin(), sources.end(),
                    [&](cluster::NodeId a, cluster::NodeId b) {
-                     auto rank = [&](cluster::NodeId n) {
-                       if (n == target) return 0;
-                       return topo.same_rack(n, target) ? 1 : 2;
-                     };
-                     return rank(a) < rank(b);
+                     return proximity(a, target) < proximity(b, target);
                    });
   sources.resize(static_cast<std::size_t>(k));
   const auto decode_ns = static_cast<util::TimeNs>(std::ceil(

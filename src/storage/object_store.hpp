@@ -7,10 +7,11 @@
 // copies/fragments of one object, which is what lets an EC stripe
 // survive a whole-rack outage. Every server runs a tiered cache: the
 // durable home of an object is the server's slowest device; faster
-// devices act as read caches. GET prefers the replica closest to the
-// client (same node, then same rack); an erasure-coded GET reads the k
-// nearest surviving fragments and reconstructs through parity when data
-// fragments are dead or fail their checksum.
+// devices act as read caches. Every read is one k-of-n fetch: a
+// replicated GET or block read takes the replica closest to the client
+// (same node, then same rack); an erasure-coded GET reads k surviving
+// fragments, data before parity and nearest first, and reconstructs
+// through parity when data fragments are dead or fail their checksum.
 //
 // All data movement goes through the shared network fabric and the
 // per-device queues, so storage traffic contends with shuffle and
@@ -214,6 +215,8 @@ class ObjectStore {
   /// generation): one replica chosen by proximity, tier-aware device
   /// read, checksum failover, and a fabric transfer of only the block,
   /// never the whole object. No hedging; never admits into the cache.
+  /// Replicated stores only: on an erasure-coded store a fragment holds
+  /// no whole block, so this throws std::invalid_argument.
   void read_block(cluster::NodeId client, const ObjectKey& key,
                   util::Bytes bytes, GetCallback on_done);
 
@@ -409,58 +412,66 @@ class ObjectStore {
   void write_durable(cluster::NodeId server, const ObjectKey& key,
                      util::Bytes size, std::function<void()> on_done);
 
-  /// Picks the replica to serve a GET for `client`.
-  cluster::NodeId choose_replica(const std::vector<cluster::NodeId>& replicas,
-                                 cluster::NodeId client) const;
+  /// How near a holder is to a reader: 0 same node, 1 same rack, 2 other.
+  int proximity(cluster::NodeId holder, cluster::NodeId reader) const;
 
-  /// Shared state for one replication GET: the primary read (branch 0)
-  /// races an optional hedge read (branch 1); the first finished
-  /// transfer decides and the loser's flow is cancelled.
-  struct ReadRace {
+  /// One object read, shared by get() and read_block(): branches fetch
+  /// `branch_bytes` each from distinct holders, and the read completes
+  /// once `k` of them have landed at the client. A replicated GET or a
+  /// block read is the k = 1 case; an erasure-coded GET needs k = ec_data
+  /// fragments and then decodes. A branch picks its tier, reads the
+  /// device, verifies the checksum (failing over to an untried clean
+  /// holder) and ships its bytes. One hedge branch may cover a straggler;
+  /// stragglers still running at completion are cancelled.
+  struct Fetch {
+    struct Branch {
+      cluster::NodeId server = cluster::kInvalidNode;
+      bool parity = false;  // EC parity fragment: the decode reconstructs
+      bool hedge = false;
+      bool rotten = false;  // shipped a payload that fails its checksum
+      bool landed = false;
+      bool flow_active = false;
+      net::FlowId flow = 0;
+      std::string tier;
+    };
+    // The plan: plain data fixed when the read starts.
     ObjectKey key;
+    std::string full_key;  // key.full(), built once for the cache lookups
     cluster::NodeId client = cluster::kInvalidNode;
-    util::Bytes size = 0;
+    util::Bytes size = 0;          // bytes the caller is told it got
+    util::Bytes branch_bytes = 0;  // bytes every branch reads and ships
+    int k = 1;                     // landings that complete the read
+    bool block = false;     // point read: block_read_* metrics
+    bool admit = false;     // a cache miss admits the object (else peek)
+    bool hedge = false;     // a hedge branch may fire
+    bool degraded = false;  // the object was below placement at start
+    util::TimeNs decode_ns = 0;       // EC: decode after k landings ...
+    util::TimeNs reconstruct_ns = 0;  // ... plus this when parity landed
+    // Progress.
     util::TimeNs start = 0;
     trace::SpanId span = trace::kNoSpan;
     trace::SpanId hedge_span = trace::kNoSpan;
     GetCallback cb;
-    bool decided = false;
+    bool done = false;
     bool hedged = false;
-    bool degraded = false;  // object below placement at GET time
-    int inflight = 0;                  // branches still running
-    std::set<cluster::NodeId> tried;   // replicas any branch touched
-    net::FlowId flow[2] = {0, 0};
-    bool flow_active[2] = {false, false};
-    GetResult result[2];               // per-branch candidate result
+    int waiting = 0;   // landings still required
+    int inflight = 0;  // live branches, a not-yet-launched primary included
+    std::vector<Branch> branches;  // every holder tried, in launch order
   };
-
-  /// Runs one branch of a GET race against `server`: tier selection,
-  /// device read, checksum verification (with failover to a clean
-  /// replica), then the fabric transfer to the client.
-  void run_read_branch(const std::shared_ptr<ReadRace>& race, int branch,
-                       cluster::NodeId server);
-  /// A branch's transfer arrived: decide the race if still open.
-  void finish_read_branch(const std::shared_ptr<ReadRace>& race, int branch);
-  /// A branch died (no clean replica left): deliver not-found when it
-  /// was the last one standing.
-  void abandon_read_branch(const std::shared_ptr<ReadRace>& race);
-
-  /// Shared state for one block (point) read.
-  struct BlockRead {
-    ObjectKey key;
-    cluster::NodeId client = cluster::kInvalidNode;
-    util::Bytes block = 0;
-    util::TimeNs start = 0;
-    trace::SpanId span = trace::kNoSpan;
-    GetCallback cb;
-    bool degraded = false;
-    bool corrupted = false;
-    std::set<cluster::NodeId> tried;
-  };
-  /// One attempt of a block read against `server`; fails over to an
-  /// untried clean replica on checksum failure.
-  void run_block_read(const std::shared_ptr<BlockRead>& read,
-                      cluster::NodeId server);
+  /// Plans the read (`block` > 0 reads that many bytes, else the whole
+  /// object), launches the first k branches and arms the hedge.
+  void start_fetch(cluster::NodeId client, const ObjectKey& key,
+                   util::Bytes block, GetCallback on_done);
+  /// Starts one branch against `server` (holding `fragment`): tier
+  /// selection, device read, checksum failover, then the transfer.
+  void launch_branch(const std::shared_ptr<Fetch>& fetch,
+                     cluster::NodeId server, int fragment, bool hedge);
+  /// A branch's bytes arrived; the k-th landing completes the read.
+  void branch_landed(const std::shared_ptr<Fetch>& fetch,
+                     std::size_t branch);
+  /// A branch found no clean holder left to fail over to: the read
+  /// reports not-found once fewer than the missing landings remain live.
+  void branch_abandoned(const std::shared_ptr<Fetch>& fetch);
 
   /// Drops a corrupted replica from its object's replica set and queues
   /// re-replication (the checksum-detected analogue of a media crash).
@@ -468,56 +479,6 @@ class ObjectStore {
   void purge_corrupted(const ObjectKey& key);
   void arm_scrub();
   void scrub_pass();
-
-  /// Shared state for one erasure-coded GET: k fragment fetches run in
-  /// parallel (plus at most one hedge fragment); the read completes when
-  /// any k fragments have landed, then pays the decode/reconstruction
-  /// cost at the client.
-  struct EcBranch {
-    cluster::NodeId server = cluster::kInvalidNode;
-    int fragment = -1;
-    net::FlowId flow = 0;
-    bool flow_active = false;
-    bool landed = false;
-    bool hedge = false;
-  };
-  struct EcRead {
-    ObjectKey key;
-    cluster::NodeId client = cluster::kInvalidNode;
-    util::Bytes size = 0;
-    util::Bytes fragment_bytes = 0;
-    util::TimeNs start = 0;
-    trace::SpanId span = trace::kNoSpan;
-    trace::SpanId hedge_span = trace::kNoSpan;
-    GetCallback cb;
-    bool done = false;
-    bool meta_degraded = false;  // object below placement at GET time
-    bool corrupted = false;      // rotten fragment served (checksums off)
-    bool hedged = false;
-    int waiting = 0;   // fragment landings still required (k - landed)
-    int inflight = 0;  // launched branches not yet landed or abandoned
-    std::set<cluster::NodeId> tried;
-    std::vector<EcBranch> branches;
-    std::string tier;  // tier of the nearest fragment (reporting)
-    cluster::NodeId served_by = cluster::kInvalidNode;
-  };
-
-  /// Erasure-coded GET: fetch the k nearest surviving fragments in
-  /// parallel (reconstructing through parity when data fragments are
-  /// dead or rotten), then decode at the client. Checksummed fragment
-  /// reads fail over to unused survivors; with hedging on, one extra
-  /// fragment read covers the straggler.
-  void get_erasure(cluster::NodeId client, const ObjectKey& key,
-                   const ObjectMeta& meta, util::TimeNs start,
-                   trace::SpanId span, GetCallback on_done);
-  /// Launches one fragment fetch; `hedge` marks the extra hedge branch.
-  void launch_ec_branch(const std::shared_ptr<EcRead>& read,
-                        cluster::NodeId server, int fragment, bool hedge);
-  void finish_ec_branch(const std::shared_ptr<EcRead>& read, int branch);
-  /// A fragment branch died (no clean survivor to fail over to).
-  void abandon_ec_branch(const std::shared_ptr<EcRead>& read);
-  /// All k fragments landed: cancel stragglers, decode, deliver.
-  void complete_ec_read(const std::shared_ptr<EcRead>& read);
   /// Hedge-fire delay from the GET latency quantile (floor until warm).
   util::TimeNs hedge_delay() const;
 

@@ -259,7 +259,7 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
         metrics_.count("wal_commits");
         // Durable: apply in order (idempotent per key), then ack.
         for (PendingWrite& w : *group) {
-          apply_write(node_id, w);
+          apply_write(w);
           respond_write(node_id, w, OpStatus::kOk);
         }
         if (!n.group.empty() && !n.group_armed) {
@@ -282,8 +282,7 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
   n.commit_inflight = true;
 }
 
-void TabletService::apply_write(cluster::NodeId node_id,
-                                const PendingWrite& w) {
+void TabletService::apply_write(const PendingWrite& w) {
   std::int64_t& applied = applied_seq_[w.key];
   if (w.seq <= applied) {
     // A newer write to this key already landed (a cross-epoch ordering
@@ -303,7 +302,7 @@ void TabletService::apply_write(cluster::NodeId node_id,
   t.memtable_bytes += config_.value_bytes;
   if (!t.moving) {
     maybe_flush(si.node, si.id);
-    arm_age_flush(si.node, si.id);
+    arm_age_flush(si.id);
   }
 }
 
@@ -379,7 +378,7 @@ void TabletService::maybe_flush(cluster::NodeId node_id, ShardId shard) {
   if (t.memtable_bytes >= config_.flush_bytes) start_flush(node_id, shard);
 }
 
-void TabletService::arm_age_flush(cluster::NodeId node_id, ShardId shard) {
+void TabletService::arm_age_flush(ShardId shard) {
   Tablet& t = tablet(shard);
   if (t.age_armed || config_.flush_age <= 0 || t.memtable.empty()) return;
   t.age_armed = true;
@@ -449,7 +448,7 @@ void TabletService::start_flush(cluster::NodeId node_id, ShardId shard) {
         }
         if (!map_.has_shard(shard)) return;
         maybe_flush(map_.shard(shard).node, shard);
-        arm_age_flush(map_.shard(shard).node, shard);
+        arm_age_flush(shard);
       });
   if (!accepted) {
     // Fenced flush (zombie server): restore the seal; the tablet is
@@ -514,7 +513,7 @@ bool TabletService::split_shard(ShardId id, std::uint64_t at) {
   tablets_[rid] = std::move(r);
   host(info.node, rid);
   metrics_.count("splits");
-  if (tablets_.at(rid).memtable_bytes > 0) arm_age_flush(info.node, rid);
+  if (tablets_.at(rid).memtable_bytes > 0) arm_age_flush(rid);
   kick(info.node);
   return true;
 }
@@ -545,7 +544,7 @@ bool TabletService::merge_shards(ShardId left, ShardId right) {
   unhost(li.node, right);
   tablets_.erase(rt);
   metrics_.count("merges");
-  if (l.memtable_bytes > 0) arm_age_flush(li.node, left);
+  if (l.memtable_bytes > 0) arm_age_flush(left);
   return true;
 }
 
@@ -620,7 +619,7 @@ void TabletService::finish_move(ShardId id, cluster::NodeId from,
   ++moves_completed_;
   metrics_.count("moves_completed");
   metrics_.observe("move_unavail_us", window / util::kMicrosecond);
-  if (t.memtable_bytes > 0) arm_age_flush(to, id);
+  if (t.memtable_bytes > 0) arm_age_flush(id);
   kick(to);
 }
 

@@ -271,7 +271,7 @@ class TabletService {
   void finish_read(cluster::NodeId node, ShardId shard, Op op);
   void append_wal(cluster::NodeId node, ShardId shard, Op op);
   void commit_wal(cluster::NodeId node);
-  void apply_write(cluster::NodeId node_id, const PendingWrite& w);
+  void apply_write(const PendingWrite& w);
   void respond(cluster::NodeId from, const Op& op, OpStatus status,
                ShardId shard, bool from_memtable = false);
   void respond_write(cluster::NodeId from, const PendingWrite& w,
@@ -280,7 +280,7 @@ class TabletService {
                trace::SpanId span, OpResult result, OpCallback cb);
   void maybe_flush(cluster::NodeId node_id, ShardId shard);
   void start_flush(cluster::NodeId node_id, ShardId shard);
-  void arm_age_flush(cluster::NodeId node_id, ShardId shard);
+  void arm_age_flush(ShardId shard);
   void cancel_age_flush(Tablet& t);
   void bounce_queue(cluster::NodeId node_id, Tablet& t, OpStatus status);
   void finish_move(ShardId id, cluster::NodeId from, cluster::NodeId to);

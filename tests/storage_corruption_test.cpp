@@ -168,6 +168,73 @@ TEST(Corruption, AllReplicasRottenReportsNotFound) {
   EXPECT_EQ(f.store.checksum_failures(), 1);
 }
 
+TEST(Corruption, ChecksummedBlockReadFailsOverToCleanReplica) {
+  ObjectStoreConfig config = full_replication();
+  config.checksum_reads = true;
+  CorruptionFixture f(config);
+  f.put_objects(1, 4 * util::kMiB);
+  const ObjectKey key{"b", "obj0"};
+  GetResult probe;
+  f.store.read_block(0, key, 64 * util::kKiB,
+                     [&](const GetResult& r) { probe = r; });
+  f.sim.run();
+  ASSERT_TRUE(probe.found);
+  const cluster::NodeId rotten = probe.served_by;
+  ASSERT_TRUE(f.store.corrupt_replica(key, rotten));
+
+  GetResult result;
+  f.store.read_block(0, key, 64 * util::kKiB,
+                     [&](const GetResult& r) { result = r; });
+  f.sim.run();
+  EXPECT_TRUE(result.found);
+  EXPECT_FALSE(result.corrupted);
+  EXPECT_EQ(result.size, 64 * util::kKiB);
+  EXPECT_NE(result.served_by, rotten);
+  EXPECT_EQ(f.store.checksum_failures(), 1);
+  EXPECT_EQ(f.store.corrupted_reads_surfaced(), 0);
+  // The rotten copy is dropped and repaired like any checksum failure.
+  EXPECT_EQ(f.store.corrupted_replica_count(), 0);
+  EXPECT_EQ(f.store.under_replicated_objects(), 0);
+  // Block reads keep their own latency histogram: the hedge delay is a
+  // quantile of whole-object GETs only.
+  EXPECT_EQ(f.store.metrics().histogram("block_read_latency_us").count(), 2);
+  EXPECT_FALSE(f.store.metrics().has_histogram("get_latency_us"));
+}
+
+TEST(Corruption, BlockReadOfAllRottenReplicasReportsNotFound) {
+  ObjectStoreConfig config = full_replication();
+  config.checksum_reads = true;
+  CorruptionFixture f(config);
+  f.put_objects(1);
+  const ObjectKey key{"b", "obj0"};
+  for (auto server : f.store.servers()) f.store.corrupt_replica(key, server);
+  GetResult result;
+  result.found = true;
+  f.store.read_block(0, key, 64 * util::kKiB,
+                     [&](const GetResult& r) { result = r; });
+  f.sim.run();
+  EXPECT_FALSE(result.found);
+  EXPECT_FALSE(result.corrupted);
+  EXPECT_EQ(f.store.metrics().counter("get_unreadable"), 1);
+  EXPECT_EQ(f.store.corrupted_reads_surfaced(), 0);
+  EXPECT_EQ(f.store.checksum_failures(), 1);
+}
+
+TEST(Corruption, UncheckedBlockReadSurfacesCorruption) {
+  CorruptionFixture f(full_replication());
+  f.put_objects(1);
+  const ObjectKey key{"b", "obj0"};
+  for (auto server : f.store.servers()) f.store.corrupt_replica(key, server);
+  GetResult result;
+  f.store.read_block(0, key, 64 * util::kKiB,
+                     [&](const GetResult& r) { result = r; });
+  f.sim.run();
+  EXPECT_TRUE(result.found);
+  EXPECT_TRUE(result.corrupted);
+  EXPECT_EQ(f.store.corrupted_reads_surfaced(), 1);
+  EXPECT_EQ(f.store.checksum_failures(), 0);
+}
+
 TEST(Corruption, ScrubberRepairsAllRotAndDrains) {
   ObjectStoreConfig config;
   config.replicas = 2;

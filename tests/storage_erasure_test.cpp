@@ -112,6 +112,18 @@ TEST(ErasureCoding, GetReconstructsFullObject) {
   EXPECT_FALSE(result.tier.empty());
 }
 
+TEST(ErasureCoding, ReadBlockIsRejected) {
+  // A fragment holds a slice of the stripe, never a whole block: serving
+  // a point read from one (possibly parity) fragment would be wrong.
+  EcFixture f;
+  const ObjectKey key{"data", "obj"};
+  f.store.preload(key, 4 * util::kMiB);
+  EXPECT_THROW(f.store.read_block(0, key, 16 * util::kKiB,
+                                  [](const GetResult&) {}),
+               std::invalid_argument);
+  EXPECT_EQ(f.store.metrics().counter("block_read_requests"), 0);
+}
+
 TEST(ErasureCoding, RemoveReclaimsFragments) {
   EcFixture f;
   const ObjectKey key{"data", "obj"};

@@ -183,6 +183,35 @@ TEST(ObjectStore, CacheDisabledAlwaysReadsDurable) {
   }
 }
 
+TEST(ObjectStore, ErasureCacheDisabledStillServesCachedFragments) {
+  // cache_on_get off only stops reads from admitting: fragments a PUT
+  // wrote through into the cache serve from it, exactly as replicas do,
+  // while a cold stripe keeps reading the durable device.
+  ObjectStoreConfig config;
+  config.redundancy = Redundancy::kErasure;
+  config.ec_data = 4;
+  config.ec_parity = 2;
+  config.cache_on_get = false;
+  StoreFixture f(2, 6, config);
+  const ObjectKey hot{"data", "hot"};
+  f.store.put(0, hot, 4 * util::kMiB, [] {});
+  f.sim.run();
+  GetResult result;
+  f.store.get(0, hot, [&](const GetResult& r) { result = r; });
+  f.sim.run();
+  EXPECT_TRUE(result.found);
+  EXPECT_EQ(result.tier, "dram");
+  EXPECT_EQ(f.store.metrics().counter("get_tier_hdd"), 0);
+
+  const ObjectKey cold{"data", "cold"};
+  f.store.preload(cold, 4 * util::kMiB);
+  for (int i = 0; i < 2; ++i) {
+    f.store.get(0, cold, [&](const GetResult& r) { result = r; });
+    f.sim.run();
+    EXPECT_EQ(result.tier, "hdd");
+  }
+}
+
 TEST(ObjectStore, LargerObjectsTakeLonger) {
   StoreFixture f;
   f.store.preload(ObjectKey{"data", "small"}, 64 * util::kKiB);
