@@ -19,6 +19,10 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
+(cd "$BUILD_DIR" && ./bench/bench_t1_endtoend --json)
+(cd "$BUILD_DIR" && ./bench/bench_f1_scaling --json)
+(cd "$BUILD_DIR" && ./bench/bench_f4_sched --json)
+(cd "$BUILD_DIR" && ./bench/bench_f8_energy --json)
 (cd "$BUILD_DIR" && ./bench/bench_f9_churn --json)
 (cd "$BUILD_DIR" && ./bench/bench_f10_faults --json)
 (cd "$BUILD_DIR" && ./bench/bench_f11_gray --json)
@@ -45,10 +49,13 @@ diff <(filter_host_timing "$BUILD_DIR/BENCH_f9_churn.json") \
 # These reports are fully simulation-deterministic: every column must
 # match the tracked baseline bit for bit. F5 pins replicated-GET tier
 # selection and cache admission, A5 cold erasure-coded and replicated
-# GETs.
-DETERMINISTIC_BENCHES=(f5_storage a5_redundancy f10_faults f11_gray
-                       f12_serving f14_durability f15_fairness
-                       f16_partitions f17_tablets)
+# GETs. T1, F4 and F8 pin the converged-vs-siloed comparison, F1
+# run_dataflow with locality placement on and off.
+DETERMINISTIC_BENCHES=(t1_endtoend f1_scaling f4_sched f8_energy
+                       a4_speculation f7_autoscale f5_storage
+                       a5_redundancy f10_faults f11_gray f12_serving
+                       f14_durability f15_fairness f16_partitions
+                       f17_tablets)
 for bench in "${DETERMINISTIC_BENCHES[@]}"; do
   diff "$BUILD_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
     || { echo "check.sh: BENCH_$bench.json deviates from baseline"; exit 1; }
@@ -176,6 +183,12 @@ awk -v fresh="$fresh_eps" -v base="$base_eps" -v speedup="$fresh_speedup" \
 
 # -- Traced runs + strict JSON validation ------------------------------
 (cd "$BUILD_DIR" && ./bench/bench_t1_endtoend --trace --json)
+# The traced T1 report only adds the per-layer `*_crit_*` keys; every
+# other value must still equal the untraced baseline.
+untraced_keys() { grep -v '_crit_' "$1" | sed 's/,$//'; }
+diff <(untraced_keys "$BUILD_DIR/BENCH_t1_endtoend.json") \
+     <(untraced_keys BENCH_t1_endtoend.json) \
+  || { echo "check.sh: BENCH_t1_endtoend.json changed under --trace"; exit 1; }
 (cd "$BUILD_DIR" && ./bench/bench_f10_faults --trace --json)
 # Tracing must not perturb the simulation: the traced gray-failure,
 # serving and tablet reruns (tablet spans included) have to reproduce
