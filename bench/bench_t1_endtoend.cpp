@@ -2,10 +2,12 @@
 // baseline, for three pipelines (urban mobility, ML training, analytics
 // chain). Reproduces the paper's headline "convergence pays" table.
 //
-// With `--trace`, each converged run is span-traced end to end; the
-// bench prints a per-layer critical-path attribution table (rows sum to
-// the end-to-end time) and writes TRACE_t1_endtoend.json, loadable in
-// Perfetto / chrome://tracing.
+// Both deployments are layouts of one core::Platform and run through the
+// same code path. With `--trace`, every run is span-traced end to end;
+// the bench prints a per-layer critical-path attribution table for each
+// layout (rows sum to the end-to-end time, so the siloed table shows the
+// staging copies as storage and network time) and writes
+// TRACE_t1_endtoend.json, loadable in Perfetto / chrome://tracing.
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -122,12 +124,62 @@ std::vector<UseCase> use_cases() {
   return cases;
 }
 
+// Traced runs, collected for export after every scenario has drained
+// (tracers outlive their simulations).
+struct Tracing {
+  bool on = false;
+  std::vector<std::unique_ptr<trace::Tracer>> tracers;
+  std::vector<trace::TraceProcess> processes;
+  using Paths = std::vector<std::pair<std::string, trace::CriticalPath>>;
+  Paths converged, siloed;
+};
+
+struct Outcome {
+  util::TimeNs time = 0;  // end to end; -1 when the workflow failed
+  util::Bytes staged = 0;
+};
+
+/// Runs one use case on a fresh platform of the given layout.
+template <class Layout>
+Outcome run_use_case(const UseCase& uc, const std::string& layout,
+                     Tracing::Paths& paths, Tracing& tracing) {
+  sim::Simulation sim;
+  Layout layout_platform(sim);
+  core::Platform& platform = layout_platform;
+  trace::Tracer* tracer = nullptr;
+  if (tracing.on) {
+    tracing.tracers.push_back(std::make_unique<trace::Tracer>(sim));
+    tracer = tracing.tracers.back().get();
+    platform.set_tracer(tracer);
+  }
+  uc.stage(platform.catalog());
+  Outcome outcome;
+  platform.run_workflow(uc.build(), [&](const workflow::WorkflowResult& r) {
+    outcome.time = r.success ? r.duration : -1;
+  });
+  sim.run();
+  outcome.staged = platform.staged_bytes();
+  if (tracer) {
+    tracer->close_open_spans();
+    tracing.processes.push_back(
+        trace::TraceProcess{"t1/" + uc.name + " " + layout, tracer});
+    for (trace::SpanId root : trace::root_spans(*tracer)) {
+      // The workflow run is the only root with children.
+      if (tracer->span(root).name == "wf.run") {
+        paths.emplace_back(uc.name, trace::critical_path(*tracer, root));
+        break;
+      }
+    }
+  }
+  return outcome;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
+  Tracing tracing;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
+    if (std::strcmp(argv[i], "--trace") == 0) tracing.on = true;
   }
 
   core::Table table(
@@ -135,77 +187,45 @@ int main(int argc, char** argv) {
       {"use case", "converged", "siloed", "staged", "speedup"});
   core::MetricsReport report("t1_endtoend");
 
-  // Tracers outlive their simulations: spans are exported after the
-  // loop, once every scenario has drained.
-  std::vector<std::unique_ptr<trace::Tracer>> tracers;
-  std::vector<trace::TraceProcess> processes;
-  std::vector<std::pair<std::string, trace::CriticalPath>> paths;
-
   for (const UseCase& uc : use_cases()) {
-    util::TimeNs converged = 0, siloed_time = 0;
-    util::Bytes staged = 0;
-    {
-      sim::Simulation sim;
-      core::Platform platform(sim);
-      trace::Tracer* tracer = nullptr;
-      if (tracing) {
-        tracers.push_back(std::make_unique<trace::Tracer>(sim));
-        tracer = tracers.back().get();
-        platform.set_tracer(tracer);
-      }
-      uc.stage(platform.catalog());
-      platform.run_workflow(uc.build(),
-                            [&](const workflow::WorkflowResult& r) {
-                              converged = r.success ? r.duration : -1;
-                            });
-      sim.run();
-      if (tracer) {
-        tracer->close_open_spans();
-        processes.push_back(
-            trace::TraceProcess{"t1/" + uc.name + " converged", tracer});
-        for (trace::SpanId root : trace::root_spans(*tracer)) {
-          // The workflow run is the only root with children.
-          if (tracer->span(root).name == "wf.run") {
-            paths.emplace_back(uc.name, trace::critical_path(*tracer, root));
-            break;
-          }
-        }
-      }
-    }
-    {
-      sim::Simulation sim;
-      core::SiloedPlatform silos(sim);
-      uc.stage(silos.bigdata_catalog());
-      silos.run_workflow(uc.build(), [&](const workflow::WorkflowResult& r) {
-        siloed_time = r.success ? r.duration : -1;
-      });
-      sim.run();
-      staged = silos.staged_bytes();
-    }
-    table.add_row({uc.name, util::human_time(converged),
-                   util::human_time(siloed_time), util::human_bytes(staged),
-                   util::fixed(static_cast<double>(siloed_time) /
-                                   static_cast<double>(converged),
+    const Outcome converged = run_use_case<core::Platform>(
+        uc, "converged", tracing.converged, tracing);
+    const Outcome siloed = run_use_case<core::SiloedPlatform>(
+        uc, "siloed", tracing.siloed, tracing);
+    table.add_row({uc.name, util::human_time(converged.time),
+                   util::human_time(siloed.time),
+                   util::human_bytes(siloed.staged),
+                   util::fixed(static_cast<double>(siloed.time) /
+                                   static_cast<double>(converged.time),
                                2) +
                        "x"});
-    report.set(uc.name + "_converged_ns", converged);
-    report.set(uc.name + "_siloed_ns", siloed_time);
-    report.set(uc.name + "_staged_bytes", staged);
+    report.set(uc.name + "_converged_ns", converged.time);
+    report.set(uc.name + "_siloed_ns", siloed.time);
+    report.set(uc.name + "_staged_bytes", siloed.staged);
   }
   table.print();
   std::cout << "\nShape check: converged < siloed on every use case; the gap"
                "\ngrows with the volume of cross-silo data staged.\n";
 
-  if (tracing) {
-    std::cout << "\n";
-    trace::critical_path_table(
-        "T1 critical path: end-to-end latency by layer (converged)", paths)
-        .print();
-    std::cout << "\nwrote " << trace::write_chrome_trace("t1_endtoend",
-                                                         processes)
+  if (tracing.on) {
+    for (const auto& [layout, paths] :
+         {std::pair{"converged", &tracing.converged},
+          std::pair{"siloed", &tracing.siloed}}) {
+      std::cout << "\n";
+      trace::critical_path_table(
+          std::string("T1 critical path: end-to-end latency by layer (") +
+              layout + ")",
+          *paths)
+          .print();
+    }
+    std::cout << "\nwrote "
+              << trace::write_chrome_trace("t1_endtoend", tracing.processes)
               << "\n";
-    for (const auto& [name, path] : paths) {
+    for (const auto& [name, path] : tracing.converged) {
       trace::report_critical_path(report, name, path);
+    }
+    for (const auto& [name, path] : tracing.siloed) {
+      trace::report_critical_path(report, name + "_siloed", path);
     }
   }
   if (core::json_mode(argc, argv)) {

@@ -12,6 +12,35 @@
 #include "util/strings.hpp"
 #include "workloads/mobility.hpp"
 
+namespace {
+
+struct Outcome {
+  bool ok = false;
+  evolve::util::TimeNs time = 0;
+  evolve::util::Bytes staged = 0;
+};
+
+// Runs the pipeline on a fresh platform of the given layout; both layouts
+// take the same code path.
+template <class Layout>
+Outcome run_pipeline(const evolve::workloads::MobilityScenario& scenario) {
+  using namespace evolve;
+  sim::Simulation sim;
+  Layout platform(sim);
+  workloads::stage_mobility_inputs(platform.catalog(), scenario);
+  Outcome outcome;
+  platform.run_workflow(workloads::mobility_pipeline(scenario),
+                        [&](const workflow::WorkflowResult& r) {
+                          outcome.ok = r.success;
+                          outcome.time = r.duration;
+                        });
+  sim.run();
+  outcome.staged = platform.staged_bytes();
+  return outcome;
+}
+
+}  // namespace
+
 int main() {
   using namespace evolve;
 
@@ -24,55 +53,27 @@ int main() {
   std::cout << "Urban mobility pipeline over "
             << util::human_bytes(scenario.trace_bytes) << " of GPS traces\n\n";
 
-  // --- Converged run -------------------------------------------------
-  util::TimeNs converged = 0;
-  {
-    sim::Simulation sim;
-    core::Platform platform(sim);
-    workloads::stage_mobility_inputs(platform.catalog(), scenario);
-    bool ok = false;
-    platform.run_workflow(workloads::mobility_pipeline(scenario),
-                          [&](const workflow::WorkflowResult& r) {
-                            ok = r.success;
-                            converged = r.duration;
-                          });
-    sim.run();
-    if (!ok) {
-      std::cerr << "converged pipeline failed\n";
-      return 1;
-    }
+  const Outcome converged = run_pipeline<core::Platform>(scenario);
+  if (!converged.ok) {
+    std::cerr << "converged pipeline failed\n";
+    return 1;
   }
-
-  // --- Siloed baseline -----------------------------------------------
-  util::TimeNs siloed = 0;
-  util::Bytes staged = 0;
-  {
-    sim::Simulation sim;
-    core::SiloedPlatform silos(sim);
-    workloads::stage_mobility_inputs(silos.bigdata_catalog(), scenario);
-    bool ok = false;
-    silos.run_workflow(workloads::mobility_pipeline(scenario),
-                       [&](const workflow::WorkflowResult& r) {
-                         ok = r.success;
-                         siloed = r.duration;
-                       });
-    sim.run();
-    if (!ok) {
-      std::cerr << "siloed pipeline failed\n";
-      return 1;
-    }
-    staged = silos.staged_bytes();
+  const Outcome siloed = run_pipeline<core::SiloedPlatform>(scenario);
+  if (!siloed.ok) {
+    std::cerr << "siloed pipeline failed\n";
+    return 1;
   }
 
   core::Table table("End-to-end pipeline time",
                     {"deployment", "time", "staged data"});
-  table.add_row({"converged (EVOLVE)", util::human_time(converged), "0 B"});
-  table.add_row({"siloed baseline", util::human_time(siloed),
-                 util::human_bytes(staged)});
+  table.add_row({"converged (EVOLVE)", util::human_time(converged.time),
+                 util::human_bytes(converged.staged)});
+  table.add_row({"siloed baseline", util::human_time(siloed.time),
+                 util::human_bytes(siloed.staged)});
   table.print();
   std::cout << "\nConvergence speedup: "
-            << util::fixed(static_cast<double>(siloed) /
-                               static_cast<double>(converged),
+            << util::fixed(static_cast<double>(siloed.time) /
+                               static_cast<double>(converged.time),
                            2)
             << "x (staging copies eliminated)\n";
   return 0;

@@ -1,306 +1,47 @@
 #include "core/siloed.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "util/log.hpp"
 
 namespace evolve::core {
 
-const char* to_string(Silo silo) {
-  switch (silo) {
-    case Silo::kCloud: return "cloud";
-    case Silo::kBigData: return "bigdata";
-    case Silo::kHpc: return "hpc";
-  }
-  return "?";
-}
+namespace {
 
-SiloedPlatform::SiloedPlatform(sim::Simulation& sim, PlatformConfig config)
-    : sim_(sim),
-      config_(config),
-      cluster_(cluster::make_testbed(config.compute_nodes,
-                                     config.storage_nodes, config.accel_nodes,
-                                     config.racks)) {
+PlatformConfig checked(PlatformConfig config) {
   if (config.compute_nodes < 3 || config.storage_nodes < 2) {
     throw std::invalid_argument(
         "siloed platform needs >= 3 compute and >= 2 storage nodes");
   }
-  topology_ = std::make_unique<net::Topology>(cluster_, config_.topology);
-  fabric_ = std::make_unique<net::Fabric>(sim_, *topology_);
-  io_ = std::make_unique<storage::IoSubsystem>(sim_, cluster_);
-
-  // Partition the hardware.
-  const auto compute = cluster_.nodes_with_label("role=compute");
-  const auto storage_nodes = cluster_.nodes_with_label("role=storage");
-  const auto accel_nodes = cluster_.nodes_with_label("role=accel");
-  const int third = static_cast<int>(compute.size()) / 3;
-  for (int i = 0; i < static_cast<int>(compute.size()); ++i) {
-    const auto node = compute[static_cast<std::size_t>(i)];
-    if (i < third) {
-      silo_nodes_[Silo::kCloud].push_back(node);
-    } else if (i < 2 * third) {
-      silo_nodes_[Silo::kBigData].push_back(node);
-    } else {
-      silo_nodes_[Silo::kHpc].push_back(node);
-    }
-  }
-  std::vector<cluster::NodeId> bigdata_servers, hpc_servers;
-  for (int i = 0; i < static_cast<int>(storage_nodes.size()); ++i) {
-    const auto node = storage_nodes[static_cast<std::size_t>(i)];
-    if (i < static_cast<int>(storage_nodes.size()) / 2 ||
-        storage_nodes.size() == 1) {
-      bigdata_servers.push_back(node);
-    } else {
-      hpc_servers.push_back(node);
-    }
-  }
-  if (bigdata_servers.empty() || hpc_servers.empty()) {
-    throw std::invalid_argument("need storage nodes for both silos");
-  }
-  for (auto node : accel_nodes) silo_nodes_[Silo::kHpc].push_back(node);
-
-  bigdata_store_ = std::make_unique<storage::ObjectStore>(
-      sim_, cluster_, *fabric_, *io_, bigdata_servers, config_.store);
-  hpc_store_ = std::make_unique<storage::ObjectStore>(
-      sim_, cluster_, *fabric_, *io_, hpc_servers, config_.store);
-  bigdata_catalog_ = std::make_unique<storage::DatasetCatalog>(*bigdata_store_);
-  hpc_catalog_ = std::make_unique<storage::DatasetCatalog>(*hpc_store_);
-
-  for (Silo silo : {Silo::kCloud, Silo::kBigData, Silo::kHpc}) {
-    orch::OrchestratorConfig oc = config_.orchestrator;
-    oc.nodes = silo_nodes_[silo];
-    orchestrators_[silo] = std::make_unique<orch::Orchestrator>(
-        sim_, cluster_, orch::SchedulingPolicy::spreading(cluster_), oc);
-  }
-  dataflow_ = std::make_unique<dataflow::DataflowEngine>(
-      sim_, cluster_, *fabric_, *io_, *bigdata_catalog_, config_.dataflow);
-  accel_ = std::make_unique<accel::AccelPool>(
-      sim_, cluster_, accel::KernelRegistry::standard(),
-      config_.accel_device);
-  workflow_engine_ = std::make_unique<workflow::WorkflowEngine>(sim_, *this);
+  return config;
 }
 
-const std::vector<cluster::NodeId>& SiloedPlatform::silo_nodes(
-    Silo silo) const {
-  return silo_nodes_.at(silo);
-}
+}  // namespace
 
-orch::Orchestrator& SiloedPlatform::orchestrator(Silo silo) {
-  return *orchestrators_.at(silo);
-}
+SiloedPlatform::SiloedPlatform(sim::Simulation& sim, PlatformConfig config)
+    : Platform(sim, checked(std::move(config)), SubstrateOnly{}) {
+  // Partition the hardware: compute nodes in thirds, accel nodes to the
+  // HPC silo, storage servers in halves.
+  const auto compute = cluster().nodes_with_label("role=compute");
+  const auto storage_nodes = cluster().nodes_with_label("role=storage");
+  const auto accel_nodes = cluster().nodes_with_label("role=accel");
+  const std::size_t third = compute.size() / 3;
+  std::vector<cluster::NodeId> silo_nodes[3];
+  for (std::size_t i = 0; i < compute.size(); ++i) {
+    silo_nodes[i < third ? 0 : i < 2 * third ? 1 : 2].push_back(compute[i]);
+  }
+  for (auto node : accel_nodes) silo_nodes[2].push_back(node);
+  const auto half = storage_nodes.begin() +
+                    static_cast<std::ptrdiff_t>(storage_nodes.size() / 2);
 
-void SiloedPlatform::run_workflow(
-    const workflow::Workflow& wf,
-    std::function<void(const workflow::WorkflowResult&)> cb) {
-  workflow_engine_->run(wf, std::move(cb));
-}
-
-storage::DatasetCatalog* SiloedPlatform::find_catalog_with(
-    const std::string& dataset) {
-  if (bigdata_catalog_->defined(dataset) &&
-      bigdata_catalog_->materialized(dataset)) {
-    return bigdata_catalog_.get();
+  storage::DatasetCatalog& bigdata = add_store({storage_nodes.begin(), half});
+  storage::DatasetCatalog& hpc = add_store({half, storage_nodes.end()});
+  orch::Orchestrator* orchestrators[3];
+  for (int i = 0; i < 3; ++i) {
+    orch::OrchestratorConfig oc = this->config().orchestrator;
+    oc.nodes = silo_nodes[i];
+    orchestrators[i] = &add_orchestrator(std::move(oc));
   }
-  if (hpc_catalog_->defined(dataset) && hpc_catalog_->materialized(dataset)) {
-    return hpc_catalog_.get();
-  }
-  return nullptr;
-}
-
-void SiloedPlatform::stage_dataset(const std::string& dataset,
-                                   storage::DatasetCatalog& target,
-                                   std::function<void()> on_done) {
-  if (target.defined(dataset) && target.materialized(dataset)) {
-    sim_.defer(std::move(on_done));
-    return;
-  }
-  storage::DatasetCatalog* source = find_catalog_with(dataset);
-  if (source == nullptr) {
-    throw std::invalid_argument("dataset not found in any silo: " + dataset);
-  }
-  const storage::DatasetSpec spec = source->spec(dataset);
-  target.define(spec);
-  target.store().create_bucket(dataset);
-  ++staging_ops_;
-  staged_bytes_ += spec.total_bytes;
-
-  // Gateway: the first node of the target store's server set; each
-  // partition flows source server -> gateway -> target server.
-  const cluster::NodeId gateway = target.store().servers().front();
-  auto remaining = std::make_shared<int>(spec.partitions);
-  auto done = std::make_shared<std::function<void()>>(std::move(on_done));
-  auto* target_ptr = &target;  // safe: catalogs outlive the platform run
-  for (int i = 0; i < spec.partitions; ++i) {
-    const auto key = storage::partition_key(spec, i);
-    source->store().get(
-        gateway, key,
-        [key, gateway, remaining, done,
-         target_ptr](const storage::GetResult& result) {
-          if (!result.found) {
-            throw std::logic_error("staged partition vanished: " + key.full());
-          }
-          target_ptr->store().put(gateway, key, result.size,
-                                  [remaining, done] {
-                                    if (--*remaining == 0) (*done)();
-                                  });
-        });
-  }
-}
-
-void SiloedPlatform::stage_all(std::vector<std::string> datasets,
-                               storage::DatasetCatalog& target,
-                               std::function<void()> on_done) {
-  if (datasets.empty()) {
-    sim_.defer(std::move(on_done));
-    return;
-  }
-  auto remaining = std::make_shared<int>(static_cast<int>(datasets.size()));
-  auto done = std::make_shared<std::function<void()>>(std::move(on_done));
-  for (const std::string& dataset : datasets) {
-    stage_dataset(dataset, target, [remaining, done] {
-      if (--*remaining == 0) (*done)();
-    });
-  }
-}
-
-void SiloedPlatform::run_dataflow_step(const workflow::Step& step,
-                                       std::function<void(bool)> on_done) {
-  // Validate the plan synchronously so malformed plans fail the step
-  // here (inside run_step's try) rather than inside a later event.
-  (void)dataflow::PhysicalPlan::compile(step.plan);
-  // Inputs must live in the big-data silo store.
-  std::vector<std::string> inputs = step.input_datasets;
-  for (const dataflow::Operator& op : step.plan.ops()) {
-    if (op.kind == dataflow::OpKind::kSource) inputs.push_back(op.dataset);
-  }
-  auto plan = step.plan;
-  const int executors = step.dataflow_executors;
-  const int slots = step.dataflow_slots;
-  stage_all(inputs, *bigdata_catalog_, [this, plan, executors, slots,
-                                        on_done] {
-    // Acquire executor pods inside the big-data silo only.
-    struct Acquire {
-      std::vector<orch::PodId> pods;
-      std::vector<dataflow::ExecutorSpec> specs;
-      int remaining;
-    };
-    auto acquire = std::make_shared<Acquire>();
-    acquire->remaining = executors;
-    auto* orch_bd = orchestrators_.at(Silo::kBigData).get();
-    for (int i = 0; i < executors; ++i) {
-      orch::PodSpec spec;
-      spec.name = "silo-exec-" + std::to_string(i);
-      spec.tenant = "dataflow";
-      spec.request = cluster::cpu_mem(config_.executor_millicores,
-                                      config_.executor_memory);
-      const orch::PodId id = orch_bd->submit(
-          spec, -1,
-          [this, acquire, slots, plan, on_done, orch_bd](
-              orch::PodId, cluster::NodeId node) {
-            acquire->specs.push_back(dataflow::ExecutorSpec{node, slots});
-            if (--acquire->remaining > 0) return;
-            dataflow_->run(plan, acquire->specs,
-                           [acquire, on_done, orch_bd](
-                               const dataflow::JobStats&) {
-                             for (orch::PodId pod_id : acquire->pods) {
-                               orch_bd->finish(pod_id);
-                             }
-                             on_done(true);
-                           });
-          });
-      if (id == orch::kInvalidPod) {
-        for (orch::PodId pod_id : acquire->pods) orch_bd->cancel(pod_id);
-        on_done(false);
-        return;
-      }
-      acquire->pods.push_back(id);
-    }
-  });
-}
-
-void SiloedPlatform::run_hpc_step(const workflow::Step& step,
-                                  std::function<void(bool)> on_done) {
-  auto program = step.mpi;
-  const int ranks = step.hpc_ranks;
-  stage_all(step.input_datasets, *hpc_catalog_, [this, program, ranks,
-                                                 on_done] {
-    struct Gang {
-      std::vector<orch::PodId> pods;
-      std::vector<cluster::NodeId> rank_nodes;
-      std::shared_ptr<hpc::Communicator> comm;
-      int remaining;
-    };
-    auto gang = std::make_shared<Gang>();
-    gang->remaining = ranks;
-    gang->rank_nodes.resize(static_cast<std::size_t>(ranks),
-                            cluster::kInvalidNode);
-    auto* orch_hpc = orchestrators_.at(Silo::kHpc).get();
-    std::vector<orch::PodSpec> specs;
-    for (int r = 0; r < ranks; ++r) {
-      orch::PodSpec spec;
-      spec.name = "silo-rank-" + std::to_string(r);
-      spec.tenant = "hpc";
-      spec.request =
-          cluster::cpu_mem(config_.rank_millicores, config_.rank_memory);
-      specs.push_back(std::move(spec));
-    }
-    auto on_start = [this, gang, program, on_done, orch_hpc](
-                        orch::PodId id, cluster::NodeId node) {
-      const auto it = std::find(gang->pods.begin(), gang->pods.end(), id);
-      const auto rank = static_cast<std::size_t>(it - gang->pods.begin());
-      gang->rank_nodes[rank] = node;
-      if (--gang->remaining > 0) return;
-      gang->comm = std::make_shared<hpc::Communicator>(
-          sim_, *fabric_, gang->rank_nodes, config_.comm);
-      hpc::run_mpi_program(sim_, *gang->comm, program,
-                           [gang, on_done, orch_hpc](const hpc::MpiRunStats&) {
-                             for (orch::PodId pod_id : gang->pods) {
-                               orch_hpc->finish(pod_id);
-                             }
-                             on_done(true);
-                           });
-    };
-    gang->pods = orch_hpc->submit_gang(specs, -1, on_start);
-    if (gang->pods.empty()) on_done(false);
-  });
-}
-
-void SiloedPlatform::run_step(const workflow::Step& step,
-                              std::function<void(bool)> on_done) {
-  using workflow::StepKind;
-  try {
-    switch (step.kind) {
-      case StepKind::kContainer: {
-        const orch::PodId id = orchestrators_.at(Silo::kCloud)->submit(
-            step.pod, step.pod_duration, {},
-            [on_done](orch::PodId, orch::PodPhase phase) {
-              on_done(phase == orch::PodPhase::kSucceeded);
-            });
-        if (id == orch::kInvalidPod) on_done(false);
-        return;
-      }
-      case StepKind::kDataflow:
-        run_dataflow_step(step, std::move(on_done));
-        return;
-      case StepKind::kHpc:
-        run_hpc_step(step, std::move(on_done));
-        return;
-      case StepKind::kAccel:
-        accel_->offload(step.kernel, step.accel_cpu_time,
-                        cluster::kInvalidNode, [on_done] { on_done(true); });
-        return;
-      case StepKind::kCustom:
-        if (!step.custom) throw std::invalid_argument("custom step w/o body");
-        step.custom(on_done);
-        return;
-    }
-    throw std::logic_error("unknown step kind");
-  } catch (const std::exception& e) {
-    EVOLVE_LOG(kWarn, "siloed") << "step '" << step.name
-                                << "' failed: " << e.what();
-    on_done(false);
-  }
+  bring_up({orchestrators[0], &bigdata}, {orchestrators[1], &bigdata},
+           {orchestrators[2], &hpc});
 }
 
 }  // namespace evolve::core

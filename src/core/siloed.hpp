@@ -1,97 +1,27 @@
 // The siloed baseline: the SAME hardware as the converged platform, but
 // operated as three disjoint silos (cloud / big-data / HPC), each with
-// its own scheduler partition and its own storage namespace.
+// its own scheduler partition, and two storage namespaces.
 //
-// Cross-silo dataset consumption requires stage-copying partitions
-// between stores through a gateway node — exactly the overhead EVOLVE's
-// shared-storage convergence eliminates. Static partitioning also strands
-// capacity, which the unified scheduler recovers (experiment F4).
+// It is a layout of core::Platform, not a second platform: steps run
+// through the same code and only the routing differs. A step whose input
+// lives in the other silo's store must stage-copy its partitions through
+// a gateway node first — exactly the overhead EVOLVE's shared-storage
+// convergence eliminates. Static partitioning also strands capacity,
+// which the unified scheduler recovers (experiment F4).
 #pragma once
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "accel/pool.hpp"
-#include "cluster/cluster.hpp"
 #include "core/platform.hpp"
-#include "dataflow/engine.hpp"
-#include "hpc/communicator.hpp"
-#include "hpc/job.hpp"
-#include "net/fabric.hpp"
-#include "orch/scheduler.hpp"
-#include "sim/simulation.hpp"
-#include "storage/dataset.hpp"
-#include "workflow/engine.hpp"
 
 namespace evolve::core {
 
-enum class Silo { kCloud, kBigData, kHpc };
-const char* to_string(Silo silo);
-
-class SiloedPlatform : public workflow::StepRunner {
+class SiloedPlatform : public Platform {
  public:
   /// Builds the same testbed as Platform(config) and partitions it:
   /// compute nodes split three ways (cloud/bigdata/hpc), storage nodes
   /// split between the big-data store and the HPC store, accel nodes to
-  /// the HPC silo. Requires >= 3 compute and >= 2 storage nodes.
+  /// the HPC silo. The cloud silo reads through the big-data store.
+  /// Requires >= 3 compute and >= 2 storage nodes.
   explicit SiloedPlatform(sim::Simulation& sim, PlatformConfig config = {});
-
-  sim::Simulation& sim() { return sim_; }
-  const cluster::Cluster& cluster() const { return cluster_; }
-  const std::vector<cluster::NodeId>& silo_nodes(Silo silo) const;
-  orch::Orchestrator& orchestrator(Silo silo);
-  storage::ObjectStore& bigdata_store() { return *bigdata_store_; }
-  storage::ObjectStore& hpc_store() { return *hpc_store_; }
-  storage::DatasetCatalog& bigdata_catalog() { return *bigdata_catalog_; }
-  storage::DatasetCatalog& hpc_catalog() { return *hpc_catalog_; }
-  accel::AccelPool& accel() { return *accel_; }
-  net::Fabric& fabric() { return *fabric_; }
-
-  void run_workflow(const workflow::Workflow& wf,
-                    std::function<void(const workflow::WorkflowResult&)> cb);
-
-  void run_step(const workflow::Step& step,
-                std::function<void(bool)> on_done) override;
-
-  /// Copies `dataset` from whichever silo store holds it into `target`
-  /// (no-op when already materialized there). Public for tests/benches.
-  void stage_dataset(const std::string& dataset,
-                     storage::DatasetCatalog& target,
-                     std::function<void()> on_done);
-
-  util::Bytes staged_bytes() const { return staged_bytes_; }
-  std::int64_t staging_operations() const { return staging_ops_; }
-
- private:
-  storage::DatasetCatalog* find_catalog_with(const std::string& dataset);
-  void stage_all(std::vector<std::string> datasets,
-                 storage::DatasetCatalog& target,
-                 std::function<void()> on_done);
-  void run_dataflow_step(const workflow::Step& step,
-                         std::function<void(bool)> on_done);
-  void run_hpc_step(const workflow::Step& step,
-                    std::function<void(bool)> on_done);
-
-  sim::Simulation& sim_;
-  PlatformConfig config_;
-  cluster::Cluster cluster_;
-  std::unique_ptr<net::Topology> topology_;
-  std::unique_ptr<net::Fabric> fabric_;
-  std::unique_ptr<storage::IoSubsystem> io_;
-  std::map<Silo, std::vector<cluster::NodeId>> silo_nodes_;
-  std::unique_ptr<storage::ObjectStore> bigdata_store_;
-  std::unique_ptr<storage::ObjectStore> hpc_store_;
-  std::unique_ptr<storage::DatasetCatalog> bigdata_catalog_;
-  std::unique_ptr<storage::DatasetCatalog> hpc_catalog_;
-  std::map<Silo, std::unique_ptr<orch::Orchestrator>> orchestrators_;
-  std::unique_ptr<dataflow::DataflowEngine> dataflow_;
-  std::unique_ptr<accel::AccelPool> accel_;
-  std::unique_ptr<workflow::WorkflowEngine> workflow_engine_;
-  util::Bytes staged_bytes_ = 0;
-  std::int64_t staging_ops_ = 0;
 };
 
 }  // namespace evolve::core

@@ -58,81 +58,44 @@ void submit_job(sim::Simulation& sim, orch::Orchestrator& orchestrator,
   });
 }
 
-ScheduleOutcome collect(sim::Simulation& sim,
-                        const std::vector<const orch::Orchestrator*>& orchs,
-                        const std::vector<double>& capacities,
-                        const TraceState& state) {
+}  // namespace
+
+ScheduleOutcome run_trace(Platform& platform,
+                          const std::vector<MixedJob>& trace) {
+  sim::Simulation& sim = platform.sim();
+  auto state = std::make_shared<TraceState>();
+  state->jobs_remaining = static_cast<int>(trace.size());
+  for (const MixedJob& job : trace) {
+    World world = World::kBigData;
+    if (job.kind == MixedJob::Kind::kService) world = World::kCloud;
+    if (job.kind == MixedJob::Kind::kGang) world = World::kHpc;
+    submit_job(sim, platform.orchestrator(world), job, state);
+  }
+  sim.run();
+
   ScheduleOutcome outcome;
   metrics::Histogram waits;
   double weighted_util = 0;
   double total_capacity = 0;
-  for (std::size_t i = 0; i < orchs.size(); ++i) {
-    waits.merge(orchs[i]->metrics().histogram("pod_wait_ms"));
-    weighted_util += orchs[i]->cpu_utilization() * capacities[i];
-    total_capacity += capacities[i];
+  for (const auto& orchestrator : platform.orchestrators()) {
+    double capacity = 0;
+    for (cluster::NodeId n : orchestrator->managed_nodes()) {
+      capacity += static_cast<double>(
+          platform.cluster().node(n).allocatable().cpu_millicores);
+    }
+    waits.merge(orchestrator->metrics().histogram("pod_wait_ms"));
+    weighted_util += orchestrator->cpu_utilization() * capacity;
+    total_capacity += capacity;
   }
   outcome.cpu_utilization =
       total_capacity > 0 ? weighted_util / total_capacity : 0;
   outcome.mean_wait =
       static_cast<util::TimeNs>(waits.mean()) * util::kMillisecond;
   outcome.p95_wait = waits.p95() * util::kMillisecond;
-  outcome.makespan = state.last_finish;
-  outcome.pods_failed = state.pods_failed;
-  (void)sim;
-  return outcome;
-}
-
-double cpu_capacity(const cluster::Cluster& cluster,
-                    const std::vector<cluster::NodeId>& nodes) {
-  double total = 0;
-  for (auto n : nodes) {
-    total += static_cast<double>(cluster.node(n).allocatable().cpu_millicores);
-  }
-  return total;
-}
-
-}  // namespace
-
-ScheduleOutcome run_trace_unified(sim::Simulation& sim,
-                                  orch::Orchestrator& orchestrator,
-                                  const std::vector<MixedJob>& trace) {
-  auto state = std::make_shared<TraceState>();
-  state->jobs_remaining = static_cast<int>(trace.size());
-  for (const MixedJob& job : trace) {
-    submit_job(sim, orchestrator, job, state);
-  }
-  sim.run();
-  ScheduleOutcome outcome = collect(
-      sim, {&orchestrator},
-      {static_cast<double>(
-          orchestrator.cluster().total_allocatable().cpu_millicores)},
-      *state);
-  outcome.jobs_completed = static_cast<int>(trace.size()) -
-                           state->jobs_remaining;
-  return outcome;
-}
-
-ScheduleOutcome run_trace_siloed(sim::Simulation& sim, SiloedPlatform& silos,
-                                 const std::vector<MixedJob>& trace) {
-  auto state = std::make_shared<TraceState>();
-  state->jobs_remaining = static_cast<int>(trace.size());
-  for (const MixedJob& job : trace) {
-    Silo silo = Silo::kBigData;
-    if (job.kind == MixedJob::Kind::kService) silo = Silo::kCloud;
-    if (job.kind == MixedJob::Kind::kGang) silo = Silo::kHpc;
-    submit_job(sim, silos.orchestrator(silo), job, state);
-  }
-  sim.run();
-  std::vector<const orch::Orchestrator*> orchs;
-  std::vector<double> capacities;
-  for (Silo silo : {Silo::kCloud, Silo::kBigData, Silo::kHpc}) {
-    orchs.push_back(&silos.orchestrator(silo));
-    capacities.push_back(
-        cpu_capacity(silos.cluster(), silos.silo_nodes(silo)));
-  }
-  ScheduleOutcome outcome = collect(sim, orchs, capacities, *state);
-  outcome.jobs_completed = static_cast<int>(trace.size()) -
-                           state->jobs_remaining;
+  outcome.makespan = state->last_finish;
+  outcome.pods_failed = state->pods_failed;
+  outcome.jobs_completed =
+      static_cast<int>(trace.size()) - state->jobs_remaining;
   return outcome;
 }
 

@@ -1,13 +1,13 @@
-// Mixed-workload scheduling drivers: run the same trace of cloud
-// services, batch analytics pods, and HPC gangs either through ONE
-// unified orchestrator (converged) or through three static partitions
-// (siloed), and report utilization/wait/makespan (experiment F4).
+// Mixed-workload scheduling driver: replays one trace of cloud services,
+// batch analytics pods and HPC gangs on a platform's worlds — one
+// unified orchestrator on the converged layout, three static partitions
+// on the siloed one — and reports utilization/wait/makespan (experiment
+// F4).
 #pragma once
 
 #include <vector>
 
 #include "core/platform.hpp"
-#include "core/siloed.hpp"
 #include "util/types.hpp"
 
 namespace evolve::core {
@@ -30,15 +30,11 @@ struct ScheduleOutcome {
   int pods_failed = 0;
 };
 
-/// Replays `trace` on one unified orchestrator; returns the outcome
-/// after every job completes. Runs the simulation to completion.
-ScheduleOutcome run_trace_unified(sim::Simulation& sim,
-                                  orch::Orchestrator& orchestrator,
-                                  const std::vector<MixedJob>& trace);
-
-/// Replays `trace` over the siloed partitions: services to the cloud
-/// silo, batch to big-data, gangs to HPC.
-ScheduleOutcome run_trace_siloed(sim::Simulation& sim, SiloedPlatform& silos,
-                                 const std::vector<MixedJob>& trace);
+/// Replays `trace` on `platform`: services in the cloud world, batch
+/// pods in the big-data world, gangs in the HPC world. Runs the
+/// simulation to completion and returns the outcome; utilization is
+/// weighted by the CPU each distinct orchestrator manages.
+ScheduleOutcome run_trace(Platform& platform,
+                          const std::vector<MixedJob>& trace);
 
 }  // namespace evolve::core

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/siloed.hpp"
+
 #include "workloads/ml.hpp"
 #include "workloads/tabular.hpp"
 
@@ -132,6 +134,32 @@ TEST(Platform, WorkflowStepFailsOnMissingDataset) {
       "analytics", workloads::scan_filter_aggregate("ghost", "out", 4), 2, 4));
   const auto result = session.run_workflow(wf);
   EXPECT_FALSE(result.success);
+}
+
+TEST(Platform, HpcStepFailsOnUnwrittenInputInBothLayouts) {
+  // One input rule: a step's named input must be materialized in some
+  // catalog, whichever layout runs it.
+  auto run = [](Platform& platform) {
+    workflow::Workflow wf("unwritten");
+    auto solve = workflow::hpc_step(
+        "solve", workloads::sgd_program(workloads::SgdModel{}, 2), 2);
+    solve.input_datasets = {"never-written"};
+    wf.add(solve);
+    workflow::WorkflowResult result;
+    platform.run_workflow(
+        wf, [&](const workflow::WorkflowResult& r) { result = r; });
+    platform.sim().run();
+    return result;
+  };
+  sim::Simulation converged_sim, siloed_sim;
+  Platform converged(converged_sim, small_config());
+  SiloedPlatform siloed(siloed_sim, small_config());
+  EXPECT_FALSE(run(converged).success);
+  EXPECT_FALSE(run(siloed).success);
+  EXPECT_EQ(converged.orchestrator(World::kHpc)
+                .metrics()
+                .counter("pods_started"),
+            0);
 }
 
 TEST(Platform, RunDataflowValidatesArgs) {
