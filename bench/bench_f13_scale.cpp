@@ -26,7 +26,7 @@
 
 #include "core/report.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/ref_event_queue.hpp"
+#include "reference/ref_event_queue.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/types.hpp"

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/ref_event_queue.hpp"
+#include "reference/ref_event_queue.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
