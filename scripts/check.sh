@@ -3,7 +3,9 @@
 # simulation-kernel churn and fault-recovery benches in --json mode and
 # diff their deterministic metrics against the tracked repo-root
 # baselines, run the traced benches and strictly validate every emitted
-# BENCH_*.json / TRACE_*.json, then rebuild + retest under ASan/UBSan.
+# BENCH_*.json / TRACE_*.json, build and selftest the repository
+# benchmark (perfbench/, in <build-dir>-perfbench), then rebuild +
+# retest under ASan/UBSan.
 # Run from the repo root:
 #
 #   scripts/check.sh [build-dir]
@@ -62,28 +64,29 @@ for bench in "${DETERMINISTIC_BENCHES[@]}"; do
 done
 echo "check.sh: bench metrics match the tracked baselines"
 
-# Prints the value of top-level key $2 in the bench report $1.
-bench_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
+# gate <bench> <condition> <message>: fails check.sh with <message>
+# unless <condition> holds. Both are awk: the condition an expression over
+# the top-level keys of the fresh report, m["key"], and of the tracked
+# baseline, base["key"]; the message a printf format and its arguments.
+gate() {
+  awk -v fresh="$BUILD_DIR/BENCH_$1.json" '
+    /^  "/ {
+      key = $1; gsub(/[":]/, "", key); sub(/,$/, "", $2)
+      if (FILENAME == fresh) m[key] = $2 + 0; else base[key] = $2 + 0
+    }
+    END { if (!('"$2"')) { printf "check.sh: " '"$3"'; print ""; exit 1 } }' \
+    "$BUILD_DIR/BENCH_$1.json" "BENCH_$1.json" || exit 1
 }
 
 # -- F15 fairness gate --------------------------------------------------
 # The fair-share scheduler must actually deliver fairness: Jain index
 # >= 0.9 with the pool tree on, and a real gap over the priority-only
 # baseline. Both values are simulation-deterministic.
-jain_fair=$(bench_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_fair)
-jain_priority=$(bench_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_priority)
-awk -v fair="$jain_fair" -v prio="$jain_priority" 'BEGIN {
-  if (fair < 0.9) {
-    printf "check.sh: F15 Jain index with fair share on is %.3f (< 0.9 floor)\n", fair
-    exit 1
-  }
-  if (fair <= prio) {
-    printf "check.sh: F15 fair share (%.3f) does not beat priority-only (%.3f)\n", fair, prio
-    exit 1
-  }
-  printf "check.sh: F15 fairness gate ok: Jain %.3f fair vs %.3f priority-only\n", fair, prio
-}'
+gate f15_fairness 'm["jain_fair"] >= 0.9' \
+  '"F15 Jain index with fair share on is %.3f (< 0.9 floor)", m["jain_fair"]'
+gate f15_fairness 'm["jain_fair"] > m["jain_priority"]' \
+  '"F15 fair share (%.3f) does not beat priority-only (%.3f)", m["jain_fair"], m["jain_priority"]'
+echo "check.sh: F15 fairness gate ok"
 
 # -- F16 partition-recovery gate ----------------------------------------
 # Defenses on must recover goodput to >= 90% of the pre-partition rate in
@@ -91,30 +94,15 @@ awk -v fair="$jain_fair" -v prio="$jain_priority" 'BEGIN {
 # lease TTL's worth of seconds degraded; defenses-off must exhibit the
 # measurably degraded (retry-storm) recovery the defenses exist to
 # prevent. All four values are simulation-deterministic.
-on_recovery=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_recovery_ratio)
-off_recovery=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_recovery_ratio)
-on_degraded=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_degraded_seconds)
-off_degraded=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_degraded_seconds)
-awk -v on="$on_recovery" -v off="$off_recovery" \
-    -v ond="$on_degraded" -v offd="$off_degraded" 'BEGIN {
-  if (on < 0.9) {
-    printf "check.sh: F16 defenses-on recovery ratio %.3f (< 0.9 floor)\n", on
-    exit 1
-  }
-  if (on <= off) {
-    printf "check.sh: F16 defenses-on recovery (%.3f) does not beat defenses-off (%.3f)\n", on, off
-    exit 1
-  }
-  if (ond > 5) {
-    printf "check.sh: F16 defenses-on degraded for %d s (> 5 s ceiling)\n", ond
-    exit 1
-  }
-  if (offd < 10) {
-    printf "check.sh: F16 defenses-off degraded for only %d s — no retry-storm regime to defend against\n", offd
-    exit 1
-  }
-  printf "check.sh: F16 partition gate ok: recovery %.3f on vs %.3f off, degraded %d s on vs %d s off\n", on, off, ond, offd
-}'
+gate f16_partitions 'm["on_recovery_ratio"] >= 0.9' \
+  '"F16 defenses-on recovery ratio %.3f (< 0.9 floor)", m["on_recovery_ratio"]'
+gate f16_partitions 'm["on_recovery_ratio"] > m["off_recovery_ratio"]' \
+  '"F16 defenses-on recovery (%.3f) does not beat defenses-off (%.3f)", m["on_recovery_ratio"], m["off_recovery_ratio"]'
+gate f16_partitions 'm["on_degraded_seconds"] <= 5' \
+  '"F16 defenses-on degraded for %d s (> 5 s ceiling)", m["on_degraded_seconds"]'
+gate f16_partitions 'm["off_degraded_seconds"] >= 10' \
+  '"F16 defenses-off degraded for only %d s — no retry-storm regime to defend against", m["off_degraded_seconds"]'
+echo "check.sh: F16 partition gate ok"
 
 # -- F17 tablet-balancing gate ------------------------------------------
 # Splitting the hot shard and moving load off the busy node must actually
@@ -123,29 +111,13 @@ awk -v on="$on_recovery" -v off="$off_recovery" \
 # windows and stale-route retries the balancer causes. The balancer must
 # also have done real work (splits and moves both nonzero). All values
 # are simulation-deterministic.
-f17_on_p99=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_p99_ms)
-f17_off_p99=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_p99_ms)
-f17_on_goodput=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_goodput)
-f17_off_goodput=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_goodput)
-f17_splits=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_splits)
-f17_moves=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_moves)
-awk -v onp="$f17_on_p99" -v offp="$f17_off_p99" \
-    -v ong="$f17_on_goodput" -v offg="$f17_off_goodput" \
-    -v splits="$f17_splits" -v moves="$f17_moves" 'BEGIN {
-  if (onp >= offp) {
-    printf "check.sh: F17 balancing-on p99 %.2f ms does not beat balancing-off %.2f ms\n", onp, offp
-    exit 1
-  }
-  if (ong <= offg) {
-    printf "check.sh: F17 balancing-on goodput %d does not beat balancing-off %d\n", ong, offg
-    exit 1
-  }
-  if (splits < 1 || moves < 1) {
-    printf "check.sh: F17 balancer idle: %d splits, %d moves — nothing was balanced\n", splits, moves
-    exit 1
-  }
-  printf "check.sh: F17 tablet gate ok: p99 %.2f ms on vs %.2f ms off, goodput %d vs %d (%d splits, %d moves)\n", onp, offp, ong, offg, splits, moves
-}'
+gate f17_tablets 'm["on_p99_ms"] < m["off_p99_ms"]' \
+  '"F17 balancing-on p99 %.2f ms does not beat balancing-off %.2f ms", m["on_p99_ms"], m["off_p99_ms"]'
+gate f17_tablets 'm["on_goodput"] > m["off_goodput"]' \
+  '"F17 balancing-on goodput %d does not beat balancing-off %d", m["on_goodput"], m["off_goodput"]'
+gate f17_tablets 'm["on_splits"] >= 1 && m["on_moves"] >= 1' \
+  '"F17 balancer idle: %d splits, %d moves — nothing was balanced", m["on_splits"], m["on_moves"]'
+echo "check.sh: F17 tablet gate ok"
 
 # -- F13 kernel-at-scale gate ------------------------------------------
 # Event counts, checksums, and end times are simulation-deterministic and
@@ -157,29 +129,15 @@ filter_f13_host_timing() {
 diff <(filter_f13_host_timing "$BUILD_DIR/BENCH_f13_scale.json") \
      <(filter_f13_host_timing BENCH_f13_scale.json) \
   || { echo "check.sh: BENCH_f13_scale.json deviates from baseline"; exit 1; }
-
-base_eps=$(bench_metric BENCH_f13_scale.json cal_10k_events_per_sec)
-base_speedup=$(bench_metric BENCH_f13_scale.json speedup_10k)
-fresh_eps=$(bench_metric "$BUILD_DIR/BENCH_f13_scale.json" cal_10k_events_per_sec)
-fresh_speedup=$(bench_metric "$BUILD_DIR/BENCH_f13_scale.json" speedup_10k)
 # The tracked baseline must keep claiming >= 3x; the fresh run only has to
 # clear a noise-tolerant floor (slower CI hosts, no pinned cores).
-awk -v fresh="$fresh_eps" -v base="$base_eps" -v speedup="$fresh_speedup" \
-    -v base_speedup="$base_speedup" 'BEGIN {
-  if (base_speedup < 3.0) {
-    printf "check.sh: tracked F13 baseline speedup_10k %.2fx is below the 3x claim\n", base_speedup
-    exit 1
-  }
-  if (fresh < 0.4 * base) {
-    printf "check.sh: F13 kernel regressed: %.0f events/sec at 10k vs %.0f baseline (>60%% drop)\n", fresh, base
-    exit 1
-  }
-  if (speedup < 2.0) {
-    printf "check.sh: F13 calendar-vs-heap speedup at 10k fell to %.2fx (< 2.0x floor)\n", speedup
-    exit 1
-  }
-  printf "check.sh: F13 perf gate ok: %.2fM events/sec at 10k (baseline %.2fM), speedup %.2fx\n", fresh / 1e6, base / 1e6, speedup
-}'
+gate f13_scale 'base["speedup_10k"] >= 3.0' \
+  '"tracked F13 baseline speedup_10k %.2fx is below the 3x claim", base["speedup_10k"]'
+gate f13_scale 'm["cal_10k_events_per_sec"] >= 0.4 * base["cal_10k_events_per_sec"]' \
+  '"F13 kernel regressed: %.0f events/sec at 10k vs %.0f baseline (>60%% drop)", m["cal_10k_events_per_sec"], base["cal_10k_events_per_sec"]'
+gate f13_scale 'm["speedup_10k"] >= 2.0' \
+  '"F13 calendar-vs-heap speedup at 10k fell to %.2fx (< 2.0x floor)", m["speedup_10k"]'
+echo "check.sh: F13 perf gate ok"
 
 # -- Traced runs + strict JSON validation ------------------------------
 (cd "$BUILD_DIR" && ./bench/bench_t1_endtoend --trace --json)
@@ -199,6 +157,18 @@ for bench in f11_gray f12_serving f17_tablets; do
     || { echo "check.sh: BENCH_$bench.json changed under --trace"; exit 1; }
 done
 (cd "$BUILD_DIR" && ./tools/json_check BENCH_*.json TRACE_*.json)
+
+# -- Repository benchmark ----------------------------------------------
+# perfbench/ is its own CMake project over src/ and reads the components'
+# typed accessors and registry keys, so a library refactor can break it
+# without failing anything above. Build it and selftest every workload:
+# two untraced reruns, one traced rerun and one next-seed run of seed 1.
+PERF_DIR="${BUILD_DIR}-perfbench"
+cmake -S perfbench -B "$PERF_DIR"
+cmake --build "$PERF_DIR" --target perfbench -j "$(nproc)"
+for workload in tablet-skew converged-pipelines serve-spike; do
+  "$PERF_DIR/perfbench" --selftest --workload "$workload" --seed 1
+done
 
 if [[ "${EVOLVE_SKIP_SANITIZERS:-0}" != "1" ]]; then
   SAN_DIR="${BUILD_DIR}-asan"

@@ -42,7 +42,6 @@ void FaultInjector::schedule_rack_outage(const cluster::Cluster& cluster,
     any = true;
   }
   if (!any) throw std::invalid_argument("rack outage: rack has no hosts");
-  ++rack_outages_;
   metrics_.count("rack_outages");
 }
 
@@ -90,7 +89,6 @@ void FaultInjector::arm_recovery(std::size_t process) {
 void FaultInjector::kill(cluster::NodeId node) {
   if (!down_.insert(node).second) return;
   down_since_[node] = sim_.now();
-  ++failures_;
   metrics_.count("node_failures");
   metrics_.set_gauge("nodes_down", static_cast<double>(down_.size()));
   for (const FaultFn& fn : failure_subs_) fn(node, sim_.now());
@@ -102,7 +100,6 @@ void FaultInjector::restore(cluster::NodeId node) {
   downtime_ns_ += sim_.now() - it->second;
   metrics_.observe("downtime_ms", (sim_.now() - it->second) / util::kMillisecond);
   down_since_.erase(it);
-  ++recoveries_;
   metrics_.count("node_recoveries");
   metrics_.set_gauge("nodes_down", static_cast<double>(down_.size()));
   for (const FaultFn& fn : recovery_subs_) fn(node, sim_.now());

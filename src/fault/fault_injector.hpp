@@ -59,7 +59,9 @@ class FaultInjector {
   /// stripe with more than m fragments in one rack dies with it.
   void schedule_rack_outage(const cluster::Cluster& cluster, int rack,
                             util::TimeNs at, util::TimeNs downtime);
-  std::int64_t rack_outages_scheduled() const { return rack_outages_; }
+  std::int64_t rack_outages_scheduled() const {
+    return metrics_.counter("rack_outages");
+  }
 
   // -- Seeded random process -----------------------------------------
   /// Starts an independent MTBF/MTTR renewal process on each node:
@@ -81,8 +83,12 @@ class FaultInjector {
   bool is_down(cluster::NodeId node) const { return down_.count(node) != 0; }
   int down_count() const { return static_cast<int>(down_.size()); }
 
-  std::int64_t failures_injected() const { return failures_; }
-  std::int64_t recoveries() const { return recoveries_; }
+  std::int64_t failures_injected() const {
+    return metrics_.counter("node_failures");
+  }
+  std::int64_t recoveries() const {
+    return metrics_.counter("node_recoveries");
+  }
   /// Accumulated node-seconds of downtime (downed intervals only; open
   /// intervals are charged up to `now`).
   double downtime_node_seconds() const;
@@ -113,9 +119,6 @@ class FaultInjector {
   // Latest scheduled-outage end per node; an outage recovery only
   // restores once the hold has elapsed, so overlapping outages coalesce.
   std::map<cluster::NodeId, util::TimeNs> outage_hold_until_;
-  std::int64_t failures_ = 0;
-  std::int64_t recoveries_ = 0;
-  std::int64_t rack_outages_ = 0;
   util::TimeNs downtime_ns_ = 0;
   metrics::Registry metrics_;
 };

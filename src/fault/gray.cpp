@@ -25,7 +25,6 @@ void GrayInjector::apply_slowdown(cluster::NodeId node, double cpu,
   const bool fresh = a.until == 0;
   if (fresh) {
     a.since = sim_.now();
-    ++degradations_;
     metrics_.count("slow_node_degradations");
     if (tracer_) {
       a.span = tracer_->begin(trace::Layer::kDataflow, "fault.degrade",
@@ -77,7 +76,6 @@ void GrayInjector::apply_nic(cluster::NodeId node, const NicDegradation& nic,
   if (fresh) {
     a.since = sim_.now();
     a.nic = nic;
-    ++degradations_;
     metrics_.count("nic_degradations");
     if (tracer_) {
       a.span = tracer_->begin(trace::Layer::kNetwork, "fault.degrade",
@@ -114,7 +112,6 @@ void GrayInjector::schedule_bitrot(util::TimeNs at, std::uint64_t seed,
                                    int replicas) {
   if (replicas <= 0) throw std::invalid_argument("bitrot needs replicas > 0");
   sim_.at(at, [this, seed, replicas] {
-    ++bitrot_events_;
     metrics_.count("bitrot_events");
     metrics_.count("bitrot_replicas", replicas);
     if (tracer_) {

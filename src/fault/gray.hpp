@@ -81,8 +81,13 @@ class GrayInjector {
     return nic_until_.count(node) != 0;
   }
 
-  std::int64_t degradations_injected() const { return degradations_; }
-  std::int64_t bitrot_events() const { return bitrot_events_; }
+  std::int64_t degradations_injected() const {
+    return metrics_.counter("slow_node_degradations") +
+           metrics_.counter("nic_degradations");
+  }
+  std::int64_t bitrot_events() const {
+    return metrics_.counter("bitrot_events");
+  }
 
   /// When the node degraded (slow or NIC), or -1 when healthy. The
   /// quarantine controller uses this for time-to-quarantine accounting.
@@ -116,8 +121,6 @@ class GrayInjector {
   std::vector<BitrotFn> bitrot_subs_;
   std::map<cluster::NodeId, Active> slow_until_;
   std::map<cluster::NodeId, Active> nic_until_;
-  std::int64_t degradations_ = 0;
-  std::int64_t bitrot_events_ = 0;
   trace::Tracer* tracer_ = nullptr;
   metrics::Registry metrics_;
 };

@@ -25,16 +25,13 @@ void HealthScorer::record(cluster::NodeId node, util::TimeNs service_time) {
   const double median = peer_median(node);
   if (median <= 0.0) return;
   const double ratio = state.ewma / median;
-  metrics_.set_gauge("score_node_" + std::to_string(node), ratio);
   if (!state.flagged && state.samples >= config_.min_samples &&
       ratio > config_.flag_ratio) {
     state.flagged = true;
-    ++flags_;
     metrics_.count("nodes_flagged");
     for (const TransitionFn& fn : flag_subs_) fn(node, sim_.now());
   } else if (state.flagged && ratio < config_.clear_ratio) {
     state.flagged = false;
-    ++clears_;
     metrics_.count("nodes_cleared");
     for (const TransitionFn& fn : clear_subs_) fn(node, sim_.now());
   }
@@ -111,7 +108,6 @@ void QuarantineController::quarantine(cluster::NodeId node) {
   if (is_quarantined(node)) return;
   State& state = quarantined_[node];
   state.consecutive = ++requarantine_streak_[node];
-  ++quarantines_;
   metrics_.count("quarantines");
   metrics_.set_gauge("quarantined_nodes",
                      static_cast<double>(quarantined_.size()));
@@ -119,7 +115,6 @@ void QuarantineController::quarantine(cluster::NodeId node) {
   if (degraded != degraded_since_.end()) {
     const double ttq_ms = util::to_millis(sim_.now() - degraded->second);
     ttq_total_ms_ += ttq_ms;
-    ++ttq_count_;
     metrics_.observe("time_to_quarantine_ms",
                      static_cast<std::int64_t>(ttq_ms));
     degraded_since_.erase(degraded);  // charge each degradation once
@@ -143,7 +138,6 @@ void QuarantineController::quarantine(cluster::NodeId node) {
     const auto it = quarantined_.find(node);
     if (it == quarantined_.end()) return;
     it->second.probe_pending = false;
-    ++probes_;
     metrics_.count("probes");
     scorer_.reset_node(node);
     release(node, /*via_probe=*/true);
@@ -169,8 +163,8 @@ void QuarantineController::note_degradation_start(cluster::NodeId node,
 }
 
 double QuarantineController::mean_time_to_quarantine_ms() const {
-  return ttq_count_ == 0 ? -1.0
-                         : ttq_total_ms_ / static_cast<double>(ttq_count_);
+  const std::int64_t n = metrics_.histogram("time_to_quarantine_ms").count();
+  return n == 0 ? -1.0 : ttq_total_ms_ / static_cast<double>(n);
 }
 
 }  // namespace evolve::fault

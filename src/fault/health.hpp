@@ -77,8 +77,12 @@ class HealthScorer {
     return down_.count(node) != 0;
   }
 
-  std::int64_t flags_raised() const { return flags_; }
-  std::int64_t flags_cleared() const { return clears_; }
+  std::int64_t flags_raised() const {
+    return metrics_.counter("nodes_flagged");
+  }
+  std::int64_t flags_cleared() const {
+    return metrics_.counter("nodes_cleared");
+  }
 
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
@@ -100,8 +104,6 @@ class HealthScorer {
   std::vector<TransitionFn> clear_subs_;
   std::map<cluster::NodeId, NodeState> nodes_;
   std::set<cluster::NodeId> down_;  // excluded from peer medians
-  std::int64_t flags_ = 0;
-  std::int64_t clears_ = 0;
   metrics::Registry metrics_;
 };
 
@@ -127,8 +129,8 @@ class QuarantineController {
   bool is_quarantined(cluster::NodeId node) const {
     return quarantined_.count(node) != 0;
   }
-  std::int64_t quarantines() const { return quarantines_; }
-  std::int64_t probes() const { return probes_; }
+  std::int64_t quarantines() const { return metrics_.counter("quarantines"); }
+  std::int64_t probes() const { return metrics_.counter("probes"); }
 
   /// Marks when a node's degradation began (wired from the
   /// GrayInjector); the next quarantine of that node records
@@ -162,10 +164,9 @@ class QuarantineController {
   std::map<cluster::NodeId, State> quarantined_;
   std::map<cluster::NodeId, int> requarantine_streak_;
   std::map<cluster::NodeId, util::TimeNs> degraded_since_;
-  std::int64_t quarantines_ = 0;
-  std::int64_t probes_ = 0;
+  /// Exact sum behind mean_time_to_quarantine_ms(); the
+  /// time_to_quarantine_ms histogram keeps whole milliseconds only.
   double ttq_total_ms_ = 0;
-  std::int64_t ttq_count_ = 0;
   trace::Tracer* tracer_ = nullptr;
   metrics::Registry metrics_;
 };

@@ -332,7 +332,6 @@ void BatchQueue::handle_node_failure(int node) {
     const util::TimeNs hold =
         util::saturating_backoff(denied_hold_, rec.status.restarts);
     rec.hold_until = sim_.now() + hold;
-    ++requeues_held_;
     metrics_.count("requeues_held");
     sim_.after(hold, [this] { schedule_pass(); });
   }

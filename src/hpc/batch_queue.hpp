@@ -124,7 +124,9 @@ class BatchQueue {
     retry_budget_ = budget;
     denied_hold_ = denied_hold;
   }
-  std::int64_t requeues_held() const { return requeues_held_; }
+  std::int64_t requeues_held() const {
+    return metrics_.counter("requeues_held");
+  }
 
  private:
   struct JobRecord {
@@ -169,7 +171,6 @@ class BatchQueue {
   cluster::Resources per_node_;  // one node's worth of pool-tree charge
   util::RetryBudget* retry_budget_ = nullptr;  // non-owned, optional
   util::TimeNs denied_hold_ = util::seconds(1);
-  std::int64_t requeues_held_ = 0;
 };
 
 }  // namespace evolve::hpc

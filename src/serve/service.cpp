@@ -245,7 +245,7 @@ void Service::deliver_to_replica(RequestId id, int which, std::int64_t key) {
     // Won by the other copy while this one was still in the network.
     release_slot(key);
     copy.live = false;
-    if (which == 1) hedges_cancelled_ += 1;
+    if (which == 1) metrics_.count("serve.hedges_cancelled");
     maybe_erase(id);
     return;
   }
@@ -255,7 +255,6 @@ void Service::deliver_to_replica(RequestId id, int which, std::int64_t key) {
     // The replica went away while the request crossed the fabric.
     release_slot(key);
     copy.live = false;
-    rerouted_ += 1;
     metrics_.count("serve.rerouted");
     if (!route_copy(*rec, which, -1)) maybe_erase(id);
     return;
@@ -313,7 +312,6 @@ void Service::on_batch_done(std::int64_t key,
     if (rec->done) {
       // Lost the hedge race after already executing: pure wasted work.
       copy.live = false;
-      wasted_exec_ += 1;
       metrics_.count("serve.wasted_exec");
       if (which == 1) trace::end_span(tracer_, copy.span);
       maybe_erase(id);
@@ -323,17 +321,13 @@ void Service::on_batch_done(std::int64_t key,
     if (closed) {
       // The pod was evicted mid-execution; the result died with it.
       copy.live = false;
-      rerouted_ += 1;
       metrics_.count("serve.rerouted");
       if (!route_copy(*rec, which, -1)) maybe_erase(id);
       continue;
     }
 
     rec->done = true;
-    if (which == 1) {
-      hedge_wins_ += 1;
-      metrics_.count("serve.hedge_wins");
-    }
+    if (which == 1) metrics_.count("serve.hedge_wins");
     if (rec->hedge_armed) {
       sim_.cancel(rec->hedge_event);
       rec->hedge_armed = false;
@@ -345,7 +339,6 @@ void Service::on_batch_done(std::int64_t key,
         // Still queued: cancelled before it cost anything.
         release_slot(other.replica);
         other.live = false;
-        hedges_cancelled_ += 1;
         metrics_.count("serve.hedges_cancelled");
         if ((1 - which) == 1) trace::end_span(tracer_, other.span);
       }
@@ -426,12 +419,10 @@ void Service::launch_hedge(RequestId id) {
   if (retry_budget_ != nullptr && !retry_budget_->try_retry()) {
     // Empty cross-layer budget: a hedge is duplicate work the cluster
     // cannot afford right now — suppress rather than pile on.
-    hedges_suppressed_ += 1;
     metrics_.count("serve.hedges_suppressed");
     return;
   }
   if (route_copy(*rec, 1, primary.replica)) {
-    hedges_launched_ += 1;
     metrics_.count("serve.hedges_launched");
   }
 }
@@ -531,7 +522,6 @@ void Service::on_replica_event(orch::PodId pod, cluster::NodeId node,
       maybe_erase(orphan.id);
       continue;
     }
-    rerouted_ += 1;
     metrics_.count("serve.rerouted");
     if (!route_copy(*rec, which, -1)) maybe_erase(orphan.id);
   }

@@ -137,12 +137,22 @@ class Service {
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
 
-  std::int64_t hedges_launched() const { return hedges_launched_; }
-  std::int64_t hedges_suppressed() const { return hedges_suppressed_; }
-  std::int64_t hedge_wins() const { return hedge_wins_; }
-  std::int64_t hedges_cancelled() const { return hedges_cancelled_; }
-  std::int64_t wasted_exec() const { return wasted_exec_; }
-  std::int64_t rerouted() const { return rerouted_; }
+  std::int64_t hedges_launched() const {
+    return metrics_.counter("serve.hedges_launched");
+  }
+  std::int64_t hedges_suppressed() const {
+    return metrics_.counter("serve.hedges_suppressed");
+  }
+  std::int64_t hedge_wins() const {
+    return metrics_.counter("serve.hedge_wins");
+  }
+  std::int64_t hedges_cancelled() const {
+    return metrics_.counter("serve.hedges_cancelled");
+  }
+  std::int64_t wasted_exec() const {
+    return metrics_.counter("serve.wasted_exec");
+  }
+  std::int64_t rerouted() const { return metrics_.counter("serve.rerouted"); }
 
  private:
   struct Copy {
@@ -228,13 +238,6 @@ class Service {
   ExecObserver exec_observer_;
   CompletionFn completion_observer_;
   util::RetryBudget* retry_budget_ = nullptr;  // non-owned, optional
-
-  std::int64_t hedges_launched_ = 0;
-  std::int64_t hedges_suppressed_ = 0;
-  std::int64_t hedge_wins_ = 0;
-  std::int64_t hedges_cancelled_ = 0;
-  std::int64_t wasted_exec_ = 0;
-  std::int64_t rerouted_ = 0;
 };
 
 }  // namespace evolve::serve

@@ -508,7 +508,6 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
     if (pick < 0) return;
     const auto i = static_cast<std::size_t>(pick);
     const cluster::NodeId target = holders[i];
-    ++hedges_launched_;
     metrics_.count("hedges_launched");
     f->hedged = true;
     f->hedge_span = trace::begin_span(tracer_, trace::Layer::kStorage,
@@ -559,7 +558,6 @@ void ObjectStore::launch_branch(const std::shared_ptr<Fetch>& f,
             if (!config_.checksum_reads) {
               f->branches[b].rotten = true;  // served as-is
             } else {
-              ++checksum_failures_;
               metrics_.count("checksum_failures");
               drop_corrupted_replica(f->key, server);
               // Transparent failover to the first untried clean holder
@@ -614,10 +612,7 @@ void ObjectStore::branch_landed(const std::shared_ptr<Fetch>& f,
   // against `done`. A replicated race counts its one loser either way;
   // an erasure-coded read counts the flows it tears off, and a rotten
   // fragment already on the wire still corrupts its decode.
-  if (!ec && f->inflight > 0) {
-    ++hedges_cancelled_;
-    metrics_.count("hedges_cancelled");
-  }
+  if (!ec && f->inflight > 0) metrics_.count("hedges_cancelled");
   GetResult result;
   for (Fetch::Branch& s : f->branches) {
     if (s.landed) {
@@ -630,10 +625,8 @@ void ObjectStore::branch_landed(const std::shared_ptr<Fetch>& f,
     fabric_.cancel(s.flow);
     s.flow_active = false;
     --f->inflight;  // its completion callback will never run
-    hedge_wasted_bytes_ += f->branch_bytes;
     metrics_.count("hedge_wasted_bytes", f->branch_bytes);
     if (ec) {
-      ++hedges_cancelled_;
       metrics_.count("hedges_cancelled");
       result.corrupted = result.corrupted || s.rotten;
     }
@@ -648,14 +641,12 @@ void ObjectStore::branch_landed(const std::shared_ptr<Fetch>& f,
   result.hedged = f->hedged;
   result.degraded = f->degraded || result.parity_fragments_used > 0;
   if (result.hedge_won) {
-    ++hedge_wins_;
     metrics_.count("hedge_wins");
     if (f->span != trace::kNoSpan) {
       tracer_->annotate(f->span, "hedge_won", "1");
     }
   }
   if (result.corrupted) {
-    ++corrupted_reads_surfaced_;
     metrics_.count("corrupted_reads_surfaced");
     if (f->span != trace::kNoSpan) {
       tracer_->annotate(f->span, "corrupted", "1");
@@ -916,7 +907,7 @@ DurabilityStats ObjectStore::durability_stats() const {
     }
   }
   stats.at_risk_fragment_seconds = at_risk_fragment_seconds();
-  stats.objects_lost_total = lost_objects_;
+  stats.objects_lost_total = metrics_.counter("objects_lost");
   return stats;
 }
 
@@ -931,7 +922,6 @@ void ObjectStore::note_health_change(const ObjectKey& key,
   }
   shift_at_risk(at_risk_fragments(meta) - risk_before);
   if (after == Health::kLost && before != Health::kLost) {
-    ++lost_objects_;
     metrics_.count("objects_lost");
     metrics_.count("bytes_lost", meta.size);
   }
@@ -986,7 +976,6 @@ void ObjectStore::clear_suspect(cluster::NodeId node) {
   sim_.cancel(it->second.escalate);
   shift_at_risk(-it->second.at_risk);
   suspects_.erase(it);
-  ++suspects_cleared_;
   metrics_.count("suspects_cleared");
 }
 
@@ -1167,7 +1156,6 @@ void ObjectStore::scrub_pass() {
     }
     --budget;
     scrub_inflight_.insert(*it);
-    ++replicas_scrubbed_;
     metrics_.count("replicas_scrubbed");
     const trace::SpanId span = trace::begin_span(
         tracer_, trace::Layer::kStorage, "store.scrub", trace::kNoSpan);
@@ -1466,7 +1454,6 @@ bool ObjectStore::put_fenced(cluster::NodeId client, std::int64_t epoch,
     // Zombie write: the client's lease expired (and its epoch was
     // bumped) while it was on the far side of a partition. Reject
     // synchronously — no metadata change, no bytes moved, no callback.
-    ++writes_fenced_;
     metrics_.count("writes_fenced");
     return false;
   }

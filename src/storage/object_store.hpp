@@ -296,7 +296,9 @@ class ObjectStore {
     return suspects_.count(node) != 0;
   }
   /// Suspects cleared within their window (rebuild storms avoided).
-  std::int64_t suspects_cleared() const { return suspects_cleared_; }
+  std::int64_t suspects_cleared() const {
+    return metrics_.counter("suspects_cleared");
+  }
 
   const ObjectStoreConfig& config() const { return config_; }
 
@@ -313,7 +315,9 @@ class ObjectStore {
                   const ObjectKey& key, util::Bytes size, PutCallback on_done);
   /// Minimum epoch `node` must present (1 = never fenced).
   std::int64_t fence_epoch(cluster::NodeId node) const;
-  std::int64_t writes_fenced() const { return writes_fenced_; }
+  std::int64_t writes_fenced() const {
+    return metrics_.counter("writes_fenced");
+  }
 
   /// Optional circuit breaker guarding the background repair scan: when
   /// open, pump_repairs defers instead of launching rebuild traffic into
@@ -341,21 +345,33 @@ class ObjectStore {
   }
 
   // Hedge / checksum / scrub statistics.
-  std::int64_t hedges_launched() const { return hedges_launched_; }
-  std::int64_t hedge_wins() const { return hedge_wins_; }
-  std::int64_t hedges_cancelled() const { return hedges_cancelled_; }
-  util::Bytes hedge_wasted_bytes() const { return hedge_wasted_bytes_; }
-  std::int64_t checksum_failures() const { return checksum_failures_; }
-  std::int64_t corrupted_reads_surfaced() const {
-    return corrupted_reads_surfaced_;
+  std::int64_t hedges_launched() const {
+    return metrics_.counter("hedges_launched");
   }
-  std::int64_t replicas_scrubbed() const { return replicas_scrubbed_; }
+  std::int64_t hedge_wins() const { return metrics_.counter("hedge_wins"); }
+  std::int64_t hedges_cancelled() const {
+    return metrics_.counter("hedges_cancelled");
+  }
+  util::Bytes hedge_wasted_bytes() const {
+    return metrics_.counter("hedge_wasted_bytes");
+  }
+  std::int64_t checksum_failures() const {
+    return metrics_.counter("checksum_failures");
+  }
+  std::int64_t corrupted_reads_surfaced() const {
+    return metrics_.counter("corrupted_reads_surfaced");
+  }
+  std::int64_t replicas_scrubbed() const {
+    return metrics_.counter("replicas_scrubbed");
+  }
 
   /// Objects currently holding fewer live replicas/fragments than
   /// placed, but still readable.
   int under_replicated_objects() const { return underrep_count_; }
   /// Objects that became permanently unreadable (cumulative).
-  int lost_objects() const { return lost_objects_; }
+  int lost_objects() const {
+    return static_cast<int>(metrics_.counter("objects_lost"));
+  }
   /// Time-weighted integral of under-replicated objects (object·s).
   double under_replicated_object_seconds() const;
   /// Time-weighted integral of missing fragments/replicas on degraded
@@ -535,7 +551,6 @@ class ObjectStore {
     sim::EventId escalate = 0;
   };
   std::map<cluster::NodeId, SuspectState> suspects_;
-  std::int64_t suspects_cleared_ = 0;
   /// Pending repairs. Drained risk-first: the object with the fewest
   /// surviving spare copies (an EC stripe one fragment from loss) is
   /// repaired before a freshly degraded one, ties in key order.
@@ -551,21 +566,12 @@ class ObjectStore {
   bool repair_pump_armed_ = false;  // breaker-deferred pump pending
   // Fencing state: minimum write epoch per node (absent = 1).
   std::map<cluster::NodeId, std::int64_t> fence_epoch_;
-  std::int64_t writes_fenced_ = 0;
   // Gray-failure state: replicas whose stored payload is bit-rotten.
   std::set<std::pair<ObjectKey, cluster::NodeId>> corrupted_replicas_;
   /// Entries under scrub verification right now (subset of the above;
   /// they stay corrupted until the verification read completes).
   std::set<std::pair<ObjectKey, cluster::NodeId>> scrub_inflight_;
   bool scrub_armed_ = false;
-  std::int64_t hedges_launched_ = 0;
-  std::int64_t hedge_wins_ = 0;
-  std::int64_t hedges_cancelled_ = 0;
-  util::Bytes hedge_wasted_bytes_ = 0;
-  std::int64_t checksum_failures_ = 0;
-  std::int64_t corrupted_reads_surfaced_ = 0;
-  std::int64_t replicas_scrubbed_ = 0;
-  int lost_objects_ = 0;
   int underrep_count_ = 0;
   util::TimeNs underrep_last_ = 0;
   double underrep_ns_ = 0;  // object·ns integral up to underrep_last_

@@ -5,22 +5,25 @@
 
 namespace evolve::tablet {
 
+namespace {
+
+// Every response is counted under `op_<status>`: one literal per
+// OpStatus, in enum order, so responding builds no key string.
+const char* op_key(OpStatus status) {
+  static constexpr const char* kKeys[] = {"op_ok",          "op_not_found",
+                                          "op_wrong_shard", "op_queue_full",
+                                          "op_unavailable", "op_fenced"};
+  return kKeys[static_cast<std::size_t>(status)];
+}
+
+}  // namespace
+
 const char* to_string(OpStatus status) {
-  switch (status) {
-    case OpStatus::kOk:
-      return "ok";
-    case OpStatus::kNotFound:
-      return "not_found";
-    case OpStatus::kWrongShard:
-      return "wrong_shard";
-    case OpStatus::kQueueFull:
-      return "queue_full";
-    case OpStatus::kUnavailable:
-      return "unavailable";
-    case OpStatus::kFenced:
-      return "fenced";
-  }
-  return "unknown";
+  return op_key(status) + 3;  // the key without its "op_" prefix
+}
+
+std::int64_t TabletService::op_count(OpStatus status) const {
+  return metrics_.counter(op_key(status));
 }
 
 TabletService::TabletService(sim::Simulation& sim, net::Fabric& fabric,
@@ -192,12 +195,10 @@ void TabletService::finish_read(cluster::NodeId node_id, ShardId shard,
   Tablet& t = tablet(si.id);
   if (t.memtable.count(op.key) != 0 || t.sealed.count(op.key) != 0 ||
       t.gens.empty()) {
-    ++memtable_hits_;
     metrics_.count("memtable_hits");
     respond(node_id, op, OpStatus::kOk, si.id, /*from_memtable=*/true);
     return;
   }
-  ++block_reads_;
   metrics_.count("block_reads");
   const trace::SpanId read_span = trace::begin_span(
       tracer_, trace::Layer::kTablet, "tablet.read", op.span);
@@ -255,7 +256,6 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
         trace::end_span(tracer_, wal_span);
         NodeState& n = node(node_id);
         n.commit_inflight = false;
-        ++wal_commits_;
         metrics_.count("wal_commits");
         // Durable: apply in order (idempotent per key), then ack.
         for (PendingWrite& w : *group) {
@@ -273,10 +273,7 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
     // durable, nothing is applied, and the ops fail un-acked.
     trace::end_span(tracer_, wal_span);
     metrics_.count("wal_commits_fenced");
-    for (PendingWrite& w : *group) {
-      ++fenced_writes_;
-      respond_write(node_id, w, OpStatus::kFenced);
-    }
+    for (PendingWrite& w : *group) respond_write(node_id, w, OpStatus::kFenced);
     return;
   }
   n.commit_inflight = true;
@@ -287,7 +284,6 @@ void TabletService::apply_write(const PendingWrite& w) {
   if (w.seq <= applied) {
     // A newer write to this key already landed (a cross-epoch ordering
     // inversion): suppress the stale apply — exactly-once effect.
-    ++dup_writes_;
     metrics_.count("stale_applies_suppressed");
     return;
   }
@@ -309,27 +305,7 @@ void TabletService::apply_write(const PendingWrite& w) {
 void TabletService::respond(cluster::NodeId from, const Op& op,
                             OpStatus status, ShardId shard,
                             bool from_memtable) {
-  switch (status) {
-    case OpStatus::kOk:
-      ++ops_ok_;
-      break;
-    case OpStatus::kNotFound:
-      ++not_found_;
-      break;
-    case OpStatus::kWrongShard:
-      ++wrong_shard_;
-      break;
-    case OpStatus::kQueueFull:
-      ++shed_queue_full_;
-      break;
-    case OpStatus::kUnavailable:
-      ++unavailable_;
-      break;
-    case OpStatus::kFenced:
-      ++fenced_writes_;
-      break;
-  }
-  metrics_.count(std::string("op_") + to_string(status));
+  metrics_.count(op_key(status));
   OpResult result;
   result.status = status;
   result.shard = shard;
@@ -349,8 +325,7 @@ void TabletService::respond(cluster::NodeId from, const Op& op,
 
 void TabletService::respond_write(cluster::NodeId from, const PendingWrite& w,
                                   OpStatus status) {
-  if (status == OpStatus::kOk) ++ops_ok_;
-  metrics_.count(std::string("op_") + to_string(status));
+  metrics_.count(op_key(status));
   OpResult result;
   result.status = status;
   result.shard = w.shard;
@@ -429,7 +404,6 @@ void TabletService::start_flush(cluster::NodeId node_id, ShardId shard) {
         t.gens.push_back(Generation{name, bytes});
         t.sealed.clear();
         t.flushing = false;
-        ++flushes_;
         metrics_.count("flushes");
         metrics_.count("flush_bytes", bytes);
         if (t.moving) {
@@ -616,7 +590,6 @@ void TabletService::finish_move(ShardId id, cluster::NodeId from,
   t.moving = false;
   const util::TimeNs window = sim_.now() - t.move_start;
   move_unavail_ns_ += window;
-  ++moves_completed_;
   metrics_.count("moves_completed");
   metrics_.observe("move_unavail_us", window / util::kMicrosecond);
   if (t.memtable_bytes > 0) arm_age_flush(id);

@@ -178,19 +178,27 @@ class TabletService {
   std::vector<ShardStats> shard_stats() const;
 
   // -- Counters ---------------------------------------------------------
-  std::int64_t ops_ok() const { return ops_ok_; }
-  std::int64_t not_found() const { return not_found_; }
-  std::int64_t wrong_shard() const { return wrong_shard_; }
-  std::int64_t shed_queue_full() const { return shed_queue_full_; }
-  std::int64_t unavailable() const { return unavailable_; }
-  std::int64_t fenced_writes() const { return fenced_writes_; }
-  std::int64_t dup_writes() const { return dup_writes_; }
+  std::int64_t ops_ok() const { return op_count(OpStatus::kOk); }
+  std::int64_t not_found() const { return op_count(OpStatus::kNotFound); }
+  std::int64_t wrong_shard() const { return op_count(OpStatus::kWrongShard); }
+  std::int64_t shed_queue_full() const {
+    return op_count(OpStatus::kQueueFull);
+  }
+  std::int64_t unavailable() const { return op_count(OpStatus::kUnavailable); }
+  std::int64_t fenced_writes() const { return op_count(OpStatus::kFenced); }
+  std::int64_t dup_writes() const {
+    return metrics_.counter("stale_applies_suppressed");
+  }
   std::int64_t applied_writes() const { return applied_writes_; }
-  std::int64_t memtable_hits() const { return memtable_hits_; }
-  std::int64_t block_reads() const { return block_reads_; }
-  std::int64_t flushes() const { return flushes_; }
-  std::int64_t wal_commits() const { return wal_commits_; }
-  std::int64_t moves_completed() const { return moves_completed_; }
+  std::int64_t memtable_hits() const {
+    return metrics_.counter("memtable_hits");
+  }
+  std::int64_t block_reads() const { return metrics_.counter("block_reads"); }
+  std::int64_t flushes() const { return metrics_.counter("flushes"); }
+  std::int64_t wal_commits() const { return metrics_.counter("wal_commits"); }
+  std::int64_t moves_completed() const {
+    return metrics_.counter("moves_completed");
+  }
   double move_unavail_seconds() const {
     return static_cast<double>(move_unavail_ns_) / 1e9;
   }
@@ -276,6 +284,8 @@ class TabletService {
                ShardId shard, bool from_memtable = false);
   void respond_write(cluster::NodeId from, const PendingWrite& w,
                      OpStatus status);
+  /// Responses sent with `status` (its `op_<status>` counter).
+  std::int64_t op_count(OpStatus status) const;
   void deliver(cluster::NodeId from, cluster::NodeId to, util::Bytes bytes,
                trace::SpanId span, OpResult result, OpCallback cb);
   void maybe_flush(cluster::NodeId node_id, ShardId shard);
@@ -303,19 +313,7 @@ class TabletService {
   bool stopped_ = false;
   bool record_applies_ = false;
   std::map<std::int64_t, int> apply_counts_;
-  std::int64_t ops_ok_ = 0;
-  std::int64_t not_found_ = 0;
-  std::int64_t wrong_shard_ = 0;
-  std::int64_t shed_queue_full_ = 0;
-  std::int64_t unavailable_ = 0;
-  std::int64_t fenced_writes_ = 0;
-  std::int64_t dup_writes_ = 0;
   std::int64_t applied_writes_ = 0;
-  std::int64_t memtable_hits_ = 0;
-  std::int64_t block_reads_ = 0;
-  std::int64_t flushes_ = 0;
-  std::int64_t wal_commits_ = 0;
-  std::int64_t moves_completed_ = 0;
   util::TimeNs move_unavail_ns_ = 0;
   metrics::Registry metrics_;
   trace::Tracer* tracer_ = nullptr;

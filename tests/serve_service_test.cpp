@@ -254,6 +254,32 @@ TEST(ServeService, HedgingRescuesRequestsOnSlowReplica) {
   expect_clean(f);
 }
 
+TEST(ServeService, HedgeRetiredOnTheWireCountsAsCancelled) {
+  ServeFixture f(2);
+  // An 8 MiB request spends ~7 ms on the 10 GbE client link. The hedge,
+  // sent 5 ms after the primary, lands 5 ms after it: after the primary's
+  // 3 ms batch has finished, so it retires on arrival, never executing.
+  f.classes[0].request_bytes = 8 * util::kMiB;
+  ServiceConfig config;
+  config.policy = BalancePolicy::kLeastOutstanding;
+  config.replica.batch.max_batch = 1;
+  config.hedging = true;
+  config.hedge_min_delay = util::millis(5);
+  config.hedge_min_samples = 1 << 20;  // pin the delay to hedge_min_delay
+  Service& svc = f.make_service(config);
+  f.sim.run();
+  f.offer(10, util::millis(200));
+  f.sim.run();
+  EXPECT_EQ(svc.tenant("default").completed, 10);
+  EXPECT_EQ(svc.hedges_launched(), 10);
+  EXPECT_EQ(svc.hedge_wins(), 0);
+  EXPECT_EQ(svc.wasted_exec(), 0);
+  EXPECT_EQ(svc.hedges_cancelled(), 10);
+  EXPECT_EQ(svc.metrics().counter("serve.hedges_cancelled"),
+            svc.hedges_cancelled());
+  expect_clean(f);
+}
+
 TEST(ServeService, NoHedgeWithoutASecondReplica) {
   ServeFixture f(1);
   ServiceConfig config;

@@ -119,6 +119,8 @@ Fingerprint run_seed(std::uint64_t seed, bool traced) {
   util::Rng rng(seed * 2654435761u + 7);
   std::int64_t acked_writes = 0;
   std::set<std::int64_t> acked_seqs;
+  std::int64_t fenced_results = 0;
+  std::set<std::int64_t> fenced_seqs;
   util::TimeNs completion_hash = 0;
   for (int op = 0; op < kOps; ++op) {
     const auto key = static_cast<std::uint64_t>(rng.zipf(kKeys, 1.1));
@@ -133,6 +135,10 @@ Fingerprint run_seed(std::uint64_t seed, bool traced) {
                       if (write && r.status == OpStatus::kOk) {
                         ++acked_writes;
                         acked_seqs.insert(r.seq);
+                      }
+                      if (r.status == OpStatus::kFenced) {
+                        ++fenced_results;
+                        if (r.seq > 0) fenced_seqs.insert(r.seq);
                       }
                     });
     });
@@ -163,9 +169,13 @@ Fingerprint run_seed(std::uint64_t seed, bool traced) {
   EXPECT_EQ(superseded, service.dup_writes());
 
   // Invariant 2: zombie writes surface as kFenced (never kOk) and are
-  // rejected by the store before any byte lands.
-  EXPECT_EQ(service.metrics().counter("op_fenced"),
-            service.fenced_writes());
+  // rejected by the store before any byte lands: every fenced response
+  // reaches its client as kFenced, and no fenced seq was ever applied.
+  EXPECT_EQ(fenced_results, service.fenced_writes());
+  for (std::int64_t seq : fenced_seqs) {
+    EXPECT_EQ(service.apply_counts().count(seq), 0u) << "fenced seq " << seq;
+    EXPECT_EQ(acked_seqs.count(seq), 0u) << "fenced seq " << seq;
+  }
 
   // Liveness / cleanliness.
   EXPECT_FALSE(partitions.active());

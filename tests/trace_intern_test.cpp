@@ -1,18 +1,20 @@
-// Tracer hot-path allocation test. This TU overrides the global
-// new/delete with counting forwards to malloc/free, so it lives in its
-// own test binary (evolve_alloc_tests) and must stay the only TU there
-// that defines these operators.
+// Hot-path allocation tests. This TU overrides the global new/delete
+// with counting forwards to malloc/free, so it lives in its own test
+// binary (evolve_alloc_tests) and must stay the only TU there that
+// defines these operators.
 //
-// The claim under test (ISSUE satellite): once the tracer's name set and
-// span chunks are warm, recording a span performs zero heap allocations
-// — names are interned string_views and spans land in pre-reserved
-// append-only chunks.
+// The claims under test: once the tracer's name set and span chunks are
+// warm, recording a span performs zero heap allocations — names are
+// interned string_views and spans land in pre-reserved append-only
+// chunks. And recording a metric under a name the registry already
+// holds allocates nothing, however long the name.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "metrics/registry.hpp"
 #include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
 
@@ -94,3 +96,32 @@ TEST(TracerAllocation, RepeatedNamesShareInternedStorage) {
 
 }  // namespace
 }  // namespace evolve::trace
+
+namespace evolve::metrics {
+namespace {
+
+TEST(RegistryAllocation, RecordingUnderAnExistingLongNameAllocatesNothing) {
+  // Both names outgrow libstdc++'s 15-char small-string buffer, so any
+  // std::string built from them per call would hit the heap.
+  constexpr const char* kCounter = "block_read_requests";
+  constexpr const char* kHistogram = "block_read_latency_us";
+  Registry reg;
+  reg.count(kCounter);
+  reg.observe(kHistogram, 999);  // sizes the buckets for every sample below
+
+  const std::size_t before = g_allocs.load();
+  for (int i = 0; i < 1000; ++i) {
+    reg.count(kCounter);
+    reg.observe(kHistogram, i);
+  }
+  const std::int64_t total = reg.counter(kCounter);
+  const std::size_t after = g_allocs.load();
+
+  EXPECT_EQ(after - before, 0u)
+      << "counting under an existing name must not allocate";
+  EXPECT_EQ(total, 1001);
+  EXPECT_EQ(reg.histogram(kHistogram).count(), 1001);
+}
+
+}  // namespace
+}  // namespace evolve::metrics
