@@ -38,11 +38,11 @@ int main() {
     const util::Bytes object = 4 * util::kMiB;
     const int objects = static_cast<int>(32LL * util::kGiB / object);
     for (int i = 0; i < objects; ++i) {
-      store.preload({"ws", "o" + std::to_string(i)}, object);
+      store.preload({"ws", util::numbered("o", i)}, object);
     }
     util::Rng rng(4242);
     auto one_get = [&] {
-      store.get(0, {"ws", "o" + std::to_string(rng.zipf(objects, 0.9))},
+      store.get(0, {"ws", util::numbered("o", rng.zipf(objects, 0.9))},
                 [](const storage::GetResult&) {});
       sim.run();
     };

@@ -100,7 +100,7 @@ PolicyResult run_policy(const Policy& policy, double rebuild_bytes_per_s) {
   store.create_bucket("d");
   constexpr int kObjects = 32;
   for (int i = 0; i < kObjects; ++i) {
-    store.preload({"d", "o" + std::to_string(i)}, kObjectBytes);
+    store.preload({"d", util::numbered("o", i)}, kObjectBytes);
   }
 
   const auto servers = store.servers();
@@ -113,7 +113,7 @@ PolicyResult run_policy(const Policy& policy, double rebuild_bytes_per_s) {
   for (int g = 0; g < kGets; ++g) {
     sim.at(util::micros(10'000.0 * g), [&, g] {
       store.get(compute[static_cast<std::size_t>(g % kComputeNodes)],
-                {"d", "o" + std::to_string(g % kObjects)},
+                {"d", util::numbered("o", g % kObjects)},
                 [](const storage::GetResult&) {});
     });
   }
@@ -168,7 +168,7 @@ PlacementResult run_placement(bool rack_aware) {
   constexpr int kObjects = 48;
   PlacementResult r;
   for (int i = 0; i < kObjects; ++i) {
-    const storage::ObjectKey key{"d", "o" + std::to_string(i)};
+    const storage::ObjectKey key{"d", util::numbered("o", i)};
     store.preload(key, kObjectBytes);
     std::map<int, int> per_rack;
     for (auto n : store.locate(key)) {

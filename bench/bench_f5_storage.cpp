@@ -69,12 +69,12 @@ int main(int argc, char** argv) {
       const util::Bytes object = 4 * util::kMiB;
       const int objects = static_cast<int>(working_set / object);
       for (int i = 0; i < objects; ++i) {
-        store.preload({"ws", "o" + std::to_string(i)}, object);
+        store.preload({"ws", util::numbered("o", i)}, object);
       }
       util::Rng rng(99);
       auto one_get = [&](bool) {
         const auto id = rng.zipf(objects, 0.9);
-        store.get(0, {"ws", "o" + std::to_string(id)},
+        store.get(0, {"ws", util::numbered("o", id)},
                   [](const storage::GetResult&) {});
         sim.run();
       };
@@ -113,12 +113,12 @@ int main(int argc, char** argv) {
       const util::Bytes object = 16 * util::kMiB;
       const int objects = 256;  // 4 GiB total
       for (int i = 0; i < objects; ++i) {
-        s.store.preload({"scale", "o" + std::to_string(i)}, object,
+        s.store.preload({"scale", util::numbered("o", i)}, object,
                         /*warm_cache=*/true);
       }
       int done = 0;
       for (int i = 0; i < objects; ++i) {
-        s.store.get(i % 16, {"scale", "o" + std::to_string(i)},
+        s.store.get(i % 16, {"scale", util::numbered("o", i)},
                     [&](const storage::GetResult&) { ++done; });
       }
       s.sim.run();

@@ -1,6 +1,7 @@
 // F9 — Simulation-kernel churn: thousands of concurrent flows with Poisson
 // arrivals and mid-flight cancels on a racked topology, run through both
-// fabric engines (incremental grouped solver vs from-scratch reference).
+// fabric engines (incremental grouped net::Fabric vs the from-scratch
+// reference::RefFabric).
 //
 // Reports wall-clock per simulated flow, solver recompute counts, and the
 // speedup of the incremental kernel; `--json` also writes
@@ -12,6 +13,7 @@
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
 #include "net/fabric.hpp"
+#include "reference/ref_fabric.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -73,11 +75,12 @@ struct ChurnResult {
   int peak_concurrent = 0;
 };
 
-ChurnResult run_churn(const Schedule& schedule, bool reference) {
+template <typename FabricT>
+ChurnResult run_churn(const Schedule& schedule) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(kHosts, 0, 0, kRacks);
   net::Topology topology(cluster);
-  net::Fabric fabric(sim, topology, net::FabricConfig{reference});
+  FabricT fabric(sim, topology);
   ChurnResult result;
   std::vector<net::FlowId> started(schedule.arrivals.size(), -1);
   for (std::size_t i = 0; i < schedule.arrivals.size(); ++i) {
@@ -130,8 +133,8 @@ int main(int argc, char** argv) {
   constexpr int kChurn = 2048;
   const Schedule schedule = make_schedule(kWave, kChurn);
 
-  const ChurnResult inc = run_churn(schedule, /*reference=*/false);
-  const ChurnResult ref = run_churn(schedule, /*reference=*/true);
+  const ChurnResult inc = run_churn<net::Fabric>(schedule);
+  const ChurnResult ref = run_churn<reference::RefFabric>(schedule);
 
   const auto flows = static_cast<double>(schedule.arrivals.size());
   const double inc_us_per_flow = inc.wall_s * 1e6 / flows;

@@ -6,6 +6,9 @@
 # BENCH_*.json / TRACE_*.json, build and selftest the repository
 # benchmark (perfbench/, in <build-dir>-perfbench), then rebuild +
 # retest under ASan/UBSan.
+# Also checks that no test-only oracle from src/reference/ is linked into
+# libevolve.a, and that a Release (-O3 -DNDEBUG) build, in
+# <build-dir>-release, is as warning-free as the default one.
 # Run from the repo root:
 #
 #   scripts/check.sh [build-dir]
@@ -20,6 +23,17 @@ BUILD_DIR="${1:-build}"
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
+
+# -- Test-only oracles stay out of the library -------------------------
+# src/reference/ (the heap event queue, the per-flow fabric engine) is
+# built into the separate evolve_reference archive; libevolve.a must not
+# define any of it.
+lib_symbols=$(nm -C --defined-only "$BUILD_DIR/src/libevolve.a")
+if grep -E 'evolve::reference::|RefEventQueue|RefFabric' <<<"$lib_symbols"; then
+  echo "check.sh: libevolve.a defines test-only reference symbols"
+  exit 1
+fi
+echo "check.sh: libevolve.a holds no reference oracle"
 
 (cd "$BUILD_DIR" && ./bench/bench_t1_endtoend --json)
 (cd "$BUILD_DIR" && ./bench/bench_f1_scaling --json)
@@ -169,6 +183,14 @@ cmake --build "$PERF_DIR" --target perfbench -j "$(nproc)"
 for workload in tablet-skew converged-pipelines serve-spike; do
   "$PERF_DIR/perfbench" --selftest --workload "$workload" --seed 1
 done
+
+# -- Release build -------------------------------------------------------
+# -O3 -DNDEBUG inlines differently from RelWithDebInfo, so it can raise
+# warnings (and -Werror failures) the default build does not.
+REL_DIR="${BUILD_DIR}-release"
+cmake -B "$REL_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build "$REL_DIR" -j "$(nproc)"
+echo "check.sh: Release build warning-free in $REL_DIR"
 
 if [[ "${EVOLVE_SKIP_SANITIZERS:-0}" != "1" ]]; then
   SAN_DIR="${BUILD_DIR}-asan"

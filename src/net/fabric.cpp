@@ -11,12 +11,8 @@ namespace {
 constexpr double kDrainEpsilon = 1e-6;  // bytes
 }
 
-Fabric::Fabric(sim::Simulation& sim, const Topology& topology,
-               FabricConfig config)
-    : sim_(sim),
-      topology_(topology),
-      config_(config),
-      last_settle_(sim.now()) {
+Fabric::Fabric(sim::Simulation& sim, const Topology& topology)
+    : sim_(sim), topology_(topology), last_settle_(sim.now()) {
   link_flow_count_.assign(static_cast<std::size_t>(topology_.link_count()), 0);
   link_capacity_factor_.assign(static_cast<std::size_t>(topology_.link_count()),
                                1.0);
@@ -30,15 +26,9 @@ void Fabric::set_link_capacity_factor(LinkId link, double factor) {
   }
   // Settle progress at the old rates before the capacity change, then
   // trigger a re-solve so in-flight flows pick up the new rates.
-  if (config_.use_reference_solver) {
-    ref_settle_progress();
-    link_capacity_factor_[static_cast<std::size_t>(link)] = factor;
-    ref_recompute();
-  } else {
-    settle_progress();
-    link_capacity_factor_[static_cast<std::size_t>(link)] = factor;
-    mark_dirty();
-  }
+  settle_progress();
+  link_capacity_factor_[static_cast<std::size_t>(link)] = factor;
+  mark_dirty();
 }
 
 void Fabric::set_link_extra_latency(LinkId link, util::TimeNs extra) {
@@ -76,7 +66,7 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
       if (cb) cb();
     };
   }
-  if (partitions_active_ && !reachable(src, dst)) {
+  if (!mask_.reachable(src, dst)) {
     // The pair is partitioned: the flow parks immediately and makes no
     // progress until a heal/mask change reconnects src → dst.
     ++stats_.flows_parked;
@@ -94,16 +84,10 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
     });
     return id;
   }
-  std::vector<LinkId> path = topology_.path(src, dst);
-  if (config_.use_reference_solver) {
-    return ref_transfer(id, src, dst, std::move(path), bytes, latency,
-                        std::move(on_complete));
-  }
-
   settle_progress();
   const int slot = acquire_flow_slot();
   const auto si = static_cast<std::size_t>(slot);
-  const int gi = group_for_path(std::move(path));
+  const int gi = group_for_path(topology_.path(src, dst));
   Group& group = groups_[static_cast<std::size_t>(gi)];
   flow_id_[si] = id;
   flow_group_[si] = gi;
@@ -133,11 +117,6 @@ bool Fabric::cancel(FlowId id) {
     --stats_.flows_in_flight;
     return true;
   }
-  if (config_.use_reference_solver) {
-    const bool cancelled = ref_cancel(id);
-    if (cancelled) end_flow_span(id);
-    return cancelled;
-  }
   auto it = slot_of_.find(id);
   if (it == slot_of_.end()) return false;
   end_flow_span(id);
@@ -154,10 +133,6 @@ bool Fabric::cancel(FlowId id) {
 }
 
 double Fabric::flow_rate(FlowId id) const {
-  if (config_.use_reference_solver) {
-    auto it = ref_flows_.find(id);
-    return it == ref_flows_.end() ? 0.0 : it->second.rate;
-  }
   // Rates may be stale inside a same-timestamp churn batch; flush first.
   const_cast<Fabric*>(this)->flush_if_dirty();
   auto it = slot_of_.find(id);
@@ -385,233 +360,47 @@ void Fabric::on_completion_event() {
 }
 
 // ---------------------------------------------------------------------------
-// Reference (debug) engine — the original from-scratch implementation
+// Network partitions
 // ---------------------------------------------------------------------------
-
-FlowId Fabric::ref_transfer(FlowId id, cluster::NodeId src, cluster::NodeId dst,
-                            std::vector<LinkId> path, util::Bytes bytes,
-                            util::TimeNs latency, FlowCallback on_complete) {
-  ref_settle_progress();
-  RefFlow flow;
-  flow.id = id;
-  flow.src = src;
-  flow.dst = dst;
-  flow.path = std::move(path);
-  flow.remaining = static_cast<double>(bytes);
-  flow.bytes = bytes;
-  flow.latency = latency;
-  flow.on_complete = std::move(on_complete);
-  ref_flows_.emplace(id, std::move(flow));
-  ++active_flows_;
-  ref_recompute();
-  return id;
-}
-
-bool Fabric::ref_cancel(FlowId id) {
-  auto it = ref_flows_.find(id);
-  if (it == ref_flows_.end()) return false;
-  ref_settle_progress();
-  ref_flows_.erase(it);
-  ++stats_.flows_cancelled;
-  --stats_.flows_in_flight;
-  --active_flows_;
-  ref_recompute();
-  return true;
-}
-
-void Fabric::ref_settle_progress() {
-  const util::TimeNs now = sim_.now();
-  if (now == last_settle_) return;
-  const double dt = util::to_seconds(now - last_settle_);
-  last_settle_ = now;
-  for (auto& [id, flow] : ref_flows_) {
-    flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
-  }
-}
-
-void Fabric::ref_solve_max_min() {
-  ++stats_.rate_recomputations;
-  const int link_count = topology_.link_count();
-  std::vector<double> capacity(static_cast<std::size_t>(link_count));
-  std::vector<int> unfixed(static_cast<std::size_t>(link_count), 0);
-  for (int l = 0; l < link_count; ++l) {
-    capacity[static_cast<std::size_t>(l)] =
-        topology_.link(l).capacity_bytes_per_s *
-        link_capacity_factor_[static_cast<std::size_t>(l)];
-  }
-
-  std::vector<RefFlow*> pending;
-  pending.reserve(ref_flows_.size());
-  for (auto& [id, flow] : ref_flows_) {
-    if (flow.path.empty()) {
-      flow.rate = topology_.config().loopback_bytes_per_s;
-      continue;
-    }
-    flow.rate = -1.0;  // unfixed marker
-    pending.push_back(&flow);
-    for (LinkId l : flow.path) ++unfixed[static_cast<std::size_t>(l)];
-  }
-
-  std::size_t remaining = pending.size();
-  while (remaining > 0) {
-    double best_share = std::numeric_limits<double>::infinity();
-    for (int l = 0; l < link_count; ++l) {
-      const auto idx = static_cast<std::size_t>(l);
-      if (unfixed[idx] == 0) continue;
-      const double share = std::max(0.0, capacity[idx]) / unfixed[idx];
-      best_share = std::min(best_share, share);
-    }
-    if (!std::isfinite(best_share)) {
-      throw std::logic_error("max-min: unfixed flows but no loaded link");
-    }
-    bool fixed_any = false;
-    for (RefFlow* flow : pending) {
-      if (flow->rate >= 0) continue;
-      bool at_bottleneck = false;
-      for (LinkId l : flow->path) {
-        const auto idx = static_cast<std::size_t>(l);
-        const double share = std::max(0.0, capacity[idx]) / unfixed[idx];
-        if (share <= best_share * (1 + 1e-12)) {
-          at_bottleneck = true;
-          break;
-        }
-      }
-      if (!at_bottleneck) continue;
-      flow->rate = best_share;
-      fixed_any = true;
-      --remaining;
-      for (LinkId l : flow->path) {
-        const auto idx = static_cast<std::size_t>(l);
-        capacity[idx] -= best_share;
-        --unfixed[idx];
-      }
-    }
-    if (!fixed_any) {
-      throw std::logic_error("max-min: made no progress");
-    }
-  }
-}
-
-void Fabric::ref_recompute() {
-  clear_pending_event();
-  if (ref_flows_.empty()) return;
-  ref_solve_max_min();
-  double earliest_s = std::numeric_limits<double>::infinity();
-  for (const auto& [id, flow] : ref_flows_) {
-    if (flow.rate <= 0) {
-      throw std::logic_error("flow with zero rate would never complete");
-    }
-    earliest_s = std::min(earliest_s, flow.remaining / flow.rate);
-  }
-  schedule_completion(earliest_s);
-}
-
-void Fabric::ref_on_completion_event() {
-  has_pending_event_ = false;
-  ref_settle_progress();
-  struct Done {
-    util::Bytes bytes;
-    bool remote;
-    util::TimeNs latency;
-    FlowCallback cb;
-  };
-  std::vector<Done> done;
-  for (auto it = ref_flows_.begin(); it != ref_flows_.end();) {
-    if (it->second.remaining <= kDrainEpsilon) {
-      RefFlow& flow = it->second;
-      done.push_back(Done{flow.bytes, !flow.path.empty(), flow.latency,
-                          std::move(flow.on_complete)});
-      it = ref_flows_.erase(it);
-      ++stats_.flows_completed;
-      --stats_.flows_in_flight;
-      --active_flows_;
-    } else {
-      ++it;
-    }
-  }
-  ref_recompute();
-  for (Done& d : done) deliver(d.bytes, d.remote, d.latency, std::move(d.cb));
-}
-
-// ---------------------------------------------------------------------------
-// Network partitions (shared by both engines)
-// ---------------------------------------------------------------------------
-
-bool Fabric::reachable(cluster::NodeId src, cluster::NodeId dst) const {
-  if (!partitions_active_ || src == dst) return true;
-  const int a = host_group_[static_cast<std::size_t>(src)];
-  const int b = host_group_[static_cast<std::size_t>(dst)];
-  return group_blocked_[static_cast<std::size_t>(a)]
-                       [static_cast<std::size_t>(b)] == 0;
-}
 
 void Fabric::set_reachability(std::vector<int> host_group,
                               std::vector<std::vector<char>> blocked) {
-  if (static_cast<int>(host_group.size()) != topology_.host_count()) {
-    throw std::invalid_argument("set_reachability: host_group size mismatch");
-  }
-  host_group_ = std::move(host_group);
-  group_blocked_ = std::move(blocked);
-  partitions_active_ = false;
-  for (const auto& row : group_blocked_) {
-    for (const char b : row) {
-      if (b != 0) partitions_active_ = true;
-    }
-  }
+  mask_ = Reachability(topology_.host_count(), std::move(host_group),
+                       std::move(blocked));
   apply_reachability();
 }
 
 void Fabric::clear_partitions() {
-  if (!partitions_active_ && parked_.empty()) return;
-  partitions_active_ = false;
-  host_group_.clear();
-  group_blocked_.clear();
+  if (!mask_.partitioned() && parked_.empty()) return;
+  mask_ = Reachability();
   apply_reachability();
 }
 
 void Fabric::apply_reachability() {
   // Settle at the pre-change rates first: parked flows keep exactly the
   // bytes they had drained up to this instant.
-  if (config_.use_reference_solver) {
-    ref_settle_progress();
-    for (auto it = ref_flows_.begin(); it != ref_flows_.end();) {
-      RefFlow& flow = it->second;
-      if (reachable(flow.src, flow.dst)) {
-        ++it;
-        continue;
-      }
-      ++stats_.flows_parked;
-      parked_.emplace(flow.id,
-                      ParkedFlow{flow.src, flow.dst, flow.remaining, flow.bytes,
-                                 flow.latency, std::move(flow.on_complete)});
-      it = ref_flows_.erase(it);
-      --active_flows_;
-    }
-  } else {
-    settle_progress();
-    for (std::size_t si = 0; si < flow_id_.size(); ++si) {
-      const FlowId id = flow_id_[si];
-      if (id == 0) continue;
-      if (reachable(flow_src_[si], flow_dst_[si])) continue;
-      const Group& group =
-          groups_[static_cast<std::size_t>(flow_group_[si])];
-      const double remaining =
-          std::max(0.0, flow_finish_drain_[si] - group.drain_total);
-      ++stats_.flows_parked;
-      parked_.emplace(id, ParkedFlow{flow_src_[si], flow_dst_[si], remaining,
-                                     flow_bytes_[si], flow_latency_[si],
-                                     std::move(flow_cb_[si])});
-      // The heap member left behind purges lazily (slot id mismatch).
-      leave_group(flow_group_[si]);
-      release_flow_slot(static_cast<int>(si));
-      slot_of_.erase(id);
-      --active_flows_;
-    }
+  settle_progress();
+  for (std::size_t si = 0; si < flow_id_.size(); ++si) {
+    const FlowId id = flow_id_[si];
+    if (id == 0) continue;
+    if (mask_.reachable(flow_src_[si], flow_dst_[si])) continue;
+    const Group& group = groups_[static_cast<std::size_t>(flow_group_[si])];
+    const double remaining =
+        std::max(0.0, flow_finish_drain_[si] - group.drain_total);
+    ++stats_.flows_parked;
+    parked_.emplace(id, ParkedFlow{flow_src_[si], flow_dst_[si], remaining,
+                                   flow_bytes_[si], flow_latency_[si],
+                                   std::move(flow_cb_[si])});
+    // The heap member left behind purges lazily (slot id mismatch).
+    leave_group(flow_group_[si]);
+    release_flow_slot(static_cast<int>(si));
+    slot_of_.erase(id);
+    --active_flows_;
   }
   // Resume every parked flow whose pair is reachable again, in flow-id
   // order (the determinism contract for post-heal re-entry).
   for (auto it = parked_.begin(); it != parked_.end();) {
-    if (!reachable(it->second.src, it->second.dst)) {
+    if (!mask_.reachable(it->second.src, it->second.dst)) {
       ++it;
       continue;
     }
@@ -621,11 +410,7 @@ void Fabric::apply_reachability() {
     ++stats_.flows_resumed;
     resume_flow(id, std::move(p));
   }
-  if (config_.use_reference_solver) {
-    ref_recompute();
-  } else {
-    mark_dirty();
-  }
+  mark_dirty();
 }
 
 void Fabric::resume_flow(FlowId id, ParkedFlow p) {
@@ -636,20 +421,6 @@ void Fabric::resume_flow(FlowId id, ParkedFlow p) {
     ++stats_.flows_completed;
     --stats_.flows_in_flight;
     deliver(p.bytes, remote, p.latency, std::move(p.cb));
-    return;
-  }
-  if (config_.use_reference_solver) {
-    RefFlow flow;
-    flow.id = id;
-    flow.src = p.src;
-    flow.dst = p.dst;
-    flow.path = topology_.path(p.src, p.dst);
-    flow.remaining = p.remaining;
-    flow.bytes = p.bytes;
-    flow.latency = p.latency;
-    flow.on_complete = std::move(p.cb);
-    ref_flows_.emplace(id, std::move(flow));
-    ++active_flows_;
     return;
   }
   const int slot = acquire_flow_slot();
@@ -672,7 +443,7 @@ void Fabric::resume_flow(FlowId id, ParkedFlow p) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared helpers
+// Helpers
 // ---------------------------------------------------------------------------
 
 void Fabric::end_flow_span(FlowId id) {
@@ -692,13 +463,8 @@ void Fabric::deliver(util::Bytes bytes, bool remote, util::TimeNs latency,
 
 void Fabric::schedule_completion(double earliest_s) {
   const auto delay = static_cast<util::TimeNs>(std::ceil(earliest_s * 1e9));
-  pending_event_ = sim_.after(std::max<util::TimeNs>(delay, 0), [this] {
-    if (config_.use_reference_solver) {
-      ref_on_completion_event();
-    } else {
-      on_completion_event();
-    }
-  });
+  pending_event_ = sim_.after(std::max<util::TimeNs>(delay, 0),
+                              [this] { on_completion_event(); });
   has_pending_event_ = true;
 }
 

@@ -27,8 +27,9 @@
 //
 // Determinism invariants (preserved from the original implementation):
 // completion callbacks within one event fire in flow-id order, and rates
-// follow the exact same water-filling arithmetic as the reference solver,
-// so simulation outputs are unchanged.
+// follow the exact same water-filling arithmetic as the per-flow
+// reference engine (reference::RefFabric, a test-only oracle), so
+// simulation outputs are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/reachability.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
@@ -67,18 +69,9 @@ struct FlowStats {
   std::int64_t flows_resumed = 0;
 };
 
-struct FabricConfig {
-  /// Debug/verification switch: run the original from-scratch per-flow
-  /// solver with eager settling instead of the incremental grouped solver.
-  /// The churn-equivalence tests and bench_f9_churn drive both paths over
-  /// identical schedules.
-  bool use_reference_solver = false;
-};
-
 class Fabric {
  public:
-  Fabric(sim::Simulation& sim, const Topology& topology,
-         FabricConfig config = {});
+  Fabric(sim::Simulation& sim, const Topology& topology);
 
   /// Starts a transfer of `bytes` from host `src` to host `dst`;
   /// `on_complete` fires (as a simulation event) when the last byte lands.
@@ -103,10 +96,9 @@ class Fabric {
 
   // -- Gray-failure link degradation ----------------------------------
   /// Scales a link's effective capacity: base * factor. Callers fold
-  /// packet loss into the factor (bw_factor * (1 - loss)). Applied
-  /// identically by the grouped and reference solvers; in-flight flows
-  /// re-solve from the call's timestamp. Must be > 0 (a zero-rate flow
-  /// would never complete). Factor 1.0 is exact (x * 1.0 == x), so an
+  /// packet loss into the factor (bw_factor * (1 - loss)). In-flight
+  /// flows re-solve from the call's timestamp. Must be > 0 (a zero-rate
+  /// flow would never complete). Factor 1.0 is exact (x * 1.0 == x), so an
   /// undegraded fabric computes bit-identical rates.
   void set_link_capacity_factor(LinkId link, double factor);
   /// Extra one-way propagation latency added to every *new* transfer
@@ -120,9 +112,9 @@ class Fabric {
   }
 
   // -- Network partitions ---------------------------------------------
-  /// Installs a reachability mask: `host_group[h]` assigns every host to
-  /// an equivalence class and `blocked[a][b]` marks class a → class b as
-  /// unreachable (directional, so asymmetric partitions are expressible).
+  /// Installs a reachability mask (see net::Reachability, which validates
+  /// its shape): `host_group[h]` assigns every host to an equivalence
+  /// class and `blocked[a][b]` marks class a → class b as unreachable.
   /// In-flight flows whose (src, dst) pair becomes blocked are *parked* —
   /// they stop draining, leave the solver, and keep their remaining
   /// bytes — and resume when a later mask (or clear_partitions) unblocks
@@ -133,7 +125,9 @@ class Fabric {
   /// Heals all partitions; every parked flow resumes.
   void clear_partitions();
   /// True when src can currently reach dst.
-  bool reachable(cluster::NodeId src, cluster::NodeId dst) const;
+  bool reachable(cluster::NodeId src, cluster::NodeId dst) const {
+    return mask_.reachable(src, dst);
+  }
   /// Flows currently parked behind a partition.
   int parked_flows() const { return static_cast<int>(parked_.size()); }
 
@@ -193,34 +187,9 @@ class Fabric {
   /// Completion event body: completes all flows that have drained.
   void on_completion_event();
 
-  /// Grouped water-filling: identical arithmetic to the reference solver,
-  /// but iterates path groups instead of flows.
+  /// Grouped water-filling: identical arithmetic to per-flow
+  /// water-filling, but iterates path groups instead of flows.
   void solve_grouped();
-
-  // ---- reference (debug) engine: the original per-flow implementation ----
-
-  struct RefFlow {
-    FlowId id = 0;
-    cluster::NodeId src = 0;
-    cluster::NodeId dst = 0;
-    std::vector<LinkId> path;
-    double remaining = 0;
-    double rate = 0;
-    util::Bytes bytes = 0;
-    util::TimeNs latency = 0;
-    FlowCallback on_complete;
-  };
-
-  FlowId ref_transfer(FlowId id, cluster::NodeId src, cluster::NodeId dst,
-                      std::vector<LinkId> path, util::Bytes bytes,
-                      util::TimeNs latency, FlowCallback on_complete);
-  bool ref_cancel(FlowId id);
-  void ref_settle_progress();
-  void ref_recompute();
-  void ref_solve_max_min();
-  void ref_on_completion_event();
-
-  // ---- shared ----
 
   /// A flow stalled behind a partition: it holds its remaining bytes and
   /// callback while unreachable and re-enters the engine on heal.
@@ -249,7 +218,6 @@ class Fabric {
 
   sim::Simulation& sim_;
   const Topology& topology_;
-  FabricConfig config_;
 
   FlowId next_id_ = 1;
   int active_flows_ = 0;
@@ -291,15 +259,9 @@ class Fabric {
   std::vector<int> pending_scratch_;
   std::vector<DoneFlow> done_scratch_;
 
-  // Reference-engine state. std::map keeps iteration order deterministic
-  // (flow-id order), which makes completion-callback ordering reproducible.
-  std::map<FlowId, RefFlow> ref_flows_;
-
-  // Partition state (shared by both engines). parked_ is flow-id ordered
-  // so resume order after a heal is deterministic.
-  std::vector<int> host_group_;
-  std::vector<std::vector<char>> group_blocked_;
-  bool partitions_active_ = false;
+  // Partition state. parked_ is flow-id ordered so resume order after a
+  // heal is deterministic.
+  Reachability mask_;
   std::map<FlowId, ParkedFlow> parked_;
 
   // Tracing (observational only; empty when no tracer is attached).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace evolve::tablet {
 
 namespace {
@@ -90,7 +92,11 @@ void TabletService::unhost(cluster::NodeId node_id, ShardId shard) {
 }
 
 std::string TabletService::gen_object(ShardId shard, std::int64_t gen) const {
-  return "t" + std::to_string(shard) + "-g" + std::to_string(gen);
+  // Appended, not a `+` chain of temporaries: see util::numbered.
+  std::string name = util::numbered("t", shard);
+  name += "-g";
+  name += std::to_string(gen);
+  return name;
 }
 
 // -- Data path ----------------------------------------------------------

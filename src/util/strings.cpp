@@ -56,6 +56,10 @@ std::string join(const std::vector<std::string>& parts,
   return out.str();
 }
 
+std::string numbered(const std::string& prefix, std::int64_t n) {
+  return std::string(prefix).append(std::to_string(n));
+}
+
 bool starts_with(const std::string& text, const std::string& prefix) {
   return text.size() >= prefix.size() &&
          text.compare(0, prefix.size(), prefix) == 0;

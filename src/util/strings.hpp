@@ -25,6 +25,11 @@ std::string join(const std::vector<std::string>& parts,
 /// True if `text` starts with `prefix`.
 bool starts_with(const std::string& text, const std::string& prefix);
 
+/// `prefix` followed by the decimal `n`: numbered("o", 7) == "o7". Built
+/// by appending, because GCC 12 at -O3 reports a false-positive
+/// -Wrestrict on the inlined `"o" + std::to_string(n)` temporary chain.
+std::string numbered(const std::string& prefix, std::int64_t n);
+
 /// Splits on a single character, keeping empty fields.
 std::vector<std::string> split(const std::string& text, char sep);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/health.hpp"
 #include "net/fabric.hpp"
+#include "reference/ref_fabric.hpp"
 #include "sim/simulation.hpp"
 #include "util/types.hpp"
 
@@ -19,19 +21,22 @@ namespace {
 using util::Bytes;
 using util::TimeNs;
 
-struct PartitionFixture {
-  explicit PartitionFixture(int compute = 4, int racks = 2,
-                            net::FabricConfig fabric_config = {})
-      : cluster(cluster::make_testbed(compute, 0, 0, racks)),
+// Either fabric engine on a 4-host, 2-rack testbed.
+template <typename FabricT>
+struct FabricFixture {
+  FabricFixture()
+      : cluster(cluster::make_testbed(4, 0, 0, 2)),
         topology(cluster),
-        fabric(sim, topology, fabric_config),
-        injector(sim, fabric) {}
+        fabric(sim, topology) {}
 
   sim::Simulation sim;
   cluster::Cluster cluster;
   net::Topology topology;
-  net::Fabric fabric;
-  PartitionInjector injector;
+  FabricT fabric;
+};
+
+struct PartitionFixture : FabricFixture<net::Fabric> {
+  PartitionInjector injector{sim, fabric};
 };
 
 // make_testbed(4, 0, 0, 2) round-robins hosts over racks: hosts 0, 2 in
@@ -107,28 +112,75 @@ TEST(Fabric, MidTransferPartitionStallsForItsDuration) {
   EXPECT_EQ(f.fabric.stats().flows_resumed, 1);
 }
 
+// Two flows parked by a 0|1 split at 100 ms and resumed by the heal at
+// 400 ms, on either fabric engine; returns the first flow's completion.
+// The mask is installed through the engine's own calls because
+// PartitionInjector drives only net::Fabric: hosts 0 and 1 are classes 0
+// and 1, cut off from each other, and hosts 2 and 3 (class 2) bridge.
+template <typename FabricT>
+TimeNs park_and_heal() {
+  FabricFixture<FabricT> f;
+  TimeNs done = -1;
+  f.fabric.transfer(0, 1, 500 * util::kMiB, [&] { done = f.sim.now(); });
+  f.fabric.transfer(0, 1, 100 * util::kMiB, [] {});
+  f.sim.at(util::millis(100), [&] {
+    f.fabric.set_reachability({0, 1, 2, 2},
+                              {{0, 1, 0}, {1, 0, 0}, {0, 0, 0}});
+  });
+  f.sim.at(util::millis(400), [&] { f.fabric.clear_partitions(); });
+  f.sim.run();
+  EXPECT_EQ(f.fabric.stats().flows_parked, 2);
+  EXPECT_EQ(f.fabric.stats().flows_resumed, 2);
+  EXPECT_EQ(f.fabric.stats().flows_in_flight, 0);
+  return done;
+}
+
 TEST(Fabric, ReferenceSolverParksIdentically) {
-  net::FabricConfig ref;
-  ref.use_reference_solver = true;
-  TimeNs done_ref = -1;
-  TimeNs done_grouped = -1;
-  for (int pass = 0; pass < 2; ++pass) {
-    PartitionFixture f(4, 2, pass == 0 ? net::FabricConfig{} : ref);
-    TimeNs& done = pass == 0 ? done_grouped : done_ref;
-    f.fabric.transfer(0, 1, 500 * util::kMiB, [&] { done = f.sim.now(); });
-    f.fabric.transfer(0, 1, 100 * util::kMiB, [] {});
-    f.sim.at(util::millis(100), [&] { f.injector.split({{0}, {1}}); });
-    f.sim.at(util::millis(400), [&] { f.injector.heal_all(); });
-    f.sim.run();
-    EXPECT_EQ(f.fabric.stats().flows_parked, 2);
-    EXPECT_EQ(f.fabric.stats().flows_resumed, 2);
-    EXPECT_EQ(f.fabric.stats().flows_in_flight, 0);
-  }
+  const TimeNs done_grouped = park_and_heal<net::Fabric>();
+  const TimeNs done_ref = park_and_heal<reference::RefFabric>();
   ASSERT_GT(done_grouped, 0);
   // The two solvers settle rates with different arithmetic orders;
   // completion must agree to within the solvers' usual tolerance.
   EXPECT_NEAR(util::to_seconds(done_grouped), util::to_seconds(done_ref),
               0.001);
+}
+
+// A malformed mask is rejected by both engines before it is installed,
+// instead of indexing out of bounds on the next reachability check.
+template <typename FabricT>
+void expect_mask_rejected(std::vector<int> host_group,
+                          std::vector<std::vector<char>> blocked) {
+  FabricFixture<FabricT> f;
+  EXPECT_THROW(f.fabric.set_reachability(host_group, blocked),
+               std::invalid_argument);
+  // The fabric stays fully connected: a transfer runs, nothing parks.
+  bool done = false;
+  f.fabric.transfer(0, 1, util::kMiB, [&] { done = true; });
+  f.sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(f.fabric.stats().flows_parked, 0);
+}
+
+void expect_mask_rejected_by_both(std::vector<int> host_group,
+                                  std::vector<std::vector<char>> blocked) {
+  expect_mask_rejected<net::Fabric>(host_group, blocked);
+  expect_mask_rejected<reference::RefFabric>(host_group, blocked);
+}
+
+TEST(Fabric, ReachabilityRejectsGroupIdPastTheMatrix) {
+  expect_mask_rejected_by_both({0, 1, 2, 1}, {{0, 1}, {1, 0}});
+}
+
+TEST(Fabric, ReachabilityRejectsNegativeGroupId) {
+  expect_mask_rejected_by_both({0, -1, 1, 1}, {{0, 1}, {1, 0}});
+}
+
+TEST(Fabric, ReachabilityRejectsShortRow) {
+  expect_mask_rejected_by_both({0, 1, 0, 1}, {{0, 1}, {1}});
+}
+
+TEST(Fabric, ReachabilityRejectsHostGroupSizeMismatch) {
+  expect_mask_rejected_by_both({0, 1, 0}, {{0, 1}, {1, 0}});
 }
 
 TEST(Fabric, CancelParkedFlowDropsIt) {

@@ -4,7 +4,6 @@
 #include "core/platform.hpp"
 #include "core/session.hpp"
 #include "core/unified_scheduler.hpp"
-#include "storage/filesystem.hpp"
 #include "workloads/mobility.hpp"
 #include "workloads/tabular.hpp"
 #include "workloads/trace.hpp"
@@ -116,44 +115,43 @@ TEST(Contention, DataflowShuffleSlowsConcurrentCollective) {
   EXPECT_GT(contended, solo + solo / 10);
 }
 
-// ---- Filesystem on the shared store ----------------------------------
+// ---- Tenants on the shared store -----------------------------------
 
-TEST(Integration, FilesystemAndDatasetsShareTheStore) {
+TEST(Integration, DatasetsAndTenantObjectsShareTheStore) {
   sim::Simulation sim;
   core::Platform platform(sim);
   core::Session session(platform);
-  storage::FileSystem fs(platform.store());
+  storage::ObjectStore& store = platform.store();
 
-  fs.mkdirs("/models/v1");
+  store.create_bucket("models");
   bool wrote = false;
-  fs.write_file(0, "/models/v1/weights.bin", 64 * util::kMiB,
-                [&] { wrote = true; });
+  store.put(0, storage::ObjectKey{"models", "v1/weights.bin"},
+            64 * util::kMiB, [&] { wrote = true; });
   sim.run();
   EXPECT_TRUE(wrote);
 
-  // A dataset job and the filesystem coexist in one namespace-separated
-  // store; total durable bytes reflect both (R=2 replication).
+  // A dataset job and a second tenant's object coexist in one
+  // bucket-separated store; total durable bytes reflect both (R=2
+  // replication).
   session.create_dataset("events", 8, 64 * util::kMiB);
   util::Bytes durable = 0;
-  for (auto s : platform.store().servers()) {
-    durable += platform.store().durable_bytes(s);
-  }
+  for (auto s : store.servers()) durable += store.durable_bytes(s);
   EXPECT_EQ(durable, 2 * (64 * util::kMiB + 64 * util::kMiB));
 }
 
-TEST(Integration, WorkflowCustomStepDrivesFilesystem) {
+TEST(Integration, WorkflowCustomStepDrivesStoreIo) {
   sim::Simulation sim;
   core::Platform platform(sim);
-  auto fs = std::make_shared<storage::FileSystem>(platform.store());
-  fs->mkdir("/out");
+  storage::ObjectStore& store = platform.store();
+  store.create_bucket("out");
+  const storage::ObjectKey report{"out", "report.bin"};
 
-  workflow::Workflow wf("fs-flow");
-  wf.add(workflow::custom_step("write-report", [fs](auto done) {
-    fs->write_file(0, "/out/report.bin", util::kMiB,
-                   [done] { done(true); });
+  workflow::Workflow wf("store-flow");
+  wf.add(workflow::custom_step("write-report", [&store, report](auto done) {
+    store.put(0, report, util::kMiB, [done] { done(true); });
   }));
-  auto verify = workflow::custom_step("verify", [fs](auto done) {
-    done(fs->stat("/out/report.bin") == util::kMiB);
+  auto verify = workflow::custom_step("verify", [&store, report](auto done) {
+    done(store.object_size(report) == util::kMiB);
   });
   verify.depends_on = {"write-report"};
   wf.add(verify);

@@ -12,6 +12,7 @@
 
 #include "cluster/cluster.hpp"
 #include "net/fabric.hpp"
+#include "reference/ref_fabric.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -78,11 +79,12 @@ struct Trace {
   FlowStats stats;
 };
 
-Trace run_schedule(const Schedule& schedule, bool reference) {
+template <typename FabricT>
+Trace run_schedule(const Schedule& schedule) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(12, 0, 0, 3);
   Topology topology(cluster);
-  Fabric fabric(sim, topology, FabricConfig{reference});
+  FabricT fabric(sim, topology);
   Trace trace;
   std::vector<FlowId> started(schedule.arrivals.size(), -1);
   for (std::size_t i = 0; i < schedule.arrivals.size(); ++i) {
@@ -117,8 +119,8 @@ class ChurnEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChurnEquivalence, IncrementalMatchesReference) {
   const Schedule schedule = make_schedule(GetParam());
-  const Trace ref = run_schedule(schedule, /*reference=*/true);
-  const Trace inc = run_schedule(schedule, /*reference=*/false);
+  const Trace ref = run_schedule<reference::RefFabric>(schedule);
+  const Trace inc = run_schedule<Fabric>(schedule);
 
   // Identical callback order and completion timestamps.
   ASSERT_EQ(ref.completion_order.size(), inc.completion_order.size());

@@ -7,6 +7,7 @@
 
 #include "cluster/cluster.hpp"
 #include "net/fabric.hpp"
+#include "reference/ref_fabric.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -93,7 +94,7 @@ TEST_P(MaxMinMultiPath, InvariantsAndReferenceAgreement) {
   auto cluster = cluster::make_testbed(24, 0, 0, 6);
   Topology topology(cluster);
   Fabric fabric(sim, topology);
-  Fabric reference(ref_sim, topology, FabricConfig{true});
+  reference::RefFabric reference(ref_sim, topology);
 
   struct Live {
     FlowId id;

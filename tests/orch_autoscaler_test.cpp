@@ -4,6 +4,7 @@
 
 #include "cluster/cluster.hpp"
 #include "sim/simulation.hpp"
+#include "util/strings.hpp"
 #include "util/types.hpp"
 
 namespace evolve::orch {
@@ -219,7 +220,7 @@ TEST(OrchestratorDrain, CordonBlocksPlacement) {
   EXPECT_TRUE(orch.is_cordoned(0));
   for (int i = 0; i < 4; ++i) {
     PodSpec pod;
-    pod.name = "p" + std::to_string(i);
+    pod.name = util::numbered("p", i);
     pod.request = cpu_mem(1000, util::kGiB);
     cluster::NodeId placed = cluster::kInvalidNode;
     orch.submit(pod, -1, [&](PodId, cluster::NodeId n) { placed = n; });

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/interner.hpp"
+#include "util/strings.hpp"
 
 namespace evolve::util {
 namespace {
@@ -107,7 +108,7 @@ TEST(ChunkedVector, AddressesStayStableAcrossGrowth) {
   ChunkedVector<std::string, 8> v;
   v.push_back("first");
   const std::string* p = &v[0];
-  for (int i = 0; i < 200; ++i) v.push_back("x" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) v.push_back(util::numbered("x", i));
   EXPECT_EQ(p, &v[0]);  // no reallocation moved the element
   EXPECT_EQ(*p, "first");
 }
