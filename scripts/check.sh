@@ -6,6 +6,8 @@
 # BENCH_*.json / TRACE_*.json, build and selftest the repository
 # benchmark (perfbench/, in <build-dir>-perfbench), then rebuild +
 # retest under ASan/UBSan.
+# Records each tracked bench's host CPU in <build-dir>/HOST_CPU.json and
+# fails if one exceeds 3x its tracked HOST_CPU.json value + 2 s.
 # Also checks that no test-only oracle from src/reference/ is linked into
 # libevolve.a, and that a Release (-O3 -DNDEBUG) build, in
 # <build-dir>-release, is as warning-free as the default one.
@@ -35,23 +37,25 @@ if grep -E 'evolve::reference::|RefEventQueue|RefFabric' <<<"$lib_symbols"; then
 fi
 echo "check.sh: libevolve.a holds no reference oracle"
 
-(cd "$BUILD_DIR" && ./bench/bench_t1_endtoend --json)
-(cd "$BUILD_DIR" && ./bench/bench_f1_scaling --json)
-(cd "$BUILD_DIR" && ./bench/bench_f4_sched --json)
-(cd "$BUILD_DIR" && ./bench/bench_f8_energy --json)
-(cd "$BUILD_DIR" && ./bench/bench_f9_churn --json)
-(cd "$BUILD_DIR" && ./bench/bench_f10_faults --json)
-(cd "$BUILD_DIR" && ./bench/bench_f11_gray --json)
-(cd "$BUILD_DIR" && ./bench/bench_a4_speculation --json)
-(cd "$BUILD_DIR" && ./bench/bench_a5_redundancy --json)
-(cd "$BUILD_DIR" && ./bench/bench_f7_autoscale --json)
-(cd "$BUILD_DIR" && ./bench/bench_f12_serving --json)
-(cd "$BUILD_DIR" && ./bench/bench_f13_scale --json)
-(cd "$BUILD_DIR" && ./bench/bench_f5_storage --json)
-(cd "$BUILD_DIR" && ./bench/bench_f14_durability --json)
-(cd "$BUILD_DIR" && ./bench/bench_f15_fairness --json)
-(cd "$BUILD_DIR" && ./bench/bench_f16_partitions --json)
-(cd "$BUILD_DIR" && ./bench/bench_f17_tablets --json)
+# run_bench <name> [args...]: runs bench_<name> from the build dir and
+# appends "<name> <user s> <sys s>" to the host CPU ledger.
+HOST_CPU_TXT="$BUILD_DIR/host_cpu.txt"
+: > "$HOST_CPU_TXT"
+run_bench() {
+  local name=$1 TIMEFORMAT='%3U %3S' cpu
+  shift
+  cpu=$( { time (cd "$BUILD_DIR" && "./bench/bench_$name" "$@" >&3 2>&4); } 2>&1 )
+  echo "$name $cpu" >> "$HOST_CPU_TXT"
+} 3>&1 4>&2
+
+# Every bench with a tracked BENCH_<name>.json at the repo root.
+TRACKED_BENCHES=(t1_endtoend f1_scaling f4_sched f8_energy f9_churn
+                 f10_faults f11_gray a4_speculation a5_redundancy
+                 f7_autoscale f12_serving f13_scale f5_storage
+                 f14_durability f15_fairness f16_partitions f17_tablets)
+for bench in "${TRACKED_BENCHES[@]}"; do
+  run_bench "$bench" --json
+done
 
 # -- Baseline diffs (before any --trace run touches the reports) -------
 # F9 mixes simulated metrics with host wall-clock timings; only the
@@ -153,6 +157,36 @@ gate f13_scale 'm["speedup_10k"] >= 2.0' \
   '"F13 calendar-vs-heap speedup at 10k fell to %.2fx (< 2.0x floor)", m["speedup_10k"]'
 echo "check.sh: F13 perf gate ok"
 
+# -- Host CPU ledger ----------------------------------------------------
+# User+sys CPU seconds of each untraced bench run above, written to
+# $BUILD_DIR/HOST_CPU.json and compared against the tracked HOST_CPU.json
+# (kept apart from the bit-identical BENCH_*.json). The band is loose on
+# purpose: host times swing ~1.5x between runs, while a hot-path
+# regression costs multiples. To re-record after an intended change:
+# cp "$BUILD_DIR/HOST_CPU.json" HOST_CPU.json
+awk 'BEGIN { print "{" }
+     { line[NR] = sprintf("  \"%s\": %.2f", $1, $2 + $3) }
+     END { for (i = 1; i <= NR; ++i) print line[i] (i < NR ? "," : "")
+           print "}" }' "$HOST_CPU_TXT" > "$BUILD_DIR/HOST_CPU.json"
+awk -v fresh="$BUILD_DIR/HOST_CPU.json" '
+  /^  "/ {
+    key = $1; gsub(/[":]/, "", key); sub(/,$/, "", $2)
+    if (FILENAME == fresh) m[key] = $2 + 0; else base[key] = $2 + 0
+  }
+  END {
+    for (key in m) {
+      if (!(key in base)) {
+        printf "check.sh: %s has no tracked host CPU in HOST_CPU.json\n", key
+        bad = 1
+      } else if (m[key] > 3 * base[key] + 2) {
+        printf "check.sh: %s took %.2f s host CPU (> 3 x %.2f s tracked + 2 s)\n", key, m[key], base[key]
+        bad = 1
+      }
+    }
+    exit bad
+  }' "$BUILD_DIR/HOST_CPU.json" HOST_CPU.json
+echo "check.sh: host CPU within 3x + 2 s of HOST_CPU.json"
+
 # -- Traced runs + strict JSON validation ------------------------------
 (cd "$BUILD_DIR" && ./bench/bench_t1_endtoend --trace --json)
 # The traced T1 report only adds the per-layer `*_crit_*` keys; every
@@ -170,7 +204,7 @@ for bench in f11_gray f12_serving f17_tablets; do
   diff "$BUILD_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
     || { echo "check.sh: BENCH_$bench.json changed under --trace"; exit 1; }
 done
-(cd "$BUILD_DIR" && ./tools/json_check BENCH_*.json TRACE_*.json)
+(cd "$BUILD_DIR" && ./tools/json_check BENCH_*.json TRACE_*.json HOST_CPU.json)
 
 # -- Repository benchmark ----------------------------------------------
 # perfbench/ is its own CMake project over src/ and reads the components'

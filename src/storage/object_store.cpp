@@ -311,6 +311,7 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
   }
   objects_[key] =
       ObjectMeta{size, per_server, replicas, std::move(fragments), version};
+  sync_queued(key);
   // Born degraded when live servers cannot host every copy.
   shift_at_risk(at_risk_fragments(objects_[key]));
   if (health(objects_[key]) == Health::kDegraded) {
@@ -721,6 +722,7 @@ void ObjectStore::preload(const ObjectKey& key, util::Bytes size,
   }
   objects_[key] =
       ObjectMeta{size, per_server, replicas, std::move(fragments), 0};
+  sync_queued(key);
   for (cluster::NodeId r : replicas) {
     ServerState& state = server_state(r);
     state.durable_used += per_server;
@@ -747,6 +749,7 @@ void ObjectStore::remove(cluster::NodeId /*client*/, const ObjectKey& key,
     shift_at_risk(-at_risk_fragments(it->second));
     purge_corrupted(key);
     objects_.erase(it);
+    sync_queued(key);
     metrics_.count("delete_requests");
   }
   sim_.after(config_.metadata_latency, std::move(on_done));
@@ -828,6 +831,7 @@ void ObjectStore::complete_multipart(std::int64_t upload_id,
   }
   objects_[key] =
       ObjectMeta{total, per_server, replicas, std::move(fragments), version};
+  sync_queued(key);
   shift_at_risk(at_risk_fragments(objects_[key]));
   if (health(objects_[key]) == Health::kDegraded) {
     shift_underrep(+1);
@@ -1179,7 +1183,8 @@ void ObjectStore::scrub_pass() {
 
 void ObjectStore::enqueue_repair(const ObjectKey& key) {
   if (!config_.repair) return;
-  if (!repair_queued_.insert(key).second) return;
+  if (!repair_queued_.try_emplace(key, nullptr).second) return;
+  sync_queued(key);
   // Detection + scheduling grace before the repair traffic starts; the
   // optional seeded jitter keeps a mass-recovery repair wave from firing
   // as one synchronized pump.
@@ -1188,6 +1193,13 @@ void ObjectStore::enqueue_repair(const ObjectKey& key) {
     delay = util::jittered(delay, repair_rng_, config_.repair_jitter);
   }
   sim_.after(delay, [this] { pump_repairs(); });
+}
+
+void ObjectStore::sync_queued(const ObjectKey& key) {
+  const auto queued = repair_queued_.find(key);
+  if (queued == repair_queued_.end()) return;
+  const auto obj = objects_.find(key);
+  queued->second = obj == objects_.end() ? nullptr : &obj->second;
 }
 
 void ObjectStore::pump_repairs() {
@@ -1210,18 +1222,18 @@ void ObjectStore::pump_repairs() {
     // Risk-first: repair the object with the fewest surviving spare
     // copies (live minus the minimum to stay readable) — an EC stripe
     // one fragment from loss beats a freshly degraded one. Ties break
-    // in key order because the scan follows the ordered set.
+    // in key order because the scan follows the ordered map.
     auto best = repair_queued_.end();
     int best_spares = std::numeric_limits<int>::max();
     for (auto it = repair_queued_.begin(); it != repair_queued_.end();) {
-      const auto obj = objects_.find(*it);
-      if (obj == objects_.end() || health(obj->second) != Health::kDegraded) {
+      const ObjectMeta* meta = it->second;
+      if (meta == nullptr || health(*meta) != Health::kDegraded) {
         // Deleted, repaired, or lost while queued: drop the entry.
         it = repair_queued_.erase(it);
         continue;
       }
-      const int spares = static_cast<int>(obj->second.replicas.size()) -
-                         min_live_copies();
+      const int spares =
+          static_cast<int>(meta->replicas.size()) - min_live_copies();
       if (spares < best_spares) {
         best_spares = spares;
         best = it;
@@ -1229,7 +1241,7 @@ void ObjectStore::pump_repairs() {
       ++it;
     }
     if (best == repair_queued_.end()) return;
-    const ObjectKey key = *best;
+    const ObjectKey key = best->first;
     repair_queued_.erase(best);
     start_repair(key);
   }

@@ -18,6 +18,7 @@
 // collective traffic — the central "converged storage" property of EVOLVE.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -45,8 +46,28 @@ struct ObjectKey {
   std::string name;
 
   std::string full() const { return bucket + "/" + name; }
+  /// Exactly `full() < other.full()`, bytes compared as unsigned chars,
+  /// without building either string. Not a (bucket, name) tuple order:
+  /// "a-b/x" sorts before "a/x" because '-' < '/' (DESIGN §7).
   bool operator<(const ObjectKey& other) const {
-    return full() < other.full();
+    if (bucket.size() == other.bucket.size()) {
+      // Both '/' separators sit at the same offset.
+      const int c = bucket.compare(other.bucket);
+      return c != 0 ? c < 0 : name < other.name;
+    }
+    const auto at = [](const ObjectKey& k, std::size_t i) {
+      if (i < k.bucket.size()) return static_cast<unsigned char>(k.bucket[i]);
+      if (i == k.bucket.size()) return static_cast<unsigned char>('/');
+      return static_cast<unsigned char>(k.name[i - k.bucket.size() - 1]);
+    };
+    const std::size_t len = bucket.size() + 1 + name.size();
+    const std::size_t other_len = other.bucket.size() + 1 + other.name.size();
+    for (std::size_t i = 0; i < std::min(len, other_len); ++i) {
+      const unsigned char a = at(*this, i);
+      const unsigned char b = at(other, i);
+      if (a != b) return a < b;
+    }
+    return len < other_len;
   }
 };
 
@@ -524,6 +545,9 @@ class ObjectStore {
   /// corruption drop): keeps the suspect at-risk count in sync.
   void note_replica_removed(cluster::NodeId node);
   void enqueue_repair(const ObjectKey& key);
+  /// Re-points a queued repair entry at `key`'s metadata (null when the
+  /// object is gone); called after every objects_ insert and erase.
+  void sync_queued(const ObjectKey& key);
   void pump_repairs();
   /// Claims a concurrency slot and (if capped) waits out the rebuild
   /// bandwidth admission before starting the transfers.
@@ -553,8 +577,11 @@ class ObjectStore {
   std::map<cluster::NodeId, SuspectState> suspects_;
   /// Pending repairs. Drained risk-first: the object with the fewest
   /// surviving spare copies (an EC stripe one fragment from loss) is
-  /// repaired before a freshly degraded one, ties in key order.
-  std::set<ObjectKey> repair_queued_;
+  /// repaired before a freshly degraded one, ties in key order. Each
+  /// entry holds what objects_.find(key) would return (null when the
+  /// object is absent), kept so by sync_queued; stale entries stay until
+  /// the next scan drops them (DESIGN §13).
+  std::map<ObjectKey, const ObjectMeta*> repair_queued_;
   std::set<ObjectKey> repair_stalled_;  // no live target; retry on recovery
   int repairs_in_flight_ = 0;
   /// Token-bucket edge for the rebuild bandwidth cap: the sim time at

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -91,19 +92,33 @@ std::int64_t Rng::poisson(double mean) {
 std::int64_t Rng::zipf(std::int64_t n, double s) {
   if (n <= 0) throw std::invalid_argument("zipf: n <= 0");
   if (s == 0.0) return uniform_int(0, n - 1);
+  const auto term = [s](std::int64_t i) {
+    return 1.0 / std::pow(static_cast<double>(i), s);
+  };
   if (n != zipf_n_ || s != zipf_s_) {
     zipf_n_ = n;
     zipf_s_ = s;
-    zipf_norm_ = 0.0;
+    zipf_checkpoints_.assign(1, 0.0);
+    double acc = 0.0;
     for (std::int64_t i = 1; i <= n; ++i) {
-      zipf_norm_ += 1.0 / std::pow(static_cast<double>(i), s);
+      acc += term(i);
+      if (i % kZipfStride == 0 || i == n) zipf_checkpoints_.push_back(acc);
     }
   }
-  // Inverse CDF by linear scan; adequate for the catalog sizes we model.
-  const double target = next_double() * zipf_norm_;
-  double acc = 0.0;
-  for (std::int64_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
+  // Inverse CDF: the first rank whose running sum reaches the target.
+  // The checkpoints are that running sum, bit for bit, and it never
+  // decreases, so the first checkpoint >= target closes the block that
+  // holds the answer; re-adding that block's terms from its opening
+  // checkpoint finds it exactly as a scan from rank 1 would.
+  const auto& cp = zipf_checkpoints_;
+  const double target = next_double() * cp.back();
+  // target <= cp.back(), so the search always finds a checkpoint.
+  const auto hit = std::lower_bound(cp.begin() + 1, cp.end(), target);
+  const std::int64_t block = hit - cp.begin() - 1;
+  double acc = cp[static_cast<std::size_t>(block)];
+  const std::int64_t last = std::min(n, (block + 1) * kZipfStride);
+  for (std::int64_t i = block * kZipfStride + 1; i <= last; ++i) {
+    acc += term(i);
     if (acc >= target) return i - 1;
   }
   return n - 1;

@@ -42,6 +42,9 @@ class Rng {
   std::int64_t poisson(double mean);
 
   /// Zipf-distributed rank in [0, n) with skew `s` (s=0 is uniform).
+  /// Inverse CDF over the running sum of 1/i^s: the draw returns the
+  /// first rank whose running sum reaches u * total, searched through a
+  /// checkpoint table (DESIGN §7, "Host hot paths").
   std::int64_t zipf(std::int64_t n, double s);
 
   /// Log-normal: exp(normal(mu, sigma)).
@@ -58,10 +61,13 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> state_{};
-  // Cached Zipf normalization: recomputed when (n, s) changes.
+  // Cached Zipf table, rebuilt when (n, s) changes: the running sum of
+  // 1/i^s after 0, kZipfStride, 2*kZipfStride, ... terms and after the
+  // last term, which is the normalization.
+  static constexpr std::int64_t kZipfStride = 16;
   std::int64_t zipf_n_ = -1;
   double zipf_s_ = -1.0;
-  double zipf_norm_ = 0.0;
+  std::vector<double> zipf_checkpoints_;
 };
 
 }  // namespace evolve::util

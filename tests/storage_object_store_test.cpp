@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
+#include "util/rng.hpp"
 
 namespace evolve::storage {
 namespace {
@@ -408,6 +414,154 @@ TEST(ObjectStore, RecoveryClearsPendingSuspicion) {
   EXPECT_FALSE(f.store.node_suspect(victim));
   EXPECT_TRUE(f.store.server_alive(victim));
   EXPECT_EQ(f.store.metrics().counter("suspects_escalated"), 0);
+}
+
+// -- Repair queue: entries follow their object ---------------------------
+
+ObjectStoreConfig three_replicas() {
+  ObjectStoreConfig config;
+  config.replicas = 3;
+  return config;
+}
+
+// `key` (8 MiB, three replicas on four servers) loses two holders at
+// t=1 s, which queues it for repair with one copy left and arms a pump
+// for t=1.5 s. `mutate` runs at 1.1 s, while the entry is queued. At
+// 1.3 s the first lost holder recovers, which pumps the queue; it is
+// then the only live server with no copy, so every repair targets it.
+// Returns that server.
+cluster::NodeId run_queued_repair(StoreFixture& f, const ObjectKey& key,
+                                  const std::function<void()>& mutate) {
+  f.store.preload(key, 8 * util::kMiB);
+  const auto holders = f.store.locate(key);
+  f.sim.at(util::seconds(1), [&] {
+    f.store.handle_node_failure(holders[0]);
+    f.store.handle_node_failure(holders[1]);
+  });
+  f.sim.at(util::millis(1100), mutate);
+  f.sim.at(util::millis(1300),
+           [&] { f.store.handle_node_recovery(holders[0]); });
+  f.sim.run();
+  return holders[0];
+}
+
+void expect_single_repair_of_new_object(StoreFixture& f,
+                                        const ObjectKey& key,
+                                        cluster::NodeId revived) {
+  EXPECT_EQ(f.store.metrics().counter("repairs_started"), 1);
+  EXPECT_EQ(f.store.metrics().counter("objects_repaired"), 1);
+  EXPECT_EQ(f.store.metrics().counter("repairs_abandoned"), 0);
+  EXPECT_EQ(f.store.under_replicated_objects(), 0);
+  EXPECT_EQ(f.store.object_size(key), 2 * util::kMiB);
+  // The rebuilt copy is the new 2 MiB object, on the one server outside
+  // the new replica set.
+  EXPECT_EQ(f.store.durable_bytes(revived), 2 * util::kMiB);
+}
+
+TEST(ObjectStore, QueuedRepairOfDeletedObjectIsDropped) {
+  StoreFixture f(2, 4, three_replicas());
+  const ObjectKey key{"data", "obj"};
+  const auto revived = run_queued_repair(
+      f, key, [&] { f.store.remove(0, key, [] {}); });
+  EXPECT_FALSE(f.store.exists(key));
+  EXPECT_EQ(f.store.metrics().counter("repairs_started"), 0);
+  EXPECT_EQ(f.store.under_replicated_objects(), 0);
+  EXPECT_EQ(f.store.durable_bytes(revived), 0);
+}
+
+TEST(ObjectStore, QueuedRepairFollowsDeleteAndDegradedReput) {
+  StoreFixture f(2, 4, three_replicas());
+  const ObjectKey key{"data", "obj"};
+  const auto revived = run_queued_repair(f, key, [&] {
+    f.store.remove(0, key, [&] {
+      // Two live servers: the new object is born degraded.
+      f.store.put(0, key, 2 * util::kMiB, [] {});
+    });
+  });
+  expect_single_repair_of_new_object(f, key, revived);
+}
+
+TEST(ObjectStore, QueuedRepairFollowsOverwrite) {
+  StoreFixture f(2, 4, three_replicas());
+  const ObjectKey key{"data", "obj"};
+  const auto revived = run_queued_repair(
+      f, key, [&] { f.store.put(0, key, 2 * util::kMiB, [] {}); });
+  expect_single_repair_of_new_object(f, key, revived);
+}
+
+TEST(ObjectStore, QueuedRepairFollowsMultipartCompletion) {
+  StoreFixture f(2, 4, three_replicas());
+  const ObjectKey key{"data", "obj"};
+  const auto revived = run_queued_repair(f, key, [&] {
+    const auto upload = f.store.initiate_multipart(key);
+    f.store.upload_part(0, upload, 1, 2 * util::kMiB, [&f, upload] {
+      f.store.complete_multipart(upload, [] {});
+    });
+  });
+  expect_single_repair_of_new_object(f, key, revived);
+}
+
+// -- ObjectKey order ------------------------------------------------------
+
+bool full_less(const ObjectKey& a, const ObjectKey& b) {
+  return a.full() < b.full();
+}
+
+TEST(ObjectKey, OrderMatchesFullString) {
+  const std::string high(1, static_cast<char>(0xC3));
+  const std::vector<std::pair<ObjectKey, ObjectKey>> pairs = {
+      {{"a", "x"}, {"a-b", "x"}},       // next bucket byte below '/'
+      {{"a", "x"}, {"a0", "x"}},        // next bucket byte above '/'
+      {{"a", "x"}, {"a/", "x"}},        // next bucket byte is '/'
+      {{"", "x"}, {"a", "x"}},          // empty bucket
+      {{"a", ""}, {"a", "x"}},          // empty name
+      {{"", ""}, {"", "/"}},            // both empty
+      {{"a" + high, "x"}, {"a", "x"}},  // high-bit byte against '/'
+      {{"a", high}, {"a", "/"}},
+      {{"a", "b/c"}, {"a/b", "c"}},     // same full(): equivalent
+  };
+  for (const auto& [a, b] : pairs) {
+    EXPECT_EQ(a < b, full_less(a, b)) << a.full() << " < " << b.full();
+    EXPECT_EQ(b < a, full_less(b, a)) << b.full() << " < " << a.full();
+  }
+  const ObjectKey early_split{"a", "b/c"};
+  const ObjectKey late_split{"a/b", "c"};
+  EXPECT_FALSE(early_split < late_split);
+  EXPECT_FALSE(late_split < early_split);
+
+  // Random pairs over an alphabet around '/', short enough to collide.
+  const std::string alphabet = "a/-0" + high;
+  util::Rng rng(11);
+  const auto random_string = [&] {
+    std::string out;
+    for (auto len = rng.uniform_int(0, 3); len > 0; --len) {
+      out += alphabet[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+    }
+    return out;
+  };
+  std::vector<ObjectKey> keys;
+  for (int i = 0; i < 10000; ++i) {
+    const ObjectKey a{random_string(), random_string()};
+    const ObjectKey b{random_string(), random_string()};
+    ASSERT_EQ(a < b, full_less(a, b)) << a.full() << " < " << b.full();
+    keys.push_back(a);
+  }
+
+  // A map keyed by ObjectKey iterates in full() order, one entry per
+  // distinct full().
+  std::map<ObjectKey, int> map;
+  std::map<std::string, int> by_full;
+  for (const ObjectKey& key : keys) {
+    map.emplace(key, 0);
+    by_full.emplace(key.full(), 0);
+  }
+  ASSERT_EQ(map.size(), by_full.size());
+  auto full_it = by_full.begin();
+  for (const auto& [key, unused] : map) {
+    EXPECT_EQ(key.full(), full_it->first);
+    ++full_it;
+  }
 }
 
 }  // namespace

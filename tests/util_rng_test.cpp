@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace evolve::util {
@@ -154,6 +157,87 @@ TEST(Rng, WeightedIndexThrowsOnZeroMass) {
   Rng rng(1);
   std::vector<double> weights = {0.0, 0.0};
   EXPECT_THROW(rng.weighted_index(weights), std::invalid_argument);
+}
+
+// The inverse CDF Rng::zipf used before its checkpoint table: scan the
+// running sum of 1/i^s from rank 1 and return the first rank that
+// reaches the target. The running sums are stored once, computed in the
+// scan's own order, so each is bitwise the sum the scan reached.
+class LinearScanZipf {
+ public:
+  explicit LinearScanZipf(std::uint64_t seed) : rng_(seed) {}
+
+  std::int64_t draw(std::int64_t n, double s) {
+    const double target = next_target(n, s);
+    for (std::size_t i = 0; i < sums_.size(); ++i) {
+      if (sums_[i] >= target) return static_cast<std::int64_t>(i);
+    }
+    return n - 1;
+  }
+
+  /// `count` consecutive draw(n, s) results in one pass. A scan for a
+  /// larger target never stops at a lower rank, so visiting the targets
+  /// in ascending order lets each scan resume where the last one
+  /// stopped and still stop exactly where a scan from rank 1 would.
+  std::vector<std::int64_t> draws(std::int64_t n, double s, int count) {
+    std::vector<std::pair<double, std::size_t>> targets;
+    for (int i = 0; i < count; ++i) {
+      targets.emplace_back(next_target(n, s), targets.size());
+    }
+    std::sort(targets.begin(), targets.end());
+    std::vector<std::int64_t> out(targets.size(), n - 1);
+    std::size_t rank = 0;
+    for (const auto& [target, index] : targets) {
+      while (rank < sums_.size() && sums_[rank] < target) ++rank;
+      if (rank < sums_.size()) out[index] = static_cast<std::int64_t>(rank);
+    }
+    return out;
+  }
+
+ private:
+  double next_target(std::int64_t n, double s) {
+    if (n != n_ || s != s_) {
+      n_ = n;
+      s_ = s;
+      sums_.clear();
+      double acc = 0.0;
+      for (std::int64_t i = 1; i <= n; ++i) {
+        acc += 1.0 / std::pow(static_cast<double>(i), s);
+        sums_.push_back(acc);
+      }
+    }
+    return rng_.next_double() * sums_.back();
+  }
+
+  Rng rng_;
+  std::int64_t n_ = -1;
+  double s_ = -1.0;
+  std::vector<double> sums_;
+};
+
+TEST(Rng, ZipfMatchesLinearScan) {
+  // Catalog sizes below, at and above the checkpoint stride, perfbench's
+  // 65,536 keys, and a large n that is not a multiple of the stride.
+  const std::vector<std::pair<std::int64_t, double>> params = {
+      {1, 1.05}, {15, 0.9}, {16, 1.2}, {17, 1.2}, {65536, 1.05},
+      {100003, 0.5}};
+  for (const auto& [n, s] : params) {
+    Rng rng(2024);
+    const auto expected = LinearScanZipf(2024).draws(n, s, 200000);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(rng.zipf(n, s), expected[i])
+          << "n=" << n << " s=" << s << " draw " << i;
+    }
+  }
+  // One stream that changes (n, s) on every call, so the table is
+  // rebuilt mid-stream.
+  Rng rng(7);
+  LinearScanZipf oracle(7);
+  for (int i = 0; i < 60; ++i) {
+    const auto& [n, s] = params[static_cast<std::size_t>(i) % params.size()];
+    ASSERT_EQ(rng.zipf(n, s), oracle.draw(n, s))
+        << "n=" << n << " s=" << s << " draw " << i;
+  }
 }
 
 TEST(Rng, ForkProducesIndependentStream) {
