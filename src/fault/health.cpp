@@ -38,11 +38,12 @@ void HealthScorer::record(cluster::NodeId node, util::TimeNs service_time) {
 }
 
 double HealthScorer::peer_median(cluster::NodeId node) const {
-  std::vector<double> peers;
-  peers.reserve(nodes_.size());
+  std::vector<double>& peers = peer_scratch_;
+  peers.clear();
   for (const auto& [id, state] : nodes_) {
     if (id == node || state.samples < config_.min_samples) continue;
-    if (down_.count(id) != 0) continue;  // dead peers skew the baseline
+    // Dead peers skew the baseline.
+    if (!down_.empty() && down_.count(id) != 0) continue;
     peers.push_back(state.ewma);
   }
   if (static_cast<int>(peers.size()) < config_.min_peers) return 0.0;

@@ -104,6 +104,7 @@ class HealthScorer {
   std::vector<TransitionFn> clear_subs_;
   std::map<cluster::NodeId, NodeState> nodes_;
   std::set<cluster::NodeId> down_;  // excluded from peer medians
+  mutable std::vector<double> peer_scratch_;  // reused by peer_median
   metrics::Registry metrics_;
 };
 

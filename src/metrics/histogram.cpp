@@ -47,6 +47,7 @@ void Histogram::record_n(std::int64_t value, std::int64_t count) {
   const std::size_t index = bucket_index(value);
   if (index >= buckets_.size()) buckets_.resize(index + 1, 0);
   buckets_[index] += count;
+  if (cursor_p_ >= 0 && index <= cursor_i_) cursor_cum_ += count;
   if (count_ == 0) {
     min_ = max_ = value;
   } else {
@@ -81,20 +82,33 @@ double Histogram::stddev() const {
 std::int64_t Histogram::percentile(double p) const {
   if (count_ == 0) return 0;
   p = std::clamp(p, 0.0, 100.0);
-  const auto target = static_cast<std::int64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(count_)));
-  std::int64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= target && buckets_[i] > 0) {
-      return std::clamp(bucket_midpoint(i), min_, max_);
-    }
+  // The answer is the smallest bucket i whose running count reaches
+  // max(target, 1); counts are integers, so a walk from any bucket with
+  // a known running count lands on the same i as a scan from bucket 0.
+  const auto target = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(
+             std::ceil(p / 100.0 * static_cast<double>(count_))));
+  if (p != cursor_p_) {
+    cursor_p_ = p;
+    cursor_i_ = 0;
+    cursor_cum_ = buckets_[0];
   }
-  return max_;
+  while (cursor_cum_ < target) {
+    if (cursor_i_ + 1 == buckets_.size()) {
+      cursor_p_ = -1.0;
+      return max_;
+    }
+    cursor_cum_ += buckets_[++cursor_i_];
+  }
+  while (cursor_i_ > 0 && cursor_cum_ - buckets_[cursor_i_] >= target) {
+    cursor_cum_ -= buckets_[cursor_i_--];
+  }
+  return std::clamp(bucket_midpoint(cursor_i_), min_, max_);
 }
 
 void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
+  cursor_p_ = -1.0;
   if (other.buckets_.size() > buckets_.size()) {
     buckets_.resize(other.buckets_.size(), 0);
   }
@@ -121,6 +135,7 @@ void Histogram::merge(const Histogram& other) {
 
 void Histogram::reset() {
   buckets_.clear();
+  cursor_p_ = -1.0;
   count_ = 0;
   min_ = max_ = 0;
   sum_ = welford_mean_ = m2_ = 0;

@@ -26,7 +26,8 @@ class Histogram {
   double mean() const;
   double stddev() const;
 
-  /// Percentile in [0, 100]. Returns 0 on an empty histogram.
+  /// Percentile in [0, 100]. Returns 0 on an empty histogram. Repeated
+  /// queries at one `p` walk on from the last answer (see the cursor).
   std::int64_t percentile(double p) const;
 
   std::int64_t p50() const { return percentile(50); }
@@ -58,6 +59,13 @@ class Histogram {
   // form cancels catastrophically for large offsets (ns timestamps).
   double welford_mean_ = 0;
   double m2_ = 0;
+  // Percentile cursor: the last clamped `p` asked (-1 = none), its answer
+  // bucket, and buckets_[0..cursor_i_] summed. record_n keeps the sum
+  // current; merge and reset drop the cursor. Mutable because a query
+  // moves it, which is safe only in the single-threaded simulator.
+  mutable double cursor_p_ = -1.0;
+  mutable std::size_t cursor_i_ = 0;
+  mutable std::int64_t cursor_cum_ = 0;
 };
 
 }  // namespace evolve::metrics

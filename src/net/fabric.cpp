@@ -13,7 +13,8 @@ constexpr double kDrainEpsilon = 1e-6;  // bytes
 
 Fabric::Fabric(sim::Simulation& sim, const Topology& topology)
     : sim_(sim), topology_(topology), last_settle_(sim.now()) {
-  link_flow_count_.assign(static_cast<std::size_t>(topology_.link_count()), 0);
+  cap_scratch_.assign(static_cast<std::size_t>(topology_.link_count()), 0.0);
+  unfixed_scratch_.assign(static_cast<std::size_t>(topology_.link_count()), 0);
   link_capacity_factor_.assign(static_cast<std::size_t>(topology_.link_count()),
                                1.0);
   link_extra_latency_.assign(static_cast<std::size_t>(topology_.link_count()),
@@ -87,7 +88,7 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
   settle_progress();
   const int slot = acquire_flow_slot();
   const auto si = static_cast<std::size_t>(slot);
-  const int gi = group_for_path(topology_.path(src, dst));
+  const int gi = group_for_pair(src, dst);
   Group& group = groups_[static_cast<std::size_t>(gi)];
   flow_id_[si] = id;
   flow_group_[si] = gi;
@@ -99,7 +100,6 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
   flow_cb_[si] = std::move(on_complete);
   group.members.push(Member{flow_finish_drain_[si], id, slot});
   ++group.size;
-  for (LinkId l : group.path) ++link_flow_count_[static_cast<std::size_t>(l)];
   slot_of_.emplace(id, slot);
   ++active_flows_;
   mark_dirty();
@@ -170,9 +170,13 @@ void Fabric::release_flow_slot(int slot) {
   free_slots_.push_back(slot);
 }
 
-int Fabric::group_for_path(std::vector<LinkId> path) {
-  auto it = group_of_path_.find(path);
-  if (it != group_of_path_.end()) return it->second;
+int Fabric::group_for_pair(cluster::NodeId src, cluster::NodeId dst) {
+  const std::uint64_t key =
+      src == dst ? ~std::uint64_t{0}
+                 : std::uint64_t{static_cast<std::uint32_t>(src)} << 32 |
+                       static_cast<std::uint32_t>(dst);
+  auto it = group_of_pair_.find(key);
+  if (it != group_of_pair_.end()) return it->second;
   int gi;
   if (!free_groups_.empty()) {
     gi = free_groups_.back();
@@ -182,21 +186,21 @@ int Fabric::group_for_path(std::vector<LinkId> path) {
     groups_.emplace_back();
   }
   Group& group = groups_[static_cast<std::size_t>(gi)];
-  group.path = std::move(path);
+  group.key = key;
+  group.path = topology_.path(src, dst);
   group.rate =
       group.path.empty() ? topology_.config().loopback_bytes_per_s : 0.0;
   group.drain_total = 0.0;
   group.size = 0;
-  group_of_path_.emplace(group.path, gi);
+  group_of_pair_.emplace(key, gi);
   return gi;
 }
 
 void Fabric::leave_group(int group_index) {
   Group& group = groups_[static_cast<std::size_t>(group_index)];
-  for (LinkId l : group.path) --link_flow_count_[static_cast<std::size_t>(l)];
   --group.size;
   if (group.size == 0) {
-    group_of_path_.erase(group.path);
+    group_of_pair_.erase(group.key);
     group.path.clear();
     group.members = {};
     group.rate = 0.0;
@@ -258,15 +262,9 @@ void Fabric::flush_if_dirty() {
 
 void Fabric::solve_grouped() {
   ++stats_.rate_recomputations;
-  const auto link_count = static_cast<std::size_t>(topology_.link_count());
-  cap_scratch_.resize(link_count);
-  for (std::size_t l = 0; l < link_count; ++l) {
-    cap_scratch_[l] =
-        topology_.link(static_cast<LinkId>(l)).capacity_bytes_per_s *
-        link_capacity_factor_[l];
-  }
-  unfixed_scratch_ = link_flow_count_;
-
+  // Link state comes from the pending groups' paths: a capacity is read
+  // on first touch, and unfixed counts return to 0 as groups are fixed.
+  loaded_scratch_.clear();
   pending_scratch_.clear();
   std::int64_t remaining = 0;
   for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
@@ -275,15 +273,25 @@ void Fabric::solve_grouped() {
     group.rate = -1.0;  // unfixed marker
     pending_scratch_.push_back(static_cast<int>(gi));
     remaining += group.size;
+    for (LinkId l : group.path) {
+      const auto idx = static_cast<std::size_t>(l);
+      if (unfixed_scratch_[idx] == 0) {
+        loaded_scratch_.push_back(l);
+        cap_scratch_[idx] = topology_.link(l).capacity_bytes_per_s *
+                            link_capacity_factor_[idx];
+      }
+      unfixed_scratch_[idx] += group.size;
+    }
   }
 
   while (remaining > 0) {
     // Find the bottleneck: the link with the smallest fair share.
     double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < link_count; ++l) {
-      if (unfixed_scratch_[l] == 0) continue;
+    for (LinkId l : loaded_scratch_) {
+      const auto idx = static_cast<std::size_t>(l);
+      if (unfixed_scratch_[idx] == 0) continue;
       const double share =
-          std::max(0.0, cap_scratch_[l]) / unfixed_scratch_[l];
+          std::max(0.0, cap_scratch_[idx]) / unfixed_scratch_[idx];
       best_share = std::min(best_share, share);
     }
     if (!std::isfinite(best_share)) {
@@ -425,7 +433,7 @@ void Fabric::resume_flow(FlowId id, ParkedFlow p) {
   }
   const int slot = acquire_flow_slot();
   const auto si = static_cast<std::size_t>(slot);
-  const int gi = group_for_path(topology_.path(p.src, p.dst));
+  const int gi = group_for_pair(p.src, p.dst);
   Group& group = groups_[static_cast<std::size_t>(gi)];
   flow_id_[si] = id;
   flow_group_[si] = gi;
@@ -437,7 +445,6 @@ void Fabric::resume_flow(FlowId id, ParkedFlow p) {
   flow_cb_[si] = std::move(p.cb);
   group.members.push(Member{flow_finish_drain_[si], id, slot});
   ++group.size;
-  for (LinkId l : group.path) ++link_flow_count_[static_cast<std::size_t>(l)];
   slot_of_.emplace(id, slot);
   ++active_flows_;
 }

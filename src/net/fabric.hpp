@@ -9,7 +9,8 @@
 // Scale design (see DESIGN.md "Simulation kernel performance"):
 //  * Flows are grouped by path signature — all flows sharing a path have
 //    identical max-min rates, so the water-filling solver iterates groups,
-//    not flows: O(groups · links) per solve instead of O(flows · links).
+//    not flows, and only the links those groups load:
+//    O(groups · path + loaded links · rounds) per solve.
 //  * Progress settling is lazy: each group keeps a cumulative
 //    "bytes drained per member flow" counter; a flow records the counter
 //    value when it joins and completes when the counter passes
@@ -148,6 +149,7 @@ class Fabric {
     }
   };
   struct Group {
+    std::uint64_t key = 0;     // group_of_pair_ key
     std::vector<LinkId> path;  // empty = loopback
     double rate = 0;           // bytes/s per member flow
     double drain_total = 0;    // cumulative bytes drained per member flow
@@ -167,7 +169,9 @@ class Fabric {
     FlowCallback cb;
   };
 
-  int group_for_path(std::vector<LinkId> path);
+  /// The group of flows from `src` to `dst`; creates it (and computes
+  /// its path) when no live flow uses the pair.
+  int group_for_pair(cluster::NodeId src, cluster::NodeId dst);
   int acquire_flow_slot();
   void release_flow_slot(int slot);
   void leave_group(int group_index);
@@ -243,19 +247,21 @@ class Fabric {
   std::unordered_map<FlowId, int> slot_of_;
   std::vector<Group> groups_;
   std::vector<int> free_groups_;
-  std::map<std::vector<LinkId>, int> group_of_path_;
-  /// Live (non-loopback) flows crossing each link; kept incrementally so
-  /// the solver never iterates flows to build link state.
-  std::vector<int> link_flow_count_;
+  // Live groups by endpoint pair: distinct remote pairs have distinct
+  // paths (host uplink first, host downlink last), and every loopback
+  // pair shares one key, as it shared the empty path. Never iterated.
+  std::unordered_map<std::uint64_t, int> group_of_pair_;
   // Gray-failure degradation state (1.0 / 0 = healthy).
   std::vector<double> link_capacity_factor_;
   std::vector<util::TimeNs> link_extra_latency_;
   bool any_extra_latency_ = false;
   bool dirty_ = false;
   bool flush_scheduled_ = false;
-  // Reusable solver scratch (avoids per-recompute allocation).
+  // Reusable solver scratch (avoids per-recompute allocation);
+  // unfixed_scratch_ is zero on every link between solves.
   std::vector<double> cap_scratch_;
   std::vector<int> unfixed_scratch_;
+  std::vector<LinkId> loaded_scratch_;
   std::vector<int> pending_scratch_;
   std::vector<DoneFlow> done_scratch_;
 

@@ -177,10 +177,10 @@ bool Service::route_copy(InFlight& rec, int which, std::int64_t exclude_key) {
     return true;
   }
 
-  std::vector<ReplicaView> view;
-  std::vector<std::int64_t> keys;
-  view.reserve(replicas_.size());
-  keys.reserve(replicas_.size());
+  std::vector<ReplicaView>& view = route_view_;
+  std::vector<std::int64_t>& keys = route_keys_;
+  view.clear();
+  keys.clear();
   bool any_available = false;
   for (auto& [key, rep] : replicas_) {
     ReplicaView rv;

@@ -220,6 +220,9 @@ class Service {
   };
   /// Active post-heal admission ramps; entries expire lazily.
   std::map<cluster::NodeId, Ramp> ramp_;
+  // route_copy scratch, refilled per call in replicas_ order.
+  std::vector<ReplicaView> route_view_;
+  std::vector<std::int64_t> route_keys_;
 
   // In-flight records live on a slab (stable addresses, recycled cells —
   // no per-request map-node malloc/free); the unordered index is only

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace evolve::metrics {
@@ -226,6 +232,119 @@ TEST(Histogram, MergePreservesStddevAtLargeOffsets) {
   const double before = left.stddev();
   left.merge(empty);
   EXPECT_DOUBLE_EQ(left.stddev(), before);
+}
+
+// The old percentile: a full scan from bucket 0 over a shadow bucket
+// array, with copies of the bucketing it replaced. The incremental
+// cursor must give the same answer after any sequence of updates.
+struct LinearScanHistogram {
+  static std::size_t bucket_index(std::int64_t value) {
+    if (value < 64) return static_cast<std::size_t>(value);
+    const auto v = static_cast<std::uint64_t>(value);
+    const int msb = 63 - std::countl_zero(v);
+    const int octave = msb - 6;
+    const std::int64_t sub = (value >> octave) - 64;
+    return static_cast<std::size_t>(64 + octave * 64 + sub);
+  }
+  static std::int64_t bucket_midpoint(std::size_t index) {
+    if (index < 64) return static_cast<std::int64_t>(index);
+    const std::size_t rest = index - 64;
+    const int octave = static_cast<int>(rest / 64);
+    const auto sub = static_cast<std::int64_t>(rest % 64);
+    return ((64 + sub) << octave) + (std::int64_t{1} << octave) / 2;
+  }
+  void record_n(std::int64_t value, std::int64_t n) {
+    if (n <= 0) return;
+    value = std::max<std::int64_t>(value, 0);
+    const std::size_t i = bucket_index(value);
+    if (i >= buckets.size()) buckets.resize(i + 1, 0);
+    buckets[i] += n;
+    min = count == 0 ? value : std::min(min, value);
+    max = count == 0 ? value : std::max(max, value);
+    count += n;
+  }
+  void merge(const LinearScanHistogram& other) {
+    if (other.count == 0) return;
+    if (other.buckets.size() > buckets.size()) {
+      buckets.resize(other.buckets.size(), 0);
+    }
+    for (std::size_t i = 0; i < other.buckets.size(); ++i) {
+      buckets[i] += other.buckets[i];
+    }
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
+    count += other.count;
+  }
+  std::int64_t percentile(double p) const {
+    if (count == 0) return 0;
+    p = std::clamp(p, 0.0, 100.0);
+    const auto target = static_cast<std::int64_t>(
+        std::ceil(p / 100.0 * static_cast<double>(count)));
+    std::int64_t seen = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      seen += buckets[i];
+      if (seen >= target && buckets[i] > 0) {
+        return std::clamp(bucket_midpoint(i), min, max);
+      }
+    }
+    return max;
+  }
+  std::vector<std::int64_t> buckets;
+  std::int64_t count = 0;
+  std::int64_t min = 0;
+  std::int64_t max = 0;
+};
+
+TEST(Histogram, IncrementalPercentileMatchesFullScan) {
+  util::Rng rng(17);
+  const double ps[] = {0, 50, 95, 99.9, 100};
+  Histogram h, side;
+  LinearScanHistogram ref, side_ref;
+  auto value = [&] {
+    // Mostly one latency band (the cursor walks a few buckets), with
+    // occasional outliers far above and below it, and some negatives.
+    const std::int64_t roll = rng.uniform_int(0, 99);
+    if (roll < 5) return rng.uniform_int(-50, 63);
+    if (roll < 10) return rng.uniform_int(0, 5'000'000'000);
+    return rng.uniform_int(2'000, 40'000);
+  };
+  int queries = 0;
+  for (int step = 0; step < 60'000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 999);
+    if (op < 400) {
+      const std::int64_t v = value();
+      h.record(v);
+      ref.record_n(v, 1);
+    } else if (op < 550) {
+      const std::int64_t v = value();
+      const std::int64_t n = rng.uniform_int(-1, 6);
+      h.record_n(v, n);
+      ref.record_n(v, n);
+    } else if (op < 560) {
+      const std::int64_t v = value();
+      side.record(v);
+      side_ref.record_n(v, 1);
+    } else if (op < 563) {
+      h.merge(side);
+      ref.merge(side_ref);
+    } else if (op < 565) {
+      h.reset();
+      ref = LinearScanHistogram{};
+    } else if (op < 575) {
+      // A copy carries the cursor with the buckets it summarises.
+      const Histogram copy = h;
+      h = copy;
+    } else {
+      // Each p is asked a few times in a row with updates in between,
+      // then the next p re-seeds the cursor.
+      const double p = ps[(queries++ / 4) % 5];
+      ASSERT_EQ(h.percentile(p), ref.percentile(p))
+          << "step " << step << " p=" << p << " n=" << ref.count;
+      const Histogram copy = h;
+      ASSERT_EQ(copy.percentile(p), ref.percentile(p)) << "copy, step " << step;
+    }
+  }
+  EXPECT_GT(queries, 20'000);
 }
 
 }  // namespace

@@ -195,6 +195,56 @@ TEST(Fabric, FlowRateVisible) {
   EXPECT_DOUBLE_EQ(f.fabric.flow_rate(9999), 0.0);
 }
 
+// The solver reads a link's capacity factor only when a flow loads the
+// link, so a factor set while the link is idle must still apply later.
+TEST(Fabric, CapacityFactorOnIdleLinkAppliesToLaterFlows) {
+  FabricFixture f;
+  const LinkId uplink = f.topology.host_links(0)[0];
+  f.fabric.set_link_capacity_factor(uplink, 0.5);
+  // Warm the solver on disjoint links first: the degraded link is still
+  // idle when these flows are rated.
+  f.fabric.transfer(1, 3, 125 * util::kMiB, [] {});
+  f.sim.run();
+  const double full = f.topology.config().host_link_bytes_per_s;
+  const Bytes bytes = 125 * util::kMiB;
+  const TimeNs start = f.sim.now();
+  TimeNs done = -1;
+  const FlowId id =
+      f.fabric.transfer(0, 2, bytes, [&] { done = f.sim.now(); });
+  EXPECT_DOUBLE_EQ(f.fabric.flow_rate(id), full * 0.5);
+  f.sim.run();
+  const double expected_s = static_cast<double>(bytes) / (full * 0.5);
+  EXPECT_NEAR(util::to_seconds(done - start), expected_s,
+              0.01 * expected_s + 1e-4);
+}
+
+TEST(Fabric, CapacityFactorMidFlightReRatesLiveFlows) {
+  FabricFixture f;
+  const double full = f.topology.config().host_link_bytes_per_s;
+  const Bytes bytes = 1250 * util::kMiB;
+  std::vector<TimeNs> done(2, -1);
+  // Two flows share host 0's uplink; a third on disjoint links is the
+  // control and must keep its rate.
+  const FlowId a = f.fabric.transfer(0, 2, bytes, [&] { done[0] = f.sim.now(); });
+  const FlowId b = f.fabric.transfer(0, 2, bytes, [&] { done[1] = f.sim.now(); });
+  const FlowId c = f.fabric.transfer(1, 3, bytes, [] {});
+  EXPECT_DOUBLE_EQ(f.fabric.flow_rate(a), full / 2);
+  const TimeNs mid = util::millis(100);
+  f.sim.run_until(mid);
+  f.fabric.set_link_capacity_factor(f.topology.host_links(0)[0], 0.25);
+  EXPECT_DOUBLE_EQ(f.fabric.flow_rate(a), full * 0.25 / 2);
+  EXPECT_DOUBLE_EQ(f.fabric.flow_rate(b), full * 0.25 / 2);
+  EXPECT_DOUBLE_EQ(f.fabric.flow_rate(c), full);
+  f.sim.run();
+  const double drained = full / 2 * util::to_seconds(mid);
+  const double expected_s = util::to_seconds(mid) +
+                            (static_cast<double>(bytes) - drained) /
+                                (full * 0.25 / 2);
+  for (TimeNs t : done) {
+    EXPECT_NEAR(util::to_seconds(t), expected_s, 0.01 * expected_s + 1e-4);
+  }
+}
+
 // Property check across flow counts: n same-path flows take ~n * solo time.
 class FabricFairness : public ::testing::TestWithParam<int> {};
 
