@@ -133,8 +133,7 @@ RunOutcome run_world(bool fair_share) {
     spec.tenant = "batch";
     spec.request = cluster::cpu_mem(4000, 4 * util::kGiB);
     spec.priority = 0;
-    const orch::PodId id = orch.submit(spec, util::seconds(25));
-    if (id != orch::kInvalidPod) tracked.push_back(id);
+    tracked.push_back(orch.submit(spec, util::seconds(25)));
   };
   auto submit_gang = [&] {
     std::vector<orch::PodSpec> members(4);

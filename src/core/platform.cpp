@@ -127,8 +127,7 @@ void Platform::stage_dataset(const std::string& dataset,
 }
 
 void Platform::with_inputs(World world, const std::vector<std::string>& inputs,
-                           std::function<void()> start,
-                           std::function<void()> on_failed) {
+                           std::function<void()> start) {
   storage::DatasetCatalog& target = catalog(world);
   std::vector<std::string> to_stage;
   for (const std::string& input : inputs) {
@@ -150,17 +149,10 @@ void Platform::with_inputs(World world, const std::vector<std::string>& inputs,
   auto remaining = std::make_shared<std::size_t>(to_stage.size());
   for (const std::string& input : to_stage) {
     stage_dataset(input, target,
-                  [this, remaining, start, on_failed, trace_parent] {
+                  [this, remaining, start, trace_parent] {
                     if (--*remaining > 0) return;
                     trace::ScopedContext tctx(tracer_, trace_parent);
-                    try {
-                      start();
-                    } catch (const std::exception& e) {
-                      EVOLVE_LOG(kWarn, "platform")
-                          << "job failed after staging its inputs: "
-                          << e.what();
-                      on_failed();
-                    }
+                    start();
                   });
   }
 }
@@ -191,24 +183,18 @@ std::vector<cluster::NodeId> Platform::executor_preferences(
 void Platform::run_dataflow(
     const dataflow::LogicalPlan& plan, int executors, int slots,
     std::function<void(const dataflow::JobStats&)> cb) {
-  start_dataflow(plan, executors, slots, {}, cb, [cb] {
-    dataflow::JobStats stats;
-    stats.failed = true;
-    cb(stats);
-  });
+  start_dataflow(plan, executors, slots, {}, std::move(cb));
 }
 
 void Platform::run_hpc(const hpc::MpiProgram& program, int ranks,
                        std::function<void(const hpc::MpiRunStats&)> cb) {
-  // No inputs: nothing is staged, so every failure throws from here.
-  start_hpc(program, ranks, {}, std::move(cb), {});
+  start_hpc(program, ranks, {}, std::move(cb));
 }
 
 void Platform::start_dataflow(
     const dataflow::LogicalPlan& plan, int executors, int slots,
     std::vector<std::string> inputs,
-    std::function<void(const dataflow::JobStats&)> cb,
-    std::function<void()> on_failed) {
+    std::function<void(const dataflow::JobStats&)> cb) {
   if (executors <= 0 || slots <= 0) {
     throw std::invalid_argument("dataflow job needs executors and slots");
   }
@@ -222,8 +208,7 @@ void Platform::start_dataflow(
       World::kBigData, inputs,
       [this, plan, executors, slots, cb] {
         acquire_executors(plan, executors, slots, cb);
-      },
-      std::move(on_failed));
+      });
 }
 
 void Platform::acquire_executors(
@@ -253,7 +238,7 @@ void Platform::acquire_executors(
   for (int i = 0; i < executors; ++i) {
     orch::PodSpec spec = pod;
     spec.name = "dataflow-exec-" + std::to_string(i);
-    const orch::PodId id = orchestrator.submit(
+    acquire->pods.push_back(orchestrator.submit(
         spec, /*duration=*/-1,
         [this, &orchestrator, acquire, slots, plan, cb,
          trace_parent](orch::PodId, cluster::NodeId node) {
@@ -268,24 +253,17 @@ void Platform::acquire_executors(
                            }
                            cb(stats);
                          });
-        });
-    if (id == orch::kInvalidPod) {
-      for (orch::PodId pod_id : acquire->pods) orchestrator.cancel(pod_id);
-      throw std::runtime_error("executor pod rejected by quota");
-    }
-    acquire->pods.push_back(id);
+        }));
   }
 }
 
 void Platform::start_hpc(const hpc::MpiProgram& program, int ranks,
                          const std::vector<std::string>& inputs,
-                         std::function<void(const hpc::MpiRunStats&)> cb,
-                         std::function<void()> on_failed) {
+                         std::function<void(const hpc::MpiRunStats&)> cb) {
   if (ranks <= 0) throw std::invalid_argument("hpc job needs ranks");
-  with_inputs(
-      World::kHpc, inputs,
-      [this, program, ranks, cb] { launch_gang(program, ranks, cb); },
-      std::move(on_failed));
+  with_inputs(World::kHpc, inputs, [this, program, ranks, cb] {
+    launch_gang(program, ranks, cb);
+  });
 }
 
 void Platform::launch_gang(const hpc::MpiProgram& program, int ranks,
@@ -337,36 +315,31 @@ void Platform::launch_gang(const hpc::MpiProgram& program, int ranks,
   };
 
   gang->pods = orchestrator.submit_gang(specs, /*duration=*/-1, on_start);
-  if (gang->pods.empty()) {
-    throw std::runtime_error("hpc gang rejected by quota");
-  }
 }
 
 void Platform::run_step(const workflow::Step& step,
                         std::function<void(bool)> on_done) {
   using workflow::StepKind;
-  auto fail = [on_done] { on_done(false); };
   try {
     switch (step.kind) {
       case StepKind::kContainer: {
-        const orch::PodId id = orchestrator(World::kCloud).submit(
-            step.pod, step.pod_duration, {},
-            [on_done](orch::PodId, orch::PodPhase phase) {
-              on_done(phase == orch::PodPhase::kSucceeded);
-            });
-        if (id == orch::kInvalidPod) on_done(false);
+        orchestrator(World::kCloud)
+            .submit(step.pod, step.pod_duration, {},
+                    [on_done](orch::PodId, orch::PodPhase phase) {
+                      on_done(phase == orch::PodPhase::kSucceeded);
+                    });
         return;
       }
       case StepKind::kDataflow:
         start_dataflow(
             step.plan, step.dataflow_executors, step.dataflow_slots,
             step.input_datasets,
-            [on_done](const dataflow::JobStats&) { on_done(true); }, fail);
+            [on_done](const dataflow::JobStats&) { on_done(true); });
         return;
       case StepKind::kHpc:
         start_hpc(
             step.mpi, step.hpc_ranks, step.input_datasets,
-            [on_done](const hpc::MpiRunStats&) { on_done(true); }, fail);
+            [on_done](const hpc::MpiRunStats&) { on_done(true); });
         return;
       case StepKind::kAccel: {
         const trace::SpanId span = trace::begin_span(

@@ -108,8 +108,7 @@ class Platform : public workflow::StepRunner {
 
   /// Runs a dataflow plan in the big-data world end to end: acquires
   /// executor pods (with data-locality preferences), executes, releases.
-  /// Bad arguments, a missing input and a quota rejection throw; a
-  /// rejection after inputs were staged reports a failed JobStats.
+  /// Bad arguments and a missing input throw.
   void run_dataflow(const dataflow::LogicalPlan& plan, int executors,
                     int slots,
                     std::function<void(const dataflow::JobStats&)> cb);
@@ -157,19 +156,15 @@ class Platform : public workflow::StepRunner {
   /// Calls `start` once every input is materialized in `world`'s
   /// catalog: at once when none needs staging, else after the last copy
   /// lands, back in the caller's trace context. Throws, before staging
-  /// anything, when an input is in no catalog. `start` may throw; after
-  /// staging, that calls `on_failed`.
+  /// anything, when an input is in no catalog.
   void with_inputs(World world, const std::vector<std::string>& inputs,
-                   std::function<void()> start,
-                   std::function<void()> on_failed);
+                   std::function<void()> start);
   void start_dataflow(const dataflow::LogicalPlan& plan, int executors,
                       int slots, std::vector<std::string> inputs,
-                      std::function<void(const dataflow::JobStats&)> cb,
-                      std::function<void()> on_failed);
+                      std::function<void(const dataflow::JobStats&)> cb);
   void start_hpc(const hpc::MpiProgram& program, int ranks,
                  const std::vector<std::string>& inputs,
-                 std::function<void(const hpc::MpiRunStats&)> cb,
-                 std::function<void()> on_failed);
+                 std::function<void(const hpc::MpiRunStats&)> cb);
   // Acquire and launch run in the submitter's trace context: directly,
   // or re-entered by with_inputs after staging.
   void acquire_executors(const dataflow::LogicalPlan& plan, int executors,

@@ -36,12 +36,7 @@ void submit_job(sim::Simulation& sim, orch::Orchestrator& orchestrator,
         spec.request = job.per_pod;
         specs.push_back(std::move(spec));
       }
-      const auto ids =
-          orchestrator.submit_gang(specs, job.duration, {}, pod_done);
-      if (ids.empty()) {
-        state->pods_failed += job.pods;
-        --state->jobs_remaining;
-      }
+      orchestrator.submit_gang(specs, job.duration, {}, pod_done);
       return;
     }
     for (int i = 0; i < job.pods; ++i) {
@@ -49,11 +44,7 @@ void submit_job(sim::Simulation& sim, orch::Orchestrator& orchestrator,
       spec.name = job.kind == MixedJob::Kind::kService ? "svc" : "batch";
       spec.tenant = spec.name;
       spec.request = job.per_pod;
-      const auto id = orchestrator.submit(spec, job.duration, {}, pod_done);
-      if (id == orch::kInvalidPod) {
-        ++state->pods_failed;
-        if (--*pods_left == 0) --state->jobs_remaining;
-      }
+      orchestrator.submit(spec, job.duration, {}, pod_done);
     }
   });
 }

@@ -48,7 +48,6 @@ void DeploymentController::reconcile() {
           }
           reconcile();
         });
-    if (id == kInvalidPod) return;  // quota-blocked; retry on next event
     live_.insert(id);
   }
   while (live() > desired_) {
@@ -110,64 +109,6 @@ void DeploymentController::stop() {
   const std::set<PodId> snapshot = live_;
   for (PodId id : snapshot) orch_.finish(id);
   live_.clear();
-}
-
-JobController::JobController(Orchestrator& orch, std::string name,
-                             PodSpec base, int completions, int parallelism,
-                             util::TimeNs duration,
-                             std::function<void()> on_complete)
-    : orch_(orch),
-      name_(std::move(name)),
-      base_(std::move(base)),
-      completions_(completions),
-      parallelism_(parallelism),
-      duration_(duration),
-      on_complete_(std::move(on_complete)) {
-  if (completions <= 0) throw std::invalid_argument("completions must be > 0");
-  if (parallelism <= 0) throw std::invalid_argument("parallelism must be > 0");
-  if (duration < 0) throw std::invalid_argument("duration must be >= 0");
-  if (base_.budget_group.empty()) base_.budget_group = name_;
-}
-
-void JobController::start() {
-  if (started_) throw std::logic_error("job already started");
-  started_ = true;
-  launch_next();
-}
-
-void JobController::launch_next() {
-  while (in_flight_ < parallelism_ && launched_ < completions_) {
-    PodSpec spec = base_;
-    spec.name = name_ + "-" + std::to_string(launched_);
-    ++launched_;
-    ++in_flight_;
-    const PodId id = orch_.submit(
-        spec, duration_, /*on_start=*/{},
-        [this](PodId, PodPhase phase) {
-          --in_flight_;
-          if (phase == PodPhase::kSucceeded) {
-            ++succeeded_;
-          } else {
-            ++failed_;
-            --launched_;  // retry failed completions
-          }
-          if (done()) {
-            if (on_complete_) {
-              auto cb = std::move(on_complete_);
-              on_complete_ = {};
-              cb();
-            }
-            return;
-          }
-          launch_next();
-        });
-    if (id == kInvalidPod) {
-      // Quota rejection: give the slot back and stop trying this round.
-      --launched_;
-      --in_flight_;
-      return;
-    }
-  }
 }
 
 }  // namespace evolve::orch

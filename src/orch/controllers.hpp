@@ -1,8 +1,7 @@
 // Controllers: reconcile desired state on top of the Orchestrator.
 //
 // DeploymentController keeps N replicas of a pod template running
-// (recreating failed/preempted replicas). JobController runs a fixed
-// number of completions with bounded parallelism.
+// (recreating failed/preempted replicas).
 #pragma once
 
 #include <functional>
@@ -62,38 +61,6 @@ class DeploymentController {
   std::set<PodId> live_;  // pods submitted and not yet terminal
   std::map<PodId, cluster::NodeId> started_;  // running replicas
   ReplicaObserver observer_;
-};
-
-class JobController {
- public:
-  /// `completions` pods of `duration` each, at most `parallelism` in
-  /// flight. `on_complete` fires when the last pod succeeds.
-  JobController(Orchestrator& orch, std::string name, PodSpec base,
-                int completions, int parallelism, util::TimeNs duration,
-                std::function<void()> on_complete = {});
-
-  void start();
-
-  int succeeded() const { return succeeded_; }
-  int failed() const { return failed_; }
-  bool done() const { return succeeded_ >= completions_; }
-  const std::string& name() const { return name_; }
-
- private:
-  void launch_next();
-
-  Orchestrator& orch_;
-  std::string name_;
-  PodSpec base_;
-  int completions_;
-  int parallelism_;
-  util::TimeNs duration_;
-  std::function<void()> on_complete_;
-  int launched_ = 0;
-  int in_flight_ = 0;
-  int succeeded_ = 0;
-  int failed_ = 0;
-  bool started_ = false;
 };
 
 }  // namespace evolve::orch

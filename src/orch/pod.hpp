@@ -22,12 +22,12 @@ enum class PodPhase {
   kPending,    // queued, not placed
   kRunning,    // bound to a node
   kSucceeded,  // finished normally
-  kFailed,     // preempted or admission-rejected
+  kFailed,     // preempted, evicted or killed with its gang
 };
 
 struct PodSpec {
   std::string name;
-  std::string tenant = "default";     // quota accounting unit
+  std::string tenant = "default";     // fair-share accounting unit
   cluster::Resources request;         // per-pod resource demand
   std::vector<std::string> node_selector;  // all labels must match
   std::vector<cluster::NodeId> preferred_nodes;  // data-locality hint

@@ -162,11 +162,6 @@ void Orchestrator::pump() {
 
 PodId Orchestrator::submit(PodSpec spec, util::TimeNs duration,
                            StartFn on_start, FinishFn on_finish) {
-  if (!quotas_.allows(spec.tenant, spec.request)) {
-    metrics_.count("admission_rejected");
-    return kInvalidPod;
-  }
-  quotas_.charge(spec.tenant, spec.request);
   if (pool_tree_) pool_tree_->add_demand(spec.tenant, spec.request);
   const PodId id = next_pod_++;
   PodRecord rec;
@@ -188,21 +183,13 @@ std::vector<PodId> Orchestrator::submit_gang(std::vector<PodSpec> specs,
                                              StartFn on_start,
                                              FinishFn on_finish) {
   if (specs.empty()) return {};
-  // Admission is all-or-nothing against the (shared) tenant quota.
-  cluster::Resources total;
-  for (const auto& spec : specs) total += spec.request;
   const std::string tenant = specs.front().tenant;
-  if (!quotas_.allows(tenant, total)) {
-    metrics_.count("admission_rejected");
-    return {};
-  }
   const GangId gang = next_gang_++;
   std::vector<PodId> ids;
   ids.reserve(specs.size());
   for (auto& spec : specs) {
     spec.gang = gang;
     spec.tenant = tenant;
-    quotas_.charge(tenant, spec.request);
     if (pool_tree_) pool_tree_->add_demand(tenant, spec.request);
     const PodId id = next_pod_++;
     PodRecord rec;
@@ -312,7 +299,6 @@ void Orchestrator::complete(PodId id, PodPhase phase) {
                                 rec.status.spec.request);
     }
   }
-  quotas_.release(rec.status.spec.tenant, rec.status.spec.request);
   rec.status.phase = phase;
   rec.status.finish_time = sim_.now();
   if (tracer_) {
@@ -347,13 +333,6 @@ void Orchestrator::fail_gang_of(const PodRecord& rec) {
 }
 
 void Orchestrator::finish(PodId id) { complete(id, PodPhase::kSucceeded); }
-
-bool Orchestrator::cancel(PodId id) {
-  auto it = pods_.find(id);
-  if (it == pods_.end() || it->second.status.is_terminal()) return false;
-  complete(id, PodPhase::kFailed);
-  return true;
-}
 
 bool Orchestrator::try_schedule_gang(GangId gang,
                                      std::vector<PodId>& gang_pods) {

@@ -22,7 +22,6 @@
 #include "orch/node_status.hpp"
 #include "orch/plugins.hpp"
 #include "orch/pod.hpp"
-#include "orch/quota.hpp"
 #include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
 
@@ -71,21 +70,17 @@ class Orchestrator {
 
   /// Submits a pod. If `duration` >= 0 the pod auto-finishes that long
   /// after it starts; if negative it runs until finish() is called.
-  /// Returns kInvalidPod when the tenant quota rejects admission.
   PodId submit(PodSpec spec, util::TimeNs duration, StartFn on_start = {},
                FinishFn on_finish = {});
 
   /// Submits a gang: the pods are placed all-or-nothing in one pass.
-  /// Returns the pod ids ({} if quota rejects the whole gang).
+  /// Returns the pod ids ({} for an empty gang).
   std::vector<PodId> submit_gang(std::vector<PodSpec> specs,
                                  util::TimeNs duration, StartFn on_start = {},
                                  FinishFn on_finish = {});
 
   /// Marks a running pod finished, releasing its resources.
   void finish(PodId id);
-
-  /// Cancels a pending pod or kills a running one (phase -> Failed).
-  bool cancel(PodId id);
 
   const PodStatus& pod(PodId id) const;
   const NodeStatus& node_status(cluster::NodeId node) const;
@@ -94,7 +89,6 @@ class Orchestrator {
   int pending_count() const { return static_cast<int>(queue_.size()); }
   int running_count() const { return running_count_; }
 
-  QuotaManager& quotas() { return quotas_; }
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
 
@@ -235,7 +229,6 @@ class Orchestrator {
   std::map<std::pair<cluster::NodeId, std::string>, int> affinity_counts_;
   std::map<PodId, PodRecord> pods_;
   std::deque<PodId> queue_;
-  QuotaManager quotas_;
   PoolTree* pool_tree_ = nullptr;  // non-owned fair-share state
   struct BudgetState {
     DisruptionBudget budget;

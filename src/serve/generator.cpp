@@ -31,18 +31,6 @@ RequestGenerator::RequestGenerator(sim::Simulation& sim,
   }
 }
 
-RequestGenerator::RequestGenerator(sim::Simulation& sim,
-                                   std::vector<Request> trace, Sink sink)
-    : sim_(sim), sink_(std::move(sink)), rng_(0), trace_(std::move(trace)),
-      trace_mode_(true) {
-  if (!sink_) throw std::invalid_argument("generator needs a sink");
-  for (std::size_t i = 1; i < trace_.size(); ++i) {
-    if (trace_[i].arrival < trace_[i - 1].arrival) {
-      throw std::invalid_argument("trace arrivals must be non-decreasing");
-    }
-  }
-}
-
 double RequestGenerator::rate_at(util::TimeNs t) const {
   for (const ArrivalPhase& phase : config_.phases) {
     if (t < phase.until) return phase.rate_per_s;
@@ -60,11 +48,7 @@ util::TimeNs RequestGenerator::phase_end(util::TimeNs t) const {
 void RequestGenerator::start() {
   if (running_) return;
   running_ = true;
-  if (trace_mode_) {
-    emit_trace_next();
-  } else {
-    schedule_next(sim_.now());
-  }
+  schedule_next(sim_.now());
 }
 
 void RequestGenerator::stop() {
@@ -105,25 +89,6 @@ void RequestGenerator::schedule_next(util::TimeNs from) {
     return;
   }
   running_ = false;
-}
-
-void RequestGenerator::emit_trace_next() {
-  if (trace_pos_ >= trace_.size()) {
-    running_ = false;
-    return;
-  }
-  const Request& next = trace_[trace_pos_];
-  pending_ = sim_.at(next.arrival, [this] {
-    has_pending_ = false;
-    if (!running_) return;
-    Request req = trace_[trace_pos_++];
-    req.id = next_id_++;
-    req.arrival = sim_.now();
-    ++emitted_;
-    sink_(req);
-    emit_trace_next();
-  });
-  has_pending_ = true;
 }
 
 void RequestGenerator::emit(util::TimeNs at) {

@@ -1,13 +1,13 @@
-// Open-loop request generation: seeded Poisson phases or trace replay.
+// Open-loop request generation from seeded Poisson phases.
 //
 // Open-loop matters for tail-latency measurement: arrivals never wait
 // for responses, so an overloaded service sees its queues actually
 // build instead of the workload politely backing off (the coordinated-
-// omission trap). The Poisson mode draws exponential interarrivals from
-// a piecewise-constant rate curve (memorylessness makes restarting the
-// draw at each phase boundary exact, not an approximation); the trace
-// mode replays an explicit arrival list. Both are fully determined by
-// the seed/trace, so every serving benchmark is bit-reproducible.
+// omission trap). Exponential interarrivals are drawn from a
+// piecewise-constant rate curve (memorylessness makes restarting the
+// draw at each phase boundary exact, not an approximation). The stream
+// is fully determined by the seed, so every serving benchmark is
+// bit-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -57,13 +57,7 @@ class RequestGenerator {
  public:
   using Sink = std::function<void(Request)>;
 
-  /// Poisson mode.
   RequestGenerator(sim::Simulation& sim, GeneratorConfig config, Sink sink);
-
-  /// Trace mode: replays `trace` verbatim (ids are reassigned
-  /// sequentially; `arrival` fields must be non-decreasing).
-  RequestGenerator(sim::Simulation& sim, std::vector<Request> trace,
-                   Sink sink);
 
   RequestGenerator(const RequestGenerator&) = delete;
   RequestGenerator& operator=(const RequestGenerator&) = delete;
@@ -79,16 +73,12 @@ class RequestGenerator {
   double rate_at(util::TimeNs t) const;
   util::TimeNs phase_end(util::TimeNs t) const;
   void schedule_next(util::TimeNs from);
-  void emit_trace_next();
   void emit(util::TimeNs at);
 
   sim::Simulation& sim_;
   GeneratorConfig config_;
   Sink sink_;
   util::Rng rng_;
-  std::vector<Request> trace_;
-  std::size_t trace_pos_ = 0;
-  bool trace_mode_ = false;
   bool running_ = false;
   sim::EventId pending_ = 0;
   bool has_pending_ = false;

@@ -297,7 +297,6 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
       ServerState& state = server_state(r);
       state.durable_used -= it->second.per_server_bytes;
       state.cache->erase(key.full());
-      note_replica_removed(r);
     }
     if (health(it->second) == Health::kDegraded) shift_underrep(-1);
     shift_at_risk(-at_risk_fragments(it->second));
@@ -743,7 +742,6 @@ void ObjectStore::remove(cluster::NodeId /*client*/, const ObjectKey& key,
       ServerState& state = server_state(r);
       state.durable_used -= it->second.per_server_bytes;
       state.cache->erase(key.full());
-      note_replica_removed(r);
     }
     if (health(it->second) == Health::kDegraded) shift_underrep(-1);
     shift_at_risk(-at_risk_fragments(it->second));
@@ -775,94 +773,6 @@ std::vector<std::string> ObjectStore::list(const std::string& bucket,
     out.push_back(key.name);
   }
   return out;
-}
-
-std::int64_t ObjectStore::initiate_multipart(const ObjectKey& key) {
-  if (!bucket_exists(key.bucket)) {
-    throw std::invalid_argument("bucket does not exist: " + key.bucket);
-  }
-  const std::int64_t id = next_upload_id_++;
-  uploads_[id] = MultipartUpload{key, 0, {}};
-  return id;
-}
-
-void ObjectStore::upload_part(cluster::NodeId client, std::int64_t upload_id,
-                              int part_number, util::Bytes size,
-                              PutCallback on_done) {
-  auto it = uploads_.find(upload_id);
-  if (it == uploads_.end()) {
-    throw std::invalid_argument("unknown multipart upload");
-  }
-  if (it->second.parts.count(part_number) != 0) {
-    throw std::invalid_argument("duplicate part number");
-  }
-  it->second.parts[part_number] = size;
-  it->second.total += size;
-  // Parts stream to the primary replica of the final key.
-  const auto replicas = locate(it->second.key);
-  const cluster::NodeId primary = replicas.front();
-  sim_.after(config_.metadata_latency,
-             [this, client, primary, size, cb = std::move(on_done)]() mutable {
-               fabric_.transfer(client, primary, size, std::move(cb));
-             });
-}
-
-void ObjectStore::complete_multipart(std::int64_t upload_id,
-                                     PutCallback on_done) {
-  auto it = uploads_.find(upload_id);
-  if (it == uploads_.end()) {
-    throw std::invalid_argument("unknown multipart upload");
-  }
-  const ObjectKey key = it->second.key;
-  const util::Bytes total = it->second.total;
-  const auto replicas = locate(key);
-  uploads_.erase(it);
-  const util::Bytes per_server = per_server_bytes(total);
-  int version = 0;
-  if (auto old = objects_.find(key); old != objects_.end()) {
-    if (health(old->second) == Health::kDegraded) shift_underrep(-1);
-    shift_at_risk(-at_risk_fragments(old->second));
-    version = old->second.version + 1;
-    purge_corrupted(key);
-  }
-  std::vector<int> fragments(replicas.size());
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    fragments[i] = static_cast<int>(i);
-  }
-  objects_[key] =
-      ObjectMeta{total, per_server, replicas, std::move(fragments), version};
-  sync_queued(key);
-  shift_at_risk(at_risk_fragments(objects_[key]));
-  if (health(objects_[key]) == Health::kDegraded) {
-    shift_underrep(+1);
-    enqueue_repair(key);
-  }
-
-  // Assembly: parts already live on the primary, which persists its
-  // share and fans out full copies (replication) or fragments (EC).
-  const auto encode_ns =
-      config_.redundancy == Redundancy::kErasure
-          ? static_cast<util::TimeNs>(std::ceil(static_cast<double>(total) *
-                                                config_.ec_ns_per_byte))
-          : 0;
-  auto remaining = std::make_shared<int>(static_cast<int>(replicas.size()));
-  auto finish = [remaining, cb = std::move(on_done)]() mutable {
-    if (--*remaining > 0) return;
-    cb();
-  };
-  const cluster::NodeId primary = replicas.front();
-  sim_.after(config_.metadata_latency + encode_ns,
-             [this, primary, key, per_server, replicas, finish]() mutable {
-               write_durable(primary, key, per_server, finish);
-               for (std::size_t i = 1; i < replicas.size(); ++i) {
-                 const cluster::NodeId peer = replicas[i];
-                 fabric_.transfer(
-                     primary, peer, per_server,
-                     [this, peer, key, per_server, finish]() mutable {
-                       write_durable(peer, key, per_server, finish);
-                     });
-               }
-             });
 }
 
 void ObjectStore::shift_underrep(int delta) {
@@ -942,64 +852,9 @@ util::Bytes ObjectStore::expected_durable_bytes(cluster::NodeId server) const {
   return total;
 }
 
-void ObjectStore::suspect_node(cluster::NodeId node) {
-  if (server_states_.count(node) == 0) return;  // not a storage server
-  if (dead_servers_.count(node) != 0) return;   // already confirmed dead
-  if (config_.repair_hysteresis <= 0) {
-    handle_node_failure(node);
-    return;
-  }
-  if (suspects_.count(node) != 0) return;
-  metrics_.count("servers_suspected");
-  // Replicas on a suspect server sit one step closer to loss for the
-  // whole wait: the at-risk integral accrues even though no repair has
-  // been queued yet.
-  int held = 0;
-  for (const auto& [key, meta] : objects_) {
-    held += static_cast<int>(
-        std::count(meta.replicas.begin(), meta.replicas.end(), node));
-  }
-  SuspectState st;
-  st.at_risk = held;
-  st.escalate = sim_.after(config_.repair_hysteresis, [this, node] {
-    // The window expired with no sign of life: treat it as real loss.
-    auto it = suspects_.find(node);
-    if (it == suspects_.end()) return;
-    shift_at_risk(-it->second.at_risk);
-    suspects_.erase(it);
-    metrics_.count("suspects_escalated");
-    handle_node_failure(node);
-  });
-  suspects_[node] = st;
-  shift_at_risk(held);
-}
-
-void ObjectStore::clear_suspect(cluster::NodeId node) {
-  auto it = suspects_.find(node);
-  if (it == suspects_.end()) return;
-  sim_.cancel(it->second.escalate);
-  shift_at_risk(-it->second.at_risk);
-  suspects_.erase(it);
-  metrics_.count("suspects_cleared");
-}
-
-void ObjectStore::note_replica_removed(cluster::NodeId node) {
-  auto it = suspects_.find(node);
-  if (it == suspects_.end() || it->second.at_risk <= 0) return;
-  --it->second.at_risk;
-  shift_at_risk(-1);
-}
-
 void ObjectStore::handle_node_failure(cluster::NodeId node) {
   auto state_it = server_states_.find(node);
   if (state_it == server_states_.end()) return;  // not a storage server
-  if (auto sus = suspects_.find(node); sus != suspects_.end()) {
-    // Confirmed failure overtakes the hysteresis window: stop the
-    // suspect accrual (the per-object loop below re-counts the risk).
-    sim_.cancel(sus->second.escalate);
-    shift_at_risk(-sus->second.at_risk);
-    suspects_.erase(sus);
-  }
   if (!dead_servers_.insert(node).second) return;
   metrics_.count("server_failures");
   // Media loss: everything the server held is gone, cache included —
@@ -1030,7 +885,6 @@ void ObjectStore::handle_node_failure(cluster::NodeId node) {
 
 void ObjectStore::handle_node_recovery(cluster::NodeId node) {
   if (server_states_.count(node) == 0) return;
-  clear_suspect(node);  // came back within the window: no rebuild needed
   if (dead_servers_.erase(node) == 0) return;
   metrics_.count("server_recoveries");
   // The node rejoins empty; repairs that had no live target re-arm.
@@ -1109,7 +963,6 @@ void ObjectStore::drop_corrupted_replica(const ObjectKey& key,
     state.durable_used -= meta.per_server_bytes;
     state.cache->erase(key.full());
   }
-  note_replica_removed(server);
   metrics_.count("corrupted_replicas_dropped");
   note_health_change(key, meta, before, risk_before);
 }
@@ -1203,20 +1056,6 @@ void ObjectStore::sync_queued(const ObjectKey& key) {
 }
 
 void ObjectStore::pump_repairs() {
-  if (repair_breaker_ != nullptr && !repair_queued_.empty() &&
-      !repair_breaker_->allow()) {
-    // Breaker open: the repair path keeps failing (no viable targets,
-    // churn under the transfers). Defer the whole scan instead of
-    // launching more rebuild traffic; one pending probe event re-pumps.
-    if (!repair_pump_armed_) {
-      repair_pump_armed_ = true;
-      sim_.after(std::max(config_.repair_delay, util::kMillisecond), [this] {
-        repair_pump_armed_ = false;
-        pump_repairs();
-      });
-    }
-    return;
-  }
   while (repairs_in_flight_ < config_.repair_concurrency &&
          !repair_queued_.empty()) {
     // Risk-first: repair the object with the fewest surviving spare
@@ -1341,7 +1180,6 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
     // Every live server already holds a copy; retry on the next recovery.
     --repairs_in_flight_;
     repair_stalled_.insert(key);
-    if (repair_breaker_ != nullptr) repair_breaker_->record_failure();
     pump_repairs();
     return;
   }
@@ -1442,7 +1280,6 @@ void ObjectStore::finish_repair(const ObjectKey& key, cluster::NodeId target,
   ++meta.version;
   write_durable(target, key, meta.per_server_bytes, [] {});
   metrics_.count("objects_repaired");
-  if (repair_breaker_ != nullptr) repair_breaker_->record_success();
   note_health_change(key, meta, before, risk_before);
   pump_repairs();
 }

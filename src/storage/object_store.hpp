@@ -35,7 +35,6 @@
 #include "storage/io_model.hpp"
 #include "storage/tiered_cache.hpp"
 #include "trace/tracer.hpp"
-#include "util/circuit_breaker.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -128,15 +127,6 @@ struct ObjectStoreConfig {
   double repair_jitter = 0.0;
   /// Seed for the repair-jitter RNG.
   std::uint64_t repair_seed = 1;
-  /// Delayed-repair hysteresis: the grace a *suspected* server gets
-  /// before its loss is acted on. suspect_node() starts the clock; a
-  /// node cleared (clear_suspect) within the window costs zero rebuild
-  /// traffic, while one that stays silent escalates to
-  /// handle_node_failure when the window expires. Fragments on a
-  /// suspect server accrue at_risk_fragment_seconds for the whole wait
-  /// — the risk is real even though no repair has been queued yet.
-  /// 0 (default) = no hysteresis: suspect_node escalates immediately.
-  util::TimeNs repair_hysteresis = 0;
 
   // -- Gray-failure mitigation (GET path) ------------------------------
   /// Hedged reads: if the first replica read is still outstanding after
@@ -261,15 +251,6 @@ class ObjectStore {
   std::vector<std::string> list(const std::string& bucket,
                                 const std::string& prefix = "") const;
 
-  // -- Multipart upload (large-object ingest path) --------------------
-  /// Starts a multipart upload; returns an upload id.
-  std::int64_t initiate_multipart(const ObjectKey& key);
-  /// Uploads one part; parts may be uploaded concurrently.
-  void upload_part(cluster::NodeId client, std::int64_t upload_id,
-                   int part_number, util::Bytes size, PutCallback on_done);
-  /// Completes the upload, making the assembled object visible.
-  void complete_multipart(std::int64_t upload_id, PutCallback on_done);
-
   /// Replica servers for a key (primary first). Exposed so the dataflow
   /// engine can do locality-aware task placement.
   std::vector<cluster::NodeId> locate(const ObjectKey& key) const;
@@ -301,26 +282,6 @@ class ObjectStore {
     return dead_servers_.count(node) == 0;
   }
 
-  // -- Delayed-repair hysteresis (suspected servers) -------------------
-  /// Reports `node` as possibly failed (unreachable / quarantined — not
-  /// confirmed media loss). With repair_hysteresis > 0 the store waits
-  /// before rebuilding: the node's replicas stay in metadata while
-  /// accruing at-risk seconds, and only if the window expires without
-  /// clear_suspect does the node escalate to handle_node_failure. With
-  /// hysteresis 0 this IS handle_node_failure. No-op for dead or
-  /// non-server nodes.
-  void suspect_node(cluster::NodeId node);
-  /// The node proved alive within the window: the pending escalation is
-  /// cancelled and no rebuild was ever queued. No-op when not suspect.
-  void clear_suspect(cluster::NodeId node);
-  bool node_suspect(cluster::NodeId node) const {
-    return suspects_.count(node) != 0;
-  }
-  /// Suspects cleared within their window (rebuild storms avoided).
-  std::int64_t suspects_cleared() const {
-    return metrics_.counter("suspects_cleared");
-  }
-
   const ObjectStoreConfig& config() const { return config_; }
 
   // -- Fencing (zombie-write rejection) --------------------------------
@@ -338,13 +299,6 @@ class ObjectStore {
   std::int64_t fence_epoch(cluster::NodeId node) const;
   std::int64_t writes_fenced() const {
     return metrics_.counter("writes_fenced");
-  }
-
-  /// Optional circuit breaker guarding the background repair scan: when
-  /// open, pump_repairs defers instead of launching rebuild traffic into
-  /// a fabric that keeps failing it. Null (default) disables.
-  void set_repair_breaker(util::CircuitBreaker* breaker) {
-    repair_breaker_ = breaker;
   }
 
   // -- Gray failures: silent corruption -------------------------------
@@ -436,12 +390,6 @@ class ObjectStore {
     std::string durable_device;
     util::Bytes durable_used = 0;
   };
-  struct MultipartUpload {
-    ObjectKey key;
-    util::Bytes total = 0;
-    std::map<int, util::Bytes> parts;
-  };
-
   ServerState& server_state(cluster::NodeId node);
   const ServerState& server_state(cluster::NodeId node) const;
 
@@ -541,9 +489,6 @@ class ObjectStore {
   /// at-risk accounting, loss counting, and repair queueing.
   void note_health_change(const ObjectKey& key, const ObjectMeta& meta,
                           Health before, int risk_before);
-  /// A replica left `node` outside the failure path (delete, overwrite,
-  /// corruption drop): keeps the suspect at-risk count in sync.
-  void note_replica_removed(cluster::NodeId node);
   void enqueue_repair(const ObjectKey& key);
   /// Re-points a queued repair entry at `key`'s metadata (null when the
   /// object is gone); called after every objects_ insert and erase.
@@ -565,16 +510,8 @@ class ObjectStore {
   std::map<std::string, bool> buckets_;
   std::map<ObjectKey, ObjectMeta> objects_;
   std::map<cluster::NodeId, ServerState> server_states_;
-  std::map<std::int64_t, MultipartUpload> uploads_;
-  std::int64_t next_upload_id_ = 1;
   // Failure/repair state.
   std::set<cluster::NodeId> dead_servers_;
-  /// Suspected (possibly failed) servers awaiting the hysteresis window.
-  struct SuspectState {
-    int at_risk = 0;  // replicas counted into the at-risk integral
-    sim::EventId escalate = 0;
-  };
-  std::map<cluster::NodeId, SuspectState> suspects_;
   /// Pending repairs. Drained risk-first: the object with the fewest
   /// surviving spare copies (an EC stripe one fragment from loss) is
   /// repaired before a freshly degraded one, ties in key order. Each
@@ -589,8 +526,6 @@ class ObjectStore {
   util::TimeNs rebuild_admit_at_ = 0;
   util::TimeNs rebuild_throttle_wait_ns_ = 0;
   util::Rng repair_rng_;  // repair-delay jitter (config.repair_seed)
-  util::CircuitBreaker* repair_breaker_ = nullptr;  // non-owned, optional
-  bool repair_pump_armed_ = false;  // breaker-deferred pump pending
   // Fencing state: minimum write epoch per node (absent = 1).
   std::map<cluster::NodeId, std::int64_t> fence_epoch_;
   // Gray-failure state: replicas whose stored payload is bit-rotten.

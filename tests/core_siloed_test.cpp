@@ -187,36 +187,6 @@ TEST(SiloedPlatform, TracedRunMatchesUntraced) {
   EXPECT_GT(path.by_layer[static_cast<int>(trace::Layer::kStorage)], 0);
 }
 
-TEST(SiloedPlatform, QuotaRejectionAfterStagingFailsTheStep) {
-  // The dataflow step's source lives in the HPC store, so it is staged
-  // first; the big-data silo's quota then rejects the executors from a
-  // staging callback. The step must fail through the workflow, not by
-  // throwing out of the event.
-  sim::Simulation sim;
-  SiloedPlatform silos(sim, small_config());
-  silos.catalog(World::kHpc)
-      .define(storage::DatasetSpec{"sim-out", 4, 16 * util::kMiB});
-  silos.catalog(World::kHpc).preload("sim-out");
-  silos.orchestrator(World::kBigData)
-      .quotas()
-      .set_quota("dataflow", cluster::cpu_mem(1, 1));
-  workflow::Workflow wf("rejected");
-  wf.add(workflow::dataflow_step(
-      "scan", workloads::scan_filter_aggregate("sim-out", "agg", 4), 2, 4));
-  workflow::WorkflowResult result;
-  bool finished = false;
-  silos.run_workflow(wf, [&](const workflow::WorkflowResult& r) {
-    result = r;
-    finished = true;
-  });
-  ASSERT_NO_THROW(sim.run());
-  EXPECT_TRUE(finished);
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(silos.staging_operations(), 1);
-  EXPECT_EQ(silos.orchestrator(World::kBigData).running_count(), 0);
-  EXPECT_EQ(silos.orchestrator(World::kBigData).pending_count(), 0);
-}
-
 TEST(SiloedPlatform, ExecutorsPreferOnlyTheirSilosNodes) {
   // The big-data store's servers are outside the big-data silo, so the
   // locality filter leaves the executors without preferences: placement

@@ -3,8 +3,8 @@
 // Every seed runs a seeded random rack-isolation process against a
 // replicated object store serving a randomized PUT/GET workload, with a
 // deterministic storage-node outage layered on top so partition parking,
-// re-replication (with seeded repair jitter and a repair circuit
-// breaker), and hedged reads all interact. Invariants per seed:
+// re-replication (with seeded repair jitter), and hedged reads all
+// interact. Invariants per seed:
 //   1. every operation eventually completes (a partition stalls traffic,
 //      never fails it) and no object is ever lost;
 //   2. park/resume never leaks a fabric flow;
@@ -22,7 +22,6 @@
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
-#include "util/circuit_breaker.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -64,8 +63,6 @@ Fingerprint run_seed(std::uint64_t seed) {
   storage::ObjectStore store(sim, cluster, fabric, io,
                              cluster.nodes_with_label("role=storage"),
                              config);
-  util::CircuitBreaker breaker(sim);
-  store.set_repair_breaker(&breaker);
 
   FaultInjector faults(sim);
   connect(faults, store);
@@ -82,7 +79,7 @@ Fingerprint run_seed(std::uint64_t seed) {
 
   util::Rng rng(seed * 1315423911u + 17);
   // One storage node takes a deterministic mid-run outage, so repair
-  // traffic (jittered, breaker-gated) overlaps the partition schedule.
+  // traffic (jittered) overlaps the partition schedule.
   const auto servers = store.servers();
   const auto victim =
       servers[static_cast<std::size_t>(rng.uniform_int(0, 5))];

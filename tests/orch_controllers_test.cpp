@@ -160,52 +160,5 @@ TEST(DeploymentController, ObserverSeesEvictionAndRestart) {
   EXPECT_EQ(deploy.running(), 2);
 }
 
-TEST(JobController, RunsAllCompletions) {
-  CtrlFixture f;
-  bool completed = false;
-  JobController job(f.orch, "batch", web_pod(), /*completions=*/6,
-                    /*parallelism=*/2, util::millis(100),
-                    [&] { completed = true; });
-  job.start();
-  f.sim.run();
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(job.succeeded(), 6);
-  EXPECT_TRUE(job.done());
-}
-
-TEST(JobController, ParallelismBoundsInFlight) {
-  CtrlFixture f(1);
-  // Each pod uses 10 cores on a 32-core node; parallelism 2 means at most
-  // 20 cores ever used by this job.
-  PodSpec spec = web_pod();
-  spec.request = cpu_mem(10000, util::kGiB);
-  JobController job(f.orch, "batch", spec, 4, 2, util::millis(500));
-  job.start();
-  double peak_cores = 0;
-  // Sample allocation as the sim progresses.
-  for (int t = 1; t <= 40; ++t) {
-    f.sim.run_until(util::millis(t * 50));
-    peak_cores = std::max(
-        peak_cores,
-        static_cast<double>(f.orch.node_status(0).allocated().cpu_millicores));
-  }
-  f.sim.run();
-  EXPECT_EQ(job.succeeded(), 4);
-  EXPECT_LE(peak_cores, 20000.0);
-}
-
-TEST(JobController, ValidatesArguments) {
-  CtrlFixture f;
-  EXPECT_THROW(JobController(f.orch, "j", web_pod(), 0, 1, 0),
-               std::invalid_argument);
-  EXPECT_THROW(JobController(f.orch, "j", web_pod(), 1, 0, 0),
-               std::invalid_argument);
-  EXPECT_THROW(JobController(f.orch, "j", web_pod(), 1, 1, -1),
-               std::invalid_argument);
-  JobController job(f.orch, "j", web_pod(), 1, 1, 0);
-  job.start();
-  EXPECT_THROW(job.start(), std::logic_error);
-}
-
 }  // namespace
 }  // namespace evolve::orch

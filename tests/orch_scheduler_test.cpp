@@ -131,30 +131,6 @@ TEST(Orchestrator, NodeSelectorRestrictsPlacement) {
   EXPECT_TRUE(cluster.node(placed).has_label("role=storage"));
 }
 
-TEST(Orchestrator, CancelPendingPod) {
-  OrchFixture f(1);
-  PodSpec huge = small_pod("huge");
-  huge.request = cpu_mem(1'000'000, util::kGiB);  // never schedulable
-  PodPhase final_phase = PodPhase::kPending;
-  const PodId id = f.orch.submit(huge, util::seconds(1), {},
-                                 [&](PodId, PodPhase p) { final_phase = p; });
-  EXPECT_TRUE(f.orch.cancel(id));
-  EXPECT_FALSE(f.orch.cancel(id));
-  f.sim.run();
-  EXPECT_EQ(final_phase, PodPhase::kFailed);
-  EXPECT_EQ(f.orch.pending_count(), 0);
-}
-
-TEST(Orchestrator, CancelRunningPodFreesResources) {
-  OrchFixture f(1);
-  const PodId id = f.orch.submit(small_pod("svc"), -1);
-  f.sim.run();
-  EXPECT_EQ(f.orch.pod(id).phase, PodPhase::kRunning);
-  EXPECT_TRUE(f.orch.cancel(id));
-  EXPECT_EQ(f.orch.pod(id).phase, PodPhase::kFailed);
-  EXPECT_TRUE(f.orch.node_status(f.orch.pod(id).node).allocated().is_zero());
-}
-
 TEST(Orchestrator, GangSchedulesAllOrNothing) {
   OrchFixture f(2);  // 2 nodes x 32 cores
   // Gang of 4 pods x 20 cores cannot fit (needs 80 of 64 cores).
@@ -205,32 +181,6 @@ TEST(Orchestrator, GangWaitsForResourcesThenRuns) {
                      [&](PodId, cluster::NodeId) { ++started; });
   f.sim.run();
   EXPECT_EQ(started, 2);
-}
-
-TEST(Orchestrator, QuotaRejectsOverLimitSubmit) {
-  OrchFixture f;
-  f.orch.quotas().set_quota("team-a", cpu_mem(1500, 2 * util::kGiB));
-  PodSpec spec = small_pod("a1");
-  spec.tenant = "team-a";
-  EXPECT_NE(f.orch.submit(spec, util::seconds(1)), kInvalidPod);
-  // Second pod exceeds the 1500m quota.
-  PodSpec spec2 = small_pod("a2");
-  spec2.tenant = "team-a";
-  EXPECT_EQ(f.orch.submit(spec2, util::seconds(1)), kInvalidPod);
-  EXPECT_EQ(f.orch.metrics().counter("admission_rejected"), 1);
-  // Other tenants are unaffected.
-  EXPECT_NE(f.orch.submit(small_pod("b1"), util::seconds(1)), kInvalidPod);
-}
-
-TEST(Orchestrator, QuotaReleasedOnFinish) {
-  OrchFixture f;
-  f.orch.quotas().set_quota("team-a", cpu_mem(1000, util::kGiB));
-  PodSpec spec = small_pod("a");
-  spec.tenant = "team-a";
-  f.orch.submit(spec, util::seconds(1));
-  f.sim.run();
-  // After the first finishes, quota allows another.
-  EXPECT_NE(f.orch.submit(spec, util::seconds(1)), kInvalidPod);
 }
 
 TEST(Orchestrator, PreemptionEvictsLowerPriority) {

@@ -337,38 +337,6 @@ TEST(Generator, StopCancelsPendingArrivals) {
   EXPECT_EQ(gen.emitted(), at_stop);
 }
 
-TEST(Generator, TraceModeReplaysVerbatim) {
-  sim::Simulation sim;
-  std::vector<Request> trace(3);
-  trace[0].arrival = util::millis(5);
-  trace[0].client = 7;
-  trace[0].cls = 1;
-  trace[1].arrival = util::millis(5);
-  trace[1].client = 8;
-  trace[2].arrival = util::millis(9);
-  trace[2].client = 7;
-  std::vector<Request> out;
-  RequestGenerator gen(sim, trace, [&out](Request r) { out.push_back(r); });
-  gen.start();
-  sim.run();
-  ASSERT_EQ(out.size(), 3u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].id, static_cast<RequestId>(i + 1));  // reassigned
-    EXPECT_EQ(out[i].arrival, trace[i].arrival);
-    EXPECT_EQ(out[i].client, trace[i].client);
-    EXPECT_EQ(out[i].cls, trace[i].cls);
-  }
-}
-
-TEST(Generator, TraceModeRejectsDecreasingArrivals) {
-  sim::Simulation sim;
-  std::vector<Request> trace(2);
-  trace[0].arrival = util::millis(9);
-  trace[1].arrival = util::millis(5);
-  EXPECT_THROW(RequestGenerator(sim, trace, [](Request) {}),
-               std::invalid_argument);
-}
-
 // -- ScalingSignal ----------------------------------------------------
 
 ScalingSignalConfig signal_config() {

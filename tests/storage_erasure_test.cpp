@@ -11,6 +11,7 @@
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
+#include "store_accounting.hpp"
 #include "trace/tracer.hpp"
 
 namespace evolve::storage {
@@ -98,6 +99,7 @@ TEST(ErasureCoding, PutStoresFragmentsNotCopies) {
   for (auto holder : f.store.locate(key)) {
     EXPECT_EQ(f.store.durable_bytes(holder), util::kMiB);
   }
+  expect_durable_accounting(f.store);
 }
 
 TEST(ErasureCoding, GetReconstructsFullObject) {
@@ -133,6 +135,7 @@ TEST(ErasureCoding, RemoveReclaimsFragments) {
   f.sim.run();
   EXPECT_TRUE(removed);
   for (auto s : f.store.servers()) EXPECT_EQ(f.store.durable_bytes(s), 0);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ErasureCoding, OverwriteKeepsAccountingConsistent) {
@@ -145,6 +148,7 @@ TEST(ErasureCoding, OverwriteKeepsAccountingConsistent) {
   util::Bytes total = 0;
   for (auto s : f.store.servers()) total += f.store.durable_bytes(s);
   EXPECT_EQ(total, 6 * util::kMiB);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ErasureCoding, GetMovesLessDataThanReplicationWrites) {
@@ -160,22 +164,6 @@ TEST(ErasureCoding, GetMovesLessDataThanReplicationWrites) {
   EXPECT_EQ(moved, 4 * util::kMiB);  // k fragments of size/k
 }
 
-TEST(ErasureCoding, MultipartAssemblesFragments) {
-  EcFixture f;
-  const ObjectKey key{"data", "big"};
-  const auto id = f.store.initiate_multipart(key);
-  f.store.upload_part(0, id, 1, 2 * util::kMiB, [] {});
-  f.store.upload_part(0, id, 2, 2 * util::kMiB, [] {});
-  f.sim.run();
-  bool completed = false;
-  f.store.complete_multipart(id, [&] { completed = true; });
-  f.sim.run();
-  EXPECT_TRUE(completed);
-  util::Bytes total = 0;
-  for (auto s : f.store.servers()) total += f.store.durable_bytes(s);
-  EXPECT_EQ(total, 6 * util::kMiB);  // 4 MiB * 1.5
-}
-
 TEST(ErasureCoding, PutSlowerThanSingleReplicaButCheaper) {
   // Compare EC(4+2) PUT against R=2 replication on identical clusters.
   auto put_time = [](ObjectStoreConfig config) {
@@ -185,6 +173,7 @@ TEST(ErasureCoding, PutSlowerThanSingleReplicaButCheaper) {
     f.sim.run();
     util::Bytes durable = 0;
     for (auto s : f.store.servers()) durable += f.store.durable_bytes(s);
+    expect_durable_accounting(f.store);
     return std::pair{done, durable};
   };
   ObjectStoreConfig replication;
@@ -264,6 +253,7 @@ TEST(ErasureCoding, DegradedReadReconstructsThroughParity) {
   EXPECT_TRUE(result.degraded);
   EXPECT_EQ(result.parity_fragments_used, 2);
   EXPECT_EQ(f.store.metrics().counter("ec_reconstructed_reads"), 1);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ErasureCoding, DegradedReadCostsMoreThanCleanRead) {
@@ -322,6 +312,7 @@ TEST(ErasureCoding, ExactlyMDeadIsRecoverableMPlusOneIsLost) {
   f.sim.run();
   EXPECT_FALSE(past_boundary.found);
   EXPECT_EQ(f.store.lost_objects(), 1);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ErasureCoding, AtRiskFragmentSecondsIntegratesMissingFragments) {
@@ -361,6 +352,7 @@ TEST(ErasureCoding, RebuildRestoresFullRedundancy) {
   EXPECT_TRUE(result.found);
   EXPECT_FALSE(result.degraded);
   EXPECT_EQ(result.parity_fragments_used, 0);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ErasureCoding, ThrottledRebuildPacesRepairTraffic) {
@@ -375,6 +367,7 @@ TEST(ErasureCoding, ThrottledRebuildPacesRepairTraffic) {
     // One crash degrades several stripes at once: a rebuild storm.
     f.store.handle_node_failure(f.store.servers()[0]);
     f.sim.run();
+    expect_durable_accounting(f.store);
     return std::tuple{f.store.rebuild_throttle_wait_seconds(),
                       f.store.under_replicated_objects(), f.sim.now()};
   };
@@ -423,6 +416,7 @@ TEST(ErasureCoding, RepairsRunRiskFirst) {
   ASSERT_EQ(repair_keys.size(), 3u);
   EXPECT_EQ(repair_keys[0], "data/aa");  // zero spares goes first
   EXPECT_EQ(f.store.under_replicated_objects(), 0);
+  expect_durable_accounting(f.store);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "cluster/cluster.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
+#include "store_accounting.hpp"
 #include "util/rng.hpp"
 
 namespace evolve::storage {
@@ -63,6 +64,7 @@ TEST(ObjectStore, PutThenGetRoundTrips) {
   EXPECT_TRUE(result.found);
   EXPECT_EQ(result.size, util::kMiB);
   EXPECT_NE(result.served_by, cluster::kInvalidNode);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ObjectStore, PutRequiresBucket) {
@@ -111,6 +113,7 @@ TEST(ObjectStore, DurableBytesTrackedOnAllReplicas) {
     }
   }
   EXPECT_EQ(elsewhere, 0);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ObjectStore, OverwriteReclaimsOldBytes) {
@@ -123,6 +126,7 @@ TEST(ObjectStore, OverwriteReclaimsOldBytes) {
   for (auto r : f.store.locate(key)) {
     EXPECT_EQ(f.store.durable_bytes(r), 500);
   }
+  expect_durable_accounting(f.store);
 }
 
 TEST(ObjectStore, RemoveFreesSpaceAndMetadata) {
@@ -136,6 +140,7 @@ TEST(ObjectStore, RemoveFreesSpaceAndMetadata) {
   EXPECT_TRUE(removed);
   EXPECT_FALSE(f.store.exists(key));
   for (auto s : f.store.servers()) EXPECT_EQ(f.store.durable_bytes(s), 0);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ObjectStore, ListFiltersByBucketAndPrefix) {
@@ -216,6 +221,7 @@ TEST(ObjectStore, ErasureCacheDisabledStillServesCachedFragments) {
     f.sim.run();
     EXPECT_EQ(result.tier, "hdd");
   }
+  expect_durable_accounting(f.store);
 }
 
 TEST(ObjectStore, LargerObjectsTakeLonger) {
@@ -247,33 +253,6 @@ TEST(ObjectStore, PreloadRejectsDuplicates) {
   StoreFixture f;
   f.store.preload(ObjectKey{"data", "dup"}, 1);
   EXPECT_THROW(f.store.preload(ObjectKey{"data", "dup"}, 1),
-               std::invalid_argument);
-}
-
-TEST(ObjectStore, MultipartAssemblesObject) {
-  StoreFixture f;
-  const ObjectKey key{"data", "big"};
-  const auto id = f.store.initiate_multipart(key);
-  int parts_done = 0;
-  f.store.upload_part(0, id, 1, 10 * util::kMiB, [&] { ++parts_done; });
-  f.store.upload_part(0, id, 2, 10 * util::kMiB, [&] { ++parts_done; });
-  f.sim.run();
-  EXPECT_EQ(parts_done, 2);
-  EXPECT_FALSE(f.store.exists(key));  // not visible until complete
-  bool completed = false;
-  f.store.complete_multipart(id, [&] { completed = true; });
-  f.sim.run();
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(f.store.object_size(key), 20 * util::kMiB);
-}
-
-TEST(ObjectStore, MultipartRejectsDuplicateParts) {
-  StoreFixture f;
-  const auto id = f.store.initiate_multipart(ObjectKey{"data", "big"});
-  f.store.upload_part(0, id, 1, 10, [] {});
-  EXPECT_THROW(f.store.upload_part(0, id, 1, 10, [] {}),
-               std::invalid_argument);
-  EXPECT_THROW(f.store.upload_part(0, 999, 1, 10, [] {}),
                std::invalid_argument);
 }
 
@@ -347,75 +326,6 @@ TEST(ObjectStore, ReadBlockClampsToObjectSize) {
   EXPECT_EQ(r.size, 512);
 }
 
-// -- Delayed-repair hysteresis ------------------------------------------
-
-ObjectStoreConfig hysteresis_config(util::TimeNs wait) {
-  ObjectStoreConfig config;
-  config.repair_hysteresis = wait;
-  return config;
-}
-
-TEST(ObjectStore, SuspectClearedInWindowCostsNoRepair) {
-  StoreFixture f(2, 3, hysteresis_config(util::seconds(5)));
-  f.store.preload({"data", "obj"}, 8 * util::kMiB);
-  const cluster::NodeId victim =
-      f.cluster.nodes_with_label("role=storage").front();
-
-  f.sim.at(util::seconds(1), [&] { f.store.suspect_node(victim); });
-  f.sim.at(util::seconds(3), [&] {
-    EXPECT_TRUE(f.store.node_suspect(victim));
-    f.store.clear_suspect(victim);
-  });
-  f.sim.run();
-
-  EXPECT_FALSE(f.store.node_suspect(victim));
-  EXPECT_EQ(f.store.suspects_cleared(), 1);
-  EXPECT_EQ(f.store.metrics().counter("repairs_started"), 0);
-  EXPECT_TRUE(f.store.server_alive(victim));
-  // The fragments were at risk for the 2 suspect-seconds even though no
-  // repair was ever queued.
-  EXPECT_GT(f.store.at_risk_fragment_seconds(), 0.0);
-}
-
-TEST(ObjectStore, SuspectExpiryEscalatesToFailure) {
-  StoreFixture f(2, 3, hysteresis_config(util::seconds(5)));
-  f.store.preload({"data", "obj"}, 8 * util::kMiB);
-  const cluster::NodeId victim =
-      f.cluster.nodes_with_label("role=storage").front();
-
-  f.sim.at(util::seconds(1), [&] { f.store.suspect_node(victim); });
-  f.sim.run();
-
-  EXPECT_FALSE(f.store.node_suspect(victim));  // escalated out
-  EXPECT_EQ(f.store.metrics().counter("suspects_escalated"), 1);
-  EXPECT_FALSE(f.store.server_alive(victim));
-  // The escalation re-replicated the victim's replicas elsewhere.
-  EXPECT_GT(f.store.metrics().counter("repairs_started"), 0);
-}
-
-TEST(ObjectStore, ZeroHysteresisEscalatesImmediately) {
-  StoreFixture f;  // repair_hysteresis = 0
-  f.store.preload({"data", "obj"}, 8 * util::kMiB);
-  const cluster::NodeId victim =
-      f.cluster.nodes_with_label("role=storage").front();
-  f.store.suspect_node(victim);
-  EXPECT_FALSE(f.store.node_suspect(victim));
-  EXPECT_FALSE(f.store.server_alive(victim));
-}
-
-TEST(ObjectStore, RecoveryClearsPendingSuspicion) {
-  StoreFixture f(2, 3, hysteresis_config(util::seconds(5)));
-  f.store.preload({"data", "obj"}, 8 * util::kMiB);
-  const cluster::NodeId victim =
-      f.cluster.nodes_with_label("role=storage").front();
-  f.sim.at(util::seconds(1), [&] { f.store.suspect_node(victim); });
-  f.sim.at(util::seconds(2), [&] { f.store.handle_node_recovery(victim); });
-  f.sim.run();
-  EXPECT_FALSE(f.store.node_suspect(victim));
-  EXPECT_TRUE(f.store.server_alive(victim));
-  EXPECT_EQ(f.store.metrics().counter("suspects_escalated"), 0);
-}
-
 // -- Repair queue: entries follow their object ---------------------------
 
 ObjectStoreConfig three_replicas() {
@@ -456,6 +366,7 @@ void expect_single_repair_of_new_object(StoreFixture& f,
   // The rebuilt copy is the new 2 MiB object, on the one server outside
   // the new replica set.
   EXPECT_EQ(f.store.durable_bytes(revived), 2 * util::kMiB);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ObjectStore, QueuedRepairOfDeletedObjectIsDropped) {
@@ -467,6 +378,7 @@ TEST(ObjectStore, QueuedRepairOfDeletedObjectIsDropped) {
   EXPECT_EQ(f.store.metrics().counter("repairs_started"), 0);
   EXPECT_EQ(f.store.under_replicated_objects(), 0);
   EXPECT_EQ(f.store.durable_bytes(revived), 0);
+  expect_durable_accounting(f.store);
 }
 
 TEST(ObjectStore, QueuedRepairFollowsDeleteAndDegradedReput) {
@@ -486,18 +398,6 @@ TEST(ObjectStore, QueuedRepairFollowsOverwrite) {
   const ObjectKey key{"data", "obj"};
   const auto revived = run_queued_repair(
       f, key, [&] { f.store.put(0, key, 2 * util::kMiB, [] {}); });
-  expect_single_repair_of_new_object(f, key, revived);
-}
-
-TEST(ObjectStore, QueuedRepairFollowsMultipartCompletion) {
-  StoreFixture f(2, 4, three_replicas());
-  const ObjectKey key{"data", "obj"};
-  const auto revived = run_queued_repair(f, key, [&] {
-    const auto upload = f.store.initiate_multipart(key);
-    f.store.upload_part(0, upload, 1, 2 * util::kMiB, [&f, upload] {
-      f.store.complete_multipart(upload, [] {});
-    });
-  });
   expect_single_repair_of_new_object(f, key, revived);
 }
 

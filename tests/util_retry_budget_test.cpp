@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulation.hpp"
-#include "util/circuit_breaker.hpp"
 #include "util/types.hpp"
 
 namespace evolve::util {
@@ -57,80 +55,6 @@ TEST(RetryBudget, InitialClampedToBurst) {
   config.burst = 3.0;
   RetryBudget budget(config);
   EXPECT_DOUBLE_EQ(budget.tokens(), 3.0);
-}
-
-TEST(CircuitBreaker, OpensAfterConsecutiveFailures) {
-  sim::Simulation sim;
-  CircuitBreakerConfig config;
-  config.failure_threshold = 3;
-  CircuitBreaker breaker(sim, config);
-  EXPECT_TRUE(breaker.allow());
-  breaker.record_failure();
-  breaker.record_failure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.record_failure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.allow());
-  EXPECT_EQ(breaker.times_opened(), 1);
-  EXPECT_EQ(breaker.rejections(), 1);
-}
-
-TEST(CircuitBreaker, SuccessResetsTheFailureStreak) {
-  sim::Simulation sim;
-  CircuitBreakerConfig config;
-  config.failure_threshold = 3;
-  CircuitBreaker breaker(sim, config);
-  breaker.record_failure();
-  breaker.record_failure();
-  breaker.record_success();
-  breaker.record_failure();
-  breaker.record_failure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreaker, HalfOpenAdmitsProbeQuotaThenCloses) {
-  sim::Simulation sim;
-  CircuitBreakerConfig config;
-  config.failure_threshold = 1;
-  config.cooldown = seconds(5);
-  config.probe_quota = 2;
-  config.probe_successes_to_close = 2;
-  CircuitBreaker breaker(sim, config);
-  breaker.record_failure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-
-  sim.after(seconds(5), [] {});
-  sim.run();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(breaker.allow());
-  EXPECT_TRUE(breaker.allow());
-  EXPECT_FALSE(breaker.allow());  // probe quota spent
-  breaker.record_success();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  breaker.record_success();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreaker, FailedProbeReopens) {
-  sim::Simulation sim;
-  CircuitBreakerConfig config;
-  config.failure_threshold = 1;
-  config.cooldown = seconds(5);
-  CircuitBreaker breaker(sim, config);
-  breaker.record_failure();
-
-  sim.after(seconds(5), [] {});
-  sim.run();
-  EXPECT_TRUE(breaker.allow());
-  breaker.record_failure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.allow());
-  EXPECT_EQ(breaker.times_opened(), 2);
-
-  // The second cooldown starts at the re-open, not the original trip.
-  sim.after(seconds(5), [] {});
-  sim.run();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
 }
 
 }  // namespace
