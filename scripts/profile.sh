@@ -10,8 +10,18 @@
 # prints the top 15 entries of the flat profile. It then prints the
 # call-graph entry (caller lines above the entry's own line) of the top
 # 5 self-time entries, so a symbol gprof mislabels shows its real
-# caller. Workloads: tablet-skew, converged-pipelines, serve-spike. Seed
-# defaults to 1.
+# caller.
+#
+# gprof does not see time spent inside libc malloc, so the script then
+# counts heap allocations: it builds scripts/alloc_count.cpp into
+# build-pg/alloc_count.so, reruns the workload with it preloaded and
+# with the shortest time budget (perfbench then makes its minimum of
+# measured runs), and prints the allocations per measured run (each
+# run's ten set-up passes included) and the 10 call sites with the most
+# sampled allocations. A call site is the innermost function of the
+# library or perfbench (inlined frames included) on the sampled stack,
+# shown with its nearest different caller. Workloads: tablet-skew,
+# converged-pipelines, serve-spike. Seed defaults to 1.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -51,3 +61,71 @@ gprof -b -q perfbench gmon.out | TOP5=$TOP5 awk '
   }
   { block = block $0 "\n" }
   END { for (i = 1; i <= n; i++) printf "\n%s", found[i] }'
+
+# -- Heap allocations ----------------------------------------------------
+c++ -O2 -shared -fPIC ../scripts/alloc_count.cpp -o alloc_count.so
+rm -f alloc_count.out
+RUNS=$(LD_PRELOAD="$PWD/alloc_count.so" ./perfbench --workload "$WORKLOAD" \
+         --seed "$SEED" --seconds 0.001 --trace 0 |
+       sed -n 's/.*  runs \([0-9]*\)$/\1/p')
+echo
+python3 - perfbench alloc_count.out "$RUNS" <<'PY'
+import collections, subprocess, sys
+
+exe, report, runs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+lines = open(report).read().split("\n")
+total = int(lines[0].split()[1])
+period = int(lines[1].split()[1])
+stacks = [[int(w, 16) if i else int(w) for i, w in enumerate(line.split())]
+          for line in lines[2:] if line]
+
+# addr2line -a -f -i: each address, then (function, file:line) pairs for
+# its inline chain, innermost first. Names stay mangled so project code
+# is told apart from the standard library by prefix.
+pcs = sorted({pc for stack in stacks for pc in stack[1:]})
+out = subprocess.run(["addr2line", "-a", "-f", "-i", "-e", exe] +
+                     [hex(pc) for pc in pcs],
+                     capture_output=True, text=True, check=True).stdout
+chains, pc, rows = {}, None, out.split("\n")
+i = 0
+while i < len(rows):
+    if rows[i].startswith("0x"):
+        pc = int(rows[i], 16)
+        chains[pc] = []
+        i += 1
+    elif i + 1 < len(rows) and pc is not None:
+        chains[pc].append((rows[i], rows[i + 1].rsplit("/", 1)[-1]))
+        i += 2
+    else:
+        i += 1
+
+PROJECT = ("_ZN6evolve", "_ZNK6evolve", "_ZZN6evolve", "_ZZNK6evolve",
+           "_ZN9perfbench", "_ZNK9perfbench", "_ZZN9perfbench",
+           "_ZZNK9perfbench")
+sites = collections.Counter()
+for stack in stacks:
+    frames = [f for pc in stack[1:] for f in chains.get(pc, [])]
+    own = [f for f in frames if f[0].startswith(PROJECT)]
+    if not own:
+        sites[("(outside the library and perfbench)", "", "")] += stack[0]
+        continue
+    caller = next((f for f in own if f[0] != own[0][0]), ("", ""))
+    sites[(own[0][0], own[0][1], caller[0])] += stack[0]
+
+names = sorted({n for key in sites for n in key[::2] if n.startswith("_Z")})
+plain = subprocess.run(["c++filt"], input="\n".join(names),
+                       capture_output=True, text=True, check=True).stdout
+pretty = dict(zip(names, plain.split("\n")))
+short = lambda n: (lambda p: p if len(p) <= 110 else p[:107] + "...")(
+    pretty.get(n, n))
+
+sampled = sum(sites.values()) or 1
+print(f"Heap allocations: {total} in {runs} measured runs = "
+      f"{total / max(runs, 1):.0f} per run")
+print(f"Top 10 allocating call sites ({sampled} stacks sampled, 1 in "
+      f"{period}):")
+for (site, where, caller), n in sites.most_common(10):
+    print(f"  {100 * n / sampled:5.1f}%  {short(site)}  {where}")
+    if caller:
+        print(f"           <- {short(caller)}")
+PY

@@ -61,7 +61,7 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
     tracer_->annotate(span, "bytes", std::to_string(bytes));
     tracer_->annotate(span, "src", std::to_string(src));
     tracer_->annotate(span, "dst", std::to_string(dst));
-    span_of_.emplace(id, span);
+    span_of_.try_emplace(id, span);
     on_complete = [this, id, cb = std::move(on_complete)]() mutable {
       end_flow_span(id);
       if (cb) cb();
@@ -78,11 +78,15 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
   if (bytes == 0) {
     // Completion is counted when the latency-deferred callback actually
     // fires, so stats never report completions that have not happened yet.
-    sim_.after(latency, [this, cb = std::move(on_complete)]() mutable {
-      ++stats_.flows_completed;
-      --stats_.flows_in_flight;
-      cb();
-    });
+    // The event is indexed under the flow id so cancel() can withdraw it.
+    const sim::EventId event =
+        sim_.after(latency, [this, id, cb = std::move(on_complete)]() mutable {
+          live_.erase(id);
+          ++stats_.flows_completed;
+          --stats_.flows_in_flight;
+          cb();
+        });
+    live_.try_emplace(id, LiveFlow{-1, event});
     return id;
   }
   settle_progress();
@@ -98,9 +102,9 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
   flow_dst_[si] = dst;
   flow_finish_drain_[si] = group.drain_total + static_cast<double>(bytes);
   flow_cb_[si] = std::move(on_complete);
-  group.members.push(Member{flow_finish_drain_[si], id, slot});
+  push_member(group, Member{flow_finish_drain_[si], id, slot});
   ++group.size;
-  slot_of_.emplace(id, slot);
+  live_.try_emplace(id, LiveFlow{slot, 0});
   ++active_flows_;
   mark_dirty();
   return id;
@@ -117,16 +121,22 @@ bool Fabric::cancel(FlowId id) {
     --stats_.flows_in_flight;
     return true;
   }
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return false;
+  const LiveFlow* live = live_.find(id);
+  if (live == nullptr) return false;
   end_flow_span(id);
-  settle_progress();
-  const int slot = it->second;
-  leave_group(flow_group_[static_cast<std::size_t>(slot)]);
-  release_flow_slot(slot);
-  slot_of_.erase(it);
   ++stats_.flows_cancelled;
   --stats_.flows_in_flight;
+  if (live->slot < 0) {
+    // A zero-byte transfer never entered the solver.
+    sim_.cancel(live->latency_event);
+    live_.erase(id);
+    return true;
+  }
+  settle_progress();
+  const int slot = live->slot;
+  leave_group(flow_group_[static_cast<std::size_t>(slot)]);
+  release_flow_slot(slot);
+  live_.erase(id);
   --active_flows_;
   mark_dirty();
   return true;
@@ -135,9 +145,9 @@ bool Fabric::cancel(FlowId id) {
 double Fabric::flow_rate(FlowId id) const {
   // Rates may be stale inside a same-timestamp churn batch; flush first.
   const_cast<Fabric*>(this)->flush_if_dirty();
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return 0.0;
-  const int gi = flow_group_[static_cast<std::size_t>(it->second)];
+  const LiveFlow* live = live_.find(id);
+  if (live == nullptr || live->slot < 0) return 0.0;
+  const int gi = flow_group_[static_cast<std::size_t>(live->slot)];
   return groups_[static_cast<std::size_t>(gi)].rate;
 }
 
@@ -175,8 +185,7 @@ int Fabric::group_for_pair(cluster::NodeId src, cluster::NodeId dst) {
       src == dst ? ~std::uint64_t{0}
                  : std::uint64_t{static_cast<std::uint32_t>(src)} << 32 |
                        static_cast<std::uint32_t>(dst);
-  auto it = group_of_pair_.find(key);
-  if (it != group_of_pair_.end()) return it->second;
+  if (const int* live = group_of_pair_.find(key)) return *live;
   int gi;
   if (!free_groups_.empty()) {
     gi = free_groups_.back();
@@ -192,7 +201,7 @@ int Fabric::group_for_pair(cluster::NodeId src, cluster::NodeId dst) {
       group.path.empty() ? topology_.config().loopback_bytes_per_s : 0.0;
   group.drain_total = 0.0;
   group.size = 0;
-  group_of_pair_.emplace(key, gi);
+  group_of_pair_.try_emplace(key, gi);
   return gi;
 }
 
@@ -201,19 +210,29 @@ void Fabric::leave_group(int group_index) {
   --group.size;
   if (group.size == 0) {
     group_of_pair_.erase(group.key);
-    group.path.clear();
-    group.members = {};
+    group.path = Path();
+    group.members.clear();
     group.rate = 0.0;
     group.drain_total = 0.0;
     free_groups_.push_back(group_index);
   }
 }
 
+void Fabric::push_member(Group& group, Member member) {
+  group.members.push_back(member);
+  std::push_heap(group.members.begin(), group.members.end(), MemberLater{});
+}
+
+void Fabric::pop_member(Group& group) {
+  std::pop_heap(group.members.begin(), group.members.end(), MemberLater{});
+  group.members.pop_back();
+}
+
 void Fabric::purge_dead_members(Group& group) {
   while (!group.members.empty()) {
-    const Member& m = group.members.top();
+    const Member& m = group.members.front();
     if (flow_id_[static_cast<std::size_t>(m.slot)] == m.id) return;
-    group.members.pop();  // cancelled flow; its slot moved on
+    pop_member(group);  // cancelled flow; its slot moved on
   }
 }
 
@@ -255,7 +274,8 @@ void Fabric::flush_if_dirty() {
     purge_dead_members(group);
     earliest_s = std::min(
         earliest_s,
-        (group.members.top().finish_drain - group.drain_total) / group.rate);
+        (group.members.front().finish_drain - group.drain_total) /
+            group.rate);
   }
   schedule_completion(earliest_s);
 }
@@ -341,15 +361,15 @@ void Fabric::on_completion_event() {
     for (;;) {
       purge_dead_members(group);
       if (group.members.empty()) break;
-      const Member m = group.members.top();
+      const Member m = group.members.front();
       if (m.finish_drain > group.drain_total + kDrainEpsilon) break;
-      group.members.pop();
+      pop_member(group);
       const auto si = static_cast<std::size_t>(m.slot);
       done_scratch_.push_back(DoneFlow{m.id, flow_bytes_[si], remote,
                                        flow_latency_[si],
                                        std::move(flow_cb_[si])});
       release_flow_slot(m.slot);
-      slot_of_.erase(m.id);
+      live_.erase(m.id);
       ++stats_.flows_completed;
       --stats_.flows_in_flight;
       --active_flows_;
@@ -402,7 +422,7 @@ void Fabric::apply_reachability() {
     // The heap member left behind purges lazily (slot id mismatch).
     leave_group(flow_group_[si]);
     release_flow_slot(static_cast<int>(si));
-    slot_of_.erase(id);
+    live_.erase(id);
     --active_flows_;
   }
   // Resume every parked flow whose pair is reachable again, in flow-id
@@ -443,9 +463,9 @@ void Fabric::resume_flow(FlowId id, ParkedFlow p) {
   flow_dst_[si] = p.dst;
   flow_finish_drain_[si] = group.drain_total + p.remaining;
   flow_cb_[si] = std::move(p.cb);
-  group.members.push(Member{flow_finish_drain_[si], id, slot});
+  push_member(group, Member{flow_finish_drain_[si], id, slot});
   ++group.size;
-  slot_of_.emplace(id, slot);
+  live_.try_emplace(id, LiveFlow{slot, 0});
   ++active_flows_;
 }
 
@@ -455,10 +475,10 @@ void Fabric::resume_flow(FlowId id, ParkedFlow p) {
 
 void Fabric::end_flow_span(FlowId id) {
   if (!tracer_) return;
-  const auto it = span_of_.find(id);
-  if (it == span_of_.end()) return;
-  tracer_->end(it->second);
-  span_of_.erase(it);
+  const trace::SpanId* span = span_of_.find(id);
+  if (span == nullptr) return;
+  tracer_->end(*span);
+  span_of_.erase(id);
 }
 
 void Fabric::deliver(util::Bytes bytes, bool remote, util::TimeNs latency,

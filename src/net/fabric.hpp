@@ -22,9 +22,15 @@
 //  * Flow state lives in flat structure-of-arrays slot columns with a
 //    free list (no std::map node churn, and the solver/completion scans
 //    touch only the columns they need); solver scratch buffers are
-//    reused across recomputes. Completion callbacks are util::SmallFn,
-//    so starting and finishing a flow allocates nothing for the common
-//    capture sizes.
+//    reused across recomputes. Flow ids and endpoint pairs are indexed
+//    by util::FlatIdMap, paths are inline net::Path values, a recycled
+//    group keeps its member heap's capacity, and completion callbacks
+//    are util::SmallFn. Once the fabric has seen its peak flow and group
+//    counts, starting, cancelling and finishing a flow allocates
+//    nothing, provided the callback's capture fits SmallFn's inline
+//    buffer. Three cases still allocate: a zero-byte transfer (its
+//    latency event wraps the callback), a traced transfer (the span
+//    wrapper does) and a parked flow (a std::map node).
 //
 // Determinism invariants (preserved from the original implementation):
 // completion callbacks within one event fire in flow-id order, and rates
@@ -35,14 +41,13 @@
 
 #include <cstdint>
 #include <map>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "net/reachability.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
+#include "util/flat_id_map.hpp"
 #include "util/small_fn.hpp"
 #include "util/types.hpp"
 
@@ -80,8 +85,9 @@ class Fabric {
   FlowId transfer(cluster::NodeId src, cluster::NodeId dst, util::Bytes bytes,
                   FlowCallback on_complete);
 
-  /// Cancels an in-flight transfer; its callback never fires.
-  /// Returns false if the flow already completed.
+  /// Cancels an in-flight transfer — draining, parked behind a
+  /// partition, or a zero-byte transfer waiting out its latency; its
+  /// callback never fires. Returns false if the flow already completed.
   bool cancel(FlowId id);
 
   /// Current max-min rate of a flow in bytes/s (0 if unknown/finished).
@@ -149,14 +155,22 @@ class Fabric {
     }
   };
   struct Group {
-    std::uint64_t key = 0;     // group_of_pair_ key
-    std::vector<LinkId> path;  // empty = loopback
-    double rate = 0;           // bytes/s per member flow
-    double drain_total = 0;    // cumulative bytes drained per member flow
-    int size = 0;              // live member count
-    // Min-heap of members by finish_drain; cancelled members are skipped
-    // lazily (slot id mismatch).
-    std::priority_queue<Member, std::vector<Member>, MemberLater> members;
+    std::uint64_t key = 0;   // group_of_pair_ key
+    Path path;               // empty = loopback
+    double rate = 0;         // bytes/s per member flow
+    double drain_total = 0;  // cumulative bytes drained per member flow
+    int size = 0;            // live member count
+    // Min-heap of members by finish_drain under MemberLater, kept with
+    // std::push_heap/pop_heap exactly as std::priority_queue would, but
+    // cleared (not freed) when the group is recycled. Cancelled members
+    // are skipped lazily (slot id mismatch).
+    std::vector<Member> members;
+  };
+  /// A live flow: its engine slot, or (slot -1) a zero-byte transfer
+  /// waiting out its propagation latency in `latency_event`.
+  struct LiveFlow {
+    int slot = -1;
+    sim::EventId latency_event = 0;
   };
 
   /// Data captured for a completed flow before its slot is recycled;
@@ -175,6 +189,8 @@ class Fabric {
   int acquire_flow_slot();
   void release_flow_slot(int slot);
   void leave_group(int group_index);
+  static void push_member(Group& group, Member member);
+  static void pop_member(Group& group);
   /// Drops cancelled members off a group's heap top.
   void purge_dead_members(Group& group);
 
@@ -244,13 +260,14 @@ class Fabric {
   std::vector<double> flow_finish_drain_;
   std::vector<FlowCallback> flow_cb_;
   std::vector<int> free_slots_;
-  std::unordered_map<FlowId, int> slot_of_;
+  // Neither index below is ever iterated.
+  util::FlatIdMap<LiveFlow> live_;
   std::vector<Group> groups_;
   std::vector<int> free_groups_;
   // Live groups by endpoint pair: distinct remote pairs have distinct
   // paths (host uplink first, host downlink last), and every loopback
-  // pair shares one key, as it shared the empty path. Never iterated.
-  std::unordered_map<std::uint64_t, int> group_of_pair_;
+  // pair shares the key ~0, as it shared the empty path.
+  util::FlatIdMap<int> group_of_pair_;
   // Gray-failure degradation state (1.0 / 0 = healthy).
   std::vector<double> link_capacity_factor_;
   std::vector<util::TimeNs> link_extra_latency_;
@@ -272,7 +289,7 @@ class Fabric {
 
   // Tracing (observational only; empty when no tracer is attached).
   trace::Tracer* tracer_ = nullptr;
-  std::unordered_map<FlowId, trace::SpanId> span_of_;
+  util::FlatIdMap<trace::SpanId> span_of_;
 };
 
 }  // namespace evolve::net

@@ -38,8 +38,7 @@ LinkId Topology::tor_down(int rack) const {
   return 2 * host_count_ + 2 * rack + 1;
 }
 
-std::vector<LinkId> Topology::path(cluster::NodeId src,
-                                   cluster::NodeId dst) const {
+Path Topology::path(cluster::NodeId src, cluster::NodeId dst) const {
   if (src < 0 || src >= host_count_ || dst < 0 || dst >= host_count_) {
     throw std::out_of_range("Topology::path: bad host id");
   }

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,29 @@ using LinkId = std::int32_t;
 struct Link {
   std::string name;
   double capacity_bytes_per_s = 0;
+};
+
+/// The directed links one flow occupies, stored inline: a two-tier
+/// topology never routes over more than four (host up, ToR up, ToR down,
+/// host down), so building or copying a path never touches the heap.
+class Path {
+ public:
+  static constexpr std::size_t kMaxLinks = 4;
+
+  Path() = default;
+  Path(std::initializer_list<LinkId> links) {
+    for (const LinkId l : links) links_[size_++] = l;
+  }
+
+  const LinkId* begin() const { return links_.data(); }
+  const LinkId* end() const { return links_.data() + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  LinkId operator[](std::size_t i) const { return links_[i]; }
+
+ private:
+  std::array<LinkId, kMaxLinks> links_{};
+  std::size_t size_ = 0;
 };
 
 struct TopologyConfig {
@@ -45,7 +70,7 @@ class Topology {
 
   /// Directed links traversed by a flow from host `src` to host `dst`.
   /// Empty for src == dst (loopback).
-  std::vector<LinkId> path(cluster::NodeId src, cluster::NodeId dst) const;
+  Path path(cluster::NodeId src, cluster::NodeId dst) const;
 
   /// End-to-end latency for one message src -> dst.
   util::TimeNs latency(cluster::NodeId src, cluster::NodeId dst) const;

@@ -37,11 +37,13 @@ net::FlowId RefFabric::transfer(cluster::NodeId src, cluster::NodeId dst,
   }
   if (bytes == 0) {
     const util::TimeNs latency = flow.latency;
-    sim_.after(latency, [this, cb = std::move(flow.on_complete)]() mutable {
-      ++stats_.flows_completed;
-      --stats_.flows_in_flight;
-      cb();
-    });
+    latency_only_[id] = sim_.after(
+        latency, [this, id, cb = std::move(flow.on_complete)]() mutable {
+          latency_only_.erase(id);
+          ++stats_.flows_completed;
+          --stats_.flows_in_flight;
+          cb();
+        });
     return id;
   }
   settle_progress();
@@ -52,6 +54,13 @@ net::FlowId RefFabric::transfer(cluster::NodeId src, cluster::NodeId dst,
 
 bool RefFabric::cancel(net::FlowId id) {
   if (parked_.erase(id) != 0) {
+    ++stats_.flows_cancelled;
+    --stats_.flows_in_flight;
+    return true;
+  }
+  if (auto lit = latency_only_.find(id); lit != latency_only_.end()) {
+    sim_.cancel(lit->second);
+    latency_only_.erase(lit);
     ++stats_.flows_cancelled;
     --stats_.flows_in_flight;
     return true;

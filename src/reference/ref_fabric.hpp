@@ -43,7 +43,7 @@ class RefFabric {
   struct Flow {
     cluster::NodeId src = 0;
     cluster::NodeId dst = 0;
-    std::vector<net::LinkId> path;
+    net::Path path;
     double remaining = 0;
     double rate = 0;
     util::Bytes bytes = 0;
@@ -75,6 +75,8 @@ class RefFabric {
   std::map<net::FlowId, Flow> flows_;
   net::Reachability mask_;
   std::map<net::FlowId, Flow> parked_;
+  // Zero-byte transfers still waiting out their latency.
+  std::map<net::FlowId, sim::EventId> latency_only_;
 };
 
 }  // namespace evolve::reference

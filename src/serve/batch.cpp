@@ -13,10 +13,12 @@ BatchFormer::BatchFormer(BatchConfig config) : config_(config) {
   }
 }
 
-BatchPlan BatchFormer::plan(const std::deque<QueuedRequest>& queue,
-                            util::TimeNs now) const {
-  BatchPlan plan;
-  if (queue.empty()) return plan;
+void BatchFormer::plan(const RequestQueue& queue, util::TimeNs now,
+                       BatchPlan& plan) const {
+  plan.ready = false;
+  plan.release_at = -1;
+  plan.take.clear();
+  if (queue.empty()) return;
   const int cls = queue.front().cls;
   for (std::size_t i = 0; i < queue.size(); ++i) {
     if (queue[i].cls != cls) continue;
@@ -27,10 +29,9 @@ BatchPlan BatchFormer::plan(const std::deque<QueuedRequest>& queue,
   if (static_cast<int>(plan.take.size()) >= config_.max_batch ||
       now >= deadline) {
     plan.ready = true;
-    return plan;
+    return;
   }
   plan.release_at = deadline;
-  return plan;
 }
 
 }  // namespace evolve::serve

@@ -15,11 +15,11 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "serve/request.hpp"
 #include "trace/tracer.hpp"
+#include "util/ring_queue.hpp"
 #include "util/types.hpp"
 
 namespace evolve::serve {
@@ -38,6 +38,9 @@ struct QueuedRequest {
   trace::SpanId queue_span = trace::kNoSpan;  // serve.queue, open while queued
 };
 
+/// A replica's FIFO of queued copies.
+using RequestQueue = util::RingQueue<QueuedRequest>;
+
 /// The former's verdict for the current queue state.
 struct BatchPlan {
   bool ready = false;
@@ -52,8 +55,10 @@ class BatchFormer {
  public:
   explicit BatchFormer(BatchConfig config);
 
-  BatchPlan plan(const std::deque<QueuedRequest>& queue,
-                 util::TimeNs now) const;
+  /// Plans the head batch of `queue` into `out`, reusing its storage so
+  /// a replica re-planning on every enqueue allocates nothing.
+  void plan(const RequestQueue& queue, util::TimeNs now,
+            BatchPlan& out) const;
 
   const BatchConfig& config() const { return config_; }
 

@@ -45,13 +45,14 @@ bool ReplicaServer::enqueue(RequestId id, int cls, trace::SpanId copy_span) {
 }
 
 bool ReplicaServer::cancel_queued(RequestId id) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->id != id) continue;
-    if (tracer_ && it->queue_span != trace::kNoSpan) {
-      tracer_->annotate(it->queue_span, "cancelled", "1");
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    QueuedRequest& entry = queue_[i];
+    if (entry.id != id) continue;
+    if (tracer_ && entry.queue_span != trace::kNoSpan) {
+      tracer_->annotate(entry.queue_span, "cancelled", "1");
     }
-    trace::end_span(tracer_, it->queue_span);
-    queue_.erase(it);
+    trace::end_span(tracer_, entry.queue_span);
+    queue_.erase(i);
     // The head may have changed; the linger deadline follows it.
     maybe_start();
     return true;
@@ -65,7 +66,9 @@ std::vector<QueuedRequest> ReplicaServer::close() {
     sim_.cancel(linger_event_);
     linger_armed_ = false;
   }
-  std::vector<QueuedRequest> orphans(queue_.begin(), queue_.end());
+  std::vector<QueuedRequest> orphans;
+  orphans.reserve(queue_.size());
+  for (std::size_t i = 0; i < queue_.size(); ++i) orphans.push_back(queue_[i]);
   for (QueuedRequest& entry : orphans) {
     if (tracer_ && entry.queue_span != trace::kNoSpan) {
       tracer_->annotate(entry.queue_span, "replica_closed", "1");
@@ -79,34 +82,34 @@ std::vector<QueuedRequest> ReplicaServer::close() {
 
 void ReplicaServer::maybe_start() {
   if (executing_ || closed_) return;
-  const BatchPlan plan = former_.plan(queue_, sim_.now());
-  if (plan.ready) {
+  former_.plan(queue_, sim_.now(), plan_);
+  if (plan_.ready) {
     if (linger_armed_) {
       sim_.cancel(linger_event_);
       linger_armed_ = false;
     }
-    start_batch(plan.take);
+    start_batch(plan_.take);
     return;
   }
-  if (plan.release_at < 0) return;  // empty queue
-  if (linger_armed_ && linger_deadline_ == plan.release_at) return;
+  if (plan_.release_at < 0) return;  // empty queue
+  if (linger_armed_ && linger_deadline_ == plan_.release_at) return;
   if (linger_armed_) sim_.cancel(linger_event_);
-  linger_deadline_ = plan.release_at;
-  linger_event_ = sim_.at(plan.release_at, [this] {
+  linger_deadline_ = plan_.release_at;
+  linger_event_ = sim_.at(plan_.release_at, [this] {
     linger_armed_ = false;
     maybe_start();
   });
   linger_armed_ = true;
 }
 
-void ReplicaServer::start_batch(std::vector<std::size_t> take) {
+void ReplicaServer::start_batch(const std::vector<std::size_t>& take) {
   const util::TimeNs now = sim_.now();
-  std::vector<QueuedRequest> batch;
-  batch.reserve(take.size());
+  std::vector<QueuedRequest>& batch = batch_;
+  batch.clear();
   // Indices ascend; erase from the back so earlier indices stay valid.
   for (auto it = take.rbegin(); it != take.rend(); ++it) {
     batch.push_back(queue_[*it]);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*it));
+    queue_.erase(*it);
   }
   std::reverse(batch.begin(), batch.end());  // restore FIFO order
 
@@ -123,13 +126,12 @@ void ReplicaServer::start_batch(std::vector<std::size_t> take) {
     tracer_->annotate(batch_span, "class", klass.name);
   }
 
-  std::vector<trace::SpanId> exec_spans;
-  exec_spans.reserve(batch.size());
+  exec_spans_.clear();
   for (QueuedRequest& entry : batch) {
     trace::end_span(tracer_, entry.queue_span);
     entry.queue_span = trace::kNoSpan;
     if (on_dequeue_) on_dequeue_(entry.id, now - entry.enqueued);
-    exec_spans.push_back(trace::begin_span(
+    exec_spans_.push_back(trace::begin_span(
         tracer_, trace::Layer::kServe, "serve.exec", entry.span));
   }
 
@@ -139,10 +141,8 @@ void ReplicaServer::start_batch(std::vector<std::size_t> take) {
 
   const util::TimeNs work = klass.batch_setup + n * klass.compute_cost;
   const util::TimeNs started = now;
-  auto done = [this, batch = std::move(batch), cls, started, batch_span,
-               exec_spans = std::move(exec_spans)]() mutable {
-    finish_batch(std::move(batch), cls, sim_.now() - started, batch_span,
-                 std::move(exec_spans));
+  auto done = [this, cls, started, batch_span] {
+    finish_batch(cls, sim_.now() - started, batch_span);
   };
   if (!klass.accel_kernel.empty() && pool_ &&
       pool_->kernels().has(klass.accel_kernel)) {
@@ -154,16 +154,17 @@ void ReplicaServer::start_batch(std::vector<std::size_t> take) {
   }
 }
 
-void ReplicaServer::finish_batch(std::vector<QueuedRequest> batch, int cls,
-                                 util::TimeNs exec, trace::SpanId batch_span,
-                                 std::vector<trace::SpanId> exec_spans) {
+void ReplicaServer::finish_batch(int cls, util::TimeNs exec,
+                                 trace::SpanId batch_span) {
   executing_ = false;
-  for (trace::SpanId span : exec_spans) trace::end_span(tracer_, span);
+  for (trace::SpanId span : exec_spans_) trace::end_span(tracer_, span);
   trace::end_span(tracer_, batch_span);
-  std::vector<RequestId> ids;
-  ids.reserve(batch.size());
-  for (const QueuedRequest& entry : batch) ids.push_back(entry.id);
-  on_batch_done_(key_, ids, cls, exec);
+  // The callback may start this replica's next batch (a hedge loser
+  // cancelled out of this queue re-plans it), which refills batch_ and
+  // exec_spans_; batch_ids_ is only ever filled here.
+  batch_ids_.clear();
+  for (const QueuedRequest& entry : batch_) batch_ids_.push_back(entry.id);
+  on_batch_done_(key_, batch_ids_, cls, exec);
   maybe_start();
 }
 

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -93,10 +92,8 @@ class ReplicaServer {
 
  private:
   void maybe_start();
-  void start_batch(std::vector<std::size_t> take);
-  void finish_batch(std::vector<QueuedRequest> batch, int cls,
-                    util::TimeNs exec, trace::SpanId batch_span,
-                    std::vector<trace::SpanId> exec_spans);
+  void start_batch(const std::vector<std::size_t>& take);
+  void finish_batch(int cls, util::TimeNs exec, trace::SpanId batch_span);
 
   sim::Simulation& sim_;
   std::int64_t key_;
@@ -106,7 +103,15 @@ class ReplicaServer {
   BatchFormer former_;
   DequeueFn on_dequeue_;
   BatchDoneFn on_batch_done_;
-  std::deque<QueuedRequest> queue_;
+  RequestQueue queue_;
+  // Reused per batch: at most one batch executes at a time, so the
+  // executing batch, its serve.exec spans and the ids handed to the
+  // batch-done callback live here, and the batch-done event captures
+  // only scalars.
+  BatchPlan plan_;
+  std::vector<QueuedRequest> batch_;
+  std::vector<trace::SpanId> exec_spans_;
+  std::vector<RequestId> batch_ids_;
   bool executing_ = false;
   bool closed_ = false;
   double slowdown_ = 1.0;

@@ -48,8 +48,8 @@ int Router::pick(const std::vector<ReplicaView>& replicas, int exclude) {
     case BalancePolicy::kLeastOutstanding:
       return least_outstanding(replicas, exclude);
     case BalancePolicy::kPowerOfTwo: {
-      std::vector<int> candidates;
-      candidates.reserve(replicas.size());
+      std::vector<int>& candidates = candidates_;
+      candidates.clear();
       for (int i = 0; i < static_cast<int>(replicas.size()); ++i) {
         if (i != exclude && replicas[i].available) candidates.push_back(i);
       }

@@ -54,6 +54,7 @@ class Router {
   BalancePolicy policy_;
   util::Rng rng_;
   std::size_t rr_next_ = 0;
+  std::vector<int> candidates_;  // power-of-two scratch, refilled per pick
 };
 
 }  // namespace evolve::serve

@@ -98,12 +98,13 @@ const TenantStats& Service::tenant(const std::string& name) const {
 Service::~Service() {
   // Records still in flight at teardown go back to the slab so their
   // owned members (request payload, callbacks) are destroyed.
-  for (auto& [id, rec] : inflight_) inflight_slab_.release(rec);
+  inflight_.for_each(
+      [this](std::uint64_t, InFlight* rec) { inflight_slab_.release(rec); });
 }
 
 Service::InFlight* Service::record(RequestId id) {
-  auto it = inflight_.find(id);
-  return it == inflight_.end() ? nullptr : it->second;
+  InFlight* const* rec = inflight_.find(id);
+  return rec == nullptr ? nullptr : *rec;
 }
 
 ReplicaServer* Service::replica(std::int64_t key) {
@@ -152,10 +153,10 @@ void Service::submit(Request req) {
   metrics_.count("serve.admitted");
 
   const RequestId id = req.id;
-  auto [it, inserted] = inflight_.try_emplace(id, nullptr);
+  auto [slot, inserted] = inflight_.try_emplace(id, nullptr);
   if (!inserted) throw std::invalid_argument("duplicate request id");
-  it->second = inflight_slab_.acquire();
-  InFlight& rec = *it->second;
+  *slot = inflight_slab_.acquire();
+  InFlight& rec = **slot;
   rec.req = req;
   rec.root = root;
 
@@ -464,16 +465,14 @@ void Service::note_inflight() {
 }
 
 void Service::maybe_erase(RequestId id) {
-  auto it = inflight_.find(id);
-  if (it == inflight_.end()) return;
-  InFlight& rec = *it->second;
-  if (!rec.done) return;
-  for (const Copy& copy : rec.copies) {
+  InFlight* rec = record(id);
+  if (rec == nullptr || !rec->done) return;
+  for (const Copy& copy : rec->copies) {
     if (copy.live || copy.parked) return;
   }
-  if (rec.hedge_armed) return;
-  inflight_slab_.release(it->second);
-  inflight_.erase(it);
+  if (rec->hedge_armed) return;
+  inflight_slab_.release(rec);
+  inflight_.erase(id);
 }
 
 void Service::on_replica_event(orch::PodId pod, cluster::NodeId node,

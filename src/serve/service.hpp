@@ -33,10 +33,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/arena.hpp"
+#include "util/flat_id_map.hpp"
 
 #include "metrics/registry.hpp"
 #include "net/fabric.hpp"
@@ -224,11 +224,12 @@ class Service {
   std::vector<ReplicaView> route_view_;
   std::vector<std::int64_t> route_keys_;
 
-  // In-flight records live on a slab (stable addresses, recycled cells —
-  // no per-request map-node malloc/free); the unordered index is only
-  // ever probed by id, never iterated, so ordering stays deterministic.
+  // In-flight records live on a slab (stable addresses, recycled cells)
+  // and are indexed by a flat id map, so a request costs no malloc/free.
+  // The index is probed by id and iterated only by the destructor, so
+  // ordering stays deterministic.
   util::Slab<InFlight> inflight_slab_;
-  std::unordered_map<RequestId, InFlight*> inflight_;
+  util::FlatIdMap<InFlight*> inflight_;
   std::deque<std::pair<RequestId, int>> parked_;  // (request, copy index)
 
   std::map<std::string, TenantStats> tenants_;

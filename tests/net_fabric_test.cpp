@@ -46,6 +46,26 @@ TEST(Fabric, ZeroByteTransferCompletesAfterLatency) {
   EXPECT_EQ(done, f.topology.latency(0, 1));
 }
 
+TEST(Fabric, CancelWithdrawsZeroByteTransferWaitingOutLatency) {
+  FabricFixture f;
+  bool fired = false;
+  const FlowId id = f.fabric.transfer(0, 1, 0, [&] { fired = true; });
+  EXPECT_EQ(f.fabric.stats().flows_in_flight, 1);
+  EXPECT_TRUE(f.fabric.cancel(id));
+  EXPECT_FALSE(f.fabric.cancel(id));
+  f.sim.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(f.fabric.stats().flows_cancelled, 1);
+  EXPECT_EQ(f.fabric.stats().flows_completed, 0);
+  EXPECT_EQ(f.fabric.stats().flows_in_flight, 0);
+  // Once delivered, a zero-byte transfer can no longer be cancelled.
+  const FlowId late = f.fabric.transfer(0, 1, 0, [&] { fired = true; });
+  f.sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(f.fabric.cancel(late));
+  EXPECT_EQ(f.fabric.stats().flows_completed, 1);
+}
+
 TEST(Fabric, TwoFlowsShareSenderLink) {
   FabricFixture f;
   const Bytes bytes = 125 * util::kMiB;

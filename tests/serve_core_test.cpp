@@ -34,7 +34,8 @@ TEST(BatchFormer, ValidatesConfig) {
 
 TEST(BatchFormer, EmptyQueueHasNothingToDo) {
   BatchFormer former({8, util::millis(1)});
-  const auto plan = former.plan({}, util::millis(5));
+  BatchPlan plan;
+  former.plan({}, util::millis(5), plan);
   EXPECT_FALSE(plan.ready);
   EXPECT_EQ(plan.release_at, -1);
   EXPECT_TRUE(plan.take.empty());
@@ -42,20 +43,23 @@ TEST(BatchFormer, EmptyQueueHasNothingToDo) {
 
 TEST(BatchFormer, FullBatchReleasesImmediately) {
   BatchFormer former({3, util::millis(10)});
-  std::deque<QueuedRequest> queue = {queued(1, 0, 0), queued(2, 0, 0),
+  RequestQueue queue = {queued(1, 0, 0), queued(2, 0, 0),
                                      queued(3, 0, 0), queued(4, 0, 0)};
-  const auto plan = former.plan(queue, 0);
+  BatchPlan plan;
+  former.plan(queue, 0, plan);
   ASSERT_TRUE(plan.ready);
   EXPECT_EQ(plan.take, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(BatchFormer, ShortBatchWaitsForLingerDeadline) {
   BatchFormer former({8, util::millis(10)});
-  std::deque<QueuedRequest> queue = {queued(1, 0, util::millis(2))};
-  const auto early = former.plan(queue, util::millis(5));
+  RequestQueue queue = {queued(1, 0, util::millis(2))};
+  BatchPlan early;
+  former.plan(queue, util::millis(5), early);
   EXPECT_FALSE(early.ready);
   EXPECT_EQ(early.release_at, util::millis(12));
-  const auto late = former.plan(queue, util::millis(12));
+  BatchPlan late;
+  former.plan(queue, util::millis(12), late);
   ASSERT_TRUE(late.ready);
   EXPECT_EQ(late.take, (std::vector<std::size_t>{0}));
 }
@@ -63,20 +67,34 @@ TEST(BatchFormer, ShortBatchWaitsForLingerDeadline) {
 TEST(BatchFormer, CoalescesHeadClassOnlyPreservingPositions) {
   BatchFormer former({8, util::millis(0)});
   // Head class 7; the class-3 request in the middle keeps its slot.
-  std::deque<QueuedRequest> queue = {queued(1, 7, 0), queued(2, 3, 0),
+  RequestQueue queue = {queued(1, 7, 0), queued(2, 3, 0),
                                      queued(3, 7, 0), queued(4, 7, 0)};
-  const auto plan = former.plan(queue, 0);
+  BatchPlan plan;
+  former.plan(queue, 0, plan);
   ASSERT_TRUE(plan.ready);  // zero linger: always release
   EXPECT_EQ(plan.take, (std::vector<std::size_t>{0, 2, 3}));
 }
 
 TEST(BatchFormer, MaxBatchOneDisablesCoalescing) {
   BatchFormer former({1, util::millis(10)});
-  std::deque<QueuedRequest> queue = {queued(1, 0, util::millis(9)),
+  RequestQueue queue = {queued(1, 0, util::millis(9)),
                                      queued(2, 0, util::millis(9))};
-  const auto plan = former.plan(queue, util::millis(9));
+  BatchPlan plan;
+  former.plan(queue, util::millis(9), plan);
   ASSERT_TRUE(plan.ready);  // full at size 1, no linger wait
   EXPECT_EQ(plan.take, (std::vector<std::size_t>{0}));
+}
+
+TEST(BatchFormer, ReusedPlanIsOverwritten) {
+  BatchFormer former({2, util::millis(10)});
+  RequestQueue queue = {queued(1, 0, 0), queued(2, 0, 0)};
+  BatchPlan plan;
+  former.plan(queue, 0, plan);
+  ASSERT_TRUE(plan.ready);
+  former.plan(RequestQueue{}, 0, plan);
+  EXPECT_FALSE(plan.ready);
+  EXPECT_EQ(plan.release_at, -1);
+  EXPECT_TRUE(plan.take.empty());
 }
 
 // -- Router -----------------------------------------------------------
