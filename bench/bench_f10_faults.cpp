@@ -1,9 +1,9 @@
 // F10 — Cluster-wide fault injection and end-to-end recovery.
 //
 // One converged testbed (8 compute + 4 storage nodes) runs dataflow
-// jobs, HPC gang jobs, and a replicated object store while a
-// FaultInjector kills and restores nodes on a fixed schedule plus a
-// seeded MTBF/MTTR process. Three scenarios compare the cost of
+// jobs, HPC batch gangs (whole-node pods on the orchestrator), and a
+// replicated object store while a FaultInjector kills and restores
+// nodes on a fixed schedule plus a seeded MTBF/MTTR process. Three scenarios compare the cost of
 // failures and the value of the recovery machinery:
 //
 //   fault-free    no failures (the reference makespan)
@@ -28,8 +28,8 @@
 #include "dataflow/engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/wiring.hpp"
-#include "hpc/batch_queue.hpp"
 #include "net/fabric.hpp"
+#include "orch/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
 #include "trace/export.hpp"
@@ -103,21 +103,28 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
   dconfig.retry_backoff = util::millis(100);
   dataflow::DataflowEngine engine(sim, cluster, fabric, io, catalog, dconfig);
 
-  hpc::BatchFaultConfig hpc_fault;
-  if (recovery) {
-    hpc_fault.checkpoint_interval = util::millis(500);
-    hpc_fault.restart_cost = util::millis(100);
-  }
-  hpc::BatchQueue queue(sim, kComputeNodes, hpc::QueuePolicy::kEasyBackfill, 0,
-                        hpc_fault);
-
   const auto compute = cluster.nodes_with_label("role=compute");
   const auto storage_nodes = cluster.nodes_with_label("role=storage");
+
+  // HPC gangs are batch gangs of whole-node pods on the compute nodes,
+  // started as soon as they are placed, as a batch system does.
+  orch::OrchestratorConfig oconfig;
+  oconfig.scheduling_interval = 0;
+  oconfig.bind_latency = 0;
+  oconfig.nodes = compute;
+  orch::Orchestrator orch(sim, cluster,
+                          orch::SchedulingPolicy::spreading(cluster), oconfig);
+  orch::BatchSpec batch;
+  batch.walltime = util::seconds(6);
+  if (recovery) {
+    batch.checkpoint_interval = util::millis(500);
+    batch.restart_cost = util::millis(100);
+  }
 
   fault::FaultInjector injector(sim, fault::FaultInjectorConfig{0xf10});
   fault::connect(injector, engine);
   fault::connect(injector, store);
-  fault::connect(injector, queue, compute);
+  fault::connect(injector, orch);
 
   std::unique_ptr<trace::Tracer> tracer;
   if (tracer_out) {
@@ -125,7 +132,7 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
     fabric.set_tracer(tracer.get());
     store.set_tracer(tracer.get());
     engine.set_tracer(tracer.get());
-    queue.set_tracer(tracer.get());
+    orch.set_tracer(tracer.get());
   }
 
   // -- Workload: cold objects, dataflow jobs, HPC gangs ----------------
@@ -156,15 +163,17 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
                  });
     });
   }
+  const cluster::Resources node = cluster.node(compute[0]).allocatable();
   for (int j = 0; j < kHpcJobs; ++j) {
-    hpc::HpcJobSpec spec;
-    spec.name = "gang-" + std::to_string(j);
-    spec.nodes = 3;
-    spec.runtime = util::seconds(2);
-    spec.walltime = util::seconds(6);
-    queue.submit(spec, {}, [&](hpc::JobId) {
-      last_finish = std::max(last_finish, sim.now());
-    });
+    orch::PodSpec rank;
+    rank.name = "gang-" + std::to_string(j);
+    rank.request = cluster::cpu_mem(node.cpu_millicores, node.memory_bytes);
+    orch.submit_gang(
+        std::vector<orch::PodSpec>(3, rank), util::seconds(2), {},
+        [&](orch::PodId, orch::PodPhase) {
+          last_finish = std::max(last_finish, sim.now());
+        },
+        batch);
   }
 
   // -- Fault plan: fixed outages plus a seeded MTBF/MTTR tail ----------
@@ -187,10 +196,11 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
     result.resched_p50_ms = static_cast<double>(h.p50());
     result.resched_p95_ms = static_cast<double>(h.p95());
   }
-  result.hpc_restarts = queue.metrics().counter("jobs_restarted");
-  result.gang_aborts = queue.metrics().counter("gang_aborts");
-  if (queue.metrics().has_histogram("work_lost_ms")) {
-    const auto& h = queue.metrics().histogram("work_lost_ms");
+  // A batch gang restarts as a unit: each abort is one restart.
+  result.hpc_restarts = orch.metrics().counter("gang_restarts");
+  result.gang_aborts = result.hpc_restarts;
+  if (orch.metrics().has_histogram("work_lost_ms")) {
+    const auto& h = orch.metrics().histogram("work_lost_ms");
     result.hpc_work_lost_s = h.mean() * static_cast<double>(h.count()) / 1e3;
   }
   result.underrep_obj_s = store.under_replicated_object_seconds();

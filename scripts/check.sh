@@ -195,11 +195,10 @@ untraced_keys() { grep -v '_crit_' "$1" | sed 's/,$//'; }
 diff <(untraced_keys "$BUILD_DIR/BENCH_t1_endtoend.json") \
      <(untraced_keys BENCH_t1_endtoend.json) \
   || { echo "check.sh: BENCH_t1_endtoend.json changed under --trace"; exit 1; }
-(cd "$BUILD_DIR" && ./bench/bench_f10_faults --trace --json)
-# Tracing must not perturb the simulation: the traced gray-failure,
-# serving and tablet reruns (tablet spans included) have to reproduce
-# their tracked baselines bit for bit.
-for bench in f11_gray f12_serving f17_tablets; do
+# Tracing must not perturb the simulation: the traced fault-recovery,
+# gray-failure, serving and tablet reruns (tablet spans included) have
+# to reproduce their tracked baselines bit for bit.
+for bench in f10_faults f11_gray f12_serving f17_tablets; do
   (cd "$BUILD_DIR" && "./bench/bench_$bench" --trace --json)
   diff "$BUILD_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
     || { echo "check.sh: BENCH_$bench.json changed under --trace"; exit 1; }

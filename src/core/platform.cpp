@@ -259,24 +259,29 @@ void Platform::acquire_executors(
 
 void Platform::start_hpc(const hpc::MpiProgram& program, int ranks,
                          const std::vector<std::string>& inputs,
-                         std::function<void(const hpc::MpiRunStats&)> cb) {
+                         std::function<void(const hpc::MpiRunStats&)> cb,
+                         std::function<void()> on_killed) {
   if (ranks <= 0) throw std::invalid_argument("hpc job needs ranks");
-  with_inputs(World::kHpc, inputs, [this, program, ranks, cb] {
-    launch_gang(program, ranks, cb);
+  with_inputs(World::kHpc, inputs, [this, program, ranks, cb, on_killed] {
+    launch_gang(program, ranks, cb, on_killed);
   });
 }
 
 void Platform::launch_gang(const hpc::MpiProgram& program, int ranks,
-                           std::function<void(const hpc::MpiRunStats&)> cb) {
+                           std::function<void(const hpc::MpiRunStats&)> cb,
+                           std::function<void()> on_killed) {
   orch::Orchestrator& orchestrator = this->orchestrator(World::kHpc);
   struct Gang {
     std::vector<orch::PodId> pods;
     std::vector<cluster::NodeId> rank_nodes;
     std::shared_ptr<hpc::Communicator> comm;
     int remaining;
+    std::function<void()> on_killed;
+    bool killed = false;
   };
   auto gang = std::make_shared<Gang>();
   gang->remaining = ranks;
+  gang->on_killed = std::move(on_killed);
   gang->rank_nodes.resize(static_cast<std::size_t>(ranks),
                           cluster::kInvalidNode);
 
@@ -308,13 +313,23 @@ void Platform::launch_gang(const hpc::MpiProgram& program, int ranks,
     hpc::run_mpi_program(
         sim_, *gang->comm, program,
         [&orchestrator, gang, cb](const hpc::MpiRunStats& stats) {
+          // There is no collective cancel: a killed gang's program runs
+          // out on the fabric, and the kill has already been reported.
+          if (gang->killed) return;
           for (orch::PodId pod_id : gang->pods) orchestrator.finish(pod_id);
           cb(stats);
         },
         tracer_);
   };
+  // A crash or drain that kills one rank pod kills the gang.
+  auto on_finish = [gang](orch::PodId, orch::PodPhase phase) {
+    if (phase != orch::PodPhase::kFailed || gang->killed) return;
+    gang->killed = true;
+    if (gang->on_killed) gang->on_killed();
+  };
 
-  gang->pods = orchestrator.submit_gang(specs, /*duration=*/-1, on_start);
+  gang->pods = orchestrator.submit_gang(specs, /*duration=*/-1, on_start,
+                                        on_finish);
 }
 
 void Platform::run_step(const workflow::Step& step,
@@ -339,7 +354,8 @@ void Platform::run_step(const workflow::Step& step,
       case StepKind::kHpc:
         start_hpc(
             step.mpi, step.hpc_ranks, step.input_datasets,
-            [on_done](const hpc::MpiRunStats&) { on_done(true); });
+            [on_done](const hpc::MpiRunStats&) { on_done(true); },
+            [on_done] { on_done(false); });
         return;
       case StepKind::kAccel: {
         const trace::SpanId span = trace::begin_span(

@@ -113,7 +113,8 @@ class Platform : public workflow::StepRunner {
                     int slots,
                     std::function<void(const dataflow::JobStats&)> cb);
 
-  /// Runs an MPI program on a gang of `ranks` pods in the HPC world.
+  /// Runs an MPI program on a gang of `ranks` pods in the HPC world. A
+  /// gang that a crash or drain kills never calls `cb`.
   void run_hpc(const hpc::MpiProgram& program, int ranks,
                std::function<void(const hpc::MpiRunStats&)> cb);
 
@@ -162,16 +163,20 @@ class Platform : public workflow::StepRunner {
   void start_dataflow(const dataflow::LogicalPlan& plan, int executors,
                       int slots, std::vector<std::string> inputs,
                       std::function<void(const dataflow::JobStats&)> cb);
+  /// `on_killed` (optional) runs instead of `cb` when a crash or drain
+  /// kills the gang.
   void start_hpc(const hpc::MpiProgram& program, int ranks,
                  const std::vector<std::string>& inputs,
-                 std::function<void(const hpc::MpiRunStats&)> cb);
+                 std::function<void(const hpc::MpiRunStats&)> cb,
+                 std::function<void()> on_killed = {});
   // Acquire and launch run in the submitter's trace context: directly,
   // or re-entered by with_inputs after staging.
   void acquire_executors(const dataflow::LogicalPlan& plan, int executors,
                          int slots,
                          std::function<void(const dataflow::JobStats&)> cb);
   void launch_gang(const hpc::MpiProgram& program, int ranks,
-                   std::function<void(const hpc::MpiRunStats&)> cb);
+                   std::function<void(const hpc::MpiRunStats&)> cb,
+                   std::function<void()> on_killed);
   std::vector<cluster::NodeId> executor_preferences(
       const dataflow::LogicalPlan& plan);
   storage::DatasetCatalog* catalog_with(const std::string& dataset);

@@ -1,10 +1,7 @@
 #include "fault/wiring.hpp"
 
-#include <algorithm>
-
 #include "accel/pool.hpp"
 #include "dataflow/engine.hpp"
-#include "hpc/batch_queue.hpp"
 #include "net/fabric.hpp"
 #include "orch/lease.hpp"
 #include "orch/scheduler.hpp"
@@ -38,25 +35,6 @@ void connect(FaultInjector& injector, storage::ObjectStore& store) {
   });
   injector.on_recovery([&store](cluster::NodeId node, util::TimeNs) {
     store.handle_node_recovery(node);
-  });
-}
-
-void connect(FaultInjector& injector, hpc::BatchQueue& queue,
-             std::vector<cluster::NodeId> queue_nodes) {
-  auto index_of = [queue_nodes](cluster::NodeId node) {
-    const auto it =
-        std::find(queue_nodes.begin(), queue_nodes.end(), node);
-    return it == queue_nodes.end()
-               ? -1
-               : static_cast<int>(it - queue_nodes.begin());
-  };
-  injector.on_failure([&queue, index_of](cluster::NodeId node, util::TimeNs) {
-    const int idx = index_of(node);
-    if (idx >= 0) queue.handle_node_failure(idx);
-  });
-  injector.on_recovery([&queue, index_of](cluster::NodeId node, util::TimeNs) {
-    const int idx = index_of(node);
-    if (idx >= 0) queue.handle_node_recovery(idx);
   });
 }
 

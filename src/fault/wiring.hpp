@@ -2,12 +2,10 @@
 //
 // Each connect() subscribes one subsystem to failure/recovery events so
 // a single node crash propagates coherently: the orchestrator evicts
-// pods, the dataflow engine re-executes lost tasks, the object store
-// re-replicates, and the batch queue aborts/requeues gang jobs. The
-// layers stay decoupled — none of them includes fault_injector.hpp.
+// pods (and restarts batch gangs), the dataflow engine re-executes lost
+// tasks, and the object store re-replicates. The layers stay decoupled —
+// none of them includes fault_injector.hpp.
 #pragma once
-
-#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "fault/fault_injector.hpp"
@@ -23,9 +21,6 @@ class DataflowEngine;
 }
 namespace evolve::storage {
 class ObjectStore;
-}
-namespace evolve::hpc {
-class BatchQueue;
 }
 namespace evolve::net {
 class Fabric;
@@ -51,11 +46,6 @@ void connect(FaultInjector& injector, dataflow::DataflowEngine& engine);
 
 /// Object store: drop dead replicas, repair, rejoin empty on recovery.
 void connect(FaultInjector& injector, storage::ObjectStore& store);
-
-/// Batch queue: `queue_nodes[i]` is the cluster node backing queue node
-/// index i; crashes of other nodes are ignored.
-void connect(FaultInjector& injector, hpc::BatchQueue& queue,
-             std::vector<cluster::NodeId> queue_nodes);
 
 // -- Leases / partitions ------------------------------------------------
 

@@ -181,7 +181,15 @@ PodId Orchestrator::submit(PodSpec spec, util::TimeNs duration,
 std::vector<PodId> Orchestrator::submit_gang(std::vector<PodSpec> specs,
                                              util::TimeNs duration,
                                              StartFn on_start,
-                                             FinishFn on_finish) {
+                                             FinishFn on_finish,
+                                             BatchSpec batch) {
+  if (batch.walltime < 0 || batch.checkpoint_interval < 0 ||
+      batch.restart_cost < 0) {
+    throw std::invalid_argument("negative batch-gang time");
+  }
+  if (batch.walltime > 0 && duration < 0) {
+    throw std::invalid_argument("a batch gang needs a duration");
+  }
   if (specs.empty()) return {};
   const std::string tenant = specs.front().tenant;
   const GangId gang = next_gang_++;
@@ -205,13 +213,18 @@ std::vector<PodId> Orchestrator::submit_gang(std::vector<PodSpec> specs,
     enqueue(id);
     ids.push_back(id);
   }
+  if (batch.walltime > 0) {
+    batch.walltime = std::max(batch.walltime, duration);
+    batch_gangs_.emplace(gang, BatchGang{batch, duration, ids,
+                                         static_cast<int>(ids.size())});
+  }
   return ids;
 }
 
-void Orchestrator::trace_submit(PodRecord& rec) {
+void Orchestrator::trace_submit(PodRecord& rec, trace::SpanId parent) {
   if (!tracer_) return;
   rec.wait_span =
-      tracer_->begin(trace::Layer::kScheduler, "pod.wait");
+      tracer_->begin(trace::Layer::kScheduler, "pod.wait", parent);
   tracer_->annotate(rec.wait_span, "pod", rec.status.spec.name.empty()
                                               ? std::to_string(rec.status.id)
                                               : rec.status.spec.name);
@@ -255,17 +268,44 @@ void Orchestrator::place(PodRecord& rec, cluster::NodeId node) {
     }
   }
 
+  // Timers of an incarnation that a batch restart ended are stale.
   const PodId id = rec.status.id;
   const util::TimeNs duration = rec.duration;
-  sim_.after(config_.bind_latency, [this, id, node] {
+  const std::int64_t incarnation = rec.incarnation;
+  sim_.after(config_.bind_latency, [this, id, node, incarnation] {
     auto it = pods_.find(id);
-    if (it == pods_.end() || it->second.status.is_terminal()) return;
+    if (it == pods_.end() || it->second.incarnation != incarnation ||
+        it->second.status.is_terminal()) {
+      return;
+    }
     if (it->second.on_start) it->second.on_start(id, node);
   });
   if (duration >= 0) {
-    sim_.after(config_.bind_latency + duration,
-               [this, id] { complete(id, PodPhase::kSucceeded); });
+    sim_.after(config_.bind_latency + duration, [this, id, incarnation] {
+      auto it = pods_.find(id);
+      if (it != pods_.end() && it->second.incarnation == incarnation) {
+        complete(id, PodPhase::kSucceeded);
+      }
+    });
   }
+}
+
+void Orchestrator::unbind(PodRecord& rec) {
+  status_for(rec.status.node).unbind(rec.status.id, rec.status.spec.request);
+  if (!rec.status.spec.anti_affinity_group.empty()) {
+    --affinity_counts_[{rec.status.node, rec.status.spec.anti_affinity_group}];
+  }
+  if (!rec.status.spec.budget_group.empty()) {
+    --group_running_[rec.status.spec.budget_group];
+  }
+  if (pool_tree_) {
+    pool_tree_->release(rec.status.spec.tenant, rec.status.spec.request);
+  }
+  cpu_usage_.add(sim_.now(),
+                 -static_cast<double>(rec.status.spec.request.cpu_millicores));
+  mem_usage_.add(sim_.now(),
+                 -static_cast<double>(rec.status.spec.request.memory_bytes));
+  --running_count_;
 }
 
 void Orchestrator::complete(PodId id, PodPhase phase) {
@@ -274,23 +314,21 @@ void Orchestrator::complete(PodId id, PodPhase phase) {
   PodRecord& rec = it->second;
   if (rec.status.is_terminal()) return;
 
+  const auto batch = rec.status.spec.gang != 0
+                         ? batch_gangs_.find(rec.status.spec.gang)
+                         : batch_gangs_.end();
+  if (phase == PodPhase::kFailed && batch != batch_gangs_.end()) {
+    // Members this failure already sent back to the queue stay there.
+    if (rec.status.phase != PodPhase::kRunning) return;
+    if (sim_.now() < rec.status.start_time + rec.duration) {
+      restart_batch_gang(batch->second);
+      return;
+    }
+    phase = PodPhase::kSucceeded;  // its run time is up: the work is done
+  }
+
   if (rec.status.phase == PodPhase::kRunning) {
-    status_for(rec.status.node).unbind(id, rec.status.spec.request);
-    if (!rec.status.spec.anti_affinity_group.empty()) {
-      --affinity_counts_[{rec.status.node,
-                          rec.status.spec.anti_affinity_group}];
-    }
-    if (!rec.status.spec.budget_group.empty()) {
-      --group_running_[rec.status.spec.budget_group];
-    }
-    if (pool_tree_) {
-      pool_tree_->release(rec.status.spec.tenant, rec.status.spec.request);
-    }
-    cpu_usage_.add(sim_.now(),
-                   -static_cast<double>(rec.status.spec.request.cpu_millicores));
-    mem_usage_.add(sim_.now(),
-                   -static_cast<double>(rec.status.spec.request.memory_bytes));
-    --running_count_;
+    unbind(rec);
   } else {
     // Still pending: drop it from the queue.
     queue_.erase(std::remove(queue_.begin(), queue_.end(), id), queue_.end());
@@ -310,8 +348,50 @@ void Orchestrator::complete(PodId id, PodPhase phase) {
   }
   metrics_.count(phase == PodPhase::kSucceeded ? "pods_succeeded"
                                                : "pods_failed");
+  if (batch != batch_gangs_.end() && --batch->second.live == 0) {
+    batch_gangs_.erase(batch);
+  }
   if (rec.on_finish) rec.on_finish(id, phase);
   if (phase == PodPhase::kFailed) fail_gang_of(rec);
+  kick_pump();
+}
+
+void Orchestrator::restart_batch_gang(BatchGang& gang) {
+  const BatchSpec& spec = gang.spec;
+  const util::TimeNs elapsed = std::max<util::TimeNs>(
+      0, sim_.now() - record(gang.members.front()).status.start_time);
+  util::TimeNs checkpointed = 0;
+  if (spec.checkpoint_interval > 0) {
+    checkpointed = std::min(
+        (elapsed / spec.checkpoint_interval) * spec.checkpoint_interval,
+        gang.remaining);
+  }
+  gang.remaining = gang.remaining - checkpointed + spec.restart_cost;
+  // Back to the queue head in member order; the submit time stays.
+  for (auto it = gang.members.rbegin(); it != gang.members.rend(); ++it) {
+    PodRecord& rec = record(*it);
+    unbind(rec);
+    if (pool_tree_) {
+      pool_tree_->add_demand(rec.status.spec.tenant, rec.status.spec.request);
+    }
+    rec.status.phase = PodPhase::kPending;
+    rec.status.node = cluster::kInvalidNode;
+    rec.status.start_time = -1;
+    rec.duration = gang.remaining;
+    ++rec.incarnation;
+    if (tracer_) {
+      tracer_->annotate(rec.run_span, "outcome", "restart");
+      tracer_->end(rec.run_span);
+      rec.run_span = trace::kNoSpan;
+      trace_submit(rec, rec.wait_span != trace::kNoSpan
+                            ? tracer_->span(rec.wait_span).parent
+                            : trace::kNoSpan);
+    }
+    queue_.push_front(*it);
+  }
+  metrics_.count("gang_restarts");
+  metrics_.observe("work_lost_ms",
+                   (elapsed - checkpointed) / util::kMillisecond);
   kick_pump();
 }
 
@@ -334,44 +414,84 @@ void Orchestrator::fail_gang_of(const PodRecord& rec) {
 
 void Orchestrator::finish(PodId id) { complete(id, PodPhase::kSucceeded); }
 
-bool Orchestrator::try_schedule_gang(GangId gang,
-                                     std::vector<PodId>& gang_pods) {
-  // Trial binds maintain the anti-affinity counts too, so same-group
-  // gang members cannot co-locate during the trial.
-  auto trial_bind = [this](PodId id, cluster::NodeId node) {
-    const PodSpec& spec = record(id).status.spec;
-    status_for(node).bind(id, spec.request);
-    if (!spec.anti_affinity_group.empty()) {
-      ++affinity_counts_[{node, spec.anti_affinity_group}];
-    }
-  };
-  auto trial_unbind = [this](PodId id, cluster::NodeId node) {
-    const PodSpec& spec = record(id).status.spec;
-    status_for(node).unbind(id, spec.request);
-    if (!spec.anti_affinity_group.empty()) {
-      --affinity_counts_[{node, spec.anti_affinity_group}];
-    }
-  };
+// Trial binds maintain the anti-affinity counts too, so same-group gang
+// members cannot co-locate during the trial.
+void Orchestrator::trial_bind(PodId id, cluster::NodeId node) {
+  const PodSpec& spec = record(id).status.spec;
+  status_for(node).bind(id, spec.request);
+  if (!spec.anti_affinity_group.empty()) {
+    ++affinity_counts_[{node, spec.anti_affinity_group}];
+  }
+}
 
-  std::vector<std::pair<PodId, cluster::NodeId>> bound;
-  for (PodId id : gang_pods) {
-    PodRecord& rec = record(id);
+void Orchestrator::trial_unbind(PodId id, cluster::NodeId node) {
+  const PodSpec& spec = record(id).status.spec;
+  status_for(node).unbind(id, spec.request);
+  if (!spec.anti_affinity_group.empty()) {
+    --affinity_counts_[{node, spec.anti_affinity_group}];
+  }
+}
+
+bool Orchestrator::trial_fit(const std::vector<PodId>& pods, Binding& bound) {
+  const std::size_t mark = bound.size();
+  for (PodId id : pods) {
     const cluster::NodeId node =
-        select_node(rec.status.spec, cluster_, nodes_, policy_);
+        select_node(record(id).status.spec, cluster_, nodes_, policy_);
     if (node == cluster::kInvalidNode) {
-      // Roll back tentative binds; the gang waits as a unit.
-      for (auto& [bid, bnode] : bound) trial_unbind(bid, bnode);
-      metrics_.count("gang_placement_failures");
+      for (std::size_t i = mark; i < bound.size(); ++i) {
+        trial_unbind(bound[i].first, bound[i].second);
+      }
+      bound.resize(mark);
       return false;
     }
     trial_bind(id, node);
     bound.emplace_back(id, node);
   }
-  // All fit: undo the trial binds and run the real placement lifecycle.
-  for (auto& [id, node] : bound) trial_unbind(id, node);
-  for (auto& [id, node] : bound) place(record(id), node);
-  (void)gang;
   return true;
+}
+
+void Orchestrator::trial_release(const Binding& bound) {
+  for (const auto& [id, node] : bound) trial_unbind(id, node);
+}
+
+util::TimeNs Orchestrator::estimated_end(const BatchGang& gang) const {
+  const PodStatus& first = pods_.at(gang.members.front()).status;
+  return first.phase == PodPhase::kRunning
+             ? first.start_time + gang.spec.walltime
+             : -1;
+}
+
+util::TimeNs Orchestrator::shadow_time(const std::vector<PodId>& head) {
+  std::vector<util::TimeNs> ends;
+  for (const auto& [id, gang] : batch_gangs_) {
+    const util::TimeNs end = estimated_end(gang);
+    if (end >= 0) ends.push_back(end);
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  for (util::TimeNs end : ends) {
+    if (fits_at(head, end)) return end;
+  }
+  return -1;
+}
+
+bool Orchestrator::fits_at(const std::vector<PodId>& head,
+                           util::TimeNs shadow) {
+  Binding released, bound;
+  for (const auto& [id, gang] : batch_gangs_) {
+    const util::TimeNs end = estimated_end(gang);
+    if (end < 0 || end > shadow) continue;
+    for (PodId member : gang.members) {
+      const PodStatus& status = pods_.at(member).status;
+      if (status.phase != PodPhase::kRunning) continue;
+      trial_unbind(member, status.node);
+      released.emplace_back(member, status.node);
+    }
+  }
+  const bool fits = trial_fit(head, bound);
+  trial_release(bound);
+  for (const auto& [member, node] : released) trial_bind(member, node);
+  return fits;
 }
 
 bool Orchestrator::try_preempt_for(const PodRecord& rec) {
@@ -545,6 +665,12 @@ void Orchestrator::schedule_now() {
     auto it = pool_key.find(spec.tenant);
     return it == pool_key.end() ? 0.0 : it->second;
   };
+  // EASY backfill: the first batch gang this pass cannot place reserves
+  // its shadow time. A later pod or gang may start only if it ends by
+  // the shadow (batch gangs, by their walltime) or the head still fits
+  // at the shadow with it placed. No reservation: greedy placement.
+  util::TimeNs shadow = -1;
+  std::vector<PodId> reserved;  // the reserving gang, once one is found
   for (PodId id : order) {
     auto it = pods_.find(id);
     if (it == pods_.end()) continue;
@@ -566,17 +692,46 @@ void Orchestrator::schedule_now() {
           members.push_back(other);
         }
       }
-      if (!try_schedule_gang(gang, members)) {  // placed members leave
-        blocked_key = std::min(blocked_key, key);  // the queue in
-      }                                            // compact_queue()
+      const auto batch = batch_gangs_.find(gang);
+      const util::TimeNs walltime =
+          batch == batch_gangs_.end() ? 0 : batch->second.spec.walltime;
+      Binding bound;
+      const bool fits = trial_fit(members, bound);
+      if (!fits) metrics_.count("gang_placement_failures");
+      const bool placed =
+          fits && (shadow < 0 ||
+                   (walltime > 0 &&
+                    sim_.now() + config_.bind_latency + walltime <= shadow) ||
+                   fits_at(reserved, shadow));
+      trial_release(bound);
+      if (placed) {  // placed members leave the queue in compact_queue()
+        for (const auto& [pid, node] : bound) place(record(pid), node);
+        if (shadow >= 0) metrics_.count("backfills");
+      } else {
+        blocked_key = std::min(blocked_key, key);
+        if (walltime > 0 && reserved.empty()) {
+          shadow = shadow_time(members);
+          reserved = members;
+        }
+      }
       continue;
     }
 
     cluster::NodeId node = select_node(rec.status.spec, cluster_, nodes_,
                                        policy_);
     if (node == cluster::kInvalidNode && config_.enable_preemption &&
-        try_preempt_for(rec)) {
+        shadow < 0 && try_preempt_for(rec)) {
       node = select_node(rec.status.spec, cluster_, nodes_, policy_);
+    }
+    if (node != cluster::kInvalidNode && shadow >= 0) {
+      trial_bind(id, node);
+      const bool spares_head = fits_at(reserved, shadow);
+      trial_unbind(id, node);
+      if (spares_head) {
+        metrics_.count("backfills");
+      } else {
+        node = cluster::kInvalidNode;
+      }
     }
     if (node == cluster::kInvalidNode) {
       blocked_key = std::min(blocked_key, key);

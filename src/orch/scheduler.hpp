@@ -8,6 +8,11 @@
 // enabled, pods of under-served pools may preempt pods of pools running
 // over their fair share. All voluntary evictions are gated by per-group
 // disruption budgets.
+//
+// A gang submitted with a walltime estimate is a batch gang (Slurm-style
+// HPC job): the first one a pass cannot place holds an EASY backfill
+// reservation, and a member failure restarts the whole gang from its
+// last checkpoint instead of killing it.
 #pragma once
 
 #include <deque>
@@ -37,6 +42,22 @@ struct DisruptionBudget {
   /// At least this many group members must stay running after an
   /// eviction (0 = the whole group may be disrupted).
   int min_available = 0;
+};
+
+/// Batch semantics for a gang. A gang with a walltime is a batch gang:
+/// it takes part in EASY backfill, and when a member fails (crash,
+/// drain, preemption) the whole gang goes back to the queue head with
+/// `remaining - checkpointed + restart_cost` left to run.
+struct BatchSpec {
+  /// User estimate of the run time, raised to the duration when lower.
+  /// 0 = not a batch gang (greedy placement, killed on failure).
+  util::TimeNs walltime = 0;
+  /// Progress is checkpointed every interval; work since the last
+  /// checkpoint is lost on a restart. 0 = restart from scratch.
+  util::TimeNs checkpoint_interval = 0;
+  /// Fixed cost added to the remaining run time on each restart
+  /// (checkpoint load + re-initialization).
+  util::TimeNs restart_cost = 0;
 };
 
 struct OrchestratorConfig {
@@ -74,10 +95,13 @@ class Orchestrator {
                FinishFn on_finish = {});
 
   /// Submits a gang: the pods are placed all-or-nothing in one pass.
-  /// Returns the pod ids ({} for an empty gang).
+  /// Returns the pod ids ({} for an empty gang). A batch gang
+  /// (`batch.walltime` > 0) needs `duration` >= 0; on_start fires at
+  /// every (re)start and on_finish once per member, at the end.
   std::vector<PodId> submit_gang(std::vector<PodSpec> specs,
                                  util::TimeNs duration, StartFn on_start = {},
-                                 FinishFn on_finish = {});
+                                 FinishFn on_finish = {},
+                                 BatchSpec batch = {});
 
   /// Marks a running pod finished, releasing its resources.
   void finish(PodId id);
@@ -188,22 +212,49 @@ class Orchestrator {
     FinishFn on_finish;
     trace::SpanId wait_span = trace::kNoSpan;
     trace::SpanId run_span = trace::kNoSpan;
+    std::int64_t incarnation = 0;  // a batch restart disarms old timers
   };
+  struct BatchGang {
+    BatchSpec spec;
+    util::TimeNs remaining = 0;  // run time of the next incarnation
+    std::vector<PodId> members;
+    int live = 0;  // members not yet terminal
+  };
+  using Binding = std::vector<std::pair<PodId, cluster::NodeId>>;
 
-  /// Opens the kScheduler wait span for a just-submitted pod.
-  void trace_submit(PodRecord& rec);
+  /// Opens the kScheduler wait span for a pending pod.
+  void trace_submit(PodRecord& rec, trace::SpanId parent = trace::kNoSpan);
 
   PodRecord& record(PodId id);
   NodeStatus& status_for(cluster::NodeId node);
   void enqueue(PodId id);
   void kick_pump();
   void place(PodRecord& rec, cluster::NodeId node);
+  /// Releases a running pod's node, pool and usage accounting.
+  void unbind(PodRecord& rec);
   void complete(PodId id, PodPhase phase);
   void evict_pods(cluster::NodeId node);
   /// A gang member failed: the surviving members are killed too
   /// (all-or-nothing gangs have all-or-nothing lifetimes).
   void fail_gang_of(const PodRecord& rec);
-  bool try_schedule_gang(GangId gang, std::vector<PodId>& gang_pods);
+  /// A batch gang member failed: every member goes back to the queue
+  /// head to rerun what its last checkpoint did not save.
+  void restart_batch_gang(BatchGang& gang);
+  /// Trial binds (node and anti-affinity accounting, nothing else).
+  void trial_bind(PodId id, cluster::NodeId node);
+  void trial_unbind(PodId id, cluster::NodeId node);
+  /// Trial-binds `pods` greedily and appends the binds to `bound`; on
+  /// failure rolls its own binds back and returns false.
+  bool trial_fit(const std::vector<PodId>& pods, Binding& bound);
+  void trial_release(const Binding& bound);
+  /// start + walltime of a running batch gang, -1 when it is pending.
+  util::TimeNs estimated_end(const BatchGang& gang) const;
+  /// Earliest estimated end of a running batch gang at which `head`
+  /// fits, or -1 when it never does.
+  util::TimeNs shadow_time(const std::vector<PodId>& head);
+  /// Whether `head` fits once every running batch gang that ends by
+  /// `shadow` has released its nodes.
+  bool fits_at(const std::vector<PodId>& head, util::TimeNs shadow);
   bool try_preempt_for(const PodRecord& rec);
   /// Budget check with `tentative` evictions already chosen against the
   /// group in the current decision.
@@ -228,6 +279,7 @@ class Orchestrator {
   /// Live pod count per (node, anti-affinity group).
   std::map<std::pair<cluster::NodeId, std::string>, int> affinity_counts_;
   std::map<PodId, PodRecord> pods_;
+  std::map<GangId, BatchGang> batch_gangs_;  // live batch gangs
   std::deque<PodId> queue_;
   PoolTree* pool_tree_ = nullptr;  // non-owned fair-share state
   struct BudgetState {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/siloed.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/wiring.hpp"
 
 #include "workloads/ml.hpp"
 #include "workloads/tabular.hpp"
@@ -160,6 +162,42 @@ TEST(Platform, HpcStepFailsOnUnwrittenInputInBothLayouts) {
                 .metrics()
                 .counter("pods_started"),
             0);
+}
+
+TEST(Platform, NodeCrashFailsHpcStep) {
+  sim::Simulation sim;
+  Platform platform(sim, small_config());
+  orch::Orchestrator& orch = platform.orchestrator(World::kHpc);
+  fault::FaultInjector injector(sim);
+  fault::connect(injector, orch);
+  workflow::Workflow wf("crash");
+  auto solve = workflow::hpc_step(
+      "solve", workloads::sgd_program(workloads::SgdModel{}, 4), 4);
+  solve.max_retries = 1;
+  wf.add(solve);
+  int reports = 0;
+  workflow::WorkflowResult result;
+  platform.run_workflow(wf, [&](const workflow::WorkflowResult& r) {
+    result = r;
+    ++reports;
+  });
+  // Crash the node of one rank while the program runs: the step must
+  // fail and retry, not report the orphaned program's completion.
+  sim.at(util::millis(200), [&] {
+    for (cluster::NodeId node : orch.managed_nodes()) {
+      if (orch.node_status(node).pod_count() > 0) {
+        injector.kill(node);
+        return;
+      }
+    }
+    FAIL() << "no rank pod running at the crash";
+  });
+  sim.run();
+  EXPECT_EQ(reports, 1);
+  EXPECT_TRUE(result.success);
+  EXPECT_EQ(result.total_retries, 1);
+  EXPECT_EQ(orch.metrics().counter("gang_kills"), 3);  // 4 ranks, 1 crashed
+  EXPECT_EQ(orch.running_count(), 0);
 }
 
 TEST(Platform, RunDataflowValidatesArgs) {

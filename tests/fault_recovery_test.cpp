@@ -1,6 +1,6 @@
 // End-to-end failure/recovery semantics: one injected node crash must
 // propagate coherently through the orchestrator, dataflow engine, object
-// store, batch queue, and workflow retry machinery.
+// store, orchestrator gangs, and workflow retry machinery.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,7 +11,6 @@
 #include "dataflow/engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/wiring.hpp"
-#include "hpc/batch_queue.hpp"
 #include "net/fabric.hpp"
 #include "orch/scheduler.hpp"
 #include "sim/simulation.hpp"
@@ -293,68 +292,86 @@ TEST(FaultRecovery, ObjectStoreReportsPermanentLoss) {
   EXPECT_GE(f.store.metrics().counter("get_lost"), 1);
 }
 
-// -- Batch queue: gang aborts and checkpointed restarts ----------------
+// -- Batch gangs: checkpointed restarts ---------------------------------
 
-TEST(FaultRecovery, BatchQueueRestartsFromLastCheckpoint) {
+/// An orchestrator that starts pods the moment they are placed, over
+/// `nodes` compute nodes, and a gang of `ranks` whole-node pods.
+struct BatchFixture {
+  static orch::OrchestratorConfig instant_start() {
+    orch::OrchestratorConfig config;
+    config.scheduling_interval = 0;
+    config.bind_latency = 0;
+    return config;
+  }
+  explicit BatchFixture(int nodes)
+      : cluster(cluster::make_testbed(nodes, 0, 0)),
+        orch(sim, cluster, orch::SchedulingPolicy::spreading(cluster),
+             instant_start()) {}
+
+  std::vector<orch::PodSpec> gang(int ranks) const {
+    const cluster::Resources node = cluster.node(0).allocatable();
+    orch::PodSpec pod;
+    pod.request = cluster::cpu_mem(node.cpu_millicores, node.memory_bytes);
+    return std::vector<orch::PodSpec>(static_cast<std::size_t>(ranks), pod);
+  }
+
   sim::Simulation sim;
-  hpc::BatchFaultConfig fault;
-  fault.checkpoint_interval = util::seconds(2);
-  fault.restart_cost = util::millis(500);
-  hpc::BatchQueue queue(sim, 4, hpc::QueuePolicy::kFcfs, 0, fault);
-  hpc::HpcJobSpec spec;
-  spec.name = "gang";
-  spec.nodes = 2;
-  spec.runtime = util::seconds(10);
-  spec.walltime = util::seconds(20);
-  bool finished = false;
-  std::vector<int> assigned;
-  const auto id = queue.submit(
-      spec, [&](hpc::JobId, const std::vector<int>& nodes) {
-        if (assigned.empty()) assigned = nodes;
+  cluster::Cluster cluster;
+  orch::Orchestrator orch;
+};
+
+TEST(FaultRecovery, BatchGangRestartsFromLastCheckpoint) {
+  BatchFixture f(4);
+  orch::BatchSpec batch;
+  batch.walltime = util::seconds(20);
+  batch.checkpoint_interval = util::seconds(2);
+  batch.restart_cost = util::millis(500);
+  int finished = 0;
+  std::vector<cluster::NodeId> assigned;
+  const auto ids = f.orch.submit_gang(
+      f.gang(2), util::seconds(10),
+      [&](orch::PodId, cluster::NodeId node) {
+        if (assigned.size() < 2) assigned.push_back(node);
       },
-      [&](hpc::JobId) { finished = true; });
+      [&](orch::PodId, orch::PodPhase) { ++finished; }, batch);
 
-  sim.at(util::seconds(5), [&] {
+  f.sim.at(util::seconds(5), [&] {
     ASSERT_FALSE(assigned.empty());
-    queue.handle_node_failure(assigned[0]);
+    f.orch.fail_node(assigned[0]);
   });
-  sim.at(util::seconds(6), [&] { queue.handle_node_recovery(assigned[0]); });
-  sim.run();
+  f.sim.at(util::seconds(6), [&] { f.orch.recover_node(assigned[0]); });
+  f.sim.run();
 
-  ASSERT_TRUE(finished);
-  const auto& job = queue.job(id);
-  EXPECT_TRUE(job.finished);
-  EXPECT_EQ(job.restarts, 1);
+  EXPECT_EQ(finished, 2);  // once per member, at the end only
+  const orch::PodStatus& pod = f.orch.pod(ids[0]);
+  EXPECT_EQ(pod.phase, orch::PodPhase::kSucceeded);
   // Failed 5s in with 2s checkpoints: 4s of progress survives, so the
   // restart runs 10 - 4 + 0.5 = 6.5s. Two spare nodes let it restart
   // immediately at t=5s.
-  EXPECT_GE(job.finish_time, util::seconds(5) + util::millis(6500));
-  EXPECT_LE(job.finish_time, util::seconds(5) + util::millis(6600));
-  EXPECT_EQ(queue.metrics().counter("gang_aborts"), 1);
-  EXPECT_EQ(queue.metrics().counter("jobs_restarted"), 1);
+  EXPECT_GE(pod.finish_time, util::seconds(5) + util::millis(6500));
+  EXPECT_LE(pod.finish_time, util::seconds(5) + util::millis(6600));
+  EXPECT_EQ(f.orch.metrics().counter("gang_restarts"), 1);
   // 5s elapsed, 4s checkpointed: exactly 1s of work was lost.
-  ASSERT_GE(queue.metrics().histogram("work_lost_ms").count(), 1);
-  EXPECT_EQ(queue.metrics().histogram("work_lost_ms").p50(), 1000);
-  EXPECT_EQ(queue.down_nodes(), 0);
+  ASSERT_GE(f.orch.metrics().histogram("work_lost_ms").count(), 1);
+  EXPECT_EQ(f.orch.metrics().histogram("work_lost_ms").p50(), 1000);
+  EXPECT_TRUE(f.orch.is_ready(assigned[0]));
 }
 
-TEST(FaultRecovery, BatchQueueWithoutCheckpointsRestartsFromScratch) {
-  sim::Simulation sim;
-  hpc::BatchQueue queue(sim, 2, hpc::QueuePolicy::kFcfs, 0, {});
-  hpc::HpcJobSpec spec;
-  spec.nodes = 2;
-  spec.runtime = util::seconds(4);
-  spec.walltime = util::seconds(10);
+TEST(FaultRecovery, BatchGangWithoutCheckpointsRestartsFromScratch) {
+  BatchFixture f(2);
+  orch::BatchSpec batch;
+  batch.walltime = util::seconds(10);
   bool finished = false;
-  const auto id = queue.submit(spec, {}, [&](hpc::JobId) { finished = true; });
-  sim.at(util::seconds(3), [&] { queue.handle_node_failure(0); });
-  sim.at(util::seconds(4), [&] { queue.handle_node_recovery(0); });
-  sim.run();
+  const auto ids = f.orch.submit_gang(
+      f.gang(2), util::seconds(4), {},
+      [&](orch::PodId, orch::PodPhase) { finished = true; }, batch);
+  f.sim.at(util::seconds(3), [&] { f.orch.fail_node(0); });
+  f.sim.at(util::seconds(4), [&] { f.orch.recover_node(0); });
+  f.sim.run();
   ASSERT_TRUE(finished);
-  const auto& job = queue.job(id);
-  EXPECT_EQ(job.restarts, 1);
+  EXPECT_EQ(f.orch.metrics().counter("gang_restarts"), 1);
   // 3s of progress lost entirely; full 4s reruns once node 0 is back.
-  EXPECT_GE(job.finish_time, util::seconds(8));
+  EXPECT_GE(f.orch.pod(ids[0]).finish_time, util::seconds(8));
 }
 
 // -- Workflow retry backoff (seeded jitter) ----------------------------

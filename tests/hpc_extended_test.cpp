@@ -1,9 +1,10 @@
 // Tests for the extended collective set (scatter/gather/reduce-scatter/
-// all-to-all) and batch-queue priorities, aging, and dependencies.
+// all-to-all).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cluster/cluster.hpp"
-#include "hpc/batch_queue.hpp"
 #include "hpc/collectives.hpp"
 #include "hpc/communicator.hpp"
 #include "net/fabric.hpp"
@@ -107,143 +108,6 @@ TEST(ExtendedCollectives, RunOnCommunicator) {
   comm.alltoall(util::kMiB, [&] { ++done; });
   sim.run();
   EXPECT_EQ(done, 4);
-}
-
-// ---- Batch queue: priorities, aging, dependencies -------------------
-
-HpcJobSpec job(const std::string& name, int nodes, double runtime_s,
-               int priority = 0) {
-  HpcJobSpec spec;
-  spec.name = name;
-  spec.nodes = nodes;
-  spec.runtime = util::seconds(runtime_s);
-  spec.walltime = spec.runtime;
-  spec.priority = priority;
-  return spec;
-}
-
-TEST(BatchQueuePriority, HigherPriorityJumpsQueue) {
-  sim::Simulation sim;
-  BatchQueue queue(sim, 2);
-  std::vector<std::string> order;
-  auto track = [&](const std::string& name) {
-    return [&order, name](JobId, const std::vector<int>&) {
-      order.push_back(name);
-    };
-  };
-  queue.submit(job("running", 2, 10), track("running"));
-  sim.run_until(util::seconds(1));  // blocker is on the nodes
-  queue.submit(job("low", 2, 1, 0), track("low"));
-  queue.submit(job("high", 2, 1, 5), track("high"));
-  sim.run();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], "running");
-  EXPECT_EQ(order[1], "high");
-  EXPECT_EQ(order[2], "low");
-}
-
-TEST(BatchQueuePriority, EqualPriorityStaysFifo) {
-  sim::Simulation sim;
-  BatchQueue queue(sim, 2);
-  std::vector<std::string> order;
-  auto track = [&](const std::string& name) {
-    return [&order, name](JobId, const std::vector<int>&) {
-      order.push_back(name);
-    };
-  };
-  queue.submit(job("running", 2, 10), track("running"));
-  queue.submit(job("first", 2, 1), track("first"));
-  queue.submit(job("second", 2, 1), track("second"));
-  sim.run();
-  EXPECT_EQ(order[1], "first");
-  EXPECT_EQ(order[2], "second");
-}
-
-TEST(BatchQueuePriority, AgingPromotesStarvedJob) {
-  sim::Simulation sim;
-  // +1 priority per 10 s of waiting.
-  BatchQueue queue(sim, 2, QueuePolicy::kFcfs, util::seconds(10));
-  std::vector<std::pair<std::string, util::TimeNs>> starts;
-  auto track = [&](const std::string& name) {
-    return [&starts, &sim, name](JobId, const std::vector<int>&) {
-      starts.emplace_back(name, sim.now());
-    };
-  };
-  queue.submit(job("running", 2, 50), track("running"));
-  queue.submit(job("old-low", 2, 1, 0), track("old-low"));
-  // 40 s later a priority-3 job arrives; by then old-low has aged +4.
-  sim.at(util::seconds(40), [&] {
-    queue.submit(job("late-high", 2, 1, 3), track("late-high"));
-  });
-  sim.run();
-  ASSERT_EQ(starts.size(), 3u);
-  EXPECT_EQ(starts[1].first, "old-low");
-}
-
-TEST(BatchQueueDeps, JobWaitsForDependency) {
-  sim::Simulation sim;
-  BatchQueue queue(sim, 4);
-  std::vector<std::pair<std::string, util::TimeNs>> starts;
-  auto track = [&](const std::string& name) {
-    return [&starts, &sim, name](JobId, const std::vector<int>&) {
-      starts.emplace_back(name, sim.now());
-    };
-  };
-  const JobId first = queue.submit(job("producer", 1, 10), track("producer"));
-  HpcJobSpec consumer = job("consumer", 1, 5);
-  consumer.depends_on = {first};
-  queue.submit(consumer, track("consumer"));
-  sim.run();
-  ASSERT_EQ(starts.size(), 2u);
-  EXPECT_EQ(starts[1].first, "consumer");
-  EXPECT_GE(starts[1].second, util::seconds(10));
-}
-
-TEST(BatchQueueDeps, DependencyDoesNotBlockOthers) {
-  sim::Simulation sim;
-  BatchQueue queue(sim, 2);
-  std::vector<std::string> order;
-  auto track = [&](const std::string& name) {
-    return [&order, name](JobId, const std::vector<int>&) {
-      order.push_back(name);
-    };
-  };
-  const JobId long_job = queue.submit(job("long", 1, 100), track("long"));
-  HpcJobSpec blocked = job("blocked", 1, 1);
-  blocked.depends_on = {long_job};
-  queue.submit(blocked, track("blocked"));
-  queue.submit(job("free", 1, 1), track("free"));
-  sim.run();
-  ASSERT_EQ(order.size(), 3u);
-  // "free" runs immediately on the spare node; "blocked" waits 100 s.
-  EXPECT_EQ(order[1], "free");
-  EXPECT_EQ(order[2], "blocked");
-}
-
-TEST(BatchQueueDeps, ChainedDependencies) {
-  sim::Simulation sim;
-  BatchQueue queue(sim, 4);
-  std::vector<util::TimeNs> finishes;
-  const JobId a = queue.submit(job("a", 1, 5));
-  HpcJobSpec b = job("b", 1, 5);
-  b.depends_on = {a};
-  const JobId b_id = queue.submit(b, {}, [&](JobId) {
-    finishes.push_back(sim.now());
-  });
-  HpcJobSpec c = job("c", 1, 5);
-  c.depends_on = {b_id};
-  queue.submit(c, {}, [&](JobId) { finishes.push_back(sim.now()); });
-  sim.run();
-  ASSERT_EQ(finishes.size(), 2u);
-  EXPECT_EQ(finishes[1], util::seconds(15));
-}
-
-TEST(BatchQueueDeps, RejectsUnknownDependency) {
-  sim::Simulation sim;
-  BatchQueue queue(sim, 2);
-  HpcJobSpec bad = job("bad", 1, 1);
-  bad.depends_on = {999};
-  EXPECT_THROW(queue.submit(bad), std::invalid_argument);
 }
 
 }  // namespace
