@@ -1,4 +1,5 @@
-// Heap-allocation counter, loaded into a program with LD_PRELOAD.
+// Heap-allocation counter, loaded into a program with LD_PRELOAD or
+// linked into it (as scripts/alloc_phases.cpp is).
 //
 //   c++ -O2 -shared -fPIC scripts/alloc_count.cpp -o alloc_count.so
 //   LD_PRELOAD=$PWD/alloc_count.so ./program
@@ -14,6 +15,11 @@
 //   allocations <n>
 //   period <kPeriod>
 //   <samples> <offset> <offset> ...     one line per distinct stack
+//
+// A program linked with the counter can read the running total with
+// alloc_count_total() and weigh the stacks sampled from then on with
+// alloc_count_weight(): 0 leaves them out, -1 subtracts them, so a phase
+// sampled once at +1 and once at -1 cancels out of the report.
 //
 // Each offset is a return address inside the main executable, minus one
 // and relative to its load base, innermost first, ready for addr2line;
@@ -45,12 +51,14 @@ constexpr int kDepth = 16;                // frames captured per sample
 constexpr std::size_t kStacks = 1 << 14;  // distinct stacks kept
 
 struct Stack {
-  std::uint64_t samples = 0;
+  bool used = false;
+  std::int64_t samples = 0;  // weighted
   int depth = 0;
   void* frames[kDepth];
 };
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::int64_t g_weight = 1;  // added to a stack's samples per sample
 // Distinct sampled stacks; once all are taken, new stacks go unrecorded.
 Stack g_stacks[kStacks];
 thread_local bool t_inside = false;  // backtrace() may allocate itself
@@ -72,7 +80,8 @@ void record_stack() {
   std::size_t i = hash_frames(stack, depth) & (kStacks - 1);
   for (std::size_t probes = 0; probes < kStacks; ++probes) {
     Stack& s = g_stacks[i];
-    if (s.samples == 0) {
+    if (!s.used) {
+      s.used = true;
       s.depth = depth;
       std::memcpy(s.frames, stack,
                   sizeof(void*) * static_cast<std::size_t>(depth));
@@ -80,7 +89,7 @@ void record_stack() {
     if (s.depth == depth &&
         std::memcmp(s.frames, stack,
                     sizeof(void*) * static_cast<std::size_t>(depth)) == 0) {
-      ++s.samples;
+      s.samples += g_weight;
       return;
     }
     i = (i + 1) & (kStacks - 1);
@@ -91,7 +100,7 @@ void count() {
   if (t_inside) return;
   const std::uint64_t n =
       g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (n % kPeriod != 0) return;
+  if (n % kPeriod != 0 || g_weight == 0) return;
   t_inside = true;
   record_stack();
   t_inside = false;
@@ -128,7 +137,7 @@ __attribute__((destructor)) void write_report() {
                static_cast<unsigned long long>(kPeriod));
   for (const Stack& s : g_stacks) {
     if (s.samples == 0) continue;
-    std::fprintf(out, "%llu", static_cast<unsigned long long>(s.samples));
+    std::fprintf(out, "%lld", static_cast<long long>(s.samples));
     for (int i = 0; i < s.depth; ++i) {
       const auto pc = reinterpret_cast<std::uintptr_t>(s.frames[i]);
       if (pc < image.lo || pc >= image.hi) continue;
@@ -143,6 +152,10 @@ __attribute__((destructor)) void write_report() {
 }  // namespace
 
 extern "C" {
+
+std::uint64_t alloc_count_total() { return g_allocations.load(); }
+
+void alloc_count_weight(int weight) { g_weight = weight; }
 
 void* malloc(std::size_t size) {
   count();

@@ -4,8 +4,9 @@
 # diff their deterministic metrics against the tracked repo-root
 # baselines, run the traced benches and strictly validate every emitted
 # BENCH_*.json / TRACE_*.json, build and selftest the repository
-# benchmark (perfbench/, in <build-dir>-perfbench), then rebuild +
-# retest under ASan/UBSan.
+# benchmark (perfbench/, in <build-dir>-perfbench) and diff its
+# simulated results for seeds 1-3 against PERFBENCH_SIM.json, then
+# rebuild + retest under ASan/UBSan.
 # Records each tracked bench's host CPU in <build-dir>/HOST_CPU.json and
 # fails if one exceeds 3x its tracked HOST_CPU.json value + 2 s.
 # Also checks that no test-only oracle from src/reference/ is linked into
@@ -216,6 +217,14 @@ cmake --build "$PERF_DIR" --target perfbench -j "$(nproc)"
 for workload in tablet-skew converged-pipelines serve-spike; do
   "$PERF_DIR/perfbench" --selftest --workload "$workload" --seed 1
 done
+# Every simulated result of seeds 1-3 (outcome counts, latency
+# percentiles, goodput and the non-host per-layer metrics) must match the
+# tracked PERFBENCH_SIM.json bit for bit.
+python3 scripts/perfbench_sim.py "$PERF_DIR/perfbench" \
+  > "$BUILD_DIR/PERFBENCH_SIM.json"
+diff "$BUILD_DIR/PERFBENCH_SIM.json" PERFBENCH_SIM.json \
+  || { echo "check.sh: perfbench simulated results deviate from PERFBENCH_SIM.json"; exit 1; }
+echo "check.sh: perfbench simulated results match PERFBENCH_SIM.json"
 
 # -- Release build -------------------------------------------------------
 # -O3 -DNDEBUG inlines differently from RelWithDebInfo, so it can raise

@@ -13,15 +13,16 @@
 # caller.
 #
 # gprof does not see time spent inside libc malloc, so the script then
-# counts heap allocations: it builds scripts/alloc_count.cpp into
-# build-pg/alloc_count.so, reruns the workload with it preloaded and
-# with the shortest time budget (perfbench then makes its minimum of
-# measured runs), and prints the allocations per measured run (each
-# run's ten set-up passes included) and the 10 call sites with the most
-# sampled allocations. A call site is the innermost function of the
-# library or perfbench (inlined frames included) on the sampled stack,
-# shown with its nearest different caller. Workloads: tablet-skew,
-# converged-pipelines, serve-spike. Seed defaults to 1.
+# counts heap allocations. perfbench makes ten set-up passes before each
+# measured run, so its own count mixes set-up and run; instead the script
+# builds scripts/alloc_phases.cpp (perfbench's workload sources with
+# scripts/alloc_count.cpp linked in, from scripts/CMakeLists.txt) into
+# build-alloc and runs it. It prints allocations per set-up, per full run
+# and per run without its set-up, then the 10 call sites with the most
+# sampled allocations of the run alone. A call site is the innermost
+# function of the library or perfbench (inlined frames included) on the
+# sampled stack, shown with its nearest different caller. Workloads:
+# tablet-skew, converged-pipelines, serve-spike. Seed defaults to 1.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -63,18 +64,19 @@ gprof -b -q perfbench gmon.out | TOP5=$TOP5 awk '
   END { for (i = 1; i <= n; i++) printf "\n%s", found[i] }'
 
 # -- Heap allocations ----------------------------------------------------
-c++ -O2 -shared -fPIC ../scripts/alloc_count.cpp -o alloc_count.so
+cd ..
+ALLOC_DIR=build-alloc
+cmake -S scripts -B "$ALLOC_DIR" > /dev/null
+cmake --build "$ALLOC_DIR" --target alloc_phases -j "$(nproc)" > /dev/null
+cd "$ALLOC_DIR"
 rm -f alloc_count.out
-RUNS=$(LD_PRELOAD="$PWD/alloc_count.so" ./perfbench --workload "$WORKLOAD" \
-         --seed "$SEED" --seconds 0.001 --trace 0 |
-       sed -n 's/.*  runs \([0-9]*\)$/\1/p')
 echo
-python3 - perfbench alloc_count.out "$RUNS" <<'PY'
+./alloc_phases "$WORKLOAD" "$SEED"
+python3 - alloc_phases alloc_count.out <<'PY'
 import collections, subprocess, sys
 
-exe, report, runs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+exe, report = sys.argv[1], sys.argv[2]
 lines = open(report).read().split("\n")
-total = int(lines[0].split()[1])
 period = int(lines[1].split()[1])
 stacks = [[int(w, 16) if i else int(w) for i, w in enumerate(line.split())]
           for line in lines[2:] if line]
@@ -119,11 +121,11 @@ pretty = dict(zip(names, plain.split("\n")))
 short = lambda n: (lambda p: p if len(p) <= 110 else p[:107] + "...")(
     pretty.get(n, n))
 
+# Set-up stacks were sampled once at +1 (in the full run) and once at -1,
+# so what is left is the run's own.
 sampled = sum(sites.values()) or 1
-print(f"Heap allocations: {total} in {runs} measured runs = "
-      f"{total / max(runs, 1):.0f} per run")
-print(f"Top 10 allocating call sites ({sampled} stacks sampled, 1 in "
-      f"{period}):")
+print(f"Top 10 allocating call sites of the run without its set-up "
+      f"({sampled} net stacks sampled, 1 in {period}):")
 for (site, where, caller), n in sites.most_common(10):
     print(f"  {100 * n / sampled:5.1f}%  {short(site)}  {where}")
     if caller:

@@ -22,51 +22,76 @@ cluster::NodeId Communicator::node_of(int rank) const {
   return rank_nodes_[static_cast<std::size_t>(rank)];
 }
 
-void Communicator::send(int src, int dst, util::Bytes bytes,
-                        Callback on_done) {
+template <typename Fn>
+void Communicator::post(int src, int dst, util::Bytes bytes, Fn on_done) {
   const cluster::NodeId src_node = node_of(src);
   const cluster::NodeId dst_node = node_of(dst);
   metrics_.count("messages");
   metrics_.count("bytes_sent", bytes);
   sim_.after(config_.per_message_overhead,
-             [this, src_node, dst_node, bytes, cb = std::move(on_done)]() mutable {
+             [this, src_node, dst_node, bytes,
+              cb = std::move(on_done)]() mutable {
                fabric_.transfer(src_node, dst_node, bytes, std::move(cb));
              });
 }
 
-void Communicator::run_round(std::shared_ptr<const Schedule> schedule,
-                             std::size_t index, Callback on_done) {
-  if (index >= schedule->size()) {
+void Communicator::send(int src, int dst, util::Bytes bytes,
+                        Callback on_done) {
+  post(src, dst, bytes, std::move(on_done));
+}
+
+Communicator::Run* Communicator::acquire_run() {
+  if (idle_runs_.empty()) {
+    runs_.push_back(std::make_unique<Run>());
+    return runs_.back().get();
+  }
+  Run* run = idle_runs_.back();
+  idle_runs_.pop_back();
+  return run;
+}
+
+void Communicator::start(Run* run, Callback on_done) {
+  run->round = 0;
+  run->on_done = std::move(on_done);
+  metrics_.count("collectives");
+  run_round(run);
+}
+
+void Communicator::run_round(Run* run) {
+  const Schedule& schedule = *run->schedule;
+  if (run->round >= schedule.size()) {
+    // Back to the pool before the callback, which may start another.
+    Callback on_done = std::move(run->on_done);
+    run->on_done = nullptr;
+    idle_runs_.push_back(run);
     on_done();
     return;
   }
-  const Round& round = (*schedule)[index];
+  const Round& round = schedule[run->round];
   if (round.transfers.empty()) {
-    sim_.after(round.compute, [this, schedule, index,
-                               cb = std::move(on_done)]() mutable {
-      run_round(schedule, index + 1, std::move(cb));
-    });
+    sim_.after(round.compute, [this, run] { next_round(run); });
     return;
   }
-  auto remaining = std::make_shared<int>(
-      static_cast<int>(round.transfers.size()));
-  auto compute = round.compute;
-  auto next = [this, schedule, index, remaining, compute,
-               cb = std::move(on_done)]() mutable {
-    if (--*remaining > 0) return;
-    sim_.after(compute, [this, schedule, index, cb = std::move(cb)]() mutable {
-      run_round(schedule, index + 1, std::move(cb));
-    });
-  };
+  run->remaining = static_cast<int>(round.transfers.size());
   for (const Transfer& t : round.transfers) {
-    send(t.src, t.dst, t.bytes, next);
+    post(t.src, t.dst, t.bytes, [this, run] {
+      if (--run->remaining > 0) return;
+      sim_.after((*run->schedule)[run->round].compute,
+                 [this, run] { next_round(run); });
+    });
   }
 }
 
+void Communicator::next_round(Run* run) {
+  ++run->round;
+  run_round(run);
+}
+
 void Communicator::execute(const Schedule& schedule, Callback on_done) {
-  auto shared = std::make_shared<const Schedule>(schedule);
-  metrics_.count("collectives");
-  run_round(std::move(shared), 0, std::move(on_done));
+  Run* run = acquire_run();
+  run->owned = schedule;  // copy-assignment reuses the run's storage
+  run->schedule = &run->owned;
+  start(run, std::move(on_done));
 }
 
 void Communicator::barrier(Callback on_done) {
@@ -87,8 +112,17 @@ void Communicator::reduce(int root, util::Bytes bytes, CollectiveAlgo algo,
 
 void Communicator::allreduce(util::Bytes bytes, CollectiveAlgo algo,
                              Callback on_done) {
-  execute(allreduce_schedule(size(), bytes, config_.reduce_ns_per_byte, algo),
-          std::move(on_done));
+  auto it = allreduce_schedules_.find({bytes, algo});
+  if (it == allreduce_schedules_.end()) {
+    it = allreduce_schedules_
+             .emplace(std::make_pair(bytes, algo),
+                      allreduce_schedule(size(), bytes,
+                                         config_.reduce_ns_per_byte, algo))
+             .first;
+  }
+  Run* run = acquire_run();
+  run->schedule = &it->second;
+  start(run, std::move(on_done));
 }
 
 void Communicator::allgather(util::Bytes bytes_per_rank, Callback on_done) {

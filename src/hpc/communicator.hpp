@@ -5,10 +5,16 @@
 // traffic uses the loopback path). Collectives run round-by-round: all
 // transfers of a round proceed in parallel, then local reduction compute
 // is charged, then the next round starts.
+//
+// A running collective is one pooled state that all of its message
+// events point at, so a warm collective allocates nothing per message,
+// and allreduce schedules are built once per (bytes, algorithm).
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -42,7 +48,8 @@ class Communicator {
   /// Point-to-point message; `on_done` fires when it is fully received.
   void send(int src, int dst, util::Bytes bytes, Callback on_done);
 
-  /// Executes a prebuilt schedule round-by-round.
+  /// Executes a prebuilt schedule round-by-round. The schedule is copied,
+  /// so the caller's may go away.
   void execute(const Schedule& schedule, Callback on_done);
 
   // Convenience collective entry points.
@@ -51,6 +58,8 @@ class Communicator {
              Callback on_done);
   void reduce(int root, util::Bytes bytes, CollectiveAlgo algo,
               Callback on_done);
+  /// The schedule for each (bytes, algo) is built on first use and kept
+  /// for the communicator's lifetime.
   void allreduce(util::Bytes bytes, CollectiveAlgo algo, Callback on_done);
   void allgather(util::Bytes bytes_per_rank, Callback on_done);
   void scatter(int root, util::Bytes bytes_per_rank, Callback on_done);
@@ -61,14 +70,37 @@ class Communicator {
   metrics::Registry& metrics() { return metrics_; }
 
  private:
-  void run_round(std::shared_ptr<const Schedule> schedule, std::size_t index,
-                 Callback on_done);
+  /// One running collective. Its message events capture only
+  /// {this, run, ...}, so they stay inline in util::SmallFn.
+  struct Run {
+    const Schedule* schedule = nullptr;  // `owned` or a cached schedule
+    Schedule owned;
+    std::size_t round = 0;
+    int remaining = 0;  // messages of the round still in flight
+    Callback on_done;
+  };
+
+  /// An idle run from the pool (a new one when none is idle).
+  Run* acquire_run();
+  /// Counts the collective and starts `run` at round 0.
+  void start(Run* run, Callback on_done);
+  /// Starts the run's current round, or finishes the run after the last.
+  void run_round(Run* run);
+  void next_round(Run* run);
+  /// Counts one message and sends it after the per-message overhead;
+  /// `on_done` runs when it is received.
+  template <typename Fn>
+  void post(int src, int dst, util::Bytes bytes, Fn on_done);
 
   sim::Simulation& sim_;
   net::Fabric& fabric_;
   std::vector<cluster::NodeId> rank_nodes_;
   CommConfig config_;
   metrics::Registry metrics_;
+  std::vector<std::unique_ptr<Run>> runs_;  // every run, idle or not
+  std::vector<Run*> idle_runs_;
+  std::map<std::pair<util::Bytes, CollectiveAlgo>, Schedule>
+      allreduce_schedules_;
 };
 
 }  // namespace evolve::hpc

@@ -33,28 +33,39 @@ void DeviceQueue::submit(IoKind kind, util::Bytes bytes,
 
 IoSubsystem::IoSubsystem(sim::Simulation& sim,
                          const cluster::Cluster& cluster) {
+  queues_.resize(static_cast<std::size_t>(cluster.size()));
   for (cluster::NodeId n = 0; n < cluster.size(); ++n) {
-    for (const auto& dev : cluster.node(n).devices) {
-      queues_.emplace(std::piecewise_construct,
-                      std::forward_as_tuple(n, dev.name),
-                      std::forward_as_tuple(sim, dev));
-    }
+    const auto& devices = cluster.node(n).devices;
+    auto& queues = queues_[static_cast<std::size_t>(n)];
+    queues.reserve(devices.size());
+    for (const auto& dev : devices) queues.emplace_back(sim, dev);
   }
+}
+
+DeviceQueue* IoSubsystem::find(cluster::NodeId node,
+                               const std::string& name) {
+  if (node < 0 || static_cast<std::size_t>(node) >= queues_.size()) {
+    return nullptr;
+  }
+  for (DeviceQueue& queue : queues_[static_cast<std::size_t>(node)]) {
+    if (queue.spec().name == name) return &queue;
+  }
+  return nullptr;
 }
 
 DeviceQueue& IoSubsystem::device(cluster::NodeId node,
                                  const std::string& name) {
-  auto it = queues_.find({node, name});
-  if (it == queues_.end()) {
+  DeviceQueue* queue = find(node, name);
+  if (queue == nullptr) {
     throw std::out_of_range("no device '" + name + "' on node " +
                             std::to_string(node));
   }
-  return it->second;
+  return *queue;
 }
 
 bool IoSubsystem::has_device(cluster::NodeId node,
                              const std::string& name) const {
-  return queues_.count({node, name}) != 0;
+  return const_cast<IoSubsystem*>(this)->find(node, name) != nullptr;
 }
 
 }  // namespace evolve::storage

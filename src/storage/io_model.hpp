@@ -8,9 +8,8 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "sim/simulation.hpp"
@@ -47,6 +46,8 @@ class DeviceQueue {
 };
 
 /// Per-cluster registry of device queues, keyed by (node, device name).
+/// Queues never move once built, so a reference to one stays valid for
+/// the subsystem's lifetime.
 class IoSubsystem {
  public:
   IoSubsystem(sim::Simulation& sim, const cluster::Cluster& cluster);
@@ -58,7 +59,12 @@ class IoSubsystem {
   bool has_device(cluster::NodeId node, const std::string& name) const;
 
  private:
-  std::map<std::pair<cluster::NodeId, std::string>, DeviceQueue> queues_;
+  /// The queue of `node`'s first device named `name`, or null.
+  DeviceQueue* find(cluster::NodeId node, const std::string& name);
+
+  /// Each node's queues in its device order (a node has a handful, so a
+  /// name lookup is a short scan).
+  std::vector<std::vector<DeviceQueue>> queues_;
 };
 
 }  // namespace evolve::storage

@@ -18,15 +18,8 @@ std::uint64_t mix_hash(std::uint64_t seed) {
   return util::splitmix64(seed);
 }
 
-std::uint64_t string_hash(const std::string& text) {
-  // FNV-1a, then a SplitMix finalizer for avalanche.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return mix_hash(h);
-}
+/// FNV-1a over key.full(), then a SplitMix finalizer for avalanche.
+std::uint64_t key_hash(const ObjectKey& key) { return mix_hash(key.fnv1a()); }
 
 /// Index into `holders` of the best one no branch in `tried` has read
 /// yet: the lowest non-negative `rank(i)`, first in holder order among
@@ -86,49 +79,62 @@ ObjectStore::ObjectStore(sim::Simulation& sim,
       config_.cache_capacity_fraction > 1.0) {
     throw std::invalid_argument("cache_capacity_fraction must be in (0, 1]");
   }
+  // Every server has max(1, devices - 1) cache tiers.
+  std::size_t tier_count = 0;
+  int max_rack = 0;
   for (cluster::NodeId node : servers_) {
     const auto& spec = cluster_.node(node);
     if (spec.devices.empty()) {
       throw std::invalid_argument("storage server '" + spec.name +
                                   "' has no devices");
     }
+    tier_count += std::max<std::size_t>(1, spec.devices.size() - 1);
+    max_rack = std::max(max_rack, spec.rack);
+  }
+  tier_devices_.reserve(tier_count);
+  rack_load_.assign(static_cast<std::size_t>(max_rack) + 1, 0);
+  server_states_.reserve(servers_.size());
+  state_of_.assign(static_cast<std::size_t>(cluster_.size()), -1);
+  for (cluster::NodeId node : servers_) {
+    int& index = state_of_[static_cast<std::size_t>(node)];
+    if (index >= 0) continue;  // listed twice
+    index = static_cast<int>(server_states_.size());
+    const auto& spec = cluster_.node(node);
     ServerState state;
     state.node = node;
-    state.durable_device = spec.devices.back().name;
+    state.durable = &io_.device(node, spec.devices.back().name);
+    state.first_tier = tier_devices_.size();
     std::vector<TierConfig> tiers;
+    tiers.reserve(std::max<std::size_t>(1, spec.devices.size() - 1));
     for (std::size_t i = 0; i + 1 < spec.devices.size(); ++i) {
       tiers.push_back(TierConfig{
           spec.devices[i].name,
           static_cast<util::Bytes>(
               static_cast<double>(spec.devices[i].capacity) *
               config_.cache_capacity_fraction)});
-      state.cache_tiers.push_back(spec.devices[i].name);
+      tier_devices_.push_back(&io_.device(node, spec.devices[i].name));
     }
     if (tiers.empty()) {
       // Single-device server: the durable device is also the only "cache".
       tiers.push_back(TierConfig{spec.devices.back().name, 0});
-      state.cache_tiers.push_back(spec.devices.back().name);
+      tier_devices_.push_back(state.durable);
     }
     state.cache = std::make_unique<TieredCache>(std::move(tiers));
-    server_states_.emplace(node, std::move(state));
+    server_states_.push_back(std::move(state));
   }
 }
 
 ObjectStore::ServerState& ObjectStore::server_state(cluster::NodeId node) {
-  auto it = server_states_.find(node);
-  if (it == server_states_.end()) {
+  ServerState* state = find_state(node);
+  if (state == nullptr) {
     throw std::out_of_range("node is not a storage server");
   }
-  return it->second;
+  return *state;
 }
 
 const ObjectStore::ServerState& ObjectStore::server_state(
     cluster::NodeId node) const {
-  auto it = server_states_.find(node);
-  if (it == server_states_.end()) {
-    throw std::out_of_range("node is not a storage server");
-  }
-  return it->second;
+  return const_cast<ObjectStore*>(this)->server_state(node);
 }
 
 void ObjectStore::create_bucket(const std::string& bucket) {
@@ -140,24 +146,37 @@ bool ObjectStore::bucket_exists(const std::string& bucket) const {
   return buckets_.count(bucket) != 0;
 }
 
-std::vector<cluster::NodeId> ObjectStore::ranked_servers(
+const std::vector<cluster::NodeId>& ObjectStore::ranked_servers(
     const ObjectKey& key) const {
   // Rendezvous hashing: rank live servers by hash(key, server).
-  std::vector<std::pair<std::uint64_t, cluster::NodeId>> ranked;
-  ranked.reserve(servers_.size());
-  const std::uint64_t kh = string_hash(key.full());
+  rank_keys_.clear();
+  const std::uint64_t kh = key_hash(key);
   for (cluster::NodeId node : servers_) {
-    if (dead_servers_.count(node) != 0) continue;
-    ranked.emplace_back(mix_hash(kh ^ (0x9e3779b97f4a7c15ULL *
-                                       static_cast<std::uint64_t>(node + 1))),
-                        node);
+    if (!server_alive(node)) continue;
+    rank_keys_.emplace_back(
+        mix_hash(kh ^ (0x9e3779b97f4a7c15ULL *
+                       static_cast<std::uint64_t>(node + 1))),
+        node);
   }
-  std::sort(ranked.begin(), ranked.end(),
+  std::sort(rank_keys_.begin(), rank_keys_.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<cluster::NodeId> out;
-  out.reserve(ranked.size());
-  for (const auto& [hash, node] : ranked) out.push_back(node);
-  return out;
+  ranked_.clear();
+  for (const auto& [hash, node] : rank_keys_) ranked_.push_back(node);
+  return ranked_;
+}
+
+int ObjectStore::rack_cap(const std::vector<cluster::NodeId>& ranked,
+                          int copies) const {
+  int racks = 0;
+  for (cluster::NodeId node : ranked) {
+    int& seen = rack_load(node);
+    if (seen++ == 0) ++racks;
+  }
+  for (cluster::NodeId node : ranked) {
+    rack_load(node) = 0;
+  }
+  racks = std::max(1, racks);
+  return (copies + racks - 1) / racks;
 }
 
 int ObjectStore::placed_copies() const {
@@ -190,31 +209,28 @@ int ObjectStore::at_risk_fragments(const ObjectMeta& meta) const {
 
 std::vector<cluster::NodeId> ObjectStore::place_copies(
     const ObjectKey& key) const {
-  auto ranked = ranked_servers(key);
+  const auto& ranked = ranked_servers(key);
   const int count =
       std::min<int>(placed_copies(), static_cast<int>(ranked.size()));
   if (!config_.rack_aware_placement) {
-    ranked.resize(static_cast<std::size_t>(count));
-    return ranked;
+    return std::vector<cluster::NodeId>(ranked.begin(),
+                                        ranked.begin() + count);
   }
   // Failure-domain spread: walk the HRW order but let no rack exceed
   // ceil(copies / live racks), so a whole-rack outage kills at most
   // that many fragments of any one stripe.
-  std::set<int> live_racks;
-  for (cluster::NodeId node : ranked) {
-    live_racks.insert(cluster_.node(node).rack);
-  }
-  const int racks = std::max<int>(1, static_cast<int>(live_racks.size()));
-  const int cap = (count + racks - 1) / racks;
+  const int cap = rack_cap(ranked, count);
   std::vector<cluster::NodeId> out;
   out.reserve(static_cast<std::size_t>(count));
-  std::map<int, int> per_rack;
   for (cluster::NodeId node : ranked) {
     if (static_cast<int>(out.size()) == count) break;
-    int& used = per_rack[cluster_.node(node).rack];
+    int& used = rack_load(node);
     if (used >= cap) continue;
     ++used;
     out.push_back(node);
+  }
+  for (cluster::NodeId node : out) {
+    rack_load(node) = 0;
   }
   // Uneven rack sizes can make the cap infeasible (a rack with fewer
   // live servers than its share); top up in plain HRW order.
@@ -244,7 +260,7 @@ void ObjectStore::write_durable(cluster::NodeId server, const ObjectKey& key,
   // dropped this server from the object's replica set (and wiped its
   // accounting), so skipping keeps durable_used consistent even if the
   // server has since recovered empty.
-  if (dead_servers_.count(server) != 0) {
+  if (!server_alive(server)) {
     sim_.defer(std::move(on_done));
     return;
   }
@@ -257,11 +273,10 @@ void ObjectStore::write_durable(cluster::NodeId server, const ObjectKey& key,
     }
   }
   ServerState& state = server_state(server);
-  io_.device(server, state.durable_device)
-      .submit(IoKind::kWrite, size, std::move(on_done));
+  state.durable->submit(IoKind::kWrite, size, std::move(on_done));
   state.durable_used += size;
   if (config_.cache_on_put) {
-    state.cache->put(key.full(), size);
+    state.cache->put(key, size);
   }
 }
 
@@ -292,15 +307,17 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
 
   // If overwriting, reclaim the old durable bytes first.
   int version = 0;
-  if (auto it = objects_.find(key); it != objects_.end()) {
-    for (cluster::NodeId r : it->second.replicas) {
+  const auto [it, fresh] = objects_.try_emplace(key);
+  ObjectMeta& meta = it->second;
+  if (!fresh) {
+    for (cluster::NodeId r : meta.replicas) {
       ServerState& state = server_state(r);
-      state.durable_used -= it->second.per_server_bytes;
-      state.cache->erase(key.full());
+      state.durable_used -= meta.per_server_bytes;
+      state.cache->erase(key);
     }
-    if (health(it->second) == Health::kDegraded) shift_underrep(-1);
-    shift_at_risk(-at_risk_fragments(it->second));
-    version = it->second.version + 1;
+    if (health(meta) == Health::kDegraded) shift_underrep(-1);
+    shift_at_risk(-at_risk_fragments(meta));
+    version = meta.version + 1;
     purge_corrupted(key);  // the overwrite replaces any rotten payload
   }
   const util::Bytes per_server = per_server_bytes(size);
@@ -308,12 +325,11 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
   for (std::size_t i = 0; i < fragments.size(); ++i) {
     fragments[i] = static_cast<int>(i);
   }
-  objects_[key] =
-      ObjectMeta{size, per_server, replicas, std::move(fragments), version};
+  meta = ObjectMeta{size, per_server, replicas, std::move(fragments), version};
   sync_queued(key);
   // Born degraded when live servers cannot host every copy.
-  shift_at_risk(at_risk_fragments(objects_[key]));
-  if (health(objects_[key]) == Health::kDegraded) {
+  shift_at_risk(at_risk_fragments(meta));
+  if (health(meta) == Health::kDegraded) {
     shift_underrep(+1);
     enqueue_repair(key);
   }
@@ -437,7 +453,6 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
   const bool ec = config_.redundancy == Redundancy::kErasure;
   auto f = std::make_shared<Fetch>();
   f->key = key;
-  f->full_key = key.full();
   f->client = client;
   f->block = block > 0;
   f->size = f->block ? std::min(block, meta.size) : meta.size;
@@ -532,23 +547,23 @@ void ObjectStore::launch_branch(const std::shared_ptr<Fetch>& f,
   // Which tier serves the read? A cache miss admits the object when the
   // plan says so; otherwise the read comes from wherever it already is.
   ServerState& state = server_state(server);
-  const std::optional<int> cached = f->admit
-                                        ? state.cache->get(f->full_key)
-                                        : state.cache->peek(f->full_key);
-  if (f->admit && !cached) state.cache->put(f->full_key, f->branch_bytes);
-  branch.tier = cached ? state.cache_tiers[static_cast<std::size_t>(*cached)]
-                       : state.durable_device;
-  if (f->block) {
-    metrics_.count("block_read_tier_" + branch.tier);
-  } else {
-    metrics_.count("get_tier_" + branch.tier);
-    metrics_.count("get_bytes", f->branch_bytes);
+  const std::optional<int> cached = f->admit ? state.cache->get(f->key)
+                                             : state.cache->peek(f->key);
+  if (f->admit && !cached) state.cache->put(f->key, f->branch_bytes);
+  branch.device = state.durable;
+  if (cached) {
+    branch.device =
+        tier_devices_[state.first_tier + static_cast<std::size_t>(*cached)];
   }
+  metric_name_ = f->block ? "block_read_tier_" : "get_tier_";
+  metric_name_ += branch.device->spec().name;
+  metrics_.count(metric_name_);
+  if (!f->block) metrics_.count("get_bytes", f->branch_bytes);
   f->branches.push_back(std::move(branch));
 
   auto read = [this, f, b, server] {
-    io_.device(server, f->branches[b].tier)
-        .submit(IoKind::kRead, f->branch_bytes, [this, f, b, server] {
+    f->branches[b].device->submit(
+        IoKind::kRead, f->branch_bytes, [this, f, b, server] {
           if (f->done) {
             --f->inflight;
             return;
@@ -637,7 +652,7 @@ void ObjectStore::branch_landed(const std::shared_ptr<Fetch>& f,
   result.found = true;
   result.size = f->size;
   result.served_by = shown.server;
-  result.tier = shown.tier;
+  result.tier = shown.device->spec().name;
   result.hedged = f->hedged;
   result.degraded = f->degraded || result.parity_fragments_used > 0;
   if (result.hedge_won) {
@@ -709,26 +724,27 @@ void ObjectStore::preload(const ObjectKey& key, util::Bytes size,
                           bool warm_cache) {
   if (!bucket_exists(key.bucket)) create_bucket(key.bucket);
   if (size < 0) throw std::invalid_argument("preload: negative size");
-  if (exists(key)) {
+  const auto [it, fresh] = objects_.try_emplace(key);
+  if (!fresh) {
     throw std::invalid_argument("preload: object already exists: " +
                                 key.full());
   }
+  ObjectMeta& meta = it->second;
   const auto replicas = locate(key);
   const util::Bytes per_server = per_server_bytes(size);
   std::vector<int> fragments(replicas.size());
   for (std::size_t i = 0; i < fragments.size(); ++i) {
     fragments[i] = static_cast<int>(i);
   }
-  objects_[key] =
-      ObjectMeta{size, per_server, replicas, std::move(fragments), 0};
+  meta = ObjectMeta{size, per_server, replicas, std::move(fragments), 0};
   sync_queued(key);
   for (cluster::NodeId r : replicas) {
     ServerState& state = server_state(r);
     state.durable_used += per_server;
-    if (warm_cache) state.cache->put(key.full(), per_server);
+    if (warm_cache) state.cache->put(key, per_server);
   }
-  shift_at_risk(at_risk_fragments(objects_[key]));
-  if (health(objects_[key]) == Health::kDegraded) {
+  shift_at_risk(at_risk_fragments(meta));
+  if (health(meta) == Health::kDegraded) {
     shift_underrep(+1);
     enqueue_repair(key);
   }
@@ -741,7 +757,7 @@ void ObjectStore::remove(cluster::NodeId /*client*/, const ObjectKey& key,
     for (cluster::NodeId r : it->second.replicas) {
       ServerState& state = server_state(r);
       state.durable_used -= it->second.per_server_bytes;
-      state.cache->erase(key.full());
+      state.cache->erase(key);
     }
     if (health(it->second) == Health::kDegraded) shift_underrep(-1);
     shift_at_risk(-at_risk_fragments(it->second));
@@ -828,6 +844,7 @@ DurabilityStats ObjectStore::durability_stats() const {
 void ObjectStore::note_health_change(const ObjectKey& key,
                                      const ObjectMeta& meta, Health before,
                                      int risk_before) {
+  requeue(key, static_cast<int>(meta.replicas.size()));
   const Health after = health(meta);
   if (before == Health::kDegraded && after != Health::kDegraded) {
     shift_underrep(-1);
@@ -853,14 +870,14 @@ util::Bytes ObjectStore::expected_durable_bytes(cluster::NodeId server) const {
 }
 
 void ObjectStore::handle_node_failure(cluster::NodeId node) {
-  auto state_it = server_states_.find(node);
-  if (state_it == server_states_.end()) return;  // not a storage server
-  if (!dead_servers_.insert(node).second) return;
+  ServerState* state = find_state(node);
+  if (state == nullptr || state->dead) return;  // not a live storage server
+  state->dead = true;
   metrics_.count("server_failures");
   // Media loss: everything the server held is gone, cache included —
   // and so is any bit-rot it carried.
-  state_it->second.durable_used = 0;
-  state_it->second.cache->clear();
+  state->durable_used = 0;
+  state->cache->clear();
   for (auto corrupt = corrupted_replicas_.begin();
        corrupt != corrupted_replicas_.end();) {
     if (corrupt->second == node) {
@@ -884,8 +901,9 @@ void ObjectStore::handle_node_failure(cluster::NodeId node) {
 }
 
 void ObjectStore::handle_node_recovery(cluster::NodeId node) {
-  if (server_states_.count(node) == 0) return;
-  if (dead_servers_.erase(node) == 0) return;
+  ServerState* state = find_state(node);
+  if (state == nullptr || !state->dead) return;
+  state->dead = false;
   metrics_.count("server_recoveries");
   // The node rejoins empty; repairs that had no live target re-arm.
   for (const ObjectKey& key : repair_stalled_) enqueue_repair(key);
@@ -958,10 +976,10 @@ void ObjectStore::drop_corrupted_replica(const ObjectKey& key,
   meta.fragments.erase(meta.fragments.begin() + (rep - meta.replicas.begin()));
   meta.replicas.erase(rep);
   ++meta.version;
-  if (dead_servers_.count(server) == 0) {
+  if (server_alive(server)) {
     ServerState& state = server_state(server);
     state.durable_used -= meta.per_server_bytes;
-    state.cache->erase(key.full());
+    state.cache->erase(key);
   }
   metrics_.count("corrupted_replicas_dropped");
   note_health_change(key, meta, before, risk_before);
@@ -1004,7 +1022,7 @@ void ObjectStore::scrub_pass() {
         obj != objects_.end() &&
         std::find(obj->second.replicas.begin(), obj->second.replicas.end(),
                   server) != obj->second.replicas.end() &&
-        dead_servers_.count(server) == 0;
+        server_alive(server);
     if (!live) {
       // Stale entry (object deleted, replica already dropped, or the
       // server crashed): nothing on media left to verify.
@@ -1021,14 +1039,14 @@ void ObjectStore::scrub_pass() {
       tracer_->annotate(span, "server", std::to_string(server));
     }
     // Verification read off the durable device, then drop + re-replicate.
-    io_.device(server, server_state(server).durable_device)
-        .submit(IoKind::kRead, obj->second.per_server_bytes,
-                [this, key, server, span] {
-                  scrub_inflight_.erase({key, server});
-                  drop_corrupted_replica(key, server);
-                  trace::end_span(tracer_, span);
-                  arm_scrub();
-                });
+    server_state(server).durable->submit(
+        IoKind::kRead, obj->second.per_server_bytes,
+        [this, key, server, span] {
+          scrub_inflight_.erase({key, server});
+          drop_corrupted_replica(key, server);
+          trace::end_span(tracer_, span);
+          arm_scrub();
+        });
     ++it;
   }
   arm_scrub();  // re-arm if more corruption than this pass could take
@@ -1036,8 +1054,9 @@ void ObjectStore::scrub_pass() {
 
 void ObjectStore::enqueue_repair(const ObjectKey& key) {
   if (!config_.repair) return;
-  if (!repair_queued_.try_emplace(key, nullptr).second) return;
-  sync_queued(key);
+  const auto [queued, fresh] = repair_queued_.try_emplace(key);
+  if (!fresh) return;
+  queued->second = repair_order_.emplace(queued_count(key), key).first;
   // Detection + scheduling grace before the repair traffic starts; the
   // optional seeded jitter keeps a mass-recovery repair wave from firing
   // as one synchronized pump.
@@ -1048,40 +1067,48 @@ void ObjectStore::enqueue_repair(const ObjectKey& key) {
   sim_.after(delay, [this] { pump_repairs(); });
 }
 
-void ObjectStore::sync_queued(const ObjectKey& key) {
-  const auto queued = repair_queued_.find(key);
-  if (queued == repair_queued_.end()) return;
+int ObjectStore::queued_count(const ObjectKey& key) const {
   const auto obj = objects_.find(key);
-  queued->second = obj == objects_.end() ? nullptr : &obj->second;
+  return obj == objects_.end()
+             ? -1
+             : static_cast<int>(obj->second.replicas.size());
+}
+
+void ObjectStore::requeue(const ObjectKey& key, int count) {
+  const auto queued = repair_queued_.find(key);
+  if (queued == repair_queued_.end() || queued->second->first == count) {
+    return;
+  }
+  // Move the set node to its new position; nothing is allocated.
+  auto node = repair_order_.extract(queued->second);
+  node.value().first = count;
+  queued->second = repair_order_.insert(std::move(node)).position;
 }
 
 void ObjectStore::pump_repairs() {
+  // Risk-first: repair the object with the fewest surviving spare copies
+  // (live minus the minimum to stay readable) — an EC stripe one
+  // fragment from loss beats a freshly degraded one, ties in key order.
+  // Only live counts in [min_live_copies(), placed_copies()) are
+  // degraded, so the stale entries sit at the two ends of the order:
+  // absent and lost objects at the front, full ones at the back.
+  const auto drop = [this](RepairOrder::iterator entry) {
+    repair_queued_.erase(entry->second);
+    repair_order_.erase(entry);
+  };
   while (repairs_in_flight_ < config_.repair_concurrency &&
-         !repair_queued_.empty()) {
-    // Risk-first: repair the object with the fewest surviving spare
-    // copies (live minus the minimum to stay readable) — an EC stripe
-    // one fragment from loss beats a freshly degraded one. Ties break
-    // in key order because the scan follows the ordered map.
-    auto best = repair_queued_.end();
-    int best_spares = std::numeric_limits<int>::max();
-    for (auto it = repair_queued_.begin(); it != repair_queued_.end();) {
-      const ObjectMeta* meta = it->second;
-      if (meta == nullptr || health(*meta) != Health::kDegraded) {
-        // Deleted, repaired, or lost while queued: drop the entry.
-        it = repair_queued_.erase(it);
-        continue;
-      }
-      const int spares =
-          static_cast<int>(meta->replicas.size()) - min_live_copies();
-      if (spares < best_spares) {
-        best_spares = spares;
-        best = it;
-      }
-      ++it;
+         !repair_order_.empty()) {
+    while (!repair_order_.empty() &&
+           repair_order_.begin()->first < min_live_copies()) {
+      drop(repair_order_.begin());
     }
-    if (best == repair_queued_.end()) return;
-    const ObjectKey key = best->first;
-    repair_queued_.erase(best);
+    while (!repair_order_.empty() &&
+           std::prev(repair_order_.end())->first >= placed_copies()) {
+      drop(std::prev(repair_order_.end()));
+    }
+    if (repair_order_.empty()) return;
+    const ObjectKey key = repair_order_.begin()->second;
+    drop(repair_order_.begin());
     start_repair(key);
   }
 }
@@ -1144,28 +1171,23 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
   // Target: the best-ranked live server not already holding a copy,
   // respecting the per-rack placement cap (relaxed only when no rack-
   // compliant target exists, mirroring place_copies).
-  const auto ranked = ranked_servers(key);
+  const auto& ranked = ranked_servers(key);
   cluster::NodeId target = cluster::kInvalidNode;
   if (config_.rack_aware_placement) {
-    std::set<int> live_racks;
-    for (cluster::NodeId node : ranked) {
-      live_racks.insert(cluster_.node(node).rack);
-    }
-    const int racks = std::max<int>(1, static_cast<int>(live_racks.size()));
-    const int cap = (placed_copies() + racks - 1) / racks;
-    std::map<int, int> per_rack;
+    const int cap = rack_cap(ranked, placed_copies());
     for (cluster::NodeId r : meta.replicas) {
-      ++per_rack[cluster_.node(r).rack];
+      ++rack_load(r);
     }
     for (cluster::NodeId node : ranked) {
       if (std::find(meta.replicas.begin(), meta.replicas.end(), node) !=
           meta.replicas.end()) {
         continue;
       }
-      if (per_rack[cluster_.node(node).rack] >= cap) continue;
+      if (rack_load(node) >= cap) continue;
       target = node;
       break;
     }
+    for (cluster::NodeId r : meta.replicas) rack_load(r) = 0;
   }
   if (target == cluster::kInvalidNode) {
     for (cluster::NodeId node : ranked) {
@@ -1200,16 +1222,16 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
         [&](cluster::NodeId a, cluster::NodeId b) {
           return proximity(a, target) < proximity(b, target);
         });
-    io_.device(source, server_state(source).durable_device)
-        .submit(IoKind::kRead, fragment,
-                [this, key, source, target, fragment, version, span] {
-                  trace::ScopedContext tctx(tracer_, span);
-                  fabric_.transfer(source, target, fragment,
-                                   [this, key, target, version, span] {
-                                     trace::end_span(tracer_, span);
-                                     finish_repair(key, target, version);
-                                   });
-                });
+    server_state(source).durable->submit(
+        IoKind::kRead, fragment,
+        [this, key, source, target, fragment, version, span] {
+          trace::ScopedContext tctx(tracer_, span);
+          fabric_.transfer(source, target, fragment,
+                           [this, key, target, version, span] {
+                             trace::end_span(tracer_, span);
+                             finish_repair(key, target, version);
+                           });
+        });
     return;
   }
   // Erasure coding: rebuild the fragment from k survivors, decode at
@@ -1225,23 +1247,21 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
       static_cast<double>(meta.size) * config_.ec_ns_per_byte));
   auto remaining = std::make_shared<int>(k);
   for (cluster::NodeId source : sources) {
-    io_.device(source, server_state(source).durable_device)
-        .submit(IoKind::kRead, fragment,
-                [this, key, source, target, fragment, version, remaining,
-                 decode_ns, span] {
-                  trace::ScopedContext tctx(tracer_, span);
-                  fabric_.transfer(
-                      source, target, fragment,
-                      [this, key, target, version, remaining, decode_ns,
-                       span] {
-                        if (--*remaining > 0) return;
-                        sim_.after(decode_ns,
-                                   [this, key, target, version, span] {
-                                     trace::end_span(tracer_, span);
-                                     finish_repair(key, target, version);
-                                   });
-                      });
+    server_state(source).durable->submit(
+        IoKind::kRead, fragment,
+        [this, key, source, target, fragment, version, remaining, decode_ns,
+         span] {
+          trace::ScopedContext tctx(tracer_, span);
+          fabric_.transfer(
+              source, target, fragment,
+              [this, key, target, version, remaining, decode_ns, span] {
+                if (--*remaining > 0) return;
+                sim_.after(decode_ns, [this, key, target, version, span] {
+                  trace::end_span(tracer_, span);
+                  finish_repair(key, target, version);
                 });
+              });
+        });
   }
 }
 
@@ -1251,7 +1271,7 @@ void ObjectStore::finish_repair(const ObjectKey& key, cluster::NodeId target,
   auto it = objects_.find(key);
   const bool valid =
       it != objects_.end() && it->second.version == version &&
-      dead_servers_.count(target) == 0 &&
+      server_alive(target) &&
       std::find(it->second.replicas.begin(), it->second.replicas.end(),
                 target) == it->second.replicas.end();
   if (!valid) {

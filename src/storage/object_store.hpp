@@ -33,42 +33,13 @@
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/io_model.hpp"
+#include "storage/object_key.hpp"
 #include "storage/tiered_cache.hpp"
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace evolve::storage {
-
-struct ObjectKey {
-  std::string bucket;
-  std::string name;
-
-  std::string full() const { return bucket + "/" + name; }
-  /// Exactly `full() < other.full()`, bytes compared as unsigned chars,
-  /// without building either string. Not a (bucket, name) tuple order:
-  /// "a-b/x" sorts before "a/x" because '-' < '/' (DESIGN §7).
-  bool operator<(const ObjectKey& other) const {
-    if (bucket.size() == other.bucket.size()) {
-      // Both '/' separators sit at the same offset.
-      const int c = bucket.compare(other.bucket);
-      return c != 0 ? c < 0 : name < other.name;
-    }
-    const auto at = [](const ObjectKey& k, std::size_t i) {
-      if (i < k.bucket.size()) return static_cast<unsigned char>(k.bucket[i]);
-      if (i == k.bucket.size()) return static_cast<unsigned char>('/');
-      return static_cast<unsigned char>(k.name[i - k.bucket.size() - 1]);
-    };
-    const std::size_t len = bucket.size() + 1 + name.size();
-    const std::size_t other_len = other.bucket.size() + 1 + other.name.size();
-    for (std::size_t i = 0; i < std::min(len, other_len); ++i) {
-      const unsigned char a = at(*this, i);
-      const unsigned char b = at(other, i);
-      if (a != b) return a < b;
-    }
-    return len < other_len;
-  }
-};
 
 enum class Redundancy {
   kReplication,  // R full copies
@@ -278,8 +249,10 @@ class ObjectStore {
   /// Recovery: the server rejoins EMPTY (cold cache, no replicas) and
   /// becomes a repair target again; stalled repairs re-arm.
   void handle_node_recovery(cluster::NodeId node);
+  /// False only for a storage server that is down.
   bool server_alive(cluster::NodeId node) const {
-    return dead_servers_.count(node) == 0;
+    const ServerState* state = find_state(node);
+    return state == nullptr || !state->dead;
   }
 
   const ObjectStoreConfig& config() const { return config_; }
@@ -385,11 +358,27 @@ class ObjectStore {
   util::Bytes per_server_bytes(util::Bytes size) const;
   struct ServerState {
     cluster::NodeId node = cluster::kInvalidNode;
-    std::unique_ptr<TieredCache> cache;     // fast tiers only
-    std::vector<std::string> cache_tiers;   // device name per cache tier
-    std::string durable_device;
+    std::unique_ptr<TieredCache> cache;  // fast tiers only
+    /// Queue of the durable device (the server's slowest).
+    DeviceQueue* durable = nullptr;
+    /// Where this server's cache-tier queues start in tier_devices_.
+    std::size_t first_tier = 0;
     util::Bytes durable_used = 0;
+    bool dead = false;  // crashed and not yet recovered
   };
+  /// The state of `node`, or null when it is not a storage server.
+  ServerState* find_state(cluster::NodeId node) {
+    if (node < 0 || static_cast<std::size_t>(node) >= state_of_.size()) {
+      return nullptr;
+    }
+    const int index = state_of_[static_cast<std::size_t>(node)];
+    return index < 0 ? nullptr
+                     : &server_states_[static_cast<std::size_t>(index)];
+  }
+  const ServerState* find_state(cluster::NodeId node) const {
+    return const_cast<ObjectStore*>(this)->find_state(node);
+  }
+  /// The state of `node`; throws std::out_of_range for other nodes.
   ServerState& server_state(cluster::NodeId node);
   const ServerState& server_state(cluster::NodeId node) const;
 
@@ -417,11 +406,10 @@ class ObjectStore {
       bool landed = false;
       bool flow_active = false;
       net::FlowId flow = 0;
-      std::string tier;
+      DeviceQueue* device = nullptr;  // the tier the branch reads from
     };
     // The plan: plain data fixed when the read starts.
     ObjectKey key;
-    std::string full_key;  // key.full(), built once for the cache lookups
     cluster::NodeId client = cluster::kInvalidNode;
     util::Bytes size = 0;          // bytes the caller is told it got
     util::Bytes branch_bytes = 0;  // bytes every branch reads and ships
@@ -475,8 +463,17 @@ class ObjectStore {
   /// Missing fragments/replicas a degraded object owes the rebuild
   /// queue (0 when full or lost).
   int at_risk_fragments(const ObjectMeta& meta) const;
-  /// All live servers ranked by rendezvous hash for `key`.
-  std::vector<cluster::NodeId> ranked_servers(const ObjectKey& key) const;
+  /// All live servers ranked by rendezvous hash for `key`, in a scratch
+  /// vector that the next call overwrites.
+  const std::vector<cluster::NodeId>& ranked_servers(
+      const ObjectKey& key) const;
+  /// Per-rack copy cap for `copies` spread over the racks of `ranked`:
+  /// ceil(copies / distinct racks).
+  int rack_cap(const std::vector<cluster::NodeId>& ranked, int copies) const;
+  /// Placement scratch count for `node`'s rack.
+  int& rack_load(cluster::NodeId node) const {
+    return rack_load_[static_cast<std::size_t>(cluster_.node(node).rack)];
+  }
   /// HRW ranking filtered by the per-rack placement cap (when enabled):
   /// the first placed_copies() entries are where the object goes.
   std::vector<cluster::NodeId> place_copies(const ObjectKey& key) const;
@@ -490,9 +487,15 @@ class ObjectStore {
   void note_health_change(const ObjectKey& key, const ObjectMeta& meta,
                           Health before, int risk_before);
   void enqueue_repair(const ObjectKey& key);
-  /// Re-points a queued repair entry at `key`'s metadata (null when the
-  /// object is gone); called after every objects_ insert and erase.
-  void sync_queued(const ObjectKey& key);
+  /// Live copies `key` is indexed under in the repair queue: its replica
+  /// count, or -1 when the object is absent.
+  int queued_count(const ObjectKey& key) const;
+  /// Re-keys a queued repair entry to `count`; no-op for unqueued keys.
+  void requeue(const ObjectKey& key, int count);
+  /// Re-keys a queued entry after an objects_ insert, overwrite or erase.
+  void sync_queued(const ObjectKey& key) {
+    if (!repair_queued_.empty()) requeue(key, queued_count(key));
+  }
   void pump_repairs();
   /// Claims a concurrency slot and (if capped) waits out the rebuild
   /// bandwidth admission before starting the transfers.
@@ -509,16 +512,30 @@ class ObjectStore {
   ObjectStoreConfig config_;
   std::map<std::string, bool> buckets_;
   std::map<ObjectKey, ObjectMeta> objects_;
-  std::map<cluster::NodeId, ServerState> server_states_;
+  std::vector<ServerState> server_states_;  // one per distinct server
+  std::vector<int> state_of_;  // index into server_states_ by node id, or -1
+  /// Cache-tier device queues of every server, contiguous per server.
+  /// IoSubsystem's queues never move, so the pointers stay valid.
+  std::vector<DeviceQueue*> tier_devices_;
+  /// Placement scratch: (hash, server) pairs, then the ranked servers.
+  mutable std::vector<std::pair<std::uint64_t, cluster::NodeId>> rank_keys_;
+  mutable std::vector<cluster::NodeId> ranked_;
+  /// Copies per rack id while placing; all zero between calls.
+  mutable std::vector<int> rack_load_;
+  /// Scratch for per-tier metric names ("get_tier_<device>").
+  std::string metric_name_;
   // Failure/repair state.
-  std::set<cluster::NodeId> dead_servers_;
-  /// Pending repairs. Drained risk-first: the object with the fewest
+  /// Pending repairs, drained risk-first: the object with the fewest
   /// surviving spare copies (an EC stripe one fragment from loss) is
-  /// repaired before a freshly degraded one, ties in key order. Each
-  /// entry holds what objects_.find(key) would return (null when the
-  /// object is absent), kept so by sync_queued; stale entries stay until
-  /// the next scan drops them (DESIGN §13).
-  std::map<ObjectKey, const ObjectMeta*> repair_queued_;
+  /// repaired before a freshly degraded one, ties in key order. Indexed
+  /// by (live copies, key), with -1 for an absent object; every
+  /// replica-set change re-keys its entry. Stale entries (absent, lost
+  /// or full) stay until the next pump trims them from the two ends
+  /// (DESIGN §13).
+  using RepairOrder = std::set<std::pair<int, ObjectKey>>;
+  RepairOrder repair_order_;
+  /// Each queued key's entry in repair_order_.
+  std::map<ObjectKey, RepairOrder::iterator> repair_queued_;
   std::set<ObjectKey> repair_stalled_;  // no live target; retry on recovery
   int repairs_in_flight_ = 0;
   /// Token-bucket edge for the rebuild bandwidth cap: the sim time at

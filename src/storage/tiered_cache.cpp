@@ -1,11 +1,13 @@
 #include "storage/tiered_cache.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace evolve::storage {
 
 TieredCache::TieredCache(std::vector<TierConfig> tiers) {
   if (tiers.empty()) throw std::invalid_argument("need at least one tier");
+  tiers_.reserve(tiers.size());
   for (auto& config : tiers) {
     if (config.capacity < 0) {
       throw std::invalid_argument("tier capacity must be >= 0");
@@ -28,11 +30,11 @@ util::Bytes TieredCache::used(int tier) const {
   return tiers_.at(static_cast<std::size_t>(tier)).stats.used;
 }
 
-bool TieredCache::contains(const std::string& key) const {
+bool TieredCache::contains(const ObjectKey& key) const {
   return index_.count(key) != 0;
 }
 
-std::optional<int> TieredCache::peek(const std::string& key) const {
+std::optional<int> TieredCache::peek(const ObjectKey& key) const {
   auto it = index_.find(key);
   if (it == index_.end()) return std::nullopt;
   return it->second.tier;
@@ -42,42 +44,45 @@ void TieredCache::make_room(int tier_index, util::Bytes needed) {
   Tier& tier = tiers_[static_cast<std::size_t>(tier_index)];
   while (tier.stats.used + needed > tier.config.capacity &&
          !tier.lru.empty()) {
-    Entry victim = std::move(tier.lru.back());
-    tier.lru.pop_back();
-    tier.stats.used -= victim.size;
-    index_.erase(victim.key);
+    Lru holding;
+    const Lru::iterator victim = std::prev(tier.lru.end());
+    holding.splice(holding.begin(), tier.lru, victim);
+    tier.stats.used -= victim->size;
     ++tier.stats.demotions_out;
-    if (tier_index + 1 < tier_count()) {
-      insert_into(tier_index + 1, std::move(victim), /*demotion=*/true);
-    } else {
-      ++drops_;
-    }
+    place(tier_index + 1, index_.find(*victim->key), holding,
+          /*demotion=*/true);
   }
 }
 
-void TieredCache::insert_into(int tier_index, Entry entry, bool demotion) {
-  Tier& tier = tiers_[static_cast<std::size_t>(tier_index)];
-  if (entry.size > tier.config.capacity) {
-    // Too big for this tier entirely: push further down or drop.
-    if (tier_index + 1 < tier_count()) {
-      insert_into(tier_index + 1, std::move(entry), demotion);
-    } else {
-      ++drops_;
-    }
+void TieredCache::place(int tier_index, Index::iterator at, Lru& holding,
+                        bool demotion) {
+  // Entries move between tiers by splicing their list node, and the index
+  // node stays put: no demotion or promotion allocates.
+  const Lru::iterator entry = at->second.it;
+  // Too big for a tier entirely: push further down, or drop.
+  while (tier_index < tier_count() &&
+         entry->size > config(tier_index).capacity) {
+    ++tier_index;
+  }
+  if (tier_index == tier_count()) {
+    ++drops_;
+    index_.erase(at);  // the caller's holding list frees the entry
     return;
   }
-  make_room(tier_index, entry.size);
-  tier.stats.used += entry.size;
+  // The entry sits in `holding`, so the eviction cascade never selects it.
+  make_room(tier_index, entry->size);
+  Tier& tier = tiers_[static_cast<std::size_t>(tier_index)];
+  tier.stats.used += entry->size;
   if (demotion) {
     ++tier.stats.demotions_in;
   } else {
     ++tier.stats.inserts;
   }
-  tier.lru.push_front(std::move(entry));
-  index_[tier.lru.front().key] = Location{tier_index, tier.lru.begin()};
+  tier.lru.splice(tier.lru.begin(), holding, entry);
+  at->second.tier = tier_index;
 }
 
-bool TieredCache::put(const std::string& key, util::Bytes size) {
+bool TieredCache::put(const ObjectKey& key, util::Bytes size) {
   if (size < 0) throw std::invalid_argument("put: negative size");
   erase(key);
   bool fits_somewhere = false;
@@ -91,47 +96,40 @@ bool TieredCache::put(const std::string& key, util::Bytes size) {
     ++drops_;
     return false;
   }
-  insert_into(0, Entry{key, size}, /*demotion=*/false);
+  const Index::iterator at = index_.try_emplace(key).first;
+  Lru holding;
+  holding.push_front(Entry{&at->first, size});
+  at->second.it = holding.begin();
+  place(0, at, holding, /*demotion=*/false);
   return true;
 }
 
-std::optional<int> TieredCache::get(const std::string& key) {
+std::optional<int> TieredCache::get(const ObjectKey& key) {
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++misses_;
     return std::nullopt;
   }
   const int found_tier = it->second.tier;
-  ++tiers_[static_cast<std::size_t>(found_tier)].stats.hits;
-  const std::list<Entry>::iterator entry_it = it->second.it;
-  if (found_tier == 0) {
-    // DRAM hit: refresh the LRU position by splicing in place — the index
-    // entry stays untouched, so a hit performs zero rehashing.
-    Tier& tier = tiers_[0];
-    tier.lru.splice(tier.lru.begin(), tier.lru, entry_it);
+  Tier& tier = tiers_[static_cast<std::size_t>(found_tier)];
+  ++tier.stats.hits;
+  const Lru::iterator entry = it->second.it;
+  if (found_tier == 0 || entry->size > tiers_[0].config.capacity) {
+    // A DRAM hit, or an object that can never fit DRAM: refresh the LRU
+    // position in place. Nothing changes tier, so nothing is inserted.
+    tier.lru.splice(tier.lru.begin(), tier.lru, entry);
     return found_tier;
   }
-  // Promote to tier 0 when it can ever fit there; otherwise refresh here.
-  // The entry is spliced through a holding list so the eviction cascade in
-  // make_room can never select it, and its Location stays valid in place
-  // (list iterators survive splice; the map value survives any rehash that
-  // demotion-driven index inserts cause).
-  Tier& old_tier = tiers_[static_cast<std::size_t>(found_tier)];
-  const util::Bytes size = entry_it->size;
-  const int target = size <= tiers_[0].config.capacity ? 0 : found_tier;
-  std::list<Entry> holding;
-  holding.splice(holding.begin(), old_tier.lru, entry_it);
-  old_tier.stats.used -= size;
-  it->second = Location{target, entry_it};  // `it` must not be used below
-  make_room(target, size);
-  Tier& dst = tiers_[static_cast<std::size_t>(target)];
-  dst.lru.splice(dst.lru.begin(), holding, entry_it);
-  dst.stats.used += size;
-  ++dst.stats.inserts;
+  // Promote to tier 0 through a holding list, so the eviction cascade in
+  // make_room can never select the entry.
+  Lru holding;
+  holding.splice(holding.begin(), tier.lru, entry);
+  tier.stats.used -= entry->size;
+  place(0, it, holding, /*demotion=*/false);
   return found_tier;
 }
 
-bool TieredCache::erase(const std::string& key) {
+bool TieredCache::erase(const ObjectKey& key) {
   auto it = index_.find(key);
   if (it == index_.end()) return false;
   Tier& tier = tiers_[static_cast<std::size_t>(it->second.tier)];

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "storage/object_key.hpp"
 #include "util/types.hpp"
 
 namespace evolve::storage {
@@ -33,24 +34,32 @@ struct TierStats {
 /// Multi-tier LRU. Tier 0 is fastest. An object lives in exactly one tier.
 /// Inserts land in tier 0; eviction demotes the LRU object to the next
 /// tier (possibly cascading); the last tier evicts to nowhere (drop).
+/// Keys are ObjectKeys, so keys with the same full() are one object.
 class TieredCache {
  public:
   explicit TieredCache(std::vector<TierConfig> tiers);
+  // LRU entries point at index keys, which a copy would not re-point.
+  TieredCache(const TieredCache&) = delete;
+  TieredCache& operator=(const TieredCache&) = delete;
+  TieredCache(TieredCache&&) = default;
+  TieredCache& operator=(TieredCache&&) = default;
 
   /// Inserts or refreshes an object in tier 0. Objects larger than tier 0
   /// land in the first tier that can ever hold them; objects larger than
   /// every tier are not cached (returns false).
-  bool put(const std::string& key, util::Bytes size);
+  bool put(const ObjectKey& key, util::Bytes size);
 
   /// Looks up an object. On a hit, promotes it to tier 0 (if it fits) and
-  /// returns the tier index it was found in *before* promotion.
-  std::optional<int> get(const std::string& key);
+  /// returns the tier index it was found in *before* promotion. An object
+  /// too big for tier 0 is refreshed in its own tier; that is a hit, not
+  /// an insert.
+  std::optional<int> get(const ObjectKey& key);
 
   /// Looks up without promoting or touching LRU order.
-  std::optional<int> peek(const std::string& key) const;
+  std::optional<int> peek(const ObjectKey& key) const;
 
   /// Removes an object from whatever tier holds it.
-  bool erase(const std::string& key);
+  bool erase(const ObjectKey& key);
 
   /// Drops every cached object (node crash: volatile tiers are gone and
   /// restart starts cold). Cumulative hit/miss counters are preserved.
@@ -62,7 +71,7 @@ class TieredCache {
     index_.clear();
   }
 
-  bool contains(const std::string& key) const;
+  bool contains(const ObjectKey& key) const;
 
   int tier_count() const { return static_cast<int>(tiers_.size()); }
   const TierStats& stats(int tier) const;
@@ -77,26 +86,30 @@ class TieredCache {
 
  private:
   struct Entry {
-    std::string key;
+    const ObjectKey* key;  // the index_ node's key (nodes never move)
     util::Bytes size;
   };
+  using Lru = std::list<Entry>;  // front = most recent
   struct Tier {
     TierConfig config;
     TierStats stats;
-    std::list<Entry> lru;  // front = most recent
+    Lru lru;
   };
   struct Location {
     int tier;
-    std::list<Entry>::iterator it;
+    Lru::iterator it;
   };
+  using Index = std::unordered_map<ObjectKey, Location, ObjectKeyHash>;
 
-  /// Places an entry at the head of `tier`, evicting/demoting as needed.
-  /// `demotion` marks whether this insert came from a higher tier.
-  void insert_into(int tier, Entry entry, bool demotion);
+  /// Moves the entry `at` (spliced into a holding list by the caller) to
+  /// the head of the first tier from `tier` on that can hold it,
+  /// evicting/demoting there as needed, or drops it when none can.
+  /// `demotion` marks whether it came from a higher tier.
+  void place(int tier, Index::iterator at, Lru& holding, bool demotion);
   void make_room(int tier, util::Bytes needed);
 
   std::vector<Tier> tiers_;
-  std::unordered_map<std::string, Location> index_;
+  Index index_;
   std::int64_t misses_ = 0;
   std::int64_t drops_ = 0;
 };

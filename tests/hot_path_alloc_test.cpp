@@ -10,7 +10,9 @@
 // allocates nothing, however long the name. A warm net::Fabric starts,
 // cancels and completes flows without allocating, and a warm
 // serve::Service (hedging and batching on) serves requests without
-// allocating.
+// allocating. A warm ObjectStore::locate allocates only the vector it
+// returns, and a warm ring allreduce allocates as much at 16 ranks as
+// at 4: nothing per message.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,12 +22,15 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "hpc/communicator.hpp"
 #include "metrics/registry.hpp"
 #include "net/fabric.hpp"
 #include "orch/controllers.hpp"
 #include "orch/scheduler.hpp"
 #include "serve/service.hpp"
 #include "sim/simulation.hpp"
+#include "storage/io_model.hpp"
+#include "storage/object_store.hpp"
 #include "trace/tracer.hpp"
 
 namespace {
@@ -305,3 +310,70 @@ TEST(ServeAllocation, WarmHedgedBatchedServiceAllocatesNothingPerRequest) {
 
 }  // namespace
 }  // namespace evolve::serve
+
+namespace evolve::storage {
+namespace {
+
+TEST(StoreAllocation, WarmLocateAllocatesOnlyItsResult) {
+  // EC(4,2), rack-aware over 8 servers on 4 racks. Both key parts
+  // outgrow the small-string buffer, so building full() would allocate.
+  sim::Simulation sim;
+  cluster::Cluster cluster = cluster::make_testbed(2, 8, 0, 4);
+  net::Topology topology(cluster);
+  net::Fabric fabric(sim, topology);
+  IoSubsystem io(sim, cluster);
+  ObjectStoreConfig config;
+  config.redundancy = Redundancy::kErasure;
+  ObjectStore store(sim, cluster, fabric, io,
+                    cluster.nodes_with_label("role=storage"), config);
+  const ObjectKey key{"a-bucket-with-a-long-name",
+                      "partition-000042.parquet"};
+  const std::vector<cluster::NodeId> warm = store.locate(key);
+
+  const std::size_t before = g_allocs.load();
+  const std::vector<cluster::NodeId> placed = store.locate(key);
+  const std::size_t after = g_allocs.load();
+
+  EXPECT_EQ(after - before, 1u) << "only the returned vector may allocate";
+  EXPECT_EQ(placed, warm);
+  EXPECT_EQ(placed.size(), 6u);
+}
+
+}  // namespace
+}  // namespace evolve::storage
+
+namespace evolve::hpc {
+namespace {
+
+/// Allocations of a warm 4 MiB ring allreduce over `ranks` ranks, one
+/// per node.
+std::size_t warm_ring_allreduce_allocations(int ranks) {
+  sim::Simulation sim;
+  cluster::Cluster cluster = cluster::make_testbed(ranks, 0, 0, 2);
+  net::Topology topology(cluster);
+  net::Fabric fabric(sim, topology);
+  Communicator comm(sim, fabric, cluster.nodes_with_label("role=compute"));
+  int done = 0;
+  auto round = [&] {
+    comm.allreduce(4 * util::kMiB, CollectiveAlgo::kRing,
+                   [&done] { ++done; });
+  };
+  net::run_round(sim, round);  // warms the fabric, queue and schedule
+  const std::size_t before = g_allocs.load();
+  net::run_round(sim, round);
+  const std::size_t after = g_allocs.load();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(comm.metrics().counter("messages"),
+            2 * 2 * (ranks - 1) * ranks);
+  return after - before;
+}
+
+TEST(CommunicatorAllocation, WarmRingAllreduceCostIsIndependentOfRanks) {
+  // 6 rounds of 4 messages against 30 rounds of 16: any per-message or
+  // per-round allocation makes the counts differ.
+  EXPECT_EQ(warm_ring_allreduce_allocations(4),
+            warm_ring_allreduce_allocations(16));
+}
+
+}  // namespace
+}  // namespace evolve::hpc

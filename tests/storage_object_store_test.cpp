@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -13,6 +15,7 @@
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "store_accounting.hpp"
+#include "trace/tracer.hpp"
 #include "util/rng.hpp"
 
 namespace evolve::storage {
@@ -401,6 +404,158 @@ TEST(ObjectStore, QueuedRepairFollowsOverwrite) {
   expect_single_repair_of_new_object(f, key, revived);
 }
 
+// -- Repair order ---------------------------------------------------------
+
+/// (start, key) of every store.repair span, in the order they began.
+std::vector<std::pair<util::TimeNs, std::string>> repair_starts(
+    const trace::Tracer& tracer) {
+  std::vector<std::pair<util::TimeNs, std::string>> out;
+  for (const trace::Span& span : tracer.spans()) {
+    if (span.name != "store.repair") continue;
+    for (const auto& [name, value] : span.attrs) {
+      if (name == "key") out.emplace_back(span.start, value);
+    }
+  }
+  return out;
+}
+
+TEST(ObjectStore, EqualSparesRepairInFullStringOrder) {
+  // EC(2,1) on four servers: both stripes lose one fragment to the same
+  // crash, so both are left with zero spare fragments. Ties break in
+  // full() order: "a-b/x" < "a/x" because '-' < '/', although a
+  // (bucket, name) tuple order would put bucket "a" first.
+  ObjectStoreConfig config;
+  config.redundancy = Redundancy::kErasure;
+  config.ec_data = 2;
+  config.ec_parity = 1;
+  config.repair_concurrency = 1;
+  StoreFixture f(2, 4, config);
+  trace::Tracer tracer(f.sim);
+  f.store.set_tracer(&tracer);
+  const ObjectKey dashed{"a-b", "x"};
+  const ObjectKey plain{"a", "x"};
+  f.store.preload(plain, util::kMiB);
+  f.store.preload(dashed, util::kMiB);
+  const auto dashed_holders = f.store.locate(dashed);
+  cluster::NodeId shared = cluster::kInvalidNode;
+  for (cluster::NodeId node : f.store.locate(plain)) {
+    if (std::find(dashed_holders.begin(), dashed_holders.end(), node) !=
+        dashed_holders.end()) {
+      shared = node;
+      break;
+    }
+  }
+  ASSERT_NE(shared, cluster::kInvalidNode);
+  f.sim.at(util::millis(10), [&] { f.store.handle_node_failure(shared); });
+  f.sim.run();
+
+  const auto starts = repair_starts(tracer);
+  ASSERT_EQ(starts.size(), 2u);
+  EXPECT_EQ(starts[0].second, "a-b/x");
+  EXPECT_EQ(starts[1].second, "a/x");
+  EXPECT_LT(starts[0].first, starts[1].first);
+  EXPECT_EQ(f.store.under_replicated_objects(), 0);
+  expect_durable_accounting(f.store);
+}
+
+/// FNV-1a over every store.repair span's (start, key) in the order the
+/// repairs began, from a run of the scenario below. Recorded before the
+/// repair queue was indexed by (live copies, key); any change to which
+/// object repairs next, or when, moves it.
+constexpr std::uint64_t kPinnedRepairDigest = 8602177899649402411ULL;
+
+TEST(ObjectStore, RepairScheduleDigestIsPinned) {
+  // EC(4,2), rack-aware over 8 servers on 4 racks, 300 objects in two
+  // buckets whose names interleave in full() order. Scrubbed bit-rot
+  // first, then staggered crashes of two servers and one recovery, with
+  // overwrites and removes of queued keys in between. Jittered repair
+  // delays make every enqueue a seeded draw, so one extra or missing
+  // enqueue (an index that dropped stale entries eagerly would add some)
+  // shifts every later repair start.
+  sim::Simulation sim;
+  auto cluster = cluster::make_testbed(2, 8, 0, /*racks=*/4);
+  net::Topology topology(cluster);
+  net::Fabric fabric(sim, topology);
+  IoSubsystem io(sim, cluster);
+  ObjectStoreConfig config;
+  config.redundancy = Redundancy::kErasure;
+  config.ec_data = 4;
+  config.ec_parity = 2;
+  config.repair_concurrency = 2;
+  config.repair_delay = util::millis(30);
+  config.repair_jitter = 0.5;
+  config.repair_seed = 7;
+  config.scrub = true;
+  config.scrub_interval = util::millis(20);
+  ObjectStore store(sim, cluster, fabric, io,
+                    cluster.nodes_with_label("role=storage"), config);
+  trace::Tracer tracer(sim);
+  store.set_tracer(&tracer);
+  constexpr int kObjects = 300;
+  const auto key = [](int i) {
+    return ObjectKey{i % 2 == 0 ? "b" : "b-x", "obj-" + std::to_string(i)};
+  };
+  for (int i = 0; i < kObjects; ++i) {
+    store.preload(key(i), (256 + 64 * (i % 7)) * util::kKiB);
+  }
+  const cluster::NodeId client = cluster.nodes_with_label("role=compute")[0];
+  const auto& servers = store.servers();
+
+  sim.at(util::millis(5), [&] {
+    EXPECT_EQ(store.corrupt_random_replicas(/*seed=*/3, 40), 40);
+  });
+  sim.at(util::millis(100), [&] { store.handle_node_failure(servers[0]); });
+  // Overwritten stripes are born full on the seven live servers, so
+  // their queued entries go stale; the crash in the same instant degrades
+  // most of them again before any pump can drop the entries.
+  sim.at(util::millis(130), [&] {
+    for (int i = 0; i < kObjects; i += 7) {
+      store.put(client, key(i), 128 * util::kKiB, [] {});
+    }
+    store.handle_node_failure(servers[3]);
+  });
+  sim.at(util::millis(140), [&] {
+    for (int i = 3; i < kObjects; i += 11) store.remove(client, key(i), [] {});
+  });
+  sim.at(util::millis(320), [&] {
+    for (int i = 5; i < kObjects; i += 13) {
+      if (i % 7 == 0) continue;
+      store.put(client, key(i), 192 * util::kKiB, [] {});
+    }
+    for (int i = 1; i < kObjects; i += 17) store.remove(client, key(i), [] {});
+  });
+  sim.at(util::millis(600), [&] { store.handle_node_recovery(servers[0]); });
+  // Late bit-rot, once the crash waves have drained: these few repairs
+  // start on their jittered pump, so they show every earlier draw.
+  for (int wave = 0; wave < 4; ++wave) {
+    sim.at(util::seconds(5 + wave), [&store, wave] {
+      EXPECT_EQ(store.corrupt_random_replicas(/*seed=*/11 + wave, 3), 3);
+    });
+  }
+  sim.run();
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&digest](unsigned char byte) {
+    digest ^= byte;
+    digest *= 0x100000001b3ULL;
+  };
+  const auto starts = repair_starts(tracer);
+  for (const auto& [start, name] : starts) {
+    for (int i = 0; i < 8; ++i) {
+      mix(static_cast<unsigned char>(static_cast<std::uint64_t>(start) >>
+                                     (8 * i)));
+    }
+    for (unsigned char c : name) mix(c);
+    mix(0);
+  }
+  EXPECT_GT(starts.size(), 250u);
+  EXPECT_EQ(store.under_replicated_objects(), 0);
+  EXPECT_EQ(store.corrupted_replica_count(), 0);
+  expect_durable_accounting(store);
+  EXPECT_EQ(digest, kPinnedRepairDigest)
+      << starts.size() << " repairs, the last at " << starts.back().first;
+}
+
 // -- ObjectKey order ------------------------------------------------------
 
 bool full_less(const ObjectKey& a, const ObjectKey& b) {
@@ -461,6 +616,40 @@ TEST(ObjectKey, OrderMatchesFullString) {
   for (const auto& [key, unused] : map) {
     EXPECT_EQ(key.full(), full_it->first);
     ++full_it;
+  }
+}
+
+TEST(ObjectKey, EqualityAndHashFollowFullString) {
+  const ObjectKey early_split{"a", "b/c"};
+  const ObjectKey late_split{"a/b", "c"};
+  EXPECT_EQ(early_split, late_split);
+  EXPECT_EQ(ObjectKeyHash{}(early_split), ObjectKeyHash{}(late_split));
+  EXPECT_NE((ObjectKey{"a", "x"}), (ObjectKey{"a-b", "x"}));
+
+  // FNV-1a of full(), computed over the string itself.
+  const auto fnv = [](const std::string& text) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  const std::string alphabet = "a/-0" + std::string(1, static_cast<char>(0xC3));
+  util::Rng rng(12);
+  const auto random_string = [&] {
+    std::string out;
+    for (auto len = rng.uniform_int(0, 3); len > 0; --len) {
+      out += alphabet[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+    }
+    return out;
+  };
+  for (int i = 0; i < 10000; ++i) {
+    const ObjectKey a{random_string(), random_string()};
+    const ObjectKey b{random_string(), random_string()};
+    ASSERT_EQ(a == b, a.full() == b.full()) << a.full() << " == " << b.full();
+    ASSERT_EQ(a.fnv1a(), fnv(a.full())) << a.full();
   }
 }
 
