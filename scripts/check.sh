@@ -10,7 +10,8 @@
 # Records each tracked bench's host CPU in <build-dir>/HOST_CPU.json and
 # fails if one exceeds 3x its tracked HOST_CPU.json value + 2 s.
 # Also checks that no test-only oracle from src/reference/ is linked into
-# libevolve.a, and that a Release (-O3 -DNDEBUG) build, in
+# libevolve.a, that every *Config field under src/ has a setter somewhere
+# (scripts/knob_census.py), and that a Release (-O3 -DNDEBUG) build, in
 # <build-dir>-release, is as warning-free as the default one.
 # Run from the repo root:
 #
@@ -22,6 +23,13 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
+
+# -- Knob census ---------------------------------------------------------
+# A config field that nothing sets (no experiment, no test) is a constant
+# in disguise: fail and name it.
+census=$(python3 scripts/knob_census.py --check) \
+  || { tail -n 20 <<<"$census"; exit 1; }
+echo "check.sh: knob census: $(tail -n 1 <<<"$census")"
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"

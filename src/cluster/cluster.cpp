@@ -40,11 +40,9 @@ int Cluster::rack_count() const {
   return max_rack + 1;
 }
 
-Resources Cluster::total_allocatable(int accel_slots_per_device) const {
+Resources Cluster::total_allocatable() const {
   Resources total;
-  for (const auto& node : nodes_) {
-    total += node.allocatable(accel_slots_per_device);
-  }
+  for (const auto& node : nodes_) total += node.allocatable();
   return total;
 }
 

@@ -27,7 +27,7 @@ class Cluster {
   int rack_count() const;
 
   /// Total allocatable resources across all nodes.
-  Resources total_allocatable(int accel_slots_per_device = 1) const;
+  Resources total_allocatable() const;
 
  private:
   std::vector<NodeSpec> nodes_;

@@ -4,12 +4,11 @@
 
 namespace evolve::cluster {
 
-Resources NodeSpec::allocatable(int accel_slots_per_device) const {
+Resources NodeSpec::allocatable() const {
   Resources r;
   r.cpu_millicores = static_cast<std::int64_t>(cores) * 1000;
   r.memory_bytes = dram;
-  r.accel_slots =
-      static_cast<std::int64_t>(accel_devices) * accel_slots_per_device;
+  r.accel_slots = static_cast<std::int64_t>(accel_devices);
   return r;
 }
 

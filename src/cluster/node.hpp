@@ -34,9 +34,9 @@ struct NodeSpec {
   std::vector<std::string> labels;         // scheduler-visible labels
 
   /// Allocatable resource vector derived from the hardware
-  /// (1000 millicores per core; one schedulable slot per accel device is
-  /// refined by the accel pool's virtualization factor).
-  Resources allocatable(int accel_slots_per_device = 1) const;
+  /// (1000 millicores per core; one schedulable slot per accel device,
+  /// which the accel pool refines by its virtualization factor).
+  Resources allocatable() const;
 
   const StorageDeviceSpec* device(const std::string& device_name) const;
   bool has_label(const std::string& label) const;

@@ -6,6 +6,16 @@
 #include "util/log.hpp"
 
 namespace evolve::core {
+namespace {
+
+/// Per-executor resources for dataflow steps.
+constexpr std::int64_t kExecutorMillicores = 4000;
+constexpr util::Bytes kExecutorMemory = 8 * util::kGiB;
+/// Per-rank resources for HPC steps.
+constexpr std::int64_t kRankMillicores = 8000;
+constexpr util::Bytes kRankMemory = 16 * util::kGiB;
+
+}  // namespace
 
 Platform::Platform(sim::Simulation& sim, PlatformConfig config)
     : Platform(sim, std::move(config), SubstrateOnly{}) {
@@ -22,7 +32,7 @@ Platform::Platform(sim::Simulation& sim, PlatformConfig config, SubstrateOnly)
       cluster_(cluster::make_testbed(config_.compute_nodes,
                                      config_.storage_nodes,
                                      config_.accel_nodes, config_.racks)) {
-  topology_ = std::make_unique<net::Topology>(cluster_, config_.topology);
+  topology_ = std::make_unique<net::Topology>(cluster_);
   fabric_ = std::make_unique<net::Fabric>(sim_, *topology_);
   io_ = std::make_unique<storage::IoSubsystem>(sim_, cluster_);
 }
@@ -226,8 +236,7 @@ void Platform::acquire_executors(
   orch::PodSpec pod;
   pod.name = "dataflow-exec";
   pod.tenant = "dataflow";
-  pod.request =
-      cluster::cpu_mem(config_.executor_millicores, config_.executor_memory);
+  pod.request = cluster::cpu_mem(kExecutorMillicores, kExecutorMemory);
   pod.preferred_nodes = executor_preferences(plan);
 
   // Executor pods start from a scheduler event where the submitter's
@@ -291,8 +300,7 @@ void Platform::launch_gang(const hpc::MpiProgram& program, int ranks,
     orch::PodSpec spec;
     spec.name = "mpi-rank-" + std::to_string(r);
     spec.tenant = "hpc";
-    spec.request =
-        cluster::cpu_mem(config_.rank_millicores, config_.rank_memory);
+    spec.request = cluster::cpu_mem(kRankMillicores, kRankMemory);
     specs.push_back(std::move(spec));
   }
 
@@ -308,7 +316,7 @@ void Platform::launch_gang(const hpc::MpiProgram& program, int ranks,
     gang->rank_nodes[rank] = node;
     if (--gang->remaining > 0) return;
     gang->comm = std::make_shared<hpc::Communicator>(
-        sim_, *fabric_, gang->rank_nodes, config_.comm);
+        sim_, *fabric_, gang->rank_nodes);
     trace::ScopedContext tctx(tracer_, trace_parent);
     hpc::run_mpi_program(
         sim_, *gang->comm, program,

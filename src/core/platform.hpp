@@ -36,18 +36,10 @@ struct PlatformConfig {
   int storage_nodes = 4;
   int accel_nodes = 2;
   int racks = 2;
-  net::TopologyConfig topology;
   storage::ObjectStoreConfig store;
   dataflow::DataflowConfig dataflow;
   orch::OrchestratorConfig orchestrator;
-  hpc::CommConfig comm;
   accel::DeviceConfig accel_device;
-  /// Per-executor resources for dataflow steps.
-  std::int64_t executor_millicores = 4000;
-  util::Bytes executor_memory = 8 * util::kGiB;
-  /// Per-rank resources for HPC steps.
-  std::int64_t rank_millicores = 8000;
-  util::Bytes rank_memory = 16 * util::kGiB;
   /// When true, dataflow executors prefer the storage nodes holding the
   /// job's input (converged data locality). Ablation switch.
   bool locality_placement = true;

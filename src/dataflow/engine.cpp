@@ -11,6 +11,13 @@
 #include "util/rng.hpp"
 
 namespace evolve::dataflow {
+namespace {
+
+constexpr util::TimeNs kTaskLaunchOverhead = util::millis(4);
+/// Device that map outputs spill to and shuffle reads come from.
+const std::string kShuffleDevice = "nvme";
+
+}  // namespace
 
 struct DataflowEngine::RunState {
   PhysicalPlan plan;
@@ -94,12 +101,6 @@ DataflowEngine::DataflowEngine(sim::Simulation& sim,
       io_(io),
       catalog_(catalog),
       config_(config) {
-  if (config_.default_parallelism <= 0) {
-    throw std::invalid_argument("default_parallelism must be > 0");
-  }
-  if (config_.executor_core_speed <= 0) {
-    throw std::invalid_argument("executor_core_speed must be > 0");
-  }
   if (config_.straggler_probability < 0 || config_.straggler_probability > 1) {
     throw std::invalid_argument("straggler_probability must be in [0, 1]");
   }
@@ -184,7 +185,7 @@ void DataflowEngine::start_stage(std::shared_ptr<RunState> run,
     sr.num_tasks = catalog_.spec(def.source_dataset).partitions;
   } else {
     sr.num_tasks = def.requested_partitions > 0 ? def.requested_partitions
-                                                : config_.default_parallelism;
+                                                : kDefaultParallelism;
   }
   sr.stats.tasks = sr.num_tasks;
   run->stats.tasks += sr.num_tasks;
@@ -286,8 +287,7 @@ void DataflowEngine::execute_copy(std::shared_ptr<RunState> run, TaskId copy,
                              &sr](util::Bytes input_bytes) {
     if (run->running_copies.count(copy) == 0) return;  // killed mid-input
     sr.stats.input_bytes += input_bytes;
-    double speed =
-        config_.executor_core_speed * cluster_.node(node).core_speed;
+    double speed = cluster_.node(node).core_speed;
     const auto slow = node_slowdown_.find(node);
     if (slow != node_slowdown_.end()) speed /= slow->second;
     double compute_ns =
@@ -360,7 +360,7 @@ void DataflowEngine::execute_copy(std::shared_ptr<RunState> run, TaskId copy,
         run->shuffle.register_output(stage_id, index, node, output);
         const trace::SpanId spill_span = trace::begin_span(
             tracer_, trace::Layer::kShuffle, "df.spill", copy_span);
-        io_.device(node, config_.shuffle_device)
+        io_.device(node, kShuffleDevice)
             .submit(storage::IoKind::kWrite, output,
                     [this, spill_span, complete = std::move(complete)] {
                       trace::end_span(tracer_, spill_span);
@@ -370,10 +370,9 @@ void DataflowEngine::execute_copy(std::shared_ptr<RunState> run, TaskId copy,
     });
   };
 
-  sim_.after(config_.task_launch_overhead, [this, run, task_id, copy,
-                                            copy_span, executor, node,
-                                            stage_id, index, &def,
-                                            compute_and_output] {
+  sim_.after(kTaskLaunchOverhead, [this, run, task_id, copy, copy_span,
+                                   executor, node, stage_id, index, &def,
+                                   compute_and_output] {
     if (run->running_copies.count(copy) == 0) return;  // killed on launch
     if (def.reads_source()) {
       const auto key =
@@ -464,7 +463,7 @@ void DataflowEngine::execute_copy(std::shared_ptr<RunState> run, TaskId copy,
     auto remaining = std::make_shared<int>(static_cast<int>(plan.size()));
     for (const FetchSource& src : plan) {
       // Map-side disk read, then the network hop to this executor.
-      io_.device(src.node, config_.shuffle_device)
+      io_.device(src.node, kShuffleDevice)
           .submit(storage::IoKind::kRead, src.bytes,
                   [this, run, src, node, remaining, total, fetch_span,
                    compute_and_output] {

@@ -33,12 +33,11 @@ struct ExecutorSpec {
   int slots = 1;
 };
 
+/// Reducer count when a wide op says 0.
+inline constexpr int kDefaultParallelism = 8;
+
 struct DataflowConfig {
-  int default_parallelism = 8;     // reducer count when a wide op says 0
   util::TimeNs locality_wait = util::millis(500);  // 0 = no delay sched
-  util::TimeNs task_launch_overhead = util::millis(4);
-  std::string shuffle_device = "nvme";
-  double executor_core_speed = 1.0;  // task compute scale factor
 
   // -- Straggler injection (models interference/slow nodes) ----------
   double straggler_probability = 0.0;  // per task

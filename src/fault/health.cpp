@@ -46,7 +46,7 @@ double HealthScorer::peer_median(cluster::NodeId node) const {
     if (!down_.empty() && down_.count(id) != 0) continue;
     peers.push_back(state.ewma);
   }
-  if (static_cast<int>(peers.size()) < config_.min_peers) return 0.0;
+  if (static_cast<int>(peers.size()) < kMinPeers) return 0.0;
   // Median of the lower-middle element for even sizes: deterministic and
   // slightly conservative (a larger median flags fewer nodes).
   const std::size_t mid = (peers.size() - 1) / 2;
@@ -89,9 +89,8 @@ void HealthScorer::set_node_down(cluster::NodeId node, bool down) {
 // ---------------------------------------------------------------------------
 
 QuarantineController::QuarantineController(sim::Simulation& sim,
-                                           HealthScorer& scorer,
-                                           QuarantineConfig config)
-    : sim_(sim), scorer_(scorer), config_(config) {
+                                           HealthScorer& scorer)
+    : sim_(sim), scorer_(scorer) {
   scorer_.on_flag([this](cluster::NodeId node, util::TimeNs) {
     quarantine(node);
   });
@@ -132,8 +131,8 @@ void QuarantineController::quarantine(cluster::NodeId node) {
   // Probe back in after an exponentially backed-off delay: the node
   // rejoins with a clean score, and fresh samples re-decide.
   const util::TimeNs delay = std::min(
-      util::saturating_backoff(config_.probe_delay, state.consecutive),
-      config_.probe_delay_cap);
+      util::saturating_backoff(kProbeDelay, state.consecutive),
+      kProbeDelayCap);
   state.probe_pending = true;
   state.probe_event = sim_.after(delay, [this, node] {
     const auto it = quarantined_.find(node);

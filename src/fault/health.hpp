@@ -15,7 +15,7 @@
 // delay) or stays in service. This is the probe-back-in state machine:
 //
 //   healthy --score > flag_ratio--> quarantined (draining)
-//   quarantined --probe_delay elapsed--> probing (back in service, score reset)
+//   quarantined --kProbeDelay elapsed--> probing (back in service, score reset)
 //   probing --re-flagged--> quarantined (probe delay doubled, saturating)
 //   probing | quarantined --score < clear_ratio--> healthy
 #pragma once
@@ -39,8 +39,10 @@ struct HealthScorerConfig {
   double flag_ratio = 2.0;   // flag when ewma > flag_ratio * peer median
   double clear_ratio = 1.3;  // clear when ewma < clear_ratio * peer median
   int min_samples = 5;       // samples before a node can be flagged
-  int min_peers = 2;         // scored peers needed to form a median
 };
+
+/// Scored peers needed to form a median.
+inline constexpr int kMinPeers = 2;
 
 class HealthScorer {
  public:
@@ -95,7 +97,7 @@ class HealthScorer {
   };
 
   /// Median EWMA over scored peers (min_samples reached), excluding
-  /// `node`. Returns 0 when fewer than min_peers qualify.
+  /// `node`. Returns 0 when fewer than kMinPeers qualify.
   double peer_median(cluster::NodeId node) const;
 
   sim::Simulation& sim_;
@@ -108,20 +110,18 @@ class HealthScorer {
   metrics::Registry metrics_;
 };
 
-struct QuarantineConfig {
-  util::TimeNs probe_delay = util::millis(500);  // first probe-back-in delay
-  /// Probe delay doubles per consecutive re-quarantine of one node
-  /// (saturating), capped here.
-  util::TimeNs probe_delay_cap = util::seconds(30);
-};
+/// First probe-back-in delay of a quarantined node.
+inline constexpr util::TimeNs kProbeDelay = util::millis(500);
+/// Probe delay doubles per consecutive re-quarantine of one node
+/// (saturating), capped here.
+inline constexpr util::TimeNs kProbeDelayCap = util::seconds(30);
 
 class QuarantineController {
  public:
   /// node, quarantined (true = drained out, false = probed back in).
   using ChangeFn = std::function<void(cluster::NodeId, bool, util::TimeNs)>;
 
-  QuarantineController(sim::Simulation& sim, HealthScorer& scorer,
-                       QuarantineConfig config = {});
+  QuarantineController(sim::Simulation& sim, HealthScorer& scorer);
   QuarantineController(const QuarantineController&) = delete;
   QuarantineController& operator=(const QuarantineController&) = delete;
 
@@ -160,7 +160,6 @@ class QuarantineController {
 
   sim::Simulation& sim_;
   HealthScorer& scorer_;
-  QuarantineConfig config_;
   std::vector<ChangeFn> change_subs_;
   std::map<cluster::NodeId, State> quarantined_;
   std::map<cluster::NodeId, int> requarantine_streak_;

@@ -4,14 +4,18 @@
 #include <stdexcept>
 
 namespace evolve::hpc {
+namespace {
+
+/// Software overhead charged per message on top of the fabric time.
+constexpr util::TimeNs kPerMessageOverhead = util::micros(1);
+/// Local combine cost for reductions (ns per byte reduced).
+constexpr double kReduceNsPerByte = 0.05;
+
+}  // namespace
 
 Communicator::Communicator(sim::Simulation& sim, net::Fabric& fabric,
-                           std::vector<cluster::NodeId> rank_nodes,
-                           CommConfig config)
-    : sim_(sim),
-      fabric_(fabric),
-      rank_nodes_(std::move(rank_nodes)),
-      config_(config) {
+                           std::vector<cluster::NodeId> rank_nodes)
+    : sim_(sim), fabric_(fabric), rank_nodes_(std::move(rank_nodes)) {
   if (rank_nodes_.empty()) {
     throw std::invalid_argument("communicator needs at least one rank");
   }
@@ -28,7 +32,7 @@ void Communicator::post(int src, int dst, util::Bytes bytes, Fn on_done) {
   const cluster::NodeId dst_node = node_of(dst);
   metrics_.count("messages");
   metrics_.count("bytes_sent", bytes);
-  sim_.after(config_.per_message_overhead,
+  sim_.after(kPerMessageOverhead,
              [this, src_node, dst_node, bytes,
               cb = std::move(on_done)]() mutable {
                fabric_.transfer(src_node, dst_node, bytes, std::move(cb));
@@ -105,8 +109,7 @@ void Communicator::bcast(int root, util::Bytes bytes, CollectiveAlgo algo,
 
 void Communicator::reduce(int root, util::Bytes bytes, CollectiveAlgo algo,
                           Callback on_done) {
-  execute(reduce_schedule(size(), root, bytes, config_.reduce_ns_per_byte,
-                          algo),
+  execute(reduce_schedule(size(), root, bytes, kReduceNsPerByte, algo),
           std::move(on_done));
 }
 
@@ -116,8 +119,8 @@ void Communicator::allreduce(util::Bytes bytes, CollectiveAlgo algo,
   if (it == allreduce_schedules_.end()) {
     it = allreduce_schedules_
              .emplace(std::make_pair(bytes, algo),
-                      allreduce_schedule(size(), bytes,
-                                         config_.reduce_ns_per_byte, algo))
+                      allreduce_schedule(size(), bytes, kReduceNsPerByte,
+                                         algo))
              .first;
   }
   Run* run = acquire_run();
@@ -141,9 +144,8 @@ void Communicator::gather(int root, util::Bytes bytes_per_rank,
 }
 
 void Communicator::reduce_scatter(util::Bytes bytes, Callback on_done) {
-  execute(
-      reduce_scatter_schedule(size(), bytes, config_.reduce_ns_per_byte),
-      std::move(on_done));
+  execute(reduce_scatter_schedule(size(), bytes, kReduceNsPerByte),
+          std::move(on_done));
 }
 
 void Communicator::alltoall(util::Bytes bytes_per_pair, Callback on_done) {

@@ -26,24 +26,15 @@
 
 namespace evolve::hpc {
 
-struct CommConfig {
-  /// Software overhead charged per message on top of the fabric time.
-  util::TimeNs per_message_overhead = util::micros(1);
-  /// Local combine cost for reductions (ns per byte reduced).
-  double reduce_ns_per_byte = 0.05;
-};
-
 class Communicator {
  public:
   using Callback = std::function<void()>;
 
   Communicator(sim::Simulation& sim, net::Fabric& fabric,
-               std::vector<cluster::NodeId> rank_nodes,
-               CommConfig config = {});
+               std::vector<cluster::NodeId> rank_nodes);
 
   int size() const { return static_cast<int>(rank_nodes_.size()); }
   cluster::NodeId node_of(int rank) const;
-  const CommConfig& config() const { return config_; }
 
   /// Point-to-point message; `on_done` fires when it is fully received.
   void send(int src, int dst, util::Bytes bytes, Callback on_done);
@@ -95,7 +86,6 @@ class Communicator {
   sim::Simulation& sim_;
   net::Fabric& fabric_;
   std::vector<cluster::NodeId> rank_nodes_;
-  CommConfig config_;
   metrics::Registry metrics_;
   std::vector<std::unique_ptr<Run>> runs_;  // every run, idle or not
   std::vector<Run*> idle_runs_;

@@ -148,4 +148,11 @@ std::string Histogram::summary() const {
   return out.str();
 }
 
+util::TimeNs hedge_delay(const Histogram& latency_us, util::TimeNs min_delay,
+                         std::int64_t min_samples) {
+  if (latency_us.count() < min_samples) return min_delay;
+  return std::max<util::TimeNs>(latency_us.p95() * util::kMicrosecond,
+                                min_delay);
+}
+
 }  // namespace evolve::metrics

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/types.hpp"
+
 namespace evolve::metrics {
 
 class Histogram {
@@ -67,5 +69,11 @@ class Histogram {
   mutable std::size_t cursor_i_ = 0;
   mutable std::int64_t cursor_cum_ = 0;
 };
+
+/// When to hedge a request: the p95 of the component's own latency
+/// histogram (`latency_us`, in µs), floored at `min_delay`, once it
+/// holds `min_samples` samples; `min_delay` before that.
+util::TimeNs hedge_delay(const Histogram& latency_us, util::TimeNs min_delay,
+                         std::int64_t min_samples);
 
 }  // namespace evolve::metrics

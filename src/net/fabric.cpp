@@ -198,7 +198,7 @@ int Fabric::group_for_pair(cluster::NodeId src, cluster::NodeId dst) {
   group.key = key;
   group.path = topology_.path(src, dst);
   group.rate =
-      group.path.empty() ? topology_.config().loopback_bytes_per_s : 0.0;
+      group.path.empty() ? kLoopbackBytesPerS : 0.0;
   group.drain_total = 0.0;
   group.size = 0;
   group_of_pair_.try_emplace(key, gi);

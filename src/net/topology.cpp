@@ -7,9 +7,8 @@ namespace evolve::net {
 // Link layout in links_: for each host h: [2h] = host up, [2h+1] = host
 // down; then for each rack r: [2H + 2r] = ToR up (to core), [2H + 2r + 1]
 // = ToR down (from core).
-Topology::Topology(const cluster::Cluster& cluster, TopologyConfig config)
-    : config_(config),
-      host_count_(cluster.size()),
+Topology::Topology(const cluster::Cluster& cluster)
+    : host_count_(cluster.size()),
       rack_count_(cluster.rack_count()) {
   if (host_count_ == 0) throw std::invalid_argument("empty cluster");
   host_rack_.reserve(static_cast<std::size_t>(host_count_));
@@ -18,14 +17,14 @@ Topology::Topology(const cluster::Cluster& cluster, TopologyConfig config)
   links_.reserve(static_cast<std::size_t>(2 * host_count_ + 2 * rack_count_));
   for (int h = 0; h < host_count_; ++h) {
     const std::string& name = cluster.node(h).name;
-    links_.push_back(Link{name + ":up", config_.host_link_bytes_per_s});
-    links_.push_back(Link{name + ":down", config_.host_link_bytes_per_s});
+    links_.push_back(Link{name + ":up", kHostLinkBytesPerS});
+    links_.push_back(Link{name + ":down", kHostLinkBytesPerS});
   }
   for (int r = 0; r < rack_count_; ++r) {
     links_.push_back(
-        Link{"tor-" + std::to_string(r) + ":up", config_.tor_uplink_bytes_per_s});
+        Link{"tor-" + std::to_string(r) + ":up", kTorUplinkBytesPerS});
     links_.push_back(Link{"tor-" + std::to_string(r) + ":down",
-                          config_.tor_uplink_bytes_per_s});
+                          kTorUplinkBytesPerS});
   }
 }
 
@@ -62,10 +61,10 @@ bool Topology::same_rack(cluster::NodeId a, cluster::NodeId b) const {
 }
 
 util::TimeNs Topology::latency(cluster::NodeId src, cluster::NodeId dst) const {
-  if (src == dst) return config_.base_latency / 2;
-  return config_.base_latency +
+  if (src == dst) return kBaseLatency / 2;
+  return kBaseLatency +
          static_cast<util::TimeNs>(hops(src, dst) + 1) *
-             config_.per_hop_latency;
+             kPerHopLatency;
 }
 
 }  // namespace evolve::net

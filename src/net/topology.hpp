@@ -48,22 +48,19 @@ class Path {
   std::size_t size_ = 0;
 };
 
-struct TopologyConfig {
-  double host_link_bytes_per_s = 1.25e9;  // 10 GbE access links
-  double tor_uplink_bytes_per_s = 5e9;    // 40 GbE rack uplinks
-  util::TimeNs per_hop_latency = util::micros(2);
-  util::TimeNs base_latency = util::micros(10);  // NIC + software stack
-  double loopback_bytes_per_s = 16e9;            // intra-node memcpy
-};
+inline constexpr double kHostLinkBytesPerS = 1.25e9;  // 10 GbE access links
+inline constexpr double kTorUplinkBytesPerS = 5e9;    // 40 GbE rack uplinks
+inline constexpr util::TimeNs kPerHopLatency = util::micros(2);
+inline constexpr util::TimeNs kBaseLatency = util::micros(10);  // NIC + stack
+inline constexpr double kLoopbackBytesPerS = 16e9;  // intra-node memcpy
 
 class Topology {
  public:
   /// Builds host and ToR links for every node in `cluster`.
-  Topology(const cluster::Cluster& cluster, TopologyConfig config = {});
+  explicit Topology(const cluster::Cluster& cluster);
 
   int host_count() const { return host_count_; }
   int rack_count() const { return rack_count_; }
-  const TopologyConfig& config() const { return config_; }
 
   const Link& link(LinkId id) const { return links_[static_cast<std::size_t>(id)]; }
   int link_count() const { return static_cast<int>(links_.size()); }
@@ -99,7 +96,6 @@ class Topology {
   LinkId tor_up(int rack) const;
   LinkId tor_down(int rack) const;
 
-  TopologyConfig config_;
   int host_count_ = 0;
   int rack_count_ = 0;
   std::vector<int> host_rack_;

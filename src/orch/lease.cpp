@@ -11,13 +11,8 @@ LeaseManager::LeaseManager(sim::Simulation& sim, net::Fabric& fabric,
       orch_(orch),
       config_(config),
       rng_(config.seed) {
-  if (config_.renew_interval <= 0 || config_.ttl <= 0 || config_.grace < 0) {
-    throw std::invalid_argument("lease intervals must be positive");
-  }
-  if (config_.ttl <= config_.renew_interval) {
-    throw std::invalid_argument(
-        "lease ttl must exceed the renew interval (every healthy renewal "
-        "would otherwise race its own expiry)");
+  if (config_.grace < 0) {
+    throw std::invalid_argument("lease grace must not be negative");
   }
 }
 
@@ -41,7 +36,7 @@ void LeaseManager::start() {
     arm_expiry(node);
     arm_renewal(node, static_cast<util::TimeNs>(
                           l.rng.uniform(0.0, 1.0) *
-                          static_cast<double>(config_.renew_interval)));
+                          static_cast<double>(kRenewInterval)));
   }
 }
 
@@ -93,9 +88,9 @@ void LeaseManager::send_renewal(cluster::NodeId node) {
   // accumulate one parked flow per interval for the partition's whole
   // lifetime.
   if (l.pending != 0) fabric_.cancel(l.pending);
-  l.pending = fabric_.transfer(node, config_.leader, config_.renew_bytes,
+  l.pending = fabric_.transfer(node, kLeader, kRenewBytes,
                                [this, node] { handle_ack(node); });
-  arm_renewal(node, config_.renew_interval);
+  arm_renewal(node, kRenewInterval);
 }
 
 void LeaseManager::handle_ack(cluster::NodeId node) {
@@ -121,7 +116,7 @@ void LeaseManager::arm_expiry(cluster::NodeId node) {
   NodeLease& l = lease(node);
   if (l.has_expiry_event) sim_.cancel(l.expiry_event);
   l.expiry_event =
-      sim_.after(config_.ttl, [this, node] { handle_expiry(node); });
+      sim_.after(kTtl, [this, node] { handle_expiry(node); });
   l.has_expiry_event = true;
 }
 
@@ -180,12 +175,12 @@ void LeaseManager::resume(cluster::NodeId node) {
   NodeLease& l = it->second;
   if (!l.paused || stopped_) return;
   l.paused = false;
-  // Fresh lease: the recovered node gets a full ttl and rejoins the
+  // Fresh lease: the recovered node gets a full kTtl and rejoins the
   // renewal cadence at its own phase.
   arm_expiry(node);
   arm_renewal(node, static_cast<util::TimeNs>(
                         l.rng.uniform(0.0, 1.0) *
-                        static_cast<double>(config_.renew_interval)));
+                        static_cast<double>(kRenewInterval)));
 }
 
 std::int64_t LeaseManager::epoch(cluster::NodeId node) const {

@@ -41,16 +41,8 @@
 namespace evolve::orch {
 
 struct LeaseManagerConfig {
-  /// Node hosting the lease table (the control plane's vantage point).
-  cluster::NodeId leader = 0;
-  util::TimeNs renew_interval = util::millis(500);
-  /// Lease length: expiry fires this long after the last heartbeat
-  /// landed at the leader.
-  util::TimeNs ttl = util::seconds(2);
   /// After expiry, how long fenced pods wait before being evicted.
   util::TimeNs grace = util::seconds(10);
-  /// Heartbeat message size.
-  util::Bytes renew_bytes = 256;
   /// Staggers each node's renewal phase so heartbeats don't arrive as a
   /// synchronized wave.
   std::uint64_t seed = 1;
@@ -58,6 +50,17 @@ struct LeaseManagerConfig {
 
 class LeaseManager {
  public:
+  /// Node hosting the lease table (the control plane's vantage point).
+  static constexpr cluster::NodeId kLeader = 0;
+  static constexpr util::TimeNs kRenewInterval = util::millis(500);
+  /// Lease length: expiry fires this long after the last heartbeat
+  /// landed at the leader. It exceeds the renew interval, or every
+  /// healthy renewal would race its own expiry.
+  static constexpr util::TimeNs kTtl = util::seconds(2);
+  static_assert(kTtl > kRenewInterval);
+  /// Heartbeat message size.
+  static constexpr util::Bytes kRenewBytes = 256;
+
   /// Called with the node, its current fencing epoch, and the time.
   using LeaseFn =
       std::function<void(cluster::NodeId, std::int64_t, util::TimeNs)>;

@@ -103,8 +103,7 @@ Orchestrator::Orchestrator(sim::Simulation& sim,
   }
   double total_cpu = 0, total_mem = 0;
   for (cluster::NodeId n : managed) {
-    const auto allocatable =
-        cluster_.node(n).allocatable(config_.accel_slots_per_device);
+    const auto allocatable = cluster_.node(n).allocatable();
     node_index_[n] = nodes_.size();
     nodes_.emplace_back(n, allocatable);
     total_cpu += static_cast<double>(allocatable.cpu_millicores);

@@ -63,7 +63,6 @@ struct BatchSpec {
 struct OrchestratorConfig {
   util::TimeNs scheduling_interval = util::millis(10);
   util::TimeNs bind_latency = util::millis(50);  // image pull + start
-  int accel_slots_per_device = 1;
   bool enable_preemption = false;
   /// With a PoolTree attached: pods of pools below their fair share may
   /// preempt pods (of equal or lower priority) from pools above theirs.

@@ -104,7 +104,7 @@ void RefFabric::solve_max_min() {
   pending.reserve(flows_.size());
   for (auto& [id, flow] : flows_) {
     if (flow.path.empty()) {
-      flow.rate = topology_.config().loopback_bytes_per_s;
+      flow.rate = net::kLoopbackBytesPerS;
       continue;
     }
     flow.rate = -1.0;  // unfixed marker

@@ -50,12 +50,12 @@ void Service::set_node_drained(cluster::NodeId node, bool drained) {
 }
 
 void Service::ramp_node(cluster::NodeId node, util::TimeNs window) {
-  if (window <= 0 || config_.ramp_max_penalty <= 0) return;
+  if (window <= 0) return;
   ramp_[node] = Ramp{sim_.now(), sim_.now() + window};
 }
 
 int Service::ramp_penalty(cluster::NodeId node) {
-  if (ramp_.empty() || config_.ramp_max_penalty <= 0) return 0;
+  if (ramp_.empty()) return 0;
   const auto it = ramp_.find(node);
   if (it == ramp_.end()) return 0;
   const util::TimeNs now = sim_.now();
@@ -66,7 +66,7 @@ int Service::ramp_penalty(cluster::NodeId node) {
   const double frac = static_cast<double>(now - it->second.start) /
                       static_cast<double>(it->second.end - it->second.start);
   return static_cast<int>(std::ceil(
-      (1.0 - frac) * static_cast<double>(config_.ramp_max_penalty)));
+      (1.0 - frac) * static_cast<double>(kRampMaxPenalty)));
 }
 
 void Service::set_accel_pool(accel::AccelPool* pool) {
@@ -394,13 +394,9 @@ void Service::finalize(RequestId id, int which) {
 }
 
 void Service::arm_hedge(InFlight& rec) {
-  util::TimeNs delay = config_.hedge_min_delay;
-  const metrics::Histogram& latency = metrics_.histogram("serve.latency_us");
-  if (latency.count() >= config_.hedge_min_samples) {
-    delay = std::max<util::TimeNs>(
-        latency.percentile(config_.hedge_quantile) * util::kMicrosecond,
-        config_.hedge_min_delay);
-  }
+  const util::TimeNs delay =
+      metrics::hedge_delay(metrics_.histogram("serve.latency_us"),
+                           config_.hedge_min_delay, config_.hedge_min_samples);
   const RequestId id = rec.req.id;
   rec.hedge_event = sim_.after(delay, [this, id] {
     InFlight* r = record(id);

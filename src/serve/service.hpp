@@ -52,21 +52,21 @@
 
 namespace evolve::serve {
 
+/// Post-heal admission ramp (see Service::ramp_node()): a freshly
+/// reconnected node's replicas start with this much virtual load,
+/// decaying linearly over the ramp window, so traffic returns gradually
+/// instead of as a thundering herd into a cold node.
+inline constexpr int kRampMaxPenalty = 32;
+
 struct ServiceConfig {
   BalancePolicy policy = BalancePolicy::kPowerOfTwo;
   ReplicaConfig replica;
   AdmissionConfig admission;
   /// Duplicate slow requests to a second replica after the service's own
-  /// latency quantile.
+  /// latency p95 (metrics::hedge_delay).
   bool hedging = false;
-  double hedge_quantile = 95.0;
   util::TimeNs hedge_min_delay = util::millis(5);
   int hedge_min_samples = 32;
-  /// Post-heal admission ramp (see ramp_node()): a freshly reconnected
-  /// node's replicas start with this much virtual load, decaying
-  /// linearly over the ramp window, so traffic returns gradually
-  /// instead of as a thundering herd into a cold node.
-  int ramp_max_penalty = 32;
   std::uint64_t seed = 0x5e12e;  // p2c sampling
 };
 
@@ -100,7 +100,7 @@ class Service {
   }
   /// Post-heal admission ramp: for `window` after this call the router
   /// treats replicas on `node` as carrying extra virtual load
-  /// (`ramp_max_penalty` decaying linearly to zero), so a healed node
+  /// (`kRampMaxPenalty` decaying linearly to zero), so a healed node
   /// re-absorbs traffic gradually. Re-arming restarts the ramp.
   void ramp_node(cluster::NodeId node, util::TimeNs window);
 

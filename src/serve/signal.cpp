@@ -12,9 +12,6 @@ ScalingSignal::ScalingSignal(sim::Simulation& sim, ScalingSignalConfig config)
   if (config_.delay_target <= 0) {
     throw std::invalid_argument("delay_target must be > 0");
   }
-  if (config_.max_pressure < 1.0) {
-    throw std::invalid_argument("max_pressure must be >= 1");
-  }
   if (config_.capacity_per_replica <= 0 ||
       config_.target_inflight_per_replica <= 0) {
     throw std::invalid_argument("capacities must be > 0");
@@ -72,7 +69,7 @@ double ScalingSignal::pressure() {
   const double ratio =
       static_cast<double>(queue_delay_p99()) /
       static_cast<double>(config_.delay_target);
-  return std::clamp(ratio, 1.0, config_.max_pressure);
+  return std::clamp(ratio, 1.0, kMaxPressure);
 }
 
 double ScalingSignal::load() {

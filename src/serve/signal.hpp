@@ -11,7 +11,7 @@
 //   load = max( arrival_rate * pressure,
 //               capacity_per_replica * inflight / target_inflight_per_replica )
 //
-// where pressure = clamp(p99_queue_delay / delay_target, 1, max_pressure).
+// where pressure = clamp(p99_queue_delay / delay_target, 1, kMaxPressure).
 // The first term scales on demand, inflated when the observed p99 queue
 // delay overshoots its target (latency-aware scale-up before queues
 // collapse); the second is a backlog floor that forces scale-up even
@@ -27,10 +27,12 @@
 
 namespace evolve::serve {
 
+/// Pressure clamp.
+inline constexpr double kMaxPressure = 3.0;
+
 struct ScalingSignalConfig {
   util::TimeNs window = util::seconds(10);       // sliding-window width
   util::TimeNs delay_target = util::millis(20);  // p99 queue-delay target
-  double max_pressure = 3.0;                     // pressure clamp
   double capacity_per_replica = 100.0;  // same unit as AutoscalerConfig
   double target_inflight_per_replica = 16.0;
 };
@@ -51,7 +53,7 @@ class ScalingSignal {
   double arrival_rate();
   /// p99 of the windowed queue-delay samples (0 while empty).
   util::TimeNs queue_delay_p99();
-  /// clamp(p99 / delay_target, 1, max_pressure).
+  /// clamp(p99 / delay_target, 1, kMaxPressure).
   double pressure();
   /// The synthetic load value to hand the HorizontalAutoscaler.
   double load();

@@ -13,6 +13,19 @@ namespace evolve::storage {
 
 namespace {
 
+/// Encode/decode compute cost charged at the coordinating server (PUT)
+/// or the reading client (GET stripe assembly).
+constexpr double kEcNsPerByte = 0.3;
+/// Extra per-logical-byte decode cost when a GET has to reconstruct
+/// through parity (some fragment in the read set is not a data
+/// fragment) — the modeled Reed-Solomon recovery math.
+constexpr double kEcReconstructNsPerByte = 0.5;
+constexpr util::TimeNs kMetadataLatency = util::micros(200);
+/// GET latency samples before hedging takes the p95 over the floor.
+constexpr int kHedgeMinSamples = 20;
+/// Replicas verified per scrub pass (bounds scrub I/O per interval).
+constexpr int kScrubReplicasPerPass = 64;
+
 /// Stateless 64-bit mix for rendezvous hashing.
 std::uint64_t mix_hash(std::uint64_t seed) {
   return util::splitmix64(seed);
@@ -212,35 +225,39 @@ std::vector<cluster::NodeId> ObjectStore::place_copies(
   const auto& ranked = ranked_servers(key);
   const int count =
       std::min<int>(placed_copies(), static_cast<int>(ranked.size()));
-  if (!config_.rack_aware_placement) {
-    return std::vector<cluster::NodeId>(ranked.begin(),
-                                        ranked.begin() + count);
-  }
-  // Failure-domain spread: walk the HRW order but let no rack exceed
-  // ceil(copies / live racks), so a whole-rack outage kills at most
-  // that many fragments of any one stripe.
-  const int cap = rack_cap(ranked, count);
   std::vector<cluster::NodeId> out;
   out.reserve(static_cast<std::size_t>(count));
-  for (cluster::NodeId node : ranked) {
-    if (static_cast<int>(out.size()) == count) break;
-    int& used = rack_load(node);
-    if (used >= cap) continue;
-    ++used;
-    out.push_back(node);
+  extend_placement(ranked, count, static_cast<std::size_t>(count), out);
+  return out;
+}
+
+void ObjectStore::extend_placement(const std::vector<cluster::NodeId>& ranked,
+                                   int copies, std::size_t count,
+                                   std::vector<cluster::NodeId>& out) const {
+  if (config_.rack_aware_placement) {
+    // Failure-domain spread: walk the HRW order but let no rack exceed
+    // ceil(copies / live racks), so a whole-rack outage kills at most
+    // that many fragments of any one stripe.
+    const int cap = rack_cap(ranked, copies);
+    const std::size_t held = out.size();
+    for (cluster::NodeId node : out) ++rack_load(node);
+    for (cluster::NodeId node : ranked) {
+      if (out.size() == count) break;
+      const auto held_end = out.begin() + static_cast<std::ptrdiff_t>(held);
+      if (std::find(out.begin(), held_end, node) != held_end) continue;
+      int& used = rack_load(node);
+      if (used >= cap) continue;
+      ++used;
+      out.push_back(node);
+    }
+    for (cluster::NodeId node : out) rack_load(node) = 0;
   }
-  for (cluster::NodeId node : out) {
-    rack_load(node) = 0;
-  }
-  // Uneven rack sizes can make the cap infeasible (a rack with fewer
-  // live servers than its share); top up in plain HRW order.
   for (cluster::NodeId node : ranked) {
-    if (static_cast<int>(out.size()) == count) break;
+    if (out.size() == count) break;
     if (std::find(out.begin(), out.end(), node) == out.end()) {
       out.push_back(node);
     }
   }
-  return out;
 }
 
 std::vector<cluster::NodeId> ObjectStore::locate(const ObjectKey& key) const {
@@ -275,9 +292,7 @@ void ObjectStore::write_durable(cluster::NodeId server, const ObjectKey& key,
   ServerState& state = server_state(server);
   state.durable->submit(IoKind::kWrite, size, std::move(on_done));
   state.durable_used += size;
-  if (config_.cache_on_put) {
-    state.cache->put(key, size);
-  }
+  state.cache->put(key, size);  // write-through into the cache tiers
 }
 
 util::Bytes ObjectStore::per_server_bytes(util::Bytes size) const {
@@ -348,8 +363,8 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
   if (config_.redundancy == Redundancy::kReplication) {
     // Metadata round, then client -> primary transfer, then fan-out
     // replication in parallel. Done when every replica is durable.
-    sim_.after(config_.metadata_latency, [this, client, primary, key, size,
-                                          replicas, span, finish]() mutable {
+    sim_.after(kMetadataLatency, [this, client, primary, key, size,
+                                  replicas, span, finish]() mutable {
       trace::ScopedContext tctx(tracer_, span);
       fabric_.transfer(client, primary, size, [this, primary, key, size,
                                                replicas, span,
@@ -371,10 +386,10 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
   // Erasure coding: client -> primary (full body); primary encodes, then
   // distributes k+m-1 fragments; every fragment must be durable.
   const auto encode_ns = static_cast<util::TimeNs>(
-      std::ceil(static_cast<double>(size) * config_.ec_ns_per_byte));
-  sim_.after(config_.metadata_latency, [this, client, primary, key, size,
-                                        per_server, encode_ns, replicas,
-                                        span, finish]() mutable {
+      std::ceil(static_cast<double>(size) * kEcNsPerByte));
+  sim_.after(kMetadataLatency, [this, client, primary, key, size,
+                                per_server, encode_ns, replicas, span,
+                                finish]() mutable {
     trace::ScopedContext tctx(tracer_, span);
     fabric_.transfer(client, primary, size, [this, primary, key, per_server,
                                              encode_ns, replicas, span,
@@ -410,21 +425,6 @@ void ObjectStore::read_block(cluster::NodeId client, const ObjectKey& key,
   start_fetch(client, key, bytes, std::move(on_done));
 }
 
-util::TimeNs ObjectStore::hedge_delay() const {
-  // Hedge after our own observed GET p-quantile (floor until the
-  // histogram has warmed up).
-  util::TimeNs delay = config_.hedge_min_delay;
-  if (metrics_.has_histogram("get_latency_us")) {
-    const metrics::Histogram& lat = metrics_.histogram("get_latency_us");
-    if (lat.count() >= config_.hedge_min_samples) {
-      delay = std::max<util::TimeNs>(
-          lat.percentile(config_.hedge_quantile) * util::kMicrosecond,
-          config_.hedge_min_delay);
-    }
-  }
-  return delay;
-}
-
 void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
                               util::Bytes block, GetCallback on_done) {
   const util::TimeNs start = sim_.now();
@@ -442,7 +442,7 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
     if (span != trace::kNoSpan) {
       tracer_->annotate(span, "result", lost ? "lost" : "miss");
     }
-    sim_.after(config_.metadata_latency,
+    sim_.after(kMetadataLatency,
                [this, span, cb = std::move(on_done)] {
                  trace::end_span(tracer_, span);
                  cb(GetResult{});
@@ -458,15 +458,14 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
   f->size = f->block ? std::min(block, meta.size) : meta.size;
   f->branch_bytes = ec ? meta.per_server_bytes : f->size;
   f->k = ec ? config_.ec_data : 1;
-  f->admit = config_.cache_on_get && !f->block;
   f->hedge = config_.hedged_reads && !f->block &&
              static_cast<int>(meta.replicas.size()) > f->k;
   f->degraded = health(meta) == Health::kDegraded;
   if (ec) {
     f->decode_ns = static_cast<util::TimeNs>(
-        std::ceil(static_cast<double>(meta.size) * config_.ec_ns_per_byte));
+        std::ceil(static_cast<double>(meta.size) * kEcNsPerByte));
     f->reconstruct_ns = static_cast<util::TimeNs>(std::ceil(
-        static_cast<double>(meta.size) * config_.ec_reconstruct_ns_per_byte));
+        static_cast<double>(meta.size) * kEcReconstructNsPerByte));
   }
   f->start = start;
   f->span = span;
@@ -501,7 +500,7 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
     // One metadata round before the primary; hedges and failovers skip it.
     const cluster::NodeId server = meta.replicas[static_cast<std::size_t>(
         untried_holder(meta.replicas, f->branches, nearest_data))];
-    sim_.after(config_.metadata_latency, [this, f, server] {
+    sim_.after(kMetadataLatency, [this, f, server] {
       launch_branch(f, server, 0, /*hedge=*/false);
     });
   }
@@ -509,7 +508,10 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
 
   // Straggler hedge: after the latency-quantile delay, read one more
   // untried holder — whichever k branches land first win.
-  sim_.after(hedge_delay(), [this, f, ec] {
+  const util::TimeNs delay =
+      metrics::hedge_delay(metrics_.histogram("get_latency_us"),
+                           config_.hedge_min_delay, kHedgeMinSamples);
+  sim_.after(delay, [this, f, ec] {
     if (f->done || f->hedged) return;
     auto obj = objects_.find(f->key);
     if (obj == objects_.end()) return;
@@ -544,12 +546,12 @@ void ObjectStore::launch_branch(const std::shared_ptr<Fetch>& f,
   branch.server = server;
   branch.parity = ec && fragment >= config_.ec_data;
   branch.hedge = hedge;
-  // Which tier serves the read? A cache miss admits the object when the
-  // plan says so; otherwise the read comes from wherever it already is.
+  // Which tier serves the read? A GET's cache miss admits the object; a
+  // block read comes from wherever the object already is.
   ServerState& state = server_state(server);
-  const std::optional<int> cached = f->admit ? state.cache->get(f->key)
-                                             : state.cache->peek(f->key);
-  if (f->admit && !cached) state.cache->put(f->key, f->branch_bytes);
+  const std::optional<int> cached = f->block ? state.cache->peek(f->key)
+                                             : state.cache->get(f->key);
+  if (!f->block && !cached) state.cache->put(f->key, f->branch_bytes);
   branch.device = state.durable;
   if (cached) {
     branch.device =
@@ -606,7 +608,7 @@ void ObjectStore::launch_branch(const std::shared_ptr<Fetch>& f,
   // An erasure-coded branch pays its own metadata round; replicated and
   // block reads paid theirs once, before the primary.
   if (ec) {
-    sim_.after(config_.metadata_latency, std::move(read));
+    sim_.after(kMetadataLatency, std::move(read));
   } else {
     read();
   }
@@ -766,7 +768,7 @@ void ObjectStore::remove(cluster::NodeId /*client*/, const ObjectKey& key,
     sync_queued(key);
     metrics_.count("delete_requests");
   }
-  sim_.after(config_.metadata_latency, std::move(on_done));
+  sim_.after(kMetadataLatency, std::move(on_done));
 }
 
 bool ObjectStore::exists(const ObjectKey& key) const {
@@ -1009,7 +1011,7 @@ void ObjectStore::scrub_pass() {
   // Oracle-guided scrub: the simulator models the verification I/O and
   // the repair traffic for rotten replicas without simulating full-disk
   // scans of clean data.
-  int budget = config_.scrub_replicas_per_pass;
+  int budget = kScrubReplicasPerPass;
   auto it = corrupted_replicas_.begin();
   while (it != corrupted_replicas_.end() && budget > 0) {
     if (scrub_inflight_.count(*it) != 0) {
@@ -1168,43 +1170,19 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
     return;
   }
   ObjectMeta& meta = it->second;
-  // Target: the best-ranked live server not already holding a copy,
-  // respecting the per-rack placement cap (relaxed only when no rack-
-  // compliant target exists, mirroring place_copies).
-  const auto& ranked = ranked_servers(key);
-  cluster::NodeId target = cluster::kInvalidNode;
-  if (config_.rack_aware_placement) {
-    const int cap = rack_cap(ranked, placed_copies());
-    for (cluster::NodeId r : meta.replicas) {
-      ++rack_load(r);
-    }
-    for (cluster::NodeId node : ranked) {
-      if (std::find(meta.replicas.begin(), meta.replicas.end(), node) !=
-          meta.replicas.end()) {
-        continue;
-      }
-      if (rack_load(node) >= cap) continue;
-      target = node;
-      break;
-    }
-    for (cluster::NodeId r : meta.replicas) rack_load(r) = 0;
-  }
-  if (target == cluster::kInvalidNode) {
-    for (cluster::NodeId node : ranked) {
-      if (std::find(meta.replicas.begin(), meta.replicas.end(), node) ==
-          meta.replicas.end()) {
-        target = node;
-        break;
-      }
-    }
-  }
-  if (target == cluster::kInvalidNode) {
+  // Target: the next server placement would add to the live copies.
+  std::vector<cluster::NodeId>& placed = repair_placement_;
+  placed = meta.replicas;
+  extend_placement(ranked_servers(key), placed_copies(), placed.size() + 1,
+                   placed);
+  if (placed.size() == meta.replicas.size()) {
     // Every live server already holds a copy; retry on the next recovery.
     --repairs_in_flight_;
     repair_stalled_.insert(key);
     pump_repairs();
     return;
   }
+  const cluster::NodeId target = placed.back();
   const util::Bytes fragment = meta.per_server_bytes;
   // Re-replication runs in the background, so the span is a root.
   const trace::SpanId span =
@@ -1215,36 +1193,21 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
     tracer_->annotate(span, "target", std::to_string(target));
   }
 
-  if (config_.redundancy == Redundancy::kReplication) {
-    // Stream the surviving copy nearest the target.
-    const cluster::NodeId source = *std::min_element(
-        meta.replicas.begin(), meta.replicas.end(),
-        [&](cluster::NodeId a, cluster::NodeId b) {
-          return proximity(a, target) < proximity(b, target);
-        });
-    server_state(source).durable->submit(
-        IoKind::kRead, fragment,
-        [this, key, source, target, fragment, version, span] {
-          trace::ScopedContext tctx(tracer_, span);
-          fabric_.transfer(source, target, fragment,
-                           [this, key, target, version, span] {
-                             trace::end_span(tracer_, span);
-                             finish_repair(key, target, version);
-                           });
-        });
-    return;
-  }
-  // Erasure coding: rebuild the fragment from k survivors, decode at
-  // the target, then persist.
-  const int k = config_.ec_data;
+  // Stream from the k surviving copies nearest the target (replication:
+  // the one nearest copy, first in holder order among equals), decode at
+  // the target (erasure coding only), then persist.
+  const bool ec = config_.redundancy == Redundancy::kErasure;
+  const int k = ec ? config_.ec_data : 1;
   std::vector<cluster::NodeId> sources = meta.replicas;
   std::stable_sort(sources.begin(), sources.end(),
                    [&](cluster::NodeId a, cluster::NodeId b) {
                      return proximity(a, target) < proximity(b, target);
                    });
   sources.resize(static_cast<std::size_t>(k));
-  const auto decode_ns = static_cast<util::TimeNs>(std::ceil(
-      static_cast<double>(meta.size) * config_.ec_ns_per_byte));
+  const auto decode_ns =
+      ec ? static_cast<util::TimeNs>(
+               std::ceil(static_cast<double>(meta.size) * kEcNsPerByte))
+         : 0;
   auto remaining = std::make_shared<int>(k);
   for (cluster::NodeId source : sources) {
     server_state(source).durable->submit(
@@ -1256,10 +1219,15 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
               source, target, fragment,
               [this, key, target, version, remaining, decode_ns, span] {
                 if (--*remaining > 0) return;
-                sim_.after(decode_ns, [this, key, target, version, span] {
+                const auto persist = [this, key, target, version, span] {
                   trace::end_span(tracer_, span);
                   finish_repair(key, target, version);
-                });
+                };
+                if (decode_ns > 0) {
+                  sim_.after(decode_ns, persist);
+                } else {
+                  persist();
+                }
               });
         });
   }

@@ -56,22 +56,12 @@ struct ObjectStoreConfig {
   /// m (kErasure): parity fragments, i.e. how many fragment deaths a
   /// stripe tolerates. m dead = still recoverable; m+1 dead = lost.
   int ec_parity = 2;
-  /// Encode/decode compute cost charged at the coordinating server
-  /// (PUT) or the reading client (GET stripe assembly).
-  double ec_ns_per_byte = 0.3;
-  /// Extra per-logical-byte decode cost when a GET has to reconstruct
-  /// through parity (some fragment in the read set is not a data
-  /// fragment) — the modeled Reed-Solomon recovery math.
-  double ec_reconstruct_ns_per_byte = 0.5;
   /// Failure-domain-aware placement: walk the HRW ranking but skip
   /// servers whose rack already holds ceil(copies / live racks)
   /// copies/fragments of this object (relaxed only when infeasible).
   /// Applies to replication and erasure coding alike. Disable to get
   /// the rack-oblivious pure-HRW placement (for A/B durability runs).
   bool rack_aware_placement = true;
-  util::TimeNs metadata_latency = util::micros(200);
-  bool cache_on_put = true;   // write-through into the cache tiers
-  bool cache_on_get = true;   // promote on read
   // Fraction of each cache device actually granted to the store
   // (the rest is left to co-located applications).
   double cache_capacity_fraction = 1.0;
@@ -107,10 +97,8 @@ struct ObjectStoreConfig {
   /// an unused surviving fragment, covering the straggler fragment.
   bool hedged_reads = false;
   /// Hedge delay floor, also used until the GET latency histogram has
-  /// `hedge_min_samples` observations to take the quantile from.
+  /// enough observations to take its p95 from (metrics::hedge_delay).
   util::TimeNs hedge_min_delay = util::millis(2);
-  int hedge_min_samples = 20;
-  double hedge_quantile = 95.0;  // percentile of own GET latency
   /// Verify payload checksums at read time: a corrupted replica is
   /// never surfaced — the read transparently fails over to a clean
   /// replica and the bad copy is dropped and queued for repair.
@@ -120,8 +108,6 @@ struct ObjectStoreConfig {
   /// corruption exists, so the simulation still drains.
   bool scrub = false;
   util::TimeNs scrub_interval = util::millis(500);
-  /// Replicas verified per scrub pass (bounds scrub I/O per interval).
-  int scrub_replicas_per_pass = 64;
 
   /// Storage overhead factor: durable bytes per logical byte.
   double storage_overhead() const {
@@ -414,8 +400,8 @@ class ObjectStore {
     util::Bytes size = 0;          // bytes the caller is told it got
     util::Bytes branch_bytes = 0;  // bytes every branch reads and ships
     int k = 1;                     // landings that complete the read
-    bool block = false;     // point read: block_read_* metrics
-    bool admit = false;     // a cache miss admits the object (else peek)
+    bool block = false;     // point read: block_read_* metrics, and a
+                            // cache miss only peeks (else it admits)
     bool hedge = false;     // a hedge branch may fire
     bool degraded = false;  // the object was below placement at start
     util::TimeNs decode_ns = 0;       // EC: decode after k landings ...
@@ -452,9 +438,6 @@ class ObjectStore {
   void purge_corrupted(const ObjectKey& key);
   void arm_scrub();
   void scrub_pass();
-  /// Hedge-fire delay from the GET latency quantile (floor until warm).
-  util::TimeNs hedge_delay() const;
-
   /// Replicas/fragments the object should hold (capped by server count).
   int placed_copies() const;
   /// Live copies below which the object is unreadable (1 or k).
@@ -477,6 +460,14 @@ class ObjectStore {
   /// HRW ranking filtered by the per-rack placement cap (when enabled):
   /// the first placed_copies() entries are where the object goes.
   std::vector<cluster::NodeId> place_copies(const ObjectKey& key) const;
+  /// Appends servers of `ranked` (HRW order) that `out` does not hold
+  /// until it has `count`. With rack-aware placement no rack may exceed
+  /// rack_cap(ranked, copies) servers of `out`, the ones it already held
+  /// included; uneven rack sizes can make that infeasible, so the rest
+  /// is topped up in plain HRW order.
+  void extend_placement(const std::vector<cluster::NodeId>& ranked,
+                        int copies, std::size_t count,
+                        std::vector<cluster::NodeId>& out) const;
   /// Folds the running under-replication integral up to now, then
   /// applies `delta` to the current count.
   void shift_underrep(int delta);
@@ -522,6 +513,7 @@ class ObjectStore {
   mutable std::vector<cluster::NodeId> ranked_;
   /// Copies per rack id while placing; all zero between calls.
   mutable std::vector<int> rack_load_;
+  std::vector<cluster::NodeId> repair_placement_;  // begin_repair_transfers
   /// Scratch for per-tier metric names ("get_tier_<device>").
   std::string metric_name_;
   // Failure/repair state.

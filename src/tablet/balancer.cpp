@@ -4,6 +4,14 @@
 #include <vector>
 
 namespace evolve::tablet {
+namespace {
+
+// Actions per tick.
+constexpr int kMaxSplitsPerTick = 2;
+constexpr int kMaxMergesPerTick = 2;
+constexpr int kMaxMovesPerTick = 1;
+
+}  // namespace
 
 TabletBalancer::TabletBalancer(sim::Simulation& sim, TabletService& service,
                                BalancerConfig config)
@@ -35,7 +43,7 @@ void TabletBalancer::tick() {
 }
 
 void TabletBalancer::maybe_split() {
-  int budget = config_.max_splits_per_tick;
+  int budget = kMaxSplitsPerTick;
   // Hottest shards first, so the budget goes where it matters.
   std::vector<ShardInfo> shards = service_.shard_map().shards();
   std::sort(shards.begin(), shards.end(),
@@ -57,11 +65,10 @@ void TabletBalancer::maybe_split() {
 }
 
 void TabletBalancer::maybe_merge() {
-  int budget = config_.max_merges_per_tick;
+  int budget = kMaxMergesPerTick;
   const std::vector<ShardInfo> shards = service_.shard_map().shards();
   for (std::size_t i = 0; i + 1 < shards.size(); ++i) {
     if (budget <= 0) return;
-    if (service_.shard_map().shard_count() <= config_.min_shards) return;
     const ShardInfo& l = shards[i];
     const ShardInfo& r = shards[i + 1];
     if (l.node != r.node) continue;
@@ -79,7 +86,7 @@ void TabletBalancer::maybe_merge() {
 }
 
 void TabletBalancer::maybe_move() {
-  int budget = config_.max_moves_per_tick;
+  int budget = kMaxMovesPerTick;
   while (budget > 0) {
     cluster::NodeId busiest = cluster::kInvalidNode;
     cluster::NodeId idlest = cluster::kInvalidNode;

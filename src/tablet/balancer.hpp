@@ -28,16 +28,12 @@ struct BalancerConfig {
   /// Ops in one interval below which a shard is merge-cold.
   std::int64_t merge_ops = 50;
   int max_shards = 64;
-  int min_shards = 1;
   /// Busiest node must carry this multiple of the idlest node's load
   /// before a move fires.
   double imbalance_ratio = 1.5;
   /// ... and at least this many ops more (absolute floor, so an idle
   /// cluster never shuffles tablets).
   std::int64_t min_move_ops = 200;
-  int max_splits_per_tick = 2;
-  int max_merges_per_tick = 2;
-  int max_moves_per_tick = 1;
 };
 
 class TabletBalancer {

@@ -45,7 +45,7 @@ TabletService::TabletService(sim::Simulation& sim, net::Fabric& fabric,
   if (config_.initial_shards < 1) {
     throw std::invalid_argument("initial_shards must be >= 1");
   }
-  store_.create_bucket(config_.bucket);
+  store_.create_bucket(kBucket);
   for (cluster::NodeId n : nodes_list_) nodes_[n];  // default NodeState
   // Carve the key space into even initial shards, spread round-robin.
   for (int i = 1; i < config_.initial_shards; ++i) {
@@ -110,7 +110,7 @@ void TabletService::submit(cluster::NodeId node_id, OpKind kind,
   op.key = key;
   op.client = client;
   op.cb = std::move(done);
-  fabric_.transfer(client, node_id, config_.request_bytes,
+  fabric_.transfer(client, node_id, kRequestBytes,
                    [this, node_id, parent, op = std::move(op)]() mutable {
                      op.span = trace::begin_span(
                          tracer_, trace::Layer::kTablet, "tablet.serve",
@@ -170,7 +170,7 @@ void TabletService::kick(cluster::NodeId node_id) {
 void TabletService::execute(cluster::NodeId node_id, ShardId shard, Op op) {
   NodeState& n = node(node_id);
   const util::TimeNs base =
-      op.kind == OpKind::kRead ? config_.read_cost : config_.write_cost;
+      op.kind == OpKind::kRead ? kReadCost : kWriteCost;
   const auto cost = static_cast<util::TimeNs>(
       static_cast<double>(base) * n.slowdown);
   const trace::SpanId exec_span = trace::begin_span(
@@ -210,7 +210,7 @@ void TabletService::finish_read(cluster::NodeId node_id, ShardId shard,
       tracer_, trace::Layer::kTablet, "tablet.read", op.span);
   trace::ScopedContext tctx(tracer_, read_span);
   store_.read_block(
-      node_id, {config_.bucket, t.gens.back().object}, config_.block_bytes,
+      node_id, {kBucket, t.gens.back().object}, kBlockBytes,
       [this, node_id, shard = si.id, read_span,
        op = std::move(op)](const storage::GetResult& r) mutable {
         trace::end_span(tracer_, read_span);
@@ -232,8 +232,7 @@ void TabletService::append_wal(cluster::NodeId node_id, ShardId shard,
   n.group.push_back(std::move(w));
   if (!n.group_armed && !n.commit_inflight) {
     n.group_armed = true;
-    sim_.after(config_.wal_group_delay,
-               [this, node_id] { commit_wal(node_id); });
+    sim_.after(kWalGroupDelay, [this, node_id] { commit_wal(node_id); });
   }
 }
 
@@ -244,13 +243,10 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
   auto group = std::make_shared<std::vector<PendingWrite>>(
       std::move(n.group));
   n.group.clear();
-  util::Bytes bytes = 0;
-  for (const PendingWrite& w : *group) {
-    (void)w;
-    bytes += config_.wal_entry_bytes + config_.value_bytes;
-  }
+  const auto bytes = static_cast<util::Bytes>(group->size()) *
+                     (kWalEntryBytes + kValueBytes);
   const storage::ObjectKey wal_key{
-      config_.bucket, "wal-n" + std::to_string(node_id) + "-" +
+      kBucket, "wal-n" + std::to_string(node_id) + "-" +
                           std::to_string(n.wal_objects++)};
   const trace::SpanId wal_span = trace::begin_span(
       tracer_, trace::Layer::kTablet, "tablet.wal",
@@ -270,8 +266,7 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
         }
         if (!n.group.empty() && !n.group_armed) {
           n.group_armed = true;
-          sim_.after(config_.wal_group_delay,
-                     [this, node_id] { commit_wal(node_id); });
+          sim_.after(kWalGroupDelay, [this, node_id] { commit_wal(node_id); });
         }
       });
   if (!accepted) {
@@ -301,7 +296,7 @@ void TabletService::apply_write(const PendingWrite& w) {
   const ShardInfo& si = map_.shard_for(w.key);
   Tablet& t = tablet(si.id);
   t.memtable[w.key] = w.seq;
-  t.memtable_bytes += config_.value_bytes;
+  t.memtable_bytes += kValueBytes;
   if (!t.moving) {
     maybe_flush(si.node, si.id);
     arm_age_flush(si.id);
@@ -319,9 +314,8 @@ void TabletService::respond(cluster::NodeId from, const Op& op,
   result.seq = op.seq;
   result.from_memtable = from_memtable;
   const util::Bytes bytes =
-      status == OpStatus::kOk && op.kind == OpKind::kRead
-          ? config_.response_bytes
-          : config_.ack_bytes;
+      status == OpStatus::kOk && op.kind == OpKind::kRead ? kResponseBytes
+                                                          : kAckBytes;
   if (tracer_ && op.span != trace::kNoSpan) {
     tracer_->annotate(op.span, "status", to_string(status));
   }
@@ -341,7 +335,7 @@ void TabletService::respond_write(cluster::NodeId from, const PendingWrite& w,
     tracer_->annotate(w.span, "status", to_string(status));
   }
   trace::end_span(tracer_, w.span);
-  deliver(from, w.client, config_.ack_bytes, w.span, result, w.cb);
+  deliver(from, w.client, kAckBytes, w.span, result, w.cb);
 }
 
 void TabletService::deliver(cluster::NodeId from, cluster::NodeId to,
@@ -401,7 +395,7 @@ void TabletService::start_flush(cluster::NodeId node_id, ShardId shard) {
   }
   trace::ScopedContext tctx(tracer_, span);
   const bool accepted = store_.put_fenced(
-      node_id, n.epoch, {config_.bucket, name}, bytes,
+      node_id, n.epoch, {kBucket, name}, bytes,
       [this, shard, name, bytes, span] {
         trace::end_span(tracer_, span);
         auto it = tablets_.find(shard);
@@ -415,9 +409,9 @@ void TabletService::start_flush(cluster::NodeId node_id, ShardId shard) {
         if (t.moving) {
           // The move was waiting on this flush: hand off to the target.
           fabric_.transfer(
-              map_.shard(shard).node, t.move_target, config_.handoff_bytes,
+              map_.shard(shard).node, t.move_target, kHandoffBytes,
               [this, shard] {
-                sim_.after(config_.reopen_delay, [this, shard] {
+                sim_.after(kReopenDelay, [this, shard] {
                   auto jt = tablets_.find(shard);
                   if (jt == tablets_.end()) return;
                   finish_move(shard, map_.shard(shard).node,
@@ -553,8 +547,8 @@ bool TabletService::move_shard(ShardId id, cluster::NodeId target) {
   }
   if (src.serving && !t.flushing && t.memtable_bytes == 0 &&
       store_.fence_epoch(source) <= src.epoch) {
-    fabric_.transfer(source, target, config_.handoff_bytes, [this, id] {
-      sim_.after(config_.reopen_delay, [this, id] {
+    fabric_.transfer(source, target, kHandoffBytes, [this, id] {
+      sim_.after(kReopenDelay, [this, id] {
         auto jt = tablets_.find(id);
         if (jt == tablets_.end()) return;
         finish_move(id, map_.shard(id).node, jt->second.move_target);
@@ -564,7 +558,7 @@ bool TabletService::move_shard(ShardId id, cluster::NodeId target) {
   }
   // Recovery re-open: the target rebuilds from flushed generations plus
   // WAL replay; the source contributes nothing.
-  sim_.after(config_.reopen_delay + config_.wal_replay_cost, [this, id] {
+  sim_.after(kReopenDelay + kWalReplayCost, [this, id] {
     auto jt = tablets_.find(id);
     if (jt == tablets_.end()) return;
     finish_move(id, map_.shard(id).node, jt->second.move_target);
@@ -582,7 +576,7 @@ void TabletService::finish_move(ShardId id, cluster::NodeId from,
     const cluster::NodeId other = pick_target(to);
     if (other != cluster::kInvalidNode && other != from) {
       t.move_target = other;
-      sim_.after(config_.reopen_delay, [this, id, from] {
+      sim_.after(kReopenDelay, [this, id, from] {
         auto jt = tablets_.find(id);
         if (jt == tablets_.end()) return;
         finish_move(id, from, jt->second.move_target);
@@ -643,7 +637,7 @@ bool TabletService::hot_key_dominated(ShardId id) const {
   }
   return total > 0 &&
          static_cast<double>(top) >=
-             config_.hot_key_fraction * static_cast<double>(total);
+             kHotKeyFraction * static_cast<double>(total);
 }
 
 std::int64_t TabletService::shard_ops(ShardId id) const {
@@ -690,7 +684,7 @@ void TabletService::handle_lease_expired(cluster::NodeId node_id,
     t.move_target = target;
     cancel_age_flush(t);
     metrics_.count("moves_started");
-    sim_.after(config_.reopen_delay + config_.wal_replay_cost,
+    sim_.after(kReopenDelay + kWalReplayCost,
                [this, id, node_id] {
                  auto jt = tablets_.find(id);
                  if (jt == tablets_.end()) return;
@@ -841,7 +835,7 @@ void TabletClient::route(Pending p) {
             ++unavailable_retries_;
           }
           // Refresh the cached map (paying the fetch) and try again.
-          sim_.after(config_.retry_backoff + config_.map_fetch_latency,
+          sim_.after(config_.retry_backoff + kMapFetchLatency,
                      [this, p = std::move(p)]() mutable {
                        refresh_now();
                        route(std::move(p));

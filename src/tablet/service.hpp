@@ -69,33 +69,36 @@ struct TabletConfig {
   std::uint64_t keyspace = 1 << 20;
   /// Shards at construction, spread round-robin across the nodes.
   int initial_shards = 1;
-  std::string bucket = "tablets";
-  util::Bytes request_bytes = 512;        // client -> owner
-  util::Bytes response_bytes = 2 * util::kKiB;  // read payload back
-  util::Bytes ack_bytes = 256;            // write ack / error responses
-  util::Bytes value_bytes = 1 * util::kKiB;     // logical value size
-  util::Bytes block_bytes = 16 * util::kKiB;    // generation block read
-  util::TimeNs read_cost = util::micros(60);    // owner CPU per read
-  util::TimeNs write_cost = util::micros(90);   // owner CPU per write
   int queue_limit = 64;  // per-shard bounded queue
   // -- Memtable flush ---------------------------------------------------
   util::Bytes flush_bytes = 4 * util::kMiB;  // size trigger
   util::TimeNs flush_age = util::seconds(2);  // age trigger
-  // -- WAL group commit -------------------------------------------------
-  util::Bytes wal_entry_bytes = 128;  // per-entry framing on top of value
-  util::TimeNs wal_group_delay = util::micros(200);
-  // -- Moves ------------------------------------------------------------
-  util::Bytes handoff_bytes = 32 * util::kKiB;  // src -> target metadata
-  util::TimeNs reopen_delay = util::millis(2);
-  /// Extra reopen cost when the source could not hand off (lease-shed
-  /// recovery: the target replays the WAL instead).
-  util::TimeNs wal_replay_cost = util::millis(5);
-  // -- Hot keys ---------------------------------------------------------
-  /// One key taking at least this fraction of a shard's accesses marks
-  /// the shard hot-key-dominated: splitting cannot spread one key, so
-  /// the balancer prefers moving the shard whole.
-  double hot_key_fraction = 0.5;
 };
+
+/// Store bucket holding every WAL and generation object.
+inline constexpr const char* kBucket = "tablets";
+inline constexpr util::Bytes kRequestBytes = 512;          // client -> owner
+inline constexpr util::Bytes kResponseBytes = 2 * util::kKiB;  // read payload
+inline constexpr util::Bytes kAckBytes = 256;  // write ack / error responses
+inline constexpr util::Bytes kValueBytes = 1 * util::kKiB;  // logical value
+inline constexpr util::Bytes kBlockBytes = 16 * util::kKiB;  // gen block read
+inline constexpr util::TimeNs kReadCost = util::micros(60);   // owner CPU
+inline constexpr util::TimeNs kWriteCost = util::micros(90);  // owner CPU
+// -- WAL group commit ---------------------------------------------------
+/// Per-entry framing on top of the value.
+inline constexpr util::Bytes kWalEntryBytes = 128;
+inline constexpr util::TimeNs kWalGroupDelay = util::micros(200);
+// -- Moves --------------------------------------------------------------
+inline constexpr util::Bytes kHandoffBytes = 32 * util::kKiB;  // src -> target
+inline constexpr util::TimeNs kReopenDelay = util::millis(2);
+/// Extra reopen cost when the source could not hand off (lease-shed
+/// recovery: the target replays the WAL instead).
+inline constexpr util::TimeNs kWalReplayCost = util::millis(5);
+// -- Hot keys -----------------------------------------------------------
+/// One key taking at least this fraction of a shard's accesses marks the
+/// shard hot-key-dominated: splitting cannot spread one key, so the
+/// balancer prefers moving the shard whole.
+inline constexpr double kHotKeyFraction = 0.5;
 
 /// Per-shard introspection snapshot.
 struct ShardStats {
@@ -324,9 +327,10 @@ struct ClientConfig {
   /// Wait before a WrongShard/Unavailable retry (on top of the map
   /// fetch).
   util::TimeNs retry_backoff = util::millis(1);
-  /// Cost of refreshing the cached shard map from the control plane.
-  util::TimeNs map_fetch_latency = util::micros(500);
 };
+
+/// Cost of refreshing the cached shard map from the control plane.
+inline constexpr util::TimeNs kMapFetchLatency = util::micros(500);
 
 /// The routing front end: holds a cached, epoch-stamped snapshot of the
 /// shard map and routes ops to the owner it *believes* is right. On

@@ -7,7 +7,7 @@
 // keeps the goodput below the arrival rate even after the trigger is
 // gone. A RetryBudget breaks the feedback loop by making retry capacity
 // proportional to *observed success*: each success deposits
-// `deposit_ratio` tokens (capped at `burst`), each retry withdraws one,
+// `kDepositRatio` tokens (capped at `kBurst`), each retry withdraws one,
 // and a layer whose budget is empty must shed/defer instead of retrying.
 // During an outage successes stop, the budget drains, and the retry
 // volume decays to the trickle the bucket's refill allows — so the
@@ -24,27 +24,20 @@
 
 namespace evolve::util {
 
-struct RetryBudgetConfig {
-  /// Tokens deposited per recorded success (0.1 = retries capped at
-  /// ~10% of the success rate, the classic production setting).
-  double deposit_ratio = 0.1;
-  /// Bucket capacity: the largest retry burst a quiet period can bank.
-  double burst = 10.0;
-  /// Initial tokens (a full bucket lets startup retries through before
-  /// the first successes land).
-  double initial = 10.0;
-};
-
 class RetryBudget {
  public:
-  explicit RetryBudget(RetryBudgetConfig config = {})
-      : config_(config),
-        tokens_(std::min(config.initial, config.burst)) {}
+  /// Tokens deposited per recorded success (0.1 = retries capped at
+  /// ~10% of the success rate, the classic production setting).
+  static constexpr double kDepositRatio = 0.1;
+  /// Bucket capacity: the largest retry burst a quiet period can bank.
+  /// The bucket starts full, which lets startup retries through before
+  /// the first successes land.
+  static constexpr double kBurst = 10.0;
 
-  /// A unit of real work completed; deposits deposit_ratio tokens.
+  /// A unit of real work completed; deposits kDepositRatio tokens.
   void record_success() {
     ++successes_;
-    tokens_ = std::min(config_.burst, tokens_ + config_.deposit_ratio);
+    tokens_ = std::min(kBurst, tokens_ + kDepositRatio);
   }
 
   /// True when a retry may proceed (withdraws one token). False means
@@ -70,8 +63,7 @@ class RetryBudget {
   std::int64_t retries_denied() const { return denied_; }
 
  private:
-  RetryBudgetConfig config_;
-  double tokens_;
+  double tokens_ = kBurst;
   std::int64_t successes_ = 0;
   std::int64_t granted_ = 0;
   std::int64_t denied_ = 0;

@@ -15,10 +15,9 @@ TEST(NodeSpec, AllocatableDerivesFromHardware) {
   EXPECT_EQ(r.accel_slots, 0);
 }
 
-TEST(NodeSpec, AccelSlotsScaleWithVirtualization) {
+TEST(NodeSpec, OneAccelSlotPerDevice) {
   NodeSpec node = make_accel_node("a0", 0);
-  EXPECT_EQ(node.allocatable(1).accel_slots, 2);
-  EXPECT_EQ(node.allocatable(4).accel_slots, 8);
+  EXPECT_EQ(node.allocatable().accel_slots, 2);
 }
 
 TEST(NodeSpec, DeviceLookup) {

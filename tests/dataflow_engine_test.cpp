@@ -213,9 +213,7 @@ TEST(DataflowEngine, ConcurrentJobsBothComplete) {
 }
 
 TEST(DataflowEngine, DefaultParallelismAppliesWhenUnset) {
-  DataflowConfig config;
-  config.default_parallelism = 5;
-  EngineFixture f(4, 4, config);
+  EngineFixture f;
   f.stage_dataset("in", 4, 16 * util::kMiB);
   JobStats stats;
   f.engine.run(scan_aggregate("in", "out", /*reducers=*/0),
@@ -223,7 +221,7 @@ TEST(DataflowEngine, DefaultParallelismAppliesWhenUnset) {
                [&](const JobStats& s) { stats = s; });
   f.sim.run();
   ASSERT_EQ(stats.stages.size(), 2u);
-  EXPECT_EQ(stats.stages[1].tasks, 5);
+  EXPECT_EQ(stats.stages[1].tasks, kDefaultParallelism);
 }
 
 TEST(DataflowEngine, ChainedJobsThroughCatalog) {

@@ -110,7 +110,6 @@ HealthScorerConfig fast_config() {
   HealthScorerConfig config;
   config.ewma_alpha = 0.5;
   config.min_samples = 3;
-  config.min_peers = 2;
   return config;
 }
 
@@ -240,7 +239,7 @@ TEST(QuarantineController, FlagQuarantinesThenProbesBackIn) {
   EXPECT_EQ(f.changes[0].first, "q");
   EXPECT_EQ(f.changes[1].first, "r");
   EXPECT_EQ(f.changes[1].second - f.changes[0].second,
-            QuarantineConfig{}.probe_delay);
+            kProbeDelay);
 }
 
 TEST(QuarantineController, RequarantineDoublesProbeDelay) {
@@ -344,7 +343,7 @@ TEST(GrayWiring, NicDegradationSlowsTransfersAndRestores) {
 
   const util::Bytes bytes = 125 * util::kMiB;
   const double solo_s =
-      static_cast<double>(bytes) / topology.config().host_link_bytes_per_s;
+      static_cast<double>(bytes) / net::kHostLinkBytesPerS;
 
   NicDegradation nic;
   nic.bandwidth_factor = 0.5;

@@ -376,7 +376,6 @@ TEST(HealthScorer, DownNodesDropOutOfPeerMedian) {
   sim::Simulation sim;
   HealthScorerConfig config;
   config.min_samples = 1;
-  config.min_peers = 2;
   config.ewma_alpha = 1.0;  // score tracks the latest sample exactly
   HealthScorer scorer(sim, config);
 
@@ -395,7 +394,7 @@ TEST(HealthScorer, DownNodesDropOutOfPeerMedian) {
   scorer.set_node_down(3, true);
   scorer.record(0, util::millis(10));
   scorer.record(1, util::millis(10));
-  // Live peers of node 1: just node 0 -> below min_peers, so unknown.
+  // Live peers of node 1: just node 0 -> below kMinPeers, so unknown.
   EXPECT_EQ(scorer.score(1), 0.0);
 
   // A third live node restores the median from live data.

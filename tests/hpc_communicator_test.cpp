@@ -11,13 +11,13 @@ namespace evolve::hpc {
 namespace {
 
 struct CommFixture {
-  explicit CommFixture(int nodes = 8, CommConfig config = {})
+  explicit CommFixture(int nodes = 8)
       : cluster(cluster::make_testbed(nodes, 0, 0)),
         topology(cluster),
         fabric(sim, topology) {
     std::vector<cluster::NodeId> ranks;
     for (int n = 0; n < nodes; ++n) ranks.push_back(n);
-    comm = std::make_unique<Communicator>(sim, fabric, ranks, config);
+    comm = std::make_unique<Communicator>(sim, fabric, ranks);
   }
 
   sim::Simulation sim;

@@ -15,9 +15,9 @@ using util::Bytes;
 using util::TimeNs;
 
 struct FabricFixture {
-  FabricFixture(int compute = 4, int racks = 2, TopologyConfig config = {})
+  FabricFixture(int compute = 4, int racks = 2)
       : cluster(cluster::make_testbed(compute, 0, 0, racks)),
-        topology(cluster, config),
+        topology(cluster),
         fabric(sim, topology) {}
 
   sim::Simulation sim;
@@ -34,7 +34,7 @@ TEST(Fabric, SingleFlowGetsFullHostLink) {
   f.sim.run();
   ASSERT_GT(done, 0);
   const double expected_s =
-      static_cast<double>(bytes) / f.topology.config().host_link_bytes_per_s;
+      static_cast<double>(bytes) / kHostLinkBytesPerS;
   EXPECT_NEAR(util::to_seconds(done), expected_s, 0.001);
 }
 
@@ -77,7 +77,7 @@ TEST(Fabric, TwoFlowsShareSenderLink) {
   f.sim.run();
   ASSERT_EQ(done.size(), 2u);
   const double solo_s =
-      static_cast<double>(bytes) / f.topology.config().host_link_bytes_per_s;
+      static_cast<double>(bytes) / kHostLinkBytesPerS;
   EXPECT_NEAR(util::to_seconds(done.back()), 2 * solo_s, 0.01 * 2 * solo_s + 1e-4);
 }
 
@@ -90,7 +90,7 @@ TEST(Fabric, DisjointFlowsDoNotInterfere) {
   f.sim.run();
   ASSERT_EQ(done.size(), 2u);
   const double solo_s =
-      static_cast<double>(bytes) / f.topology.config().host_link_bytes_per_s;
+      static_cast<double>(bytes) / kHostLinkBytesPerS;
   for (TimeNs t : done) {
     EXPECT_NEAR(util::to_seconds(t), solo_s, 0.01 * solo_s + 1e-4);
   }
@@ -109,7 +109,7 @@ TEST(Fabric, TorUplinkBottlenecksCrossRackFlows) {
   EXPECT_EQ(completed, 8);
   // 8 flows over a 5e9 B/s uplink: aggregate limited to uplink capacity.
   const double expected_s = 8.0 * static_cast<double>(bytes) /
-                            f.topology.config().tor_uplink_bytes_per_s;
+                            kTorUplinkBytesPerS;
   EXPECT_NEAR(util::to_seconds(f.sim.now()), expected_s,
               0.02 * expected_s + 1e-3);
 }
@@ -121,7 +121,7 @@ TEST(Fabric, LoopbackUsesMemoryBandwidth) {
   f.fabric.transfer(1, 1, bytes, [&] { done = f.sim.now(); });
   f.sim.run();
   const double expected_s =
-      static_cast<double>(bytes) / f.topology.config().loopback_bytes_per_s;
+      static_cast<double>(bytes) / kLoopbackBytesPerS;
   EXPECT_NEAR(util::to_seconds(done), expected_s, 0.01 * expected_s + 1e-4);
 }
 
@@ -144,7 +144,7 @@ TEST(Fabric, CancelFreesBandwidthForSurvivor) {
   const FlowId victim = f.fabric.transfer(0, 2, 100 * util::kGiB, [] {});
   // Cancel the victim halfway through the survivor's solo time.
   const double solo_s =
-      static_cast<double>(bytes) / f.topology.config().host_link_bytes_per_s;
+      static_cast<double>(bytes) / kHostLinkBytesPerS;
   f.sim.after(util::seconds(solo_s / 2), [&] { f.fabric.cancel(victim); });
   f.sim.run();
   // Survivor: a quarter of its bytes at half rate during [0, solo/2], the
@@ -158,7 +158,7 @@ TEST(Fabric, LateFlowSlowsEarlyFlow) {
   TimeNs done_first = -1;
   f.fabric.transfer(0, 2, bytes, [&] { done_first = f.sim.now(); });
   const double solo_s =
-      static_cast<double>(bytes) / f.topology.config().host_link_bytes_per_s;
+      static_cast<double>(bytes) / kHostLinkBytesPerS;
   f.sim.after(util::seconds(solo_s / 2), [&] {
     f.fabric.transfer(0, 2, 10 * bytes, [] {});
   });
@@ -210,7 +210,7 @@ TEST(Fabric, RejectsNegativeBytes) {
 TEST(Fabric, FlowRateVisible) {
   FabricFixture f;
   const FlowId id = f.fabric.transfer(0, 2, util::kGiB, [] {});
-  EXPECT_NEAR(f.fabric.flow_rate(id), f.topology.config().host_link_bytes_per_s,
+  EXPECT_NEAR(f.fabric.flow_rate(id), kHostLinkBytesPerS,
               1.0);
   EXPECT_DOUBLE_EQ(f.fabric.flow_rate(9999), 0.0);
 }
@@ -225,7 +225,7 @@ TEST(Fabric, CapacityFactorOnIdleLinkAppliesToLaterFlows) {
   // idle when these flows are rated.
   f.fabric.transfer(1, 3, 125 * util::kMiB, [] {});
   f.sim.run();
-  const double full = f.topology.config().host_link_bytes_per_s;
+  const double full = kHostLinkBytesPerS;
   const Bytes bytes = 125 * util::kMiB;
   const TimeNs start = f.sim.now();
   TimeNs done = -1;
@@ -240,7 +240,7 @@ TEST(Fabric, CapacityFactorOnIdleLinkAppliesToLaterFlows) {
 
 TEST(Fabric, CapacityFactorMidFlightReRatesLiveFlows) {
   FabricFixture f;
-  const double full = f.topology.config().host_link_bytes_per_s;
+  const double full = kHostLinkBytesPerS;
   const Bytes bytes = 1250 * util::kMiB;
   std::vector<TimeNs> done(2, -1);
   // Two flows share host 0's uplink; a third on disjoint links is the
@@ -283,7 +283,7 @@ TEST_P(FabricFairness, NFlowsShareProportionally) {
   f.sim.run();
   EXPECT_EQ(completed, n);
   const double solo_s =
-      static_cast<double>(bytes) / f.topology.config().host_link_bytes_per_s;
+      static_cast<double>(bytes) / kHostLinkBytesPerS;
   EXPECT_NEAR(util::to_seconds(last), n * solo_s, 0.02 * n * solo_s + 1e-4);
 }
 

@@ -57,14 +57,13 @@ TEST(Topology, LinkCountMatchesLayout) {
   EXPECT_EQ(topo.rack_count(), 2);
 }
 
-TEST(Topology, CustomConfigPropagates) {
+TEST(Topology, LinkCapacitiesAreTheConstants) {
   const auto c = two_rack_cluster();
-  TopologyConfig config;
-  config.host_link_bytes_per_s = 999.0;
-  config.tor_uplink_bytes_per_s = 777.0;
-  Topology topo(c, config);
-  EXPECT_DOUBLE_EQ(topo.link(topo.path(0, 2)[0]).capacity_bytes_per_s, 999.0);
-  EXPECT_DOUBLE_EQ(topo.link(topo.path(0, 1)[1]).capacity_bytes_per_s, 777.0);
+  Topology topo(c);
+  EXPECT_DOUBLE_EQ(topo.link(topo.path(0, 2)[0]).capacity_bytes_per_s,
+                   kHostLinkBytesPerS);
+  EXPECT_DOUBLE_EQ(topo.link(topo.path(0, 1)[1]).capacity_bytes_per_s,
+                   kTorUplinkBytesPerS);
 }
 
 TEST(Topology, RejectsBadHostIds) {

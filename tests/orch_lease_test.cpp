@@ -50,15 +50,6 @@ struct LeaseFixture {
   LeaseManager leases;
 };
 
-TEST(LeaseManager, RejectsTtlNotExceedingRenewInterval) {
-  LeaseFixture f;  // just for the dependencies
-  LeaseManagerConfig bad;
-  bad.renew_interval = util::seconds(2);
-  bad.ttl = util::seconds(2);
-  EXPECT_THROW(LeaseManager(f.sim, f.fabric, f.orch, bad),
-               std::invalid_argument);
-}
-
 TEST(LeaseManager, HealthyNodesNeverExpire) {
   LeaseFixture f;
   f.leases.start();

@@ -361,7 +361,6 @@ ScalingSignalConfig signal_config() {
   ScalingSignalConfig c;
   c.window = util::seconds(1);
   c.delay_target = util::millis(10);
-  c.max_pressure = 3.0;
   c.capacity_per_replica = 100.0;
   c.target_inflight_per_replica = 10.0;
   return c;
@@ -371,9 +370,6 @@ TEST(ScalingSignal, ValidatesConfig) {
   sim::Simulation sim;
   auto bad = signal_config();
   bad.window = 0;
-  EXPECT_THROW(ScalingSignal(sim, bad), std::invalid_argument);
-  bad = signal_config();
-  bad.max_pressure = 0.5;
   EXPECT_THROW(ScalingSignal(sim, bad), std::invalid_argument);
   bad = signal_config();
   bad.capacity_per_replica = 0;
@@ -422,7 +418,7 @@ TEST(ScalingSignal, PressureInflatesDemandAndClamps) {
     load = signal.load();
   });
   sim.run_until(util::millis(300));
-  EXPECT_EQ(pressure, 3.0);  // clamped at max_pressure
+  EXPECT_EQ(pressure, 3.0);  // clamped at kMaxPressure
   // 100 arrivals over 200 ms of history = 500/s, inflated 3x.
   EXPECT_NEAR(load, 1500.0, 75.0);
 }

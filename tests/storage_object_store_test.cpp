@@ -182,51 +182,6 @@ TEST(ObjectStore, WarmPreloadServesFromDram) {
   EXPECT_EQ(result.tier, "dram");
 }
 
-TEST(ObjectStore, CacheDisabledAlwaysReadsDurable) {
-  ObjectStoreConfig config;
-  config.cache_on_get = false;
-  config.cache_on_put = false;
-  StoreFixture f(2, 3, config);
-  const ObjectKey key{"data", "cold"};
-  f.store.preload(key, util::kMiB);
-  for (int i = 0; i < 2; ++i) {
-    GetResult result;
-    f.store.get(0, key, [&](const GetResult& r) { result = r; });
-    f.sim.run();
-    EXPECT_EQ(result.tier, "hdd");
-  }
-}
-
-TEST(ObjectStore, ErasureCacheDisabledStillServesCachedFragments) {
-  // cache_on_get off only stops reads from admitting: fragments a PUT
-  // wrote through into the cache serve from it, exactly as replicas do,
-  // while a cold stripe keeps reading the durable device.
-  ObjectStoreConfig config;
-  config.redundancy = Redundancy::kErasure;
-  config.ec_data = 4;
-  config.ec_parity = 2;
-  config.cache_on_get = false;
-  StoreFixture f(2, 6, config);
-  const ObjectKey hot{"data", "hot"};
-  f.store.put(0, hot, 4 * util::kMiB, [] {});
-  f.sim.run();
-  GetResult result;
-  f.store.get(0, hot, [&](const GetResult& r) { result = r; });
-  f.sim.run();
-  EXPECT_TRUE(result.found);
-  EXPECT_EQ(result.tier, "dram");
-  EXPECT_EQ(f.store.metrics().counter("get_tier_hdd"), 0);
-
-  const ObjectKey cold{"data", "cold"};
-  f.store.preload(cold, 4 * util::kMiB);
-  for (int i = 0; i < 2; ++i) {
-    f.store.get(0, cold, [&](const GetResult& r) { result = r; });
-    f.sim.run();
-    EXPECT_EQ(result.tier, "hdd");
-  }
-  expect_durable_accounting(f.store);
-}
-
 TEST(ObjectStore, LargerObjectsTakeLonger) {
   StoreFixture f;
   f.store.preload(ObjectKey{"data", "small"}, 64 * util::kKiB);
@@ -459,28 +414,35 @@ TEST(ObjectStore, EqualSparesRepairInFullStringOrder) {
 }
 
 /// FNV-1a over every store.repair span's (start, key) in the order the
-/// repairs began, from a run of the scenario below. Recorded before the
-/// repair queue was indexed by (live copies, key); any change to which
-/// object repairs next, or when, moves it.
+/// repairs began, from a run of run_repair_schedule() below with
+/// EC(4,2). Recorded before the repair queue was indexed by (live
+/// copies, key); any change to which object repairs next, or when,
+/// moves it.
 constexpr std::uint64_t kPinnedRepairDigest = 8602177899649402411ULL;
+/// The same with three-way replication, recorded before replicated and
+/// erasure-coded repair shared one source-selection loop.
+constexpr std::uint64_t kPinnedReplicatedRepairDigest =
+    10150902963871289560ULL;
 
-TEST(ObjectStore, RepairScheduleDigestIsPinned) {
-  // EC(4,2), rack-aware over 8 servers on 4 racks, 300 objects in two
-  // buckets whose names interleave in full() order. Scrubbed bit-rot
-  // first, then staggered crashes of two servers and one recovery, with
-  // overwrites and removes of queued keys in between. Jittered repair
-  // delays make every enqueue a seeded draw, so one extra or missing
-  // enqueue (an index that dropped stale entries eagerly would add some)
-  // shifts every later repair start.
+// Staggered crashes of two servers and one recovery over 8 servers on 4
+// racks, 300 objects in two buckets whose names interleave in full()
+// order. Scrubbed bit-rot first, then the crashes, with overwrites and
+// removes of queued keys in between. Jittered repair delays make every
+// enqueue a seeded draw, so one extra or missing enqueue (an index that
+// dropped stale entries eagerly would add some) shifts every later
+// repair start.
+struct RepairSchedule {
+  std::uint64_t digest = 0;  // of every repair's (start, key)
+  std::size_t repairs = 0;
+  util::TimeNs last_start = 0;
+};
+
+RepairSchedule run_repair_schedule(ObjectStoreConfig config) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(2, 8, 0, /*racks=*/4);
   net::Topology topology(cluster);
   net::Fabric fabric(sim, topology);
   IoSubsystem io(sim, cluster);
-  ObjectStoreConfig config;
-  config.redundancy = Redundancy::kErasure;
-  config.ec_data = 4;
-  config.ec_parity = 2;
   config.repair_concurrency = 2;
   config.repair_delay = util::millis(30);
   config.repair_jitter = 0.5;
@@ -505,7 +467,7 @@ TEST(ObjectStore, RepairScheduleDigestIsPinned) {
     EXPECT_EQ(store.corrupt_random_replicas(/*seed=*/3, 40), 40);
   });
   sim.at(util::millis(100), [&] { store.handle_node_failure(servers[0]); });
-  // Overwritten stripes are born full on the seven live servers, so
+  // Overwritten objects are born full on the seven live servers, so
   // their queued entries go stale; the crash in the same instant degrades
   // most of them again before any pump can drop the entries.
   sim.at(util::millis(130), [&] {
@@ -548,12 +510,30 @@ TEST(ObjectStore, RepairScheduleDigestIsPinned) {
     for (unsigned char c : name) mix(c);
     mix(0);
   }
-  EXPECT_GT(starts.size(), 250u);
   EXPECT_EQ(store.under_replicated_objects(), 0);
   EXPECT_EQ(store.corrupted_replica_count(), 0);
   expect_durable_accounting(store);
-  EXPECT_EQ(digest, kPinnedRepairDigest)
-      << starts.size() << " repairs, the last at " << starts.back().first;
+  return {digest, starts.size(), starts.empty() ? 0 : starts.back().first};
+}
+
+TEST(ObjectStore, RepairScheduleDigestIsPinned) {
+  ObjectStoreConfig config;
+  config.redundancy = Redundancy::kErasure;
+  config.ec_data = 4;
+  config.ec_parity = 2;
+  const RepairSchedule run = run_repair_schedule(config);
+  EXPECT_GT(run.repairs, 250u);
+  EXPECT_EQ(run.digest, kPinnedRepairDigest)
+      << run.repairs << " repairs, the last at " << run.last_start;
+}
+
+TEST(ObjectStore, ReplicatedRepairScheduleDigestIsPinned) {
+  ObjectStoreConfig config;
+  config.replicas = 3;
+  const RepairSchedule run = run_repair_schedule(config);
+  EXPECT_GT(run.repairs, 150u);
+  EXPECT_EQ(run.digest, kPinnedReplicatedRepairDigest)
+      << run.repairs << " repairs, the last at " << run.last_start;
 }
 
 // -- ObjectKey order ------------------------------------------------------

@@ -145,7 +145,7 @@ TEST(TabletService, WrongNodeAnswersWrongShard) {
 
 TEST(TabletService, SizeTriggeredFlushCreatesGeneration) {
   TabletConfig config = TabletFixture::make_config();
-  config.flush_bytes = 4 * config.value_bytes;
+  config.flush_bytes = 4 * kValueBytes;
   config.flush_age = 0;  // size trigger only
   TabletFixture f(config);
   const cluster::NodeId owner = f.service.shard_map().shard_for(0).node;
@@ -266,9 +266,7 @@ TEST(TabletService, QueueLimitBouncesOverflow) {
 // -- Fencing ------------------------------------------------------------
 
 TEST(TabletService, LeaseExpiryFencesZombieWalCommit) {
-  TabletConfig config = TabletFixture::make_config();
-  config.wal_group_delay = util::millis(5);  // window to fence mid-commit
-  TabletFixture f(config);
+  TabletFixture f;
   const ShardId shard = f.service.shard_map().shard_for(42).id;
   const cluster::NodeId owner = f.service.shard_map().shard(shard).node;
   f.service.record_applies(true);
@@ -282,8 +280,11 @@ TEST(TabletService, LeaseExpiryFencesZombieWalCommit) {
                    });
   // While the write sits in the WAL group, the node's lease expires: the
   // store fences the node at epoch 2 and the tablet layer sheds its
-  // shards — but the node itself does not learn.
-  f.sim.at(util::millis(2), [&] {
+  // shards — but the node itself does not learn. The write joins the
+  // group ~0.1 ms in (request hop + kWriteCost) and the group commits
+  // kWalGroupDelay later, so 0.2 ms falls inside the window.
+  static_assert(kWalGroupDelay == util::micros(200));
+  f.sim.at(util::micros(200), [&] {
     f.store.fence_node(owner, 2);
     f.service.handle_lease_expired(owner, 2);
   });
