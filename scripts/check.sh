@@ -61,7 +61,8 @@ run_bench() {
 TRACKED_BENCHES=(t1_endtoend f1_scaling f4_sched f8_energy f9_churn
                  f10_faults f11_gray a4_speculation a5_redundancy
                  f7_autoscale f12_serving f13_scale f5_storage
-                 f14_durability f15_fairness f16_partitions f17_tablets)
+                 f14_durability f15_fairness f16_partitions f17_tablets
+                 a2_gang)
 for bench in "${TRACKED_BENCHES[@]}"; do
   run_bench "$bench" --json
 done
@@ -79,12 +80,13 @@ diff <(filter_host_timing "$BUILD_DIR/BENCH_f9_churn.json") \
 # match the tracked baseline bit for bit. F5 pins replicated-GET tier
 # selection and cache admission, A5 cold erasure-coded and replicated
 # GETs. T1, F4 and F8 pin the converged-vs-siloed comparison, F1
-# run_dataflow with locality placement on and off.
+# run_dataflow with locality placement on and off, A2 binpacking
+# placement (a digest of every pod's node).
 DETERMINISTIC_BENCHES=(t1_endtoend f1_scaling f4_sched f8_energy
                        a4_speculation f7_autoscale f5_storage
                        a5_redundancy f10_faults f11_gray f12_serving
                        f14_durability f15_fairness f16_partitions
-                       f17_tablets)
+                       f17_tablets a2_gang)
 for bench in "${DETERMINISTIC_BENCHES[@]}"; do
   diff "$BUILD_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
     || { echo "check.sh: BENCH_$bench.json deviates from baseline"; exit 1; }

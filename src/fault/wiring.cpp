@@ -56,11 +56,11 @@ void connect(orch::LeaseManager& leases, serve::Service& service,
              util::TimeNs ramp_window) {
   leases.on_expire([&service](cluster::NodeId node, std::int64_t,
                               util::TimeNs) {
-    service.set_node_drained(node, true);
+    service.set_node_unreachable(node, true);
   });
   leases.on_reconnect([&service, ramp_window](cluster::NodeId node,
                                               std::int64_t, util::TimeNs) {
-    service.set_node_drained(node, false);
+    service.set_node_unreachable(node, false);
     if (ramp_window > 0) service.ramp_node(node, ramp_window);
   });
 }

@@ -61,7 +61,8 @@ void connect(orch::LeaseManager& leases, storage::ObjectStore& store);
 
 /// Serving: lease expiry drains the node's replicas; reconnect undrains
 /// them and (when `ramp_window` > 0) ramps traffic back gradually
-/// instead of stampeding the healed node.
+/// instead of stampeding the healed node. This drain is kept apart from
+/// the quarantine drain: a reconnect leaves a quarantined node drained.
 void connect(orch::LeaseManager& leases, serve::Service& service,
              util::TimeNs ramp_window = 0);
 

@@ -159,14 +159,9 @@ void LeaseManager::pause(cluster::NodeId node) {
     fabric_.cancel(l.pending);
     l.pending = 0;
   }
-  if (l.unreachable) {
-    // The crash path owns the node now (fail_node evicts its pods);
-    // close out the Unreachable state without a reconnect.
-    l.unreachable = false;
-    unreachable_ns_ += sim_.now() - l.unreachable_since;
-    --unreachable_count_;
-    orch_.clear_unreachable(node);
-  }
+  // An Unreachable node stays Unreachable through the crash: the crash
+  // path evicts its pods, and only a heartbeat after recovery reconnects
+  // it, so every expiry its subscribers saw gets its reconnect.
 }
 
 void LeaseManager::resume(cluster::NodeId node) {

@@ -23,7 +23,10 @@
 //
 // Crashes are not leases' business: wiring pauses a node's lease while
 // the FaultInjector holds it down (fail_node already evicted its pods)
-// and resumes it with a fresh lease on recovery.
+// and resumes it with a fresh lease on recovery. A node whose lease had
+// already expired stays Unreachable while down and after recovery, until
+// its first heartbeat lands: each on_expire gets exactly one
+// on_reconnect.
 #pragma once
 
 #include <cstdint>
@@ -86,9 +89,10 @@ class LeaseManager {
 
   /// Crash interplay (wired from FaultInjector): a downed node stops
   /// renewing without becoming Unreachable — the crash path already
-  /// evicted its pods.
+  /// evicted its pods. An already Unreachable node stays so.
   void pause(cluster::NodeId node);
-  /// Recovery: fresh lease, renewals restart.
+  /// Recovery: fresh lease, renewals restart; an Unreachable node
+  /// reconnects when a heartbeat lands.
   void resume(cluster::NodeId node);
 
   /// Current fencing epoch of a node (bumped on every expiry). Writes

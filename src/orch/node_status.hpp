@@ -1,10 +1,15 @@
-// Per-node scheduling state: allocatable capacity vs bound pods.
+// Per-node scheduling state: allocatable capacity vs bound pods, the
+// anti-affinity groups those pods belong to, and the node conditions
+// that keep new pods off the node.
 #pragma once
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "cluster/cluster.hpp"
 #include "orch/pod.hpp"
+#include "util/types.hpp"
 
 namespace evolve::orch {
 
@@ -22,21 +27,44 @@ class NodeStatus {
     return free().fits(request);
   }
 
-  /// Binds a pod's resources. Throws if it does not fit (scheduler bug).
-  void bind(PodId pod, const cluster::Resources& request);
+  /// Binds a pod's resources and anti-affinity group (empty = none).
+  /// Throws if it does not fit (scheduler bug).
+  void bind(PodId pod, const cluster::Resources& request,
+            const std::string& anti_affinity_group = {});
 
-  /// Releases a pod's resources. Throws if the pod is not bound here.
-  void unbind(PodId pod, const cluster::Resources& request);
+  /// Releases what bind() took. Throws if the pod is not bound here.
+  void unbind(PodId pod, const cluster::Resources& request,
+              const std::string& anti_affinity_group = {});
 
   bool has_pod(PodId pod) const { return pods_.count(pod) != 0; }
   const std::set<PodId>& pods() const { return pods_; }
   int pod_count() const { return static_cast<int>(pods_.size()); }
+
+  /// True when a bound pod belongs to anti-affinity `group`.
+  bool hosts_group(const std::string& group) const {
+    const auto it = groups_.find(group);
+    return it != groups_.end() && it->second > 0;
+  }
+
+  // Node conditions, one per lifecycle so they compose: an operator
+  // cordon, a crash (NotReady), a health quarantine and a lease expiry
+  // (Unreachable, pods fenced in place). Any one keeps new pods off.
+  bool cordoned = false;
+  bool not_ready = false;
+  util::TimeNs not_ready_since = 0;
+  bool quarantined = false;
+  bool unreachable = false;
+
+  bool schedulable() const {
+    return !cordoned && !not_ready && !quarantined && !unreachable;
+  }
 
  private:
   cluster::NodeId id_;
   cluster::Resources allocatable_;
   cluster::Resources allocated_;
   std::set<PodId> pods_;
+  std::map<std::string, int> groups_;  // bound pods per anti-affinity group
 };
 
 }  // namespace evolve::orch

@@ -57,9 +57,11 @@ int Rebalancer::round_now() {
     Move best;
     for (cluster::NodeId node : orch_.managed_nodes()) {
       const NodeStatus& ns = orch_.node_status(node);
-      if (!ns.allocatable().fits(spec.request)) continue;
-      if (ns.free().fits(spec.request)) continue;  // blocked by a filter,
-                                                   // not by capacity
+      if (!ns.allocatable().fits(spec.request) ||
+          !eligible(spec, orch_.cluster().node(node), ns)) {
+        continue;
+      }
+      if (ns.free().fits(spec.request)) continue;  // the next pass places it
       for (PodId pid : ns.pods()) {
         const PodStatus& victim = orch_.pod(pid);
         // Only controller-managed pods move (they get recreated); the

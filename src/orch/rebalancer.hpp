@@ -5,9 +5,9 @@
 // pods that need a contiguous chunk starve. The rebalancer runs a
 // periodic background round that looks for starving pending pods
 // (waiting longer than a threshold) and proposes swaps: evict one
-// controller-managed pod from a node where that single eviction makes
-// the starving pod fit, provided the victim verifiably fits on another
-// node right now. The victim's controller recreates it there; the
+// controller-managed pod from a node the starving pod may use
+// (orch::eligible) where that single eviction makes it fit, provided the
+// victim verifiably fits on another node right now. The victim's controller recreates it there; the
 // starving pod takes the freed slot on the next scheduling pass.
 //
 // Safety: only pods with a budget_group (i.e. owned by a controller that

@@ -1,33 +1,87 @@
 #include "orch/scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
-#include "util/log.hpp"
-
 namespace evolve::orch {
+
+SchedulingPolicy SchedulingPolicy::spreading(const cluster::Cluster&) {
+  return {.least_allocated = 1.0, .balanced = 0.5, .locality = 2.0,
+          .pod_spread = 0.25};
+}
+
+SchedulingPolicy SchedulingPolicy::binpacking(const cluster::Cluster&) {
+  return {.most_allocated = 1.0, .locality = 2.0};
+}
+
+bool eligible(const PodSpec& pod, const cluster::NodeSpec& spec,
+              const NodeStatus& node) {
+  if (!node.schedulable()) return false;
+  for (const auto& label : pod.node_selector) {
+    if (!spec.has_label(label)) return false;
+  }
+  return pod.anti_affinity_group.empty() ||
+         !node.hosts_group(pod.anti_affinity_group);
+}
+
+namespace {
+
+/// Preferred node 1, same rack as a preferred node 0.5, elsewhere 0.
+double locality(const PodSpec& pod, const cluster::Cluster& cluster,
+                 cluster::NodeId node) {
+  if (pod.preferred_nodes.empty()) return 0.0;
+  for (cluster::NodeId preferred : pod.preferred_nodes) {
+    if (preferred == node) return 1.0;
+  }
+  const int rack = cluster.node(node).rack;
+  for (cluster::NodeId preferred : pod.preferred_nodes) {
+    if (cluster.node(preferred).rack == rack) return 0.5;
+  }
+  return 0.0;
+}
+
+}  // namespace
+
+double node_score(const PodSpec& pod, const cluster::Cluster& cluster,
+                  const NodeStatus& node, const SchedulingPolicy& policy) {
+  // Shares of the node used once the pod is placed (accelerators are
+  // all-or-nothing, so they do not count).
+  const auto& cap = node.allocatable();
+  const auto after = node.allocated() + pod.request;
+  const double cpu = cap.cpu_millicores > 0
+                         ? static_cast<double>(after.cpu_millicores) /
+                               static_cast<double>(cap.cpu_millicores)
+                         : 0.0;
+  const double mem = cap.memory_bytes > 0
+                         ? static_cast<double>(after.memory_bytes) /
+                               static_cast<double>(cap.memory_bytes)
+                         : 0.0;
+  const double used = std::clamp((cpu + mem) / 2.0, 0.0, 1.0);
+  double score = 0.0;
+  score += policy.least_allocated * (1.0 - used);
+  score += policy.most_allocated * used;
+  score += policy.balanced * (1.0 - std::min(1.0, std::abs(cpu - mem)));
+  score += policy.locality * locality(pod, cluster, node.id());
+  score += policy.pod_spread *
+           (1.0 / (1.0 + static_cast<double>(node.pod_count())));
+  return score;
+}
 
 cluster::NodeId select_node(const PodSpec& pod,
                             const cluster::Cluster& cluster,
                             const std::vector<NodeStatus>& nodes,
-                            const SchedulingPolicy& policy) {
+                            const SchedulingPolicy& policy,
+                            cluster::NodeId exclude) {
   cluster::NodeId best = cluster::kInvalidNode;
   double best_score = -1.0;
   for (const NodeStatus& node : nodes) {
-    const auto& spec = cluster.node(node.id());
-    bool ok = true;
-    for (const auto& filter : policy.filters) {
-      if (!filter->feasible(pod, spec, node)) {
-        ok = false;
-        break;
-      }
+    if (node.id() == exclude || !node.fits(pod.request) ||
+        !eligible(pod, cluster.node(node.id()), node)) {
+      continue;
     }
-    if (!ok) continue;
-    double score = 0.0;
-    for (const auto& [scorer, weight] : policy.scorers) {
-      score += weight * scorer->score(pod, spec, node);
-    }
+    const double score = node_score(pod, cluster, node, policy);
     if (score > best_score) {
       best_score = score;
       best = node.id();
@@ -36,67 +90,10 @@ cluster::NodeId select_node(const PodSpec& pod,
   return best;
 }
 
-namespace {
-
-/// Excludes cordoned, NotReady (crashed), quarantined, and Unreachable
-/// (lease-expired) nodes; appended to every orchestrator's policy.
-class CordonFilter : public FilterPlugin {
- public:
-  CordonFilter(const std::set<cluster::NodeId>* cordoned,
-               const std::set<cluster::NodeId>* not_ready,
-               const std::set<cluster::NodeId>* quarantined,
-               const std::set<cluster::NodeId>* unreachable)
-      : cordoned_(cordoned),
-        not_ready_(not_ready),
-        quarantined_(quarantined),
-        unreachable_(unreachable) {}
-  std::string name() const override { return "Cordon"; }
-  bool feasible(const PodSpec&, const cluster::NodeSpec&,
-                const NodeStatus& node) const override {
-    return cordoned_->count(node.id()) == 0 &&
-           not_ready_->count(node.id()) == 0 &&
-           quarantined_->count(node.id()) == 0 &&
-           unreachable_->count(node.id()) == 0;
-  }
-
- private:
-  const std::set<cluster::NodeId>* cordoned_;
-  const std::set<cluster::NodeId>* not_ready_;
-  const std::set<cluster::NodeId>* quarantined_;
-  const std::set<cluster::NodeId>* unreachable_;
-};
-
-/// Hard anti-affinity: a node may host at most one pod per group.
-class AntiAffinityFilter : public FilterPlugin {
- public:
-  explicit AntiAffinityFilter(
-      const std::map<std::pair<cluster::NodeId, std::string>, int>* counts)
-      : counts_(counts) {}
-  std::string name() const override { return "AntiAffinity"; }
-  bool feasible(const PodSpec& pod, const cluster::NodeSpec&,
-                const NodeStatus& node) const override {
-    if (pod.anti_affinity_group.empty()) return true;
-    auto it = counts_->find({node.id(), pod.anti_affinity_group});
-    return it == counts_->end() || it->second == 0;
-  }
-
- private:
-  const std::map<std::pair<cluster::NodeId, std::string>, int>* counts_;
-};
-
-}  // namespace
-
 Orchestrator::Orchestrator(sim::Simulation& sim,
                            const cluster::Cluster& cluster,
                            SchedulingPolicy policy, OrchestratorConfig config)
-    : sim_(sim),
-      cluster_(cluster),
-      policy_(std::move(policy)),
-      config_(config) {
-  policy_.filters.push_back(std::make_shared<CordonFilter>(
-      &cordoned_, &not_ready_, &quarantined_, &unreachable_));
-  policy_.filters.push_back(
-      std::make_shared<AntiAffinityFilter>(&affinity_counts_));
+    : sim_(sim), cluster_(cluster), policy_(policy), config_(config) {
   std::vector<cluster::NodeId> managed = config_.nodes;
   if (managed.empty()) {
     for (cluster::NodeId n = 0; n < cluster_.size(); ++n) managed.push_back(n);
@@ -114,11 +111,19 @@ Orchestrator::Orchestrator(sim::Simulation& sim,
 }
 
 NodeStatus& Orchestrator::status_for(cluster::NodeId node) {
+  NodeStatus* status = find_status(node);
+  if (!status) throw std::out_of_range("node not managed by this orchestrator");
+  return *status;
+}
+
+NodeStatus* Orchestrator::find_status(cluster::NodeId node) {
   auto it = node_index_.find(node);
-  if (it == node_index_.end()) {
-    throw std::out_of_range("node not managed by this orchestrator");
-  }
-  return nodes_[it->second];
+  return it == node_index_.end() ? nullptr : &nodes_[it->second];
+}
+
+const NodeStatus* Orchestrator::find_status(cluster::NodeId node) const {
+  auto it = node_index_.find(node);
+  return it == node_index_.end() ? nullptr : &nodes_[it->second];
 }
 
 Orchestrator::PodRecord& Orchestrator::record(PodId id) {
@@ -134,11 +139,9 @@ const PodStatus& Orchestrator::pod(PodId id) const {
 }
 
 const NodeStatus& Orchestrator::node_status(cluster::NodeId node) const {
-  auto it = node_index_.find(node);
-  if (it == node_index_.end()) {
-    throw std::out_of_range("node not managed by this orchestrator");
-  }
-  return nodes_[it->second];
+  const NodeStatus* status = find_status(node);
+  if (!status) throw std::out_of_range("node not managed by this orchestrator");
+  return *status;
 }
 
 void Orchestrator::enqueue(PodId id) {
@@ -230,10 +233,8 @@ void Orchestrator::trace_submit(PodRecord& rec, trace::SpanId parent) {
 }
 
 void Orchestrator::place(PodRecord& rec, cluster::NodeId node) {
-  status_for(node).bind(rec.status.id, rec.status.spec.request);
-  if (!rec.status.spec.anti_affinity_group.empty()) {
-    ++affinity_counts_[{node, rec.status.spec.anti_affinity_group}];
-  }
+  status_for(node).bind(rec.status.id, rec.status.spec.request,
+                        rec.status.spec.anti_affinity_group);
   if (!rec.status.spec.budget_group.empty()) {
     ++group_running_[rec.status.spec.budget_group];
   }
@@ -290,10 +291,9 @@ void Orchestrator::place(PodRecord& rec, cluster::NodeId node) {
 }
 
 void Orchestrator::unbind(PodRecord& rec) {
-  status_for(rec.status.node).unbind(rec.status.id, rec.status.spec.request);
-  if (!rec.status.spec.anti_affinity_group.empty()) {
-    --affinity_counts_[{rec.status.node, rec.status.spec.anti_affinity_group}];
-  }
+  status_for(rec.status.node)
+      .unbind(rec.status.id, rec.status.spec.request,
+              rec.status.spec.anti_affinity_group);
   if (!rec.status.spec.budget_group.empty()) {
     --group_running_[rec.status.spec.budget_group];
   }
@@ -413,22 +413,16 @@ void Orchestrator::fail_gang_of(const PodRecord& rec) {
 
 void Orchestrator::finish(PodId id) { complete(id, PodPhase::kSucceeded); }
 
-// Trial binds maintain the anti-affinity counts too, so same-group gang
+// Trial binds take the anti-affinity group too, so same-group gang
 // members cannot co-locate during the trial.
 void Orchestrator::trial_bind(PodId id, cluster::NodeId node) {
   const PodSpec& spec = record(id).status.spec;
-  status_for(node).bind(id, spec.request);
-  if (!spec.anti_affinity_group.empty()) {
-    ++affinity_counts_[{node, spec.anti_affinity_group}];
-  }
+  status_for(node).bind(id, spec.request, spec.anti_affinity_group);
 }
 
 void Orchestrator::trial_unbind(PodId id, cluster::NodeId node) {
   const PodSpec& spec = record(id).status.spec;
-  status_for(node).unbind(id, spec.request);
-  if (!spec.anti_affinity_group.empty()) {
-    --affinity_counts_[{node, spec.anti_affinity_group}];
-  }
+  status_for(node).unbind(id, spec.request, spec.anti_affinity_group);
 }
 
 bool Orchestrator::trial_fit(const std::vector<PodId>& pods, Binding& bound) {
@@ -508,13 +502,13 @@ bool Orchestrator::try_preempt_for(const PodRecord& rec) {
     return false;
   }
 
-  // Find the node where evicting the cheapest eligible set of pods makes
-  // room; evict exactly that set.
-  NodeSelectorFilter selector;
+  // Find a node the pod may use where evicting the cheapest eligible set
+  // of pods makes room; evict exactly that set.
   for (NodeStatus& node : nodes_) {
-    const auto& node_spec = cluster_.node(node.id());
-    if (!selector.feasible(spec, node_spec, node)) continue;
-    if (!node.allocatable().fits(spec.request)) continue;
+    if (!node.allocatable().fits(spec.request) ||
+        !eligible(spec, cluster_.node(node.id()), node)) {
+      continue;
+    }
 
     struct Candidate {
       int priority;
@@ -568,7 +562,6 @@ bool Orchestrator::try_preempt_for(const PodRecord& rec) {
       chosen.push_back(&cand);
     }
     if (!free.fits(spec.request)) continue;
-    if (chosen.empty()) continue;  // blocked by a filter, not by capacity
 
     // Drop victims that turned out to be unnecessary: smallest first,
     // keep every drop that still leaves room.
@@ -743,17 +736,20 @@ void Orchestrator::schedule_now() {
 }
 
 void Orchestrator::cordon(cluster::NodeId node) {
-  (void)status_for(node);  // validate it is managed here
-  cordoned_.insert(node);
+  status_for(node).cordoned = true;
   metrics_.count("cordons");
 }
 
 void Orchestrator::uncordon(cluster::NodeId node) {
-  if (cordoned_.erase(node) > 0) kick_pump();
+  NodeStatus* status = find_status(node);
+  if (!status || !status->cordoned) return;
+  status->cordoned = false;
+  kick_pump();
 }
 
 bool Orchestrator::is_cordoned(cluster::NodeId node) const {
-  return cordoned_.count(node) != 0;
+  const NodeStatus* status = find_status(node);
+  return status && status->cordoned;
 }
 
 void Orchestrator::evict_pods(cluster::NodeId node) {
@@ -774,58 +770,70 @@ bool Orchestrator::manages(cluster::NodeId node) const {
 }
 
 void Orchestrator::fail_node(cluster::NodeId node) {
-  (void)status_for(node);  // validate it is managed here
-  if (!not_ready_.insert(node).second) return;
-  not_ready_since_[node] = sim_.now();
+  NodeStatus& status = status_for(node);
+  if (status.not_ready) return;
+  status.not_ready = true;
+  status.not_ready_since = sim_.now();
   metrics_.count("node_failures");
   evict_pods(node);
 }
 
 void Orchestrator::recover_node(cluster::NodeId node) {
-  if (not_ready_.erase(node) == 0) return;
+  NodeStatus* status = find_status(node);
+  if (!status || !status->not_ready) return;
+  status->not_ready = false;
   metrics_.count("node_recoveries");
-  metrics_.observe("node_downtime_ms", (sim_.now() - not_ready_since_[node]) /
-                                           util::kMillisecond);
-  not_ready_since_.erase(node);
+  metrics_.observe("node_downtime_ms",
+                   (sim_.now() - status->not_ready_since) / util::kMillisecond);
   kick_pump();
 }
 
 bool Orchestrator::is_ready(cluster::NodeId node) const {
-  return not_ready_.count(node) == 0;
+  const NodeStatus* status = find_status(node);
+  return !status || !status->not_ready;
 }
 
 void Orchestrator::quarantine(cluster::NodeId node) {
-  (void)status_for(node);  // validate it is managed here
-  if (!quarantined_.insert(node).second) return;
+  NodeStatus& status = status_for(node);
+  if (status.quarantined) return;
+  status.quarantined = true;
   metrics_.count("quarantines");
 }
 
 void Orchestrator::unquarantine(cluster::NodeId node) {
-  if (quarantined_.erase(node) > 0) kick_pump();
+  NodeStatus* status = find_status(node);
+  if (!status || !status->quarantined) return;
+  status->quarantined = false;
+  kick_pump();
 }
 
 bool Orchestrator::is_quarantined(cluster::NodeId node) const {
-  return quarantined_.count(node) != 0;
+  const NodeStatus* status = find_status(node);
+  return status && status->quarantined;
 }
 
 void Orchestrator::mark_unreachable(cluster::NodeId node) {
-  (void)status_for(node);  // validate it is managed here
-  if (!unreachable_.insert(node).second) return;
+  NodeStatus& status = status_for(node);
+  if (status.unreachable) return;
+  status.unreachable = true;
   metrics_.count("node_unreachable");
 }
 
 void Orchestrator::clear_unreachable(cluster::NodeId node) {
-  if (unreachable_.erase(node) == 0) return;
+  NodeStatus* status = find_status(node);
+  if (!status || !status->unreachable) return;
+  status->unreachable = false;
   metrics_.count("node_reconnects");
   kick_pump();
 }
 
 bool Orchestrator::is_unreachable(cluster::NodeId node) const {
-  return unreachable_.count(node) != 0;
+  const NodeStatus* status = find_status(node);
+  return status && status->unreachable;
 }
 
 void Orchestrator::expire_unreachable(cluster::NodeId node) {
-  if (unreachable_.count(node) == 0) return;
+  if (!is_unreachable(node)) return;
   metrics_.count("unreachable_evictions");
   evict_pods(node);
 }
@@ -906,12 +914,7 @@ std::vector<cluster::NodeId> Orchestrator::managed_nodes() const {
 
 cluster::NodeId Orchestrator::feasible_node_for(const PodSpec& spec,
                                                 cluster::NodeId exclude) const {
-  std::vector<NodeStatus> eligible;
-  eligible.reserve(nodes_.size());
-  for (const NodeStatus& node : nodes_) {
-    if (node.id() != exclude) eligible.push_back(node);
-  }
-  return select_node(spec, cluster_, eligible, policy_);
+  return select_node(spec, cluster_, nodes_, policy_, exclude);
 }
 
 double Orchestrator::cpu_utilization() const {

@@ -18,6 +18,8 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -25,7 +27,6 @@
 #include "metrics/timeseries.hpp"
 #include "orch/fairshare.hpp"
 #include "orch/node_status.hpp"
-#include "orch/plugins.hpp"
 #include "orch/pod.hpp"
 #include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
@@ -73,12 +74,44 @@ struct OrchestratorConfig {
   std::vector<cluster::NodeId> nodes;
 };
 
-/// Pure placement: filters then weighted scores; ties break to the lowest
-/// node id. Returns kInvalidNode when no node is feasible.
+/// Weights of the placement score terms (DESIGN §14). Every term lies
+/// in [0, 1]; node_score adds them in declaration order, so a zero
+/// weight adds an exact zero.
+struct SchedulingPolicy {
+  double least_allocated = 0;  // free share of CPU and memory after placing
+  double most_allocated = 0;   // used share after placing (bin-packing)
+  double balanced = 0;         // 1 - |CPU share - memory share| after placing
+  double locality = 0;         // 1 on a preferred node, 0.5 in its rack
+  double pod_spread = 0;       // 1 / (1 + pods on the node)
+
+  /// Cloud default, spread-oriented: least-allocated 1, balanced 0.5,
+  /// locality 2, pod-spread 0.25.
+  static SchedulingPolicy spreading(const cluster::Cluster& cluster);
+  /// Consolidation (frees whole nodes for gangs): most-allocated 1,
+  /// locality 2.
+  static SchedulingPolicy binpacking(const cluster::Cluster& cluster);
+};
+
+/// The one node-eligibility rule, capacity aside: no node condition is
+/// set, the node carries every label of the pod's node selector, and it
+/// hosts no pod of the pod's anti-affinity group. Placement is this plus
+/// a free-capacity fit; preemption and the rebalancer ask it before
+/// they pick victims.
+bool eligible(const PodSpec& pod, const cluster::NodeSpec& spec,
+              const NodeStatus& node);
+
+/// Weighted score of placing `pod` on `node`; higher is better.
+double node_score(const PodSpec& pod, const cluster::Cluster& cluster,
+                  const NodeStatus& node, const SchedulingPolicy& policy);
+
+/// Pure placement: the best-scoring eligible node whose free capacity
+/// fits the pod, skipping `exclude`; ties go to the first in `nodes`.
+/// Returns kInvalidNode when no node qualifies.
 cluster::NodeId select_node(const PodSpec& pod,
                             const cluster::Cluster& cluster,
                             const std::vector<NodeStatus>& nodes,
-                            const SchedulingPolicy& policy);
+                            const SchedulingPolicy& policy,
+                            cluster::NodeId exclude = cluster::kInvalidNode);
 
 class Orchestrator {
  public:
@@ -226,6 +259,9 @@ class Orchestrator {
 
   PodRecord& record(PodId id);
   NodeStatus& status_for(cluster::NodeId node);
+  /// The managed node's status, or null for a node managed elsewhere.
+  NodeStatus* find_status(cluster::NodeId node);
+  const NodeStatus* find_status(cluster::NodeId node) const;
   void enqueue(PodId id);
   void kick_pump();
   void place(PodRecord& rec, cluster::NodeId node);
@@ -239,7 +275,7 @@ class Orchestrator {
   /// A batch gang member failed: every member goes back to the queue
   /// head to rerun what its last checkpoint did not save.
   void restart_batch_gang(BatchGang& gang);
-  /// Trial binds (node and anti-affinity accounting, nothing else).
+  /// Trial binds (the node's resources and anti-affinity groups only).
   void trial_bind(PodId id, cluster::NodeId node);
   void trial_unbind(PodId id, cluster::NodeId node);
   /// Trial-binds `pods` greedily and appends the binds to `bound`; on
@@ -269,14 +305,7 @@ class Orchestrator {
   OrchestratorConfig config_;
   std::vector<NodeStatus> nodes_;
   std::map<cluster::NodeId, std::size_t> node_index_;
-  std::set<cluster::NodeId> cordoned_;
-  std::set<cluster::NodeId> not_ready_;  // crashed, awaiting recovery
-  std::set<cluster::NodeId> quarantined_;  // health-flagged, draining
-  std::set<cluster::NodeId> unreachable_;  // lease expired, pods fenced
-  std::map<cluster::NodeId, util::TimeNs> not_ready_since_;
   std::set<GangId> gangs_failing_;  // re-entrancy guard for gang kills
-  /// Live pod count per (node, anti-affinity group).
-  std::map<std::pair<cluster::NodeId, std::string>, int> affinity_counts_;
   std::map<PodId, PodRecord> pods_;
   std::map<GangId, BatchGang> batch_gangs_;  // live batch gangs
   std::deque<PodId> queue_;

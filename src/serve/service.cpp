@@ -49,6 +49,14 @@ void Service::set_node_drained(cluster::NodeId node, bool drained) {
   }
 }
 
+void Service::set_node_unreachable(cluster::NodeId node, bool unreachable) {
+  if (unreachable) {
+    unreachable_.insert(node);
+  } else {
+    unreachable_.erase(node);
+  }
+}
+
 void Service::ramp_node(cluster::NodeId node, util::TimeNs window) {
   if (window <= 0) return;
   ramp_[node] = Ramp{sim_.now(), sim_.now() + window};
@@ -187,7 +195,7 @@ bool Service::route_copy(InFlight& rec, int which, std::int64_t exclude_key) {
     ReplicaView rv;
     rv.key = key;
     rv.outstanding = outstanding_[key] + ramp_penalty(rep->node());
-    rv.available = drained_.count(rep->node()) == 0;
+    rv.available = !is_node_drained(rep->node());
     any_available = any_available || rv.available;
     view.push_back(rv);
     keys.push_back(key);

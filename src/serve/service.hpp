@@ -9,8 +9,9 @@
 // Replicas track the DeploymentController one-to-one through its replica
 // observer: a pod start brings a ReplicaServer up on the pod's node, an
 // eviction/scale-down closes it and re-routes its queued requests. The
-// router skips replicas on drained (quarantined) nodes, falling back to
-// them only when nothing healthy is left — availability over purity.
+// router skips replicas on drained (quarantined or lease-expired) nodes,
+// falling back to them only when nothing healthy is left — availability
+// over purity.
 // Gray CPU slowdowns stretch batch execution on the affected node.
 //
 // Hedging mirrors the ObjectStore's: when the primary copy has not
@@ -95,8 +96,13 @@ class Service {
   void set_node_slowdown(cluster::NodeId node, double factor);
   /// Quarantine drain: the router stops picking replicas on `node`.
   void set_node_drained(cluster::NodeId node, bool drained);
+  /// Lease drain: replicas on an Unreachable node are skipped until it
+  /// reconnects. Kept apart from the quarantine drain, so clearing one
+  /// reason leaves a node the other still holds drained.
+  void set_node_unreachable(cluster::NodeId node, bool unreachable);
+  /// True while either reason holds.
   bool is_node_drained(cluster::NodeId node) const {
-    return drained_.count(node) != 0;
+    return drained_.count(node) != 0 || unreachable_.count(node) != 0;
   }
   /// Post-heal admission ramp: for `window` after this call the router
   /// treats replicas on `node` as carrying extra virtual load
@@ -213,7 +219,8 @@ class Service {
   std::map<std::int64_t, cluster::NodeId> replica_nodes_;  // all-time
   std::map<std::int64_t, int> outstanding_;
   std::map<cluster::NodeId, double> slowdown_;
-  std::set<cluster::NodeId> drained_;
+  std::set<cluster::NodeId> drained_;      // quarantined
+  std::set<cluster::NodeId> unreachable_;  // lease expired
   struct Ramp {
     util::TimeNs start = 0;
     util::TimeNs end = 0;

@@ -238,6 +238,59 @@ TEST(Preemption, NewestVictimEvictedOnTies) {
   EXPECT_EQ(phases[1], PodPhase::kFailed);   // newest goes first
 }
 
+// Preemption asks the same eligibility rule as placement: a node the
+// pod can never use (quarantined, or missing a selector label) is not
+// worth a victim.
+TEST(Preemption, SkipsNodesThePodCannotUse) {
+  OrchestratorConfig config;
+  config.enable_preemption = true;
+  {
+    FairFixture f(2, config);
+    const cluster::Resources full = f.cluster.node(0).allocatable();
+    PodSpec low = tenant_pod("low", "low", 0);
+    low.request = full;
+    const PodId on_0 = f.orch.submit(low, /*duration=*/-1);
+    const PodId on_1 = f.orch.submit(low, /*duration=*/-1);
+    f.sim.run();
+    ASSERT_EQ(f.orch.pod(on_0).node, 0);
+    ASSERT_EQ(f.orch.pod(on_1).node, 1);
+    f.orch.quarantine(0);
+    PodSpec high = tenant_pod("high", "hi", 0);
+    high.request = full;
+    high.priority = 10;
+    const PodId winner = f.orch.submit(high, /*duration=*/-1);
+    f.sim.run();
+    EXPECT_EQ(f.orch.metrics().counter("preemptions"), 1);
+    EXPECT_EQ(f.orch.pod(on_0).phase, PodPhase::kRunning);
+    EXPECT_EQ(f.orch.pod(on_1).phase, PodPhase::kFailed);
+    EXPECT_EQ(f.orch.pod(winner).node, 1);
+  }
+  {
+    // Node 0 is a compute node, node 1 a storage node.
+    sim::Simulation sim;
+    const auto cluster = cluster::make_testbed(1, 1, 0);
+    Orchestrator orch(sim, cluster, SchedulingPolicy::spreading(cluster),
+                      config);
+    std::vector<PodId> low;
+    for (cluster::NodeId n = 0; n < 2; ++n) {
+      PodSpec spec = tenant_pod("low", "low", 0);
+      spec.request = cluster.node(n).allocatable();
+      spec.node_selector = {n == 0 ? "role=compute" : "role=storage"};
+      low.push_back(orch.submit(spec, /*duration=*/-1));
+    }
+    sim.run();
+    PodSpec high = tenant_pod("high", "hi", 4000);
+    high.priority = 10;
+    high.node_selector = {"role=storage"};
+    const PodId winner = orch.submit(high, /*duration=*/-1);
+    sim.run();
+    EXPECT_EQ(orch.metrics().counter("preemptions"), 1);
+    EXPECT_EQ(orch.pod(low[0]).phase, PodPhase::kRunning);
+    EXPECT_EQ(orch.pod(low[1]).phase, PodPhase::kFailed);
+    EXPECT_EQ(orch.pod(winner).node, 1);
+  }
+}
+
 TEST(Preemption, FairShareEvictsOverShareTenant) {
   OrchestratorConfig config;
   config.enable_preemption = true;
@@ -371,6 +424,32 @@ TEST(Rebalancer, SwapUnblocksStarvedPod) {
   EXPECT_EQ(big_node, 0);
   EXPECT_EQ(web.running(), 1);  // replica recreated on the other node
   EXPECT_EQ(f.orch.metrics().counter("rebalance_evictions"), 1);
+}
+
+// SwapUnblocksStarvedPod with the swap's target node quarantined: the
+// starved pod could not use the freed node, so nothing is evicted.
+TEST(Rebalancer, SkipsNodesTheStarvedPodCannotUse) {
+  FairFixture f(2);
+  DeploymentController web(f.orch, "web",
+                           tenant_pod("web", "web", 8000), 1);
+  f.sim.run();
+  f.orch.submit(tenant_pod("pinned", "ops", 16000), /*duration=*/-1);
+  f.sim.run();
+  bool big_started = false;
+  f.orch.submit(tenant_pod("big", "ml", 28000), /*duration=*/-1,
+                [&](PodId, cluster::NodeId) { big_started = true; });
+  f.sim.run();
+  ASSERT_FALSE(big_started);
+  f.orch.quarantine(0);
+
+  RebalancerConfig config;
+  config.starvation_threshold = 0;
+  Rebalancer rebalancer(f.sim, f.orch, config);
+  EXPECT_EQ(rebalancer.round_now(), 0);
+  f.sim.run();
+  EXPECT_FALSE(big_started);
+  EXPECT_EQ(web.running(), 1);
+  EXPECT_EQ(f.orch.metrics().counter("rebalance_evictions"), 0);
 }
 
 TEST(Rebalancer, RefusesWhenVictimFitsNowhereElse) {

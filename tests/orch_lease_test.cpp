@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 #include "cluster/cluster.hpp"
@@ -174,6 +175,48 @@ TEST(LeaseManager, CrashPausesLeaseInsteadOfExpiring) {
   EXPECT_EQ(f.leases.evictions(), 0);
   EXPECT_EQ(f.leases.epoch(2), 1);
   EXPECT_FALSE(f.orch.is_unreachable(2));
+}
+
+// A node that crashes while its lease is expired stays Unreachable
+// through the outage; once it is back and a heartbeat lands, every
+// on_expire is matched by exactly one on_reconnect. Recovering while
+// still partitioned is not a reconnect.
+TEST(LeaseManager, CrashDuringExpiryReconnectsOnceBack) {
+  for (const bool heal_first : {true, false}) {
+    SCOPED_TRACE(heal_first ? "heal before restore" : "restore before heal");
+    LeaseFixture f;
+    fault::FaultInjector faults(f.sim);
+    fault::connect(faults, f.orch);
+    fault::connect(faults, f.leases);
+    std::set<cluster::NodeId> expired;
+    f.leases.on_expire([&](cluster::NodeId node, std::int64_t, TimeNs) {
+      EXPECT_TRUE(expired.insert(node).second);
+    });
+    f.leases.on_reconnect([&](cluster::NodeId node, std::int64_t, TimeNs) {
+      EXPECT_EQ(expired.erase(node), 1u);
+    });
+    f.leases.start();
+
+    fault::PartitionId cut = 0;
+    f.sim.at(util::seconds(5), [&] { cut = f.partitions.isolate({2}); });
+    // Down at 9 s, after the lease expired; back at 15 s.
+    faults.schedule_outage(2, util::seconds(9), util::seconds(6));
+    const TimeNs heal = util::seconds(heal_first ? 12 : 20);
+    f.sim.at(heal, [&] { f.partitions.heal(cut); });
+    std::int64_t reconnects_before_heal = -1;
+    f.sim.at(util::seconds(18), [&] {
+      reconnects_before_heal = f.leases.reconnects();
+    });
+    f.stop_at(util::seconds(40));
+    f.sim.run();
+
+    EXPECT_EQ(f.leases.expiries(), 1);
+    EXPECT_EQ(f.leases.reconnects(), 1);
+    EXPECT_EQ(reconnects_before_heal, heal_first ? 1 : 0);
+    EXPECT_TRUE(expired.empty());
+    EXPECT_FALSE(f.orch.is_unreachable(2));
+    EXPECT_TRUE(f.orch.is_ready(2));
+  }
 }
 
 TEST(LeaseManager, ZombieWriteIsFencedByStaleEpoch) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "sim/simulation.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "util/types.hpp"
 
 namespace evolve::orch {
@@ -53,6 +56,86 @@ TEST(SelectNode, ReturnsInvalidWhenNothingFits) {
   EXPECT_EQ(select_node(huge, f.cluster, nodes,
                         SchedulingPolicy::spreading(f.cluster)),
             cluster::kInvalidNode);
+}
+
+PodSpec random_pod(util::Rng& rng, const cluster::Cluster& cluster) {
+  static const char* kSelectors[] = {"role=compute", "role=storage",
+                                     "role=accel"};
+  PodSpec spec;
+  spec.request = cpu_mem(rng.uniform_int(1, 32) * 500,
+                         rng.uniform_int(1, 64) * util::kGiB);
+  if (rng.chance(0.2)) {
+    spec.node_selector = {kSelectors[rng.uniform_int(0, 2)]};
+  }
+  if (rng.chance(0.3)) {
+    spec.preferred_nodes = {
+        static_cast<cluster::NodeId>(rng.uniform_int(0, cluster.size() - 1))};
+  }
+  if (rng.chance(0.3)) {
+    spec.anti_affinity_group = util::numbered("g", rng.uniform_int(0, 2));
+  }
+  return spec;
+}
+
+// Placement must not move when the scheduler is restructured: this
+// hashes select_node choices for both policies over randomized loads,
+// preferred nodes, selectors, anti-affinity groups and node conditions.
+// The pinned value was recorded before the filter/score plugins were
+// folded into one eligibility rule and one scoring function.
+TEST(SelectNode, PlacementDigestIsPinned) {
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a
+  const auto mix = [&digest](std::int64_t value) {
+    digest ^= static_cast<std::uint64_t>(value);
+    digest *= 1099511628211ull;
+  };
+  const auto cluster = cluster::make_testbed(5, 2, 2, 3);
+  for (int round = 0; round < 40; ++round) {
+    util::Rng rng(static_cast<std::uint64_t>(round) + 1);
+    const SchedulingPolicy policy = round % 2 == 0
+                                        ? SchedulingPolicy::spreading(cluster)
+                                        : SchedulingPolicy::binpacking(cluster);
+    // Bare node states: random loads only.
+    std::vector<NodeStatus> nodes;
+    for (cluster::NodeId n = 0; n < cluster.size(); ++n) {
+      nodes.emplace_back(n, cluster.node(n).allocatable());
+      const auto pods = rng.uniform_int(0, 3);
+      for (PodId pod = 1; pod <= pods; ++pod) {
+        const auto load = cpu_mem(rng.uniform_int(1, 16) * 1000,
+                                  rng.uniform_int(1, 32) * util::kGiB);
+        if (nodes.back().fits(load)) nodes.back().bind(pod, load);
+      }
+    }
+    for (int probe = 0; probe < 20; ++probe) {
+      mix(select_node(random_pod(rng, cluster), cluster, nodes, policy));
+    }
+
+    // An orchestrator's nodes: running pods (anti-affinity groups
+    // included) and every node condition.
+    sim::Simulation sim;
+    Orchestrator orch(sim, cluster, policy);
+    for (int i = 0; i < 14; ++i) orch.submit(random_pod(rng, cluster), -1);
+    sim.run();
+    for (cluster::NodeId n = 0; n < cluster.size(); ++n) {
+      switch (rng.uniform_int(0, 7)) {
+        case 0: orch.cordon(n); break;
+        case 1: orch.fail_node(n); break;
+        case 2: orch.quarantine(n); break;
+        case 3: orch.mark_unreachable(n); break;
+        default: break;
+      }
+    }
+    sim.run();
+    for (int probe = 0; probe < 30; ++probe) {
+      const PodSpec spec = random_pod(rng, cluster);
+      const auto exclude =
+          rng.chance(0.5) ? cluster::kInvalidNode
+                          : static_cast<cluster::NodeId>(
+                                rng.uniform_int(0, cluster.size() - 1));
+      mix(orch.feasible_node_for(spec, exclude));
+    }
+    mix(orch.running_count());
+  }
+  EXPECT_EQ(digest, 5434823029558592523ull);
 }
 
 TEST(Orchestrator, PodRunsAndFinishes) {

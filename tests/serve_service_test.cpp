@@ -9,9 +9,11 @@
 
 #include "cluster/cluster.hpp"
 #include "fault/gray.hpp"
+#include "fault/partition.hpp"
 #include "fault/wiring.hpp"
 #include "net/fabric.hpp"
 #include "orch/controllers.hpp"
+#include "orch/lease.hpp"
 #include "orch/scheduler.hpp"
 #include "serve/generator.hpp"
 #include "serve/service.hpp"
@@ -189,6 +191,49 @@ TEST(ServeService, RouterAvoidsDrainedNode) {
   EXPECT_EQ(exec_nodes.count(compute[0]), 0u);  // never routed there
   EXPECT_EQ(exec_nodes.count(compute[1]), 1u);
   expect_clean(f);
+}
+
+// Quarantine and lease expiry drain a node for separate reasons:
+// clearing one must not undrain a node the other still holds.
+TEST(ServeService, DrainReasonsStayApart) {
+  ServeFixture f(2);
+  Service& svc = f.make_service();
+  f.sim.run();
+  const cluster::NodeId node = f.cluster.nodes_with_label("role=compute")[1];
+  ASSERT_NE(node, orch::LeaseManager::kLeader);
+  fault::PartitionInjector partitions(f.sim, f.fabric);
+  orch::LeaseManager leases(f.sim, f.fabric, f.orch);
+  fault::connect(leases, svc);
+  leases.start();
+
+  // Quarantined through a partition: the reconnect leaves it drained.
+  svc.set_node_drained(node, true);
+  fault::PartitionId cut = 0;
+  f.sim.at(util::seconds(1), [&] { cut = partitions.isolate({node}); });
+  f.sim.at(util::seconds(6), [&] { partitions.heal(cut); });
+  bool drained_after_reconnect = false;
+  f.sim.at(util::seconds(8), [&] {
+    drained_after_reconnect = svc.is_node_drained(node);
+    svc.set_node_drained(node, false);
+  });
+  // Lease-expired through a quarantine release: still drained until the
+  // node reconnects.
+  f.sim.at(util::seconds(10), [&] { cut = partitions.isolate({node}); });
+  bool drained_after_release = false;
+  f.sim.at(util::seconds(14), [&] {
+    svc.set_node_drained(node, true);
+    svc.set_node_drained(node, false);
+    drained_after_release = svc.is_node_drained(node);
+  });
+  f.sim.at(util::seconds(15), [&] { partitions.heal(cut); });
+  f.sim.at(util::seconds(20), [&] { leases.stop(); });
+  f.sim.run();
+
+  EXPECT_EQ(leases.expiries(), 2);
+  EXPECT_EQ(leases.reconnects(), 2);
+  EXPECT_TRUE(drained_after_reconnect);
+  EXPECT_TRUE(drained_after_release);
+  EXPECT_FALSE(svc.is_node_drained(node));
 }
 
 TEST(ServeService, AllDrainedFallsBackDegraded) {
