@@ -59,23 +59,26 @@ void DeploymentController::reconcile() {
 
 PodId DeploymentController::pick_scale_down_victim() const {
   // Prefer evicting replicas that are already compromised: a pod on a
-  // NotReady node first, then quarantined, then cordoned, then pods
-  // that never got placed, and only then a healthy replica. Ties break
-  // on the lowest pod id (the oldest) for determinism.
+  // NotReady node first, then unreachable (fenced by an expired lease),
+  // then quarantined, then cordoned, then pods that never got placed,
+  // and only then a healthy replica. Ties break on the lowest pod id
+  // (the oldest) for determinism.
   PodId best = *live_.begin();
   int best_rank = 1 << 10;
   for (const PodId id : live_) {
     const PodStatus& status = orch_.pod(id);
-    int rank = 4;
+    int rank = 5;
     if (status.phase == PodPhase::kPending) {
-      rank = 3;
+      rank = 4;
     } else if (status.node != cluster::kInvalidNode) {
       if (!orch_.is_ready(status.node)) {
         rank = 0;
-      } else if (orch_.is_quarantined(status.node)) {
+      } else if (orch_.is_unreachable(status.node)) {
         rank = 1;
-      } else if (orch_.is_cordoned(status.node)) {
+      } else if (orch_.is_quarantined(status.node)) {
         rank = 2;
+      } else if (orch_.is_cordoned(status.node)) {
+        rank = 3;
       }
     }
     if (rank < best_rank) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace evolve::orch {
 
@@ -162,22 +164,27 @@ void Orchestrator::pump() {
   schedule_now();
 }
 
-PodId Orchestrator::submit(PodSpec spec, util::TimeNs duration,
-                           StartFn on_start, FinishFn on_finish) {
+Orchestrator::PodRecord& Orchestrator::add_pod(PodSpec spec,
+                                               util::TimeNs duration) {
   if (pool_tree_) pool_tree_->add_demand(spec.tenant, spec.request);
   const PodId id = next_pod_++;
-  PodRecord rec;
+  PodRecord& rec = pods_[id];
   rec.status.id = id;
   rec.status.spec = std::move(spec);
   rec.status.submit_time = sim_.now();
   rec.duration = duration;
-  rec.on_start = std::move(on_start);
-  rec.on_finish = std::move(on_finish);
-  auto [it, inserted] = pods_.emplace(id, std::move(rec));
-  trace_submit(it->second);
+  trace_submit(rec);
   metrics_.count("pods_submitted");
   enqueue(id);
-  return id;
+  return rec;
+}
+
+PodId Orchestrator::submit(PodSpec spec, util::TimeNs duration,
+                           StartFn on_start, FinishFn on_finish) {
+  PodRecord& rec = add_pod(std::move(spec), duration);
+  rec.on_start = std::move(on_start);
+  rec.on_finish = std::move(on_finish);
+  return rec.status.id;
 }
 
 std::vector<PodId> Orchestrator::submit_gang(std::vector<PodSpec> specs,
@@ -194,33 +201,21 @@ std::vector<PodId> Orchestrator::submit_gang(std::vector<PodSpec> specs,
   }
   if (specs.empty()) return {};
   const std::string tenant = specs.front().tenant;
-  const GangId gang = next_gang_++;
-  std::vector<PodId> ids;
-  ids.reserve(specs.size());
+  if (batch.walltime > 0) batch.walltime = std::max(batch.walltime, duration);
+  const GangId id = next_gang_++;
+  Gang& gang = *(gangs_[id] = std::make_shared<Gang>(
+                     Gang{.members = {},
+                          .live = static_cast<int>(specs.size()),
+                          .on_start = std::move(on_start),
+                          .on_finish = std::move(on_finish),
+                          .batch = batch,
+                          .remaining = duration}));
   for (auto& spec : specs) {
-    spec.gang = gang;
+    spec.gang = id;
     spec.tenant = tenant;
-    if (pool_tree_) pool_tree_->add_demand(tenant, spec.request);
-    const PodId id = next_pod_++;
-    PodRecord rec;
-    rec.status.id = id;
-    rec.status.spec = std::move(spec);
-    rec.status.submit_time = sim_.now();
-    rec.duration = duration;
-    rec.on_start = on_start;
-    rec.on_finish = on_finish;
-    auto [it, inserted] = pods_.emplace(id, std::move(rec));
-    trace_submit(it->second);
-    metrics_.count("pods_submitted");
-    enqueue(id);
-    ids.push_back(id);
+    gang.members.push_back(add_pod(std::move(spec), duration).status.id);
   }
-  if (batch.walltime > 0) {
-    batch.walltime = std::max(batch.walltime, duration);
-    batch_gangs_.emplace(gang, BatchGang{batch, duration, ids,
-                                         static_cast<int>(ids.size())});
-  }
-  return ids;
+  return gang.members;
 }
 
 void Orchestrator::trace_submit(PodRecord& rec, trace::SpanId parent) {
@@ -278,7 +273,12 @@ void Orchestrator::place(PodRecord& rec, cluster::NodeId node) {
         it->second.status.is_terminal()) {
       return;
     }
-    if (it->second.on_start) it->second.on_start(id, node);
+    if (const GangId gang_id = it->second.status.spec.gang; gang_id != 0) {
+      const std::shared_ptr<Gang> gang = gangs_.at(gang_id);
+      if (gang->on_start) gang->on_start(id, node);
+    } else if (StartFn fn = std::exchange(it->second.on_start, nullptr)) {
+      fn(id, node);  // a single pod starts once
+    }
   });
   if (duration >= 0) {
     sim_.after(config_.bind_latency + duration, [this, id, incarnation] {
@@ -313,14 +313,14 @@ void Orchestrator::complete(PodId id, PodPhase phase) {
   PodRecord& rec = it->second;
   if (rec.status.is_terminal()) return;
 
-  const auto batch = rec.status.spec.gang != 0
-                         ? batch_gangs_.find(rec.status.spec.gang)
-                         : batch_gangs_.end();
-  if (phase == PodPhase::kFailed && batch != batch_gangs_.end()) {
+  const GangId gang_id = rec.status.spec.gang;
+  const std::shared_ptr<Gang> gang =
+      gang_id != 0 ? gangs_.at(gang_id) : nullptr;
+  if (phase == PodPhase::kFailed && gang && gang->batch.walltime > 0) {
     // Members this failure already sent back to the queue stay there.
     if (rec.status.phase != PodPhase::kRunning) return;
     if (sim_.now() < rec.status.start_time + rec.duration) {
-      restart_batch_gang(batch->second);
+      restart_batch_gang(*gang, rec.status.start_time);
       return;
     }
     phase = PodPhase::kSucceeded;  // its run time is up: the work is done
@@ -347,18 +347,21 @@ void Orchestrator::complete(PodId id, PodPhase phase) {
   }
   metrics_.count(phase == PodPhase::kSucceeded ? "pods_succeeded"
                                                : "pods_failed");
-  if (batch != batch_gangs_.end() && --batch->second.live == 0) {
-    batch_gangs_.erase(batch);
+  if (gang) {
+    const bool last = --gang->live == 0;
+    if (gang->on_finish) gang->on_finish(id, phase);
+    if (phase == PodPhase::kFailed) fail_gang_of(*gang);
+    if (last) gangs_.erase(gang_id);
+  } else {
+    rec.on_start = nullptr;
+    if (FinishFn fn = std::exchange(rec.on_finish, nullptr)) fn(id, phase);
   }
-  if (rec.on_finish) rec.on_finish(id, phase);
-  if (phase == PodPhase::kFailed) fail_gang_of(rec);
   kick_pump();
 }
 
-void Orchestrator::restart_batch_gang(BatchGang& gang) {
-  const BatchSpec& spec = gang.spec;
-  const util::TimeNs elapsed = std::max<util::TimeNs>(
-      0, sim_.now() - record(gang.members.front()).status.start_time);
+void Orchestrator::restart_batch_gang(Gang& gang, util::TimeNs started) {
+  const BatchSpec& spec = gang.batch;
+  const util::TimeNs elapsed = std::max<util::TimeNs>(0, sim_.now() - started);
   util::TimeNs checkpointed = 0;
   if (spec.checkpoint_interval > 0) {
     checkpointed = std::min(
@@ -366,9 +369,13 @@ void Orchestrator::restart_batch_gang(BatchGang& gang) {
         gang.remaining);
   }
   gang.remaining = gang.remaining - checkpointed + spec.restart_cost;
-  // Back to the queue head in member order; the submit time stays.
+  // Members placed earlier in this pass still hold queue entries.
+  compact_queue();
+  // Live members go back to the queue head in member order; the submit
+  // time stays. A member already finished stays finished.
   for (auto it = gang.members.rbegin(); it != gang.members.rend(); ++it) {
     PodRecord& rec = record(*it);
+    if (rec.status.is_terminal()) continue;
     unbind(rec);
     if (pool_tree_) {
       pool_tree_->add_demand(rec.status.spec.tenant, rec.status.spec.request);
@@ -394,21 +401,14 @@ void Orchestrator::restart_batch_gang(BatchGang& gang) {
   kick_pump();
 }
 
-void Orchestrator::fail_gang_of(const PodRecord& rec) {
-  const GangId gang = rec.status.spec.gang;
-  if (gang == 0) return;
-  if (!gangs_failing_.insert(gang).second) return;  // cascade in progress
-  std::vector<PodId> members;
-  for (const auto& [pid, other] : pods_) {
-    if (other.status.spec.gang == gang && !other.status.is_terminal()) {
-      members.push_back(pid);
-    }
-  }
-  for (PodId pid : members) {
+void Orchestrator::fail_gang_of(Gang& gang) {
+  if (gang.failing) return;  // this failure is already killing the gang
+  gang.failing = true;
+  for (PodId member : gang.members) {
+    if (record(member).status.is_terminal()) continue;
     metrics_.count("gang_kills");
-    complete(pid, PodPhase::kFailed);
+    complete(member, PodPhase::kFailed);
   }
-  gangs_failing_.erase(gang);
 }
 
 void Orchestrator::finish(PodId id) { complete(id, PodPhase::kSucceeded); }
@@ -443,27 +443,18 @@ bool Orchestrator::trial_fit(const std::vector<PodId>& pods, Binding& bound) {
   return true;
 }
 
-void Orchestrator::trial_release(const Binding& bound) {
-  for (const auto& [id, node] : bound) trial_unbind(id, node);
-}
-
-util::TimeNs Orchestrator::estimated_end(const BatchGang& gang) const {
+util::TimeNs Orchestrator::estimated_end(const Gang& gang) const {
   const PodStatus& first = pods_.at(gang.members.front()).status;
-  return first.phase == PodPhase::kRunning
-             ? first.start_time + gang.spec.walltime
+  return gang.batch.walltime > 0 && first.phase == PodPhase::kRunning
+             ? first.start_time + gang.batch.walltime
              : -1;
 }
 
 util::TimeNs Orchestrator::shadow_time(const std::vector<PodId>& head) {
-  std::vector<util::TimeNs> ends;
-  for (const auto& [id, gang] : batch_gangs_) {
-    const util::TimeNs end = estimated_end(gang);
-    if (end >= 0) ends.push_back(end);
-  }
-  std::sort(ends.begin(), ends.end());
-  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  std::set<util::TimeNs> ends;  // ascending, -1 for a pending gang
+  for (const auto& [id, gang] : gangs_) ends.insert(estimated_end(*gang));
   for (util::TimeNs end : ends) {
-    if (fits_at(head, end)) return end;
+    if (end >= 0 && fits_at(head, end)) return end;
   }
   return -1;
 }
@@ -471,10 +462,10 @@ util::TimeNs Orchestrator::shadow_time(const std::vector<PodId>& head) {
 bool Orchestrator::fits_at(const std::vector<PodId>& head,
                            util::TimeNs shadow) {
   Binding released, bound;
-  for (const auto& [id, gang] : batch_gangs_) {
-    const util::TimeNs end = estimated_end(gang);
+  for (const auto& [id, gang] : gangs_) {
+    const util::TimeNs end = estimated_end(*gang);
     if (end < 0 || end > shadow) continue;
-    for (PodId member : gang.members) {
+    for (PodId member : gang->members) {
       const PodStatus& status = pods_.at(member).status;
       if (status.phase != PodPhase::kRunning) continue;
       trial_unbind(member, status.node);
@@ -482,7 +473,7 @@ bool Orchestrator::fits_at(const std::vector<PodId>& head,
     }
   }
   const bool fits = trial_fit(head, bound);
-  trial_release(bound);
+  for (const auto& [id, node] : bound) trial_unbind(id, node);
   for (const auto& [member, node] : released) trial_bind(member, node);
   return fits;
 }
@@ -622,6 +613,9 @@ void Orchestrator::schedule_now() {
   // order. With a pool tree: most-starved pool first (lowest usage/fair
   // ratio, snapshotted per pass), then priority, then submit order.
   std::vector<PodId> order(queue_.begin(), queue_.end());
+  const auto by_priority = [this](PodId a, PodId b) {
+    return record(a).status.spec.priority > record(b).status.spec.priority;
+  };
   std::map<std::string, double> pool_key;
   if (pool_tree_) {
     pool_tree_->advance_time(sim_.now());
@@ -639,9 +633,7 @@ void Orchestrator::schedule_now() {
       return sa.priority > sb.priority;
     });
   } else {
-    std::stable_sort(order.begin(), order.end(), [this](PodId a, PodId b) {
-      return record(a).status.spec.priority > record(b).status.spec.priority;
-    });
+    std::stable_sort(order.begin(), order.end(), by_priority);
   }
 
   std::set<GangId> gangs_tried;
@@ -673,20 +665,18 @@ void Orchestrator::schedule_now() {
                                                     // more starved pool
 
     if (rec.status.spec.gang != 0) {
-      const GangId gang = rec.status.spec.gang;
-      if (!gangs_tried.insert(gang).second) continue;
+      const GangId gang_id = rec.status.spec.gang;
+      if (!gangs_tried.insert(gang_id).second) continue;
+      const Gang& gang = *gangs_.at(gang_id);
+      // Pending members in pass order (members share a tenant).
       std::vector<PodId> members;
-      for (PodId other : order) {
-        auto oit = pods_.find(other);
-        if (oit != pods_.end() &&
-            oit->second.status.phase == PodPhase::kPending &&
-            oit->second.status.spec.gang == gang) {
-          members.push_back(other);
+      for (PodId member : gang.members) {
+        if (record(member).status.phase == PodPhase::kPending) {
+          members.push_back(member);
         }
       }
-      const auto batch = batch_gangs_.find(gang);
-      const util::TimeNs walltime =
-          batch == batch_gangs_.end() ? 0 : batch->second.spec.walltime;
+      std::stable_sort(members.begin(), members.end(), by_priority);
+      const util::TimeNs walltime = gang.batch.walltime;
       Binding bound;
       const bool fits = trial_fit(members, bound);
       if (!fits) metrics_.count("gang_placement_failures");
@@ -695,7 +685,7 @@ void Orchestrator::schedule_now() {
                    (walltime > 0 &&
                     sim_.now() + config_.bind_latency + walltime <= shadow) ||
                    fits_at(reserved, shadow));
-      trial_release(bound);
+      for (const auto& [pid, node] : bound) trial_unbind(pid, node);
       if (placed) {  // placed members leave the queue in compact_queue()
         for (const auto& [pid, node] : bound) place(record(pid), node);
         if (shadow >= 0) metrics_.count("backfills");

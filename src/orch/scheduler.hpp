@@ -18,7 +18,7 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -240,20 +240,26 @@ class Orchestrator {
   struct PodRecord {
     PodStatus status;
     util::TimeNs duration = -1;
-    StartFn on_start;
+    StartFn on_start;  // a single pod's; dropped once on_finish returns
     FinishFn on_finish;
     trace::SpanId wait_span = trace::kNoSpan;
     trace::SpanId run_span = trace::kNoSpan;
     std::int64_t incarnation = 0;  // a batch restart disarms old timers
   };
-  struct BatchGang {
-    BatchSpec spec;
-    util::TimeNs remaining = 0;  // run time of the next incarnation
-    std::vector<PodId> members;
-    int live = 0;  // members not yet terminal
+  /// One per gang, erased once its last member's on_finish returns.
+  struct Gang {
+    std::vector<PodId> members;  // submit order
+    int live = 0;                // members not yet terminal
+    StartFn on_start;
+    FinishFn on_finish;
+    BatchSpec batch;             // walltime 0: a plain gang
+    util::TimeNs remaining = 0;  // a batch gang's next run time
+    bool failing = false;        // a member failure is killing the rest
   };
   using Binding = std::vector<std::pair<PodId, cluster::NodeId>>;
 
+  /// Records, traces and queues a new pending pod.
+  PodRecord& add_pod(PodSpec spec, util::TimeNs duration);
   /// Opens the kScheduler wait span for a pending pod.
   void trace_submit(PodRecord& rec, trace::SpanId parent = trace::kNoSpan);
 
@@ -271,19 +277,20 @@ class Orchestrator {
   void evict_pods(cluster::NodeId node);
   /// A gang member failed: the surviving members are killed too
   /// (all-or-nothing gangs have all-or-nothing lifetimes).
-  void fail_gang_of(const PodRecord& rec);
-  /// A batch gang member failed: every member goes back to the queue
-  /// head to rerun what its last checkpoint did not save.
-  void restart_batch_gang(BatchGang& gang);
+  void fail_gang_of(Gang& gang);
+  /// A batch gang member that started at `started` failed: every live
+  /// member goes back to the queue head to rerun what its last
+  /// checkpoint did not save.
+  void restart_batch_gang(Gang& gang, util::TimeNs started);
   /// Trial binds (the node's resources and anti-affinity groups only).
   void trial_bind(PodId id, cluster::NodeId node);
   void trial_unbind(PodId id, cluster::NodeId node);
   /// Trial-binds `pods` greedily and appends the binds to `bound`; on
   /// failure rolls its own binds back and returns false.
   bool trial_fit(const std::vector<PodId>& pods, Binding& bound);
-  void trial_release(const Binding& bound);
-  /// start + walltime of a running batch gang, -1 when it is pending.
-  util::TimeNs estimated_end(const BatchGang& gang) const;
+  /// start + walltime of a running batch gang; -1 for a pending or
+  /// plain gang.
+  util::TimeNs estimated_end(const Gang& gang) const;
   /// Earliest estimated end of a running batch gang at which `head`
   /// fits, or -1 when it never does.
   util::TimeNs shadow_time(const std::vector<PodId>& head);
@@ -305,9 +312,10 @@ class Orchestrator {
   OrchestratorConfig config_;
   std::vector<NodeStatus> nodes_;
   std::map<cluster::NodeId, std::size_t> node_index_;
-  std::set<GangId> gangs_failing_;  // re-entrancy guard for gang kills
   std::map<PodId, PodRecord> pods_;
-  std::map<GangId, BatchGang> batch_gangs_;  // live batch gangs
+  // Live gangs. A callback in flight holds its gang's record, since it
+  // may end the gang.
+  std::map<GangId, std::shared_ptr<Gang>> gangs_;
   std::deque<PodId> queue_;
   PoolTree* pool_tree_ = nullptr;  // non-owned fair-share state
   struct BudgetState {

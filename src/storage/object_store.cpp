@@ -360,53 +360,39 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
   };
   const cluster::NodeId primary = replicas.front();
 
-  if (config_.redundancy == Redundancy::kReplication) {
-    // Metadata round, then client -> primary transfer, then fan-out
-    // replication in parallel. Done when every replica is durable.
-    sim_.after(kMetadataLatency, [this, client, primary, key, size,
-                                  replicas, span, finish]() mutable {
-      trace::ScopedContext tctx(tracer_, span);
-      fabric_.transfer(client, primary, size, [this, primary, key, size,
-                                               replicas, span,
-                                               finish]() mutable {
-        write_durable(primary, key, size, finish);
-        trace::ScopedContext tctx(tracer_, span);
-        for (std::size_t i = 1; i < replicas.size(); ++i) {
-          const cluster::NodeId replica = replicas[i];
-          fabric_.transfer(primary, replica, size,
-                           [this, replica, key, size, finish]() mutable {
-                             write_durable(replica, key, size, finish);
-                           });
-        }
-      });
-    });
-    return;
-  }
-
-  // Erasure coding: client -> primary (full body); primary encodes, then
-  // distributes k+m-1 fragments; every fragment must be durable.
+  // Metadata round, then client -> primary (the full body); an
+  // erasure-coded primary encodes first. The primary then fans its
+  // per-server payload (a full copy, or one fragment) out in parallel;
+  // done when every server holds it durably. Replication is the k = 1
+  // case, with no encode step.
+  auto fan_out = [this, primary, key, per_server, replicas, span,
+                  finish]() mutable {
+    write_durable(primary, key, per_server, finish);
+    trace::ScopedContext tctx(tracer_, span);
+    for (std::size_t i = 1; i < replicas.size(); ++i) {
+      const cluster::NodeId peer = replicas[i];
+      fabric_.transfer(primary, peer, per_server,
+                       [this, peer, key, per_server, finish]() mutable {
+                         write_durable(peer, key, per_server, finish);
+                       });
+    }
+  };
+  const bool encode = config_.redundancy == Redundancy::kErasure;
   const auto encode_ns = static_cast<util::TimeNs>(
       std::ceil(static_cast<double>(size) * kEcNsPerByte));
-  sim_.after(kMetadataLatency, [this, client, primary, key, size,
-                                per_server, encode_ns, replicas, span,
-                                finish]() mutable {
+  sim_.after(kMetadataLatency, [this, client, primary, size, span, encode,
+                                encode_ns,
+                                fan_out = std::move(fan_out)]() mutable {
     trace::ScopedContext tctx(tracer_, span);
-    fabric_.transfer(client, primary, size, [this, primary, key, per_server,
-                                             encode_ns, replicas, span,
-                                             finish]() mutable {
-      sim_.after(encode_ns, [this, primary, key, per_server, replicas, span,
-                             finish]() mutable {
-        write_durable(primary, key, per_server, finish);
-        trace::ScopedContext tctx(tracer_, span);
-        for (std::size_t i = 1; i < replicas.size(); ++i) {
-          const cluster::NodeId peer = replicas[i];
-          fabric_.transfer(primary, peer, per_server,
-                           [this, peer, key, per_server, finish]() mutable {
-                             write_durable(peer, key, per_server, finish);
-                           });
-        }
-      });
-    });
+    fabric_.transfer(client, primary, size,
+                     [this, encode, encode_ns,
+                      fan_out = std::move(fan_out)]() mutable {
+                       if (encode) {
+                         sim_.after(encode_ns, std::move(fan_out));
+                       } else {
+                         fan_out();
+                       }
+                     });
   });
 }
 

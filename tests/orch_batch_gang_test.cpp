@@ -207,6 +207,62 @@ TEST(BatchGang, PreemptedGangRestartsAsUnit) {
   EXPECT_EQ(f.orch.metrics().histogram("work_lost_ms").p50(), 5000);
 }
 
+TEST(BatchGang, PreemptedInItsPlacingPassQueuesOnce) {
+  BatchFixture f(2, /*preemption=*/true);
+  // One pass places the gang (at its priority-5 member's turn), then the
+  // priority-3 pod preempts the priority-0 member: the gang goes back to
+  // the queue while its placed members still hold their old entries.
+  int starts = 0;
+  std::map<PodId, int> finishes;
+  f.orch.submit_gang(
+      {f.whole_node(5), f.whole_node(0)}, seconds(10),
+      [&](PodId, cluster::NodeId) { ++starts; },
+      [&](PodId id, PodPhase phase) {
+        ++finishes[id];
+        EXPECT_EQ(phase, PodPhase::kSucceeded);
+      },
+      BatchSpec{seconds(10)});
+  f.orch.submit(f.whole_node(3), seconds(3));
+  f.sim.run_until(0);
+  EXPECT_EQ(f.orch.metrics().counter("preemptions"), 1);
+  EXPECT_EQ(f.orch.metrics().counter("gang_restarts"), 1);
+  EXPECT_EQ(f.orch.pending_count(), 2);  // each member queued once
+  f.sim.run();
+  EXPECT_EQ(starts, 2);  // the preempted incarnation never started
+  EXPECT_EQ(finishes.size(), 2u);
+  for (const auto& [id, count] : finishes) EXPECT_EQ(count, 1) << id;
+  EXPECT_EQ(f.sim.now(), seconds(13));
+}
+
+TEST(BatchGang, FinishedMemberStaysFinishedOnRestart) {
+  BatchFixture f(4);
+  int finishes = 0;
+  const auto ids = f.orch.submit_gang(
+      std::vector<PodSpec>(2, f.whole_node()), seconds(10), {},
+      [&](PodId, PodPhase phase) {
+        ++finishes;
+        EXPECT_EQ(phase, PodPhase::kSucceeded);
+      },
+      BatchSpec{seconds(10), seconds(1), 0});
+  f.sim.run_until(seconds(2));
+  f.orch.finish(ids[0]);
+  // The other member's node drains: only it restarts, with 2 s saved.
+  f.orch.drain(f.orch.pod(ids[1]).node);
+  EXPECT_EQ(f.orch.pod(ids[0]).phase, PodPhase::kSucceeded);
+  EXPECT_EQ(f.orch.pod(ids[1]).phase, PodPhase::kPending);
+  EXPECT_EQ(f.orch.pending_count(), 1);
+  // Its rerun starts at t=2 and loses its node at t=5: 3 more seconds
+  // saved, counted from the rerun's start, so 5 s are left.
+  f.sim.run_until(seconds(5));
+  f.orch.drain(f.orch.pod(ids[1]).node);
+  f.sim.run();
+  EXPECT_EQ(finishes, 2);
+  EXPECT_EQ(f.orch.pod(ids[1]).phase, PodPhase::kSucceeded);
+  EXPECT_EQ(f.orch.pod(ids[1]).finish_time, seconds(10));
+  EXPECT_EQ(f.orch.metrics().counter("gang_restarts"), 2);
+  EXPECT_EQ(f.orch.running_count(), 0);
+}
+
 TEST(BatchGang, FailureAtTheEndCompletesTheGang) {
   BatchFixture f(2);
   // The drain fires at t=10 before the members' own finish timers: the

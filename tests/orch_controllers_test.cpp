@@ -103,6 +103,23 @@ TEST(DeploymentController, ScaleDownEvictsCompromisedReplicasFirst) {
   EXPECT_EQ(f.orch.node_status(2).pod_count(), 1);
 }
 
+TEST(DeploymentController, ScaleDownEvictsUnreachableReplicaFirst) {
+  CtrlFixture f(2);
+  PodSpec pod = web_pod();
+  pod.anti_affinity_group = "web";  // one replica per node
+  DeploymentController deploy(f.orch, "web", pod, 2);
+  f.sim.run();
+  ASSERT_EQ(f.orch.node_status(0).pod_count(), 1);
+  ASSERT_EQ(f.orch.node_status(1).pod_count(), 1);
+  // Node 1's lease expired: its replica is fenced, not healthy. Among
+  // healthy replicas the oldest (node 0's) would go first.
+  f.orch.mark_unreachable(1);
+  deploy.scale(1);
+  f.sim.run();
+  EXPECT_EQ(f.orch.node_status(1).pod_count(), 0);
+  EXPECT_EQ(f.orch.node_status(0).pod_count(), 1);
+}
+
 TEST(DeploymentController, HealthyScaleDownIsDeterministic) {
   CtrlFixture f(2);
   DeploymentController deploy(f.orch, "web", web_pod(), 3);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -362,6 +363,151 @@ TEST(Orchestrator, MetricsCountLifecycle) {
   EXPECT_EQ(f.orch.metrics().counter("pods_submitted"), 2);
   EXPECT_EQ(f.orch.metrics().counter("pods_started"), 2);
   EXPECT_EQ(f.orch.metrics().counter("pods_succeeded"), 2);
+}
+
+// Gang lifecycles must not move when the orchestrator's gang bookkeeping
+// is restructured: a seeded mix of single pods, plain gangs (members of
+// mixed priority) and checkpointed batch gangs under node crashes, a
+// drain and priority preemption, with gang members among the victims.
+// The digest folds every on_start and on_finish call in order, then each
+// pod's final status; the pinned value was recorded before gangs got one
+// record each. Batch gangs run at one priority here: a batch gang
+// preempted in the pass that placed it is the case of
+// BatchGang.PreemptedInItsPlacingPassQueuesOnce.
+TEST(Orchestrator, GangLifecycleDigestIsPinned) {
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a
+  const auto mix = [&digest](std::int64_t value) {
+    digest ^= static_cast<std::uint64_t>(value);
+    digest *= 1099511628211ull;
+  };
+  std::int64_t restarts = 0, kills = 0, preemptions = 0, backfills = 0;
+  for (int round = 0; round < 8; ++round) {
+    util::Rng rng(static_cast<std::uint64_t>(round) + 101);
+    sim::Simulation sim;
+    const auto cluster = cluster::make_testbed(6, 0, 0);
+    OrchestratorConfig config;
+    config.enable_preemption = true;
+    Orchestrator orch(sim, cluster, SchedulingPolicy::spreading(cluster),
+                      config);
+
+    const Orchestrator::StartFn on_start = [&](PodId id, cluster::NodeId n) {
+      mix(1);
+      mix(id);
+      mix(n);
+      mix(sim.now());
+    };
+    const Orchestrator::FinishFn on_finish = [&](PodId id, PodPhase phase) {
+      mix(2);
+      mix(id);
+      mix(static_cast<std::int64_t>(phase));
+      mix(sim.now());
+    };
+    const auto pod = [&rng] {
+      PodSpec spec;
+      spec.tenant = std::string(1, rng.chance(0.5) ? 'a' : 'b');
+      spec.request = cpu_mem(rng.uniform_int(2, 16) * 1000,
+                             rng.uniform_int(4, 48) * util::kGiB);
+      spec.priority = static_cast<int>(rng.uniform_int(0, 3));
+      return spec;
+    };
+    for (int i = 0; i < 70; ++i) {
+      const util::TimeNs at = util::millis(rng.uniform_int(0, 40'000));
+      const util::TimeNs duration = util::millis(rng.uniform_int(500, 12'000));
+      const int kind = static_cast<int>(rng.uniform_int(0, 9));
+      if (kind < 4) {  // single pod, some open-ended and finished later
+        PodSpec spec = pod();
+        const bool open = rng.chance(0.2);
+        const util::TimeNs end = at + duration + util::seconds(1);
+        sim.at(at, [&, spec, open, duration, end] {
+          const PodId id =
+              orch.submit(spec, open ? -1 : duration, on_start, on_finish);
+          if (open) sim.at(end, [&orch, id] { orch.finish(id); });
+        });
+      } else if (kind == 4) {  // a high-priority pod that preempts
+        PodSpec spec = pod();
+        spec.priority = 8;
+        spec.request = cpu_mem(24000, 64 * util::kGiB);
+        sim.at(at, [&, spec, duration] {
+          orch.submit(spec, duration, on_start, on_finish);
+        });
+      } else {  // a gang: kinds 5-7 plain, 8-9 batch
+        std::vector<PodSpec> members;
+        const auto size = rng.uniform_int(2, 4);
+        for (int m = 0; m < size; ++m) members.push_back(pod());
+        BatchSpec batch;
+        if (kind >= 8) {
+          // A batch job runs at one priority.
+          for (PodSpec& member : members) {
+            member.priority = members.front().priority;
+          }
+          batch.walltime = duration + util::millis(rng.uniform_int(0, 5000));
+          batch.checkpoint_interval =
+              rng.chance(0.3) ? 0 : util::millis(rng.uniform_int(500, 3000));
+          batch.restart_cost = util::millis(rng.uniform_int(0, 1000));
+        }
+        sim.at(at, [&, members, duration, batch] {
+          orch.submit_gang(members, duration, on_start, on_finish, batch);
+        });
+      }
+    }
+    const auto node = [&rng, &cluster] {
+      return static_cast<cluster::NodeId>(
+          rng.uniform_int(0, cluster.size() - 1));
+    };
+    for (int crash = 0; crash < 2; ++crash) {
+      const cluster::NodeId n = node();
+      const util::TimeNs at = util::millis(rng.uniform_int(2000, 30'000));
+      sim.at(at, [&orch, n] { orch.fail_node(n); });
+      sim.at(at + util::seconds(5), [&orch, n] { orch.recover_node(n); });
+    }
+    const cluster::NodeId drained = node();
+    const util::TimeNs drain_at = util::millis(rng.uniform_int(5000, 25'000));
+    sim.at(drain_at, [&orch, drained] { orch.drain(drained); });
+    sim.at(drain_at + util::seconds(10),
+           [&orch, drained] { orch.uncordon(drained); });
+
+    sim.run_until(util::seconds(300));
+    orch.shutdown();
+    sim.run();
+    const auto& m = orch.metrics();
+    for (PodId id = 1; id <= m.counter("pods_submitted"); ++id) {
+      const PodStatus& status = orch.pod(id);
+      mix(id);
+      mix(status.node);
+      mix(status.start_time);
+      mix(status.finish_time);
+      mix(static_cast<std::int64_t>(status.phase));
+    }
+    restarts += m.counter("gang_restarts");
+    kills += m.counter("gang_kills");
+    preemptions += m.counter("preemptions");
+    backfills += m.counter("backfills");
+  }
+  // The scenario exercises every gang path it claims to.
+  EXPECT_GT(restarts, 0);
+  EXPECT_GT(kills, 0);
+  EXPECT_GT(preemptions, 0);
+  EXPECT_GT(backfills, 0);
+  EXPECT_EQ(digest, 60618432789210989ull);
+}
+
+// Callbacks hold what they capture only while the pod or gang can still
+// call them: once the last on_finish returns, the orchestrator drops its
+// copies, so a captured shared_ptr is back to its one owner.
+TEST(Orchestrator, FinishedCallbacksAreReleased) {
+  OrchFixture f;
+  const auto token = std::make_shared<int>(0);
+  f.orch.submit(small_pod("p"), util::seconds(1),
+                [token](PodId, cluster::NodeId) { ++*token; },
+                [token](PodId, PodPhase) { ++*token; });
+  f.orch.submit_gang(std::vector<PodSpec>(3, small_pod("g")),
+                     util::seconds(1),
+                     [token](PodId, cluster::NodeId) { ++*token; },
+                     [token](PodId, PodPhase) { ++*token; });
+  EXPECT_GT(token.use_count(), 1);
+  f.sim.run();
+  EXPECT_EQ(*token, 8);  // 4 starts, 4 finishes
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
