@@ -12,7 +12,8 @@
 # Also checks that no test-only oracle from src/reference/ is linked into
 # libevolve.a, that every *Config field under src/ has a setter somewhere
 # (scripts/knob_census.py), and that a Release (-O3 -DNDEBUG) build, in
-# <build-dir>-release, is as warning-free as the default one.
+# <build-dir>-release, is as warning-free as the default one and
+# reproduces every fully deterministic baseline bit for bit.
 # Run from the repo root:
 #
 #   scripts/check.sh [build-dir]
@@ -238,11 +239,20 @@ echo "check.sh: perfbench simulated results match PERFBENCH_SIM.json"
 
 # -- Release build -------------------------------------------------------
 # -O3 -DNDEBUG inlines differently from RelWithDebInfo, so it can raise
-# warnings (and -Werror failures) the default build does not.
+# warnings (and -Werror failures) the default build does not. The same
+# seed must also give the same bytes there: every fully deterministic
+# report is rerun from the Release binaries and diffed against its
+# tracked baseline.
 REL_DIR="${BUILD_DIR}-release"
 cmake -B "$REL_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$REL_DIR" -j "$(nproc)"
 echo "check.sh: Release build warning-free in $REL_DIR"
+for bench in "${DETERMINISTIC_BENCHES[@]}"; do
+  (cd "$REL_DIR" && "./bench/bench_$bench" --json > /dev/null)
+  diff "$REL_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
+    || { echo "check.sh: Release BENCH_$bench.json deviates from baseline"; exit 1; }
+done
+echo "check.sh: Release bench metrics match the tracked baselines"
 
 if [[ "${EVOLVE_SKIP_SANITIZERS:-0}" != "1" ]]; then
   SAN_DIR="${BUILD_DIR}-asan"

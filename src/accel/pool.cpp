@@ -8,7 +8,24 @@ namespace evolve::accel {
 
 AccelPool::AccelPool(sim::Simulation& sim, const cluster::Cluster& cluster,
                      KernelRegistry registry, DeviceConfig device_config)
-    : sim_(sim), registry_(std::move(registry)) {
+    : sim_(sim),
+      registry_(std::move(registry)),
+      conditions_([this](cluster::NodeId node,
+                         const cluster::NodeCondition& before,
+                         const cluster::NodeCondition& after) {
+        // Every slowdown write re-paces the node's devices, one that
+        // leaves the factor as it was too; a write by another producer
+        // (it changes only its own field) leaves them alone.
+        cluster::NodeCondition slowed = before;
+        slowed.cpu_slowdown = after.cpu_slowdown;
+        slowed.accel_slowdown = after.accel_slowdown;
+        if (!(slowed == after)) return;
+        for (std::size_t i = 0; i < devices_.size(); ++i) {
+          if (device_nodes_[i] == node) {
+            devices_[i]->set_slowdown(after.accel_slowdown);
+          }
+        }
+      }) {
   for (cluster::NodeId n = 0; n < cluster.size(); ++n) {
     const auto& node = cluster.node(n);
     for (int card = 0; card < node.accel_devices; ++card) {

@@ -11,6 +11,7 @@
 #include "accel/device.hpp"
 #include "accel/kernels.hpp"
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
 #include "sim/simulation.hpp"
 
@@ -46,13 +47,10 @@ class AccelPool {
   /// Mean utilization across devices.
   double mean_utilization() const;
 
-  /// Gray-failure slowdown for every device hosted on `node` (>= 1;
-  /// 1 restores full speed).
-  void set_node_slowdown(cluster::NodeId node, double factor) {
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      if (device_nodes_[i] == node) devices_[i]->set_slowdown(factor);
-    }
-  }
+  /// Gray-failure producers write here: each slowdown write paces every
+  /// device hosted on the node at its accel_slowdown (>= 1; 1 restores
+  /// full speed).
+  cluster::NodeConditions& conditions() { return conditions_; }
 
  private:
   struct PendingOffload {
@@ -71,6 +69,7 @@ class AccelPool {
   std::vector<std::unique_ptr<AccelDevice>> devices_;
   std::vector<cluster::NodeId> device_nodes_;
   std::deque<PendingOffload> queue_;
+  cluster::NodeConditions conditions_;
   metrics::Registry metrics_;
 };
 

@@ -77,9 +77,10 @@ struct DataflowEngine::RunState {
   trace::SpanId job_span = trace::kNoSpan;
 
   RunState(PhysicalPlan physical, util::TimeNs locality_wait,
-           std::uint64_t seed, Callback cb)
+           const cluster::NodeConditions& conditions, std::uint64_t seed,
+           Callback cb)
       : plan(std::move(physical)),
-        scheduler(locality_wait),
+        scheduler(locality_wait, &conditions),
         on_done(std::move(cb)),
         rng(seed) {}
 
@@ -100,7 +101,12 @@ DataflowEngine::DataflowEngine(sim::Simulation& sim,
       fabric_(fabric),
       io_(io),
       catalog_(catalog),
-      config_(config) {
+      config_(config),
+      conditions_([this](cluster::NodeId node,
+                         const cluster::NodeCondition& before,
+                         const cluster::NodeCondition& after) {
+        on_condition(node, before, after);
+      }) {
   if (config_.straggler_probability < 0 || config_.straggler_probability > 1) {
     throw std::invalid_argument("straggler_probability must be in [0, 1]");
   }
@@ -125,7 +131,7 @@ void DataflowEngine::run(const LogicalPlan& plan,
     throw std::invalid_argument("dataflow job needs executors");
   }
   auto run = std::make_shared<RunState>(
-      PhysicalPlan::compile(plan), config_.locality_wait,
+      PhysicalPlan::compile(plan), config_.locality_wait, conditions_,
       config_.straggler_seed, std::move(on_done));
   run->start_time = sim_.now();
   for (const ExecutorSpec& exec : executors) {
@@ -287,9 +293,8 @@ void DataflowEngine::execute_copy(std::shared_ptr<RunState> run, TaskId copy,
                              &sr](util::Bytes input_bytes) {
     if (run->running_copies.count(copy) == 0) return;  // killed mid-input
     sr.stats.input_bytes += input_bytes;
-    double speed = cluster_.node(node).core_speed;
-    const auto slow = node_slowdown_.find(node);
-    if (slow != node_slowdown_.end()) speed /= slow->second;
+    const double speed =
+        cluster_.node(node).core_speed / conditions_[node].cpu_slowdown;
     double compute_ns =
         static_cast<double>(input_bytes) * def.cpu_ns_per_byte / speed;
     if (config_.straggler_probability > 0 &&
@@ -620,11 +625,38 @@ void DataflowEngine::fail_job(std::shared_ptr<RunState> run) {
   if (run->on_done) run->on_done(run->stats);
 }
 
-void DataflowEngine::handle_node_failure(cluster::NodeId node) {
+void DataflowEngine::on_condition(cluster::NodeId node,
+                                  const cluster::NodeCondition& before,
+                                  const cluster::NodeCondition& after) {
+  const bool was_available = !before.down && !before.quarantined;
+  if (after.down && !before.down) {
+    handle_node_failure(node, was_available);
+    return;
+  }
+  const bool recovered = before.down && !after.down;
+  const bool quarantined = after.quarantined && !before.quarantined;
+  const bool released = before.quarantined && !after.quarantined;
+  if (!recovered && !quarantined && !released) return;
+  // Every live job re-reads the node; a recovered or released node
+  // gets its slots back and the jobs re-pump.
   for (const auto& weak : runs_) {
     auto run = weak.lock();
     if (!run || run->done_reported) continue;
-    run->scheduler.set_node_alive(node, false);
+    run->scheduler.node_changed(node, was_available);
+    if (!quarantined) pump_tasks(run);
+  }
+  prune_runs();
+  // The slow node keeps its running copies (drain), but backups race
+  // them on healthy nodes so stragglers stop gating stages.
+  if (quarantined) speculate_on_node(node);
+}
+
+void DataflowEngine::handle_node_failure(cluster::NodeId node,
+                                         bool was_available) {
+  for (const auto& weak : runs_) {
+    auto run = weak.lock();
+    if (!run || run->done_reported) continue;
+    run->scheduler.node_changed(node, was_available);
     // 1. Kill running copies placed on the dead node.
     std::vector<TaskId> killed;
     for (const auto& [copy, cs] : run->running_copies) {
@@ -677,36 +709,6 @@ void DataflowEngine::handle_node_failure(cluster::NodeId node) {
       if (run->aborted) break;
     }
     if (!run->aborted) pump_tasks(run);
-  }
-  prune_runs();
-}
-
-void DataflowEngine::handle_node_recovery(cluster::NodeId node) {
-  for (const auto& weak : runs_) {
-    auto run = weak.lock();
-    if (!run || run->done_reported) continue;
-    run->scheduler.set_node_alive(node, true);
-    pump_tasks(run);
-  }
-  prune_runs();
-}
-
-void DataflowEngine::set_node_slowdown(cluster::NodeId node, double factor) {
-  if (factor < 1.0) throw std::invalid_argument("slowdown must be >= 1");
-  if (factor == 1.0) {
-    node_slowdown_.erase(node);
-  } else {
-    node_slowdown_[node] = factor;
-  }
-}
-
-void DataflowEngine::set_node_quarantined(cluster::NodeId node,
-                                          bool quarantined) {
-  for (const auto& weak : runs_) {
-    auto run = weak.lock();
-    if (!run || run->done_reported) continue;
-    run->scheduler.set_node_quarantined(node, quarantined);
-    if (!quarantined) pump_tasks(run);
   }
   prune_runs();
 }

@@ -9,11 +9,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "dataflow/plan.hpp"
 #include "dataflow/shuffle.hpp"
 #include "dataflow/stage.hpp"
@@ -51,10 +51,10 @@ struct DataflowConfig {
   double speculation_multiplier = 1.5;
   /// Fraction of a stage that must be complete before speculating.
   double speculation_quantile = 0.5;
-  /// Health-driven speculation: speculate_on_node() (wired from the
-  /// health scorer) launches backups for every copy running on a
-  /// flagged node — straggler detection by measured node health instead
-  /// of blind stage quantiles. Independent of `speculation`.
+  /// Health-driven speculation: a node's quarantine launches backups
+  /// for every copy running on it — straggler detection by measured
+  /// node health instead of blind stage quantiles. Independent of
+  /// `speculation`.
   bool health_speculation = false;
 
   // -- Fault recovery (node crashes) ---------------------------------
@@ -120,25 +120,19 @@ class DataflowEngine {
   const DataflowConfig& config() const { return config_; }
   metrics::Registry& metrics() { return metrics_; }
 
-  /// Node crash: kills every running task copy on `node` across live
-  /// jobs, drops its shuffle map outputs (re-executing the owning map
-  /// tasks), and withholds its executor slots. Retries are bounded by
-  /// `max_task_retries` per task with exponential backoff; past the
-  /// budget the job fails cleanly (stats.failed, `on_done` still runs).
-  void handle_node_failure(cluster::NodeId node);
-  /// Node recovery: returns the node's executor slots to every live job.
-  void handle_node_recovery(cluster::NodeId node);
-
-  // -- Gray-failure hooks (wired from fault/gray + fault/health) ------
-  /// Gray slowdown: compute on `node` runs `factor`x slower (>= 1;
-  /// 1 clears). Applies to compute phases that start after the call.
-  void set_node_slowdown(cluster::NodeId node, double factor);
-  /// Health quarantine across every live job: the node's executors stop
-  /// receiving new task copies and drain. Running copies finish.
-  void set_node_quarantined(cluster::NodeId node, bool quarantined);
-  /// Launches a backup copy for every task currently running on `node`
-  /// (no-op unless config.health_speculation). Emits `df.speculate`.
-  void speculate_on_node(cluster::NodeId node);
+  /// Node conditions, written by the fault producers; every job, live
+  /// or started later, reads them:
+  ///  * down: kills every running task copy on the node, drops its
+  ///    shuffle map outputs (re-executing the owning map tasks), and
+  ///    withholds its executor slots until recovery. Retries are bounded
+  ///    by `max_task_retries` per task with exponential backoff; past the
+  ///    budget the job fails cleanly (stats.failed, `on_done` still runs);
+  ///  * quarantined: the node's executors stop receiving new task copies
+  ///    and drain (running copies finish), and with health_speculation
+  ///    every copy running there gets a backup (`df.speculate`);
+  ///  * cpu_slowdown: compute phases that start on the node run that
+  ///    many times slower.
+  cluster::NodeConditions& conditions() { return conditions_; }
   /// Observes every finished compute phase: (node, service time from
   /// copy start to compute end). Feeds the per-node health scorer.
   using TaskObserver = std::function<void(cluster::NodeId, util::TimeNs)>;
@@ -170,6 +164,12 @@ class DataflowEngine {
   void finish_stage(std::shared_ptr<RunState> run, int stage_id);
   void retry_task(std::shared_ptr<RunState> run, TaskId task_id);
   void fail_job(std::shared_ptr<RunState> run);
+  void on_condition(cluster::NodeId node, const cluster::NodeCondition& before,
+                    const cluster::NodeCondition& after);
+  void handle_node_failure(cluster::NodeId node, bool was_available);
+  /// Launches a backup copy for every task currently running on `node`
+  /// (no-op unless config.health_speculation).
+  void speculate_on_node(cluster::NodeId node);
   void prune_runs();
 
   sim::Simulation& sim_;
@@ -180,8 +180,7 @@ class DataflowEngine {
   DataflowConfig config_;
   metrics::Registry metrics_;
   trace::Tracer* tracer_ = nullptr;
-  /// Gray-failure compute slowdown per node (absent = healthy).
-  std::map<cluster::NodeId, double> node_slowdown_;
+  cluster::NodeConditions conditions_;
   TaskObserver task_observer_;
   util::RetryBudget* retry_budget_ = nullptr;  // non-owned, optional
   std::int64_t next_trace_job_ = 1;  // job id stamped on trace spans

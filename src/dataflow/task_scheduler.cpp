@@ -13,9 +13,11 @@ int TaskScheduler::add_executor(cluster::NodeId node, int slots) {
   if (slots <= 0) throw std::invalid_argument("executor needs slots");
   const int index = static_cast<int>(executors_.size());
   executors_.push_back(Executor{node, slots});
-  free_by_node_[node].insert(index);
-  free_execs_.insert(index);
-  free_total_ += slots;
+  if (node_available(node)) {
+    free_by_node_[node].insert(index);
+    free_execs_.insert(index);
+    free_total_ += slots;
+  }
   return index;
 }
 
@@ -48,28 +50,7 @@ void TaskScheduler::release(int executor) {
   }
 }
 
-void TaskScheduler::set_node_alive(cluster::NodeId node, bool alive) {
-  const bool was_available = node_available(node);
-  if (alive) {
-    if (dead_nodes_.erase(node) == 0) return;
-  } else {
-    if (!dead_nodes_.insert(node).second) return;
-  }
-  sync_node_pool(node, was_available);
-}
-
-void TaskScheduler::set_node_quarantined(cluster::NodeId node,
-                                         bool quarantined) {
-  const bool was_available = node_available(node);
-  if (quarantined) {
-    if (!quarantined_nodes_.insert(node).second) return;
-  } else {
-    if (quarantined_nodes_.erase(node) == 0) return;
-  }
-  sync_node_pool(node, was_available);
-}
-
-void TaskScheduler::sync_node_pool(cluster::NodeId node, bool was_available) {
+void TaskScheduler::node_changed(cluster::NodeId node, bool was_available) {
   const bool available = node_available(node);
   if (available == was_available) return;
   for (std::size_t i = 0; i < executors_.size(); ++i) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "util/types.hpp"
 
 namespace evolve::dataflow {
@@ -35,11 +36,17 @@ struct Assignment {
 
 class TaskScheduler {
  public:
-  explicit TaskScheduler(util::TimeNs locality_wait)
-      : locality_wait_(locality_wait) {}
+  /// `conditions` (null: every node usable) says which nodes are down or
+  /// quarantined: their executors receive no assignments and their free
+  /// slots stay out of the pool (running tasks finish). The owner calls
+  /// node_changed() after each write.
+  explicit TaskScheduler(util::TimeNs locality_wait,
+                         const cluster::NodeConditions* conditions = nullptr)
+      : locality_wait_(locality_wait), conditions_(conditions) {}
 
-  /// Registers an executor with `slots` concurrent task slots.
-  /// Returns the executor index.
+  /// Registers an executor with `slots` concurrent task slots; they join
+  /// the pool only while the node is available. Returns the executor
+  /// index.
   int add_executor(cluster::NodeId node, int slots);
 
   cluster::NodeId executor_node(int executor) const;
@@ -53,21 +60,15 @@ class TaskScheduler {
   /// Frees one slot on `executor` (its task finished).
   void release(int executor);
 
-  /// Marks every executor on `node` dead (alive = false): they receive
-  /// no assignments and their slots leave the free pool. Marking a node
-  /// alive again returns its free slots to the pool. Idempotent.
-  void set_node_alive(cluster::NodeId node, bool alive);
-  bool node_alive(cluster::NodeId node) const {
-    return dead_nodes_.count(node) == 0;
-  }
-
-  /// Health quarantine: the node's executors stop receiving assignments
-  /// and drain (running tasks finish; their slots stay out of the pool
-  /// until the quarantine lifts). Orthogonal to dead — a node can be
-  /// both; slots return only when it is neither. Idempotent.
-  void set_node_quarantined(cluster::NodeId node, bool quarantined);
-  bool node_quarantined(cluster::NodeId node) const {
-    return quarantined_nodes_.count(node) != 0;
+  /// The node's condition was written: moves its free slots out of or
+  /// back into the pool when its availability flipped from
+  /// `was_available`.
+  void node_changed(cluster::NodeId node, bool was_available);
+  /// Neither down nor quarantined.
+  bool node_available(cluster::NodeId node) const {
+    if (conditions_ == nullptr) return true;
+    const cluster::NodeCondition& c = (*conditions_)[node];
+    return !c.down && !c.quarantined;
   }
 
   /// Assigns as many queued tasks as possible at time `now`, in FIFO
@@ -98,17 +99,8 @@ class TaskScheduler {
   void take_slot(int executor);
   void remove_task(std::int64_t seq, const Pending& task);
 
-  /// A node's executors are assignable only when it is neither dead nor
-  /// quarantined.
-  bool node_available(cluster::NodeId node) const {
-    return dead_nodes_.count(node) == 0 &&
-           quarantined_nodes_.count(node) == 0;
-  }
-  /// Moves the node's free slots out of / back into the assignment pool
-  /// when its combined availability flipped.
-  void sync_node_pool(cluster::NodeId node, bool was_available);
-
   util::TimeNs locality_wait_;
+  const cluster::NodeConditions* conditions_;
   std::vector<Executor> executors_;
   /// FIFO queue: monotonically increasing sequence number -> task.
   std::map<std::int64_t, Pending> queue_;
@@ -120,8 +112,6 @@ class TaskScheduler {
   // Free-slot indexes (executor indices with free > 0 on live nodes).
   std::map<cluster::NodeId, std::set<int>> free_by_node_;
   std::set<int> free_execs_;
-  std::set<cluster::NodeId> dead_nodes_;
-  std::set<cluster::NodeId> quarantined_nodes_;
   int free_total_ = 0;
   std::int64_t local_ = 0;
   std::int64_t total_ = 0;

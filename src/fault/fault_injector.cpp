@@ -91,7 +91,7 @@ void FaultInjector::kill(cluster::NodeId node) {
   down_since_[node] = sim_.now();
   metrics_.count("node_failures");
   metrics_.set_gauge("nodes_down", static_cast<double>(down_.size()));
-  for (const FaultFn& fn : failure_subs_) fn(node, sim_.now());
+  tables_.set_down(node, true);
 }
 
 void FaultInjector::restore(cluster::NodeId node) {
@@ -102,7 +102,7 @@ void FaultInjector::restore(cluster::NodeId node) {
   down_since_.erase(it);
   metrics_.count("node_recoveries");
   metrics_.set_gauge("nodes_down", static_cast<double>(down_.size()));
-  for (const FaultFn& fn : recovery_subs_) fn(node, sim_.now());
+  tables_.set_down(node, false);
 }
 
 void FaultInjector::restore_all() {

@@ -2,19 +2,19 @@
 //
 // A FaultInjector kills and restores whole nodes, either on a
 // deterministic schedule or through a seeded MTBF/MTTR renewal process
-// per node class. It knows nothing about the layers above it: subscribers
-// (orchestrator, dataflow engine, object store, batch queue — see
-// fault/wiring.hpp) register callbacks and translate a node death into
-// their own recovery actions, so one crash propagates coherently through
-// every subsystem that shares the clock.
+// per node class. It knows nothing about the layers above it: it writes
+// `down` into every attached cluster::NodeConditions table (see
+// fault/wiring.hpp), and each consumer translates a node death into its
+// own recovery actions, so one crash propagates coherently through every
+// subsystem that shares the clock.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
@@ -28,24 +28,21 @@ struct FaultInjectorConfig {
 
 class FaultInjector {
  public:
-  /// Called with the node and the simulated time of the transition.
-  using FaultFn = std::function<void(cluster::NodeId, util::TimeNs)>;
-
   explicit FaultInjector(sim::Simulation& sim, FaultInjectorConfig config = {})
       : sim_(sim), config_(config), rng_(config.seed) {}
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Registers a subscriber; callbacks fire in registration order.
-  void on_failure(FaultFn fn) { failure_subs_.push_back(std::move(fn)); }
-  void on_recovery(FaultFn fn) { recovery_subs_.push_back(std::move(fn)); }
+  /// Attaches a consumer's table: every crash and recovery writes its
+  /// `down`, tables in attach order.
+  void attach(cluster::NodeConditions& table) { tables_.attach(table); }
 
   // -- Deterministic schedules ---------------------------------------
   void schedule_failure(cluster::NodeId node, util::TimeNs at);
   void schedule_recovery(cluster::NodeId node, util::TimeNs at);
   /// Failure at `at`, recovery at `at + downtime`. Overlapping outages
   /// on one node coalesce: the node stays down until the latest
-  /// scheduled recovery, subscribers fire once per actual transition,
+  /// scheduled recovery, tables are written once per actual transition,
   /// and downtime accounting covers the union of the intervals.
   void schedule_outage(cluster::NodeId node, util::TimeNs at,
                        util::TimeNs downtime);
@@ -111,8 +108,7 @@ class FaultInjector {
   sim::Simulation& sim_;
   FaultInjectorConfig config_;
   util::Rng rng_;
-  std::vector<FaultFn> failure_subs_;
-  std::vector<FaultFn> recovery_subs_;
+  cluster::ConditionTables tables_;
   std::vector<Process> processes_;
   std::set<cluster::NodeId> down_;
   std::map<cluster::NodeId, util::TimeNs> down_since_;

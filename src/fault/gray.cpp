@@ -39,7 +39,7 @@ void GrayInjector::apply_slowdown(cluster::NodeId node, double cpu,
   a.accel = std::max(a.accel, accel);
   a.until = std::max(a.until, until);
   metrics_.set_gauge("slowed_nodes", static_cast<double>(slow_until_.size()));
-  for (const SlowdownFn& fn : slowdown_subs_) fn(node, a.cpu, a.accel);
+  tables_.set_slowdown(node, a.cpu, a.accel);
 }
 
 void GrayInjector::clear_slowdown(cluster::NodeId node, util::TimeNs end) {
@@ -48,7 +48,7 @@ void GrayInjector::clear_slowdown(cluster::NodeId node, util::TimeNs end) {
   if (tracer_) tracer_->end(it->second.span);
   slow_until_.erase(it);
   metrics_.set_gauge("slowed_nodes", static_cast<double>(slow_until_.size()));
-  for (const SlowdownFn& fn : slowdown_subs_) fn(node, 1.0, 1.0);
+  tables_.set_slowdown(node, 1.0, 1.0);
 }
 
 void GrayInjector::schedule_nic_degradation(cluster::NodeId node,

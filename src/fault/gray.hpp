@@ -5,9 +5,10 @@
 // clusters: nodes that run slow (CPU and/or accelerator), NICs that lose
 // bandwidth, add latency, or drop packets, and storage that silently
 // returns wrong bytes. Like the FaultInjector it knows nothing about the
-// layers above: subscribers (see fault/wiring.hpp) translate a
-// degradation event into engine slowdown factors, fabric link capacity
-// factors, or object-store corruption. Every degradation interval emits a
+// layers above: slowdowns are written into every attached
+// cluster::NodeConditions table, and NIC and bit-rot subscribers (see
+// fault/wiring.hpp) turn those events into fabric link capacity factors
+// or object-store corruption. Every degradation interval emits a
 // `fault.degrade` trace span so critical-path attribution can show where
 // mitigation paid off.
 //
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
 #include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
@@ -43,9 +45,6 @@ struct NicDegradation {
 
 class GrayInjector {
  public:
-  /// node, cpu slowdown (>= 1, 1 = healthy), accel slowdown (>= 1).
-  using SlowdownFn =
-      std::function<void(cluster::NodeId, double cpu, double accel)>;
   /// node, degradation ({} = healthy).
   using NicFn = std::function<void(cluster::NodeId, const NicDegradation&)>;
   /// Seeded bit-rot event: corrupt `replicas` stored replicas.
@@ -55,7 +54,9 @@ class GrayInjector {
   GrayInjector(const GrayInjector&) = delete;
   GrayInjector& operator=(const GrayInjector&) = delete;
 
-  void on_slowdown(SlowdownFn fn) { slowdown_subs_.push_back(std::move(fn)); }
+  /// Attaches a consumer's table: every slowdown start, overlap and
+  /// clear writes the node's factors (>= 1, 1 = healthy), changed or not.
+  void attach(cluster::NodeConditions& table) { tables_.attach(table); }
   void on_nic(NicFn fn) { nic_subs_.push_back(std::move(fn)); }
   void on_bitrot(BitrotFn fn) { bitrot_subs_.push_back(std::move(fn)); }
 
@@ -116,7 +117,7 @@ class GrayInjector {
   void clear_nic(cluster::NodeId node, util::TimeNs end);
 
   sim::Simulation& sim_;
-  std::vector<SlowdownFn> slowdown_subs_;
+  cluster::ConditionTables tables_;
   std::vector<NicFn> nic_subs_;
   std::vector<BitrotFn> bitrot_subs_;
   std::map<cluster::NodeId, Active> slow_until_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "fault/gray.hpp"
 #include "util/backoff.hpp"
 
 namespace evolve::fault {
@@ -42,8 +43,7 @@ double HealthScorer::peer_median(cluster::NodeId node) const {
   peers.clear();
   for (const auto& [id, state] : nodes_) {
     if (id == node || state.samples < config_.min_samples) continue;
-    // Dead peers skew the baseline.
-    if (!down_.empty() && down_.count(id) != 0) continue;
+    if (is_node_down(id)) continue;  // dead peers skew the baseline
     peers.push_back(state.ewma);
   }
   if (static_cast<int>(peers.size()) < kMinPeers) return 0.0;
@@ -76,21 +76,18 @@ int HealthScorer::samples(cluster::NodeId node) const {
 
 void HealthScorer::reset_node(cluster::NodeId node) { nodes_.erase(node); }
 
-void HealthScorer::set_node_down(cluster::NodeId node, bool down) {
-  if (down) {
-    down_.insert(node);
-  } else {
-    down_.erase(node);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // QuarantineController
 // ---------------------------------------------------------------------------
 
 QuarantineController::QuarantineController(sim::Simulation& sim,
                                            HealthScorer& scorer)
-    : sim_(sim), scorer_(scorer) {
+    : sim_(sim),
+      scorer_(scorer),
+      conditions_([this](cluster::NodeId node, const cluster::NodeCondition&,
+                         const cluster::NodeCondition& after) {
+        on_condition(node, after);
+      }) {
   scorer_.on_flag([this](cluster::NodeId node, util::TimeNs) {
     quarantine(node);
   });
@@ -126,7 +123,7 @@ void QuarantineController::quarantine(cluster::NodeId node) {
     tracer_->annotate(state.span, "attempt",
                       std::to_string(state.consecutive));
   }
-  for (const ChangeFn& fn : change_subs_) fn(node, true, sim_.now());
+  tables_.set_quarantined(node, true);
 
   // Probe back in after an exponentially backed-off delay: the node
   // rejoins with a clean score, and fresh samples re-decide.
@@ -154,12 +151,27 @@ void QuarantineController::release(cluster::NodeId node, bool via_probe) {
   quarantined_.erase(it);
   metrics_.set_gauge("quarantined_nodes",
                      static_cast<double>(quarantined_.size()));
-  for (const ChangeFn& fn : change_subs_) fn(node, false, sim_.now());
+  tables_.set_quarantined(node, false);
 }
 
 void QuarantineController::note_degradation_start(cluster::NodeId node,
                                                   util::TimeNs at) {
   degraded_since_.emplace(node, at);  // keep the earliest start
+}
+
+void QuarantineController::track_degradation(GrayInjector& gray) {
+  gray_ = &gray;
+  gray.attach(conditions_);
+}
+
+void QuarantineController::on_condition(cluster::NodeId node,
+                                        const cluster::NodeCondition& after) {
+  // Every slowdown write counts, an overlap that changes nothing too: a
+  // start charged by a quarantine is noted again while the node stays
+  // slow.
+  if (after.cpu_slowdown > 1.0 || after.accel_slowdown > 1.0) {
+    note_degradation_start(node, gray_->degraded_since(node));
+  }
 }
 
 double QuarantineController::mean_time_to_quarantine_ms() const {

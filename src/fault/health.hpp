@@ -12,7 +12,9 @@
 // finishes), then after a probe delay the controller lifts the
 // quarantine and resets the node's score so fresh probe samples decide
 // whether it re-flags (re-quarantine with exponentially backed-off probe
-// delay) or stays in service. This is the probe-back-in state machine:
+// delay) or stays in service. Each transition writes `quarantined` into
+// every attached cluster::NodeConditions table. This is the probe-back-in
+// state machine:
 //
 //   healthy --score > flag_ratio--> quarantined (draining)
 //   quarantined --kProbeDelay elapsed--> probing (back in service, score reset)
@@ -23,16 +25,18 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
 #include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
 #include "util/types.hpp"
 
 namespace evolve::fault {
+
+class GrayInjector;
 
 struct HealthScorerConfig {
   double ewma_alpha = 0.2;   // weight of the newest sample
@@ -70,13 +74,15 @@ class HealthScorer {
   /// subscriber callbacks) — the probe path: fresh samples re-decide.
   void reset_node(cluster::NodeId node);
 
-  /// Marks `node` down (crashed or lease-expired): its stale EWMA drops
-  /// out of every peer median until it comes back. Without this a dead
-  /// node's frozen history skews the median and healthy peers can be
-  /// flagged against a baseline that no longer exists.
-  void set_node_down(cluster::NodeId node, bool down);
+  /// Crash and lease-expiry producers write here. A node that is down
+  /// or unreachable drops out of every peer median until both clear:
+  /// without this a dead node's frozen history skews the median and
+  /// healthy peers can be flagged against a baseline that no longer
+  /// exists.
+  cluster::NodeConditions& conditions() { return conditions_; }
   bool is_node_down(cluster::NodeId node) const {
-    return down_.count(node) != 0;
+    const cluster::NodeCondition& c = conditions_[node];
+    return c.down || c.unreachable;
   }
 
   std::int64_t flags_raised() const {
@@ -105,7 +111,7 @@ class HealthScorer {
   std::vector<TransitionFn> flag_subs_;
   std::vector<TransitionFn> clear_subs_;
   std::map<cluster::NodeId, NodeState> nodes_;
-  std::set<cluster::NodeId> down_;  // excluded from peer medians
+  cluster::NodeConditions conditions_;
   mutable std::vector<double> peer_scratch_;  // reused by peer_median
   metrics::Registry metrics_;
 };
@@ -118,14 +124,13 @@ inline constexpr util::TimeNs kProbeDelayCap = util::seconds(30);
 
 class QuarantineController {
  public:
-  /// node, quarantined (true = drained out, false = probed back in).
-  using ChangeFn = std::function<void(cluster::NodeId, bool, util::TimeNs)>;
-
   QuarantineController(sim::Simulation& sim, HealthScorer& scorer);
   QuarantineController(const QuarantineController&) = delete;
   QuarantineController& operator=(const QuarantineController&) = delete;
 
-  void on_change(ChangeFn fn) { change_subs_.push_back(std::move(fn)); }
+  /// Attaches a consumer's table: quarantine (true = drained out) and
+  /// release (false = probed back in) write the node's `quarantined`.
+  void attach(cluster::NodeConditions& table) { tables_.attach(table); }
 
   bool is_quarantined(cluster::NodeId node) const {
     return quarantined_.count(node) != 0;
@@ -133,10 +138,12 @@ class QuarantineController {
   std::int64_t quarantines() const { return metrics_.counter("quarantines"); }
   std::int64_t probes() const { return metrics_.counter("probes"); }
 
-  /// Marks when a node's degradation began (wired from the
-  /// GrayInjector); the next quarantine of that node records
-  /// now - start as time-to-quarantine.
+  /// Marks when a node's degradation began; the next quarantine of that
+  /// node records now - start as time-to-quarantine.
   void note_degradation_start(cluster::NodeId node, util::TimeNs at);
+  /// Watches `gray`'s slowdowns through this controller's own table:
+  /// every write that leaves a node slowed notes its degradation start.
+  void track_degradation(GrayInjector& gray);
 
   /// Milliseconds from degradation start to first quarantine, averaged
   /// over quarantines with a known start (-1 when none recorded).
@@ -157,10 +164,13 @@ class QuarantineController {
 
   void quarantine(cluster::NodeId node);
   void release(cluster::NodeId node, bool via_probe);
+  void on_condition(cluster::NodeId node, const cluster::NodeCondition& after);
 
   sim::Simulation& sim_;
   HealthScorer& scorer_;
-  std::vector<ChangeFn> change_subs_;
+  cluster::ConditionTables tables_;
+  cluster::NodeConditions conditions_;  // slowdowns, from gray_
+  const GrayInjector* gray_ = nullptr;
   std::map<cluster::NodeId, State> quarantined_;
   std::map<cluster::NodeId, int> requarantine_streak_;
   std::map<cluster::NodeId, util::TimeNs> degraded_since_;

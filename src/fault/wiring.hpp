@@ -1,10 +1,19 @@
-// Glue between the FaultInjector and the platform layers.
+// Glue between the fault producers and the platform layers.
 //
-// Each connect() subscribes one subsystem to failure/recovery events so
-// a single node crash propagates coherently: the orchestrator evicts
-// pods (and restarts batch gangs), the dataflow engine re-executes lost
-// tasks, and the object store re-replicates. The layers stay decoupled —
-// none of them includes fault_injector.hpp.
+// A node's condition (down, unreachable with its epoch, quarantined, the
+// gray slowdowns; cluster/conditions.hpp) reaches a layer by one rule:
+// connect(producer, consumer) attaches the consumer's NodeConditions
+// table to the producer, and the consumer reacts to each write in its
+// own handler. So one crash propagates coherently: the orchestrator
+// evicts pods (and restarts batch gangs), the dataflow engine
+// re-executes lost tasks, and the object store re-replicates. A producer
+// writes its tables in attach order, so the order of the connect() calls
+// is the order the layers react in: connect(leases, store) goes before
+// connect(leases, tablets), so the store's fence is raised before the
+// tablet layer sheds. The layers stay decoupled — none of them includes a
+// producer's header.
+//
+// The overloads below are the hooks that are not node conditions.
 #pragma once
 
 #include "cluster/cluster.hpp"
@@ -13,7 +22,6 @@
 #include "fault/health.hpp"
 
 namespace evolve::orch {
-class Orchestrator;
 class LeaseManager;
 }
 namespace evolve::dataflow {
@@ -25,61 +33,26 @@ class ObjectStore;
 namespace evolve::net {
 class Fabric;
 }
-namespace evolve::accel {
-class AccelPool;
-}
 namespace evolve::serve {
 class Service;
-}
-namespace evolve::tablet {
-class TabletService;
 }
 
 namespace evolve::fault {
 
-/// Orchestrator: fail_node()/recover_node() for nodes it manages.
-void connect(FaultInjector& injector, orch::Orchestrator& orch);
+/// Producers: FaultInjector, orch::LeaseManager, QuarantineController,
+/// GrayInjector. Consumers: the orchestrator, the dataflow engine, the
+/// object store, serve::Service, tablet::TabletService, HealthScorer,
+/// accel::AccelPool, and LeaseManager (a crash pauses its lease).
+template <typename Producer, typename Consumer>
+void connect(Producer& producer, Consumer& consumer) {
+  producer.attach(consumer.conditions());
+}
 
-/// Dataflow engine: kill running copies, drop shuffle outputs, park
-/// executor slots until recovery.
-void connect(FaultInjector& injector, dataflow::DataflowEngine& engine);
-
-/// Object store: drop dead replicas, repair, rejoin empty on recovery.
-void connect(FaultInjector& injector, storage::ObjectStore& store);
-
-// -- Leases / partitions ------------------------------------------------
-
-/// Lease manager: a crashed node's lease pauses (the crash path owns its
-/// pods) and resumes fresh on recovery — so a node that is *down* is
-/// never double-counted as *unreachable*.
-void connect(FaultInjector& injector, orch::LeaseManager& leases);
-
-/// Object store fencing: a lease expiry fences the node at its new
-/// epoch, so writes the isolated (but still live) node issues under the
-/// old epoch are rejected — the zombie-writer defense.
-void connect(orch::LeaseManager& leases, storage::ObjectStore& store);
-
-/// Serving: lease expiry drains the node's replicas; reconnect undrains
-/// them and (when `ramp_window` > 0) ramps traffic back gradually
-/// instead of stampeding the healed node. This drain is kept apart from
-/// the quarantine drain: a reconnect leaves a quarantined node drained.
+/// Serving: as connect(leases, service), and for `ramp_window` after a
+/// node reconnects its replicas take traffic back gradually instead of
+/// stampeding the healed node.
 void connect(orch::LeaseManager& leases, serve::Service& service,
-             util::TimeNs ramp_window = 0);
-
-/// Health scoring: crashed nodes drop out of peer medians while down.
-void connect(FaultInjector& injector, HealthScorer& scorer);
-
-/// Health scoring: lease-expired (unreachable) nodes drop out of peer
-/// medians until they reconnect.
-void connect(orch::LeaseManager& leases, HealthScorer& scorer);
-
-// -- Gray failures ----------------------------------------------------
-
-/// Dataflow engine: CPU slowdown factors stretch task service times.
-void connect(GrayInjector& gray, dataflow::DataflowEngine& engine);
-
-/// Accelerator pool: devices on a slowed node pace down.
-void connect(GrayInjector& gray, accel::AccelPool& pool);
+             util::TimeNs ramp_window);
 
 /// Fabric: NIC degradation scales the node's host up/down link capacity
 /// (bandwidth loss and packet-loss goodput penalty folded together) and
@@ -89,52 +62,16 @@ void connect(GrayInjector& gray, net::Fabric& fabric);
 /// Object store: bit-rot events corrupt seeded random stored replicas.
 void connect(GrayInjector& gray, storage::ObjectStore& store);
 
-/// Quarantine time-to-detect accounting: degradation starts are noted so
-/// the controller can report time-to-quarantine.
+/// Quarantine time-to-detect accounting: slowdown and NIC degradation
+/// starts are noted so the controller can report time-to-quarantine.
 void connect(GrayInjector& gray, QuarantineController& controller);
 
 /// Health scoring: every task completion on a node (winners and losers)
 /// feeds the scorer's per-node EWMA.
 void connect(dataflow::DataflowEngine& engine, HealthScorer& scorer);
 
-/// Orchestrator quarantine: flagged nodes stop receiving pods, drain,
-/// and rejoin when probed back in.
-void connect(QuarantineController& controller, orch::Orchestrator& orch);
-
-/// Dataflow quarantine: flagged nodes stop receiving tasks; their
-/// running copies get health-driven speculative backups elsewhere.
-void connect(QuarantineController& controller,
-             dataflow::DataflowEngine& engine);
-
-// -- Request serving ---------------------------------------------------
-
-/// Service: gray CPU slowdowns stretch batch execution on replicas of
-/// the affected node.
-void connect(GrayInjector& gray, serve::Service& service);
-
-/// Serving quarantine: the router drains flagged nodes (skips their
-/// replicas) and puts them back when the probe clears them.
-void connect(QuarantineController& controller, serve::Service& service);
-
 /// Health scoring: every batch execution on a replica feeds the
 /// per-node EWMA, so serving load alone can surface a gray node.
 void connect(serve::Service& service, HealthScorer& scorer);
-
-// -- Tablets (stateful serving) ----------------------------------------
-
-/// Tablets: lease expiry sheds the node's tablets (recovery re-open on
-/// survivors) without telling the node — its in-flight epoch-stamped
-/// WAL/flush PUTs become zombie writes. Wire connect(leases, store)
-/// FIRST so the store's fence is raised before the tablet layer reacts.
-/// Reconnect hands the node its new epoch and lets it host again.
-void connect(orch::LeaseManager& leases, tablet::TabletService& tablets);
-
-/// Tablets: gray CPU slowdowns stretch tablet op execution on the node.
-void connect(GrayInjector& gray, tablet::TabletService& tablets);
-
-/// Tablets: quarantined nodes drain — their tablets move off gracefully
-/// and the balancer stops targeting them until the probe clears them.
-void connect(QuarantineController& controller,
-             tablet::TabletService& tablets);
 
 }  // namespace evolve::fault

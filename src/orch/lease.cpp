@@ -10,7 +10,14 @@ LeaseManager::LeaseManager(sim::Simulation& sim, net::Fabric& fabric,
       fabric_(fabric),
       orch_(orch),
       config_(config),
-      rng_(config.seed) {
+      rng_(config.seed),
+      conditions_([this](cluster::NodeId node,
+                         const cluster::NodeCondition& before,
+                         const cluster::NodeCondition& after) {
+        if (after.down && !before.down) pause(node);
+        if (before.down && !after.down) resume(node);
+      }) {
+  tables_.attach(orch_.conditions());
   if (config_.grace < 0) {
     throw std::invalid_argument("lease grace must not be negative");
   }
@@ -108,8 +115,7 @@ void LeaseManager::handle_ack(cluster::NodeId node) {
     sim_.cancel(l.grace_event);
     l.has_grace_event = false;
   }
-  orch_.clear_unreachable(node);
-  for (const LeaseFn& fn : reconnect_subs_) fn(node, l.epoch, sim_.now());
+  tables_.set_unreachable(node, false, l.epoch);
 }
 
 void LeaseManager::arm_expiry(cluster::NodeId node) {
@@ -132,8 +138,7 @@ void LeaseManager::handle_expiry(cluster::NodeId node) {
   // under the old epoch is now rejectable, even though the node itself
   // may still be alive behind the partition.
   ++l.epoch;
-  orch_.mark_unreachable(node);
-  for (const LeaseFn& fn : expire_subs_) fn(node, l.epoch, sim_.now());
+  tables_.set_unreachable(node, true, l.epoch);
   l.grace_event =
       sim_.after(config_.grace, [this, node] { handle_grace(node); });
   l.has_grace_event = true;

@@ -10,9 +10,11 @@
 //    the fabric* to the leader node. A partition parks the heartbeat,
 //    so lease expiry emerges from the modeled network, not from an
 //    oracle.
-//  * A node whose lease expires becomes Unreachable in the orchestrator
-//    (unschedulable, pods fenced in place) and its fencing epoch is
-//    bumped: layers wired to on_expire (see fault/wiring.hpp) treat
+//  * A node whose lease expires becomes Unreachable (unschedulable in
+//    the orchestrator, pods fenced in place) and its fencing epoch is
+//    bumped. Expiry and reconnect write `unreachable` and `epoch` into
+//    the orchestrator's cluster::NodeConditions table first, then into
+//    every attached one (see fault/wiring.hpp): layers that fence treat
 //    writes stamped with an older epoch as zombie writes and reject
 //    them — the node may be alive, but it can no longer mutate shared
 //    state.
@@ -21,12 +23,12 @@
 //    without a pod massacre: the first heartbeat that lands after the
 //    heal reconnects the node.
 //
-// Crashes are not leases' business: wiring pauses a node's lease while
-// the FaultInjector holds it down (fail_node already evicted its pods)
-// and resumes it with a fresh lease on recovery. A node whose lease had
-// already expired stays Unreachable while down and after recovery, until
-// its first heartbeat lands: each on_expire gets exactly one
-// on_reconnect.
+// Crashes are not leases' business: connected to a FaultInjector, the
+// manager pauses a node's lease while the node is down (the crash path
+// already evicted its pods) and resumes it with a fresh lease on
+// recovery. A node whose lease had already expired stays Unreachable
+// while down and after recovery, until its first heartbeat lands: each
+// expiry gets exactly one reconnect.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "net/fabric.hpp"
 #include "orch/scheduler.hpp"
 #include "sim/simulation.hpp"
@@ -73,10 +76,12 @@ class LeaseManager {
   LeaseManager(const LeaseManager&) = delete;
   LeaseManager& operator=(const LeaseManager&) = delete;
 
-  /// Lease expired: the node is now Unreachable and the epoch was bumped.
-  void on_expire(LeaseFn fn) { expire_subs_.push_back(std::move(fn)); }
-  /// A heartbeat landed from an Unreachable node: it reconnected.
-  void on_reconnect(LeaseFn fn) { reconnect_subs_.push_back(std::move(fn)); }
+  /// Attaches a consumer's table, written after the orchestrator's: a
+  /// lease expiry sets `unreachable` with the bumped epoch, a heartbeat
+  /// from an Unreachable node clears it.
+  void attach(cluster::NodeConditions& table) { tables_.attach(table); }
+  /// Crashes reach the manager here (pause while down, resume after).
+  cluster::NodeConditions& conditions() { return conditions_; }
   /// Grace elapsed: the node's fenced pods were evicted for reschedule.
   void on_evict(LeaseFn fn) { evict_subs_.push_back(std::move(fn)); }
 
@@ -86,14 +91,6 @@ class LeaseManager {
   /// Cancels all renewal/expiry events and in-flight heartbeats
   /// (end-of-experiment drain).
   void stop();
-
-  /// Crash interplay (wired from FaultInjector): a downed node stops
-  /// renewing without becoming Unreachable — the crash path already
-  /// evicted its pods. An already Unreachable node stays so.
-  void pause(cluster::NodeId node);
-  /// Recovery: fresh lease, renewals restart; an Unreachable node
-  /// reconnects when a heartbeat lands.
-  void resume(cluster::NodeId node);
 
   /// Current fencing epoch of a node (bumped on every expiry). Writes
   /// stamped with an older epoch are zombie writes.
@@ -123,6 +120,13 @@ class LeaseManager {
     util::Rng rng;  // per-node renewal phase jitter
   };
 
+  /// Crash: a downed node stops renewing without becoming Unreachable —
+  /// the crash path already evicted its pods. An already Unreachable
+  /// node stays so.
+  void pause(cluster::NodeId node);
+  /// Recovery: fresh lease, renewals restart; an Unreachable node
+  /// reconnects when a heartbeat lands.
+  void resume(cluster::NodeId node);
   void arm_renewal(cluster::NodeId node, util::TimeNs delay);
   void send_renewal(cluster::NodeId node);
   void handle_ack(cluster::NodeId node);
@@ -139,8 +143,8 @@ class LeaseManager {
   util::Rng rng_;
   bool started_ = false;
   bool stopped_ = false;
-  std::vector<LeaseFn> expire_subs_;
-  std::vector<LeaseFn> reconnect_subs_;
+  cluster::ConditionTables tables_;  // the orchestrator's first
+  cluster::NodeConditions conditions_;
   std::vector<LeaseFn> evict_subs_;
   std::map<cluster::NodeId, NodeLease> leases_;
   int unreachable_count_ = 0;

@@ -1,6 +1,7 @@
 // Per-node scheduling state: allocatable capacity vs bound pods, the
-// anti-affinity groups those pods belong to, and the node conditions
-// that keep new pods off the node.
+// anti-affinity groups those pods belong to, and the operator cordon.
+// Crash, lease and quarantine conditions live in the orchestrator's
+// cluster::NodeConditions table.
 #pragma once
 
 #include <map>
@@ -46,18 +47,10 @@ class NodeStatus {
     return it != groups_.end() && it->second > 0;
   }
 
-  // Node conditions, one per lifecycle so they compose: an operator
-  // cordon, a crash (NotReady), a health quarantine and a lease expiry
-  // (Unreachable, pods fenced in place). Any one keeps new pods off.
+  /// Operator cordon: admin state, not a node condition, so it survives
+  /// a crash/recovery cycle.
   bool cordoned = false;
-  bool not_ready = false;
-  util::TimeNs not_ready_since = 0;
-  bool quarantined = false;
-  bool unreachable = false;
-
-  bool schedulable() const {
-    return !cordoned && !not_ready && !quarantined && !unreachable;
-  }
+  util::TimeNs down_since = 0;  // start of the current NotReady spell
 
  private:
   cluster::NodeId id_;

@@ -58,7 +58,8 @@ int Rebalancer::round_now() {
     for (cluster::NodeId node : orch_.managed_nodes()) {
       const NodeStatus& ns = orch_.node_status(node);
       if (!ns.allocatable().fits(spec.request) ||
-          !eligible(spec, orch_.cluster().node(node), ns)) {
+          !eligible(spec, orch_.cluster().node(node), ns,
+                    orch_.conditions()[node])) {
         continue;
       }
       if (ns.free().fits(spec.request)) continue;  // the next pass places it

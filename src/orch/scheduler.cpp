@@ -19,8 +19,8 @@ SchedulingPolicy SchedulingPolicy::binpacking(const cluster::Cluster&) {
 }
 
 bool eligible(const PodSpec& pod, const cluster::NodeSpec& spec,
-              const NodeStatus& node) {
-  if (!node.schedulable()) return false;
+              const NodeStatus& node, const cluster::NodeCondition& condition) {
+  if (node.cordoned || !condition.usable()) return false;
   for (const auto& label : pod.node_selector) {
     if (!spec.has_label(label)) return false;
   }
@@ -74,13 +74,15 @@ double node_score(const PodSpec& pod, const cluster::Cluster& cluster,
 cluster::NodeId select_node(const PodSpec& pod,
                             const cluster::Cluster& cluster,
                             const std::vector<NodeStatus>& nodes,
+                            const cluster::NodeConditions& conditions,
                             const SchedulingPolicy& policy,
                             cluster::NodeId exclude) {
   cluster::NodeId best = cluster::kInvalidNode;
   double best_score = -1.0;
   for (const NodeStatus& node : nodes) {
     if (node.id() == exclude || !node.fits(pod.request) ||
-        !eligible(pod, cluster.node(node.id()), node)) {
+        !eligible(pod, cluster.node(node.id()), node,
+                  conditions[node.id()])) {
       continue;
     }
     const double score = node_score(pod, cluster, node, policy);
@@ -95,7 +97,15 @@ cluster::NodeId select_node(const PodSpec& pod,
 Orchestrator::Orchestrator(sim::Simulation& sim,
                            const cluster::Cluster& cluster,
                            SchedulingPolicy policy, OrchestratorConfig config)
-    : sim_(sim), cluster_(cluster), policy_(policy), config_(config) {
+    : sim_(sim),
+      cluster_(cluster),
+      policy_(policy),
+      config_(config),
+      conditions_([this](cluster::NodeId node,
+                         const cluster::NodeCondition& before,
+                         const cluster::NodeCondition& after) {
+        on_condition(node, before, after);
+      }) {
   std::vector<cluster::NodeId> managed = config_.nodes;
   if (managed.empty()) {
     for (cluster::NodeId n = 0; n < cluster_.size(); ++n) managed.push_back(n);
@@ -429,7 +439,8 @@ bool Orchestrator::trial_fit(const std::vector<PodId>& pods, Binding& bound) {
   const std::size_t mark = bound.size();
   for (PodId id : pods) {
     const cluster::NodeId node =
-        select_node(record(id).status.spec, cluster_, nodes_, policy_);
+        select_node(record(id).status.spec, cluster_, nodes_, conditions_,
+                    policy_);
     if (node == cluster::kInvalidNode) {
       for (std::size_t i = mark; i < bound.size(); ++i) {
         trial_unbind(bound[i].first, bound[i].second);
@@ -497,7 +508,8 @@ bool Orchestrator::try_preempt_for(const PodRecord& rec) {
   // of pods makes room; evict exactly that set.
   for (NodeStatus& node : nodes_) {
     if (!node.allocatable().fits(spec.request) ||
-        !eligible(spec, cluster_.node(node.id()), node)) {
+        !eligible(spec, cluster_.node(node.id()), node,
+                  conditions_[node.id()])) {
       continue;
     }
 
@@ -700,10 +712,11 @@ void Orchestrator::schedule_now() {
     }
 
     cluster::NodeId node = select_node(rec.status.spec, cluster_, nodes_,
-                                       policy_);
+                                       conditions_, policy_);
     if (node == cluster::kInvalidNode && config_.enable_preemption &&
         shadow < 0 && try_preempt_for(rec)) {
-      node = select_node(rec.status.spec, cluster_, nodes_, policy_);
+      node = select_node(rec.status.spec, cluster_, nodes_, conditions_,
+                         policy_);
     }
     if (node != cluster::kInvalidNode && shadow >= 0) {
       trial_bind(id, node);
@@ -759,67 +772,50 @@ bool Orchestrator::manages(cluster::NodeId node) const {
   return node_index_.count(node) != 0;
 }
 
-void Orchestrator::fail_node(cluster::NodeId node) {
-  NodeStatus& status = status_for(node);
-  if (status.not_ready) return;
-  status.not_ready = true;
-  status.not_ready_since = sim_.now();
-  metrics_.count("node_failures");
-  evict_pods(node);
-}
-
-void Orchestrator::recover_node(cluster::NodeId node) {
+void Orchestrator::on_condition(cluster::NodeId node,
+                                const cluster::NodeCondition& before,
+                                const cluster::NodeCondition& after) {
   NodeStatus* status = find_status(node);
-  if (!status || !status->not_ready) return;
-  status->not_ready = false;
-  metrics_.count("node_recoveries");
-  metrics_.observe("node_downtime_ms",
-                   (sim_.now() - status->not_ready_since) / util::kMillisecond);
-  kick_pump();
+  if (status == nullptr) return;  // managed by another orchestrator
+  if (after.down != before.down) {
+    if (after.down) {
+      status->down_since = sim_.now();
+      metrics_.count("node_failures");
+      evict_pods(node);
+    } else {
+      metrics_.count("node_recoveries");
+      metrics_.observe("node_downtime_ms",
+                       (sim_.now() - status->down_since) / util::kMillisecond);
+      kick_pump();
+    }
+  }
+  if (after.quarantined != before.quarantined) {
+    if (after.quarantined) {
+      metrics_.count("quarantines");
+    } else {
+      kick_pump();
+    }
+  }
+  if (after.unreachable != before.unreachable) {
+    if (after.unreachable) {
+      metrics_.count("node_unreachable");
+    } else {
+      metrics_.count("node_reconnects");
+      kick_pump();
+    }
+  }
 }
 
 bool Orchestrator::is_ready(cluster::NodeId node) const {
-  const NodeStatus* status = find_status(node);
-  return !status || !status->not_ready;
-}
-
-void Orchestrator::quarantine(cluster::NodeId node) {
-  NodeStatus& status = status_for(node);
-  if (status.quarantined) return;
-  status.quarantined = true;
-  metrics_.count("quarantines");
-}
-
-void Orchestrator::unquarantine(cluster::NodeId node) {
-  NodeStatus* status = find_status(node);
-  if (!status || !status->quarantined) return;
-  status->quarantined = false;
-  kick_pump();
+  return !manages(node) || !conditions_[node].down;
 }
 
 bool Orchestrator::is_quarantined(cluster::NodeId node) const {
-  const NodeStatus* status = find_status(node);
-  return status && status->quarantined;
-}
-
-void Orchestrator::mark_unreachable(cluster::NodeId node) {
-  NodeStatus& status = status_for(node);
-  if (status.unreachable) return;
-  status.unreachable = true;
-  metrics_.count("node_unreachable");
-}
-
-void Orchestrator::clear_unreachable(cluster::NodeId node) {
-  NodeStatus* status = find_status(node);
-  if (!status || !status->unreachable) return;
-  status->unreachable = false;
-  metrics_.count("node_reconnects");
-  kick_pump();
+  return manages(node) && conditions_[node].quarantined;
 }
 
 bool Orchestrator::is_unreachable(cluster::NodeId node) const {
-  const NodeStatus* status = find_status(node);
-  return status && status->unreachable;
+  return manages(node) && conditions_[node].unreachable;
 }
 
 void Orchestrator::expire_unreachable(cluster::NodeId node) {
@@ -904,7 +900,7 @@ std::vector<cluster::NodeId> Orchestrator::managed_nodes() const {
 
 cluster::NodeId Orchestrator::feasible_node_for(const PodSpec& spec,
                                                 cluster::NodeId exclude) const {
-  return select_node(spec, cluster_, nodes_, policy_, exclude);
+  return select_node(spec, cluster_, nodes_, conditions_, policy_, exclude);
 }
 
 double Orchestrator::cpu_utilization() const {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/timeseries.hpp"
 #include "orch/fairshare.hpp"
@@ -92,13 +93,14 @@ struct SchedulingPolicy {
   static SchedulingPolicy binpacking(const cluster::Cluster& cluster);
 };
 
-/// The one node-eligibility rule, capacity aside: no node condition is
-/// set, the node carries every label of the pod's node selector, and it
-/// hosts no pod of the pod's anti-affinity group. Placement is this plus
-/// a free-capacity fit; preemption and the rebalancer ask it before
-/// they pick victims.
+/// The one node-eligibility rule, capacity aside: the node is neither
+/// cordoned nor held out by a condition (down, unreachable,
+/// quarantined), it carries every label of the pod's node selector, and
+/// it hosts no pod of the pod's anti-affinity group. Placement is this
+/// plus a free-capacity fit; preemption and the rebalancer ask it
+/// before they pick victims.
 bool eligible(const PodSpec& pod, const cluster::NodeSpec& spec,
-              const NodeStatus& node);
+              const NodeStatus& node, const cluster::NodeCondition& condition);
 
 /// Weighted score of placing `pod` on `node`; higher is better.
 double node_score(const PodSpec& pod, const cluster::Cluster& cluster,
@@ -110,6 +112,7 @@ double node_score(const PodSpec& pod, const cluster::Cluster& cluster,
 cluster::NodeId select_node(const PodSpec& pod,
                             const cluster::Cluster& cluster,
                             const std::vector<NodeStatus>& nodes,
+                            const cluster::NodeConditions& conditions,
                             const SchedulingPolicy& policy,
                             cluster::NodeId exclude = cluster::kInvalidNode);
 
@@ -195,28 +198,19 @@ class Orchestrator {
 
   /// True when this orchestrator manages `node`.
   bool manages(cluster::NodeId node) const;
-  /// Node crash: marks the node NotReady (unschedulable until recovery)
-  /// and evicts every pod on it. Distinct from cordon() so a manual
-  /// cordon survives a failure/recovery cycle.
-  void fail_node(cluster::NodeId node);
-  /// Crash recovery: the node becomes schedulable and the queue re-pumps.
-  void recover_node(cluster::NodeId node);
+
+  /// Node conditions, written by the fault producers. A managed node
+  /// that is any of them takes no new pods, and each composes with the
+  /// operator cordon:
+  ///  * down (NotReady): every pod on it is evicted; recovery re-pumps;
+  ///  * quarantined: existing pods keep running (the node drains);
+  ///  * unreachable (lease expired): pods are *fenced in place*, not
+  ///    evicted — the node may still be running them on the far side of
+  ///    a partition — so a short partition heals without a pod massacre.
+  cluster::NodeConditions& conditions() { return conditions_; }
+  const cluster::NodeConditions& conditions() const { return conditions_; }
   bool is_ready(cluster::NodeId node) const;
-
-  /// Health quarantine: the node stops receiving new pods but existing
-  /// pods keep running (it drains). Distinct from cordon() (operator
-  /// action) and NotReady (crash) so the three lifecycles compose.
-  void quarantine(cluster::NodeId node);
-  void unquarantine(cluster::NodeId node);
   bool is_quarantined(cluster::NodeId node) const;
-
-  /// Partition liveness (driven by LeaseManager): an Unreachable node is
-  /// unschedulable but its pods are *fenced in place*, not evicted — the
-  /// node may still be running them on the far side of a partition.
-  /// Distinct from NotReady (crash: pods evicted immediately) so a short
-  /// partition heals without a pod massacre.
-  void mark_unreachable(cluster::NodeId node);
-  void clear_unreachable(cluster::NodeId node);
   bool is_unreachable(cluster::NodeId node) const;
   /// The lease grace elapsed without a reconnect: give up on the fenced
   /// pods and evict them so controllers reschedule elsewhere.
@@ -264,6 +258,8 @@ class Orchestrator {
   void trace_submit(PodRecord& rec, trace::SpanId parent = trace::kNoSpan);
 
   PodRecord& record(PodId id);
+  void on_condition(cluster::NodeId node, const cluster::NodeCondition& before,
+                    const cluster::NodeCondition& after);
   NodeStatus& status_for(cluster::NodeId node);
   /// The managed node's status, or null for a node managed elsewhere.
   NodeStatus* find_status(cluster::NodeId node);
@@ -312,6 +308,7 @@ class Orchestrator {
   OrchestratorConfig config_;
   std::vector<NodeStatus> nodes_;
   std::map<cluster::NodeId, std::size_t> node_index_;
+  cluster::NodeConditions conditions_;
   std::map<PodId, PodRecord> pods_;
   // Live gangs. A callback in flight holds its gang's record, since it
   // may end the gang.

@@ -16,7 +16,12 @@ Service::Service(sim::Simulation& sim, net::Fabric& fabric,
       classes_(std::move(classes)),
       config_(config),
       router_(config.policy, config.seed),
-      admission_(config.admission) {
+      admission_(config.admission),
+      conditions_([this](cluster::NodeId node,
+                         const cluster::NodeCondition& before,
+                         const cluster::NodeCondition& after) {
+        on_condition(node, before, after);
+      }) {
   if (classes_.empty()) {
     throw std::invalid_argument("service needs at least one request class");
   }
@@ -29,37 +34,17 @@ Service::Service(sim::Simulation& sim, net::Fabric& fabric,
       });
 }
 
-void Service::set_node_slowdown(cluster::NodeId node, double factor) {
-  if (factor <= 1.0) {
-    slowdown_.erase(node);
-    factor = 1.0;
-  } else {
-    slowdown_[node] = factor;
+void Service::on_condition(cluster::NodeId node,
+                           const cluster::NodeCondition& before,
+                           const cluster::NodeCondition& after) {
+  if (after.cpu_slowdown != before.cpu_slowdown) {
+    for (auto& [key, rep] : replicas_) {
+      if (rep->node() == node) rep->set_slowdown(after.cpu_slowdown);
+    }
   }
-  for (auto& [key, rep] : replicas_) {
-    if (rep->node() == node) rep->set_slowdown(factor);
+  if (before.unreachable && !after.unreachable && reconnect_ramp_ > 0) {
+    ramp_[node] = Ramp{sim_.now(), sim_.now() + reconnect_ramp_};
   }
-}
-
-void Service::set_node_drained(cluster::NodeId node, bool drained) {
-  if (drained) {
-    drained_.insert(node);
-  } else {
-    drained_.erase(node);
-  }
-}
-
-void Service::set_node_unreachable(cluster::NodeId node, bool unreachable) {
-  if (unreachable) {
-    unreachable_.insert(node);
-  } else {
-    unreachable_.erase(node);
-  }
-}
-
-void Service::ramp_node(cluster::NodeId node, util::TimeNs window) {
-  if (window <= 0) return;
-  ramp_[node] = Ramp{sim_.now(), sim_.now() + window};
 }
 
 int Service::ramp_penalty(cluster::NodeId node) {
@@ -488,8 +473,7 @@ void Service::on_replica_event(orch::PodId pod, cluster::NodeId node,
         [this](RequestId id, util::TimeNs sojourn) { on_dequeue(id, sojourn); },
         [this](std::int64_t k, const std::vector<RequestId>& ids, int cls,
                util::TimeNs exec) { on_batch_done(k, ids, cls, exec); });
-    auto slow = slowdown_.find(node);
-    if (slow != slowdown_.end()) rep->set_slowdown(slow->second);
+    rep->set_slowdown(conditions_[node].cpu_slowdown);
     rep->set_accel_pool(pool_);
     rep->set_tracer(tracer_);
     replica_nodes_[key] = node;

@@ -9,9 +9,9 @@
 // Replicas track the DeploymentController one-to-one through its replica
 // observer: a pod start brings a ReplicaServer up on the pod's node, an
 // eviction/scale-down closes it and re-routes its queued requests. The
-// router skips replicas on drained (quarantined or lease-expired) nodes,
-// falling back to them only when nothing healthy is left — availability
-// over purity.
+// router skips replicas on drained nodes (any node condition that takes
+// a node out of service: quarantined, lease-expired, down), falling back
+// to them only when nothing healthy is left — availability over purity.
 // Gray CPU slowdowns stretch batch execution on the affected node.
 //
 // Hedging mirrors the ObjectStore's: when the primary copy has not
@@ -39,6 +39,7 @@
 #include "util/arena.hpp"
 #include "util/flat_id_map.hpp"
 
+#include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
 #include "net/fabric.hpp"
 #include "orch/controllers.hpp"
@@ -53,7 +54,7 @@
 
 namespace evolve::serve {
 
-/// Post-heal admission ramp (see Service::ramp_node()): a freshly
+/// Post-heal admission ramp (see Service::set_reconnect_ramp()): a freshly
 /// reconnected node's replicas start with this much virtual load,
 /// decaying linearly over the ramp window, so traffic returns gradually
 /// instead of as a thundering herd into a cold node.
@@ -91,24 +92,20 @@ class Service {
     return [this](Request req) { submit(std::move(req)); };
   }
 
-  // -- wiring hooks (fault/wiring.hpp) --------------------------------
-  /// Gray CPU slowdown for replicas on `node` (>= 1; 1 = healthy).
-  void set_node_slowdown(cluster::NodeId node, double factor);
-  /// Quarantine drain: the router stops picking replicas on `node`.
-  void set_node_drained(cluster::NodeId node, bool drained);
-  /// Lease drain: replicas on an Unreachable node are skipped until it
-  /// reconnects. Kept apart from the quarantine drain, so clearing one
-  /// reason leaves a node the other still holds drained.
-  void set_node_unreachable(cluster::NodeId node, bool unreachable);
-  /// True while either reason holds.
+  // -- node conditions (fault/wiring.hpp) -----------------------------
+  /// Written by the fault producers. The router skips replicas on a
+  /// node that is not usable (each producer holds its own field, so
+  /// clearing one reason leaves a node another still holds drained);
+  /// cpu_slowdown stretches batch execution on the node's replicas.
+  cluster::NodeConditions& conditions() { return conditions_; }
   bool is_node_drained(cluster::NodeId node) const {
-    return drained_.count(node) != 0 || unreachable_.count(node) != 0;
+    return !conditions_[node].usable();
   }
-  /// Post-heal admission ramp: for `window` after this call the router
-  /// treats replicas on `node` as carrying extra virtual load
-  /// (`kRampMaxPenalty` decaying linearly to zero), so a healed node
-  /// re-absorbs traffic gradually. Re-arming restarts the ramp.
-  void ramp_node(cluster::NodeId node, util::TimeNs window);
+  /// Post-heal admission ramp: for `window` after a node reconnects (its
+  /// lease condition clears) the router treats its replicas as carrying
+  /// extra virtual load (`kRampMaxPenalty` decaying linearly to zero),
+  /// so a healed node re-absorbs traffic gradually. 0 (default) is off.
+  void set_reconnect_ramp(util::TimeNs window) { reconnect_ramp_ = window; }
 
   void set_accel_pool(accel::AccelPool* pool);
   void set_tracer(trace::Tracer* tracer);
@@ -177,6 +174,8 @@ class Service {
   };
 
   void on_replica_event(orch::PodId pod, cluster::NodeId node, bool up);
+  void on_condition(cluster::NodeId node, const cluster::NodeCondition& before,
+                    const cluster::NodeCondition& after);
   ReplicaServer* replica(std::int64_t key);
   InFlight* record(RequestId id);
   TenantStats& tenant_of(const InFlight& rec);
@@ -218,9 +217,8 @@ class Service {
   std::vector<std::unique_ptr<ReplicaServer>> retired_;
   std::map<std::int64_t, cluster::NodeId> replica_nodes_;  // all-time
   std::map<std::int64_t, int> outstanding_;
-  std::map<cluster::NodeId, double> slowdown_;
-  std::set<cluster::NodeId> drained_;      // quarantined
-  std::set<cluster::NodeId> unreachable_;  // lease expired
+  cluster::NodeConditions conditions_;
+  util::TimeNs reconnect_ramp_ = 0;
   struct Ramp {
     util::TimeNs start = 0;
     util::TimeNs end = 0;

@@ -71,7 +71,12 @@ ObjectStore::ObjectStore(sim::Simulation& sim,
       io_(io),
       servers_(std::move(servers)),
       config_(config),
-      repair_rng_(config.repair_seed) {
+      repair_rng_(config.repair_seed),
+      conditions_([this](cluster::NodeId node,
+                         const cluster::NodeCondition& before,
+                         const cluster::NodeCondition& after) {
+        on_condition(node, before, after);
+      }) {
   if (servers_.empty()) {
     throw std::invalid_argument("object store needs at least one server");
   }
@@ -857,15 +862,26 @@ util::Bytes ObjectStore::expected_durable_bytes(cluster::NodeId server) const {
   return total;
 }
 
-void ObjectStore::handle_node_failure(cluster::NodeId node) {
+void ObjectStore::on_condition(cluster::NodeId node,
+                               const cluster::NodeCondition& before,
+                               const cluster::NodeCondition& after) {
+  if (after.unreachable && !before.unreachable) metrics_.count("nodes_fenced");
   ServerState* state = find_state(node);
-  if (state == nullptr || state->dead) return;  // not a live storage server
-  state->dead = true;
+  if (state == nullptr || after.down == before.down) return;
+  if (after.down) {
+    handle_node_failure(*state);
+  } else {
+    handle_node_recovery();
+  }
+}
+
+void ObjectStore::handle_node_failure(ServerState& state) {
+  const cluster::NodeId node = state.node;
   metrics_.count("server_failures");
   // Media loss: everything the server held is gone, cache included —
   // and so is any bit-rot it carried.
-  state->durable_used = 0;
-  state->cache->clear();
+  state.durable_used = 0;
+  state.cache->clear();
   for (auto corrupt = corrupted_replicas_.begin();
        corrupt != corrupted_replicas_.end();) {
     if (corrupt->second == node) {
@@ -888,10 +904,7 @@ void ObjectStore::handle_node_failure(cluster::NodeId node) {
   }
 }
 
-void ObjectStore::handle_node_recovery(cluster::NodeId node) {
-  ServerState* state = find_state(node);
-  if (state == nullptr || !state->dead) return;
-  state->dead = false;
+void ObjectStore::handle_node_recovery() {
   metrics_.count("server_recoveries");
   // The node rejoins empty; repairs that had no live target re-arm.
   for (const ObjectKey& key : repair_stalled_) enqueue_repair(key);
@@ -1258,22 +1271,10 @@ void ObjectStore::finish_repair(const ObjectKey& key, cluster::NodeId target,
   pump_repairs();
 }
 
-void ObjectStore::fence_node(cluster::NodeId node, std::int64_t epoch) {
-  std::int64_t& fence = fence_epoch_[node];
-  if (epoch > fence) fence = epoch;
-  metrics_.count("nodes_fenced");
-}
-
-std::int64_t ObjectStore::fence_epoch(cluster::NodeId node) const {
-  const auto it = fence_epoch_.find(node);
-  return it == fence_epoch_.end() ? 1 : it->second;
-}
-
 bool ObjectStore::put_fenced(cluster::NodeId client, std::int64_t epoch,
                              const ObjectKey& key, util::Bytes size,
                              PutCallback on_done) {
-  const auto it = fence_epoch_.find(client);
-  if (it != fence_epoch_.end() && epoch < it->second) {
+  if (epoch < fence_epoch(client)) {
     // Zombie write: the client's lease expired (and its epoch was
     // bumped) while it was on the far side of a partition. Reject
     // synchronously — no metadata change, no bytes moved, no callback.

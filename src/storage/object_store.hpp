@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
@@ -223,39 +224,39 @@ class ObjectStore {
   const TieredCache& cache(cluster::NodeId server) const;
 
   // -- Failure handling ------------------------------------------------
-  /// Server crash with media loss: its replicas vanish, its cache is
-  /// wiped, and every degraded-but-readable object is queued for
-  /// background re-replication onto surviving servers. An object is
-  /// permanently lost only when its last replica died (replication) or
-  /// more than m of its fragments are dead (erasure coding; losing
-  /// exactly m still reconstructs): GETs then return not-found, but
-  /// metadata stays so callers can observe it.
-  /// No-op for nodes that are not storage servers.
-  void handle_node_failure(cluster::NodeId node);
-  /// Recovery: the server rejoins EMPTY (cold cache, no replicas) and
-  /// becomes a repair target again; stalled repairs re-arm.
-  void handle_node_recovery(cluster::NodeId node);
+  /// Node conditions, written by the fault producers:
+  ///  * down: a storage server crashes with media loss: its replicas
+  ///    vanish, its cache is wiped, and every degraded-but-readable
+  ///    object is queued for background re-replication onto surviving
+  ///    servers. An object is permanently lost only when its last
+  ///    replica died (replication) or more than m of its fragments are
+  ///    dead (erasure coding; losing exactly m still reconstructs): GETs
+  ///    then return not-found, but metadata stays so callers can observe
+  ///    it. Recovery: the server rejoins EMPTY (cold cache, no replicas)
+  ///    and becomes a repair target again; stalled repairs re-arm. Other
+  ///    nodes' crashes change nothing here.
+  ///  * unreachable with its epoch (a lease expiry): the node is fenced
+  ///    at that epoch. A node on the far side of a partition keeps
+  ///    running with its old epoch; once fenced, its writes are zombie
+  ///    writes and put_fenced rejects them.
+  cluster::NodeConditions& conditions() { return conditions_; }
   /// False only for a storage server that is down.
   bool server_alive(cluster::NodeId node) const {
-    const ServerState* state = find_state(node);
-    return state == nullptr || !state->dead;
+    return find_state(node) == nullptr || !conditions_[node].down;
   }
 
   const ObjectStoreConfig& config() const { return config_; }
 
   // -- Fencing (zombie-write rejection) --------------------------------
-  /// Raises the minimum acceptable write epoch for `node` (wired from
-  /// LeaseManager::on_expire). A node on the far side of a partition
-  /// keeps running with its old epoch; once fenced, its writes are
-  /// zombie writes and put_fenced rejects them.
-  void fence_node(cluster::NodeId node, std::int64_t epoch);
   /// Epoch-stamped PUT. Returns false — synchronously, without invoking
   /// `on_done` or moving any bytes — when `epoch` is below the client's
   /// fence epoch; otherwise behaves exactly like put() and returns true.
   bool put_fenced(cluster::NodeId client, std::int64_t epoch,
                   const ObjectKey& key, util::Bytes size, PutCallback on_done);
   /// Minimum epoch `node` must present (1 = never fenced).
-  std::int64_t fence_epoch(cluster::NodeId node) const;
+  std::int64_t fence_epoch(cluster::NodeId node) const {
+    return conditions_[node].epoch;
+  }
   std::int64_t writes_fenced() const {
     return metrics_.counter("writes_fenced");
   }
@@ -350,8 +351,11 @@ class ObjectStore {
     /// Where this server's cache-tier queues start in tier_devices_.
     std::size_t first_tier = 0;
     util::Bytes durable_used = 0;
-    bool dead = false;  // crashed and not yet recovered
   };
+  void on_condition(cluster::NodeId node, const cluster::NodeCondition& before,
+                    const cluster::NodeCondition& after);
+  void handle_node_failure(ServerState& state);
+  void handle_node_recovery();
   /// The state of `node`, or null when it is not a storage server.
   ServerState* find_state(cluster::NodeId node) {
     if (node < 0 || static_cast<std::size_t>(node) >= state_of_.size()) {
@@ -535,8 +539,7 @@ class ObjectStore {
   util::TimeNs rebuild_admit_at_ = 0;
   util::TimeNs rebuild_throttle_wait_ns_ = 0;
   util::Rng repair_rng_;  // repair-delay jitter (config.repair_seed)
-  // Fencing state: minimum write epoch per node (absent = 1).
-  std::map<cluster::NodeId, std::int64_t> fence_epoch_;
+  cluster::NodeConditions conditions_;
   // Gray-failure state: replicas whose stored payload is bit-rotten.
   std::set<std::pair<ObjectKey, cluster::NodeId>> corrupted_replicas_;
   /// Entries under scrub verification right now (subset of the above;

@@ -38,7 +38,12 @@ TabletService::TabletService(sim::Simulation& sim, net::Fabric& fabric,
       nodes_list_(std::move(nodes)),
       config_(std::move(config)),
       map_(config_.keyspace, nodes_list_.empty() ? cluster::kInvalidNode
-                                                 : nodes_list_.front()) {
+                                                 : nodes_list_.front()),
+      conditions_([this](cluster::NodeId node,
+                         const cluster::NodeCondition& before,
+                         const cluster::NodeCondition& after) {
+        on_condition(node, before, after);
+      }) {
   if (nodes_list_.empty()) {
     throw std::invalid_argument("tablet service needs at least one node");
   }
@@ -120,8 +125,7 @@ void TabletService::submit(cluster::NodeId node_id, OpKind kind,
 }
 
 void TabletService::arrive(cluster::NodeId node_id, Op op) {
-  NodeState& n = node(node_id);
-  if (!n.serving) {
+  if (!serving(node_id)) {
     respond(node_id, op, OpStatus::kUnavailable, kInvalidShard);
     return;
   }
@@ -151,7 +155,7 @@ void TabletService::arrive(cluster::NodeId node_id, Op op) {
 
 void TabletService::kick(cluster::NodeId node_id) {
   NodeState& n = node(node_id);
-  if (n.busy || !n.serving || n.hosted.empty()) return;
+  if (n.busy || !serving(node_id) || n.hosted.empty()) return;
   for (std::size_t i = 0; i < n.hosted.size(); ++i) {
     const std::size_t idx = (n.rr + i) % n.hosted.size();
     Tablet& t = tablet(n.hosted[idx]);
@@ -168,11 +172,10 @@ void TabletService::kick(cluster::NodeId node_id) {
 }
 
 void TabletService::execute(cluster::NodeId node_id, ShardId shard, Op op) {
-  NodeState& n = node(node_id);
   const util::TimeNs base =
       op.kind == OpKind::kRead ? kReadCost : kWriteCost;
   const auto cost = static_cast<util::TimeNs>(
-      static_cast<double>(base) * n.slowdown);
+      static_cast<double>(base) * conditions_[node_id].cpu_slowdown);
   const trace::SpanId exec_span = trace::begin_span(
       tracer_, trace::Layer::kTablet, "tablet.exec", op.span);
   sim_.after(cost, [this, node_id, shard, exec_span,
@@ -530,8 +533,7 @@ bool TabletService::move_shard(ShardId id, cluster::NodeId target) {
   if (nodes_.count(target) == 0) return false;
   const cluster::NodeId source = map_.shard(id).node;
   if (target == source) return false;
-  NodeState& dst = node(target);
-  if (!dst.serving || dst.drained) return false;
+  if (!node_serving(target)) return false;
   t.moving = true;
   t.move_start = sim_.now();
   t.move_target = target;
@@ -539,13 +541,13 @@ bool TabletService::move_shard(ShardId id, cluster::NodeId target) {
   cancel_age_flush(t);
   bounce_queue(source, t, OpStatus::kUnavailable);
   NodeState& src = node(source);
-  if (src.serving && t.memtable_bytes > 0) {
+  if (serving(source) && t.memtable_bytes > 0) {
     // Graceful: flush, then hand off (start_flush resumes the move).
     start_flush(source, id);
     if (t.moving && t.flushing) return true;
     // The flush was fenced: fall through to a recovery re-open.
   }
-  if (src.serving && !t.flushing && t.memtable_bytes == 0 &&
+  if (serving(source) && !t.flushing && t.memtable_bytes == 0 &&
       store_.fence_epoch(source) <= src.epoch) {
     fabric_.transfer(source, target, kHandoffBytes, [this, id] {
       sim_.after(kReopenDelay, [this, id] {
@@ -569,8 +571,7 @@ bool TabletService::move_shard(ShardId id, cluster::NodeId target) {
 void TabletService::finish_move(ShardId id, cluster::NodeId from,
                                 cluster::NodeId to) {
   Tablet& t = tablet(id);
-  NodeState& dst = node(to);
-  if (!dst.serving || dst.drained) {
+  if (!node_serving(to)) {
     // The target died while the shard was in flight: re-open somewhere
     // else (or park on the target until it reconnects).
     const cluster::NodeId other = pick_target(to);
@@ -662,17 +663,29 @@ void TabletService::begin_interval() {
 
 // -- Fault hooks --------------------------------------------------------
 
-void TabletService::handle_lease_expired(cluster::NodeId node_id,
-                                         std::int64_t /*epoch*/) {
-  auto it = nodes_.find(node_id);
-  if (it == nodes_.end() || !it->second.serving) return;
-  NodeState& n = it->second;
-  n.serving = false;
+void TabletService::on_condition(cluster::NodeId node_id,
+                                 const cluster::NodeCondition& before,
+                                 const cluster::NodeCondition& after) {
+  const auto it = nodes_.find(node_id);
+  if (it == nodes_.end()) return;
+  if (after.unreachable && !before.unreachable) shed(node_id);
+  if (before.unreachable && !after.unreachable) {
+    it->second.epoch = after.epoch;  // the server learns its new epoch
+    metrics_.count("lease_rejoins");
+    kick(node_id);
+  }
+  if (after.quarantined != before.quarantined) {
+    metrics_.count(after.quarantined ? "drains" : "undrains");
+    if (after.quarantined) drain(node_id);
+  }
+}
+
+void TabletService::shed(cluster::NodeId node_id) {
   metrics_.count("lease_sheds");
-  // Note: n.epoch is deliberately NOT bumped — the zombie server does
-  // not know it was fenced, and its in-flight WAL/flush PUTs still carry
-  // the old epoch (the store rejects them).
-  const std::vector<ShardId> hosted = n.hosted;
+  // Note: the node's epoch is deliberately NOT bumped — the zombie
+  // server does not know it was fenced, and its in-flight WAL/flush PUTs
+  // still carry the old epoch (the store rejects them).
+  const std::vector<ShardId> hosted = node(node_id).hosted;
   for (ShardId id : hosted) {
     Tablet& t = tablet(id);
     bounce_queue(node_id, t, OpStatus::kUnavailable);
@@ -693,33 +706,10 @@ void TabletService::handle_lease_expired(cluster::NodeId node_id,
   }
 }
 
-void TabletService::handle_node_reconnected(cluster::NodeId node_id,
-                                            std::int64_t epoch) {
-  auto it = nodes_.find(node_id);
-  if (it == nodes_.end()) return;
-  it->second.serving = true;
-  it->second.epoch = epoch;  // the server learns its new fencing epoch
-  metrics_.count("lease_rejoins");
-  kick(node_id);
-}
-
-void TabletService::set_node_slowdown(cluster::NodeId node_id,
-                                      double factor) {
-  auto it = nodes_.find(node_id);
-  if (it != nodes_.end()) it->second.slowdown = factor;
-}
-
-void TabletService::set_node_drained(cluster::NodeId node_id, bool drained) {
-  auto it = nodes_.find(node_id);
-  if (it == nodes_.end()) return;
-  NodeState& n = it->second;
-  if (n.drained == drained) return;
-  n.drained = drained;
-  metrics_.count(drained ? "drains" : "undrains");
-  if (!drained) return;
+void TabletService::drain(cluster::NodeId node_id) {
   // Graceful shed: the node is alive (just flagged), so tablets move
   // off with a proper flush + handoff.
-  const std::vector<ShardId> hosted = n.hosted;
+  const std::vector<ShardId> hosted = node(node_id).hosted;
   for (ShardId id : hosted) {
     const cluster::NodeId target = pick_target(node_id);
     if (target == cluster::kInvalidNode) break;
@@ -728,8 +718,7 @@ void TabletService::set_node_drained(cluster::NodeId node_id, bool drained) {
 }
 
 bool TabletService::node_serving(cluster::NodeId node_id) const {
-  auto it = nodes_.find(node_id);
-  return it != nodes_.end() && it->second.serving && !it->second.drained;
+  return nodes_.count(node_id) != 0 && conditions_[node_id].usable();
 }
 
 cluster::NodeId TabletService::pick_target(cluster::NodeId except) const {
@@ -737,8 +726,8 @@ cluster::NodeId TabletService::pick_target(cluster::NodeId except) const {
   std::size_t best_hosted = 0;
   for (cluster::NodeId id : nodes_list_) {
     if (id == except) continue;
+    if (!node_serving(id)) continue;
     const NodeState& n = nodes_.at(id);
-    if (!n.serving || n.drained) continue;
     if (best == cluster::kInvalidNode || n.hosted.size() < best_hosted) {
       best = id;
       best_hosted = n.hosted.size();

@@ -18,11 +18,11 @@
 // (flush + re-open on the target, with the unavailability window
 // accounted). Routing is epoch-stamped: clients hold a cached ShardMap
 // snapshot and retry on WrongShard (see TabletClient). The fault layer
-// plugs in through fault/wiring.hpp: lease expiry sheds a node's
-// tablets and — because the node's fencing epoch moved — its in-flight
-// WAL/flush PUTs become zombie writes the store rejects; gray CPU
-// slowdowns stretch tablet execution; quarantine drains tablets off the
-// node gracefully.
+// writes the service's node conditions (fault/wiring.hpp): lease expiry
+// sheds a node's tablets and — because the node's fencing epoch moved —
+// its in-flight WAL/flush PUTs become zombie writes the store rejects;
+// gray CPU slowdowns stretch tablet execution; quarantine drains tablets
+// off the node gracefully.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
 #include "net/fabric.hpp"
 #include "serve/request.hpp"
@@ -157,21 +158,20 @@ class TabletService {
   /// and access samples.
   void begin_interval();
 
-  // -- Fault-layer hooks (see fault/wiring.hpp) ------------------------
-  /// Lease expired: the node stops serving and its tablets are shed to
-  /// surviving nodes via recovery re-open (no source flush — but every
-  /// acked write is already WAL-durable). The node itself does not
-  /// learn: its in-flight WAL/flush PUTs still carry the old epoch and
-  /// are fenced by the store.
-  void handle_lease_expired(cluster::NodeId node, std::int64_t epoch);
-  /// The node reconnected at `epoch`: it may host tablets again and
-  /// stamps future writes with the new epoch.
-  void handle_node_reconnected(cluster::NodeId node, std::int64_t epoch);
-  /// Gray CPU slowdown: stretches op execution on the node.
-  void set_node_slowdown(cluster::NodeId node, double factor);
-  /// Quarantine: drains the node — tablets move off gracefully and the
-  /// balancer stops targeting it until undrained.
-  void set_node_drained(cluster::NodeId node, bool drained);
+  // -- Node conditions (see fault/wiring.hpp) --------------------------
+  /// Written by the fault producers:
+  ///  * unreachable (lease expired): the node stops serving and its
+  ///    tablets are shed to surviving nodes via recovery re-open (no
+  ///    source flush — but every acked write is already WAL-durable).
+  ///    The node itself does not learn: its in-flight WAL/flush PUTs
+  ///    still carry the old epoch and are fenced by the store. On
+  ///    reconnect it may host tablets again and stamps future writes
+  ///    with the new epoch;
+  ///  * quarantined: drains the node — tablets move off gracefully and
+  ///    the balancer stops targeting it until the quarantine lifts;
+  ///  * cpu_slowdown: stretches op execution on the node.
+  cluster::NodeConditions& conditions() { return conditions_; }
+  /// A tablet node that may host tablets: no condition holds it out.
   bool node_serving(cluster::NodeId node) const;
 
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
@@ -260,9 +260,6 @@ class TabletService {
     OpCallback cb;
   };
   struct NodeState {
-    bool serving = true;
-    bool drained = false;
-    double slowdown = 1.0;
     std::int64_t epoch = 1;  // fencing epoch this server stamps PUTs with
     std::vector<ShardId> hosted;  // round-robin order
     std::size_t rr = 0;
@@ -276,6 +273,14 @@ class TabletService {
   Tablet& tablet(ShardId id);
   const Tablet& tablet(ShardId id) const;
   NodeState& node(cluster::NodeId id);
+  void on_condition(cluster::NodeId node, const cluster::NodeCondition& before,
+                    const cluster::NodeCondition& after);
+  void shed(cluster::NodeId node);
+  void drain(cluster::NodeId node);
+  /// Not lease-expired: the server takes ops and stamps its epoch.
+  bool serving(cluster::NodeId node) const {
+    return !conditions_[node].unreachable;
+  }
   void arrive(cluster::NodeId node, Op op);
   void kick(cluster::NodeId node);
   void execute(cluster::NodeId node, ShardId shard, Op op);
@@ -311,6 +316,7 @@ class TabletService {
   ShardMap map_;
   std::map<ShardId, Tablet> tablets_;
   std::map<cluster::NodeId, NodeState> nodes_;
+  cluster::NodeConditions conditions_;
   std::map<std::uint64_t, std::int64_t> applied_seq_;  // key -> last seq
   std::int64_t next_seq_ = 1;
   bool stopped_ = false;

@@ -28,11 +28,14 @@ TEST(GrayInjector, SlowdownAppliesAndClears) {
   sim::Simulation sim;
   GrayInjector gray(sim);
   std::vector<std::pair<double, TimeNs>> events;  // (cpu factor, at)
-  gray.on_slowdown([&](cluster::NodeId node, double cpu, double accel) {
+  cluster::NodeConditions table([&](cluster::NodeId node,
+                                    const cluster::NodeCondition&,
+                                    const cluster::NodeCondition& after) {
     EXPECT_EQ(node, 3);
-    EXPECT_EQ(accel, cpu);
-    events.emplace_back(cpu, sim.now());
+    EXPECT_EQ(after.accel_slowdown, after.cpu_slowdown);
+    events.emplace_back(after.cpu_slowdown, sim.now());
   });
+  gray.attach(table);
   gray.schedule_slow_node(3, 4.0, 4.0, util::seconds(1), util::seconds(2));
   sim.run_until(util::seconds(2));
   EXPECT_TRUE(gray.is_slowed(3));
@@ -50,9 +53,12 @@ TEST(GrayInjector, OverlappingSlowdownsCoalesce) {
   sim::Simulation sim;
   GrayInjector gray(sim);
   std::vector<std::pair<double, TimeNs>> events;
-  gray.on_slowdown([&](cluster::NodeId, double cpu, double) {
-    events.emplace_back(cpu, sim.now());
+  cluster::NodeConditions table([&](cluster::NodeId,
+                                    const cluster::NodeCondition&,
+                                    const cluster::NodeCondition& after) {
+    events.emplace_back(after.cpu_slowdown, sim.now());
   });
+  gray.attach(table);
   // [1s, 3s) @ 2x and [2s, 5s) @ 6x: the stronger factor wins while they
   // overlap, and the node only returns healthy when the last interval
   // ends.
@@ -203,11 +209,14 @@ TEST(HealthScorer, ResetNodeForgetsSilently) {
 // ---------------------------------------------------------- quarantine
 
 struct QuarantineFixture {
-  QuarantineFixture() : scorer(sim, fast_config()), controller(sim, scorer) {
-    controller.on_change([this](cluster::NodeId, bool quarantined,
-                                TimeNs at) {
-      changes.emplace_back(quarantined ? "q" : "r", at);
-    });
+  QuarantineFixture()
+      : scorer(sim, fast_config()),
+        controller(sim, scorer),
+        table([this](cluster::NodeId, const cluster::NodeCondition&,
+                     const cluster::NodeCondition& after) {
+          changes.emplace_back(after.quarantined ? "q" : "r", sim.now());
+        }) {
+    controller.attach(table);
   }
 
   // Drives node 2's score above flag_ratio with healthy peers 0 and 1.
@@ -222,6 +231,7 @@ struct QuarantineFixture {
   sim::Simulation sim;
   HealthScorer scorer;
   QuarantineController controller;
+  cluster::NodeConditions table;
   std::vector<std::pair<std::string, TimeNs>> changes;
 };
 
@@ -292,13 +302,20 @@ TEST(QuarantineController, NoTimeToQuarantineWithoutKnownStart) {
 // -------------------------------------------------------------- wiring
 
 TEST(GrayWiring, TaskSchedulerQuarantineBlocksAssignment) {
-  dataflow::TaskScheduler sched(0);
+  dataflow::TaskScheduler* scheduler = nullptr;
+  cluster::NodeConditions conditions(
+      [&scheduler](cluster::NodeId node, const cluster::NodeCondition& before,
+                   const cluster::NodeCondition&) {
+        scheduler->node_changed(node, !before.quarantined);
+      });
+  dataflow::TaskScheduler sched(0, &conditions);
+  scheduler = &sched;
   sched.add_executor(5, 2);
-  sched.set_node_quarantined(5, true);
-  EXPECT_TRUE(sched.node_quarantined(5));
+  conditions.set_quarantined(5, true);
+  EXPECT_FALSE(sched.node_available(5));
   sched.enqueue(1, {}, 0);
   EXPECT_TRUE(sched.assign(0).empty());
-  sched.set_node_quarantined(5, false);
+  conditions.set_quarantined(5, false);
   const auto assignments = sched.assign(0);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(sched.executor_node(assignments[0].executor), 5);
@@ -316,7 +333,7 @@ TEST(GrayWiring, OrchestratorQuarantineDrainsAndRejoins) {
   sim.run();
   EXPECT_EQ(orch.pod(running).phase, orch::PodPhase::kRunning);
 
-  orch.quarantine(0);
+  orch.conditions().set_quarantined(0, true);
   EXPECT_TRUE(orch.is_quarantined(0));
   EXPECT_FALSE(orch.is_cordoned(0));  // distinct mechanisms
   // Draining: the running pod keeps running (unlike fail_node).
@@ -327,7 +344,7 @@ TEST(GrayWiring, OrchestratorQuarantineDrainsAndRejoins) {
   sim.run();
   EXPECT_EQ(orch.pod(waiting).phase, orch::PodPhase::kPending);
 
-  orch.unquarantine(0);
+  orch.conditions().set_quarantined(0, false);
   orch.schedule_now();
   sim.run();
   EXPECT_EQ(orch.pod(waiting).phase, orch::PodPhase::kSucceeded);

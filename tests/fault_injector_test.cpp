@@ -2,38 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
+#include "util/strings.hpp"
 #include "util/types.hpp"
 
 namespace evolve::fault {
 namespace {
 
+/// A table whose handler reports each write's `down` and node.
+cluster::NodeConditions::Handler on_down(
+    std::function<void(cluster::NodeId, bool)> fn) {
+  return [fn = std::move(fn)](cluster::NodeId node,
+                              const cluster::NodeCondition&,
+                              const cluster::NodeCondition& after) {
+    fn(node, after.down);
+  };
+}
+
 TEST(FaultInjector, ScheduledOutageFiresSubscribersInOrder) {
   sim::Simulation sim;
   FaultInjector injector(sim);
   std::vector<std::pair<std::string, util::TimeNs>> events;
-  injector.on_failure([&](cluster::NodeId node, util::TimeNs at) {
-    events.emplace_back("fail-a:" + std::to_string(node), at);
-  });
-  injector.on_failure([&](cluster::NodeId node, util::TimeNs at) {
-    events.emplace_back("fail-b:" + std::to_string(node), at);
-  });
-  injector.on_recovery([&](cluster::NodeId node, util::TimeNs at) {
-    events.emplace_back("up:" + std::to_string(node), at);
-  });
+  const auto log = [&](const char* table) {
+    return on_down([&events, &sim, table](cluster::NodeId node, bool down) {
+      std::string event = down ? "fail-" : "up-";
+      event += table;
+      events.emplace_back(util::numbered(event + ":", node), sim.now());
+    });
+  };
+  cluster::NodeConditions a(log("a"));
+  cluster::NodeConditions b(log("b"));
+  injector.attach(a);
+  injector.attach(b);
   injector.schedule_outage(3, util::seconds(1), util::seconds(2));
   sim.run();
-  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0], std::make_pair(std::string("fail-a:3"),
                                       util::seconds(1)));
   EXPECT_EQ(events[1], std::make_pair(std::string("fail-b:3"),
                                       util::seconds(1)));
-  EXPECT_EQ(events[2], std::make_pair(std::string("up:3"),
+  EXPECT_EQ(events[2], std::make_pair(std::string("up-a:3"),
                                       util::seconds(3)));
+  EXPECT_EQ(events[3], std::make_pair(std::string("up-b:3"),
+                                      util::seconds(3)));
+  EXPECT_TRUE(a[3] == cluster::NodeCondition{});
   EXPECT_EQ(injector.failures_injected(), 1);
   EXPECT_EQ(injector.recoveries(), 1);
   EXPECT_EQ(injector.down_count(), 0);
@@ -44,8 +62,10 @@ TEST(FaultInjector, KillAndRestoreAreIdempotent) {
   FaultInjector injector(sim);
   int failures = 0;
   int recoveries = 0;
-  injector.on_failure([&](cluster::NodeId, util::TimeNs) { ++failures; });
-  injector.on_recovery([&](cluster::NodeId, util::TimeNs) { ++recoveries; });
+  cluster::NodeConditions table(on_down([&](cluster::NodeId, bool down) {
+    ++(down ? failures : recoveries);
+  }));
+  injector.attach(table);
   injector.kill(0);
   injector.kill(0);  // already down: no-op
   EXPECT_TRUE(injector.is_down(0));
@@ -74,12 +94,10 @@ TEST(FaultInjector, OverlappingOutagesCoalesce) {
   sim::Simulation sim;
   FaultInjector injector(sim);
   std::vector<std::pair<bool, util::TimeNs>> events;  // (down, at)
-  injector.on_failure([&](cluster::NodeId, util::TimeNs at) {
-    events.emplace_back(true, at);
-  });
-  injector.on_recovery([&](cluster::NodeId, util::TimeNs at) {
-    events.emplace_back(false, at);
-  });
+  cluster::NodeConditions table(on_down([&](cluster::NodeId, bool down) {
+    events.emplace_back(down, sim.now());
+  }));
+  injector.attach(table);
   // [1s, 3s) and [2s, 5s) overlap: one failure at 1s, one recovery at
   // 5s, downtime = the union [1s, 5s) = 4 node-s (not 2 + 3 = 5).
   injector.schedule_outage(7, util::seconds(1), util::seconds(2));

@@ -331,12 +331,12 @@ TEST(FaultInjector, OverlappingOutagesCoalesceWithPartitionsActive) {
   PartitionInjector partitions(sim, fabric);
 
   std::vector<std::pair<cluster::NodeId, bool>> transitions;
-  faults.on_failure([&](cluster::NodeId node, TimeNs) {
-    transitions.emplace_back(node, false);
-  });
-  faults.on_recovery([&](cluster::NodeId node, TimeNs) {
-    transitions.emplace_back(node, true);
-  });
+  cluster::NodeConditions table(
+      [&](cluster::NodeId node, const cluster::NodeCondition&,
+          const cluster::NodeCondition& after) {
+        transitions.emplace_back(node, !after.down);
+      });
+  faults.attach(table);
 
   // Node 0 lives in rack 0. Rack outage [1s, 5s] overlaps a per-node
   // outage [3s, 7s]; a concurrent network partition [2s, 6s] must not
@@ -390,15 +390,15 @@ TEST(HealthScorer, DownNodesDropOutOfPeerMedian) {
   // EWMAs would keep the median at 100 ms and node 1 (now also at
   // 10 ms) would look healthy against dead peers; with it, the median
   // is formed from live nodes only.
-  scorer.set_node_down(2, true);
-  scorer.set_node_down(3, true);
+  scorer.conditions().set_down(2, true);
+  scorer.conditions().set_down(3, true);
   scorer.record(0, util::millis(10));
   scorer.record(1, util::millis(10));
   // Live peers of node 1: just node 0 -> below kMinPeers, so unknown.
   EXPECT_EQ(scorer.score(1), 0.0);
 
   // A third live node restores the median from live data.
-  scorer.set_node_down(2, false);
+  scorer.conditions().set_down(2, false);
   scorer.record(2, util::millis(10));
   EXPECT_NEAR(scorer.score(1), 1.0, 1e-9);
   EXPECT_FALSE(scorer.is_node_down(2));

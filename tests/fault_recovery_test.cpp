@@ -122,6 +122,65 @@ TEST(FaultRecovery, DataflowSurvivesComputeNodeCrash) {
   EXPECT_TRUE(f.engine.metrics().has_histogram("reschedule_latency_ms"));
 }
 
+// A job started while a node is down gets no slots there either: the
+// engine's node conditions hold for every job, not only for the jobs
+// that were live when the node crashed.
+TEST(FaultRecovery, JobStartedDuringOutageSkipsDeadNode) {
+  FaultFixture f;
+  f.stage_dataset("in", 16, 64 * util::kMiB);
+  const cluster::NodeId dead = f.cluster.nodes_with_label("role=compute")[0];
+  f.injector.schedule_outage(dead, util::millis(1), util::seconds(100));
+  int copies = 0;
+  int on_dead = 0;
+  f.engine.set_task_observer([&](cluster::NodeId node, util::TimeNs) {
+    ++copies;
+    if (node == dead) ++on_dead;
+  });
+  dataflow::JobStats stats;
+  bool done = false;
+  f.sim.at(util::millis(10), [&] {
+    f.engine.run(scan_aggregate("in", "out"), f.executors(),
+                 [&](const dataflow::JobStats& s) {
+                   stats = s;
+                   done = true;
+                 });
+  });
+  f.sim.run();
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(stats.failed);
+  EXPECT_EQ(copies, 24);
+  EXPECT_EQ(on_dead, 0);
+}
+
+// The same for a quarantine: a job started while a node is quarantined
+// gets the node's slots only once the quarantine lifts.
+TEST(FaultRecovery, JobStartedDuringQuarantineWaitsForRelease) {
+  FaultFixture f;
+  f.stage_dataset("in", 16, 64 * util::kMiB);
+  const cluster::NodeId held = f.cluster.nodes_with_label("role=compute")[0];
+  const util::TimeNs release = util::millis(300);
+  f.engine.conditions().set_quarantined(held, true);
+  f.sim.at(release,
+           [&] { f.engine.conditions().set_quarantined(held, false); });
+  int on_held = 0;
+  util::TimeNs first_start = -1;
+  f.engine.set_task_observer([&](cluster::NodeId node, util::TimeNs took) {
+    if (node != held) return;
+    ++on_held;
+    const util::TimeNs started = f.sim.now() - took;
+    if (first_start < 0 || started < first_start) first_start = started;
+  });
+  bool done = false;
+  f.sim.at(util::millis(10), [&] {
+    f.engine.run(scan_aggregate("in", "out"), f.executors(),
+                 [&](const dataflow::JobStats&) { done = true; });
+  });
+  f.sim.run();
+  ASSERT_TRUE(done);
+  EXPECT_GT(on_held, 0);  // the released node's slots came back
+  EXPECT_GE(first_start, release);
+}
+
 TEST(FaultRecovery, LostMapOutputsReexecuteUpstreamTasks) {
   const auto base = baseline_stats();
   ASSERT_EQ(base.stages.size(), 2u);
@@ -217,7 +276,7 @@ TEST(FaultRecovery, ObjectStoreRepairsDegradedObjects) {
   const auto holders = f.store.locate(key);
   ASSERT_EQ(holders.size(), 2u);
 
-  f.store.handle_node_failure(holders[0]);
+  f.store.conditions().set_down(holders[0], true);
   EXPECT_EQ(f.store.under_replicated_objects(), 1);
 
   // Degraded read still succeeds from the surviving replica.
@@ -253,11 +312,11 @@ TEST(FaultRecovery, ObjectStoreStalledRepairResumesOnRecovery) {
 
   // With only two servers there is no spare repair target: the repair
   // stalls until the dead server rejoins (empty) and becomes one.
-  f.store.handle_node_failure(holders[0]);
+  f.store.conditions().set_down(holders[0], true);
   f.sim.run();
   EXPECT_EQ(f.store.under_replicated_objects(), 1);
 
-  f.store.handle_node_recovery(holders[0]);
+  f.store.conditions().set_down(holders[0], false);
   f.sim.run();
   EXPECT_EQ(f.store.under_replicated_objects(), 0);
   for (auto server : f.store.servers()) {
@@ -278,8 +337,8 @@ TEST(FaultRecovery, ObjectStoreReportsPermanentLoss) {
   ASSERT_EQ(holders.size(), 2u);
 
   // Kill both replicas back-to-back, before repair can race in.
-  f.store.handle_node_failure(holders[0]);
-  f.store.handle_node_failure(holders[1]);
+  f.store.conditions().set_down(holders[0], true);
+  f.store.conditions().set_down(holders[1], true);
   EXPECT_EQ(f.store.lost_objects(), 1);
   EXPECT_EQ(f.store.under_replicated_objects(), 0);  // lost, not degraded
 
@@ -337,9 +396,10 @@ TEST(FaultRecovery, BatchGangRestartsFromLastCheckpoint) {
 
   f.sim.at(util::seconds(5), [&] {
     ASSERT_FALSE(assigned.empty());
-    f.orch.fail_node(assigned[0]);
+    f.orch.conditions().set_down(assigned[0], true);
   });
-  f.sim.at(util::seconds(6), [&] { f.orch.recover_node(assigned[0]); });
+  f.sim.at(util::seconds(6),
+           [&] { f.orch.conditions().set_down(assigned[0], false); });
   f.sim.run();
 
   EXPECT_EQ(finished, 2);  // once per member, at the end only
@@ -365,8 +425,8 @@ TEST(FaultRecovery, BatchGangWithoutCheckpointsRestartsFromScratch) {
   const auto ids = f.orch.submit_gang(
       f.gang(2), util::seconds(4), {},
       [&](orch::PodId, orch::PodPhase) { finished = true; }, batch);
-  f.sim.at(util::seconds(3), [&] { f.orch.fail_node(0); });
-  f.sim.at(util::seconds(4), [&] { f.orch.recover_node(0); });
+  f.sim.at(util::seconds(3), [&] { f.orch.conditions().set_down(0, true); });
+  f.sim.at(util::seconds(4), [&] { f.orch.conditions().set_down(0, false); });
   f.sim.run();
   ASSERT_TRUE(finished);
   EXPECT_EQ(f.orch.metrics().counter("gang_restarts"), 1);
@@ -445,7 +505,7 @@ TEST(FaultRecovery, OrchestratorEvictsAndReadmitsAroundCrash) {
   ASSERT_EQ(orch.pod(id).phase, orch::PodPhase::kRunning);
   const auto node = orch.pod(id).node;
 
-  orch.fail_node(node);
+  orch.conditions().set_down(node, true);
   EXPECT_EQ(orch.pod(id).phase, orch::PodPhase::kFailed);
   EXPECT_FALSE(orch.is_ready(node));
   EXPECT_EQ(orch.node_status(node).pod_count(), 0);
@@ -460,7 +520,7 @@ TEST(FaultRecovery, OrchestratorEvictsAndReadmitsAroundCrash) {
                 (orch.pod(b).phase == orch::PodPhase::kRunning),
             1);
 
-  orch.recover_node(node);
+  orch.conditions().set_down(node, false);
   EXPECT_TRUE(orch.is_ready(node));
   sim.run_until(util::seconds(3));
   EXPECT_EQ(orch.pod(a).phase, orch::PodPhase::kRunning);

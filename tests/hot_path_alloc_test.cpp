@@ -268,8 +268,8 @@ TEST(ServeAllocation, WarmHedgedBatchedServiceAllocatesNothingPerRequest) {
   Service service(sim, fabric, deploy, classes, config);
   sim.run();  // replicas come up
   ASSERT_EQ(service.replica_count(), 2);
-  service.set_node_slowdown(cluster.nodes_with_label("role=compute")[0],
-                            10.0);
+  service.conditions().set_slowdown(
+      cluster.nodes_with_label("role=compute")[0], 10.0, 1.0);
   const cluster::NodeId client =
       cluster.nodes_with_label("role=storage").front();
 

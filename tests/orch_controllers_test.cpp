@@ -90,7 +90,7 @@ TEST(DeploymentController, ScaleDownEvictsCompromisedReplicasFirst) {
     ASSERT_EQ(f.orch.node_status(n).pod_count(), 1);
   }
   f.orch.cordon(0);
-  f.orch.quarantine(1);
+  f.orch.conditions().set_quarantined(1, true);
   // Quarantined ranks worse than cordoned: node 1 loses its replica
   // first, then node 0; the healthy node keeps its replica throughout.
   deploy.scale(2);
@@ -113,7 +113,7 @@ TEST(DeploymentController, ScaleDownEvictsUnreachableReplicaFirst) {
   ASSERT_EQ(f.orch.node_status(1).pod_count(), 1);
   // Node 1's lease expired: its replica is fenced, not healthy. Among
   // healthy replicas the oldest (node 0's) would go first.
-  f.orch.mark_unreachable(1);
+  f.orch.conditions().set_unreachable(1, true, 2);
   deploy.scale(1);
   f.sim.run();
   EXPECT_EQ(f.orch.node_status(1).pod_count(), 0);

@@ -254,7 +254,7 @@ TEST(Preemption, SkipsNodesThePodCannotUse) {
     f.sim.run();
     ASSERT_EQ(f.orch.pod(on_0).node, 0);
     ASSERT_EQ(f.orch.pod(on_1).node, 1);
-    f.orch.quarantine(0);
+    f.orch.conditions().set_quarantined(0, true);
     PodSpec high = tenant_pod("high", "hi", 0);
     high.request = full;
     high.priority = 10;
@@ -440,7 +440,7 @@ TEST(Rebalancer, SkipsNodesTheStarvedPodCannotUse) {
                 [&](PodId, cluster::NodeId) { big_started = true; });
   f.sim.run();
   ASSERT_FALSE(big_started);
-  f.orch.quarantine(0);
+  f.orch.conditions().set_quarantined(0, true);
 
   RebalancerConfig config;
   config.starvation_threshold = 0;

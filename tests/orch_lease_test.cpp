@@ -4,9 +4,12 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "fault/fault_injector.hpp"
+#include "fault/health.hpp"
 #include "fault/partition.hpp"
 #include "fault/wiring.hpp"
 #include "net/fabric.hpp"
@@ -141,7 +144,7 @@ TEST(Orchestrator, UnreachableGatesSchedulingWithoutEvicting) {
   const PodId running = orch.submit(small_pod("survivor"), -1);
   sim.run();
   ASSERT_EQ(orch.pod(running).phase, PodPhase::kRunning);
-  orch.mark_unreachable(0);
+  orch.conditions().set_unreachable(0, true, 2);
   EXPECT_TRUE(orch.is_unreachable(0));
   EXPECT_EQ(orch.pod(running).phase, PodPhase::kRunning);
 
@@ -150,7 +153,7 @@ TEST(Orchestrator, UnreachableGatesSchedulingWithoutEvicting) {
   sim.run();
   EXPECT_EQ(orch.pod(pending).phase, PodPhase::kPending);
 
-  orch.clear_unreachable(0);
+  orch.conditions().set_unreachable(0, false, 2);
   sim.run();
   EXPECT_EQ(orch.pod(pending).phase, PodPhase::kRunning);
 
@@ -179,8 +182,8 @@ TEST(LeaseManager, CrashPausesLeaseInsteadOfExpiring) {
 
 // A node that crashes while its lease is expired stays Unreachable
 // through the outage; once it is back and a heartbeat lands, every
-// on_expire is matched by exactly one on_reconnect. Recovering while
-// still partitioned is not a reconnect.
+// expiry is matched by exactly one reconnect. Recovering while still
+// partitioned is not a reconnect.
 TEST(LeaseManager, CrashDuringExpiryReconnectsOnceBack) {
   for (const bool heal_first : {true, false}) {
     SCOPED_TRACE(heal_first ? "heal before restore" : "restore before heal");
@@ -189,12 +192,16 @@ TEST(LeaseManager, CrashDuringExpiryReconnectsOnceBack) {
     fault::connect(faults, f.orch);
     fault::connect(faults, f.leases);
     std::set<cluster::NodeId> expired;
-    f.leases.on_expire([&](cluster::NodeId node, std::int64_t, TimeNs) {
-      EXPECT_TRUE(expired.insert(node).second);
+    cluster::NodeConditions table([&](cluster::NodeId node,
+                                      const cluster::NodeCondition&,
+                                      const cluster::NodeCondition& after) {
+      if (after.unreachable) {
+        EXPECT_TRUE(expired.insert(node).second);
+      } else {
+        EXPECT_EQ(expired.erase(node), 1u);
+      }
     });
-    f.leases.on_reconnect([&](cluster::NodeId node, std::int64_t, TimeNs) {
-      EXPECT_EQ(expired.erase(node), 1u);
-    });
+    f.leases.attach(table);
     f.leases.start();
 
     fault::PartitionId cut = 0;
@@ -217,6 +224,43 @@ TEST(LeaseManager, CrashDuringExpiryReconnectsOnceBack) {
     EXPECT_FALSE(f.orch.is_unreachable(2));
     EXPECT_TRUE(f.orch.is_ready(2));
   }
+}
+
+// A node that crashes and recovers while its lease stays expired is
+// still out of the health scorer's peer medians: crash and lease expiry
+// are two conditions, and clearing one leaves the other.
+TEST(LeaseManager, ScorerKeepsLeaseExpiredNodeOutAfterCrash) {
+  LeaseFixture f;
+  fault::FaultInjector faults(f.sim);
+  fault::HealthScorerConfig config;
+  config.min_samples = 1;
+  fault::HealthScorer scorer(f.sim, config);
+  fault::connect(faults, f.leases);
+  fault::connect(faults, scorer);
+  fault::connect(f.leases, scorer);
+  // Node 1's stale history is slow; nodes 2 and 3 are healthy.
+  scorer.record(1, util::millis(100));
+  scorer.record(2, util::millis(10));
+  scorer.record(3, util::millis(10));
+  f.leases.start();
+  f.sim.at(util::seconds(1), [&] { f.partitions.isolate({1}); });
+  faults.schedule_outage(1, util::seconds(5), util::seconds(1));
+  std::vector<std::pair<bool, bool>> seen;  // (lease expired, excluded)
+  for (const TimeNs at : {util::millis(7500), util::millis(20'500)}) {
+    f.sim.at(at, [&] {
+      seen.emplace_back(f.leases.is_unreachable(1), scorer.is_node_down(1));
+    });
+  }
+  f.stop_at(util::seconds(21));
+  f.sim.run();
+
+  ASSERT_EQ(seen.size(), 2u);
+  for (const auto& [expired, excluded] : seen) {
+    EXPECT_TRUE(expired);
+    EXPECT_TRUE(excluded);
+  }
+  // Without node 1, node 2 has a single live peer: no median yet.
+  EXPECT_EQ(scorer.score(2), 0.0);
 }
 
 TEST(LeaseManager, ZombieWriteIsFencedByStaleEpoch) {

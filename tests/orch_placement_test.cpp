@@ -27,10 +27,11 @@ struct PlacementFixture {
   }
   bool eligible_on(const PodSpec& pod, cluster::NodeId node) const {
     return eligible(pod, cluster.node(node),
-                    nodes[static_cast<std::size_t>(node)]);
+                    nodes[static_cast<std::size_t>(node)], conditions[node]);
   }
   cluster::Cluster cluster;
   std::vector<NodeStatus> nodes;
+  cluster::NodeConditions conditions;
 };
 
 TEST(ResourceFitFilter, ChecksFreeCapacity) {
@@ -38,9 +39,10 @@ TEST(ResourceFitFilter, ChecksFreeCapacity) {
   const auto policy = SchedulingPolicy::spreading(f.cluster);
   PodSpec pod;
   pod.request = cpu_mem(32000, util::kGiB);
-  EXPECT_EQ(select_node(pod, f.cluster, {f.nodes[0]}, policy), 0);
+  EXPECT_EQ(select_node(pod, f.cluster, {f.nodes[0]}, f.conditions, policy),
+            0);
   f.nodes[0].bind(1, cpu_mem(31000, 0));
-  EXPECT_EQ(select_node(pod, f.cluster, {f.nodes[0]}, policy),
+  EXPECT_EQ(select_node(pod, f.cluster, {f.nodes[0]}, f.conditions, policy),
             cluster::kInvalidNode);
 }
 
@@ -67,9 +69,9 @@ TEST(Eligible, ConditionsAndAntiAffinityExclude) {
   PodSpec pod;
   pod.anti_affinity_group = "web";
   f.nodes[0].cordoned = true;
-  f.nodes[1].not_ready = true;
-  f.nodes[2].quarantined = true;
-  f.nodes[3].unreachable = true;
+  f.conditions.set_down(1, true);
+  f.conditions.set_quarantined(2, true);
+  f.conditions.set_unreachable(3, true, 2);
   for (cluster::NodeId n = 0; n < f.cluster.size(); ++n) {
     EXPECT_FALSE(f.eligible_on(pod, n)) << n;
   }

@@ -43,7 +43,9 @@ TEST(SelectNode, PicksFeasibleBestScore) {
   const auto policy = SchedulingPolicy::spreading(f.cluster);
   // Load node 0 heavily -> spreading should pick node 1.
   nodes[0].bind(99, cpu_mem(30000, 100 * util::kGiB));
-  EXPECT_EQ(select_node(small_pod("p"), f.cluster, nodes, policy), 1);
+  EXPECT_EQ(select_node(small_pod("p"), f.cluster, nodes,
+                        f.orch.conditions(), policy),
+            1);
 }
 
 TEST(SelectNode, ReturnsInvalidWhenNothingFits) {
@@ -54,7 +56,7 @@ TEST(SelectNode, ReturnsInvalidWhenNothingFits) {
   }
   PodSpec huge = small_pod("huge");
   huge.request = cpu_mem(1'000'000, util::kGiB);
-  EXPECT_EQ(select_node(huge, f.cluster, nodes,
+  EXPECT_EQ(select_node(huge, f.cluster, nodes, f.orch.conditions(),
                         SchedulingPolicy::spreading(f.cluster)),
             cluster::kInvalidNode);
 }
@@ -96,6 +98,7 @@ TEST(SelectNode, PlacementDigestIsPinned) {
                                         ? SchedulingPolicy::spreading(cluster)
                                         : SchedulingPolicy::binpacking(cluster);
     // Bare node states: random loads only.
+    const cluster::NodeConditions healthy;
     std::vector<NodeStatus> nodes;
     for (cluster::NodeId n = 0; n < cluster.size(); ++n) {
       nodes.emplace_back(n, cluster.node(n).allocatable());
@@ -107,7 +110,8 @@ TEST(SelectNode, PlacementDigestIsPinned) {
       }
     }
     for (int probe = 0; probe < 20; ++probe) {
-      mix(select_node(random_pod(rng, cluster), cluster, nodes, policy));
+      mix(select_node(random_pod(rng, cluster), cluster, nodes, healthy,
+                      policy));
     }
 
     // An orchestrator's nodes: running pods (anti-affinity groups
@@ -119,9 +123,9 @@ TEST(SelectNode, PlacementDigestIsPinned) {
     for (cluster::NodeId n = 0; n < cluster.size(); ++n) {
       switch (rng.uniform_int(0, 7)) {
         case 0: orch.cordon(n); break;
-        case 1: orch.fail_node(n); break;
-        case 2: orch.quarantine(n); break;
-        case 3: orch.mark_unreachable(n); break;
+        case 1: orch.conditions().set_down(n, true); break;
+        case 2: orch.conditions().set_quarantined(n, true); break;
+        case 3: orch.conditions().set_unreachable(n, true, 2); break;
         default: break;
       }
     }
@@ -457,8 +461,9 @@ TEST(Orchestrator, GangLifecycleDigestIsPinned) {
     for (int crash = 0; crash < 2; ++crash) {
       const cluster::NodeId n = node();
       const util::TimeNs at = util::millis(rng.uniform_int(2000, 30'000));
-      sim.at(at, [&orch, n] { orch.fail_node(n); });
-      sim.at(at + util::seconds(5), [&orch, n] { orch.recover_node(n); });
+      sim.at(at, [&orch, n] { orch.conditions().set_down(n, true); });
+      sim.at(at + util::seconds(5),
+             [&orch, n] { orch.conditions().set_down(n, false); });
     }
     const cluster::NodeId drained = node();
     const util::TimeNs drain_at = util::millis(rng.uniform_int(5000, 25'000));

@@ -183,7 +183,7 @@ TEST(ServeService, RouterAvoidsDrainedNode) {
         exec_nodes.insert(node);
       });
   const auto compute = f.cluster.nodes_with_label("role=compute");
-  svc.set_node_drained(compute[0], true);
+  svc.conditions().set_quarantined(compute[0], true);
   EXPECT_TRUE(svc.is_node_drained(compute[0]));
   f.offer(20, util::millis(1));
   f.sim.run();
@@ -207,22 +207,22 @@ TEST(ServeService, DrainReasonsStayApart) {
   leases.start();
 
   // Quarantined through a partition: the reconnect leaves it drained.
-  svc.set_node_drained(node, true);
+  svc.conditions().set_quarantined(node, true);
   fault::PartitionId cut = 0;
   f.sim.at(util::seconds(1), [&] { cut = partitions.isolate({node}); });
   f.sim.at(util::seconds(6), [&] { partitions.heal(cut); });
   bool drained_after_reconnect = false;
   f.sim.at(util::seconds(8), [&] {
     drained_after_reconnect = svc.is_node_drained(node);
-    svc.set_node_drained(node, false);
+    svc.conditions().set_quarantined(node, false);
   });
   // Lease-expired through a quarantine release: still drained until the
   // node reconnects.
   f.sim.at(util::seconds(10), [&] { cut = partitions.isolate({node}); });
   bool drained_after_release = false;
   f.sim.at(util::seconds(14), [&] {
-    svc.set_node_drained(node, true);
-    svc.set_node_drained(node, false);
+    svc.conditions().set_quarantined(node, true);
+    svc.conditions().set_quarantined(node, false);
     drained_after_release = svc.is_node_drained(node);
   });
   f.sim.at(util::seconds(15), [&] { partitions.heal(cut); });
@@ -241,7 +241,7 @@ TEST(ServeService, AllDrainedFallsBackDegraded) {
   Service& svc = f.make_service();
   f.sim.run();
   for (const auto node : f.cluster.nodes_with_label("role=compute")) {
-    svc.set_node_drained(node, true);
+    svc.conditions().set_quarantined(node, true);
   }
   f.offer(10, util::millis(1));
   f.sim.run();
@@ -287,7 +287,7 @@ TEST(ServeService, HedgingRescuesRequestsOnSlowReplica) {
   // One replica 50x slow: its 3 ms singleton batch takes 150 ms, far
   // past the 2 ms hedge delay; the hedge on the healthy replica wins.
   const auto compute = f.cluster.nodes_with_label("role=compute");
-  svc.set_node_slowdown(compute[0], 50.0);
+  svc.conditions().set_slowdown(compute[0], 50.0, 1.0);
   f.offer(10, util::millis(20));
   f.sim.run();
   const TenantStats& tenant = svc.tenant("default");
@@ -335,7 +335,7 @@ TEST(ServeService, NoHedgeWithoutASecondReplica) {
   Service& svc = f.make_service(config);
   f.sim.run();
   const auto compute = f.cluster.nodes_with_label("role=compute");
-  svc.set_node_slowdown(compute[0], 20.0);
+  svc.conditions().set_slowdown(compute[0], 20.0, 1.0);
   f.offer(5, util::millis(100));
   f.sim.run();
   EXPECT_EQ(svc.tenant("default").completed, 5);
@@ -433,7 +433,7 @@ ScenarioResult run_scenario(bool traced) {
     svc.set_tracer(tracer.get());
   }
   const auto compute = f.cluster.nodes_with_label("role=compute");
-  svc.set_node_slowdown(compute[0], 8.0);
+  svc.conditions().set_slowdown(compute[0], 8.0, 1.0);
 
   GeneratorConfig gen;
   gen.phases = {{util::seconds(2), 400.0}};

@@ -243,8 +243,8 @@ TEST(ErasureCoding, DegradedReadReconstructsThroughParity) {
   // Kill the holders of data fragments 0 and 1 (= m dead): the GET must
   // still succeed, reading 2 data + 2 parity fragments and paying the
   // reconstruction cost.
-  f.store.handle_node_failure(holders[0]);
-  f.store.handle_node_failure(holders[1]);
+  f.store.conditions().set_down(holders[0], true);
+  f.store.conditions().set_down(holders[1], true);
   GetResult result;
   f.store.get(0, key, [&](const GetResult& r) { result = r; });
   f.sim.run();
@@ -263,7 +263,7 @@ TEST(ErasureCoding, DegradedReadCostsMoreThanCleanRead) {
     f.store.preload(key, 16 * util::kMiB);
     const auto holders = f.store.locate(key);
     for (int i = 0; i < dead_holders; ++i) {
-      f.store.handle_node_failure(holders[static_cast<std::size_t>(i)]);
+      f.store.conditions().set_down(holders[static_cast<std::size_t>(i)], true);
     }
     util::TimeNs done = -1;
     f.store.get(0, key, [&](const GetResult& r) {
@@ -288,8 +288,8 @@ TEST(ErasureCoding, ExactlyMDeadIsRecoverableMPlusOneIsLost) {
   f.store.preload(key, 4 * util::kMiB);
   const auto holders = f.store.locate(key);
 
-  f.store.handle_node_failure(holders[0]);
-  f.store.handle_node_failure(holders[1]);
+  f.store.conditions().set_down(holders[0], true);
+  f.store.conditions().set_down(holders[1], true);
   auto stats = f.store.durability_stats();
   EXPECT_EQ(stats.objects_degraded, 1);
   EXPECT_EQ(stats.objects_lost, 0);
@@ -301,7 +301,7 @@ TEST(ErasureCoding, ExactlyMDeadIsRecoverableMPlusOneIsLost) {
   EXPECT_TRUE(at_boundary.found);  // m dead: still recoverable
   EXPECT_TRUE(at_boundary.degraded);
 
-  f.store.handle_node_failure(holders[2]);  // m + 1 dead: lost
+  f.store.conditions().set_down(holders[2], true);  // m + 1 dead: lost
   stats = f.store.durability_stats();
   EXPECT_EQ(stats.objects_degraded, 0);
   EXPECT_EQ(stats.objects_lost, 1);
@@ -323,9 +323,9 @@ TEST(ErasureCoding, AtRiskFragmentSecondsIntegratesMissingFragments) {
   f.store.preload(key, 4 * util::kMiB);
   const auto holders = f.store.locate(key);
   f.sim.at(util::seconds(1),
-           [&] { f.store.handle_node_failure(holders[0]); });
+           [&] { f.store.conditions().set_down(holders[0], true); });
   f.sim.at(util::seconds(3),
-           [&] { f.store.handle_node_failure(holders[1]); });
+           [&] { f.store.conditions().set_down(holders[1], true); });
   f.sim.at(util::seconds(4), [] {});
   f.sim.run();
   // 1 missing fragment over [1s, 3s) + 2 missing over [3s, 4s) = 4.
@@ -341,7 +341,7 @@ TEST(ErasureCoding, RebuildRestoresFullRedundancy) {
   const ObjectKey key{"data", "obj"};
   f.store.preload(key, 4 * util::kMiB);
   const auto holders = f.store.locate(key);
-  f.store.handle_node_failure(holders[3]);
+  f.store.conditions().set_down(holders[3], true);
   EXPECT_EQ(f.store.under_replicated_objects(), 1);
   f.sim.run();
   EXPECT_EQ(f.store.under_replicated_objects(), 0);
@@ -365,7 +365,7 @@ TEST(ErasureCoding, ThrottledRebuildPacesRepairTraffic) {
       f.store.preload({"data", "obj" + std::to_string(i)}, 4 * util::kMiB);
     }
     // One crash degrades several stripes at once: a rebuild storm.
-    f.store.handle_node_failure(f.store.servers()[0]);
+    f.store.conditions().set_down(f.store.servers()[0], true);
     f.sim.run();
     expect_durable_accounting(f.store);
     return std::tuple{f.store.rebuild_throttle_wait_seconds(),

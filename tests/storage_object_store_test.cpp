@@ -303,12 +303,12 @@ cluster::NodeId run_queued_repair(StoreFixture& f, const ObjectKey& key,
   f.store.preload(key, 8 * util::kMiB);
   const auto holders = f.store.locate(key);
   f.sim.at(util::seconds(1), [&] {
-    f.store.handle_node_failure(holders[0]);
-    f.store.handle_node_failure(holders[1]);
+    f.store.conditions().set_down(holders[0], true);
+    f.store.conditions().set_down(holders[1], true);
   });
   f.sim.at(util::millis(1100), mutate);
   f.sim.at(util::millis(1300),
-           [&] { f.store.handle_node_recovery(holders[0]); });
+           [&] { f.store.conditions().set_down(holders[0], false); });
   f.sim.run();
   return holders[0];
 }
@@ -401,7 +401,8 @@ TEST(ObjectStore, EqualSparesRepairInFullStringOrder) {
     }
   }
   ASSERT_NE(shared, cluster::kInvalidNode);
-  f.sim.at(util::millis(10), [&] { f.store.handle_node_failure(shared); });
+  f.sim.at(util::millis(10),
+           [&] { f.store.conditions().set_down(shared, true); });
   f.sim.run();
 
   const auto starts = repair_starts(tracer);
@@ -466,7 +467,8 @@ RepairSchedule run_repair_schedule(ObjectStoreConfig config) {
   sim.at(util::millis(5), [&] {
     EXPECT_EQ(store.corrupt_random_replicas(/*seed=*/3, 40), 40);
   });
-  sim.at(util::millis(100), [&] { store.handle_node_failure(servers[0]); });
+  sim.at(util::millis(100),
+         [&] { store.conditions().set_down(servers[0], true); });
   // Overwritten objects are born full on the seven live servers, so
   // their queued entries go stale; the crash in the same instant degrades
   // most of them again before any pump can drop the entries.
@@ -474,7 +476,7 @@ RepairSchedule run_repair_schedule(ObjectStoreConfig config) {
     for (int i = 0; i < kObjects; i += 7) {
       store.put(client, key(i), 128 * util::kKiB, [] {});
     }
-    store.handle_node_failure(servers[3]);
+    store.conditions().set_down(servers[3], true);
   });
   sim.at(util::millis(140), [&] {
     for (int i = 3; i < kObjects; i += 11) store.remove(client, key(i), [] {});
@@ -486,7 +488,8 @@ RepairSchedule run_repair_schedule(ObjectStoreConfig config) {
     }
     for (int i = 1; i < kObjects; i += 17) store.remove(client, key(i), [] {});
   });
-  sim.at(util::millis(600), [&] { store.handle_node_recovery(servers[0]); });
+  sim.at(util::millis(600),
+         [&] { store.conditions().set_down(servers[0], false); });
   // Late bit-rot, once the crash waves have drained: these few repairs
   // start on their jittered pump, so they show every earlier draw.
   for (int wave = 0; wave < 4; ++wave) {

@@ -106,11 +106,11 @@ Fingerprint run_seed(std::uint64_t seed, bool traced) {
   sim.at(util::seconds(6), [&] {
     // Lease expiry: fence first (the store must reject the zombie's
     // epoch before the tablet layer reacts), then shed.
-    store.fence_node(victim, 2);
-    service.handle_lease_expired(victim, 2);
+    store.conditions().set_unreachable(victim, true, 2);
+    service.conditions().set_unreachable(victim, true, 2);
   });
   sim.at(util::seconds(10),
-         [&] { service.handle_node_reconnected(victim, 2); });
+         [&] { service.conditions().set_unreachable(victim, false, 2); });
 
   ClientConfig ccfg;
   ccfg.max_attempts = 8;

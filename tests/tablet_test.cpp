@@ -285,8 +285,8 @@ TEST(TabletService, LeaseExpiryFencesZombieWalCommit) {
   // kWalGroupDelay later, so 0.2 ms falls inside the window.
   static_assert(kWalGroupDelay == util::micros(200));
   f.sim.at(util::micros(200), [&] {
-    f.store.fence_node(owner, 2);
-    f.service.handle_lease_expired(owner, 2);
+    f.store.conditions().set_unreachable(owner, true, 2);
+    f.service.conditions().set_unreachable(owner, true, 2);
   });
   f.sim.run();
 
@@ -304,10 +304,10 @@ TEST(TabletService, LeaseExpiryFencesZombieWalCommit) {
 TEST(TabletService, ReconnectedNodeWritesUnderNewEpoch) {
   TabletFixture f;
   const cluster::NodeId owner = f.service.shard_map().shard_for(1).node;
-  f.store.fence_node(owner, 2);
-  f.service.handle_lease_expired(owner, 2);
+  f.store.conditions().set_unreachable(owner, true, 2);
+  f.service.conditions().set_unreachable(owner, true, 2);
   f.sim.run();
-  f.service.handle_node_reconnected(owner, 2);
+  f.service.conditions().set_unreachable(owner, false, 2);
   EXPECT_TRUE(f.service.node_serving(owner));
 
   // A fresh write routed to the key's current owner succeeds: fencing
@@ -327,11 +327,11 @@ TEST(TabletService, DrainMovesTabletsOffGracefully) {
   TabletFixture f(config);
   const cluster::NodeId drained = f.tablet_nodes[0];
   ASSERT_FALSE(f.service.shard_map().shards_on(drained).empty());
-  f.service.set_node_drained(drained, true);
+  f.service.conditions().set_quarantined(drained, true);
   f.sim.run();
   EXPECT_TRUE(f.service.shard_map().shards_on(drained).empty());
   EXPECT_FALSE(f.service.node_serving(drained));
-  f.service.set_node_drained(drained, false);
+  f.service.conditions().set_quarantined(drained, false);
   EXPECT_TRUE(f.service.node_serving(drained));
 }
 
