@@ -1,5 +1,6 @@
 // A1 — Ablation: delay scheduling. Sweep the locality wait and measure
 // source-task locality and job runtime on a loaded converged cluster.
+// `--json` writes BENCH_a1_delay.json (fully deterministic).
 #include <iostream>
 
 #include "core/platform.hpp"
@@ -10,9 +11,9 @@
 
 using namespace evolve;
 
-int main() {
-  core::Table table("A1: delay scheduling ablation (executors on data nodes)",
-                    {"locality wait", "local source tasks", "job time"});
+int main(int argc, char** argv) {
+  core::MetricsReport report("a1_delay");
+  std::vector<std::pair<std::string, std::string>> rows;
   for (util::TimeNs wait :
        {util::TimeNs{0}, util::millis(100), util::millis(500),
         util::seconds(3)}) {
@@ -44,17 +45,28 @@ int main() {
           ++done;
         });
     sim.run();
-    const int local = first.stages[0].local_tasks +
-                      second.stages[0].local_tasks;
-    const int total = first.stages[0].tasks + second.stages[0].tasks;
-    const util::TimeNs slower = std::max(first.duration, second.duration);
-    table.add_row({util::human_time(wait),
-                   std::to_string(local) + "/" + std::to_string(total),
-                   util::human_time(slower)});
+    const std::string p =
+        util::numbered("wait_", wait / util::kMillisecond) + "ms_";
+    report.set(p + "local_tasks",
+               first.stages[0].local_tasks + second.stages[0].local_tasks);
+    report.set(p + "tasks", first.stages[0].tasks + second.stages[0].tasks);
+    report.set(p + "job_ns", std::max(first.duration, second.duration));
+    rows.emplace_back(util::human_time(wait), p);
   }
-  table.print();
+  core::Table("A1: delay scheduling ablation (executors on data nodes)", report,
+              "locality wait", rows,
+              {{"local source tasks",
+                [](const core::Row& r) {
+                  return std::to_string(r["local_tasks"].count()) + "/" +
+                         std::to_string(r["tasks"].count());
+                }},
+               {"job time", "job_ns", core::nanos}})
+      .print();
   std::cout << "\nShape check: a short wait buys most of the locality; past "
                "the knee,\nlonger waits add idle time without more hits "
                "(classic delay-scheduling curve).\n";
+  if (core::has_flag(argc, argv, "--json")) {
+    std::cout << "wrote " << report.write() << "\n";
+  }
   return 0;
 }

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
                "rank-time is\nstranded; independent placement starts ranks "
                "piecemeal, wasting allocated\ncores while stragglers queue "
                "behind churn.\n";
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

@@ -1,6 +1,7 @@
 // A3 — Ablation: cache-capacity sweep. Fraction of the storage node's
 // fast tiers granted to the object store, vs steady-state hit mix and
 // GET latency on a zipfian read workload over a 32 GiB working set.
+// `--json` writes BENCH_a3_tiers.json (fully deterministic).
 #include <iostream>
 
 #include "cluster/cluster.hpp"
@@ -13,11 +14,9 @@
 
 using namespace evolve;
 
-int main() {
-  core::Table table(
-      "A3: cache capacity sweep (32 GiB working set, zipf 0.9, steady state)",
-      {"cache grant", "dram cap", "nvme cap", "dram", "nvme", "hdd",
-       "mean GET", "p95 GET"});
+int main(int argc, char** argv) {
+  core::MetricsReport report("a3_tiers");
+  std::vector<std::pair<std::string, std::string>> rows;
   for (double fraction : {0.05, 0.15, 0.40, 1.00}) {
     sim::Simulation sim;
     cluster::Cluster cl;
@@ -51,20 +50,40 @@ int main() {
     for (int i = 0; i < 2000; ++i) one_get();
     const auto& m = store.metrics();
     const auto& lat = m.histogram("get_latency_us");
-    table.add_row(
-        {util::fixed(fraction * 100, 0) + "%",
-         util::human_bytes(static_cast<util::Bytes>(8 * util::kGiB * fraction)),
-         util::human_bytes(
-             static_cast<util::Bytes>(24 * util::kGiB * fraction)),
-         std::to_string(m.counter("get_tier_dram")),
-         std::to_string(m.counter("get_tier_nvme")),
-         std::to_string(m.counter("get_tier_hdd")),
-         util::human_time(static_cast<util::TimeNs>(lat.mean() * 1000)),
-         util::human_time(lat.p95() * 1000)});
+    const std::string p = util::fixed(fraction * 100, 0) + "pct_";
+    report.set(p + "dram_cap_bytes",
+               static_cast<util::Bytes>(8 * util::kGiB * fraction));
+    report.set(p + "nvme_cap_bytes",
+               static_cast<util::Bytes>(24 * util::kGiB * fraction));
+    report.set(p + "dram_hits", m.counter("get_tier_dram"));
+    report.set(p + "nvme_hits", m.counter("get_tier_nvme"));
+    report.set(p + "hdd_reads", m.counter("get_tier_hdd"));
+    report.set(p + "mean_get_us", lat.mean());
+    report.set(p + "p95_get_us", lat.p95());
+    rows.emplace_back(util::fixed(fraction * 100, 0) + "%", p);
   }
-  table.print();
+  const auto bytes = [](double b) {
+    return util::human_bytes(static_cast<util::Bytes>(b));
+  };
+  const auto micros = [](double us) {
+    return util::human_time(static_cast<util::TimeNs>(us * 1000));
+  };
+  core::Table(
+      "A3: cache capacity sweep (32 GiB working set, zipf 0.9, steady state)",
+      report, "cache grant", rows,
+      {{"dram cap", "dram_cap_bytes", bytes},
+       {"nvme cap", "nvme_cap_bytes", bytes},
+       {"dram", "dram_hits"},
+       {"nvme", "nvme_hits"},
+       {"hdd", "hdd_reads"},
+       {"mean GET", "mean_get_us", micros},
+       {"p95 GET", "p95_get_us", micros}})
+      .print();
   std::cout << "\nShape check: growing the cache grant first moves reads "
                "from HDD to NVMe,\nthen concentrates the zipf head in DRAM; "
                "latency falls in two distinct steps.\n";
+  if (core::has_flag(argc, argv, "--json")) {
+    std::cout << "wrote " << report.write() << "\n";
+  }
   return 0;
 }

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: with no stragglers speculation is a no-op; "
                "as the straggler\nrate grows, backup copies clip the tail "
                "and the benefit widens.\n";
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

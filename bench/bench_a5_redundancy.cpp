@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
                "3-way\nreplication; GETs pay fan-in (k fragments) plus "
                "decode, PUTs pay encode but\nmove fragments instead of full "
                "copies.\n";
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

@@ -1,6 +1,7 @@
 // A6 — Ablation: logical-plan optimization (filter pushdown).
 // Job time and compute cost with and without the optimizer, across
-// filter selectivities.
+// filter selectivities. `--json` writes BENCH_a6_optimizer.json (fully
+// deterministic).
 #include <iostream>
 
 #include "cluster/cluster.hpp"
@@ -53,25 +54,32 @@ util::TimeNs run_plan(const dataflow::LogicalPlan& plan) {
 
 }  // namespace
 
-int main() {
-  core::Table table(
-      "A6: filter pushdown (1 GiB scan, 12 ns/B transform, 8 reducers)",
-      {"filter selectivity", "unoptimized", "optimized", "speedup"});
+int main(int argc, char** argv) {
+  core::MetricsReport report("a6_optimizer");
+  std::vector<std::pair<std::string, std::string>> rows;
   for (double selectivity : {0.8, 0.5, 0.2, 0.05}) {
     const auto base = run_plan(pipeline(selectivity));
     dataflow::OptimizerStats stats;
     const auto optimized = run_plan(
         dataflow::optimize(pipeline(selectivity), &stats));
-    table.add_row({util::fixed(selectivity, 2), util::human_time(base),
-                   util::human_time(optimized),
-                   util::fixed(static_cast<double>(base) /
-                                   static_cast<double>(optimized),
-                               2) +
-                       "x"});
+    const std::string p = "sel_" + util::fixed(selectivity, 2) + "_";
+    report.set(p + "unoptimized_ns", base);
+    report.set(p + "optimized_ns", optimized);
+    report.set(p + "speedup", static_cast<double>(base) /
+                                  static_cast<double>(optimized));
+    rows.emplace_back(util::fixed(selectivity, 2), p);
   }
-  table.print();
+  core::Table("A6: filter pushdown (1 GiB scan, 12 ns/B transform, 8 reducers)",
+              report, "filter selectivity", rows,
+              {{"unoptimized", "unoptimized_ns", core::nanos},
+               {"optimized", "optimized_ns", core::nanos},
+               {"speedup", "speedup", core::decimals(2, "x")}})
+      .print();
   std::cout << "\nShape check: the more selective the filter, the more the "
                "pushed-down\npredicate saves (the transform runs on the "
                "survivors only); at selectivity\n~1 the rewrite is a no-op.\n";
+  if (core::has_flag(argc, argv, "--json")) {
+    std::cout << "wrote " << report.write() << "\n";
+  }
   return 0;
 }

@@ -17,7 +17,6 @@
 // (Perfetto / chrome://tracing), showing retries, re-replication and
 // gang restarts as they interleave with the fault schedule.
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -57,31 +56,10 @@ dataflow::LogicalPlan scan_aggregate(const std::string& in,
   return plan;
 }
 
-struct ScenarioResult {
-  std::string name;
-  double makespan_s = 0;
-  int jobs_ok = 0;
-  int jobs_failed = 0;
-  std::int64_t tasks_killed = 0;
-  std::int64_t tasks_reexecuted = 0;
-  std::int64_t outputs_lost = 0;
-  std::int64_t task_retries = 0;
-  double resched_p50_ms = 0;
-  double resched_p95_ms = 0;
-  std::int64_t hpc_restarts = 0;
-  std::int64_t gang_aborts = 0;
-  double hpc_work_lost_s = 0;
-  double underrep_obj_s = 0;
-  std::int64_t objects_repaired = 0;
-  std::int64_t degraded_reads = 0;
-  std::int64_t lost_objects = 0;
-  std::int64_t failures_injected = 0;
-  double downtime_node_s = 0;
-};
-
-ScenarioResult run_scenario(const std::string& name, bool faults,
-                            bool recovery,
-                            std::unique_ptr<trace::Tracer>* tracer_out) {
+/// One scenario, recorded into `report` under `p`.
+void run_scenario(bool faults, bool recovery, core::MetricsReport& report,
+                  const std::string& p,
+                  std::unique_ptr<trace::Tracer>* tracer_out) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(kComputeNodes, kStorageNodes, 0);
   net::Topology topology(cluster);
@@ -141,8 +119,8 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
     store.preload({"cold", "obj-" + std::to_string(i)}, 8 * util::kMiB);
   }
 
-  ScenarioResult result;
-  result.name = name;
+  std::int64_t jobs_ok = 0, jobs_failed = 0, tasks_killed = 0,
+               tasks_reexecuted = 0, outputs_lost = 0, task_retries = 0;
   util::TimeNs last_finish = 0;
 
   std::vector<dataflow::ExecutorSpec> executors;
@@ -154,11 +132,11 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
     sim.at(util::millis(200) * j, [&, j, in] {
       engine.run(scan_aggregate(in, "out" + std::to_string(j)), executors,
                  [&](const dataflow::JobStats& s) {
-                   s.failed ? ++result.jobs_failed : ++result.jobs_ok;
-                   result.tasks_killed += s.tasks_killed;
-                   result.tasks_reexecuted += s.tasks_reexecuted;
-                   result.outputs_lost += s.map_outputs_lost;
-                   result.task_retries += s.task_retries;
+                   s.failed ? ++jobs_failed : ++jobs_ok;
+                   tasks_killed += s.tasks_killed;
+                   tasks_reexecuted += s.tasks_reexecuted;
+                   outputs_lost += s.map_outputs_lost;
+                   task_retries += s.task_retries;
                    last_finish = std::max(last_finish, sim.now());
                  });
     });
@@ -190,114 +168,91 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
 
   sim.run();
 
-  result.makespan_s = util::to_seconds(last_finish);
+  double resched_p50_ms = 0, resched_p95_ms = 0, hpc_work_lost_s = 0;
   if (engine.metrics().has_histogram("reschedule_latency_ms")) {
     const auto& h = engine.metrics().histogram("reschedule_latency_ms");
-    result.resched_p50_ms = static_cast<double>(h.p50());
-    result.resched_p95_ms = static_cast<double>(h.p95());
+    resched_p50_ms = static_cast<double>(h.p50());
+    resched_p95_ms = static_cast<double>(h.p95());
   }
-  // A batch gang restarts as a unit: each abort is one restart.
-  result.hpc_restarts = orch.metrics().counter("gang_restarts");
-  result.gang_aborts = result.hpc_restarts;
   if (orch.metrics().has_histogram("work_lost_ms")) {
     const auto& h = orch.metrics().histogram("work_lost_ms");
-    result.hpc_work_lost_s = h.mean() * static_cast<double>(h.count()) / 1e3;
+    hpc_work_lost_s = h.mean() * static_cast<double>(h.count()) / 1e3;
   }
-  result.underrep_obj_s = store.under_replicated_object_seconds();
-  result.objects_repaired = store.metrics().counter("objects_repaired");
-  result.degraded_reads = store.metrics().counter("degraded_reads");
-  result.lost_objects = store.lost_objects();
-  result.failures_injected = injector.failures_injected();
-  result.downtime_node_s = injector.downtime_node_seconds();
+  report.set(p + "makespan_s", util::to_seconds(last_finish));
+  report.set(p + "jobs_ok", jobs_ok);
+  report.set(p + "jobs_failed", jobs_failed);
+  report.set(p + "tasks_killed", tasks_killed);
+  report.set(p + "tasks_reexecuted", tasks_reexecuted);
+  report.set(p + "map_outputs_lost", outputs_lost);
+  report.set(p + "task_retries", task_retries);
+  report.set(p + "reschedule_p50_ms", resched_p50_ms);
+  report.set(p + "reschedule_p95_ms", resched_p95_ms);
+  // A batch gang restarts as a unit: each abort is one restart.
+  report.set(p + "hpc_restarts", orch.metrics().counter("gang_restarts"));
+  report.set(p + "hpc_gang_aborts", orch.metrics().counter("gang_restarts"));
+  report.set(p + "hpc_work_lost_s", hpc_work_lost_s);
+  report.set(p + "under_replicated_object_s",
+             store.under_replicated_object_seconds());
+  report.set(p + "objects_repaired",
+             store.metrics().counter("objects_repaired"));
+  report.set(p + "degraded_reads", store.metrics().counter("degraded_reads"));
+  report.set(p + "objects_lost", store.lost_objects());
+  report.set(p + "failures_injected", injector.failures_injected());
+  report.set(p + "downtime_node_s", injector.downtime_node_seconds());
   if (tracer) {
     tracer->close_open_spans();
     *tracer_out = std::move(tracer);
   }
-  return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
+  const bool tracing = core::has_flag(argc, argv, "--trace");
+  core::MetricsReport report("f10_faults");
   std::unique_ptr<trace::Tracer> base_tr, rec_tr, off_tr;
-  const ScenarioResult base =
-      run_scenario("fault-free", false, true, tracing ? &base_tr : nullptr);
-  const ScenarioResult rec =
-      run_scenario("recovery-on", true, true, tracing ? &rec_tr : nullptr);
-  const ScenarioResult off =
-      run_scenario("recovery-off", true, false, tracing ? &off_tr : nullptr);
+  run_scenario(false, true, report, "baseline_", tracing ? &base_tr : nullptr);
+  run_scenario(true, true, report, "recovery_", tracing ? &rec_tr : nullptr);
+  run_scenario(true, false, report, "norecovery_",
+               tracing ? &off_tr : nullptr);
+  const core::Row base(report, "baseline_"), rec(report, "recovery_");
+  report.set("recovery_makespan_overhead",
+             base["makespan_s"].real() > 0
+                 ? rec["makespan_s"].real() / base["makespan_s"].real()
+                 : 0.0);
 
-  core::Table table("F10: node failures across dataflow + HPC + storage",
-                    {"scenario", "makespan", "jobs ok/fail", "killed",
-                     "re-exec", "retries", "resched p95", "hpc restarts",
-                     "work lost"});
-  auto row = [&](const ScenarioResult& r) {
-    table.add_row({r.name, util::fixed(r.makespan_s, 2) + " s",
-                   std::to_string(r.jobs_ok) + "/" +
-                       std::to_string(r.jobs_failed),
-                   std::to_string(r.tasks_killed),
-                   std::to_string(r.tasks_reexecuted),
-                   std::to_string(r.task_retries),
-                   util::fixed(r.resched_p95_ms, 0) + " ms",
-                   std::to_string(r.hpc_restarts),
-                   util::fixed(r.hpc_work_lost_s, 1) + " s"});
-  };
-  row(base);
-  row(rec);
-  row(off);
-  table.print();
-
-  core::Table stores("F10b: storage degradation and repair",
-                     {"scenario", "underrep obj-s", "repaired",
-                      "degraded reads", "lost", "node downtime"});
-  auto srow = [&](const ScenarioResult& r) {
-    stores.add_row({r.name, util::fixed(r.underrep_obj_s, 1),
-                    std::to_string(r.objects_repaired),
-                    std::to_string(r.degraded_reads),
-                    std::to_string(r.lost_objects),
-                    util::fixed(r.downtime_node_s, 1) + " node-s"});
-  };
-  srow(base);
-  srow(rec);
-  srow(off);
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"fault-free", "baseline_"},
+      {"recovery-on", "recovery_"},
+      {"recovery-off", "norecovery_"}};
+  core::Table("F10: node failures across dataflow + HPC + storage", report,
+              "scenario", rows,
+              {{"makespan", "makespan_s", core::decimals(2, " s")},
+               {"jobs ok/fail",
+                [](const core::Row& r) {
+                  return std::to_string(r["jobs_ok"].count()) + "/" +
+                         std::to_string(r["jobs_failed"].count());
+                }},
+               {"killed", "tasks_killed"},
+               {"re-exec", "tasks_reexecuted"},
+               {"retries", "task_retries"},
+               {"resched p95", "reschedule_p95_ms", core::decimals(0, " ms")},
+               {"hpc restarts", "hpc_restarts"},
+               {"work lost", "hpc_work_lost_s", core::decimals(1, " s")}})
+      .print();
   std::cout << "\n";
-  stores.print();
+  core::Table(
+      "F10b: storage degradation and repair", report, "scenario", rows,
+      {{"underrep obj-s", "under_replicated_object_s", core::decimals(1)},
+       {"repaired", "objects_repaired"},
+       {"degraded reads", "degraded_reads"},
+       {"lost", "objects_lost"},
+       {"node downtime", "downtime_node_s", core::decimals(1, " node-s")}})
+      .print();
   std::cout << "\nShape check: recovery-on completes every job despite "
-            << rec.failures_injected
+            << rec["failures_injected"].count()
             << " injected failures; recovery-off loses jobs and leaves "
                "objects under-replicated for the rest of the run.\n";
-
-  core::MetricsReport report("f10_faults");
-  auto emit = [&](const std::string& prefix, const ScenarioResult& r) {
-    report.set(prefix + "_makespan_s", r.makespan_s);
-    report.set(prefix + "_jobs_ok", static_cast<std::int64_t>(r.jobs_ok));
-    report.set(prefix + "_jobs_failed",
-               static_cast<std::int64_t>(r.jobs_failed));
-    report.set(prefix + "_tasks_killed", r.tasks_killed);
-    report.set(prefix + "_tasks_reexecuted", r.tasks_reexecuted);
-    report.set(prefix + "_map_outputs_lost", r.outputs_lost);
-    report.set(prefix + "_task_retries", r.task_retries);
-    report.set(prefix + "_reschedule_p50_ms", r.resched_p50_ms);
-    report.set(prefix + "_reschedule_p95_ms", r.resched_p95_ms);
-    report.set(prefix + "_hpc_restarts", r.hpc_restarts);
-    report.set(prefix + "_hpc_gang_aborts", r.gang_aborts);
-    report.set(prefix + "_hpc_work_lost_s", r.hpc_work_lost_s);
-    report.set(prefix + "_under_replicated_object_s", r.underrep_obj_s);
-    report.set(prefix + "_objects_repaired", r.objects_repaired);
-    report.set(prefix + "_degraded_reads", r.degraded_reads);
-    report.set(prefix + "_objects_lost", r.lost_objects);
-    report.set(prefix + "_failures_injected", r.failures_injected);
-    report.set(prefix + "_downtime_node_s", r.downtime_node_s);
-  };
-  emit("baseline", base);
-  emit("recovery", rec);
-  emit("norecovery", off);
-  report.set("recovery_makespan_overhead",
-             base.makespan_s > 0 ? rec.makespan_s / base.makespan_s : 0.0);
 
   if (tracing) {
     std::cout << "wrote "
@@ -308,7 +263,7 @@ int main(int argc, char** argv) {
                       {"f10/recovery-off", off_tr.get()}})
               << "\n";
   }
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

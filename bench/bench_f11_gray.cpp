@@ -19,7 +19,6 @@
 // `--json` writes BENCH_f11_gray.json; `--trace` writes
 // TRACE_f11_gray.json with fault.degrade / fault.quarantine /
 // store.hedge / store.scrub / df.speculate spans.
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -49,18 +48,9 @@ constexpr int kStorageNodes = 4;
 
 // -- Scenario A: slow node --------------------------------------------
 
-struct SlowNodeResult {
-  double makespan_s = 0;
-  int jobs_ok = 0;
-  int jobs_failed = 0;
-  std::int64_t quarantines = 0;
-  std::int64_t probes = 0;
-  std::int64_t speculations = 0;
-  double time_to_quarantine_ms = -1;
-};
-
-SlowNodeResult run_slow_node(bool mitigate,
-                             std::unique_ptr<trace::Tracer>* tracer_out) {
+void run_slow_node(bool mitigate, core::MetricsReport& report,
+                   const std::string& p,
+                   std::unique_ptr<trace::Tracer>* tracer_out) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(kComputeNodes, kStorageNodes, 0);
   net::Topology topology(cluster);
@@ -107,7 +97,7 @@ SlowNodeResult run_slow_node(bool mitigate,
   std::vector<dataflow::ExecutorSpec> executors;
   for (auto node : compute) executors.push_back({node, 4});
 
-  SlowNodeResult result;
+  std::int64_t jobs_ok = 0, jobs_failed = 0;
   util::TimeNs last_finish = 0;
   constexpr int kJobs = 6;
   for (int j = 0; j < kJobs; ++j) {
@@ -123,7 +113,7 @@ SlowNodeResult run_slow_node(bool mitigate,
       const int reduced = plan.add_reduce_by_key(mapped, "agg", 8, 0.05);
       plan.add_sink(reduced, "out" + std::to_string(j));
       engine.run(plan, executors, [&](const dataflow::JobStats& s) {
-        s.failed ? ++result.jobs_failed : ++result.jobs_ok;
+        s.failed ? ++jobs_failed : ++jobs_ok;
         last_finish = std::max(last_finish, sim.now());
       });
     });
@@ -135,40 +125,28 @@ SlowNodeResult run_slow_node(bool mitigate,
 
   sim.run();
 
-  result.makespan_s = util::to_seconds(last_finish);
-  result.quarantines = quarantine.quarantines();
-  result.probes = quarantine.probes();
-  result.speculations = engine.metrics().counter("health_speculations");
-  result.time_to_quarantine_ms = quarantine.mean_time_to_quarantine_ms();
+  report.set(p + "makespan_s", util::to_seconds(last_finish));
+  report.set(p + "jobs_ok", jobs_ok);
+  report.set(p + "jobs_failed", jobs_failed);
+  report.set(p + "quarantines", quarantine.quarantines());
+  report.set(p + "probes", quarantine.probes());
+  report.set(p + "speculations",
+             engine.metrics().counter("health_speculations"));
+  report.set(p + "time_to_quarantine_ms",
+             quarantine.mean_time_to_quarantine_ms());
   if (tracer) {
     tracer->close_open_spans();
     *tracer_out = std::move(tracer);
   }
-  return result;
 }
 
 // -- Scenarios B/C: storage GET workload ------------------------------
 
-struct StorageResult {
-  double get_mean_ms = 0;
-  double get_p95_ms = 0;
-  std::int64_t hedges = 0;
-  std::int64_t hedge_wins = 0;
-  std::int64_t hedges_cancelled = 0;
-  double hedge_wasted_mib = 0;
-  std::int64_t checksum_failures = 0;
-  std::int64_t corrupted_reads = 0;
-  std::int64_t replicas_scrubbed = 0;
-  std::int64_t objects_repaired = 0;
-  int corrupted_left = 0;
-  std::int64_t flows_leaked = 0;
-};
-
 /// Shared GET-workload harness: preloads objects, streams seeded reads
 /// from compute-node clients, and reports latency + mitigation stats.
-StorageResult run_storage_scenario(
-    bool lossy_nic, bool bitrot, bool mitigate,
-    std::unique_ptr<trace::Tracer>* tracer_out) {
+void run_storage_scenario(bool lossy_nic, bool bitrot, bool mitigate,
+                          core::MetricsReport& report, const std::string& p,
+                          std::unique_ptr<trace::Tracer>* tracer_out) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(kComputeNodes, kStorageNodes, 0);
   net::Topology topology(cluster);
@@ -239,149 +217,106 @@ StorageResult run_storage_scenario(
 
   sim.run();
 
-  StorageResult result;
+  double get_mean_ms = 0, get_p95_ms = 0;
   if (store.metrics().has_histogram("get_latency_us")) {
     const auto& h = store.metrics().histogram("get_latency_us");
-    result.get_mean_ms = h.mean() / 1e3;
-    result.get_p95_ms = static_cast<double>(h.p95()) / 1e3;
+    get_mean_ms = h.mean() / 1e3;
+    get_p95_ms = static_cast<double>(h.p95()) / 1e3;
   }
-  result.hedges = store.hedges_launched();
-  result.hedge_wins = store.hedge_wins();
-  result.hedges_cancelled = store.hedges_cancelled();
-  result.hedge_wasted_mib =
-      static_cast<double>(store.hedge_wasted_bytes()) / util::kMiB;
-  result.checksum_failures = store.checksum_failures();
-  result.corrupted_reads = store.corrupted_reads_surfaced();
-  result.replicas_scrubbed = store.replicas_scrubbed();
-  result.objects_repaired = store.metrics().counter("objects_repaired");
-  result.corrupted_left = store.corrupted_replica_count();
-  result.flows_leaked = fabric.stats().flows_in_flight;
+  report.set(p + "get_mean_ms", get_mean_ms);
+  report.set(p + "get_p95_ms", get_p95_ms);
+  report.set(p + "hedges", store.hedges_launched());
+  report.set(p + "hedge_wins", store.hedge_wins());
+  report.set(p + "hedges_cancelled", store.hedges_cancelled());
+  report.set(p + "hedge_wasted_mib",
+             static_cast<double>(store.hedge_wasted_bytes()) / util::kMiB);
+  report.set(p + "checksum_failures", store.checksum_failures());
+  report.set(p + "corrupted_reads", store.corrupted_reads_surfaced());
+  report.set(p + "replicas_scrubbed", store.replicas_scrubbed());
+  report.set(p + "objects_repaired",
+             store.metrics().counter("objects_repaired"));
+  report.set(p + "corrupted_left", store.corrupted_replica_count());
+  report.set(p + "flows_leaked", fabric.stats().flows_in_flight);
   if (tracer) {
     tracer->close_open_spans();
     *tracer_out = std::move(tracer);
   }
-  return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
-
-  std::unique_ptr<trace::Tracer> slow_tr, lossy_tr, rot_tr;
-  const SlowNodeResult slow_on =
-      run_slow_node(true, tracing ? &slow_tr : nullptr);
-  const SlowNodeResult slow_off = run_slow_node(false, nullptr);
-  const StorageResult lossy_on =
-      run_storage_scenario(true, false, true, tracing ? &lossy_tr : nullptr);
-  const StorageResult lossy_off =
-      run_storage_scenario(true, false, false, nullptr);
-  const StorageResult rot_on =
-      run_storage_scenario(false, true, true, tracing ? &rot_tr : nullptr);
-  const StorageResult rot_off =
-      run_storage_scenario(false, true, false, nullptr);
-
-  core::Table slow("F11a: slow node (6x) — quarantine + speculation",
-                   {"mitigation", "makespan", "jobs ok/fail", "quarantines",
-                    "probes", "speculations", "time-to-quarantine"});
-  auto srow = [&](const std::string& name, const SlowNodeResult& r) {
-    slow.add_row({name, util::fixed(r.makespan_s, 2) + " s",
-                  std::to_string(r.jobs_ok) + "/" +
-                      std::to_string(r.jobs_failed),
-                  std::to_string(r.quarantines), std::to_string(r.probes),
-                  std::to_string(r.speculations),
-                  r.time_to_quarantine_ms < 0
-                      ? "-"
-                      : util::fixed(r.time_to_quarantine_ms, 0) + " ms"});
-  };
-  srow("on", slow_on);
-  srow("off", slow_off);
-  slow.print();
-
-  core::Table lossy("F11b: lossy NIC — hedged reads",
-                    {"mitigation", "get mean", "get p95", "hedges", "wins",
-                     "cancelled", "wasted"});
-  auto lrow = [&](const std::string& name, const StorageResult& r) {
-    lossy.add_row({name, util::fixed(r.get_mean_ms, 2) + " ms",
-                   util::fixed(r.get_p95_ms, 2) + " ms",
-                   std::to_string(r.hedges), std::to_string(r.hedge_wins),
-                   std::to_string(r.hedges_cancelled),
-                   util::fixed(r.hedge_wasted_mib, 1) + " MiB"});
-  };
-  lrow("on", lossy_on);
-  lrow("off", lossy_off);
-  std::cout << "\n";
-  lossy.print();
-
-  core::Table rot("F11c: bit-rot — checksums + scrubber",
-                  {"mitigation", "corrupted reads", "checksum fails",
-                   "scrubbed", "repaired", "corrupted left"});
-  auto rrow = [&](const std::string& name, const StorageResult& r) {
-    rot.add_row({name, std::to_string(r.corrupted_reads),
-                 std::to_string(r.checksum_failures),
-                 std::to_string(r.replicas_scrubbed),
-                 std::to_string(r.objects_repaired),
-                 std::to_string(r.corrupted_left)});
-  };
-  rrow("on", rot_on);
-  rrow("off", rot_off);
-  std::cout << "\n";
-  rot.print();
-
-  std::cout << "\nShape check: mitigation cuts the slow-node makespan ("
-            << util::fixed(slow_off.makespan_s, 2) << " -> "
-            << util::fixed(slow_on.makespan_s, 2)
-            << " s), hedging cuts lossy-link p95 ("
-            << util::fixed(lossy_off.get_p95_ms, 1) << " -> "
-            << util::fixed(lossy_on.get_p95_ms, 1)
-            << " ms), and with checksums on "
-            << rot_on.corrupted_reads
-            << " corrupted reads reach callers (vs "
-            << rot_off.corrupted_reads << " without).\n";
+  const bool tracing = core::has_flag(argc, argv, "--trace");
 
   core::MetricsReport report("f11_gray");
-  auto emit_slow = [&](const std::string& p, const SlowNodeResult& r) {
-    report.set(p + "_makespan_s", r.makespan_s);
-    report.set(p + "_jobs_ok", static_cast<std::int64_t>(r.jobs_ok));
-    report.set(p + "_jobs_failed", static_cast<std::int64_t>(r.jobs_failed));
-    report.set(p + "_quarantines", r.quarantines);
-    report.set(p + "_probes", r.probes);
-    report.set(p + "_speculations", r.speculations);
-    report.set(p + "_time_to_quarantine_ms", r.time_to_quarantine_ms);
-  };
-  auto emit_store = [&](const std::string& p, const StorageResult& r) {
-    report.set(p + "_get_mean_ms", r.get_mean_ms);
-    report.set(p + "_get_p95_ms", r.get_p95_ms);
-    report.set(p + "_hedges", r.hedges);
-    report.set(p + "_hedge_wins", r.hedge_wins);
-    report.set(p + "_hedges_cancelled", r.hedges_cancelled);
-    report.set(p + "_hedge_wasted_mib", r.hedge_wasted_mib);
-    report.set(p + "_checksum_failures", r.checksum_failures);
-    report.set(p + "_corrupted_reads", r.corrupted_reads);
-    report.set(p + "_replicas_scrubbed", r.replicas_scrubbed);
-    report.set(p + "_objects_repaired", r.objects_repaired);
-    report.set(p + "_corrupted_left",
-               static_cast<std::int64_t>(r.corrupted_left));
-    report.set(p + "_flows_leaked", r.flows_leaked);
-  };
-  emit_slow("slow_on", slow_on);
-  emit_slow("slow_off", slow_off);
-  emit_store("lossy_on", lossy_on);
-  emit_store("lossy_off", lossy_off);
-  emit_store("bitrot_on", rot_on);
-  emit_store("bitrot_off", rot_off);
+  std::unique_ptr<trace::Tracer> slow_tr, lossy_tr, rot_tr;
+  run_slow_node(true, report, "slow_on_", tracing ? &slow_tr : nullptr);
+  run_slow_node(false, report, "slow_off_", nullptr);
+  run_storage_scenario(true, false, true, report, "lossy_on_",
+                       tracing ? &lossy_tr : nullptr);
+  run_storage_scenario(true, false, false, report, "lossy_off_", nullptr);
+  run_storage_scenario(false, true, true, report, "bitrot_on_",
+                       tracing ? &rot_tr : nullptr);
+  run_storage_scenario(false, true, false, report, "bitrot_off_", nullptr);
+  const core::Row slow_on(report, "slow_on_"), slow_off(report, "slow_off_");
+  const core::Row lossy_on(report, "lossy_on_"),
+      lossy_off(report, "lossy_off_");
+  const core::Row rot_on(report, "bitrot_on_"), rot_off(report, "bitrot_off_");
   report.set("slow_mitigation_speedup",
-             slow_on.makespan_s > 0
-                 ? slow_off.makespan_s / slow_on.makespan_s
+             slow_on["makespan_s"].real() > 0
+                 ? slow_off["makespan_s"].real() / slow_on["makespan_s"].real()
                  : 0.0);
   report.set("lossy_hedge_win_rate",
-             lossy_on.hedges > 0
-                 ? static_cast<double>(lossy_on.hedge_wins) /
-                       static_cast<double>(lossy_on.hedges)
+             lossy_on["hedges"].count() > 0
+                 ? lossy_on["hedge_wins"].real() / lossy_on["hedges"].real()
                  : 0.0);
+
+  core::Table("F11a: slow node (6x) — quarantine + speculation", report,
+              "mitigation", {{"on", "slow_on_"}, {"off", "slow_off_"}},
+              {{"makespan", "makespan_s", core::decimals(2, " s")},
+               {"jobs ok/fail",
+                [](const core::Row& r) {
+                  return std::to_string(r["jobs_ok"].count()) + "/" +
+                         std::to_string(r["jobs_failed"].count());
+                }},
+               {"quarantines", "quarantines"},
+               {"probes", "probes"},
+               {"speculations", "speculations"},
+               {"time-to-quarantine", "time_to_quarantine_ms",
+                [](double v) {
+                  return v < 0 ? "-" : util::fixed(v, 0) + " ms";
+                }}})
+      .print();
+  std::cout << "\n";
+  core::Table("F11b: lossy NIC — hedged reads", report, "mitigation",
+              {{"on", "lossy_on_"}, {"off", "lossy_off_"}},
+              {{"get mean", "get_mean_ms", core::decimals(2, " ms")},
+               {"get p95", "get_p95_ms", core::decimals(2, " ms")},
+               {"hedges", "hedges"},
+               {"wins", "hedge_wins"},
+               {"cancelled", "hedges_cancelled"},
+               {"wasted", "hedge_wasted_mib", core::decimals(1, " MiB")}})
+      .print();
+  std::cout << "\n";
+  core::Table("F11c: bit-rot — checksums + scrubber", report, "mitigation",
+              {{"on", "bitrot_on_"}, {"off", "bitrot_off_"}},
+              {{"corrupted reads", "corrupted_reads"},
+               {"checksum fails", "checksum_failures"},
+               {"scrubbed", "replicas_scrubbed"},
+               {"repaired", "objects_repaired"},
+               {"corrupted left", "corrupted_left"}})
+      .print();
+
+  std::cout << "\nShape check: mitigation cuts the slow-node makespan ("
+            << util::fixed(slow_off["makespan_s"].real(), 2) << " -> "
+            << util::fixed(slow_on["makespan_s"].real(), 2)
+            << " s), hedging cuts lossy-link p95 ("
+            << util::fixed(lossy_off["get_p95_ms"].real(), 1) << " -> "
+            << util::fixed(lossy_on["get_p95_ms"].real(), 1)
+            << " ms), and with checksums on "
+            << rot_on["corrupted_reads"].count()
+            << " corrupted reads reach callers (vs "
+            << rot_off["corrupted_reads"].count() << " without).\n";
 
   if (tracing) {
     std::cout << "wrote "
@@ -391,7 +326,7 @@ int main(int argc, char** argv) {
                                   {"f11/bit-rot", rot_tr.get()}})
               << "\n";
   }
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

@@ -29,7 +29,6 @@
 // deterministic); `--trace` additionally writes TRACE_f12_serving.json
 // with serve.request / serve.queue / serve.batch / serve.exec /
 // serve.hedge spans and must not change any metric.
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -56,58 +55,44 @@ using namespace evolve;
 
 namespace {
 
-struct RunResult {
-  std::int64_t arrived = 0;
-  std::int64_t completed = 0;
-  std::int64_t shed_admission = 0;
-  std::int64_t shed_queue_full = 0;
-  std::int64_t slo_violations = 0;
-  std::int64_t goodput = 0;  // completed within SLO
-  double p50_ms = 0;
-  double p99_ms = 0;
-  double p999_ms = 0;
-  double mean_batch = 0;  // batch occupancy
-  std::int64_t hedges = 0;
-  std::int64_t hedge_wins = 0;
-  std::int64_t hedges_cancelled = 0;
-  std::int64_t wasted_exec = 0;
-  std::int64_t rerouted = 0;
-  std::int64_t flows_leaked = 0;
-  // autoscale only
-  int peak_replicas = 0;
-  int final_replicas = 0;
-  std::int64_t scale_ups = 0;
-  std::int64_t scale_downs = 0;
-};
-
-void snapshot(const serve::Service& svc, RunResult* out) {
+/// Records the service's outcome counters under `p`.
+void snapshot(const serve::Service& svc, const net::Fabric& fabric,
+              core::MetricsReport& report, const std::string& p) {
   const metrics::Registry& m = svc.metrics();
-  out->arrived = m.counter("serve.requests");
-  out->completed = m.counter("serve.completed");
-  out->shed_admission = m.counter("serve.shed_admission");
-  out->shed_queue_full = m.counter("serve.shed_queue_full");
-  out->slo_violations = m.counter("serve.slo_violations");
-  out->goodput = out->completed - out->slo_violations;
+  double p50_ms = 0, p99_ms = 0, p999_ms = 0, mean_batch = 0;
   if (m.has_histogram("serve.latency_us")) {
     const auto& h = m.histogram("serve.latency_us");
-    out->p50_ms = static_cast<double>(h.p50()) / 1e3;
-    out->p99_ms = static_cast<double>(h.p99()) / 1e3;
-    out->p999_ms = static_cast<double>(h.p999()) / 1e3;
+    p50_ms = static_cast<double>(h.p50()) / 1e3;
+    p99_ms = static_cast<double>(h.p99()) / 1e3;
+    p999_ms = static_cast<double>(h.p999()) / 1e3;
   }
   if (m.has_histogram("serve.batch_size")) {
-    out->mean_batch = m.histogram("serve.batch_size").mean();
+    mean_batch = m.histogram("serve.batch_size").mean();
   }
-  out->hedges = svc.hedges_launched();
-  out->hedge_wins = svc.hedge_wins();
-  out->hedges_cancelled = svc.hedges_cancelled();
-  out->wasted_exec = svc.wasted_exec();
-  out->rerouted = svc.rerouted();
+  report.set(p + "arrived", m.counter("serve.requests"));
+  report.set(p + "completed", m.counter("serve.completed"));
+  report.set(p + "goodput", m.counter("serve.completed") -
+                                m.counter("serve.slo_violations"));
+  report.set(p + "shed_admission", m.counter("serve.shed_admission"));
+  report.set(p + "shed_queue_full", m.counter("serve.shed_queue_full"));
+  report.set(p + "slo_violations", m.counter("serve.slo_violations"));
+  report.set(p + "p50_ms", p50_ms);
+  report.set(p + "p99_ms", p99_ms);
+  report.set(p + "p999_ms", p999_ms);
+  report.set(p + "mean_batch", mean_batch);
+  report.set(p + "hedges", svc.hedges_launched());
+  report.set(p + "hedge_wins", svc.hedge_wins());
+  report.set(p + "hedges_cancelled", svc.hedges_cancelled());
+  report.set(p + "wasted_exec", svc.wasted_exec());
+  report.set(p + "rerouted", svc.rerouted());
+  report.set(p + "flows_leaked", fabric.stats().flows_in_flight);
 }
 
 // -- Scenario A: steady state, batching on/off ------------------------
 
-RunResult run_steady(bool batching,
-                     std::unique_ptr<trace::Tracer>* tracer_out) {
+void run_steady(bool batching, core::MetricsReport& report,
+                const std::string& p,
+                std::unique_ptr<trace::Tracer>* tracer_out) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(4, 2, 0);
   net::Topology topology(cluster);
@@ -160,20 +145,18 @@ RunResult run_steady(bool batching,
 
   sim.run();
 
-  RunResult result;
-  snapshot(service, &result);
-  result.flows_leaked = fabric.stats().flows_in_flight;
+  snapshot(service, fabric, report, p);
   if (tracer) {
     tracer->close_open_spans();
     *tracer_out = std::move(tracer);
   }
-  return result;
 }
 
 // -- Scenario B: slow replica, routing policy + hedging ---------------
 
-RunResult run_slow_replica(serve::BalancePolicy policy, bool hedging,
-                           std::unique_ptr<trace::Tracer>* tracer_out) {
+void run_slow_replica(serve::BalancePolicy policy, bool hedging,
+                      core::MetricsReport& report, const std::string& p,
+                      std::unique_ptr<trace::Tracer>* tracer_out) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(6, 2, 0);
   net::Topology topology(cluster);
@@ -226,19 +209,17 @@ RunResult run_slow_replica(serve::BalancePolicy policy, bool hedging,
 
   sim.run();
 
-  RunResult result;
-  snapshot(service, &result);
-  result.flows_leaked = fabric.stats().flows_in_flight;
+  snapshot(service, fabric, report, p);
   if (tracer) {
     tracer->close_open_spans();
     *tracer_out = std::move(tracer);
   }
-  return result;
 }
 
 // -- Scenario C: arrival spike, admission shedding on/off -------------
 
-RunResult run_spike(bool shedding) {
+void run_spike(bool shedding, core::MetricsReport& report,
+               const std::string& p) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(3, 2, 0);
   net::Topology topology(cluster);
@@ -284,15 +265,12 @@ RunResult run_spike(bool shedding) {
 
   sim.run();
 
-  RunResult result;
-  snapshot(service, &result);
-  result.flows_leaked = fabric.stats().flows_in_flight;
-  return result;
+  snapshot(service, fabric, report, p);
 }
 
 // -- Scenario D: latency-aware autoscaling ----------------------------
 
-RunResult run_autoscale() {
+void run_autoscale(core::MetricsReport& report) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(12, 2, 0);
   net::Topology topology(cluster);
@@ -365,14 +343,11 @@ RunResult run_autoscale() {
   hpa.stop();
   sim.run();
 
-  RunResult result;
-  snapshot(service, &result);
-  result.flows_leaked = fabric.stats().flows_in_flight;
-  result.peak_replicas = peak;
-  result.final_replicas = deploy.desired();
-  result.scale_ups = hpa.scale_ups();
-  result.scale_downs = hpa.scale_downs();
-  return result;
+  snapshot(service, fabric, report, "autoscale_");
+  report.set("autoscale_peak_replicas", peak);
+  report.set("autoscale_final_replicas", deploy.desired());
+  report.set("autoscale_scale_ups", hpa.scale_ups());
+  report.set("autoscale_scale_downs", hpa.scale_downs());
 }
 
 std::string ms(double v) { return util::fixed(v, 1) + " ms"; }
@@ -380,121 +355,88 @@ std::string ms(double v) { return util::fixed(v, 1) + " ms"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
-
-  std::unique_ptr<trace::Tracer> steady_tr, slow_tr;
-  const RunResult batch_on = run_steady(true, tracing ? &steady_tr : nullptr);
-  const RunResult batch_off = run_steady(false, nullptr);
-  const RunResult slow_rr =
-      run_slow_replica(serve::BalancePolicy::kRoundRobin, false, nullptr);
-  const RunResult slow_p2c =
-      run_slow_replica(serve::BalancePolicy::kPowerOfTwo, false, nullptr);
-  const RunResult slow_p2c_hedge = run_slow_replica(
-      serve::BalancePolicy::kPowerOfTwo, true, tracing ? &slow_tr : nullptr);
-  const RunResult spike_shed = run_spike(true);
-  const RunResult spike_noshed = run_spike(false);
-  const RunResult autoscaled = run_autoscale();
-
-  core::Table steady("F12a: 600 req/s on 4 replicas — dynamic batching",
-                     {"batching", "completed", "goodput", "shed", "p50",
-                      "p99", "mean batch"});
-  auto steady_row = [&](const std::string& name, const RunResult& r) {
-    steady.add_row({name, std::to_string(r.completed),
-                    std::to_string(r.goodput),
-                    std::to_string(r.shed_admission + r.shed_queue_full),
-                    ms(r.p50_ms), ms(r.p99_ms), util::fixed(r.mean_batch, 2)});
-  };
-  steady_row("on (max 8)", batch_on);
-  steady_row("off (batch=1)", batch_off);
-  steady.print();
-
-  core::Table slow("F12b: one 4x-slow replica of 6 — routing + hedging",
-                   {"policy", "goodput", "shed", "p50", "p99", "p99.9",
-                    "hedges", "wins"});
-  auto slow_row = [&](const std::string& name, const RunResult& r) {
-    slow.add_row({name, std::to_string(r.goodput),
-                  std::to_string(r.shed_admission + r.shed_queue_full),
-                  ms(r.p50_ms), ms(r.p99_ms), ms(r.p999_ms),
-                  std::to_string(r.hedges), std::to_string(r.hedge_wins)});
-  };
-  slow_row("round-robin", slow_rr);
-  slow_row("p2c", slow_p2c);
-  slow_row("p2c + hedge", slow_p2c_hedge);
-  std::cout << "\n";
-  slow.print();
-
-  core::Table spike("F12c: 6x arrival spike — CoDel admission shedding",
-                    {"shedding", "completed", "goodput", "shed adm",
-                     "shed full", "slo viol", "p99"});
-  auto spike_row = [&](const std::string& name, const RunResult& r) {
-    spike.add_row({name, std::to_string(r.completed),
-                   std::to_string(r.goodput),
-                   std::to_string(r.shed_admission),
-                   std::to_string(r.shed_queue_full),
-                   std::to_string(r.slo_violations), ms(r.p99_ms)});
-  };
-  spike_row("on", spike_shed);
-  spike_row("off", spike_noshed);
-  std::cout << "\n";
-  spike.print();
-
-  core::Table auto_t("F12d: 20 s surge — latency-aware autoscaling",
-                     {"replicas", "peak", "final", "ups", "downs", "goodput",
-                      "p99", "shed"});
-  auto_t.add_row({"2..12", std::to_string(autoscaled.peak_replicas),
-                  std::to_string(autoscaled.final_replicas),
-                  std::to_string(autoscaled.scale_ups),
-                  std::to_string(autoscaled.scale_downs),
-                  std::to_string(autoscaled.goodput), ms(autoscaled.p99_ms),
-                  std::to_string(autoscaled.shed_admission +
-                                 autoscaled.shed_queue_full)});
-  std::cout << "\n";
-  auto_t.print();
-
-  std::cout << "\nShape check: batching lifts goodput " << batch_off.goodput
-            << " -> " << batch_on.goodput << ", p2c cuts slow-replica p99 "
-            << ms(slow_rr.p99_ms) << " -> " << ms(slow_p2c.p99_ms)
-            << " (hedged " << ms(slow_p2c_hedge.p99_ms)
-            << "), shedding holds the spike's admitted p99 at "
-            << ms(spike_shed.p99_ms) << " (vs " << ms(spike_noshed.p99_ms)
-            << "), and the autoscaler rides the surge to "
-            << autoscaled.peak_replicas << " replicas and back to "
-            << autoscaled.final_replicas << ".\n";
+  const bool tracing = core::has_flag(argc, argv, "--trace");
 
   core::MetricsReport report("f12_serving");
-  auto emit = [&](const std::string& p, const RunResult& r) {
-    report.set(p + "_arrived", r.arrived);
-    report.set(p + "_completed", r.completed);
-    report.set(p + "_goodput", r.goodput);
-    report.set(p + "_shed_admission", r.shed_admission);
-    report.set(p + "_shed_queue_full", r.shed_queue_full);
-    report.set(p + "_slo_violations", r.slo_violations);
-    report.set(p + "_p50_ms", r.p50_ms);
-    report.set(p + "_p99_ms", r.p99_ms);
-    report.set(p + "_p999_ms", r.p999_ms);
-    report.set(p + "_mean_batch", r.mean_batch);
-    report.set(p + "_hedges", r.hedges);
-    report.set(p + "_hedge_wins", r.hedge_wins);
-    report.set(p + "_hedges_cancelled", r.hedges_cancelled);
-    report.set(p + "_wasted_exec", r.wasted_exec);
-    report.set(p + "_rerouted", r.rerouted);
-    report.set(p + "_flows_leaked", r.flows_leaked);
+  std::unique_ptr<trace::Tracer> steady_tr, slow_tr;
+  run_steady(true, report, "steady_batch_on_", tracing ? &steady_tr : nullptr);
+  run_steady(false, report, "steady_batch_off_", nullptr);
+  run_slow_replica(serve::BalancePolicy::kRoundRobin, false, report,
+                   "slow_rr_", nullptr);
+  run_slow_replica(serve::BalancePolicy::kPowerOfTwo, false, report,
+                   "slow_p2c_", nullptr);
+  run_slow_replica(serve::BalancePolicy::kPowerOfTwo, true, report,
+                   "slow_p2c_hedge_", tracing ? &slow_tr : nullptr);
+  run_spike(true, report, "spike_shed_on_");
+  run_spike(false, report, "spike_shed_off_");
+  run_autoscale(report);
+
+  const core::Column shed("shed", [](const core::Row& r) {
+    return std::to_string(r["shed_admission"].count() +
+                          r["shed_queue_full"].count());
+  });
+  core::Table("F12a: 600 req/s on 4 replicas — dynamic batching", report,
+              "batching",
+              {{"on (max 8)", "steady_batch_on_"},
+               {"off (batch=1)", "steady_batch_off_"}},
+              {{"completed", "completed"},
+               {"goodput", "goodput"},
+               shed,
+               {"p50", "p50_ms", ms},
+               {"p99", "p99_ms", ms},
+               {"mean batch", "mean_batch", core::decimals(2)}})
+      .print();
+  std::cout << "\n";
+  core::Table("F12b: one 4x-slow replica of 6 — routing + hedging", report,
+              "policy",
+              {{"round-robin", "slow_rr_"},
+               {"p2c", "slow_p2c_"},
+               {"p2c + hedge", "slow_p2c_hedge_"}},
+              {{"goodput", "goodput"},
+               shed,
+               {"p50", "p50_ms", ms},
+               {"p99", "p99_ms", ms},
+               {"p99.9", "p999_ms", ms},
+               {"hedges", "hedges"},
+               {"wins", "hedge_wins"}})
+      .print();
+  std::cout << "\n";
+  core::Table("F12c: 6x arrival spike — CoDel admission shedding", report,
+              "shedding",
+              {{"on", "spike_shed_on_"}, {"off", "spike_shed_off_"}},
+              {{"completed", "completed"},
+               {"goodput", "goodput"},
+               {"shed adm", "shed_admission"},
+               {"shed full", "shed_queue_full"},
+               {"slo viol", "slo_violations"},
+               {"p99", "p99_ms", ms}})
+      .print();
+  std::cout << "\n";
+  core::Table("F12d: 20 s surge — latency-aware autoscaling", report,
+              "replicas", {{"2..12", "autoscale_"}},
+              {{"peak", "peak_replicas"},
+               {"final", "final_replicas"},
+               {"ups", "scale_ups"},
+               {"downs", "scale_downs"},
+               {"goodput", "goodput"},
+               {"p99", "p99_ms", ms},
+               shed})
+      .print();
+
+  const auto p99 = [&report](const std::string& p) {
+    return ms(report.get(p + "p99_ms").real());
   };
-  emit("steady_batch_on", batch_on);
-  emit("steady_batch_off", batch_off);
-  emit("slow_rr", slow_rr);
-  emit("slow_p2c", slow_p2c);
-  emit("slow_p2c_hedge", slow_p2c_hedge);
-  emit("spike_shed_on", spike_shed);
-  emit("spike_shed_off", spike_noshed);
-  emit("autoscale", autoscaled);
-  report.set("autoscale_peak_replicas", autoscaled.peak_replicas);
-  report.set("autoscale_final_replicas", autoscaled.final_replicas);
-  report.set("autoscale_scale_ups", autoscaled.scale_ups);
-  report.set("autoscale_scale_downs", autoscaled.scale_downs);
+  const core::Row autoscaled(report, "autoscale_");
+  std::cout << "\nShape check: batching lifts goodput "
+            << report.get("steady_batch_off_goodput").count() << " -> "
+            << report.get("steady_batch_on_goodput").count()
+            << ", p2c cuts slow-replica p99 " << p99("slow_rr_") << " -> "
+            << p99("slow_p2c_") << " (hedged " << p99("slow_p2c_hedge_")
+            << "), shedding holds the spike's admitted p99 at "
+            << p99("spike_shed_on_") << " (vs " << p99("spike_shed_off_")
+            << "), and the autoscaler rides the surge to "
+            << autoscaled["peak_replicas"].count() << " replicas and back to "
+            << autoscaled["final_replicas"].count() << ".\n";
 
   if (tracing) {
     std::cout << "wrote "
@@ -503,7 +445,7 @@ int main(int argc, char** argv) {
                                      {"f12/slow-replica", slow_tr.get()}})
               << "\n";
   }
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

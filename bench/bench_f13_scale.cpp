@@ -189,10 +189,7 @@ double wall_per_sim_hour(const ScaleResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") quick = true;
-  }
+  const bool quick = core::has_flag(argc, argv, "--quick");
 
   struct Point {
     int nodes;
@@ -284,7 +281,7 @@ int main(int argc, char** argv) {
                "executed event stream); events/sec should stay roughly flat "
                "from 1k to 100k nodes for the calendar queue.\n";
 
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

@@ -137,18 +137,13 @@ PolicyResult run_policy(const Policy& policy, double rebuild_bytes_per_s) {
   return r;
 }
 
-struct PlacementResult {
-  int worst_frags_per_rack = 0;
-  std::int64_t objects_lost = 0;
-  std::int64_t objects_repaired = 0;
-};
-
 /// F14b scenario: EC(4,2) x 48 objects; every rack goes dark for 200ms
 /// in turn, with two seconds between outages for rebuild to restore
 /// full redundancy. Rack-aware placement caps every stripe at 2 (= m)
 /// fragments per rack, so no outage can kill a stripe; pure HRW packs
 /// 3+ fragments of some stripes into one rack and loses them.
-PlacementResult run_placement(bool rack_aware) {
+void run_placement(bool rack_aware, core::MetricsReport& report,
+                   const std::string& p) {
   sim::Simulation sim;
   auto cluster =
       cluster::make_testbed(kComputeNodes, kStorageNodes, 0, kRacks);
@@ -166,14 +161,14 @@ PlacementResult run_placement(bool rack_aware) {
 
   store.create_bucket("d");
   constexpr int kObjects = 48;
-  PlacementResult r;
+  int worst_frags_per_rack = 0;
   for (int i = 0; i < kObjects; ++i) {
     const storage::ObjectKey key{"d", util::numbered("o", i)};
     store.preload(key, kObjectBytes);
     std::map<int, int> per_rack;
     for (auto n : store.locate(key)) {
-      r.worst_frags_per_rack =
-          std::max(r.worst_frags_per_rack, ++per_rack[cluster.node(n).rack]);
+      worst_frags_per_rack =
+          std::max(worst_frags_per_rack, ++per_rack[cluster.node(n).rack]);
     }
   }
   for (int rack = 0; rack < kRacks; ++rack) {
@@ -181,9 +176,10 @@ PlacementResult run_placement(bool rack_aware) {
                                   util::millis(200));
   }
   sim.run();
-  r.objects_lost = store.durability_stats().objects_lost;
-  r.objects_repaired = store.metrics().counter("objects_repaired");
-  return r;
+  report.set(p + "worst_frags_per_rack", worst_frags_per_rack);
+  report.set(p + "objects_lost", store.durability_stats().objects_lost);
+  report.set(p + "objects_repaired",
+             store.metrics().counter("objects_repaired"));
 }
 
 }  // namespace
@@ -233,36 +229,25 @@ int main(int argc, char** argv) {
   // --- F14b: rack-aware vs rack-oblivious EC(4,2) placement -----------
   std::cout << "\n";
   {
-    const PlacementResult aware = run_placement(true);
-    const PlacementResult oblivious = run_placement(false);
-    core::Table table(
-        "F14b: EC(4,2), every rack downed in turn (48 objects)",
-        {"placement", "worst frags/rack", "objects lost", "repaired"});
-    table.add_row({"rack-aware", std::to_string(aware.worst_frags_per_rack),
-                   std::to_string(aware.objects_lost),
-                   std::to_string(aware.objects_repaired)});
-    table.add_row({"rack-oblivious",
-                   std::to_string(oblivious.worst_frags_per_rack),
-                   std::to_string(oblivious.objects_lost),
-                   std::to_string(oblivious.objects_repaired)});
-    table.print();
-    report.set("aware_worst_frags_per_rack", aware.worst_frags_per_rack);
-    report.set("aware_objects_lost", aware.objects_lost);
-    report.set("aware_objects_repaired", aware.objects_repaired);
-    report.set("oblivious_worst_frags_per_rack",
-               oblivious.worst_frags_per_rack);
-    report.set("oblivious_objects_lost", oblivious.objects_lost);
-    report.set("oblivious_objects_repaired", oblivious.objects_repaired);
+    run_placement(true, report, "aware_");
+    run_placement(false, report, "oblivious_");
+    core::Table("F14b: EC(4,2), every rack downed in turn (48 objects)",
+                report, "placement",
+                {{"rack-aware", "aware_"}, {"rack-oblivious", "oblivious_"}},
+                {{"worst frags/rack", "worst_frags_per_rack"},
+                 {"objects lost", "objects_lost"},
+                 {"repaired", "objects_repaired"}})
+        .print();
     std::cout << "\nShape check: the rack cap holds every stripe at <= 2 "
                  "fragments per rack,\nso rack-aware placement loses "
                  "nothing while oblivious HRW loses "
-              << oblivious.objects_lost
+              << report.get("oblivious_objects_lost").count()
               << " objects; the rebuild throttle trades slower repair "
                  "(at-risk fragment-seconds)\nfor a flatter foreground "
                  "GET p99.\n";
   }
 
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

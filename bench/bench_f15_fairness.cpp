@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
                "budget-gated preemption pull every tenant toward its\n"
                "share (jain -> 1) at bounded preemption churn.\n";
 
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     core::MetricsReport report("f15_fairness");
     report.set("jain_fair", fair.jain);
     report.set("jain_priority", priority.jain);

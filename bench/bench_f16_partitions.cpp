@@ -59,15 +59,10 @@ constexpr util::TimeNs kHealAt = util::seconds(60);
 constexpr util::TimeNs kRecoverUntil = util::seconds(70);
 constexpr util::TimeNs kHorizon = util::seconds(90);
 
+/// One time window's goodput and completion latencies (for its p99).
 struct WindowStats {
-  explicit WindowStats(double span = 1.0) : span_s(span) {}
-
-  double span_s;
-  std::int64_t completed = 0;
   std::int64_t goodput = 0;  // completed within SLO
   std::vector<double> latencies_ms;
-
-  double goodput_rate() const { return static_cast<double>(goodput) / span_s; }
 
   double p99_ms() {
     if (latencies_ms.empty()) return 0.0;
@@ -78,28 +73,8 @@ struct WindowStats {
   }
 };
 
-struct RunResult {
-  WindowStats pre, during, recover, settled;
-  double recovery_ratio = 0;  // recovery-window goodput rate / pre rate
-  // 1-second goodput buckets; degraded = below 90% of the pre-window
-  // rate. With defenses the lease drain ends the degradation a TTL or so
-  // into the partition; without them it lasts until the heal.
-  std::vector<std::int64_t> per_second;
-  std::int64_t degraded_seconds = 0;
-  std::int64_t arrived = 0;
-  std::int64_t completed = 0;
-  std::int64_t shed = 0;
-  std::int64_t hedges = 0;
-  std::int64_t hedges_suppressed = 0;
-  std::int64_t wasted_exec = 0;
-  std::int64_t expiries = 0;
-  std::int64_t reconnects = 0;
-  std::int64_t evictions = 0;
-  std::int64_t flows_parked = 0;
-  std::int64_t flows_leaked = 0;
-};
-
-RunResult run(bool defenses) {
+/// One run, recorded into `report` under `p` ("off_" / "on_").
+void run(bool defenses, core::MetricsReport& report, const std::string& p) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(8, 2, 0, 2);
   net::Topology topology(cluster);
@@ -151,7 +126,7 @@ RunResult run(bool defenses) {
     sim.at(kHorizon + util::seconds(5), [&leases] { leases.stop(); });
   }
 
-  WindowStats pre{30.0}, during{30.0}, recover{10.0}, settled{20.0};
+  WindowStats pre, during, recover, settled;
   std::vector<std::int64_t> per_second(
       static_cast<std::size_t>(kHorizon / util::kSecond) + 5, 0);
   service.set_completion_observer(
@@ -161,7 +136,6 @@ RunResult run(bool defenses) {
                          : sim.now() < kHealAt       ? &during
                          : sim.now() < kRecoverUntil ? &recover
                                                      : &settled;
-        w->completed += 1;
         if (slo_ok) {
           w->goodput += 1;
           const auto bucket = static_cast<std::size_t>(sim.now() / util::kSecond);
@@ -180,106 +154,89 @@ RunResult run(bool defenses) {
 
   sim.run();
 
-  RunResult result;
-  result.pre = std::move(pre);
-  result.during = std::move(during);
-  result.recover = std::move(recover);
-  result.settled = std::move(settled);
-  result.recovery_ratio =
-      result.pre.goodput > 0
-          ? result.recover.goodput_rate() / result.pre.goodput_rate()
-          : 0.0;
-  const metrics::Registry& m = service.metrics();
-  result.arrived = m.counter("serve.requests");
-  result.completed = m.counter("serve.completed");
-  result.shed =
-      m.counter("serve.shed_admission") + m.counter("serve.shed_queue_full");
-  result.hedges = service.hedges_launched();
-  result.hedges_suppressed = service.hedges_suppressed();
-  result.wasted_exec = service.wasted_exec();
-  if (defenses) {
-    result.expiries = leases.expiries();
-    result.reconnects = leases.reconnects();
-    result.evictions = leases.evictions();
-  }
-  result.flows_parked = fabric.stats().flows_parked;
-  result.flows_leaked = fabric.stats().flows_in_flight;
-  result.per_second = std::move(per_second);
-  const double threshold = 0.9 * result.pre.goodput_rate();
+  // Goodput rates per second of each window: pre and during span 30 s,
+  // recover 10 s.
+  const double pre_rate = static_cast<double>(pre.goodput) / 30.0;
+  const double recover_rate = static_cast<double>(recover.goodput) / 10.0;
+  // 1-second goodput buckets; degraded = below 90% of the pre-window
+  // rate. With defenses the lease drain ends the degradation a TTL or so
+  // into the partition; without them it lasts until the heal.
+  std::int64_t degraded_seconds = 0;
   for (std::size_t sec = static_cast<std::size_t>(kPartitionAt / util::kSecond);
        sec < static_cast<std::size_t>(kHorizon / util::kSecond); ++sec) {
-    if (static_cast<double>(result.per_second[sec]) < threshold) {
-      result.degraded_seconds += 1;
+    if (static_cast<double>(per_second[sec]) < 0.9 * pre_rate) {
+      degraded_seconds += 1;
     }
   }
-  return result;
+  const metrics::Registry& m = service.metrics();
+  report.set(p + "arrived", m.counter("serve.requests"));
+  report.set(p + "completed", m.counter("serve.completed"));
+  report.set(p + "shed", m.counter("serve.shed_admission") +
+                             m.counter("serve.shed_queue_full"));
+  report.set(p + "pre_goodput", pre.goodput);
+  report.set(p + "during_goodput", during.goodput);
+  report.set(p + "recover_goodput", recover.goodput);
+  report.set(p + "settled_goodput", settled.goodput);
+  // Recovery-window goodput rate / pre rate.
+  report.set(p + "recovery_ratio",
+             pre.goodput > 0 ? recover_rate / pre_rate : 0.0);
+  report.set(p + "degraded_seconds", degraded_seconds);
+  report.set(p + "pre_p99_ms", pre.p99_ms());
+  report.set(p + "during_p99_ms", during.p99_ms());
+  report.set(p + "recover_p99_ms", recover.p99_ms());
+  report.set(p + "settled_p99_ms", settled.p99_ms());
+  report.set(p + "hedges", service.hedges_launched());
+  report.set(p + "hedges_suppressed", service.hedges_suppressed());
+  report.set(p + "wasted_exec", service.wasted_exec());
+  report.set(p + "expiries", defenses ? leases.expiries() : 0);
+  report.set(p + "reconnects", defenses ? leases.reconnects() : 0);
+  report.set(p + "evictions", defenses ? leases.evictions() : 0);
+  report.set(p + "flows_parked", fabric.stats().flows_parked);
+  report.set(p + "flows_leaked", fabric.stats().flows_in_flight);
 }
 
-std::string rate(const WindowStats& w) {
-  return util::fixed(w.goodput_rate(), 0) + "/s";
+/// A window's goodput count printed as a rate over its `span_s`.
+std::function<std::string(double)> rate(double span_s) {
+  return [span_s](double goodput) {
+    return util::fixed(goodput / span_s, 0) + "/s";
+  };
 }
 std::string ms(double v) { return util::fixed(v, 1) + " ms"; }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  RunResult off = run(false);
-  RunResult on = run(true);
-
-  core::Table table(
-      "F16: 30 s partition of 3/8 replicas — defenses off vs on",
-      {"defenses", "pre good", "during good", "recover good", "settled good",
-       "recovery", "degraded s", "during p99", "recover p99", "hedges",
-       "suppressed"});
-  auto row = [&](const std::string& name, RunResult& r) {
-    table.add_row({name, rate(r.pre), rate(r.during), rate(r.recover),
-                   rate(r.settled), util::fixed(r.recovery_ratio, 3),
-                   std::to_string(r.degraded_seconds),
-                   ms(r.during.p99_ms()), ms(r.recover.p99_ms()),
-                   std::to_string(r.hedges),
-                   std::to_string(r.hedges_suppressed)});
-  };
-  row("off", off);
-  row("on", on);
-  table.print();
-
-  std::cout << "\nShape check: defenses lift the during-partition goodput "
-            << rate(off.during) << " -> " << rate(on.during)
-            << " and the 10 s post-heal recovery ratio "
-            << util::fixed(off.recovery_ratio, 3) << " -> "
-            << util::fixed(on.recovery_ratio, 3) << " (leases expired "
-            << on.expiries << ", reconnected " << on.reconnects
-            << ", evicted " << on.evictions << ", hedges suppressed "
-            << on.hedges_suppressed << ").\n";
-
   core::MetricsReport report("f16_partitions");
-  auto emit = [&](const std::string& p, RunResult& r) {
-    report.set(p + "_arrived", r.arrived);
-    report.set(p + "_completed", r.completed);
-    report.set(p + "_shed", r.shed);
-    report.set(p + "_pre_goodput", r.pre.goodput);
-    report.set(p + "_during_goodput", r.during.goodput);
-    report.set(p + "_recover_goodput", r.recover.goodput);
-    report.set(p + "_settled_goodput", r.settled.goodput);
-    report.set(p + "_recovery_ratio", r.recovery_ratio);
-    report.set(p + "_degraded_seconds", r.degraded_seconds);
-    report.set(p + "_pre_p99_ms", r.pre.p99_ms());
-    report.set(p + "_during_p99_ms", r.during.p99_ms());
-    report.set(p + "_recover_p99_ms", r.recover.p99_ms());
-    report.set(p + "_settled_p99_ms", r.settled.p99_ms());
-    report.set(p + "_hedges", r.hedges);
-    report.set(p + "_hedges_suppressed", r.hedges_suppressed);
-    report.set(p + "_wasted_exec", r.wasted_exec);
-    report.set(p + "_expiries", r.expiries);
-    report.set(p + "_reconnects", r.reconnects);
-    report.set(p + "_evictions", r.evictions);
-    report.set(p + "_flows_parked", r.flows_parked);
-    report.set(p + "_flows_leaked", r.flows_leaked);
-  };
-  emit("off", off);
-  emit("on", on);
+  run(false, report, "off_");
+  run(true, report, "on_");
 
-  if (core::json_mode(argc, argv)) {
+  core::Table("F16: 30 s partition of 3/8 replicas — defenses off vs on",
+              report, "defenses", {{"off", "off_"}, {"on", "on_"}},
+              {{"pre good", "pre_goodput", rate(30)},
+               {"during good", "during_goodput", rate(30)},
+               {"recover good", "recover_goodput", rate(10)},
+               {"settled good", "settled_goodput", rate(20)},
+               {"recovery", "recovery_ratio", core::decimals(3)},
+               {"degraded s", "degraded_seconds"},
+               {"during p99", "during_p99_ms", ms},
+               {"recover p99", "recover_p99_ms", ms},
+               {"hedges", "hedges"},
+               {"suppressed", "hedges_suppressed"}})
+      .print();
+
+  const core::Row off(report, "off_"), on(report, "on_");
+  std::cout << "\nShape check: defenses lift the during-partition goodput "
+            << rate(30)(off["during_goodput"].real()) << " -> "
+            << rate(30)(on["during_goodput"].real())
+            << " and the 10 s post-heal recovery ratio "
+            << util::fixed(off["recovery_ratio"].real(), 3) << " -> "
+            << util::fixed(on["recovery_ratio"].real(), 3)
+            << " (leases expired " << on["expiries"].count()
+            << ", reconnected " << on["reconnects"].count() << ", evicted "
+            << on["evictions"].count() << ", hedges suppressed "
+            << on["hedges_suppressed"].count() << ").\n";
+
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

@@ -33,7 +33,6 @@
 // deterministic); `--trace` additionally writes TRACE_f17_tablets.json
 // with tablet.* spans from the balanced run's first 2 s.
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -66,30 +65,6 @@ constexpr util::TimeNs kReadSlo = util::millis(10);
 constexpr util::TimeNs kWriteSlo = util::millis(25);
 constexpr std::uint64_t kKeys = 1 << 16;
 
-struct RunResult {
-  std::int64_t offered = 0;
-  std::int64_t completed = 0;
-  std::int64_t goodput = 0;  // completed within the class SLO
-  std::int64_t shed = 0;
-  std::int64_t failed = 0;  // exhausted retries / unavailable
-  std::vector<double> latencies_ms;
-  std::vector<double> read_latencies_ms;
-  double p99_ms = 0;
-  double read_p99_ms = 0;
-  std::int64_t splits = 0;
-  std::int64_t merges = 0;
-  std::int64_t moves = 0;
-  double move_unavail_s = 0;
-  std::int64_t wrong_shard_retries = 0;
-  std::int64_t unavailable_retries = 0;
-  std::int64_t memtable_hits = 0;
-  std::int64_t block_reads = 0;
-  std::int64_t flushes = 0;
-  std::int64_t wal_commits = 0;
-  std::int64_t final_shards = 0;
-  std::int64_t flows_leaked = 0;
-};
-
 double p99_of(std::vector<double>& v) {
   if (v.empty()) return 0.0;
   const std::size_t k = (v.size() - 1) * 99 / 100;
@@ -97,7 +72,9 @@ double p99_of(std::vector<double>& v) {
   return v[k];
 }
 
-RunResult run(bool balancing, std::unique_ptr<trace::Tracer>* tracer_out) {
+/// One run, recorded into `report` under `p` ("off_" / "on_").
+void run(bool balancing, core::MetricsReport& report, const std::string& p,
+         std::unique_ptr<trace::Tracer>* tracer_out) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(4, 4, 0, 2);
   net::Topology topology(cluster);
@@ -152,7 +129,8 @@ RunResult run(bool balancing, std::unique_ptr<trace::Tracer>* tracer_out) {
   ccfg.max_attempts = 6;
   TabletClient client(sim, service, ccfg);
 
-  RunResult result;
+  std::int64_t completed = 0, goodput = 0, shed = 0, failed = 0;
+  std::vector<double> latencies_ms, read_latencies_ms;
   serve::GeneratorConfig gen;
   gen.phases = {{kHorizon, 6000.0}};
   gen.class_weights = {0.7, 0.3};  // class 0 = read, class 1 = write
@@ -166,24 +144,22 @@ RunResult run(bool balancing, std::unique_ptr<trace::Tracer>* tracer_out) {
     const bool is_write = req.cls == 1;
     const util::TimeNs start = sim.now();
     client.submit(req, is_write ? OpKind::kWrite : OpKind::kRead,
-                  [&result, &sim, is_write, start](OpResult r) {
+                  [&, is_write, start](OpResult r) {
                     if (r.status == OpStatus::kOk ||
                         r.status == OpStatus::kNotFound) {
                       const util::TimeNs latency = sim.now() - start;
-                      result.completed += 1;
+                      completed += 1;
                       const util::TimeNs slo =
                           is_write ? kWriteSlo : kReadSlo;
-                      if (latency <= slo) result.goodput += 1;
-                      result.latencies_ms.push_back(
-                          util::to_millis(latency));
+                      if (latency <= slo) goodput += 1;
+                      latencies_ms.push_back(util::to_millis(latency));
                       if (!is_write) {
-                        result.read_latencies_ms.push_back(
-                            util::to_millis(latency));
+                        read_latencies_ms.push_back(util::to_millis(latency));
                       }
                     } else if (r.status == OpStatus::kQueueFull) {
-                      result.shed += 1;
+                      shed += 1;
                     } else {
-                      result.failed += 1;
+                      failed += 1;
                     }
                   });
   });
@@ -195,28 +171,32 @@ RunResult run(bool balancing, std::unique_ptr<trace::Tracer>* tracer_out) {
   });
   sim.run();
 
-  result.offered = generator.emitted();
-  result.p99_ms = p99_of(result.latencies_ms);
-  result.read_p99_ms = p99_of(result.read_latencies_ms);
+  report.set(p + "offered", generator.emitted());
+  report.set(p + "completed", completed);
+  report.set(p + "goodput", goodput);
+  report.set(p + "shed", shed);
+  report.set(p + "failed", failed);
+  report.set(p + "p99_ms", p99_of(latencies_ms));
+  report.set(p + "read_p99_ms", p99_of(read_latencies_ms));
   // The constructor carves initial_shards via split(); report only the
   // balancer-initiated ones.
-  result.splits = service.shard_map().splits() - (config.initial_shards - 1);
-  result.merges = service.shard_map().merges();
-  result.moves = service.moves_completed();
-  result.move_unavail_s = service.move_unavail_seconds();
-  result.wrong_shard_retries = client.wrong_shard_retries();
-  result.unavailable_retries = client.unavailable_retries();
-  result.memtable_hits = service.memtable_hits();
-  result.block_reads = service.block_reads();
-  result.flushes = service.flushes();
-  result.wal_commits = service.wal_commits();
-  result.final_shards = service.shard_map().shard_count();
-  result.flows_leaked = fabric.stats().flows_in_flight;
+  report.set(p + "splits",
+             service.shard_map().splits() - (config.initial_shards - 1));
+  report.set(p + "merges", service.shard_map().merges());
+  report.set(p + "moves", service.moves_completed());
+  report.set(p + "move_unavail_s", service.move_unavail_seconds());
+  report.set(p + "wrong_shard_retries", client.wrong_shard_retries());
+  report.set(p + "unavailable_retries", client.unavailable_retries());
+  report.set(p + "memtable_hits", service.memtable_hits());
+  report.set(p + "block_reads", service.block_reads());
+  report.set(p + "flushes", service.flushes());
+  report.set(p + "wal_commits", service.wal_commits());
+  report.set(p + "final_shards", service.shard_map().shard_count());
+  report.set(p + "flows_leaked", fabric.stats().flows_in_flight);
   if (tracer) {
     tracer->close_open_spans();
     *tracer_out = std::move(tracer);
   }
-  return result;
 }
 
 std::string ms(double v) { return util::fixed(v, 2) + " ms"; }
@@ -224,65 +204,35 @@ std::string ms(double v) { return util::fixed(v, 2) + " ms"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
-
-  std::unique_ptr<trace::Tracer> on_tr;
-  RunResult off = run(false, nullptr);
-  RunResult on = run(true, tracing ? &on_tr : nullptr);
-
-  core::Table table(
-      "F17: Zipf tablet serving + 3x gray slow node — balancing off vs on",
-      {"balancing", "completed", "goodput", "shed", "p99", "read p99",
-       "splits", "moves", "move unavail", "stale retries", "shards"});
-  auto row = [&](const std::string& name, const RunResult& r) {
-    table.add_row({name, std::to_string(r.completed),
-                   std::to_string(r.goodput), std::to_string(r.shed),
-                   ms(r.p99_ms), ms(r.read_p99_ms),
-                   std::to_string(r.splits), std::to_string(r.moves),
-                   util::fixed(r.move_unavail_s, 3) + " s",
-                   std::to_string(r.wrong_shard_retries),
-                   std::to_string(r.final_shards)});
-  };
-  row("off", off);
-  row("on", on);
-  table.print();
-
-  std::cout << "\nShape check: splitting the hot range and balancing "
-            << "shards drops p99 " << ms(off.p99_ms) << " -> "
-            << ms(on.p99_ms) << " and lifts goodput " << off.goodput
-            << " -> " << on.goodput << " (" << on.splits << " splits, "
-            << on.moves << " moves costing "
-            << util::fixed(on.move_unavail_s, 3)
-            << " s of shard unavailability, " << on.wrong_shard_retries
-            << " stale-route retries).\n";
+  const bool tracing = core::has_flag(argc, argv, "--trace");
 
   core::MetricsReport report("f17_tablets");
-  auto emit = [&](const std::string& p, const RunResult& r) {
-    report.set(p + "_offered", r.offered);
-    report.set(p + "_completed", r.completed);
-    report.set(p + "_goodput", r.goodput);
-    report.set(p + "_shed", r.shed);
-    report.set(p + "_failed", r.failed);
-    report.set(p + "_p99_ms", r.p99_ms);
-    report.set(p + "_read_p99_ms", r.read_p99_ms);
-    report.set(p + "_splits", r.splits);
-    report.set(p + "_merges", r.merges);
-    report.set(p + "_moves", r.moves);
-    report.set(p + "_move_unavail_s", r.move_unavail_s);
-    report.set(p + "_wrong_shard_retries", r.wrong_shard_retries);
-    report.set(p + "_unavailable_retries", r.unavailable_retries);
-    report.set(p + "_memtable_hits", r.memtable_hits);
-    report.set(p + "_block_reads", r.block_reads);
-    report.set(p + "_flushes", r.flushes);
-    report.set(p + "_wal_commits", r.wal_commits);
-    report.set(p + "_final_shards", r.final_shards);
-    report.set(p + "_flows_leaked", r.flows_leaked);
-  };
-  emit("off", off);
-  emit("on", on);
+  std::unique_ptr<trace::Tracer> on_tr;
+  run(false, report, "off_", nullptr);
+  run(true, report, "on_", tracing ? &on_tr : nullptr);
+
+  const auto secs = [](double v) { return util::fixed(v, 3) + " s"; };
+  core::Table(
+      "F17: Zipf tablet serving + 3x gray slow node — balancing off vs on",
+      report, "balancing", {{"off", "off_"}, {"on", "on_"}},
+      {{"completed", "completed"}, {"goodput", "goodput"}, {"shed", "shed"},
+       {"p99", "p99_ms", ms}, {"read p99", "read_p99_ms", ms},
+       {"splits", "splits"}, {"moves", "moves"},
+       {"move unavail", "move_unavail_s", secs},
+       {"stale retries", "wrong_shard_retries"},
+       {"shards", "final_shards"}})
+      .print();
+
+  const core::Row off(report, "off_"), on(report, "on_");
+  std::cout << "\nShape check: splitting the hot range and balancing "
+            << "shards drops p99 " << ms(off["p99_ms"].real()) << " -> "
+            << ms(on["p99_ms"].real()) << " and lifts goodput "
+            << off["goodput"].count() << " -> " << on["goodput"].count()
+            << " (" << on["splits"].count() << " splits, "
+            << on["moves"].count() << " moves costing "
+            << secs(on["move_unavail_s"].real())
+            << " of shard unavailability, "
+            << on["wrong_shard_retries"].count() << " stale-route retries).\n";
 
   if (tracing) {
     std::cout << "wrote "
@@ -290,7 +240,7 @@ int main(int argc, char** argv) {
                      "f17_tablets", {{"f17/balanced", on_tr.get()}})
               << "\n";
   }
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

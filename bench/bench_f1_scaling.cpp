@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: runtime falls with executors until the "
                "storage substrate\nsaturates; locality-aware placement wins "
                "at every width.\n";
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

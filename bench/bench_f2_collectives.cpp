@@ -1,5 +1,6 @@
 // F2 — HPC collectives: allreduce latency vs message size and algorithm
-// (16 nodes), and vs node count at a fixed 4 MiB payload.
+// (16 nodes), and vs node count at a fixed 4 MiB payload. `--json`
+// writes BENCH_f2_collectives.json (fully deterministic).
 #include <iostream>
 
 #include "cluster/cluster.hpp"
@@ -37,41 +38,46 @@ const std::vector<std::pair<const char*, hpc::CollectiveAlgo>> kAlgos = {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  core::MetricsReport report("f2_collectives");
+  std::vector<core::Column> algo_columns;
+  for (const auto& [name, algo] : kAlgos) {
+    algo_columns.push_back({name, std::string(name) + "_ns", core::nanos});
+  }
   {
-    core::Table table("F2a: allreduce time vs message size (16 ranks)",
-                      {"size", "linear", "tree", "rec-dbl", "ring"});
+    std::vector<std::pair<std::string, std::string>> rows;
     for (util::Bytes bytes :
          {util::kKiB, 32 * util::kKiB, util::kMiB, 8 * util::kMiB,
           64 * util::kMiB}) {
-      std::vector<std::string> row = {util::human_bytes(bytes)};
+      const std::string p = util::numbered("size_", bytes) + "B_";
       for (const auto& [name, algo] : kAlgos) {
-        row.push_back(util::human_time(allreduce_time(16, bytes, algo)));
+        report.set(p + name + "_ns", allreduce_time(16, bytes, algo));
       }
-      table.add_row(row);
+      rows.emplace_back(util::human_bytes(bytes), p);
     }
-    table.print();
+    core::Table("F2a: allreduce time vs message size (16 ranks)", report,
+                "size", rows, algo_columns)
+        .print();
   }
   std::cout << "\n";
   {
-    core::Table table("F2b: 4 MiB allreduce vs rank count",
-                      {"ranks", "linear", "tree", "rec-dbl", "ring"});
+    std::vector<std::pair<std::string, std::string>> rows;
     for (int ranks : {2, 4, 8, 16, 32}) {
-      std::vector<std::string> row = {std::to_string(ranks)};
+      const std::string p = util::numbered("ranks_", ranks) + "_";
       for (const auto& [name, algo] : kAlgos) {
-        row.push_back(
-            util::human_time(allreduce_time(ranks, 4 * util::kMiB, algo)));
+        report.set(p + name + "_ns",
+                   allreduce_time(ranks, 4 * util::kMiB, algo));
       }
-      table.add_row(row);
+      rows.emplace_back(std::to_string(ranks), p);
     }
-    table.print();
+    core::Table("F2b: 4 MiB allreduce vs rank count", report, "ranks", rows,
+                algo_columns)
+        .print();
   }
   std::cout << "\n";
   {
     // Extended collective set at a fixed 4 MiB payload, 16 ranks.
-    core::Table table("F2c: extended collectives (16 ranks, 4 MiB payload)",
-                      {"collective", "time"});
-    auto timed = [](auto&& invoke) {
+    auto timed = [&report](const std::string& key, auto&& invoke) {
       sim::Simulation sim;
       auto cluster = cluster::make_testbed(16, 0, 0);
       net::Topology topology(cluster);
@@ -82,37 +88,41 @@ int main() {
       util::TimeNs done = -1;
       invoke(comm, [&sim, &done] { done = sim.now(); });
       sim.run();
-      return done;
+      report.set(key + "_ns", done);
     };
     const util::Bytes mb4 = 4 * util::kMiB;
-    table.add_row({"scatter (tree)",
-                   util::human_time(timed([&](hpc::Communicator& c, auto cb) {
-                     c.scatter(0, mb4 / 16, cb);
-                   }))});
-    table.add_row({"gather (tree)",
-                   util::human_time(timed([&](hpc::Communicator& c, auto cb) {
-                     c.gather(0, mb4 / 16, cb);
-                   }))});
-    table.add_row({"allgather (ring)",
-                   util::human_time(timed([&](hpc::Communicator& c, auto cb) {
-                     c.allgather(mb4 / 16, cb);
-                   }))});
-    table.add_row({"reduce-scatter (ring)",
-                   util::human_time(timed([&](hpc::Communicator& c, auto cb) {
-                     c.reduce_scatter(mb4, cb);
-                   }))});
-    table.add_row({"alltoall",
-                   util::human_time(timed([&](hpc::Communicator& c, auto cb) {
-                     c.alltoall(mb4 / 16, cb);
-                   }))});
-    table.add_row({"barrier",
-                   util::human_time(timed([&](hpc::Communicator& c, auto cb) {
-                     c.barrier(cb);
-                   }))});
-    table.print();
+    timed("scatter", [&](hpc::Communicator& c, auto cb) {
+      c.scatter(0, mb4 / 16, cb);
+    });
+    timed("gather", [&](hpc::Communicator& c, auto cb) {
+      c.gather(0, mb4 / 16, cb);
+    });
+    timed("allgather", [&](hpc::Communicator& c, auto cb) {
+      c.allgather(mb4 / 16, cb);
+    });
+    timed("reduce_scatter", [&](hpc::Communicator& c, auto cb) {
+      c.reduce_scatter(mb4, cb);
+    });
+    timed("alltoall", [&](hpc::Communicator& c, auto cb) {
+      c.alltoall(mb4 / 16, cb);
+    });
+    timed("barrier", [&](hpc::Communicator& c, auto cb) { c.barrier(cb); });
+    core::Table("F2c: extended collectives (16 ranks, 4 MiB payload)", report,
+                "collective",
+                {{"scatter (tree)", "scatter_"},
+                 {"gather (tree)", "gather_"},
+                 {"allgather (ring)", "allgather_"},
+                 {"reduce-scatter (ring)", "reduce_scatter_"},
+                 {"alltoall", "alltoall_"},
+                 {"barrier", "barrier_"}},
+                {{"time", "ns", core::nanos}})
+        .print();
   }
   std::cout << "\nShape check: recursive doubling wins small messages "
                "(latency-bound);\nring wins large messages (bandwidth-"
                "optimal); linear degrades worst with scale.\n";
+  if (core::has_flag(argc, argv, "--json")) {
+    std::cout << "wrote " << report.write() << "\n";
+  }
   return 0;
 }

@@ -1,5 +1,6 @@
 // F3 — FPGA acceleration: per-kernel speedup vs CPU, and aggregate
 // throughput as tenants share one device (time-sharing efficiency).
+// `--json` writes BENCH_f3_accel.json (fully deterministic).
 #include <iostream>
 
 #include "accel/pool.hpp"
@@ -10,11 +11,11 @@
 
 using namespace evolve;
 
-int main() {
+int main(int argc, char** argv) {
+  core::MetricsReport report("f3_accel");
   // --- Per-kernel speedup ------------------------------------------
   {
-    core::Table table("F3a: kernel offload speedup (1 s of CPU work)",
-                      {"kernel", "cpu time", "offload time", "speedup"});
+    std::vector<std::pair<std::string, std::string>> rows;
     const auto registry = accel::KernelRegistry::standard();
     for (const auto& name : registry.names()) {
       sim::Simulation sim;
@@ -25,21 +26,24 @@ int main() {
       pool.offload(name, cpu, cluster::kInvalidNode,
                    [&] { done = sim.now(); });
       sim.run();
-      table.add_row({name, util::human_time(cpu), util::human_time(done),
-                     util::fixed(static_cast<double>(cpu) /
-                                     static_cast<double>(done),
-                                 2) +
-                         "x"});
+      report.set(name + "_cpu_ns", cpu);
+      report.set(name + "_offload_ns", done);
+      report.set(name + "_speedup",
+                 static_cast<double>(cpu) / static_cast<double>(done));
+      rows.emplace_back(name, name + "_");
     }
-    table.print();
+    core::Table("F3a: kernel offload speedup (1 s of CPU work)", report,
+                "kernel", rows,
+                {{"cpu time", "cpu_ns", core::nanos},
+                 {"offload time", "offload_ns", core::nanos},
+                 {"speedup", "speedup", core::decimals(2, "x")}})
+        .print();
   }
 
   // --- Sharing sweep ------------------------------------------------
   std::cout << "\n";
   {
-    core::Table table(
-        "F3b: one FPGA card shared by N tenants (fft, 1 s device work each)",
-        {"tenants", "makespan", "aggregate throughput", "per-tenant slowdown"});
+    std::vector<std::pair<std::string, std::string>> rows;
     for (int tenants : {1, 2, 4, 8, 16}) {
       sim::Simulation sim;
       auto cluster = cluster::make_testbed(0, 0, 1);
@@ -49,7 +53,6 @@ int main() {
       config.max_concurrency = 4;
       accel::AccelDevice device(sim, "fpga0", config);
       int completed = 0;
-      std::function<void()> feed = [&] {};
       int queued = tenants;
       std::function<void()> submit_next = [&] {
         while (queued > 0 && device.has_capacity()) {
@@ -65,17 +68,28 @@ int main() {
       };
       submit_next();
       sim.run();
+      // Each tenant brings 1 s of device work, so the makespan in
+      // seconds is the per-tenant slowdown.
       const double makespan_s = util::to_seconds(sim.now());
-      table.add_row(
-          {std::to_string(tenants), util::human_time(sim.now()),
-           util::fixed(completed / makespan_s, 2) + " jobs/s",
-           util::fixed(makespan_s / static_cast<double>(1), 2) + "x"});
-      (void)feed;
+      const std::string p = util::numbered("tenants_", tenants) + "_";
+      report.set(p + "makespan_ns", sim.now());
+      report.set(p + "jobs_per_s", completed / makespan_s);
+      report.set(p + "slowdown", makespan_s);
+      rows.emplace_back(std::to_string(tenants), p);
     }
-    table.print();
+    core::Table(
+        "F3b: one FPGA card shared by N tenants (fft, 1 s device work each)",
+        report, "tenants", rows,
+        {{"makespan", "makespan_ns", core::nanos},
+         {"aggregate throughput", "jobs_per_s", core::decimals(2, " jobs/s")},
+         {"per-tenant slowdown", "slowdown", core::decimals(2, "x")}})
+        .print();
   }
   std::cout << "\nShape check: aggregate throughput is flat at ~1 job/s "
                "(device-bound)\nonce the card saturates; adding tenants "
                "stretches per-tenant latency linearly.\n";
+  if (core::has_flag(argc, argv, "--json")) {
+    std::cout << "wrote " << report.write() << "\n";
+  }
   return 0;
 }

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: identical at low load; under pressure the "
                "unified\nscheduler borrows idle capacity across worlds -> "
                "lower waits and makespan,\nhigher effective utilization.\n";
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

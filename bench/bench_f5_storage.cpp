@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: latency climbs in steps as the working set "
                "spills DRAM\nthen NVMe; aggregate throughput scales with "
                "servers until client links bind.\n";
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

@@ -1,5 +1,6 @@
 // F6 — Distributed training: time per epoch vs worker count, CPU vs
-// FPGA-assisted compute, and collective-algorithm choice.
+// FPGA-assisted compute, and collective-algorithm choice. `--json`
+// writes BENCH_f6_ml.json (fully deterministic).
 #include <iostream>
 
 #include "core/platform.hpp"
@@ -32,41 +33,48 @@ util::TimeNs epoch_time(int workers, double accel_speedup,
 
 }  // namespace
 
-int main() {
-  {
-    core::Table table(
-        "F6a: SGD epoch time vs workers (128 MiB gradients, ring)",
-        {"workers", "cpu", "fpga (8x compute)", "fpga benefit"});
-    for (int workers : {1, 2, 4, 8, 16}) {
-      const auto cpu = epoch_time(workers, 1.0, hpc::CollectiveAlgo::kRing);
-      const auto fpga = epoch_time(workers, 8.0, hpc::CollectiveAlgo::kRing);
-      table.add_row({std::to_string(workers), util::human_time(cpu),
-                     util::human_time(fpga),
-                     util::fixed(static_cast<double>(cpu) /
-                                     static_cast<double>(fpga),
-                                 2) +
-                         "x"});
-    }
-    table.print();
+int main(int argc, char** argv) {
+  core::MetricsReport report("f6_ml");
+  std::vector<std::pair<std::string, std::string>> workers_rows, algo_rows;
+  for (int workers : {1, 2, 4, 8, 16}) {
+    const auto cpu = epoch_time(workers, 1.0, hpc::CollectiveAlgo::kRing);
+    const auto fpga = epoch_time(workers, 8.0, hpc::CollectiveAlgo::kRing);
+    const std::string p = util::numbered("workers_", workers) + "_";
+    report.set(p + "cpu_epoch_ns", cpu);
+    report.set(p + "fpga_epoch_ns", fpga);
+    report.set(p + "fpga_benefit",
+               static_cast<double>(cpu) / static_cast<double>(fpga));
+    workers_rows.emplace_back(std::to_string(workers), p);
   }
+  for (auto [name, algo] :
+       {std::pair{"linear", hpc::CollectiveAlgo::kLinear},
+        std::pair{"tree", hpc::CollectiveAlgo::kTree},
+        std::pair{"recursive-doubling",
+                  hpc::CollectiveAlgo::kRecursiveDoubling},
+        std::pair{"ring", hpc::CollectiveAlgo::kRing}}) {
+    const std::string p = std::string("algo_") + name + "_";
+    report.set(p + "cpu_epoch_ns", epoch_time(8, 1.0, algo));
+    report.set(p + "fpga_epoch_ns", epoch_time(8, 8.0, algo));
+    algo_rows.emplace_back(name, p);
+  }
+  core::Table("F6a: SGD epoch time vs workers (128 MiB gradients, ring)",
+              report, "workers", workers_rows,
+              {{"cpu", "cpu_epoch_ns", core::nanos},
+               {"fpga (8x compute)", "fpga_epoch_ns", core::nanos},
+               {"fpga benefit", "fpga_benefit", core::decimals(2, "x")}})
+      .print();
   std::cout << "\n";
-  {
-    core::Table table("F6b: epoch time by collective algorithm (8 workers)",
-                      {"algorithm", "cpu epoch", "fpga epoch"});
-    for (auto [name, algo] :
-         {std::pair{"linear", hpc::CollectiveAlgo::kLinear},
-          std::pair{"tree", hpc::CollectiveAlgo::kTree},
-          std::pair{"recursive-doubling",
-                    hpc::CollectiveAlgo::kRecursiveDoubling},
-          std::pair{"ring", hpc::CollectiveAlgo::kRing}}) {
-      table.add_row({name, util::human_time(epoch_time(8, 1.0, algo)),
-                     util::human_time(epoch_time(8, 8.0, algo))});
-    }
-    table.print();
-  }
+  core::Table("F6b: epoch time by collective algorithm (8 workers)", report,
+              "algorithm", algo_rows,
+              {{"cpu epoch", "cpu_epoch_ns", core::nanos},
+               {"fpga epoch", "fpga_epoch_ns", core::nanos}})
+      .print();
   std::cout << "\nShape check: compute shrinks with workers while the "
                "all-reduce grows,\nso scaling flattens; acceleration makes "
                "communication dominant sooner\n(larger relative benefit from "
                "ring at high worker counts).\n";
+  if (core::has_flag(argc, argv, "--json")) {
+    std::cout << "wrote " << report.write() << "\n";
+  }
   return 0;
 }

@@ -24,14 +24,8 @@ double diurnal_load(util::TimeNs now) {
   return 500.0 + 450.0 * std::sin(2 * M_PI * t / period - M_PI / 2);
 }
 
-struct Outcome {
-  double mean_replicas = 0;
-  double peak_replicas = 0;
-  double under_provisioned_pct = 0;  // time with capacity < load
-  std::int64_t scale_events = 0;
-};
-
-Outcome run_strategy(const std::string& mode) {
+/// One strategy, recorded into `report` under `mode` + "_".
+void run_strategy(const std::string& mode, core::MetricsReport& report) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(8, 0, 0);
   orch::Orchestrator orch(sim, cluster,
@@ -71,41 +65,37 @@ Outcome run_strategy(const std::string& mode) {
   hpa.stop();
   sim.run();
 
-  Outcome out;
-  out.mean_replicas = replicas.time_weighted_mean(horizon);
-  out.peak_replicas = replicas.max();
-  out.under_provisioned_pct = 100.0 * shortfall.time_weighted_mean(horizon);
-  out.scale_events = hpa.scale_ups() + hpa.scale_downs();
-  return out;
+  report.set(mode + "_mean_replicas", replicas.time_weighted_mean(horizon));
+  report.set(mode + "_peak_replicas", replicas.max());
+  // Time with capacity < load.
+  report.set(mode + "_under_provisioned_pct",
+             100.0 * shortfall.time_weighted_mean(horizon));
+  report.set(mode + "_scale_events", hpa.scale_ups() + hpa.scale_downs());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::Table table("F7: diurnal load (50..950 req/s over 2 h simulated)",
-                    {"strategy", "mean replicas", "peak", "under-prov time",
-                     "scale events"});
   core::MetricsReport report("f7_autoscale");
   for (const std::string mode : {"peak", "mean", "autoscaled"}) {
-    const auto out = run_strategy(mode);
-    table.add_row({mode + (mode == "peak"   ? " (fixed 10)"
-                           : mode == "mean" ? " (fixed 5)"
-                                            : ""),
-                   util::fixed(out.mean_replicas, 2),
-                   util::fixed(out.peak_replicas, 0),
-                   util::fixed(out.under_provisioned_pct, 1) + "%",
-                   std::to_string(out.scale_events)});
-    report.set(mode + "_mean_replicas", out.mean_replicas);
-    report.set(mode + "_peak_replicas", out.peak_replicas);
-    report.set(mode + "_under_provisioned_pct", out.under_provisioned_pct);
-    report.set(mode + "_scale_events", out.scale_events);
+    run_strategy(mode, report);
   }
-  table.print();
+  core::Table("F7: diurnal load (50..950 req/s over 2 h simulated)", report,
+              "strategy",
+              {{"peak (fixed 10)", "peak_"},
+               {"mean (fixed 5)", "mean_"},
+               {"autoscaled", "autoscaled_"}},
+              {{"mean replicas", "mean_replicas", core::decimals(2)},
+               {"peak", "peak_replicas", core::decimals(0)},
+               {"under-prov time", "under_provisioned_pct",
+                core::decimals(1, "%")},
+               {"scale events", "scale_events"}})
+      .print();
   std::cout << "\nShape check: peak provisioning never under-provisions but "
                "wastes ~2x\nreplicas; mean provisioning starves half the "
                "day; the autoscaler tracks the\ncurve with near-peak "
                "protection at near-mean cost.\n";
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

@@ -18,28 +18,31 @@ using namespace evolve;
 
 namespace {
 
-struct Run {
-  util::TimeNs makespan = 0;
-  double mean_millicores = 0;  // summed over the layout's orchestrators
-  int nodes = 0;
-};
-
-/// Runs the mobility pipeline on a fresh platform of the given layout.
+/// Runs the mobility pipeline on a fresh platform of the given layout and
+/// records its makespan, mean active millicores (summed over the layout's
+/// orchestrators) and joules under `mode`.
 template <class Layout>
-Run run_mobility(const workloads::MobilityScenario& scenario) {
+void run_mobility(const workloads::MobilityScenario& scenario,
+                  const core::PowerModel& model, core::MetricsReport& metrics,
+                  const std::string& mode) {
   sim::Simulation sim;
   Layout platform(sim);
   workloads::stage_mobility_inputs(platform.catalog(), scenario);
-  Run run;
+  util::TimeNs makespan = 0;
   platform.run_workflow(
       workloads::mobility_pipeline(scenario),
-      [&](const workflow::WorkflowResult& r) { run.makespan = r.duration; });
+      [&](const workflow::WorkflowResult& r) { makespan = r.duration; });
   sim.run();
+  double mean_millicores = 0;
   for (const auto& orchestrator : platform.orchestrators()) {
-    run.mean_millicores += orchestrator->mean_cpu_millicores();
+    mean_millicores += orchestrator->mean_cpu_millicores();
   }
-  run.nodes = platform.cluster().size();
-  return run;
+  metrics.set(mode + "_makespan_ns", makespan);
+  metrics.set(mode + "_mean_millicores", mean_millicores);
+  metrics.set(mode + "_joules",
+              core::estimate_energy(model, platform.cluster().size(),
+                                    makespan, mean_millicores)
+                  .total_joules());
 }
 
 }  // namespace
@@ -49,31 +52,24 @@ int main(int argc, char** argv) {
   core::MetricsReport metrics("f8_energy");
 
   {
-    core::Table table(
-        "F8a: energy to complete the mobility pipeline (14 nodes)",
-        {"deployment", "makespan", "mean active cores", "energy",
-         "vs converged"});
     workloads::MobilityScenario scenario;
     scenario.trace_bytes = 2 * util::kGiB;
-
-    const std::pair<std::string, Run> runs[] = {
-        {"converged", run_mobility<core::Platform>(scenario)},
-        {"siloed", run_mobility<core::SiloedPlatform>(scenario)}};
-    double converged_joules = 0;
-    for (const auto& [mode, run] : runs) {
-      const auto report = core::estimate_energy(model, run.nodes, run.makespan,
-                                                run.mean_millicores);
-      if (mode == "converged") converged_joules = report.total_joules();
-      metrics.set(mode + "_makespan_ns", run.makespan);
-      metrics.set(mode + "_mean_millicores", run.mean_millicores);
-      metrics.set(mode + "_joules", report.total_joules());
-      table.add_row(
-          {mode, util::human_time(run.makespan),
-           util::fixed(run.mean_millicores / 1000.0, 1),
-           util::fixed(report.total_joules() / 1000.0, 1) + " kJ",
-           util::fixed(report.total_joules() / converged_joules, 2) + "x"});
-    }
-    table.print();
+    run_mobility<core::Platform>(scenario, model, metrics, "converged");
+    run_mobility<core::SiloedPlatform>(scenario, model, metrics, "siloed");
+    const double converged_joules = metrics.get("converged_joules").real();
+    core::Table(
+        "F8a: energy to complete the mobility pipeline (14 nodes)", metrics,
+        "deployment", {{"converged", "converged_"}, {"siloed", "siloed_"}},
+        {{"makespan", "makespan_ns", core::nanos},
+         {"mean active cores", "mean_millicores",
+          [](double mc) { return util::fixed(mc / 1000.0, 1); }},
+         {"energy", "joules",
+          [](double j) { return util::fixed(j / 1000.0, 1) + " kJ"; }},
+         {"vs converged", "joules",
+          [converged_joules](double j) {
+            return util::fixed(j / converged_joules, 2) + "x";
+          }}})
+        .print();
   }
 
   std::cout << "\n";
@@ -102,7 +98,7 @@ int main(int argc, char** argv) {
                "same hardware,\nso it burns fewer idle joules per pipeline; "
                "FPGA offload yields multi-x\nenergy-efficiency factors "
                "(compare EUROSERVER/NanoStreams ~5x claims).\n";
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << metrics.write() << "\n";
   }
   return 0;

@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
             << " (engines must agree); wave recomputes stay flat while the "
                "wave size doubles.\n";
 
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

@@ -8,7 +8,6 @@
 // layout (rows sum to the end-to-end time, so the siloed table shows the
 // staging copies as storage and network time) and writes
 // TRACE_t1_endtoend.json, loadable in Perfetto / chrome://tracing.
-#include <cstring>
 #include <iostream>
 #include <memory>
 
@@ -178,9 +177,7 @@ Outcome run_use_case(const UseCase& uc, const std::string& layout,
 
 int main(int argc, char** argv) {
   Tracing tracing;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing.on = true;
-  }
+  tracing.on = core::has_flag(argc, argv, "--trace");
 
   core::Table table(
       "T1: end-to-end use-case time, converged vs siloed (same hardware)",
@@ -228,7 +225,7 @@ int main(int argc, char** argv) {
       trace::report_critical_path(report, name + "_siloed", path);
     }
   }
-  if (core::json_mode(argc, argv)) {
+  if (core::has_flag(argc, argv, "--json")) {
     std::cout << "wrote " << report.write() << "\n";
   }
   return 0;

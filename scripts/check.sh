@@ -63,7 +63,8 @@ TRACKED_BENCHES=(t1_endtoend f1_scaling f4_sched f8_energy f9_churn
                  f10_faults f11_gray a4_speculation a5_redundancy
                  f7_autoscale f12_serving f13_scale f5_storage
                  f14_durability f15_fairness f16_partitions f17_tablets
-                 a2_gang)
+                 a2_gang a1_delay a3_tiers a6_optimizer f2_collectives
+                 f3_accel f6_ml)
 for bench in "${TRACKED_BENCHES[@]}"; do
   run_bench "$bench" --json
 done
@@ -82,12 +83,14 @@ diff <(filter_host_timing "$BUILD_DIR/BENCH_f9_churn.json") \
 # selection and cache admission, A5 cold erasure-coded and replicated
 # GETs. T1, F4 and F8 pin the converged-vs-siloed comparison, F1
 # run_dataflow with locality placement on and off, A2 binpacking
-# placement (a digest of every pod's node).
+# placement (a digest of every pod's node). A1, A3, A6, F2, F3 and F6
+# pin the ablation and component sweeps EXPERIMENTS.md quotes.
 DETERMINISTIC_BENCHES=(t1_endtoend f1_scaling f4_sched f8_energy
                        a4_speculation f7_autoscale f5_storage
                        a5_redundancy f10_faults f11_gray f12_serving
                        f14_durability f15_fairness f16_partitions
-                       f17_tablets a2_gang)
+                       f17_tablets a2_gang a1_delay a3_tiers a6_optimizer
+                       f2_collectives f3_accel f6_ml)
 for bench in "${DETERMINISTIC_BENCHES[@]}"; do
   diff "$BUILD_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
     || { echo "check.sh: BENCH_$bench.json deviates from baseline"; exit 1; }

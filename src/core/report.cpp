@@ -8,11 +8,40 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace evolve::core {
 
 Table::Table(std::string title, std::vector<std::string> columns)
     : title_(std::move(title)), columns_(std::move(columns)) {
   if (columns_.empty()) throw std::invalid_argument("table needs columns");
+}
+
+Column::Column(std::string header, const std::string& suffix)
+    : header(std::move(header)),
+      cell([suffix](const Row& row) {
+        return std::to_string(row[suffix].count());
+      }) {}
+
+Column::Column(std::string header, const std::string& suffix,
+               std::function<std::string(double)> format)
+    : header(std::move(header)),
+      cell([suffix, format = std::move(format)](const Row& row) {
+        return format(row[suffix].real());
+      }) {}
+
+Table::Table(std::string title, const MetricsReport& report,
+             const std::string& label_header,
+             const std::vector<std::pair<std::string, std::string>>& rows,
+             const std::vector<Column>& columns)
+    : Table(std::move(title), {label_header}) {
+  for (const Column& column : columns) columns_.push_back(column.header);
+  for (const auto& [label, prefix] : rows) {
+    const Row row(report, prefix);
+    std::vector<std::string> cells = {label};
+    for (const Column& column : columns) cells.push_back(column.cell(row));
+    add_row(std::move(cells));
+  }
 }
 
 void Table::add_row(std::vector<std::string> cells) {
@@ -72,23 +101,37 @@ void MetricsReport::set(const std::string& metric, double value) {
   // the whole document. Emit null so the file stays parseable and the
   // missing value is visible downstream.
   if (!std::isfinite(value)) {
-    metrics_.emplace_back(metric, "null");
+    add(metric, Metric{value, "null"});
     return;
   }
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  metrics_.emplace_back(metric, buffer);
+  add(metric, Metric{value, buffer});
 }
 
 void MetricsReport::set(const std::string& metric, std::int64_t value) {
-  metrics_.emplace_back(metric, std::to_string(value));
+  add(metric, Metric{value, std::to_string(value)});
+}
+
+void MetricsReport::add(const std::string& metric, Metric value) {
+  for (const auto& [key, recorded] : metrics_) {
+    if (key == metric) throw std::logic_error("metric set twice: " + metric);
+  }
+  metrics_.emplace_back(metric, std::move(value));
+}
+
+const Metric& MetricsReport::get(const std::string& metric) const {
+  for (const auto& [key, value] : metrics_) {
+    if (key == metric) return value;
+  }
+  throw std::out_of_range("no metric " + metric + " in " + name_);
 }
 
 std::string MetricsReport::to_json() const {
   std::ostringstream out;
   out << "{\n  \"bench\": \"" << json_escape(name_) << "\"";
   for (const auto& [metric, value] : metrics_) {
-    out << ",\n  \"" << json_escape(metric) << "\": " << value;
+    out << ",\n  \"" << json_escape(metric) << "\": " << value.text;
   }
   out << "\n}\n";
   return out.str();
@@ -102,9 +145,19 @@ std::string MetricsReport::write() const {
   return path;
 }
 
-bool json_mode(int argc, char** argv) {
+std::function<std::string(double)> decimals(int digits, std::string unit) {
+  return [digits, unit = std::move(unit)](double v) {
+    return util::fixed(v, digits) + unit;
+  };
+}
+
+std::string nanos(double ns) {
+  return util::human_time(static_cast<util::TimeNs>(ns));
+}
+
+bool has_flag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return true;
+    if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
 }

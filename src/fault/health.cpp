@@ -108,13 +108,13 @@ void QuarantineController::quarantine(cluster::NodeId node) {
   metrics_.count("quarantines");
   metrics_.set_gauge("quarantined_nodes",
                      static_cast<double>(quarantined_.size()));
-  const auto degraded = degraded_since_.find(node);
-  if (degraded != degraded_since_.end()) {
-    const double ttq_ms = util::to_millis(sim_.now() - degraded->second);
+  const auto degraded = degradations_.find(node);
+  if (degraded != degradations_.end() && !degraded->second.charged) {
+    const double ttq_ms = util::to_millis(sim_.now() - degraded->second.since);
     ttq_total_ms_ += ttq_ms;
     metrics_.observe("time_to_quarantine_ms",
                      static_cast<std::int64_t>(ttq_ms));
-    degraded_since_.erase(degraded);  // charge each degradation once
+    degraded->second.charged = true;  // charge each degradation once
   }
   if (tracer_) {
     state.span = tracer_->begin(trace::Layer::kScheduler, "fault.quarantine",
@@ -156,7 +156,10 @@ void QuarantineController::release(cluster::NodeId node, bool via_probe) {
 
 void QuarantineController::note_degradation_start(cluster::NodeId node,
                                                   util::TimeNs at) {
-  degraded_since_.emplace(node, at);  // keep the earliest start
+  const auto [it, inserted] = degradations_.try_emplace(node, Degradation{at});
+  // A start is one degradation: the same start again changes nothing, a
+  // new one (the last degradation cleared) is charged afresh.
+  if (!inserted && it->second.since != at) it->second = Degradation{at};
 }
 
 void QuarantineController::track_degradation(GrayInjector& gray) {
@@ -166,9 +169,9 @@ void QuarantineController::track_degradation(GrayInjector& gray) {
 
 void QuarantineController::on_condition(cluster::NodeId node,
                                         const cluster::NodeCondition& after) {
-  // Every slowdown write counts, an overlap that changes nothing too: a
-  // start charged by a quarantine is noted again while the node stays
-  // slow.
+  // Every slowdown write counts, an overlap that changes nothing too; it
+  // notes the node's current start, which is charged once however often
+  // it is noted.
   if (after.cpu_slowdown > 1.0 || after.accel_slowdown > 1.0) {
     note_degradation_start(node, gray_->degraded_since(node));
   }

@@ -139,7 +139,9 @@ class QuarantineController {
   std::int64_t probes() const { return metrics_.counter("probes"); }
 
   /// Marks when a node's degradation began; the next quarantine of that
-  /// node records now - start as time-to-quarantine.
+  /// node records now - start as time-to-quarantine. Each start is one
+  /// degradation, charged once however often it is noted; noting a
+  /// different start begins a new degradation.
   void note_degradation_start(cluster::NodeId node, util::TimeNs at);
   /// Watches `gray`'s slowdowns through this controller's own table:
   /// every write that leaves a node slowed notes its degradation start.
@@ -173,7 +175,13 @@ class QuarantineController {
   const GrayInjector* gray_ = nullptr;
   std::map<cluster::NodeId, State> quarantined_;
   std::map<cluster::NodeId, int> requarantine_streak_;
-  std::map<cluster::NodeId, util::TimeNs> degraded_since_;
+  /// Per node: the start of its current degradation and whether a
+  /// quarantine has charged it.
+  struct Degradation {
+    util::TimeNs since = 0;
+    bool charged = false;
+  };
+  std::map<cluster::NodeId, Degradation> degradations_;
   /// Exact sum behind mean_time_to_quarantine_ms(); the
   /// time_to_quarantine_ms histogram keeps whole milliseconds only.
   double ttq_total_ms_ = 0;

@@ -402,7 +402,7 @@ TEST(NodeConditions, TransitionDigestIsPinned) {
     SCOPED_TRACE(util::numbered("seed=", static_cast<std::int64_t>(seed)));
     run_scenario(seed, d);
   }
-  EXPECT_EQ(d.value, 17881288996194022173ull);
+  EXPECT_EQ(d.value, 15716030957041629789ull);
 }
 
 }  // namespace

@@ -292,6 +292,40 @@ TEST(QuarantineController, RecordsTimeToQuarantine) {
   f.sim.run();
 }
 
+TEST(QuarantineController, ChargesOneDegradationOnce) {
+  // One slowdown of node 2 from 100 ms, re-written by a weaker overlap at
+  // 2 s while the node stays slow. The flag at 600 ms charges it 500 ms;
+  // the re-flag at 2.5 s is the same degradation and charges nothing.
+  QuarantineFixture f;
+  GrayInjector gray(f.sim);
+  connect(gray, f.controller);
+  gray.schedule_slow_node(2, 4.0, 1.0, util::millis(100), util::seconds(10));
+  gray.schedule_slow_node(2, 2.0, 1.0, util::seconds(2), util::seconds(1));
+  f.sim.at(util::millis(600), [&] { f.flag_node_2(); });
+  f.sim.at(util::millis(2500), [&] { f.flag_node_2(); });
+  f.sim.run_until(util::millis(2600));
+  EXPECT_EQ(f.controller.quarantines(), 2);
+  EXPECT_EQ(f.controller.metrics().histogram("time_to_quarantine_ms").count(),
+            1);
+  EXPECT_NEAR(f.controller.mean_time_to_quarantine_ms(), 500.0, 1e-6);
+  f.sim.run();
+}
+
+TEST(QuarantineController, ChargesANewDegradationFromItsOwnStart) {
+  // Node 2's first slowdown (100 ms - 1.1 s) clears unquarantined; the
+  // flag at 5.5 s belongs to the second one, which began at 5 s.
+  QuarantineFixture f;
+  GrayInjector gray(f.sim);
+  connect(gray, f.controller);
+  gray.schedule_slow_node(2, 4.0, 1.0, util::millis(100), util::seconds(1));
+  gray.schedule_slow_node(2, 4.0, 1.0, util::seconds(5), util::seconds(10));
+  f.sim.at(util::millis(5500), [&] { f.flag_node_2(); });
+  f.sim.run_until(util::seconds(6));
+  EXPECT_EQ(f.controller.quarantines(), 1);
+  EXPECT_NEAR(f.controller.mean_time_to_quarantine_ms(), 500.0, 1e-6);
+  f.sim.run();
+}
+
 TEST(QuarantineController, NoTimeToQuarantineWithoutKnownStart) {
   QuarantineFixture f;
   f.flag_node_2();

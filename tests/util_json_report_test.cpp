@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <variant>
 
 #include "core/report.hpp"
 #include "util/backoff.hpp"
@@ -75,6 +78,85 @@ TEST(MetricsReport, NonFiniteDoublesSerializeAsNull) {
   EXPECT_NE(json.find("\"pos_inf\": null"), std::string::npos) << json;
   EXPECT_NE(json.find("\"neg_inf\": null"), std::string::npos) << json;
   EXPECT_EQ(json.find("inf,"), std::string::npos) << json;
+}
+
+TEST(MetricsReport, NonFiniteDoubleKeepsItsTypeAndWritesNull) {
+  core::MetricsReport report("nonfinite");
+  report.set("nan", std::nan(""));
+  const core::Metric& nan = report.get("nan");
+  EXPECT_FALSE(nan.is_int());
+  EXPECT_TRUE(std::isnan(nan.real()));
+  EXPECT_EQ(nan.text, "null");
+}
+
+TEST(MetricsReport, KeepsInsertionOrderAndIntOrDoubleType) {
+  core::MetricsReport report("typed");
+  report.set("b_count", 7);
+  report.set("a_ratio", 0.5);
+  report.set("c_whole_double", 3.0);
+  report.set("d_big", std::int64_t{9007199254740993});
+
+  EXPECT_TRUE(report.get("b_count").is_int());
+  EXPECT_EQ(report.get("b_count").count(), 7);
+  EXPECT_FALSE(report.get("a_ratio").is_int());
+  EXPECT_EQ(report.get("a_ratio").real(), 0.5);
+  // A whole double stays a double and prints without a fraction.
+  EXPECT_FALSE(report.get("c_whole_double").is_int());
+  EXPECT_EQ(report.get("c_whole_double").text, "3");
+  EXPECT_THROW(report.get("c_whole_double").count(),
+               std::bad_variant_access);
+  // A count keeps all 64 bits, past a double's 53.
+  EXPECT_EQ(report.get("d_big").count(), 9007199254740993);
+  EXPECT_EQ(report.to_json(),
+            "{\n"
+            "  \"bench\": \"typed\",\n"
+            "  \"b_count\": 7,\n"
+            "  \"a_ratio\": 0.5,\n"
+            "  \"c_whole_double\": 3,\n"
+            "  \"d_big\": 9007199254740993\n"
+            "}\n");
+}
+
+TEST(MetricsReport, DuplicateSetAndUnknownGetThrow) {
+  core::MetricsReport report("strict");
+  report.set("x", 1);
+  EXPECT_THROW(report.set("x", 2), std::logic_error);
+  EXPECT_THROW(report.set("x", 2.5), std::logic_error);
+  EXPECT_EQ(report.get("x").count(), 1);
+  EXPECT_THROW(report.get("y"), std::out_of_range);
+}
+
+TEST(MetricsReport, TableFromReportMatchesHandBuiltTable) {
+  core::MetricsReport report("table");
+  for (const auto& [p, done, p99] :
+       {std::tuple{"off_", 120, 41.256}, std::tuple{"on_", 1350, 3.5}}) {
+    report.set(std::string(p) + "done", done);
+    report.set(std::string(p) + "failed", 3);
+    report.set(std::string(p) + "p99_ms", p99);
+  }
+  const core::Table from_report(
+      "T: off vs on", report, "mode", {{"off", "off_"}, {"on (max 8)", "on_"}},
+      {{"done", "done"},
+       {"done/failed",
+        [](const core::Row& r) {
+          return std::to_string(r["done"].count()) + "/" +
+                 std::to_string(r["failed"].count());
+        }},
+       {"p99", "p99_ms", core::decimals(1, " ms")}});
+
+  core::Table by_hand("T: off vs on", {"mode", "done", "done/failed", "p99"});
+  by_hand.add_row({"off", "120", "120/3", "41.3 ms"});
+  by_hand.add_row({"on (max 8)", "1350", "1350/3", "3.5 ms"});
+  EXPECT_EQ(from_report.to_string(), by_hand.to_string());
+}
+
+TEST(HasFlag, MatchesWholeArgumentsOnly) {
+  char prog[] = "bench", json[] = "--json", traced[] = "--trace=1";
+  char* argv[] = {prog, json, traced};
+  EXPECT_TRUE(core::has_flag(3, argv, "--json"));
+  EXPECT_FALSE(core::has_flag(3, argv, "--trace"));
+  // argv[0] is the program, never a flag.
+  EXPECT_FALSE(core::has_flag(3, argv, "bench"));
 }
 
 TEST(MetricsReport, TypicalReportIsStrictJson) {
