@@ -200,22 +200,49 @@ int main(int argc, char** argv) {
   const RunOutcome priority = run_world(/*fair_share=*/false);
   const RunOutcome fair = run_world(/*fair_share=*/true);
 
+  core::MetricsReport report("f15_fairness");
+  report.set("jain_fair", fair.jain);
+  report.set("jain_priority", priority.jain);
+  report.set("serving_core_s_fair", fair.tenants.at("serving").core_seconds);
+  report.set("serving_core_s_priority",
+             priority.tenants.at("serving").core_seconds);
+  report.set("batch_core_s_fair", fair.tenants.at("batch").core_seconds);
+  report.set("mpi_core_s_fair", fair.tenants.at("mpi").core_seconds);
+  report.set("mpi_core_s_priority", priority.tenants.at("mpi").core_seconds);
+  report.set("batch_core_s_priority",
+             priority.tenants.at("batch").core_seconds);
+  report.set("batch_max_wait_s_fair", fair.tenants.at("batch").max_wait_s);
+  report.set("batch_max_wait_s_priority",
+             priority.tenants.at("batch").max_wait_s);
+  report.set("mpi_max_wait_s_fair", fair.tenants.at("mpi").max_wait_s);
+  report.set("mpi_max_wait_s_priority",
+             priority.tenants.at("mpi").max_wait_s);
+  report.set("preemptions_fair", fair.preemptions);
+  report.set("preemptions_priority", priority.preemptions);
+  report.set("rebalance_evictions_fair", fair.rebalance_evictions);
+  report.set("rebalance_evictions_priority", priority.rebalance_evictions);
+  report.set("cpu_util_fair", fair.cpu_util);
+  report.set("cpu_util_priority", priority.cpu_util);
+
+  // The keys end in the scheduler's name, so each cell reads its own.
   core::Table table(
       "F15: 3-world contention, priority-only vs hierarchical fair share "
       "(8 nodes, 150 s)",
       {"scheduler", "serving core-s", "batch core-s", "mpi core-s", "jain",
        "mpi max wait", "preemptions", "rebalance"});
-  for (const auto& [name, outcome] :
-       {std::pair{"priority", &priority}, std::pair{"fair-share", &fair}}) {
-    table.add_row(
-        {name,
-         util::fixed(outcome->tenants.at("serving").core_seconds, 0),
-         util::fixed(outcome->tenants.at("batch").core_seconds, 0),
-         util::fixed(outcome->tenants.at("mpi").core_seconds, 0),
-         util::fixed(outcome->jain, 3),
-         util::fixed(outcome->tenants.at("mpi").max_wait_s, 1) + "s",
-         std::to_string(outcome->preemptions),
-         std::to_string(outcome->rebalance_evictions)});
+  for (const auto& [name, mode] :
+       {std::pair{"priority", "_priority"}, std::pair{"fair-share", "_fair"}}) {
+    const auto get = [&report, mode = std::string(mode)](
+                         const char* key) -> const core::Metric& {
+      return report.get(key + mode);
+    };
+    table.add_row({name, util::fixed(get("serving_core_s").real(), 0),
+                   util::fixed(get("batch_core_s").real(), 0),
+                   util::fixed(get("mpi_core_s").real(), 0),
+                   util::fixed(get("jain").real(), 3),
+                   util::fixed(get("mpi_max_wait_s").real(), 1) + "s",
+                   std::to_string(get("preemptions").count()),
+                   std::to_string(get("rebalance_evictions").count())});
   }
   table.print();
   std::cout << "\nShape check: under priority-only scheduling the "
@@ -225,25 +252,6 @@ int main(int argc, char** argv) {
                "share (jain -> 1) at bounded preemption churn.\n";
 
   if (core::has_flag(argc, argv, "--json")) {
-    core::MetricsReport report("f15_fairness");
-    report.set("jain_fair", fair.jain);
-    report.set("jain_priority", priority.jain);
-    report.set("serving_core_s_fair",
-               fair.tenants.at("serving").core_seconds);
-    report.set("batch_core_s_fair", fair.tenants.at("batch").core_seconds);
-    report.set("mpi_core_s_fair", fair.tenants.at("mpi").core_seconds);
-    report.set("batch_core_s_priority",
-               priority.tenants.at("batch").core_seconds);
-    report.set("batch_max_wait_s_fair",
-               fair.tenants.at("batch").max_wait_s);
-    report.set("batch_max_wait_s_priority",
-               priority.tenants.at("batch").max_wait_s);
-    report.set("mpi_max_wait_s_fair", fair.tenants.at("mpi").max_wait_s);
-    report.set("preemptions_fair", fair.preemptions);
-    report.set("preemptions_priority", priority.preemptions);
-    report.set("rebalance_evictions_fair", fair.rebalance_evictions);
-    report.set("cpu_util_fair", fair.cpu_util);
-    report.set("cpu_util_priority", priority.cpu_util);
     std::cout << "\nwrote " << report.write() << "\n";
   }
   return 0;

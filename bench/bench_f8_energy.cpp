@@ -2,9 +2,13 @@
 // converged vs siloed (same hardware; shorter makespan = fewer idle
 // joules), and (b) per-kernel FPGA energy-efficiency factors (the
 // EUROSERVER/NanoStreams-style headline numbers). With `--json`, writes
-// the F8a makespan, mean active millicores and joules per deployment to
+// the F8a makespan, mean active millicores and joules per deployment and
+// the F8b speedup, joules and efficiency per kernel to
 // BENCH_f8_energy.json.
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "accel/kernels.hpp"
 #include "core/energy.hpp"
@@ -74,25 +78,28 @@ int main(int argc, char** argv) {
 
   std::cout << "\n";
   {
-    core::Table table(
-        "F8b: FPGA offload energy efficiency (1 s CPU work, 8 cores)",
-        {"kernel", "speedup", "cpu energy", "fpga energy", "efficiency"});
     const auto registry = accel::KernelRegistry::standard();
+    std::vector<std::pair<std::string, std::string>> kernels;
     for (const auto& name : registry.names()) {
       const auto& profile = registry.profile(name);
-      const double cpu_j = model.per_core_watts * 8.0;  // 8 cores x 1 s
-      const double fpga_j =
-          model.fpga_active_watts * (1.0 / profile.speedup);
-      table.add_row({name, util::fixed(profile.speedup, 1) + "x",
-                     util::fixed(cpu_j, 1) + " J",
-                     util::fixed(fpga_j, 1) + " J",
-                     util::fixed(core::offload_energy_ratio(
-                                     model, util::seconds(1),
-                                     profile.speedup, 8),
-                                 1) +
-                         "x"});
+      const std::string prefix = "kernel_" + name + "_";
+      metrics.set(prefix + "speedup", profile.speedup);
+      // 8 cores x 1 s of CPU work against the card for 1/speedup s.
+      metrics.set(prefix + "cpu_joules", model.per_core_watts * 8.0);
+      metrics.set(prefix + "fpga_joules",
+                  model.fpga_active_watts * (1.0 / profile.speedup));
+      metrics.set(prefix + "efficiency",
+                  core::offload_energy_ratio(model, util::seconds(1),
+                                             profile.speedup, 8));
+      kernels.emplace_back(name, prefix);
     }
-    table.print();
+    core::Table("F8b: FPGA offload energy efficiency (1 s CPU work, 8 cores)",
+                metrics, "kernel", kernels,
+                {{"speedup", "speedup", core::decimals(1, "x")},
+                 {"cpu energy", "cpu_joules", core::decimals(1, " J")},
+                 {"fpga energy", "fpga_joules", core::decimals(1, " J")},
+                 {"efficiency", "efficiency", core::decimals(1, "x")}})
+        .print();
   }
   std::cout << "\nShape check: the converged platform finishes sooner on the "
                "same hardware,\nso it burns fewer idle joules per pipeline; "

@@ -14,12 +14,14 @@ namespace evolve::fault {
 
 void HealthScorer::record(cluster::NodeId node, util::TimeNs service_time) {
   NodeState& state = nodes_[node];
+  unrank(node, state);
   const auto sample = static_cast<double>(service_time);
   state.ewma = state.samples == 0
                    ? sample
                    : config_.ewma_alpha * sample +
                          (1.0 - config_.ewma_alpha) * state.ewma;
   ++state.samples;
+  rank(node, state);
   metrics_.observe("service_time_ms",
                    static_cast<std::int64_t>(service_time / util::kMillisecond));
 
@@ -38,21 +40,44 @@ void HealthScorer::record(cluster::NodeId node, util::TimeNs service_time) {
   }
 }
 
+bool HealthScorer::scored(const NodeState& state) const {
+  // A state without samples is the one record() has just made.
+  return state.samples > 0 && state.samples >= config_.min_samples;
+}
+
+void HealthScorer::rank(cluster::NodeId node, const NodeState& state) {
+  if (!scored(state)) return;
+  const std::pair<double, cluster::NodeId> entry{state.ewma, node};
+  ranked_.insert(std::lower_bound(ranked_.begin(), ranked_.end(), entry),
+                 entry);
+}
+
+void HealthScorer::unrank(cluster::NodeId node, const NodeState& state) {
+  if (!scored(state)) return;
+  ranked_.erase(std::lower_bound(ranked_.begin(), ranked_.end(),
+                                 std::make_pair(state.ewma, node)));
+}
+
 double HealthScorer::peer_median(cluster::NodeId node) const {
-  std::vector<double>& peers = peer_scratch_;
-  peers.clear();
-  for (const auto& [id, state] : nodes_) {
-    if (id == node || state.samples < config_.min_samples) continue;
-    if (is_node_down(id)) continue;  // dead peers skew the baseline
-    peers.push_back(state.ewma);
-  }
-  if (static_cast<int>(peers.size()) < kMinPeers) return 0.0;
+  // Dead peers skew the baseline, so they drop out with the node itself.
+  const auto peer = [this, node](cluster::NodeId id) {
+    return id != node && !is_node_down(id);
+  };
+  std::size_t peers = 0;
+  for (const auto& [ewma, id] : ranked_) peers += peer(id) ? 1 : 0;
+  if (static_cast<int>(peers) < kMinPeers) return 0.0;
   // Median of the lower-middle element for even sizes: deterministic and
-  // slightly conservative (a larger median flags fewer nodes).
-  const std::size_t mid = (peers.size() - 1) / 2;
-  std::nth_element(peers.begin(), peers.begin() + static_cast<std::ptrdiff_t>(mid),
-                   peers.end());
-  return peers[mid];
+  // slightly conservative (a larger median flags fewer nodes). The
+  // mid-th smallest peer EWMA is the same value however ties are
+  // ordered, so walking the ranked list gives what sorting the peers
+  // would.
+  std::size_t mid = (peers - 1) / 2;
+  for (const auto& [ewma, id] : ranked_) {
+    if (!peer(id)) continue;
+    if (mid == 0) return ewma;
+    --mid;
+  }
+  return 0.0;  // unreachable: the walk passes `peers` entries
 }
 
 double HealthScorer::score(cluster::NodeId node) const {
@@ -74,7 +99,12 @@ int HealthScorer::samples(cluster::NodeId node) const {
   return it == nodes_.end() ? 0 : it->second.samples;
 }
 
-void HealthScorer::reset_node(cluster::NodeId node) { nodes_.erase(node); }
+void HealthScorer::reset_node(cluster::NodeId node) {
+  const auto it = nodes_.find(node);
+  if (it == nodes_.end()) return;
+  unrank(node, it->second);
+  nodes_.erase(it);
+}
 
 // ---------------------------------------------------------------------------
 // QuarantineController

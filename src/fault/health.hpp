@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -105,14 +106,21 @@ class HealthScorer {
   /// Median EWMA over scored peers (min_samples reached), excluding
   /// `node`. Returns 0 when fewer than kMinPeers qualify.
   double peer_median(cluster::NodeId node) const;
+  /// At least min_samples samples: the node counts as a peer.
+  bool scored(const NodeState& state) const;
+  /// Adds or removes a scored node's (ewma, node) entry in ranked_.
+  void rank(cluster::NodeId node, const NodeState& state);
+  void unrank(cluster::NodeId node, const NodeState& state);
 
   sim::Simulation& sim_;
   HealthScorerConfig config_;
   std::vector<TransitionFn> flag_subs_;
   std::vector<TransitionFn> clear_subs_;
   std::map<cluster::NodeId, NodeState> nodes_;
+  /// Every node with at least min_samples samples, sorted by (ewma,
+  /// node): peer_median walks it instead of sorting the peers per call.
+  std::vector<std::pair<double, cluster::NodeId>> ranked_;
   cluster::NodeConditions conditions_;
-  mutable std::vector<double> peer_scratch_;  // reused by peer_median
   metrics::Registry metrics_;
 };
 

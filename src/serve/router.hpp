@@ -1,11 +1,14 @@
 // Replica selection: pluggable load-balancing policies.
 //
-// The Router is a pure policy engine over a snapshot of replica state
-// (stable key, outstanding-request depth, availability). The Service
-// builds the snapshot — outstanding counts every request assigned to a
-// replica and not yet retired (in the network, queued, or executing) —
-// and the router returns an index. Quarantined/drained replicas arrive
-// with `available = false`; the router never picks them.
+// The Router is a pure policy engine over a view of replica state
+// (stable key, outstanding-request depth, availability), one entry per
+// replica in key order, and returns an index into it. The Service hands
+// it its live routing table: outstanding counts every request assigned
+// to a replica and not yet retired (in the network, queued, or
+// executing) and is kept in place as requests are assigned and
+// released; availability is refreshed from the node conditions before
+// each pick. Quarantined/drained replicas arrive with
+// `available = false`; the router never picks them.
 //
 // Policies:
 //   round-robin        rotates over available replicas, ignoring depth.
@@ -29,7 +32,7 @@ enum class BalancePolicy { kRoundRobin, kLeastOutstanding, kPowerOfTwo };
 
 const char* to_string(BalancePolicy policy);
 
-/// Snapshot of one replica for a routing decision.
+/// One replica's entry in a routing decision's view.
 struct ReplicaView {
   std::int64_t key = 0;  // stable identity (pod id); ties break on it
   int outstanding = 0;   // assigned and not yet retired

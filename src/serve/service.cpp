@@ -26,7 +26,7 @@ Service::Service(sim::Simulation& sim, net::Fabric& fabric,
     throw std::invalid_argument("service needs at least one request class");
   }
   for (const RequestClass& klass : classes_) {
-    tenants_.try_emplace(klass.tenant);
+    class_tenants_.push_back(&tenants_.try_emplace(klass.tenant).first->second);
   }
   deploy_.set_replica_observer(
       [this](orch::PodId pod, cluster::NodeId node, bool up) {
@@ -109,10 +109,6 @@ ReplicaServer* Service::replica(std::int64_t key) {
   return nullptr;
 }
 
-TenantStats& Service::tenant_of(const InFlight& rec) {
-  return tenants_[class_of(rec).tenant];
-}
-
 void Service::submit(Request req) {
   if (req.cls < 0 || req.cls >= static_cast<int>(classes_.size())) {
     throw std::invalid_argument("request class out of range");
@@ -121,7 +117,8 @@ void Service::submit(Request req) {
   const RequestClass& klass = classes_[static_cast<std::size_t>(req.cls)];
   req.arrival = now;
 
-  tenants_[klass.tenant].arrived += 1;
+  TenantStats& tenant = *class_tenants_[static_cast<std::size_t>(req.cls)];
+  tenant.arrived += 1;
   metrics_.count("serve.requests");
   if (signal_) signal_->on_arrival();
 
@@ -134,7 +131,7 @@ void Service::submit(Request req) {
   }
 
   if (!admission_.admit(now)) {
-    tenants_[klass.tenant].shed_admission += 1;
+    tenant.shed_admission += 1;
     metrics_.count("serve.shed_admission");
     if (tracer_ && root != trace::kNoSpan) {
       tracer_->annotate(root, "outcome", to_string(Outcome::kShedAdmission));
@@ -142,7 +139,7 @@ void Service::submit(Request req) {
     trace::end_span(tracer_, root);
     return;
   }
-  tenants_[klass.tenant].admitted += 1;
+  tenant.admitted += 1;
   metrics_.count("serve.admitted");
 
   const RequestId id = req.id;
@@ -166,45 +163,46 @@ bool Service::route_copy(InFlight& rec, int which, std::int64_t exclude_key) {
   if (replicas_.empty()) {
     if (which != 0) return false;  // a hedge is never worth waiting for
     copy.parked = true;
-    parked_.emplace_back(rec.req.id, which);
+    parked_.push_back({rec.req.id, which});
     metrics_.count("serve.parked");
     return true;
   }
 
-  std::vector<ReplicaView>& view = route_view_;
-  std::vector<std::int64_t>& keys = route_keys_;
-  view.clear();
-  keys.clear();
   bool any_available = false;
-  for (auto& [key, rep] : replicas_) {
-    ReplicaView rv;
-    rv.key = key;
-    rv.outstanding = outstanding_[key] + ramp_penalty(rep->node());
-    rv.available = !is_node_drained(rep->node());
-    any_available = any_available || rv.available;
-    view.push_back(rv);
-    keys.push_back(key);
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    live_[i].available = conditions_[live_nodes_[i]].usable();
+    any_available = any_available || live_[i].available;
+  }
+  std::vector<ReplicaView>* view = &live_;
+  if (!ramp_.empty()) {
+    // Ramp penalties are virtual load: they go into a copy of the table,
+    // never into the counts the table keeps.
+    route_view_ = live_;
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      route_view_[i].outstanding += ramp_penalty(live_nodes_[i]);
+    }
+    view = &route_view_;
   }
   if (!any_available) {
     // Every node is drained: availability beats purity.
-    for (ReplicaView& rv : view) rv.available = true;
+    for (ReplicaView& rv : *view) rv.available = true;
     metrics_.count("serve.routed_degraded");
   }
   int exclude_idx = -1;
   if (exclude_key >= 0) {
-    auto pos = std::find(keys.begin(), keys.end(), exclude_key);
-    if (pos != keys.end()) {
-      exclude_idx = static_cast<int>(pos - keys.begin());
-    }
+    const std::size_t pos = live_index(exclude_key);
+    if (pos < live_.size()) exclude_idx = static_cast<int>(pos);
   }
-  const int idx = router_.pick(view, exclude_idx);
+  const int idx = router_.pick(*view, exclude_idx);
   if (idx < 0) return false;  // only the excluded replica was available
 
-  const std::int64_t key = keys[static_cast<std::size_t>(idx)];
+  ReplicaView& picked = live_[static_cast<std::size_t>(idx)];
+  const std::int64_t key = picked.key;
+  const cluster::NodeId target = live_nodes_[static_cast<std::size_t>(idx)];
   copy.replica = key;
   copy.live = true;
   copy.parked = false;
-  outstanding_[key] += 1;
+  picked.outstanding += 1;
   total_outstanding_ += 1;
   note_inflight();
 
@@ -219,7 +217,6 @@ bool Service::route_copy(InFlight& rec, int which, std::int64_t exclude_key) {
   }
 
   const RequestClass& klass = class_of(rec);
-  const cluster::NodeId target = replica_nodes_[key];
   const RequestId id = rec.req.id;
   trace::ScopedContext ctx(tracer_, copy.span);
   fabric_.transfer(rec.req.client, target, klass.request_bytes,
@@ -282,12 +279,11 @@ void Service::on_batch_done(std::int64_t key,
   metrics_.observe("serve.batch_size",
                    static_cast<std::int64_t>(ids.size()));
   metrics_.observe("serve.exec_us", exec / util::kMicrosecond);
-  ReplicaServer* rep = replica(key);
-  const bool closed = !rep || rep->closed();
-  if (exec_observer_) {
-    auto node_it = replica_nodes_.find(key);
-    if (node_it != replica_nodes_.end()) exec_observer_(node_it->second, exec);
-  }
+  // This runs inside the replica's own finish_batch, and a closed
+  // replica is kept in retired_ until it is idle, so it is always found.
+  const ReplicaServer& rep = *replica(key);
+  const bool closed = rep.closed();
+  if (exec_observer_) exec_observer_(rep.node(), exec);
 
   for (RequestId id : ids) {
     InFlight* rec = record(id);
@@ -340,10 +336,9 @@ void Service::on_batch_done(std::int64_t key,
     }
 
     const RequestClass& klass = classes_[static_cast<std::size_t>(cls)];
-    const cluster::NodeId from = replica_nodes_[key];
     const cluster::NodeId client = rec->req.client;
     trace::ScopedContext ctx(tracer_, copy.span);
-    fabric_.transfer(from, client, klass.response_bytes,
+    fabric_.transfer(rep.node(), client, klass.response_bytes,
                      [this, id, which] { finalize(id, which); });
   }
   // This callback runs inside the finishing replica's finish_batch — if
@@ -441,16 +436,26 @@ void Service::shed_request(InFlight& rec, Outcome outcome) {
 }
 
 void Service::release_slot(std::int64_t key) {
-  auto it = outstanding_.find(key);
-  if (it != outstanding_.end() && it->second > 0) it->second -= 1;
+  const std::size_t i = live_index(key);
+  if (i < live_.size() && live_[i].outstanding > 0) live_[i].outstanding -= 1;
   total_outstanding_ -= 1;
   note_inflight();
 }
 
+std::size_t Service::live_position(std::int64_t key) const {
+  const auto it = std::lower_bound(
+      live_.begin(), live_.end(), key,
+      [](const ReplicaView& rv, std::int64_t k) { return rv.key < k; });
+  return static_cast<std::size_t>(it - live_.begin());
+}
+
+std::size_t Service::live_index(std::int64_t key) const {
+  const std::size_t i = live_position(key);
+  return i < live_.size() && live_[i].key == key ? i : live_.size();
+}
+
 void Service::note_inflight() {
   if (signal_) signal_->set_inflight(total_outstanding_);
-  metrics_.set_gauge("serve.outstanding",
-                     static_cast<double>(total_outstanding_));
 }
 
 void Service::maybe_erase(RequestId id) {
@@ -476,8 +481,9 @@ void Service::on_replica_event(orch::PodId pod, cluster::NodeId node,
     rep->set_slowdown(conditions_[node].cpu_slowdown);
     rep->set_accel_pool(pool_);
     rep->set_tracer(tracer_);
-    replica_nodes_[key] = node;
-    outstanding_[key] = 0;
+    const auto at = static_cast<std::ptrdiff_t>(live_position(key));
+    live_.insert(live_.begin() + at, ReplicaView{key, 0, true});
+    live_nodes_.insert(live_nodes_.begin() + at, node);
     replicas_[key] = std::move(rep);
     metrics_.count("serve.replica_up");
     drain_parked();
@@ -488,6 +494,9 @@ void Service::on_replica_event(orch::PodId pod, cluster::NodeId node,
   if (it == replicas_.end()) return;
   std::unique_ptr<ReplicaServer> rep = std::move(it->second);
   replicas_.erase(it);
+  const std::size_t i = live_index(key);
+  live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+  live_nodes_.erase(live_nodes_.begin() + static_cast<std::ptrdiff_t>(i));
   metrics_.count("serve.replica_down");
   std::vector<QueuedRequest> orphans = rep->close();
   if (rep->idle()) {
@@ -515,19 +524,19 @@ void Service::on_replica_event(orch::PodId pod, cluster::NodeId node,
 }
 
 void Service::drain_parked() {
-  std::deque<std::pair<RequestId, int>> pending;
-  pending.swap(parked_);
-  while (!pending.empty()) {
-    auto [id, which] = pending.front();
-    pending.pop_front();
+  util::RingQueue<std::pair<RequestId, int>> pending;
+  std::swap(pending, parked_);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const auto [id, which] = pending[i];
     InFlight* rec = record(id);
     if (!rec || !rec->copies[which].parked) continue;  // shed while parked
     rec->copies[which].parked = false;
     if (replicas_.empty()) {
       // Still nothing to route to: park again, preserving FIFO order.
       rec->copies[which].parked = true;
-      parked_.emplace_back(id, which);
-      for (auto& rest : pending) parked_.push_back(rest);
+      for (std::size_t rest = i; rest < pending.size(); ++rest) {
+        parked_.push_back(pending[rest]);
+      }
       return;
     }
     route_copy(*rec, which, -1);

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,6 +37,7 @@
 
 #include "util/arena.hpp"
 #include "util/flat_id_map.hpp"
+#include "util/ring_queue.hpp"
 
 #include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
@@ -178,7 +178,9 @@ class Service {
                     const cluster::NodeCondition& after);
   ReplicaServer* replica(std::int64_t key);
   InFlight* record(RequestId id);
-  TenantStats& tenant_of(const InFlight& rec);
+  TenantStats& tenant_of(const InFlight& rec) {
+    return *class_tenants_[static_cast<std::size_t>(rec.req.cls)];
+  }
   const RequestClass& class_of(const InFlight& rec) const {
     return classes_[static_cast<std::size_t>(rec.req.cls)];
   }
@@ -197,6 +199,10 @@ class Service {
   /// Whole-request shed: accounts, closes spans, erases the record.
   void shed_request(InFlight& rec, Outcome outcome);
   void release_slot(std::int64_t key);
+  /// The first index in live_ whose key is not below `key`.
+  std::size_t live_position(std::int64_t key) const;
+  /// The replica's index in live_, or live_.size() when it is not open.
+  std::size_t live_index(std::int64_t key) const;
   int ramp_penalty(cluster::NodeId node);
   void note_inflight();
   void maybe_erase(RequestId id);
@@ -215,8 +221,12 @@ class Service {
   /// Closed replicas still draining an executing batch (events capture
   /// their `this`); swept once idle.
   std::vector<std::unique_ptr<ReplicaServer>> retired_;
-  std::map<std::int64_t, cluster::NodeId> replica_nodes_;  // all-time
-  std::map<std::int64_t, int> outstanding_;
+  /// The live routing table: one view per open replica in key order (the
+  /// order of replicas_), and its node at the same index. Replica events
+  /// insert and erase entries; assign and release update `outstanding`
+  /// in place; `available` is refreshed from conditions_ per route.
+  std::vector<ReplicaView> live_;
+  std::vector<cluster::NodeId> live_nodes_;
   cluster::NodeConditions conditions_;
   util::TimeNs reconnect_ramp_ = 0;
   struct Ramp {
@@ -225,9 +235,8 @@ class Service {
   };
   /// Active post-heal admission ramps; entries expire lazily.
   std::map<cluster::NodeId, Ramp> ramp_;
-  // route_copy scratch, refilled per call in replicas_ order.
+  // route_copy scratch while a ramp is active: live_ plus the penalties.
   std::vector<ReplicaView> route_view_;
-  std::vector<std::int64_t> route_keys_;
 
   // In-flight records live on a slab (stable addresses, recycled cells)
   // and are indexed by a flat id map, so a request costs no malloc/free.
@@ -235,9 +244,11 @@ class Service {
   // ordering stays deterministic.
   util::Slab<InFlight> inflight_slab_;
   util::FlatIdMap<InFlight*> inflight_;
-  std::deque<std::pair<RequestId, int>> parked_;  // (request, copy index)
+  util::RingQueue<std::pair<RequestId, int>> parked_;  // (request, copy)
 
   std::map<std::string, TenantStats> tenants_;
+  /// Each class's tenant entry, resolved once (map nodes do not move).
+  std::vector<TenantStats*> class_tenants_;
   metrics::Registry metrics_;
   int total_outstanding_ = 0;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace evolve::serve {
 
@@ -36,7 +35,7 @@ void ScalingSignal::on_arrival() {
 
 void ScalingSignal::on_queue_delay(util::TimeNs delay) {
   const util::TimeNs now = sim_.now();
-  delays_.emplace_back(now, delay);
+  delays_.push_back({now, delay});
   evict(now);
 }
 
@@ -53,9 +52,11 @@ double ScalingSignal::arrival_rate() {
 util::TimeNs ScalingSignal::queue_delay_p99() {
   evict(sim_.now());
   if (delays_.empty()) return 0;
-  std::vector<util::TimeNs> sorted;
-  sorted.reserve(delays_.size());
-  for (const auto& [t, d] : delays_) sorted.push_back(d);
+  std::vector<util::TimeNs>& sorted = delay_scratch_;
+  sorted.clear();
+  for (std::size_t i = 0; i < delays_.size(); ++i) {
+    sorted.push_back(delays_[i].second);
+  }
   const auto rank = static_cast<std::size_t>(
       (static_cast<double>(sorted.size()) * 99.0) / 100.0);
   const std::size_t idx = std::min(rank, sorted.size() - 1);

@@ -19,10 +19,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
+#include <vector>
 
 #include "sim/simulation.hpp"
+#include "util/ring_queue.hpp"
 #include "util/types.hpp"
 
 namespace evolve::serve {
@@ -65,8 +66,10 @@ class ScalingSignal {
 
   sim::Simulation& sim_;
   ScalingSignalConfig config_;
-  std::deque<util::TimeNs> arrivals_;
-  std::deque<std::pair<util::TimeNs, util::TimeNs>> delays_;  // (time, delay)
+  util::RingQueue<util::TimeNs> arrivals_;
+  // (time, delay) samples.
+  util::RingQueue<std::pair<util::TimeNs, util::TimeNs>> delays_;
+  std::vector<util::TimeNs> delay_scratch_;  // queue_delay_p99's selection
   int inflight_ = 0;
 };
 

@@ -1,11 +1,12 @@
 // FIFO ring buffer with indexed access and indexed erase.
 //
 // A replica's request queue is a FIFO that batching also erases from the
-// middle. std::deque fits that shape but allocates and frees one block
-// for every few elements that stream through it. RingQueue keeps its
-// elements in one power-of-two ring that doubles when full and never
-// shrinks, so once a queue has reached its peak depth, pushing, indexing
-// and erasing allocate nothing.
+// middle; sliding windows and park lists are plain FIFOs. std::deque
+// fits both shapes but allocates and frees one block for every few
+// elements that stream through it. RingQueue keeps its elements in one
+// power-of-two ring that doubles when full and never shrinks, so once a
+// queue has reached its peak depth, pushing, popping, indexing and
+// erasing allocate nothing.
 //
 // Erase keeps the order of the remaining elements and, like std::deque,
 // shifts whichever side of the gap is shorter. T is a plain value type:
@@ -41,6 +42,11 @@ class RingQueue {
     if (size_ == buf_.size()) grow();
     (*this)[size_] = std::move(value);
     ++size_;
+  }
+
+  void pop_front() {
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
   }
 
   /// Removes the element at `index`; later elements keep their order.

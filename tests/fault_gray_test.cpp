@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "orch/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
+#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace evolve::fault {
@@ -204,6 +208,134 @@ TEST(HealthScorer, ResetNodeForgetsSilently) {
   EXPECT_FALSE(scorer.flagged(2));
   EXPECT_EQ(scorer.samples(2), 0);
   EXPECT_EQ(clears, 0);  // silent: no subscriber callback
+}
+
+/// Brute-force HealthScorer: copies every scored peer's EWMA and selects
+/// the median with nth_element on each query, as the scorer once did.
+class OracleScorer {
+ public:
+  OracleScorer(HealthScorerConfig config, const cluster::NodeConditions& down)
+      : config_(config), down_(down) {}
+
+  /// Records a sample; returns +1 on a flag, -1 on a clear, else 0.
+  int record(cluster::NodeId node, TimeNs service_time) {
+    State& state = nodes_[node];
+    const auto sample = static_cast<double>(service_time);
+    state.ewma = state.samples == 0
+                     ? sample
+                     : config_.ewma_alpha * sample +
+                           (1.0 - config_.ewma_alpha) * state.ewma;
+    ++state.samples;
+    const double median = peer_median(node);
+    if (median <= 0.0) return 0;
+    const double ratio = state.ewma / median;
+    if (!state.flagged && state.samples >= config_.min_samples &&
+        ratio > config_.flag_ratio) {
+      state.flagged = true;
+      return 1;
+    }
+    if (state.flagged && ratio < config_.clear_ratio) {
+      state.flagged = false;
+      return -1;
+    }
+    return 0;
+  }
+
+  void reset_node(cluster::NodeId node) { nodes_.erase(node); }
+
+  double score(cluster::NodeId node) const {
+    const auto it = nodes_.find(node);
+    if (it == nodes_.end() || it->second.samples < config_.min_samples) {
+      return 0.0;
+    }
+    const double median = peer_median(node);
+    return median <= 0.0 ? 0.0 : it->second.ewma / median;
+  }
+
+  bool flagged(cluster::NodeId node) const {
+    const auto it = nodes_.find(node);
+    return it != nodes_.end() && it->second.flagged;
+  }
+
+ private:
+  struct State {
+    double ewma = 0.0;
+    int samples = 0;
+    bool flagged = false;
+  };
+
+  double peer_median(cluster::NodeId node) const {
+    std::vector<double> peers;
+    for (const auto& [id, state] : nodes_) {
+      if (id == node || state.samples < config_.min_samples) continue;
+      if (down_[id].down || down_[id].unreachable) continue;
+      peers.push_back(state.ewma);
+    }
+    if (static_cast<int>(peers.size()) < kMinPeers) return 0.0;
+    const std::size_t mid = (peers.size() - 1) / 2;
+    std::nth_element(peers.begin(),
+                     peers.begin() + static_cast<std::ptrdiff_t>(mid),
+                     peers.end());
+    return peers[mid];
+  }
+
+  HealthScorerConfig config_;
+  const cluster::NodeConditions& down_;
+  std::map<cluster::NodeId, State> nodes_;
+};
+
+// Random records (few distinct service times, so EWMAs tie often),
+// resets and crash/lease toggles: every score, flag and transition must
+// equal the brute-force median's.
+TEST(HealthScorer, RankedMedianMatchesBruteForce) {
+  constexpr cluster::NodeId kNodes = 9;
+  const TimeNs times[] = {util::millis(100), util::millis(100),
+                          util::millis(120), util::millis(400),
+                          util::millis(900)};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    sim::Simulation sim;
+    HealthScorerConfig config = fast_config();
+    config.min_samples = static_cast<int>(seed % 5);
+    HealthScorer scorer(sim, config);
+    cluster::NodeConditions& down = scorer.conditions();
+    OracleScorer oracle(config, down);
+    std::vector<std::pair<cluster::NodeId, int>> got;
+    scorer.on_flag([&](cluster::NodeId node, TimeNs) {
+      got.emplace_back(node, 1);
+    });
+    scorer.on_clear([&](cluster::NodeId node, TimeNs) {
+      got.emplace_back(node, -1);
+    });
+    std::vector<std::pair<cluster::NodeId, int>> want;
+    for (int step = 0; step < 3000; ++step) {
+      const auto node =
+          static_cast<cluster::NodeId>(rng.uniform_int(0, kNodes - 1));
+      const std::int64_t op = rng.uniform_int(0, 99);
+      if (op < 85) {
+        TimeNs t = times[rng.uniform_int(0, 4)];
+        if (rng.uniform_int(0, 3) == 0) t += rng.uniform_int(0, 999);
+        scorer.record(node, t);
+        if (const int transition = oracle.record(node, t)) {
+          want.emplace_back(node, transition);
+        }
+      } else if (op < 90) {
+        scorer.reset_node(node);
+        oracle.reset_node(node);
+      } else if (op < 95) {
+        down.set_down(node, !down[node].down);
+      } else {
+        down.set_unreachable(node, !down[node].unreachable, 1);
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+      for (cluster::NodeId n = 0; n < kNodes; ++n) {
+        ASSERT_EQ(scorer.score(n), oracle.score(n))
+            << "seed " << seed << " step " << step << " node " << n;
+        ASSERT_EQ(scorer.flagged(n), oracle.flagged(n));
+      }
+    }
+    EXPECT_GT(want.size(), 0u) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------- quarantine

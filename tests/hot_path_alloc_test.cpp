@@ -9,8 +9,8 @@
 // chunks. Recording a metric under a name the registry already holds
 // allocates nothing, however long the name. A warm net::Fabric starts,
 // cancels and completes flows without allocating, and a warm
-// serve::Service (hedging and batching on) serves requests without
-// allocating. A warm ObjectStore::locate allocates only the vector it
+// serve::Service (hedging and batching on, feeding a ScalingSignal and
+// a HealthScorer) serves requests without allocating. A warm ObjectStore::locate allocates only the vector it
 // returns, and a warm ring allreduce allocates as much at 16 ranks as
 // at 4: nothing per message.
 #include <gtest/gtest.h>
@@ -22,12 +22,14 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "fault/health.hpp"
 #include "hpc/communicator.hpp"
 #include "metrics/registry.hpp"
 #include "net/fabric.hpp"
 #include "orch/controllers.hpp"
 #include "orch/scheduler.hpp"
 #include "serve/service.hpp"
+#include "serve/signal.hpp"
 #include "sim/simulation.hpp"
 #include "storage/io_model.hpp"
 #include "storage/object_store.hpp"
@@ -266,6 +268,15 @@ TEST(ServeAllocation, WarmHedgedBatchedServiceAllocatesNothingPerRequest) {
   config.hedge_min_delay = util::millis(2);
   config.hedge_min_samples = 1 << 20;  // pin the delay to hedge_min_delay
   Service service(sim, fabric, deploy, classes, config);
+  // The autoscaling signal's windows and the gray-failure scorer's
+  // ranked EWMAs ride on every request and every batch.
+  ScalingSignal signal(sim);
+  service.attach_signal(&signal);
+  fault::HealthScorer scorer(sim);
+  service.set_exec_observer(
+      [&scorer](cluster::NodeId node, util::TimeNs exec) {
+        scorer.record(node, exec);
+      });
   sim.run();  // replicas come up
   ASSERT_EQ(service.replica_count(), 2);
   service.conditions().set_slowdown(
@@ -277,12 +288,14 @@ TEST(ServeAllocation, WarmHedgedBatchedServiceAllocatesNothingPerRequest) {
   RequestId next_id = 1;
   auto offer = [&] {
     for (int i = 0; i < kRequests; ++i) {
-      sim.after(util::micros(250) * i, [&service, &next_id, client] {
-        Request req;
-        req.id = next_id++;
-        req.client = client;
-        service.submit(req);
-      });
+      sim.after(util::micros(250) * i,
+                [&service, &signal, &next_id, client] {
+                  Request req;
+                  req.id = next_id++;
+                  req.client = client;
+                  service.submit(req);
+                  signal.load();  // the autoscaler's read
+                });
     }
   };
   // Two warm-up rounds grow every table to the workload's peak.
@@ -306,6 +319,9 @@ TEST(ServeAllocation, WarmHedgedBatchedServiceAllocatesNothingPerRequest) {
                 batches_before,
             kRequests);
   EXPECT_EQ(service.outstanding(), 0);
+  EXPECT_GT(signal.arrival_rate(), 0.0);
+  EXPECT_GE(scorer.samples(cluster.nodes_with_label("role=compute")[1]),
+            fault::HealthScorerConfig{}.min_samples);
 }
 
 }  // namespace

@@ -404,6 +404,109 @@ TEST(ServeService, SignalSeesTheServingPath) {
   expect_clean(f);
 }
 
+// Folds every routed copy of one run under `policy`: a slowed node that
+// draws hedges, a quarantined node, every node drained (the degraded
+// fallback), a reconnect ramp, a scale-down with requests queued, and a
+// scale to zero that parks requests until replicas return. Each routing
+// sends the copy over the fabric inside its copy's span (the request's
+// root for the primary, its serve.hedge span for the hedge), so the
+// request leg's net.transfer span names the request id, the copy index
+// and the destination node at the routing time. Anti-affinity keeps one
+// live replica per node, so the node at that time names the replica.
+//
+// The run does not conserve requests: a primary re-routed onto the
+// replica its hedge is live on shares that replica's key with it, and
+// the copy lookups by (request, key) can then retire the wrong copy and
+// strand the request. The digest pins that behaviour as it stands.
+std::uint64_t routing_digest(BalancePolicy policy) {
+  ServeFixture f(4);
+  f.classes[0].compute_cost = util::millis(3);
+  ServiceConfig config;
+  config.policy = policy;
+  config.replica.queue_limit = 256;
+  config.replica.batch.max_batch = 2;
+  config.replica.batch.max_linger = util::micros(500);
+  config.hedging = true;
+  config.hedge_min_delay = util::millis(20);
+  config.hedge_min_samples = 1 << 20;  // pin the delay to hedge_min_delay
+  Service& svc = f.make_service(config);
+  svc.set_reconnect_ramp(util::millis(300));
+  trace::Tracer tracer(f.sim);
+  f.fabric.set_tracer(&tracer);
+  svc.set_tracer(&tracer);
+  f.sim.run();  // replicas come up
+
+  const auto compute = f.cluster.nodes_with_label("role=compute");
+  const util::TimeNs t0 = f.sim.now();
+  const auto at = [&f, t0](util::TimeNs offset, auto fn) {
+    f.sim.at(t0 + offset, fn);
+  };
+  cluster::NodeConditions& cond = svc.conditions();
+  cond.set_slowdown(compute[0], 8.0, 1.0);
+  at(util::millis(200), [&] { cond.set_quarantined(compute[1], true); });
+  at(util::millis(400), [&] { cond.set_quarantined(compute[1], false); });
+  at(util::millis(450), [&] { cond.set_unreachable(compute[2], true, 2); });
+  at(util::millis(550), [&] { cond.set_unreachable(compute[2], false, 2); });
+  at(util::millis(900), [&] {
+    for (const cluster::NodeId node : compute) cond.set_quarantined(node, true);
+  });
+  at(util::millis(1000), [&] {
+    for (const cluster::NodeId node : compute) cond.set_quarantined(node, false);
+  });
+  at(util::millis(1100), [&f] { f.deploy->scale(2); });
+  at(util::millis(1300), [&f] { f.deploy->scale(0); });
+  at(util::millis(1350), [&f] { f.deploy->scale(3); });
+  f.offer(1600, util::micros(1000), 0);
+  f.sim.run();
+
+  const TenantStats& tenant = svc.tenant("default");
+  EXPECT_GT(tenant.completed, 0);
+  EXPECT_GT(svc.hedges_launched(), 0);
+  EXPECT_GT(svc.rerouted(), 0);
+  EXPECT_GT(svc.metrics().counter("serve.routed_degraded"), 0);
+  EXPECT_GT(svc.metrics().counter("serve.parked"), 0);
+
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a
+  const auto mix = [&digest](std::int64_t value) {
+    digest ^= static_cast<std::uint64_t>(value);
+    digest *= 1099511628211ull;
+  };
+  const cluster::NodeId client =
+      f.cluster.nodes_with_label("role=storage").front();
+  const auto attr = [](const trace::Span& span, const std::string& key) {
+    for (const auto& [k, v] : span.attrs) {
+      if (k == key) return std::stoll(v);
+    }
+    return -1LL;
+  };
+  std::int64_t routed = 0;
+  for (const trace::Span& span : tracer.spans()) {
+    if (span.name != "net.transfer" || span.parent == trace::kNoSpan) {
+      continue;
+    }
+    if (attr(span, "src") != client) continue;  // a response leg
+    const trace::Span& copy = tracer.span(span.parent);
+    const bool hedge = copy.name == "serve.hedge";
+    const trace::Span& root = hedge ? tracer.span(copy.parent) : copy;
+    mix(root.job);
+    mix(hedge ? 1 : 0);
+    mix(attr(span, "dst"));
+    mix(span.start);
+    ++routed;
+  }
+  EXPECT_GT(routed, tenant.arrived);  // hedges and re-routes add copies
+  return digest;
+}
+
+TEST(Service, RoutingDigestIsPinned) {
+  EXPECT_EQ(routing_digest(BalancePolicy::kPowerOfTwo),
+            7146928624018736399u);
+  EXPECT_EQ(routing_digest(BalancePolicy::kLeastOutstanding),
+            5266827490107002776u);
+  EXPECT_EQ(routing_digest(BalancePolicy::kRoundRobin),
+            16028737590318519198u);
+}
+
 // A fuller scenario (Poisson arrivals, hedging, admission, one slow
 // node) must be bit-deterministic, and attaching a tracer must observe
 // without perturbing.

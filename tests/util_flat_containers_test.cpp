@@ -144,6 +144,30 @@ TEST(RingQueue, MatchesDequeUnderRandomPushAndErase) {
   EXPECT_TRUE(ring.empty());
 }
 
+TEST(RingQueue, SlidingWindowMatchesDeque) {
+  // A sliding window's shape: pushes at the back, pops at the front,
+  // with the depth swinging so the ring wraps, grows and drains empty.
+  Rng rng(12);
+  RingQueue<int> ring;
+  std::deque<int> oracle;
+  for (int step = 0; step < 20000; ++step) {
+    const int target = (step / 2000) % 2 == 0 ? 50 : 3;
+    if (oracle.empty() || static_cast<int>(oracle.size()) < target ||
+        rng.uniform_int(0, 1) == 0) {
+      ring.push_back(step);
+      oracle.push_back(step);
+    } else {
+      ring.pop_front();
+      oracle.pop_front();
+    }
+    ASSERT_EQ(ring.size(), oracle.size());
+    if (!oracle.empty()) {
+      ASSERT_EQ(ring.front(), oracle.front());
+    }
+  }
+  for (std::size_t i = 0; i < oracle.size(); ++i) EXPECT_EQ(ring[i], oracle[i]);
+}
+
 TEST(RingQueue, KeepsFifoOrderAcrossGrowth) {
   RingQueue<int> ring = {1, 2, 3};
   ring.erase(0);
