@@ -29,6 +29,8 @@
 // deterministic); `--trace` additionally writes TRACE_f12_serving.json
 // with serve.request / serve.queue / serve.batch / serve.exec /
 // serve.hedge spans and must not change any metric.
+#include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -55,10 +57,22 @@ using namespace evolve;
 
 namespace {
 
-/// Records the service's outcome counters under `p`.
+/// Records the service's outcome counters under `p`. A drained scenario
+/// must have ended every arrival in one outcome and left nothing
+/// assigned to a replica; the bench exits non-zero when it has not.
 void snapshot(const serve::Service& svc, const net::Fabric& fabric,
               core::MetricsReport& report, const std::string& p) {
   const metrics::Registry& m = svc.metrics();
+  const std::int64_t ended = m.counter("serve.completed") +
+                             m.counter("serve.shed_admission") +
+                             m.counter("serve.shed_queue_full");
+  if (ended != m.counter("serve.requests") || svc.outstanding() != 0) {
+    std::cerr << "F12 scenario " << p << " did not drain: "
+              << m.counter("serve.requests") << " arrived, " << ended
+              << " completed or shed, " << svc.outstanding()
+              << " outstanding\n";
+    std::exit(1);
+  }
   double p50_ms = 0, p99_ms = 0, p999_ms = 0, mean_batch = 0;
   if (m.has_histogram("serve.latency_us")) {
     const auto& h = m.histogram("serve.latency_us");

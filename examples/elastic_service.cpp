@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,21 @@ int main() {
   hpa.stop();
   sim.run();
 
+  // The per-phase shed column is arrived - done: it holds only while the
+  // tenant's own totals show every arrival completed or shed.
+  const serve::TenantStats& tenant = service.tenant("default");
+  const auto total = [](const std::vector<std::int64_t>& v) {
+    return std::accumulate(v.begin(), v.end(), std::int64_t{0});
+  };
+  if (total(arrived) != tenant.arrived || total(done) != tenant.completed ||
+      tenant.completed + tenant.shed() != tenant.arrived ||
+      service.outstanding() != 0) {
+    std::cerr << "elastic_service: " << tenant.arrived << " arrived, "
+              << tenant.completed << " completed, " << tenant.shed()
+              << " shed, " << service.outstanding() << " outstanding\n";
+    return 1;
+  }
+
   core::Table table("Elastic service over 10 simulated minutes",
                     {"phase", "offered", "arrived", "shed", "peak repl",
                      "p50", "p99", "slo viol"});
@@ -173,7 +189,7 @@ int main() {
             << service.metrics().counter("serve.completed") << "/"
             << service.metrics().counter("serve.requests")
             << " requests (goodput "
-            << service.tenant("default").goodput()
+            << tenant.goodput()
             << "); a peak-provisioned service would pin 8 replicas all day.\n";
   return 0;
 }

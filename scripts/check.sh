@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI-style check: configure, build, run the full test suite, run the
+# CI-style check: configure, build, run the full test suite and the five
+# examples (a crash or a failed self-check exits non-zero), run the
 # simulation-kernel churn and fault-recovery benches in --json mode and
 # diff their deterministic metrics against the tracked repo-root
 # baselines, run the traced benches and strictly validate every emitted
@@ -35,6 +36,18 @@ echo "check.sh: knob census: $(tail -n 1 <<<"$census")"
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
+
+# -- Examples ------------------------------------------------------------
+# Each example is a short end-to-end run (~0.4 s for all five on a 4-core
+# host). A crash fails it, and so does a failed self-check: urban_mobility
+# checks that both layouts ran the pipeline, elastic_service that every
+# request completed or was shed.
+for example in quickstart urban_mobility ml_pipeline hpc_batch \
+               elastic_service; do
+  "$BUILD_DIR/examples/$example" > /dev/null \
+    || { echo "check.sh: example $example failed"; exit 1; }
+done
+echo "check.sh: examples ran clean"
 
 # -- Test-only oracles stay out of the library -------------------------
 # src/reference/ (the heap event queue, the per-flow fabric engine) is

@@ -32,6 +32,7 @@ struct BatchConfig {
 /// One queued request copy (the replica's FIFO element).
 struct QueuedRequest {
   RequestId id = 0;
+  int copy = 0;  // index of the copy within its request
   int cls = 0;
   util::TimeNs enqueued = 0;
   trace::SpanId span = trace::kNoSpan;        // the copy's parent span

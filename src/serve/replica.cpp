@@ -28,11 +28,13 @@ ReplicaServer::ReplicaServer(sim::Simulation& sim, std::int64_t key,
   }
 }
 
-bool ReplicaServer::enqueue(RequestId id, int cls, trace::SpanId copy_span) {
+bool ReplicaServer::enqueue(RequestId id, int copy, int cls,
+                            trace::SpanId copy_span) {
   if (closed_) return false;
   if (static_cast<int>(queue_.size()) >= config_.queue_limit) return false;
   QueuedRequest entry;
   entry.id = id;
+  entry.copy = copy;
   entry.cls = cls;
   entry.enqueued = sim_.now();
   entry.span = copy_span;
@@ -44,10 +46,10 @@ bool ReplicaServer::enqueue(RequestId id, int cls, trace::SpanId copy_span) {
   return true;
 }
 
-bool ReplicaServer::cancel_queued(RequestId id) {
+bool ReplicaServer::cancel_queued(RequestId id, int copy) {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     QueuedRequest& entry = queue_[i];
-    if (entry.id != id) continue;
+    if (entry.id != id || entry.copy != copy) continue;
     if (tracer_ && entry.queue_span != trace::kNoSpan) {
       tracer_->annotate(entry.queue_span, "cancelled", "1");
     }
@@ -130,7 +132,7 @@ void ReplicaServer::start_batch(const std::vector<std::size_t>& take) {
   for (QueuedRequest& entry : batch) {
     trace::end_span(tracer_, entry.queue_span);
     entry.queue_span = trace::kNoSpan;
-    if (on_dequeue_) on_dequeue_(entry.id, now - entry.enqueued);
+    if (on_dequeue_) on_dequeue_(now - entry.enqueued);
     exec_spans_.push_back(trace::begin_span(
         tracer_, trace::Layer::kServe, "serve.exec", entry.span));
   }
@@ -161,10 +163,12 @@ void ReplicaServer::finish_batch(int cls, util::TimeNs exec,
   trace::end_span(tracer_, batch_span);
   // The callback may start this replica's next batch (a hedge loser
   // cancelled out of this queue re-plans it), which refills batch_ and
-  // exec_spans_; batch_ids_ is only ever filled here.
-  batch_ids_.clear();
-  for (const QueuedRequest& entry : batch_) batch_ids_.push_back(entry.id);
-  on_batch_done_(key_, batch_ids_, cls, exec);
+  // exec_spans_; batch_copies_ is only ever filled here.
+  batch_copies_.clear();
+  for (const QueuedRequest& entry : batch_) {
+    batch_copies_.push_back({entry.id, entry.copy});
+  }
+  on_batch_done_(key_, batch_copies_, cls, exec);
   maybe_start();
 }
 

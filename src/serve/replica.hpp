@@ -43,11 +43,11 @@ class ReplicaServer {
  public:
   /// Fired once per request when it leaves the queue into a batch
   /// (sojourn = batch start - enqueue).
-  using DequeueFn = std::function<void(RequestId, util::TimeNs sojourn)>;
-  /// Fired when a batch finishes executing: the requests it carried, the
+  using DequeueFn = std::function<void(util::TimeNs sojourn)>;
+  /// Fired when a batch finishes executing: the copies it carried, the
   /// class, and the per-batch execution time.
   using BatchDoneFn = std::function<void(std::int64_t replica_key,
-                                         const std::vector<RequestId>& ids,
+                                         const std::vector<CopyRef>& copies,
                                          int cls, util::TimeNs exec)>;
 
   ReplicaServer(sim::Simulation& sim, std::int64_t key, cluster::NodeId node,
@@ -57,14 +57,14 @@ class ReplicaServer {
   ReplicaServer(const ReplicaServer&) = delete;
   ReplicaServer& operator=(const ReplicaServer&) = delete;
 
-  /// Enqueues a request copy. Returns false (shed) when the queue is at
-  /// its limit or the replica is closed. `copy_span` parents the
-  /// serve.queue / serve.exec spans.
-  bool enqueue(RequestId id, int cls, trace::SpanId copy_span);
+  /// Enqueues copy `copy` of request `id`. Returns false (shed) when the
+  /// queue is at its limit or the replica is closed. `copy_span` parents
+  /// the serve.queue / serve.exec spans.
+  bool enqueue(RequestId id, int copy, int cls, trace::SpanId copy_span);
 
   /// Removes a still-queued copy (a hedge race was lost). Returns false
   /// when the copy is not in the queue (already executing or done).
-  bool cancel_queued(RequestId id);
+  bool cancel_queued(RequestId id, int copy);
 
   /// Terminal: stops accepting, cancels the linger timer, and returns
   /// the queued requests (FIFO order) for the service to re-route.
@@ -105,13 +105,13 @@ class ReplicaServer {
   BatchDoneFn on_batch_done_;
   RequestQueue queue_;
   // Reused per batch: at most one batch executes at a time, so the
-  // executing batch, its serve.exec spans and the ids handed to the
+  // executing batch, its serve.exec spans and the copies handed to the
   // batch-done callback live here, and the batch-done event captures
   // only scalars.
   BatchPlan plan_;
   std::vector<QueuedRequest> batch_;
   std::vector<trace::SpanId> exec_spans_;
-  std::vector<RequestId> batch_ids_;
+  std::vector<CopyRef> batch_copies_;
   bool executing_ = false;
   bool closed_ = false;
   double slowdown_ = 1.0;

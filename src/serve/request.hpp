@@ -19,6 +19,14 @@ namespace evolve::serve {
 
 using RequestId = std::int64_t;
 
+/// One copy of a request: the request and the copy's index (0 = the
+/// primary, 1 = its hedge). The service names every copy it routes,
+/// queues, parks or executes this way.
+struct CopyRef {
+  RequestId id = 0;
+  int copy = 0;
+};
+
 /// One traffic class: what a request of this kind costs and what latency
 /// it was promised. Compute cost splits into a per-request part and a
 /// per-batch fixed setup (weight load, kernel launch) — the setup

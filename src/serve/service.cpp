@@ -38,7 +38,7 @@ void Service::on_condition(cluster::NodeId node,
                            const cluster::NodeCondition& before,
                            const cluster::NodeCondition& after) {
   if (after.cpu_slowdown != before.cpu_slowdown) {
-    for (auto& [key, rep] : replicas_) {
+    for (const auto& rep : live_servers_) {
       if (rep->node() == node) rep->set_slowdown(after.cpu_slowdown);
     }
   }
@@ -64,12 +64,12 @@ int Service::ramp_penalty(cluster::NodeId node) {
 
 void Service::set_accel_pool(accel::AccelPool* pool) {
   pool_ = pool;
-  for (auto& [key, rep] : replicas_) rep->set_accel_pool(pool);
+  for (const auto& rep : live_servers_) rep->set_accel_pool(pool);
 }
 
 void Service::set_tracer(trace::Tracer* tracer) {
   tracer_ = tracer;
-  for (auto& [key, rep] : replicas_) rep->set_tracer(tracer);
+  for (const auto& rep : live_servers_) rep->set_tracer(tracer);
 }
 
 void Service::attach_signal(ScalingSignal* signal) {
@@ -78,8 +78,8 @@ void Service::attach_signal(ScalingSignal* signal) {
 }
 
 int Service::replica_queue_depth(std::int64_t key) const {
-  auto it = replicas_.find(key);
-  return it == replicas_.end() ? 0 : it->second->queue_depth();
+  const std::size_t i = live_index(key);
+  return i < live_.size() ? live_servers_[i]->queue_depth() : 0;
 }
 
 const TenantStats& Service::tenant(const std::string& name) const {
@@ -95,14 +95,9 @@ Service::~Service() {
       [this](std::uint64_t, InFlight* rec) { inflight_slab_.release(rec); });
 }
 
-Service::InFlight* Service::record(RequestId id) {
-  InFlight* const* rec = inflight_.find(id);
-  return rec == nullptr ? nullptr : *rec;
-}
-
 ReplicaServer* Service::replica(std::int64_t key) {
-  auto it = replicas_.find(key);
-  if (it != replicas_.end()) return it->second.get();
+  const std::size_t i = live_index(key);
+  if (i < live_.size()) return live_servers_[i].get();
   for (auto& rep : retired_) {
     if (rep->key() == key) return rep.get();
   }
@@ -142,8 +137,7 @@ void Service::submit(Request req) {
   tenant.admitted += 1;
   metrics_.count("serve.admitted");
 
-  const RequestId id = req.id;
-  auto [slot, inserted] = inflight_.try_emplace(id, nullptr);
+  auto [slot, inserted] = inflight_.try_emplace(req.id, nullptr);
   if (!inserted) throw std::invalid_argument("duplicate request id");
   *slot = inflight_slab_.acquire();
   InFlight& rec = **slot;
@@ -151,18 +145,17 @@ void Service::submit(Request req) {
   rec.root = root;
 
   route_copy(rec, 0, -1);
-  // The record may have been erased (queue-full shed happens only after a
-  // network hop, so not here; parking keeps it alive) — re-look-up anyway
-  // to stay safe against future synchronous paths.
-  InFlight* alive = record(id);
-  if (alive && config_.hedging && !alive->done) arm_hedge(*alive);
+  if (config_.hedging) arm_hedge(rec);
 }
 
 bool Service::route_copy(InFlight& rec, int which, std::int64_t exclude_key) {
   Copy& copy = rec.copies[which];
-  if (replicas_.empty()) {
-    if (which != 0) return false;  // a hedge is never worth waiting for
-    copy.parked = true;
+  if (live_.empty()) {
+    // A hedge is not worth waiting for while its primary lives on.
+    if (which != 0 && rec.copies[0].state != CopyState::kUnassigned) {
+      return false;
+    }
+    copy.state = CopyState::kParked;
     parked_.push_back({rec.req.id, which});
     metrics_.count("serve.parked");
     return true;
@@ -200,8 +193,7 @@ bool Service::route_copy(InFlight& rec, int which, std::int64_t exclude_key) {
   const std::int64_t key = picked.key;
   const cluster::NodeId target = live_nodes_[static_cast<std::size_t>(idx)];
   copy.replica = key;
-  copy.live = true;
-  copy.parked = false;
+  copy.state = CopyState::kAssigned;
   picked.outstanding += 1;
   total_outstanding_ += 1;
   note_inflight();
@@ -227,57 +219,46 @@ bool Service::route_copy(InFlight& rec, int which, std::int64_t exclude_key) {
 }
 
 void Service::deliver_to_replica(RequestId id, int which, std::int64_t key) {
-  InFlight* rec = record(id);
-  if (!rec) return;  // the other copy finished and the record retired
-  Copy& copy = rec->copies[which];
-  if (!copy.live || copy.replica != key) return;
-
-  if (rec->done) {
+  InFlight& rec = record(id);
+  if (rec.done) {
     // Won by the other copy while this one was still in the network.
-    release_slot(key);
-    copy.live = false;
+    retire(rec, which);
     if (which == 1) metrics_.count("serve.hedges_cancelled");
-    maybe_erase(id);
+    maybe_erase(rec);
     return;
   }
 
   ReplicaServer* rep = replica(key);
   if (!rep || rep->closed()) {
     // The replica went away while the request crossed the fabric.
-    release_slot(key);
-    copy.live = false;
+    retire(rec, which);
     metrics_.count("serve.rerouted");
-    if (!route_copy(*rec, which, -1)) maybe_erase(id);
+    route_copy(rec, which, -1);
     return;
   }
 
-  if (!rep->enqueue(id, rec->req.cls, copy.span)) {
+  if (!rep->enqueue(id, which, rec.req.cls, rec.copies[which].span)) {
     // Bounded queue full: the request is shed, not retried — retrying
     // would just defeat the backpressure the bound exists to create.
-    release_slot(key);
-    copy.live = false;
+    retire(rec, which);
     metrics_.count("serve.queue_full");
-    Copy& other = rec->copies[1 - which];
-    if (!other.live && !other.parked) {
-      shed_request(*rec, Outcome::kShedQueueFull);
-    } else {
-      if (which == 1) trace::end_span(tracer_, copy.span);
-      maybe_erase(id);
+    if (rec.copies[1 - which].state == CopyState::kUnassigned) {
+      shed_request(rec, Outcome::kShedQueueFull);
     }
   }
 }
 
-void Service::on_dequeue(RequestId /*id*/, util::TimeNs sojourn) {
+void Service::on_dequeue(util::TimeNs sojourn) {
   admission_.on_queue_delay(sim_.now(), sojourn);
   if (signal_) signal_->on_queue_delay(sojourn);
   metrics_.observe("serve.queue_delay_us", sojourn / util::kMicrosecond);
 }
 
 void Service::on_batch_done(std::int64_t key,
-                            const std::vector<RequestId>& ids, int cls,
+                            const std::vector<CopyRef>& copies, int cls,
                             util::TimeNs exec) {
   metrics_.observe("serve.batch_size",
-                   static_cast<std::int64_t>(ids.size()));
+                   static_cast<std::int64_t>(copies.size()));
   metrics_.observe("serve.exec_us", exec / util::kMicrosecond);
   // This runs inside the replica's own finish_batch, and a closed
   // replica is kept in retired_ until it is idle, so it is always found.
@@ -285,60 +266,48 @@ void Service::on_batch_done(std::int64_t key,
   const bool closed = rep.closed();
   if (exec_observer_) exec_observer_(rep.node(), exec);
 
-  for (RequestId id : ids) {
-    InFlight* rec = record(id);
-    if (!rec) continue;
-    int which = -1;
-    for (int c = 0; c < 2; ++c) {
-      if (rec->copies[c].live && rec->copies[c].replica == key) {
-        which = c;
-        break;
-      }
-    }
-    if (which < 0) continue;
-    Copy& copy = rec->copies[which];
-    release_slot(key);
-
-    if (rec->done) {
+  for (const auto [id, which] : copies) {
+    InFlight& rec = record(id);
+    if (rec.done) {
       // Lost the hedge race after already executing: pure wasted work.
-      copy.live = false;
+      retire(rec, which);
       metrics_.count("serve.wasted_exec");
-      if (which == 1) trace::end_span(tracer_, copy.span);
-      maybe_erase(id);
+      maybe_erase(rec);
       continue;
     }
 
     if (closed) {
       // The pod was evicted mid-execution; the result died with it.
-      copy.live = false;
+      retire(rec, which);
       metrics_.count("serve.rerouted");
-      if (!route_copy(*rec, which, -1)) maybe_erase(id);
+      route_copy(rec, which, -1);
       continue;
     }
 
-    rec->done = true;
+    // The winner leaves its replica but stays assigned until its
+    // response reaches the client.
+    Copy& copy = rec.copies[which];
+    release_slot(copy);
+    rec.done = true;
     if (which == 1) metrics_.count("serve.hedge_wins");
-    if (rec->hedge_armed) {
-      sim_.cancel(rec->hedge_event);
-      rec->hedge_armed = false;
+    if (rec.hedge_armed) {
+      sim_.cancel(rec.hedge_event);
+      rec.hedge_armed = false;
     }
-    Copy& other = rec->copies[1 - which];
-    if (other.live) {
-      ReplicaServer* loser = replica(other.replica);
-      if (loser && loser->cancel_queued(id)) {
+    const int other = 1 - which;
+    if (rec.copies[other].state == CopyState::kAssigned) {
+      ReplicaServer* loser = replica(rec.copies[other].replica);
+      if (loser && loser->cancel_queued(id, other)) {
         // Still queued: cancelled before it cost anything.
-        release_slot(other.replica);
-        other.live = false;
+        retire(rec, other);
         metrics_.count("serve.hedges_cancelled");
-        if ((1 - which) == 1) trace::end_span(tracer_, other.span);
       }
       // Executing or in the network: retires through its own path.
     }
 
     const RequestClass& klass = classes_[static_cast<std::size_t>(cls)];
-    const cluster::NodeId client = rec->req.client;
     trace::ScopedContext ctx(tracer_, copy.span);
-    fabric_.transfer(rep.node(), client, klass.response_bytes,
+    fabric_.transfer(rep.node(), rec.req.client, klass.response_bytes,
                      [this, id, which] { finalize(id, which); });
   }
   // This callback runs inside the finishing replica's finish_batch — if
@@ -350,13 +319,11 @@ void Service::on_batch_done(std::int64_t key,
 }
 
 void Service::finalize(RequestId id, int which) {
-  InFlight* rec = record(id);
-  if (!rec) return;
-  Copy& copy = rec->copies[which];
+  InFlight& rec = record(id);
   const util::TimeNs now = sim_.now();
-  const util::TimeNs latency = now - rec->req.arrival;
-  const RequestClass& klass = class_of(*rec);
-  TenantStats& tenant = tenant_of(*rec);
+  const util::TimeNs latency = now - rec.req.arrival;
+  const RequestClass& klass = class_of(rec);
+  TenantStats& tenant = tenant_of(rec);
 
   tenant.completed += 1;
   metrics_.count("serve.completed");
@@ -367,18 +334,17 @@ void Service::finalize(RequestId id, int which) {
     tenant.slo_violations += 1;
     metrics_.count("serve.slo_violations");
   }
-  if (tracer_ && rec->root != trace::kNoSpan) {
-    tracer_->annotate(rec->root, "outcome", to_string(Outcome::kCompleted));
-    if (which == 1) tracer_->annotate(rec->root, "won_by", "hedge");
+  if (tracer_ && rec.root != trace::kNoSpan) {
+    tracer_->annotate(rec.root, "outcome", to_string(Outcome::kCompleted));
+    if (which == 1) tracer_->annotate(rec.root, "won_by", "hedge");
   }
-  if (which == 1) trace::end_span(tracer_, copy.span);
-  trace::end_span(tracer_, rec->root);
-  rec->root = trace::kNoSpan;
-  copy.live = false;
+  retire(rec, which);
+  trace::end_span(tracer_, rec.root);
+  rec.root = trace::kNoSpan;
   if (completion_observer_) {
-    completion_observer_(rec->req, klass, latency, slo_ok);
+    completion_observer_(rec.req, klass, latency, slo_ok);
   }
-  maybe_erase(id);
+  maybe_erase(rec);
 }
 
 void Service::arm_hedge(InFlight& rec) {
@@ -386,28 +352,26 @@ void Service::arm_hedge(InFlight& rec) {
       metrics::hedge_delay(metrics_.histogram("serve.latency_us"),
                            config_.hedge_min_delay, config_.hedge_min_samples);
   const RequestId id = rec.req.id;
+  // Every path that finishes or sheds the request cancels the timer.
   rec.hedge_event = sim_.after(delay, [this, id] {
-    InFlight* r = record(id);
-    if (!r) return;
-    r->hedge_armed = false;
-    launch_hedge(id);
+    InFlight& armed = record(id);
+    armed.hedge_armed = false;
+    launch_hedge(armed);
   });
   rec.hedge_armed = true;
 }
 
-void Service::launch_hedge(RequestId id) {
-  InFlight* rec = record(id);
-  if (!rec || rec->done) return;
-  Copy& primary = rec->copies[0];
-  if (!primary.live || primary.parked) return;  // dying or still parked
-  if (replicas_.size() < 2) return;  // no distinct replica to hedge to
+void Service::launch_hedge(InFlight& rec) {
+  const Copy& primary = rec.copies[0];
+  if (primary.state != CopyState::kAssigned) return;  // still parked
+  if (live_.size() < 2) return;  // no distinct replica to hedge to
   if (retry_budget_ != nullptr && !retry_budget_->try_retry()) {
     // Empty cross-layer budget: a hedge is duplicate work the cluster
     // cannot afford right now — suppress rather than pile on.
     metrics_.count("serve.hedges_suppressed");
     return;
   }
-  if (route_copy(*rec, 1, primary.replica)) {
+  if (route_copy(rec, 1, primary.replica)) {
     metrics_.count("serve.hedges_launched");
   }
 }
@@ -428,16 +392,24 @@ void Service::shed_request(InFlight& rec, Outcome outcome) {
   if (tracer_ && rec.root != trace::kNoSpan) {
     tracer_->annotate(rec.root, "outcome", to_string(outcome));
   }
-  trace::end_span(tracer_, rec.copies[1].span);  // idempotent if ended
   trace::end_span(tracer_, rec.root);
   rec.done = true;
   rec.root = trace::kNoSpan;
-  maybe_erase(rec.req.id);
+  maybe_erase(rec);
 }
 
-void Service::release_slot(std::int64_t key) {
-  const std::size_t i = live_index(key);
-  if (i < live_.size() && live_[i].outstanding > 0) live_[i].outstanding -= 1;
+void Service::retire(InFlight& rec, int which) {
+  Copy& copy = rec.copies[which];
+  release_slot(copy);
+  copy.state = CopyState::kUnassigned;
+  if (which == 1) trace::end_span(tracer_, copy.span);
+}
+
+void Service::release_slot(Copy& copy) {
+  if (copy.replica < 0) return;
+  const std::size_t i = live_index(copy.replica);
+  if (i < live_.size()) live_[i].outstanding -= 1;
+  copy.replica = -1;
   total_outstanding_ -= 1;
   note_inflight();
 }
@@ -458,14 +430,13 @@ void Service::note_inflight() {
   if (signal_) signal_->set_inflight(total_outstanding_);
 }
 
-void Service::maybe_erase(RequestId id) {
-  InFlight* rec = record(id);
-  if (rec == nullptr || !rec->done) return;
-  for (const Copy& copy : rec->copies) {
-    if (copy.live || copy.parked) return;
+void Service::maybe_erase(InFlight& rec) {
+  if (!rec.done || rec.hedge_armed) return;
+  for (const Copy& copy : rec.copies) {
+    if (copy.state != CopyState::kUnassigned) return;
   }
-  if (rec->hedge_armed) return;
-  inflight_slab_.release(rec);
+  const RequestId id = rec.req.id;
+  inflight_slab_.release(&rec);
   inflight_.erase(id);
 }
 
@@ -475,77 +446,57 @@ void Service::on_replica_event(orch::PodId pod, cluster::NodeId node,
   if (up) {
     auto rep = std::make_unique<ReplicaServer>(
         sim_, key, node, classes_, config_.replica,
-        [this](RequestId id, util::TimeNs sojourn) { on_dequeue(id, sojourn); },
-        [this](std::int64_t k, const std::vector<RequestId>& ids, int cls,
-               util::TimeNs exec) { on_batch_done(k, ids, cls, exec); });
+        [this](util::TimeNs sojourn) { on_dequeue(sojourn); },
+        [this](std::int64_t k, const std::vector<CopyRef>& copies, int cls,
+               util::TimeNs exec) { on_batch_done(k, copies, cls, exec); });
     rep->set_slowdown(conditions_[node].cpu_slowdown);
     rep->set_accel_pool(pool_);
     rep->set_tracer(tracer_);
     const auto at = static_cast<std::ptrdiff_t>(live_position(key));
     live_.insert(live_.begin() + at, ReplicaView{key, 0, true});
     live_nodes_.insert(live_nodes_.begin() + at, node);
-    replicas_[key] = std::move(rep);
+    live_servers_.insert(live_servers_.begin() + at, std::move(rep));
     metrics_.count("serve.replica_up");
     drain_parked();
     return;
   }
 
-  auto it = replicas_.find(key);
-  if (it == replicas_.end()) return;
-  std::unique_ptr<ReplicaServer> rep = std::move(it->second);
-  replicas_.erase(it);
   const std::size_t i = live_index(key);
-  live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
-  live_nodes_.erase(live_nodes_.begin() + static_cast<std::ptrdiff_t>(i));
+  if (i == live_.size()) return;
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  std::unique_ptr<ReplicaServer> rep = std::move(live_servers_[i]);
+  live_.erase(live_.begin() + at);
+  live_nodes_.erase(live_nodes_.begin() + at);
+  live_servers_.erase(live_servers_.begin() + at);
   metrics_.count("serve.replica_down");
-  std::vector<QueuedRequest> orphans = rep->close();
+  const std::vector<QueuedRequest> orphans = rep->close();
   if (rep->idle()) {
     rep.reset();  // no pending events capture it; safe to free now
   } else {
     retired_.push_back(std::move(rep));  // drains its executing batch
   }
   for (const QueuedRequest& orphan : orphans) {
-    InFlight* rec = record(orphan.id);
-    if (!rec) continue;
-    int which = -1;
-    for (int c = 0; c < 2; ++c) {
-      if (rec->copies[c].live && rec->copies[c].replica == key) which = c;
-    }
-    if (which < 0) continue;
-    release_slot(key);
-    rec->copies[which].live = false;
-    if (rec->done) {
-      maybe_erase(orphan.id);
+    InFlight& rec = record(orphan.id);
+    retire(rec, orphan.copy);
+    if (rec.done) {
+      maybe_erase(rec);
       continue;
     }
     metrics_.count("serve.rerouted");
-    if (!route_copy(*rec, which, -1)) maybe_erase(orphan.id);
+    route_copy(rec, orphan.copy, -1);
   }
 }
 
 void Service::drain_parked() {
-  util::RingQueue<std::pair<RequestId, int>> pending;
-  std::swap(pending, parked_);
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const auto [id, which] = pending[i];
-    InFlight* rec = record(id);
-    if (!rec || !rec->copies[which].parked) continue;  // shed while parked
-    rec->copies[which].parked = false;
-    if (replicas_.empty()) {
-      // Still nothing to route to: park again, preserving FIFO order.
-      rec->copies[which].parked = true;
-      for (std::size_t rest = i; rest < pending.size(); ++rest) {
-        parked_.push_back(pending[rest]);
-      }
-      return;
-    }
-    route_copy(*rec, which, -1);
-    if (config_.hedging) {
-      InFlight* alive = record(id);
-      if (alive && !alive->done && !alive->hedge_armed &&
-          !alive->copies[1].live) {
-        arm_hedge(*alive);
-      }
+  // A replica is up, so every parked copy routes (none parks again).
+  while (!parked_.empty()) {
+    const auto [id, which] = parked_.front();
+    parked_.pop_front();
+    InFlight& rec = record(id);
+    route_copy(rec, which, -1);
+    if (config_.hedging && !rec.hedge_armed &&
+        rec.copies[1].state == CopyState::kUnassigned) {
+      arm_hedge(rec);
     }
   }
 }

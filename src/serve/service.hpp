@@ -22,12 +22,24 @@
 // — the bounded queue is the backpressure signal, and hedges are for
 // slowness, not for overload.
 //
+// A request has at most two copies, each named by (request id, copy
+// index): the primary (0) and its hedge (1). The index travels with the
+// copy into the replica queue, the batch and the callbacks, so a copy
+// re-routed onto the replica its sibling is on stays distinct. A copy
+// is unassigned, parked or assigned, and every path that ends an
+// assignment (lost on the wire, closed replica, queue full, wasted or
+// evicted execution, orphaned by a close, cancelled loser, finalized)
+// goes through one retire(), which releases its slot and ends a hedge's
+// span. Open replicas live in one table in key order: the router's
+// view, the node and the server at the same index.
+//
 // Every request emits serve.request / serve.queue / serve.exec spans
 // (plus serve.hedge and replica-level serve.batch), with fabric
 // transfers parented underneath, so the critical-path walk attributes
 // request latency across serve/network layers.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -122,7 +134,7 @@ class Service {
   void set_retry_budget(util::RetryBudget* budget) { retry_budget_ = budget; }
 
   // -- introspection ---------------------------------------------------
-  int replica_count() const { return static_cast<int>(replicas_.size()); }
+  int replica_count() const { return static_cast<int>(live_.size()); }
   /// Requests assigned to replicas and not yet retired (in the network,
   /// queued, or executing).
   int outstanding() const { return total_outstanding_; }
@@ -158,11 +170,16 @@ class Service {
   std::int64_t rerouted() const { return metrics_.counter("serve.rerouted"); }
 
  private:
+  /// Assigned: routed and not yet retired (in the network, queued,
+  /// executing, or on its response leg). Parked: waiting for any
+  /// replica to exist.
+  enum class CopyState : std::uint8_t { kUnassigned, kParked, kAssigned };
   struct Copy {
-    std::int64_t replica = -1;  // key of the assigned replica
+    /// Key of the replica whose slot the copy holds; -1 when it holds
+    /// none (not assigned, or executed and on its response leg).
+    std::int64_t replica = -1;
     trace::SpanId span = trace::kNoSpan;
-    bool live = false;    // assigned and not yet retired
-    bool parked = false;  // waiting for any replica to exist
+    CopyState state = CopyState::kUnassigned;
   };
   struct InFlight {
     Request req;
@@ -177,7 +194,13 @@ class Service {
   void on_condition(cluster::NodeId node, const cluster::NodeCondition& before,
                     const cluster::NodeCondition& after);
   ReplicaServer* replica(std::int64_t key);
-  InFlight* record(RequestId id);
+  /// The record of a request in flight. It outlives every assigned or
+  /// parked copy and an armed hedge timer, so each event finds it.
+  InFlight& record(RequestId id) {
+    InFlight* const* rec = inflight_.find(id);
+    assert(rec != nullptr);
+    return **rec;
+  }
   TenantStats& tenant_of(const InFlight& rec) {
     return *class_tenants_[static_cast<std::size_t>(rec.req.cls)];
   }
@@ -185,27 +208,32 @@ class Service {
     return classes_[static_cast<std::size_t>(rec.req.cls)];
   }
 
-  /// Routes one copy; parks it when no replica exists. Returns false
-  /// only when the copy could be neither routed nor parked (no distinct
-  /// replica for a hedge).
+  /// Routes one copy; parks it when no replica exists (a hedge only
+  /// once its primary is gone). Returns false only when the copy could
+  /// be neither routed nor parked (no distinct replica for a hedge).
   bool route_copy(InFlight& rec, int which, std::int64_t exclude_key);
   void deliver_to_replica(RequestId id, int which, std::int64_t key);
-  void on_dequeue(RequestId id, util::TimeNs sojourn);
-  void on_batch_done(std::int64_t key, const std::vector<RequestId>& ids,
+  void on_dequeue(util::TimeNs sojourn);
+  void on_batch_done(std::int64_t key, const std::vector<CopyRef>& copies,
                      int cls, util::TimeNs exec);
   void finalize(RequestId id, int which);
   void arm_hedge(InFlight& rec);
-  void launch_hedge(RequestId id);
+  void launch_hedge(InFlight& rec);
   /// Whole-request shed: accounts, closes spans, erases the record.
   void shed_request(InFlight& rec, Outcome outcome);
-  void release_slot(std::int64_t key);
+  /// Ends a copy's assignment: releases the slot it holds, marks it
+  /// unassigned and ends a hedge's serve.hedge span. The caller then
+  /// counts, re-routes or calls maybe_erase.
+  void retire(InFlight& rec, int which);
+  /// Gives back the replica slot the copy holds, if any.
+  void release_slot(Copy& copy);
   /// The first index in live_ whose key is not below `key`.
   std::size_t live_position(std::int64_t key) const;
   /// The replica's index in live_, or live_.size() when it is not open.
   std::size_t live_index(std::int64_t key) const;
   int ramp_penalty(cluster::NodeId node);
   void note_inflight();
-  void maybe_erase(RequestId id);
+  void maybe_erase(InFlight& rec);
   void drain_parked();
   void sweep_retired();
 
@@ -217,16 +245,16 @@ class Service {
   Router router_;
   AdmissionController admission_;
 
-  std::map<std::int64_t, std::unique_ptr<ReplicaServer>> replicas_;
+  /// The replica table: one view per open replica in key order, and its
+  /// node and server at the same index. Replica events insert and erase
+  /// entries; assign and release update `outstanding` in place;
+  /// `available` is refreshed from conditions_ per route.
+  std::vector<ReplicaView> live_;
+  std::vector<cluster::NodeId> live_nodes_;
+  std::vector<std::unique_ptr<ReplicaServer>> live_servers_;
   /// Closed replicas still draining an executing batch (events capture
   /// their `this`); swept once idle.
   std::vector<std::unique_ptr<ReplicaServer>> retired_;
-  /// The live routing table: one view per open replica in key order (the
-  /// order of replicas_), and its node at the same index. Replica events
-  /// insert and erase entries; assign and release update `outstanding`
-  /// in place; `available` is refreshed from conditions_ per route.
-  std::vector<ReplicaView> live_;
-  std::vector<cluster::NodeId> live_nodes_;
   cluster::NodeConditions conditions_;
   util::TimeNs reconnect_ramp_ = 0;
   struct Ramp {
@@ -244,7 +272,7 @@ class Service {
   // ordering stays deterministic.
   util::Slab<InFlight> inflight_slab_;
   util::FlatIdMap<InFlight*> inflight_;
-  util::RingQueue<std::pair<RequestId, int>> parked_;  // (request, copy)
+  util::RingQueue<CopyRef> parked_;
 
   std::map<std::string, TenantStats> tenants_;
   /// Each class's tenant entry, resolved once (map nodes do not move).

@@ -81,7 +81,12 @@ struct ServeFixture {
   RequestId next_id = 1;
 };
 
+/// After the simulation drains: every arrival ended in exactly one
+/// outcome, and nothing is left assigned, parked or on the wire.
 void expect_clean(const ServeFixture& f) {
+  for (const auto& [name, tenant] : f.service->tenants()) {
+    EXPECT_EQ(tenant.completed + tenant.shed(), tenant.arrived) << name;
+  }
   EXPECT_EQ(f.service->outstanding(), 0);
   EXPECT_EQ(f.service->parked(), 0);
   EXPECT_EQ(f.fabric.stats().flows_in_flight, 0);
@@ -325,6 +330,45 @@ TEST(ServeService, HedgeRetiredOnTheWireCountsAsCancelled) {
   expect_clean(f);
 }
 
+// A serve.hedge span ends when its copy retires: here one hedge is lost
+// on the wire (its primary won while it crossed the fabric) and one is
+// re-routed off a replica that a scale-down closes under it.
+TEST(ServeService, HedgeSpansEndWithTheirCopies) {
+  ServeFixture f(2);
+  f.classes[0].request_bytes = 8 * util::kMiB;  // ~7 ms on the client link
+  ServiceConfig config;
+  config.policy = BalancePolicy::kLeastOutstanding;
+  config.replica.batch.max_batch = 1;
+  config.hedging = true;
+  config.hedge_min_delay = util::millis(5);
+  config.hedge_min_samples = 1 << 20;  // pin the delay to hedge_min_delay
+  Service& svc = f.make_service(config);
+  trace::Tracer tracer(f.sim);
+  f.fabric.set_tracer(&tracer);
+  svc.set_tracer(&tracer);
+  f.sim.run();
+  f.offer(1, 0);
+  f.sim.run();
+  EXPECT_EQ(svc.hedges_cancelled(), 1);
+  // Of the next two requests, the second's primary lands on the second
+  // replica, slowed so that its hedge is needed, and its hedge goes to
+  // the first: the oldest, which scale(1) evicts while the hedge is on
+  // the wire. The hedge re-routes to the replica its primary is on.
+  const auto compute = f.cluster.nodes_with_label("role=compute");
+  svc.conditions().set_slowdown(compute[1], 50.0, 1.0);
+  f.offer(2, util::micros(100));
+  f.sim.at(f.sim.now() + util::millis(7), [&f] { f.deploy->scale(1); });
+  f.sim.run();
+  EXPECT_EQ(svc.hedges_launched(), 3);
+  int hedge_spans = 0;
+  for (const trace::Span& span : tracer.spans()) {
+    hedge_spans += span.name == "serve.hedge" ? 1 : 0;
+  }
+  EXPECT_EQ(hedge_spans, 4);  // the re-routed hedge opened a second span
+  EXPECT_EQ(tracer.open_spans(), 0u);
+  expect_clean(f);
+}
+
 TEST(ServeService, NoHedgeWithoutASecondReplica) {
   ServeFixture f(1);
   ServiceConfig config;
@@ -413,11 +457,8 @@ TEST(ServeService, SignalSeesTheServingPath) {
 // request leg's net.transfer span names the request id, the copy index
 // and the destination node at the routing time. Anti-affinity keeps one
 // live replica per node, so the node at that time names the replica.
-//
-// The run does not conserve requests: a primary re-routed onto the
-// replica its hedge is live on shares that replica's key with it, and
-// the copy lookups by (request, key) can then retire the wrong copy and
-// strand the request. The digest pins that behaviour as it stands.
+// A re-routed copy may land on the replica its sibling is live on; the
+// run must still conserve requests.
 std::uint64_t routing_digest(BalancePolicy policy) {
   ServeFixture f(4);
   f.classes[0].compute_cost = util::millis(3);
@@ -495,16 +536,17 @@ std::uint64_t routing_digest(BalancePolicy policy) {
     ++routed;
   }
   EXPECT_GT(routed, tenant.arrived);  // hedges and re-routes add copies
+  expect_clean(f);
   return digest;
 }
 
 TEST(Service, RoutingDigestIsPinned) {
   EXPECT_EQ(routing_digest(BalancePolicy::kPowerOfTwo),
-            7146928624018736399u);
+            3396736974003770598u);
   EXPECT_EQ(routing_digest(BalancePolicy::kLeastOutstanding),
-            5266827490107002776u);
+            11842193093626495528u);
   EXPECT_EQ(routing_digest(BalancePolicy::kRoundRobin),
-            16028737590318519198u);
+            6279320711378830686u);
 }
 
 // A fuller scenario (Poisson arrivals, hedging, admission, one slow
