@@ -10,7 +10,9 @@
 // allocation of the process. After one unmeasured run that warms any
 // one-time state, it counts ten set-up-only passes (RunOptions::
 // setup_only), then one full run, and prints allocations per set-up,
-// per full run, and per run without its set-up. For the counter's
+// per full run, per run without its set-up, and per op: the run-only
+// count over the run's offered units (tablet ops, workflows or
+// requests, RunResult::offered). For the counter's
 // sampled call stacks it weighs one set-up pass at -1 and the full run
 // at +1 and leaves everything else out, so alloc_count.out holds the
 // run's own allocation sites. scripts/profile.sh builds it (from
@@ -83,10 +85,14 @@ int main(int argc, char** argv) {
   alloc_count_weight(-1);
   workload->run(setup);
   alloc_count_weight(1);
-  const std::uint64_t run = allocations([&] { workload->run(full); });
+  std::int64_t offered = 0;
+  const std::uint64_t run =
+      allocations([&] { offered = workload->run(full).offered; });
   alloc_count_weight(0);
 
   const std::uint64_t per_setup = setups / kSetups;
+  const long long run_only =
+      static_cast<long long>(run) - static_cast<long long>(per_setup);
   std::printf("Heap allocations, %s seed %llu:\n", workload->name,
               static_cast<unsigned long long>(seed));
   std::printf("  per set-up        %llu (mean of %d set-up passes)\n",
@@ -94,6 +100,11 @@ int main(int argc, char** argv) {
   std::printf("  per full run      %llu\n",
               static_cast<unsigned long long>(run));
   std::printf("  per run, run only %lld (full run minus one set-up)\n",
-              static_cast<long long>(run) - static_cast<long long>(per_setup));
+              run_only);
+  if (offered > 0) {
+    std::printf("  per op            %.2f (run only / %lld offered)\n",
+                static_cast<double>(run_only) / static_cast<double>(offered),
+                static_cast<long long>(offered));
+  }
   return 0;
 }

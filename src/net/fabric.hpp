@@ -25,10 +25,10 @@
 //    reused across recomputes. Flow ids and endpoint pairs are indexed
 //    by util::FlatIdMap, paths are inline net::Path values, a recycled
 //    group keeps its member heap's capacity, and completion callbacks
-//    are util::SmallFn. Once the fabric has seen its peak flow and group
-//    counts, starting, cancelling and finishing a flow allocates
-//    nothing, provided the callback's capture fits SmallFn's inline
-//    buffer. Three cases still allocate: a zero-byte transfer (its
+//    are util::SmallFn<void()>. Once the fabric has seen its peak flow
+//    and group counts, starting, cancelling and finishing a flow
+//    allocates nothing, provided the callback's capture fits SmallFn's
+//    inline buffer. Three cases still allocate: a zero-byte transfer (its
 //    latency event wraps the callback), a traced transfer (the span
 //    wrapper does) and a parked flow (a std::map node).
 //
@@ -54,7 +54,7 @@
 namespace evolve::net {
 
 using FlowId = std::int64_t;
-using FlowCallback = util::SmallFn;
+using FlowCallback = util::SmallFn<void()>;
 
 struct FlowStats {
   std::int64_t flows_started = 0;

@@ -298,9 +298,10 @@ void Service::on_batch_done(std::int64_t key,
     if (rec.copies[other].state == CopyState::kAssigned) {
       ReplicaServer* loser = replica(rec.copies[other].replica);
       if (loser && loser->cancel_queued(id, other)) {
-        // Still queued: cancelled before it cost anything.
+        // Still queued: cancelled before it cost anything. Only a
+        // cancelled hedge is a hedge cancel; a cancelled primary is not.
         retire(rec, other);
-        metrics_.count("serve.hedges_cancelled");
+        if (other == 1) metrics_.count("serve.hedges_cancelled");
       }
       // Executing or in the network: retires through its own path.
     }

@@ -27,7 +27,7 @@
 // next_time() and pop()), or wholesale by purge() the moment the live
 // count hits zero.
 //
-// Callbacks are util::SmallFn: captures up to 48 bytes live inline in the
+// Callbacks are util::SmallFn<void()>: captures up to 48 bytes live inline in the
 // entry, so push/pop perform no per-event heap allocation on the common
 // capture sizes (std::function spills to the heap past 16 bytes).
 #pragma once
@@ -42,7 +42,7 @@
 namespace evolve::sim {
 
 using EventId = std::uint64_t;
-using EventFn = util::SmallFn;
+using EventFn = util::SmallFn<void()>;
 
 /// One scheduled callback. Ordering: earlier time first, then schedule
 /// order, so same-time events run FIFO — this makes the whole simulation

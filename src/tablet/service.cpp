@@ -115,41 +115,43 @@ void TabletService::submit(cluster::NodeId node_id, OpKind kind,
   op.key = key;
   op.client = client;
   op.cb = std::move(done);
+  const OpId id = ops_.acquire(std::move(op));
   fabric_.transfer(client, node_id, kRequestBytes,
-                   [this, node_id, parent, op = std::move(op)]() mutable {
-                     op.span = trace::begin_span(
+                   [this, node_id, parent, id] {
+                     ops_[id].span = trace::begin_span(
                          tracer_, trace::Layer::kTablet, "tablet.serve",
                          parent);
-                     arrive(node_id, std::move(op));
+                     arrive(node_id, id);
                    });
 }
 
-void TabletService::arrive(cluster::NodeId node_id, Op op) {
+void TabletService::arrive(cluster::NodeId node_id, OpId id) {
   if (!serving(node_id)) {
-    respond(node_id, op, OpStatus::kUnavailable, kInvalidShard);
+    respond(node_id, id, OpStatus::kUnavailable, kInvalidShard);
     return;
   }
+  Op& op = ops_[id];
   const ShardInfo& si = map_.shard_for(op.key);
   if (si.node != node_id) {
-    respond(node_id, op, OpStatus::kWrongShard, si.id);
+    respond(node_id, id, OpStatus::kWrongShard, si.id);
     return;
   }
   Tablet& t = tablet(si.id);
   if (t.moving) {
-    respond(node_id, op, OpStatus::kUnavailable, si.id);
+    respond(node_id, id, OpStatus::kUnavailable, si.id);
     return;
   }
   if (static_cast<int>(t.queue.size()) >= config_.queue_limit) {
-    respond(node_id, op, OpStatus::kQueueFull, si.id);
+    respond(node_id, id, OpStatus::kQueueFull, si.id);
     return;
   }
   if (op.kind == OpKind::kWrite) op.seq = next_seq_++;
   op.queued_at = sim_.now();
   ++t.ops_interval;
-  ++t.access[op.key];
+  t.access.push_back(op.key);
   metrics_.observe("queue_depth_at_arrival",
                    static_cast<std::int64_t>(t.queue.size()));
-  t.queue.push_back(std::move(op));
+  t.queue.push_back(id);
   kick(node_id);
 }
 
@@ -161,41 +163,41 @@ void TabletService::kick(cluster::NodeId node_id) {
     Tablet& t = tablet(n.hosted[idx]);
     if (t.moving || t.queue.empty()) continue;
     n.rr = (idx + 1) % n.hosted.size();
-    Op op = std::move(t.queue.front());
+    const OpId id = t.queue.front();
     t.queue.pop_front();
     n.busy = true;
     metrics_.observe("queue_wait_us",
-                     (sim_.now() - op.queued_at) / util::kMicrosecond);
-    execute(node_id, t.id, std::move(op));
+                     (sim_.now() - ops_[id].queued_at) / util::kMicrosecond);
+    execute(node_id, t.id, id);
     return;
   }
 }
 
-void TabletService::execute(cluster::NodeId node_id, ShardId shard, Op op) {
+void TabletService::execute(cluster::NodeId node_id, ShardId shard, OpId id) {
+  const Op& op = ops_[id];
   const util::TimeNs base =
       op.kind == OpKind::kRead ? kReadCost : kWriteCost;
   const auto cost = static_cast<util::TimeNs>(
       static_cast<double>(base) * conditions_[node_id].cpu_slowdown);
   const trace::SpanId exec_span = trace::begin_span(
       tracer_, trace::Layer::kTablet, "tablet.exec", op.span);
-  sim_.after(cost, [this, node_id, shard, exec_span,
-                    op = std::move(op)]() mutable {
+  sim_.after(cost, [this, node_id, shard, exec_span, id] {
     trace::end_span(tracer_, exec_span);
-    NodeState& n = node(node_id);
-    n.busy = false;
-    if (op.kind == OpKind::kRead) {
-      finish_read(node_id, shard, std::move(op));
+    node(node_id).busy = false;
+    if (ops_[id].kind == OpKind::kRead) {
+      finish_read(node_id, shard, id);
     } else {
-      append_wal(node_id, shard, std::move(op));
+      append_wal(node_id, shard, id);
     }
     kick(node_id);
   });
 }
 
 void TabletService::finish_read(cluster::NodeId node_id, ShardId shard,
-                                Op op) {
+                                OpId id) {
+  const Op& op = ops_[id];
   if (applied_seq_.count(op.key) == 0) {
-    respond(node_id, op, OpStatus::kNotFound, shard);
+    respond(node_id, id, OpStatus::kNotFound, shard);
     return;
   }
   // The shard may have split/merged while the op executed: resolve the
@@ -205,7 +207,7 @@ void TabletService::finish_read(cluster::NodeId node_id, ShardId shard,
   if (t.memtable.count(op.key) != 0 || t.sealed.count(op.key) != 0 ||
       t.gens.empty()) {
     metrics_.count("memtable_hits");
-    respond(node_id, op, OpStatus::kOk, si.id, /*from_memtable=*/true);
+    respond(node_id, id, OpStatus::kOk, si.id, /*from_memtable=*/true);
     return;
   }
   metrics_.count("block_reads");
@@ -215,24 +217,18 @@ void TabletService::finish_read(cluster::NodeId node_id, ShardId shard,
   store_.read_block(
       node_id, {kBucket, t.gens.back().object}, kBlockBytes,
       [this, node_id, shard = si.id, read_span,
-       op = std::move(op)](const storage::GetResult& r) mutable {
+       id](const storage::GetResult& r) {
         trace::end_span(tracer_, read_span);
         if (!r.found) metrics_.count("gen_read_misses");
-        respond(node_id, op, OpStatus::kOk, shard);
+        respond(node_id, id, OpStatus::kOk, shard);
       });
 }
 
 void TabletService::append_wal(cluster::NodeId node_id, ShardId shard,
-                               Op op) {
+                               OpId id) {
   NodeState& n = node(node_id);
-  PendingWrite w;
-  w.key = op.key;
-  w.seq = op.seq;
-  w.shard = shard;
-  w.client = op.client;
-  w.span = op.span;
-  w.cb = std::move(op.cb);
-  n.group.push_back(std::move(w));
+  ops_[id].shard = shard;
+  n.group.push_back(id);
   if (!n.group_armed && !n.commit_inflight) {
     n.group_armed = true;
     sim_.after(kWalGroupDelay, [this, node_id] { commit_wal(node_id); });
@@ -243,30 +239,30 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
   NodeState& n = node(node_id);
   n.group_armed = false;
   if (n.commit_inflight || n.group.empty()) return;
-  auto group = std::make_shared<std::vector<PendingWrite>>(
-      std::move(n.group));
-  n.group.clear();
-  const auto bytes = static_cast<util::Bytes>(group->size()) *
+  // No commit is in flight, so `committing` is empty: the swap hands the
+  // group over and leaves its old buffer to accumulate the next one.
+  std::swap(n.group, n.committing);
+  const auto bytes = static_cast<util::Bytes>(n.committing.size()) *
                      (kWalEntryBytes + kValueBytes);
   const storage::ObjectKey wal_key{
       kBucket, "wal-n" + std::to_string(node_id) + "-" +
                           std::to_string(n.wal_objects++)};
   const trace::SpanId wal_span = trace::begin_span(
       tracer_, trace::Layer::kTablet, "tablet.wal",
-      group->front().span);
+      ops_[n.committing.front()].span);
   trace::ScopedContext tctx(tracer_, wal_span);
   const bool accepted = store_.put_fenced(
-      node_id, n.epoch, wal_key, bytes,
-      [this, node_id, group, wal_span] {
+      node_id, n.epoch, wal_key, bytes, [this, node_id, wal_span] {
         trace::end_span(tracer_, wal_span);
         NodeState& n = node(node_id);
         n.commit_inflight = false;
         metrics_.count("wal_commits");
         // Durable: apply in order (idempotent per key), then ack.
-        for (PendingWrite& w : *group) {
-          apply_write(w);
-          respond_write(node_id, w, OpStatus::kOk);
+        for (const OpId id : n.committing) {
+          apply_write(id);
+          respond(node_id, id, OpStatus::kOk, ops_[id].shard);
         }
+        n.committing.clear();
         if (!n.group.empty() && !n.group_armed) {
           n.group_armed = true;
           sim_.after(kWalGroupDelay, [this, node_id] { commit_wal(node_id); });
@@ -277,13 +273,17 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
     // durable, nothing is applied, and the ops fail un-acked.
     trace::end_span(tracer_, wal_span);
     metrics_.count("wal_commits_fenced");
-    for (PendingWrite& w : *group) respond_write(node_id, w, OpStatus::kFenced);
+    for (const OpId id : n.committing) {
+      respond(node_id, id, OpStatus::kFenced, ops_[id].shard);
+    }
+    n.committing.clear();
     return;
   }
   n.commit_inflight = true;
 }
 
-void TabletService::apply_write(const PendingWrite& w) {
+void TabletService::apply_write(OpId id) {
+  const Op& w = ops_[id];
   std::int64_t& applied = applied_seq_[w.key];
   if (w.seq <= applied) {
     // A newer write to this key already landed (a cross-epoch ordering
@@ -306,9 +306,9 @@ void TabletService::apply_write(const PendingWrite& w) {
   }
 }
 
-void TabletService::respond(cluster::NodeId from, const Op& op,
-                            OpStatus status, ShardId shard,
-                            bool from_memtable) {
+void TabletService::respond(cluster::NodeId from, OpId id, OpStatus status,
+                            ShardId shard, bool from_memtable) {
+  const Op& op = ops_[id];
   metrics_.count(op_key(status));
   OpResult result;
   result.status = status;
@@ -323,29 +323,12 @@ void TabletService::respond(cluster::NodeId from, const Op& op,
     tracer_->annotate(op.span, "status", to_string(status));
   }
   trace::end_span(tracer_, op.span);
-  deliver(from, op.client, bytes, op.span, result, op.cb);
-}
-
-void TabletService::respond_write(cluster::NodeId from, const PendingWrite& w,
-                                  OpStatus status) {
-  metrics_.count(op_key(status));
-  OpResult result;
-  result.status = status;
-  result.shard = w.shard;
-  result.epoch = map_.epoch();
-  result.seq = w.seq;
-  if (tracer_ && w.span != trace::kNoSpan) {
-    tracer_->annotate(w.span, "status", to_string(status));
-  }
-  trace::end_span(tracer_, w.span);
-  deliver(from, w.client, kAckBytes, w.span, result, w.cb);
-}
-
-void TabletService::deliver(cluster::NodeId from, cluster::NodeId to,
-                            util::Bytes bytes, trace::SpanId /*span*/,
-                            OpResult result, OpCallback cb) {
-  fabric_.transfer(from, to, bytes,
-                   [result, cb = std::move(cb)] { cb(result); });
+  // `this` + result + index: exactly SmallFn's 48 inline bytes.
+  fabric_.transfer(from, op.client, bytes, [this, result, id] {
+    OpCallback cb = std::move(ops_[id].cb);
+    ops_.release(id);  // before the callback, which may submit again
+    cb(result);
+  });
 }
 
 // -- Memtable flush -----------------------------------------------------
@@ -472,20 +455,21 @@ bool TabletService::split_shard(ShardId id, std::uint64_t at) {
     t.memtable_bytes -= moved;
   }
   r.gens = t.gens;  // both halves keep reading the shared generations
-  std::deque<Op> keep;
-  for (Op& op : t.queue) {
-    (op.key < at ? keep : r.queue).push_back(std::move(op));
+  util::RingQueue<OpId> keep;
+  for (std::size_t i = 0; i < t.queue.size(); ++i) {
+    const OpId id = t.queue[i];
+    (ops_[id].key < at ? keep : r.queue).push_back(id);
   }
   t.queue = std::move(keep);
-  for (auto acc = t.access.lower_bound(at); acc != t.access.end();) {
-    r.access.insert(*acc);
-    acc = t.access.erase(acc);
-  }
-  std::int64_t left_ops = 0, right_ops = 0;
-  for (const auto& [k, c] : t.access) left_ops += c;
-  for (const auto& [k, c] : r.access) right_ops += c;
-  t.ops_interval = left_ops;
-  r.ops_interval = right_ops;
+  // Each accepted op left one key in the sample, so each half's op count
+  // is its share of the sample.
+  const auto upper =
+      std::partition(t.access.begin(), t.access.end(),
+                     [at](std::uint64_t key) { return key < at; });
+  r.access.assign(upper, t.access.end());
+  t.access.erase(upper, t.access.end());
+  t.ops_interval = static_cast<std::int64_t>(t.access.size());
+  r.ops_interval = static_cast<std::int64_t>(r.access.size());
   const ShardId rid = r.id;
   tablets_[rid] = std::move(r);
   host(info.node, rid);
@@ -514,8 +498,10 @@ bool TabletService::merge_shards(ShardId left, ShardId right) {
         [&g](const Generation& mine) { return mine.object == g.object; });
     if (!dup) l.gens.push_back(g);
   }
-  for (Op& op : r.queue) l.queue.push_back(std::move(op));
-  for (const auto& [k, c] : r.access) l.access[k] += c;
+  for (std::size_t i = 0; i < r.queue.size(); ++i) {
+    l.queue.push_back(r.queue[i]);
+  }
+  l.access.insert(l.access.end(), r.access.begin(), r.access.end());
   l.ops_interval += r.ops_interval;
   cancel_age_flush(r);
   unhost(li.node, right);
@@ -599,9 +585,12 @@ void TabletService::finish_move(ShardId id, cluster::NodeId from,
 
 void TabletService::bounce_queue(cluster::NodeId node_id, Tablet& t,
                                  OpStatus status) {
-  std::deque<Op> drained;
-  drained.swap(t.queue);
-  for (Op& op : drained) respond(node_id, op, status, t.id);
+  // respond only schedules transfers, so nothing reaches the queue
+  // while it drains.
+  for (std::size_t i = 0; i < t.queue.size(); ++i) {
+    respond(node_id, t.queue[i], status, t.id);
+  }
+  t.queue.clear();
 }
 
 bool TabletService::shard_moving(ShardId id) const {
@@ -609,36 +598,38 @@ bool TabletService::shard_moving(ShardId id) const {
   return it != tablets_.end() && it->second.moving;
 }
 
+const std::vector<std::uint64_t>& TabletService::sorted_access(
+    const Tablet& t) {
+  std::sort(t.access.begin(), t.access.end());
+  return t.access;
+}
+
 std::uint64_t TabletService::split_point(ShardId id) const {
   const ShardInfo info = map_.shard(id);
   const std::uint64_t mid = info.start + (info.end - info.start) / 2;
-  const Tablet& t = tablet(id);
-  std::int64_t total = 0;
-  for (const auto& [k, c] : t.access) total += c;
-  if (total == 0) return mid;
-  std::int64_t cum = 0;
-  std::uint64_t median = info.start;
-  for (const auto& [k, c] : t.access) {
-    cum += c;
-    if (cum * 2 >= total) {
-      median = k;
-      break;
-    }
-  }
+  const std::vector<std::uint64_t>& access = sorted_access(tablet(id));
+  if (access.empty()) return mid;
+  // The first key whose running count reaches half the total: in sorted
+  // order, the key at position ceil(total / 2) - 1.
+  const std::uint64_t median = access[(access.size() + 1) / 2 - 1];
   if (median <= info.start || median >= info.end) return mid;
   return median;
 }
 
 bool TabletService::hot_key_dominated(ShardId id) const {
-  const Tablet& t = tablet(id);
-  std::int64_t total = 0, top = 0;
-  for (const auto& [k, c] : t.access) {
-    total += c;
-    top = std::max(top, c);
+  const std::vector<std::uint64_t>& access = sorted_access(tablet(id));
+  // Equal keys sit together once sorted: the longest run is the top
+  // key's count.
+  std::size_t top = 0;
+  for (std::size_t i = 0; i < access.size();) {
+    std::size_t j = i + 1;
+    while (j < access.size() && access[j] == access[i]) ++j;
+    top = std::max(top, j - i);
+    i = j;
   }
-  return total > 0 &&
+  return !access.empty() &&
          static_cast<double>(top) >=
-             kHotKeyFraction * static_cast<double>(total);
+             kHotKeyFraction * static_cast<double>(access.size());
 }
 
 std::int64_t TabletService::shard_ops(ShardId id) const {
@@ -770,7 +761,7 @@ TabletClient::TabletClient(sim::Simulation& sim, TabletService& service,
 }
 
 void TabletClient::refresh_now() {
-  cache_ = service_.shard_map().shards();
+  service_.shard_map().shards(cache_);
   cache_epoch_ = service_.shard_map().epoch();
 }
 
@@ -797,7 +788,7 @@ void TabletClient::submit(OpKind kind, std::uint64_t key,
   if (p.span != trace::kNoSpan) {
     service_.tracer()->annotate(p.span, "key", std::to_string(key));
   }
-  route(std::move(p));
+  route(pending_.acquire(std::move(p)));
 }
 
 void TabletClient::submit(const serve::Request& req, OpKind kind,
@@ -805,44 +796,42 @@ void TabletClient::submit(const serve::Request& req, OpKind kind,
   submit(kind, req.key, req.client, std::move(done));
 }
 
-void TabletClient::route(Pending p) {
+void TabletClient::route(PendingId id) {
+  Pending& p = pending_[id];
   ++p.attempts;
-  const cluster::NodeId owner = cached_owner(p.key);
-  const auto kind = p.kind;
-  const auto key = p.key;
-  const auto client = p.client;
-  const auto span = p.span;
   service_.submit(
-      owner, kind, key, client,
-      [this, p = std::move(p)](OpResult r) mutable {
-        const bool retryable = r.status == OpStatus::kWrongShard ||
-                               r.status == OpStatus::kUnavailable;
-        if (retryable && p.attempts < config_.max_attempts) {
-          if (r.status == OpStatus::kWrongShard) {
-            ++wrong_shard_retries_;
-          } else {
-            ++unavailable_retries_;
-          }
-          // Refresh the cached map (paying the fetch) and try again.
-          sim_.after(config_.retry_backoff + kMapFetchLatency,
-                     [this, p = std::move(p)]() mutable {
-                       refresh_now();
-                       route(std::move(p));
-                     });
-          return;
-        }
-        if (retryable) ++exhausted_;
-        r.attempts = p.attempts;
-        if (service_.tracer() && p.span != trace::kNoSpan) {
-          service_.tracer()->annotate(p.span, "status",
-                                      to_string(r.status));
-          service_.tracer()->annotate(p.span, "attempts",
-                                      std::to_string(p.attempts));
-        }
-        trace::end_span(service_.tracer(), p.span);
-        p.done(r);
-      },
-      span);
+      cached_owner(p.key), p.kind, p.key, p.client,
+      [this, id](OpResult r) { on_result(id, r); }, p.span);
+}
+
+void TabletClient::on_result(PendingId id, OpResult r) {
+  Pending& p = pending_[id];
+  const bool retryable = r.status == OpStatus::kWrongShard ||
+                         r.status == OpStatus::kUnavailable;
+  if (retryable && p.attempts < config_.max_attempts) {
+    if (r.status == OpStatus::kWrongShard) {
+      ++wrong_shard_retries_;
+    } else {
+      ++unavailable_retries_;
+    }
+    // Refresh the cached map (paying the fetch) and try again.
+    sim_.after(config_.retry_backoff + kMapFetchLatency, [this, id] {
+      refresh_now();
+      route(id);
+    });
+    return;
+  }
+  if (retryable) ++exhausted_;
+  r.attempts = p.attempts;
+  if (service_.tracer() && p.span != trace::kNoSpan) {
+    service_.tracer()->annotate(p.span, "status", to_string(r.status));
+    service_.tracer()->annotate(p.span, "attempts",
+                                std::to_string(p.attempts));
+  }
+  trace::end_span(service_.tracer(), p.span);
+  TabletService::OpCallback done = std::move(p.done);
+  pending_.release(id);  // before the callback, which may submit again
+  done(r);
 }
 
 }  // namespace evolve::tablet

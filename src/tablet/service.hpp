@@ -26,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,6 +38,9 @@
 #include "storage/object_store.hpp"
 #include "tablet/shard_map.hpp"
 #include "trace/tracer.hpp"
+#include "util/ring_queue.hpp"
+#include "util/slot_table.hpp"
+#include "util/small_fn.hpp"
 #include "util/types.hpp"
 
 namespace evolve::tablet {
@@ -117,7 +118,8 @@ struct ShardStats {
 
 class TabletService {
  public:
-  using OpCallback = std::function<void(OpResult)>;
+  /// Runs once, on the client, with the op's result.
+  using OpCallback = util::SmallFn<void(OpResult)>;
 
   TabletService(sim::Simulation& sim, net::Fabric& fabric,
                 storage::ObjectStore& store,
@@ -149,7 +151,10 @@ class TabletService {
   bool shard_moving(ShardId id) const;
   /// Median key of the shard's recent accesses (the split point that
   /// halves its load); the range midpoint before any access lands.
+  /// Sorts the shard's access sample.
   std::uint64_t split_point(ShardId id) const;
+  /// One key takes at least kHotKeyFraction of the shard's recent
+  /// accesses. Sorts the shard's access sample.
   bool hot_key_dominated(ShardId id) const;
   /// Accepted ops per shard / node since the last begin_interval().
   std::int64_t shard_ops(ShardId id) const;
@@ -218,22 +223,28 @@ class TabletService {
   void stop();
 
  private:
+  /// One op in ops_, from its request transfer to the delivery of its
+  /// response.
   struct Op {
     OpKind kind = OpKind::kRead;
     std::uint64_t key = 0;
     std::int64_t seq = 0;  // assigned at acceptance (writes)
+    ShardId shard = kInvalidShard;  // the shard whose WAL group holds it
     cluster::NodeId client = cluster::kInvalidNode;
     util::TimeNs queued_at = 0;
     trace::SpanId span = trace::kNoSpan;
     OpCallback cb;
   };
+  /// An op's index in ops_. Events, transfers, shard queues and WAL
+  /// groups carry it instead of the op, so their captures stay inline.
+  using OpId = util::SlotTable<Op>::Id;
   struct Generation {
     std::string object;  // bucket-relative name
     util::Bytes bytes = 0;
   };
   struct Tablet {
     ShardId id = kInvalidShard;
-    std::deque<Op> queue;
+    util::RingQueue<OpId> queue;
     /// Keys written since the last flush (seq per key) + the sealed
     /// (flushing) snapshot — both serve reads without store I/O.
     std::map<std::uint64_t, std::int64_t> memtable;
@@ -247,24 +258,18 @@ class TabletService {
     cluster::NodeId move_target = cluster::kInvalidNode;
     sim::EventId age_timer = 0;
     bool age_armed = false;
-    // Balancer observation window.
+    // Balancer observation window: the key of every accepted op, in
+    // arrival order until a reader sorts it (the order carries nothing).
     std::int64_t ops_interval = 0;
-    std::map<std::uint64_t, std::int64_t> access;
-  };
-  struct PendingWrite {
-    std::uint64_t key = 0;
-    std::int64_t seq = 0;
-    ShardId shard = kInvalidShard;
-    cluster::NodeId client = cluster::kInvalidNode;
-    trace::SpanId span = trace::kNoSpan;
-    OpCallback cb;
+    mutable std::vector<std::uint64_t> access;
   };
   struct NodeState {
     std::int64_t epoch = 1;  // fencing epoch this server stamps PUTs with
     std::vector<ShardId> hosted;  // round-robin order
     std::size_t rr = 0;
     bool busy = false;
-    std::vector<PendingWrite> group;  // accumulating WAL group
+    std::vector<OpId> group;       // accumulating WAL group
+    std::vector<OpId> committing;  // the group whose PUT is in flight
     bool group_armed = false;
     bool commit_inflight = false;
     std::int64_t wal_objects = 0;
@@ -281,27 +286,29 @@ class TabletService {
   bool serving(cluster::NodeId node) const {
     return !conditions_[node].unreachable;
   }
-  void arrive(cluster::NodeId node, Op op);
+  void arrive(cluster::NodeId node, OpId id);
   void kick(cluster::NodeId node);
-  void execute(cluster::NodeId node, ShardId shard, Op op);
-  void finish_read(cluster::NodeId node, ShardId shard, Op op);
-  void append_wal(cluster::NodeId node, ShardId shard, Op op);
+  void execute(cluster::NodeId node, ShardId shard, OpId id);
+  void finish_read(cluster::NodeId node, ShardId shard, OpId id);
+  void append_wal(cluster::NodeId node, ShardId shard, OpId id);
   void commit_wal(cluster::NodeId node);
-  void apply_write(const PendingWrite& w);
-  void respond(cluster::NodeId from, const Op& op, OpStatus status,
+  void apply_write(OpId id);
+  /// Answers op `id` from `from`: counts and annotates the status, ends
+  /// its span and sends the response, which frees the op's slot and runs
+  /// its callback on arrival.
+  void respond(cluster::NodeId from, OpId id, OpStatus status,
                ShardId shard, bool from_memtable = false);
-  void respond_write(cluster::NodeId from, const PendingWrite& w,
-                     OpStatus status);
   /// Responses sent with `status` (its `op_<status>` counter).
   std::int64_t op_count(OpStatus status) const;
-  void deliver(cluster::NodeId from, cluster::NodeId to, util::Bytes bytes,
-               trace::SpanId span, OpResult result, OpCallback cb);
   void maybe_flush(cluster::NodeId node_id, ShardId shard);
   void start_flush(cluster::NodeId node_id, ShardId shard);
   void arm_age_flush(ShardId shard);
   void cancel_age_flush(Tablet& t);
   void bounce_queue(cluster::NodeId node_id, Tablet& t, OpStatus status);
   void finish_move(ShardId id, cluster::NodeId from, cluster::NodeId to);
+  /// The tablet's access sample, sorted in place (the order carries
+  /// nothing, so sorting it keeps every per-key count).
+  static const std::vector<std::uint64_t>& sorted_access(const Tablet& t);
   /// Least-loaded serving, undrained node other than `except`.
   cluster::NodeId pick_target(cluster::NodeId except) const;
   void host(cluster::NodeId node_id, ShardId shard);
@@ -314,6 +321,7 @@ class TabletService {
   std::vector<cluster::NodeId> nodes_list_;
   TabletConfig config_;
   ShardMap map_;
+  util::SlotTable<Op> ops_;
   std::map<ShardId, Tablet> tablets_;
   std::map<cluster::NodeId, NodeState> nodes_;
   cluster::NodeConditions conditions_;
@@ -364,6 +372,8 @@ class TabletClient {
   std::int64_t exhausted() const { return exhausted_; }
 
  private:
+  /// One op across all its attempts; its index in pending_ is what the
+  /// service callback and the retry event carry.
   struct Pending {
     OpKind kind = OpKind::kRead;
     std::uint64_t key = 0;
@@ -372,13 +382,16 @@ class TabletClient {
     trace::SpanId span = trace::kNoSpan;
     TabletService::OpCallback done;
   };
+  using PendingId = util::SlotTable<Pending>::Id;
 
-  void route(Pending p);
+  void route(PendingId id);
+  void on_result(PendingId id, OpResult r);
   cluster::NodeId cached_owner(std::uint64_t key) const;
 
   sim::Simulation& sim_;
   TabletService& service_;
   ClientConfig config_;
+  util::SlotTable<Pending> pending_;
   std::vector<ShardInfo> cache_;
   std::int64_t cache_epoch_ = 0;
   std::int64_t wrong_shard_retries_ = 0;

@@ -81,9 +81,14 @@ ShardId ShardMap::right_neighbor(ShardId id) const {
 
 std::vector<ShardInfo> ShardMap::shards() const {
   std::vector<ShardInfo> out;
+  shards(out);
+  return out;
+}
+
+void ShardMap::shards(std::vector<ShardInfo>& out) const {
+  out.clear();
   out.reserve(by_start_.size());
   for (const auto& [start, info] : by_start_) out.push_back(info);
-  return out;
 }
 
 std::vector<ShardId> ShardMap::shards_on(cluster::NodeId node) const {

@@ -57,6 +57,10 @@ class ShardMap {
 
   /// All shards in range order.
   std::vector<ShardInfo> shards() const;
+  /// The same, written into `out`, whose capacity is reused: a client
+  /// refreshing its cached map allocates nothing once `out` has held as
+  /// many shards.
+  void shards(std::vector<ShardInfo>& out) const;
   /// Shards hosted by `node`, in range order.
   std::vector<ShardId> shards_on(cluster::NodeId node) const;
 

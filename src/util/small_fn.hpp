@@ -8,8 +8,15 @@
 // small struct, a wrapped callback) never touch the heap — and falls
 // back to a heap-owned callable only above that.
 //
+// SmallFn<R(Args...)> takes a signature like std::function, so one type
+// serves events (SmallFn<void()>) and one-shot completion callbacks
+// (SmallFn<void(OpResult)>): a completion captured into an event stays
+// inline in both. Arguments are forwarded to the callable as declared.
+//
 // Unlike std::function, SmallFn is move-only, which is what lets it
 // accept move-only captures (e.g. a lambda that owns another SmallFn).
+// Any callable converts, a std::function included; an empty
+// std::function or null function pointer makes an empty SmallFn.
 // Trivially copyable captures are flagged at construction and moved with
 // a plain memcpy, so relocating events inside the queue's buckets and
 // heaps never runs user code.
@@ -17,14 +24,24 @@
 
 #include <cstddef>
 #include <cstring>
-#include <functional>  // std::bad_function_call
+#include <functional>  // std::bad_function_call, std::function
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace evolve::util {
 
-class SmallFn {
+template <typename Signature>
+class SmallFn;
+
+template <typename R, typename... Args>
+class SmallFn<R(Args...)> {
+  template <typename D>
+  using EnableIfCallable =
+      std::enable_if_t<!std::is_same_v<D, SmallFn> &&
+                       !std::is_same_v<D, std::nullptr_t> &&
+                       std::is_invocable_r_v<R, D&, Args...>>;
+
  public:
   /// Inline capture budget. 48 bytes holds `this` + five 64-bit ids with
   /// room to spare; measured against the repo's own schedule sites.
@@ -34,9 +51,7 @@ class SmallFn {
   SmallFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
-                                        !std::is_same_v<D, std::nullptr_t> &&
-                                        std::is_invocable_r_v<void, D&>>>
+            typename = EnableIfCallable<D>>
   SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor)
     assign<D>(std::forward<F>(fn));
   }
@@ -54,9 +69,7 @@ class SmallFn {
     return *this;
   }
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
-                                        !std::is_same_v<D, std::nullptr_t> &&
-                                        std::is_invocable_r_v<void, D&>>>
+            typename = EnableIfCallable<D>>
   SmallFn& operator=(F&& fn) {
     reset();
     assign<D>(std::forward<F>(fn));
@@ -69,14 +82,14 @@ class SmallFn {
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
-  void operator()() {
+  R operator()(Args... args) {
     if (!invoke_) throw std::bad_function_call();
-    invoke_(buf_);
+    return invoke_(buf_, std::forward<Args>(args)...);
   }
 
  private:
   enum class Op { kMove, kDestroy };
-  using Invoke = void (*)(void*);
+  using Invoke = R (*)(void*, Args&&...);
   // kMove: relocate from src buffer into dst buffer (dst uninitialized,
   // src left destroyed). kDestroy: destroy the callable in dst.
   using Manage = void (*)(Op, void* dst, void* src);
@@ -87,11 +100,31 @@ class SmallFn {
            std::is_nothrow_move_constructible_v<D>;
   }
 
+  template <typename T>
+  struct IsStdFunction : std::false_type {};
+  template <typename S>
+  struct IsStdFunction<std::function<S>> : std::true_type {};
+
+  /// A null function pointer or an empty std::function: nothing to call.
+  template <typename D>
+  static bool empty_callable(const D& fn) {
+    if constexpr (std::is_pointer_v<D> || std::is_member_pointer_v<D> ||
+                  IsStdFunction<D>::value) {
+      return !fn;
+    } else {
+      return false;
+    }
+  }
+
   template <typename D, typename F>
   void assign(F&& fn) {
+    if (empty_callable<D>(fn)) return;
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
-      invoke_ = [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); };
+      invoke_ = [](void* p, Args&&... args) -> R {
+        return std::invoke(*std::launder(reinterpret_cast<D*>(p)),
+                           std::forward<Args>(args)...);
+      };
       if constexpr (std::is_trivially_copyable_v<D> &&
                     std::is_trivially_destructible_v<D>) {
         manage_ = nullptr;  // memcpy-relocatable, nothing to destroy
@@ -109,7 +142,10 @@ class SmallFn {
     } else {
       *reinterpret_cast<D**>(static_cast<void*>(buf_)) =
           new D(std::forward<F>(fn));
-      invoke_ = [](void* p) { (**reinterpret_cast<D**>(p))(); };
+      invoke_ = [](void* p, Args&&... args) -> R {
+        return std::invoke(**reinterpret_cast<D**>(p),
+                           std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* dst, void* src) {
         if (op == Op::kMove) {
           std::memcpy(dst, src, sizeof(D*));

@@ -10,9 +10,12 @@
 // allocates nothing, however long the name. A warm net::Fabric starts,
 // cancels and completes flows without allocating, and a warm
 // serve::Service (hedging and batching on, feeding a ScalingSignal and
-// a HealthScorer) serves requests without allocating. A warm ObjectStore::locate allocates only the vector it
-// returns, and a warm ring allreduce allocates as much at 16 ranks as
-// at 4: nothing per message.
+// a HealthScorer) serves requests without allocating. A warm
+// ObjectStore::locate allocates only the vector it returns, and a warm
+// ring allreduce allocates as much at 16 ranks as at 4: nothing per
+// message. Through a warm TabletClient, memtable reads, not-found reads
+// and WrongShard retries allocate nothing, and a WAL group commit of 64
+// writes allocates what one of a single write does.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,6 +36,7 @@
 #include "sim/simulation.hpp"
 #include "storage/io_model.hpp"
 #include "storage/object_store.hpp"
+#include "tablet/service.hpp"
 #include "trace/tracer.hpp"
 
 namespace {
@@ -393,3 +397,109 @@ TEST(CommunicatorAllocation, WarmRingAllreduceCostIsIndependentOfRanks) {
 
 }  // namespace
 }  // namespace evolve::hpc
+
+namespace evolve::tablet {
+namespace {
+
+/// Allocations of a warm TabletClient's op round: `round` runs once to
+/// warm every table and the event queue's buckets, then again under the
+/// counter.
+template <typename Round>
+std::size_t warm_tablet_round(sim::Simulation& sim, Round round) {
+  net::run_round(sim, round);
+  const std::size_t before = g_allocs.load();
+  net::run_round(sim, round);
+  return g_allocs.load() - before;
+}
+
+TEST(TabletAllocation, WarmOpsAllocateNothingPerOp) {
+  sim::Simulation sim;
+  cluster::Cluster cluster = cluster::make_testbed(3, 3, 0);
+  net::Topology topology(cluster);
+  net::Fabric fabric(sim, topology);
+  storage::IoSubsystem io(sim, cluster);
+  storage::ObjectStore store(sim, cluster, fabric, io,
+                             cluster.nodes_with_label("role=storage"));
+  const std::vector<cluster::NodeId> nodes =
+      cluster.nodes_with_label("role=compute");
+  TabletConfig config;
+  config.keyspace = 900;
+  config.initial_shards = 3;  // [0, 300) [300, 600) [600, 900)
+  config.queue_limit = 1024;
+  config.flush_bytes = util::kGiB;  // the memtable keeps every write
+  config.flush_age = 0;
+  TabletService service(sim, fabric, store, nodes, config);
+  TabletClient client(sim, service);
+  const cluster::NodeId origin = cluster.nodes_with_label("role=storage")[0];
+
+  constexpr int kOps = 64;
+  int done = 0;
+  // `n` ops of one kind on keys first, first + 1, ...; each round closes
+  // the balancer window first, as the balancer's tick does.
+  const auto ops = [&](OpKind kind, std::uint64_t first, int n) {
+    return [&, kind, first, n] {
+      service.begin_interval();
+      for (int i = 0; i < n; ++i) {
+        client.submit(kind, first + static_cast<std::uint64_t>(i), origin,
+                      [&done](OpResult r) {
+                        if (r.status == OpStatus::kOk ||
+                            r.status == OpStatus::kNotFound) {
+                          ++done;
+                        }
+                      });
+      }
+    };
+  };
+
+  // Keys 0..63 exist in shard 0's memtable from here on.
+  auto first_writes = ops(OpKind::kWrite, 0, kOps);
+  net::run_round(sim, first_writes);
+  ASSERT_EQ(done, kOps);
+
+  EXPECT_EQ(warm_tablet_round(sim, ops(OpKind::kRead, 0, kOps)), 0u)
+      << "memtable reads";
+  EXPECT_EQ(warm_tablet_round(sim, ops(OpKind::kRead, 100, kOps)), 0u)
+      << "not-found reads";
+
+  // Retried WrongShard ops: shard 1 moves while the client's cached map
+  // still names its old owner, so every op bounces once and retries. Two
+  // rounds warm both directions of the move; the third is counted.
+  const ShardId moved = service.shard_map().shard_for(400).id;
+  std::size_t retried = 0;
+  for (int round = 0; round < 3; ++round) {
+    const cluster::NodeId to =
+        service.shard_map().shard(moved).node == nodes[1] ? nodes[2]
+                                                          : nodes[1];
+    ASSERT_TRUE(service.move_shard(moved, to));
+    sim.run();
+    const std::int64_t retries = client.wrong_shard_retries();
+    auto stale_reads = ops(OpKind::kRead, 400, kOps);
+    const std::size_t before = g_allocs.load();
+    net::run_round(sim, stale_reads);
+    retried = g_allocs.load() - before;
+    EXPECT_EQ(client.wrong_shard_retries() - retries, kOps);
+  }
+  EXPECT_EQ(retried, 0u) << "retried WrongShard ops";
+
+  // Writes: a lone write commits first, and the `n` writes sent 250 us
+  // later reach the WAL group while that commit is in flight, so they all
+  // share the next one. Two commits per round either way: kOps writes
+  // cost what one does.
+  const auto commit_rounds = [&](int n) {
+    const auto writes = ops(OpKind::kWrite, 0, n);
+    const auto round = [&, writes] {
+      ops(OpKind::kWrite, 0, 1)();
+      sim.after(util::micros(250), writes);
+    };
+    const std::int64_t commits = service.wal_commits();
+    const std::size_t allocs = warm_tablet_round(sim, round);
+    EXPECT_EQ(service.wal_commits() - commits, 4) << n << " writes";
+    return allocs;
+  };
+  const std::size_t one = commit_rounds(1);
+  EXPECT_EQ(commit_rounds(kOps), one) << "writes in one WAL group commit";
+  EXPECT_EQ(client.exhausted(), 0);
+}
+
+}  // namespace
+}  // namespace evolve::tablet

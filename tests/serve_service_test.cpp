@@ -330,6 +330,39 @@ TEST(ServeService, HedgeRetiredOnTheWireCountsAsCancelled) {
   expect_clean(f);
 }
 
+TEST(ServeService, PrimaryCancelledByItsHedgeIsNotAHedgeCancel) {
+  ServeFixture f(2);
+  ServiceConfig config;
+  config.policy = BalancePolicy::kRoundRobin;
+  config.replica.batch.max_batch = 1;
+  config.hedging = true;
+  config.hedge_min_delay = util::millis(2);
+  config.hedge_min_samples = 1 << 20;  // pin the delay to hedge_min_delay
+  Service& svc = f.make_service(config);
+  f.sim.run();
+  // Round robin puts every other primary on the 50x slow replica, where
+  // it queues behind the 150 ms batch ahead of it. Its hedge runs on the
+  // healthy replica and wins, and the primary is cancelled in the slow
+  // queue: a cancelled primary, not a cancelled hedge.
+  const auto compute = f.cluster.nodes_with_label("role=compute");
+  svc.conditions().set_slowdown(compute[0], 50.0, 1.0);
+  f.offer(6, util::millis(1));
+  f.sim.run();
+  EXPECT_EQ(svc.tenant("default").completed, 6);
+  // Six hedges: four win. The three primaries the healthy replica served
+  // hedged onto the slow one too (its 3 ms batch outlasts the 2 ms
+  // delay), and two of those hedges were still queued when their
+  // primary won. Of the four losing primaries, one was executing
+  // (wasted) and three were cancelled in the slow queue, which used to
+  // count as hedge cancels too (5).
+  EXPECT_EQ(svc.hedges_launched(), 6);
+  EXPECT_EQ(svc.hedge_wins(), 4);
+  EXPECT_EQ(svc.wasted_exec(), 1);
+  EXPECT_EQ(svc.hedges_cancelled(),
+            svc.hedges_launched() - svc.hedge_wins());
+  expect_clean(f);
+}
+
 // A serve.hedge span ends when its copy retires: here one hedge is lost
 // on the wire (its primary won while it crossed the fabric) and one is
 // re-routed off a replica that a scale-down closes under it.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -12,6 +15,8 @@
 #include "tablet/balancer.hpp"
 #include "tablet/shard_map.hpp"
 #include "trace/tracer.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace evolve::tablet {
 namespace {
@@ -469,6 +474,222 @@ TEST(TabletBalancer, MergesColdShardsAndSkipsHotKeyDominatedSplit) {
   balancer.tick();  // cold window
   EXPECT_EQ(balancer.merges_triggered(), 1);
   EXPECT_EQ(f.service.shard_map().shard_count(), 1);
+}
+
+// -- Access sample ------------------------------------------------------
+
+/// split_point and hot_key_dominated recomputed from a per-key count of
+/// the keys the shard accepted (the brute force the sample must match).
+struct AccessOracle {
+  std::map<std::uint64_t, std::int64_t> counts;
+
+  std::uint64_t split_point(const ShardInfo& s) const {
+    const std::uint64_t mid = s.start + (s.end - s.start) / 2;
+    std::int64_t total = 0;
+    for (auto it = counts.lower_bound(s.start);
+         it != counts.end() && it->first < s.end; ++it) {
+      total += it->second;
+    }
+    if (total == 0) return mid;
+    std::int64_t cum = 0;
+    for (auto it = counts.lower_bound(s.start);; ++it) {
+      cum += it->second;
+      if (cum * 2 >= total) {
+        return it->first <= s.start || it->first >= s.end ? mid : it->first;
+      }
+    }
+  }
+
+  bool hot(const ShardInfo& s) const {
+    std::int64_t total = 0, top = 0;
+    for (auto it = counts.lower_bound(s.start);
+         it != counts.end() && it->first < s.end; ++it) {
+      total += it->second;
+      top = std::max(top, it->second);
+    }
+    return total > 0 && static_cast<double>(top) >=
+                            kHotKeyFraction * static_cast<double>(total);
+  }
+};
+
+TEST(TabletService, AccessSampleMatchesCountOracle) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(util::numbered("seed=", static_cast<std::int64_t>(seed)));
+    TabletConfig config = TabletFixture::make_config();
+    config.queue_limit = 1 << 20;       // every op is accepted
+    config.flush_bytes = util::kGiB;    // no flush holds a verb back
+    TabletFixture f(config);
+    util::Rng rng(seed);
+    AccessOracle oracle;
+    const auto check = [&] {
+      for (const ShardInfo& s : f.service.shard_map().shards()) {
+        EXPECT_EQ(f.service.split_point(s.id), oracle.split_point(s));
+        EXPECT_EQ(f.service.hot_key_dominated(s.id), oracle.hot(s));
+      }
+    };
+    for (int round = 0; round < 30; ++round) {
+      // Some rounds pile onto one key, so hot-key domination flips.
+      const bool skewed = rng.chance(0.3);
+      const auto hot_key = static_cast<std::uint64_t>(rng.uniform_int(0, 999));
+      const int ops = static_cast<int>(rng.uniform_int(0, 40));
+      for (int i = 0; i < ops; ++i) {
+        const auto key = skewed && rng.chance(0.7)
+                             ? hot_key
+                             : static_cast<std::uint64_t>(
+                                   rng.uniform_int(0, 999));
+        ++oracle.counts[key];
+        f.service.submit(f.service.shard_map().shard_for(key).node,
+                         OpKind::kRead, key, f.tablet_nodes[0],
+                         [](OpResult) {});
+      }
+      f.sim.run();
+      check();
+      const std::vector<ShardInfo> shards = f.service.shard_map().shards();
+      const ShardInfo& s = shards[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(shards.size()) - 1))];
+      const double verb = rng.uniform(0.0, 1.0);
+      if (verb < 0.45 && s.end - s.start >= 2) {
+        const std::uint64_t at =
+            rng.chance(0.5) ? f.service.split_point(s.id)
+                            : static_cast<std::uint64_t>(rng.uniform_int(
+                                  static_cast<std::int64_t>(s.start) + 1,
+                                  static_cast<std::int64_t>(s.end) - 1));
+        f.service.split_shard(s.id, at);
+      } else if (verb < 0.8) {
+        const ShardId right = f.service.shard_map().right_neighbor(s.id);
+        if (right != kInvalidShard) f.service.merge_shards(s.id, right);
+      } else if (verb < 0.9) {
+        f.service.begin_interval();
+        oracle.counts.clear();
+      }
+      check();
+    }
+  }
+}
+
+// -- Op digest ----------------------------------------------------------
+
+struct OpDigest {
+  std::uint64_t value = 1469598103934665603ull;
+  void mix(std::int64_t v) {
+    value = (value ^ static_cast<std::uint64_t>(v)) * 1099511628211ull;
+  }
+};
+
+/// A seeded client stream through every data-path branch: queue-full
+/// bounces, a split, a move, a merge, a lease-expiry shed that fences
+/// in-flight WAL commits, a rejoin, a quarantine drain and the client
+/// retries all of them cause. Every completion folds the op's index,
+/// status, shard, epoch, seq, attempts and completion time into the
+/// digest, so any change to what the tablet layer does, or when, moves
+/// it.
+TEST(Tablet, OpDigestIsPinned) {
+  TabletConfig config = TabletFixture::make_config();
+  config.initial_shards = 3;
+  config.queue_limit = 6;
+  config.flush_bytes = 8 * kValueBytes;
+  config.flush_age = util::millis(200);
+  TabletFixture f(config);
+  ClientConfig ccfg;
+  ccfg.max_attempts = 10;
+  TabletClient client(f.sim, f.service, ccfg);
+
+  OpDigest d;
+  int completed = 0;
+  const auto submit = [&](int index, OpKind kind, std::uint64_t key,
+                          cluster::NodeId origin) {
+    client.submit(kind, key, origin, [&, index](OpResult r) {
+      ++completed;
+      d.mix(index);
+      d.mix(static_cast<std::int64_t>(r.status));
+      d.mix(r.shard);
+      d.mix(r.epoch);
+      d.mix(r.seq);
+      d.mix(r.attempts);
+      d.mix(f.sim.now());
+    });
+  };
+  // A shard verb is refused while its shard flushes or moves: retry it
+  // every millisecond until it is taken.
+  std::function<void(util::TimeNs, std::function<bool()>)> verb =
+      [&](util::TimeNs at, std::function<bool()> fn) {
+        f.sim.at(at, [&, at, fn] {
+          if (!fn()) verb(at + util::millis(1), fn);
+        });
+      };
+
+  constexpr int kStream = 600;
+  constexpr int kBurst = 24;
+  constexpr int kWalBurst = 8;
+  util::Rng rng(2026);
+  for (int i = 0; i < kStream; ++i) {
+    const auto key = static_cast<std::uint64_t>(rng.zipf(1000, 1.0) - 1);
+    const auto at = util::micros(rng.uniform_int(0, 1'999'999));
+    const OpKind kind = rng.chance(0.6) ? OpKind::kWrite : OpKind::kRead;
+    const cluster::NodeId origin = f.tablet_nodes[static_cast<std::size_t>(
+        rng.uniform_int(0, 2))];
+    f.sim.at(at, [&, i, kind, key, origin] { submit(i, kind, key, origin); });
+  }
+  // A burst at one instant overflows the owner's queue.
+  f.sim.at(util::millis(100), [&] {
+    for (int i = 0; i < kBurst; ++i) {
+      submit(kStream + i, OpKind::kRead, 40 + static_cast<std::uint64_t>(i),
+             f.tablet_nodes[1]);
+    }
+  });
+  verb(util::millis(300), [&] {
+    const ShardId s = f.service.shard_map().shard_for(100).id;
+    return f.service.split_shard(s, f.service.split_point(s));
+  });
+  verb(util::millis(600), [&] {
+    const ShardId s = f.service.shard_map().shard_for(900).id;
+    const cluster::NodeId src = f.service.shard_map().shard(s).node;
+    return f.service.move_shard(s, src == f.tablet_nodes[0]
+                                       ? f.tablet_nodes[1]
+                                       : f.tablet_nodes[0]);
+  });
+  verb(util::millis(900), [&] {
+    const ShardId left = f.service.shard_map().shard_for(0).id;
+    return f.service.merge_shards(
+        left, f.service.shard_map().right_neighbor(left));
+  });
+  // Writes that reach the victim's WAL group just before its lease
+  // expires: their commit carries the stale epoch and is fenced.
+  const cluster::NodeId victim = f.service.shard_map().shard_for(500).node;
+  f.sim.at(util::millis(1195), [&] {
+    for (int i = 0; i < kWalBurst; ++i) {
+      submit(kStream + kBurst + i, OpKind::kWrite,
+             500 + static_cast<std::uint64_t>(i), victim);
+    }
+  });
+  f.sim.at(util::millis(1200), [&] {
+    f.store.conditions().set_unreachable(victim, true, 2);
+    f.service.conditions().set_unreachable(victim, true, 2);
+  });
+  f.sim.at(util::millis(1600),
+           [&] { f.service.conditions().set_unreachable(victim, false, 2); });
+  const cluster::NodeId drained =
+      victim == f.tablet_nodes[2] ? f.tablet_nodes[1] : f.tablet_nodes[2];
+  f.sim.at(util::millis(1800),
+           [&] { f.service.conditions().set_quarantined(drained, true); });
+  f.sim.at(util::millis(2100),
+           [&] { f.service.conditions().set_quarantined(drained, false); });
+  f.sim.at(util::seconds(3), [&] { f.service.stop(); });
+  f.sim.run();
+
+  EXPECT_EQ(completed, kStream + kBurst + kWalBurst);
+  // Every branch the digest is meant to pin actually ran.
+  EXPECT_GT(f.service.shed_queue_full(), 0);
+  EXPECT_GT(f.service.fenced_writes(), 0);
+  EXPECT_GT(f.service.flushes(), 0);
+  EXPECT_GT(f.service.block_reads(), 0);
+  EXPECT_EQ(f.service.metrics().counter("splits"), 1);
+  EXPECT_EQ(f.service.metrics().counter("merges"), 1);
+  EXPECT_GE(f.service.moves_completed(), 3);  // move, shed, drain
+  EXPECT_EQ(f.service.metrics().counter("drains"), 1);
+  EXPECT_GT(client.wrong_shard_retries(), 0);
+  EXPECT_GT(client.unavailable_retries(), 0);
+  EXPECT_EQ(d.value, 2171218855265644827ull);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
-// util::FlatIdMap and util::RingQueue against standard-library oracles.
+// util::FlatIdMap and util::RingQueue against standard-library oracles,
+// and util::SlotTable's slot reuse.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "util/flat_id_map.hpp"
 #include "util/ring_queue.hpp"
 #include "util/rng.hpp"
+#include "util/slot_table.hpp"
 
 namespace evolve::util {
 namespace {
@@ -177,6 +180,26 @@ TEST(RingQueue, KeepsFifoOrderAcrossGrowth) {
     EXPECT_EQ(ring[i], static_cast<int>(i) + 2);
   }
   EXPECT_EQ(ring.front(), 2);
+}
+
+TEST(SlotTable, ReusesTheLastReleasedSlotAndKeepsValuesAcrossGrowth) {
+  SlotTable<std::unique_ptr<int>> table;  // move-only values
+  std::vector<SlotTable<std::unique_ptr<int>>::Id> ids;
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(table.acquire(std::make_unique<int>(i)));
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], i);
+    EXPECT_EQ(*table[ids[i]], static_cast<int>(i));
+  }
+  table.release(ids[10]);
+  table.release(ids[42]);
+  EXPECT_EQ(table.acquire(std::make_unique<int>(-1)), ids[42]);
+  EXPECT_EQ(table.acquire(std::make_unique<int>(-2)), ids[10]);
+  EXPECT_EQ(table.acquire(std::make_unique<int>(-3)), 100u);  // none free
+  EXPECT_EQ(*table[ids[42]], -1);
+  EXPECT_EQ(*table[ids[10]], -2);
+  EXPECT_EQ(*table[ids[99]], 99);
 }
 
 }  // namespace
