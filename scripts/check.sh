@@ -165,6 +165,30 @@ gate f17_tablets 'm["on_splits"] >= 1 && m["on_moves"] >= 1' \
   '"F17 balancer idle: %d splits, %d moves — nothing was balanced", m["on_splits"], m["on_moves"]'
 echo "check.sh: F17 tablet gate ok"
 
+# -- F9 churn-kernel gate -----------------------------------------------
+# The flow, recompute and event counts of both engines are
+# simulation-deterministic. The filtered diff above already covers them;
+# this gate names each key, so a fabric change that moves one (a solve
+# more or less per wave, say) fails with the key and both values.
+for key in flows_total peak_concurrent incremental_rate_recomputations \
+           reference_rate_recomputations incremental_events \
+           reference_events wave_1024_recomputations \
+           wave_2048_recomputations wave_4096_recomputations; do
+  gate f9_churn "(\"$key\" in m) && m[\"$key\"] == base[\"$key\"]" \
+    "\"F9 $key is %d, baseline %d\", m[\"$key\"], base[\"$key\"]"
+done
+echo "check.sh: F9 churn gate ok"
+
+# -- T1 headline gate ---------------------------------------------------
+# The paper's claim: every use case finishes sooner on the converged
+# platform than on the siloed one.
+for use_case in urban-mobility ml-training analytics-chain genomics; do
+  c="${use_case}_converged_ns" s="${use_case}_siloed_ns"
+  gate t1_endtoend "(\"$c\" in m) && m[\"$c\"] < m[\"$s\"]" \
+    "\"T1 $use_case converged %.0f ns is not below siloed %.0f ns\", m[\"$c\"], m[\"$s\"]"
+done
+echo "check.sh: T1 converged-beats-siloed gate ok"
+
 # -- F13 kernel-at-scale gate ------------------------------------------
 # Event counts, checksums, and end times are simulation-deterministic and
 # must match the baseline bit for bit. events/sec and speedup columns are

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace evolve::net {
 
@@ -29,6 +30,7 @@ void Fabric::set_link_capacity_factor(LinkId link, double factor) {
   // trigger a re-solve so in-flight flows pick up the new rates.
   settle_progress();
   link_capacity_factor_[static_cast<std::size_t>(link)] = factor;
+  rates_stale_ = true;
   mark_dirty();
 }
 
@@ -90,22 +92,8 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
     return id;
   }
   settle_progress();
-  const int slot = acquire_flow_slot();
-  const auto si = static_cast<std::size_t>(slot);
-  const int gi = group_for_pair(src, dst);
-  Group& group = groups_[static_cast<std::size_t>(gi)];
-  flow_id_[si] = id;
-  flow_group_[si] = gi;
-  flow_bytes_[si] = bytes;
-  flow_latency_[si] = latency;
-  flow_src_[si] = src;
-  flow_dst_[si] = dst;
-  flow_finish_drain_[si] = group.drain_total + static_cast<double>(bytes);
-  flow_cb_[si] = std::move(on_complete);
-  push_member(group, Member{flow_finish_drain_[si], id, slot});
-  ++group.size;
-  live_.try_emplace(id, LiveFlow{slot, 0});
-  ++active_flows_;
+  admit_flow(id, src, dst, static_cast<double>(bytes), bytes, latency,
+             std::move(on_complete));
   mark_dirty();
   return id;
 }
@@ -180,6 +168,29 @@ void Fabric::release_flow_slot(int slot) {
   free_slots_.push_back(slot);
 }
 
+void Fabric::admit_flow(FlowId id, cluster::NodeId src, cluster::NodeId dst,
+                        double remaining, util::Bytes bytes,
+                        util::TimeNs latency, FlowCallback cb) {
+  const int slot = acquire_flow_slot();
+  const auto si = static_cast<std::size_t>(slot);
+  const int gi = group_for_pair(src, dst);
+  Group& group = groups_[static_cast<std::size_t>(gi)];
+  flow_id_[si] = id;
+  flow_group_[si] = gi;
+  flow_bytes_[si] = bytes;
+  flow_latency_[si] = latency;
+  flow_src_[si] = src;
+  flow_dst_[si] = dst;
+  flow_finish_drain_[si] = group.drain_total + remaining;
+  flow_cb_[si] = std::move(cb);
+  push_member(group, Member{flow_finish_drain_[si], id, slot});
+  ++group.size;
+  // A loopback group has a fixed rate and never enters the solve.
+  if (!group.path.empty()) rates_stale_ = true;
+  live_.try_emplace(id, LiveFlow{slot, 0});
+  ++active_flows_;
+}
+
 int Fabric::group_for_pair(cluster::NodeId src, cluster::NodeId dst) {
   const std::uint64_t key =
       src == dst ? ~std::uint64_t{0}
@@ -202,14 +213,19 @@ int Fabric::group_for_pair(cluster::NodeId src, cluster::NodeId dst) {
   group.drain_total = 0.0;
   group.size = 0;
   group_of_pair_.try_emplace(key, gi);
+  live_groups_.insert(
+      std::lower_bound(live_groups_.begin(), live_groups_.end(), gi), gi);
   return gi;
 }
 
 void Fabric::leave_group(int group_index) {
   Group& group = groups_[static_cast<std::size_t>(group_index)];
   --group.size;
+  if (!group.path.empty()) rates_stale_ = true;
   if (group.size == 0) {
     group_of_pair_.erase(group.key);
+    live_groups_.erase(std::lower_bound(live_groups_.begin(),
+                                        live_groups_.end(), group_index));
     group.path = Path();
     group.members.clear();
     group.rate = 0.0;
@@ -241,8 +257,9 @@ void Fabric::settle_progress() {
   if (now == last_settle_) return;
   const double dt = util::to_seconds(now - last_settle_);
   last_settle_ = now;
-  for (Group& group : groups_) {
-    if (group.size > 0) group.drain_total += group.rate * dt;
+  for (const int gi : live_groups_) {
+    Group& group = groups_[static_cast<std::size_t>(gi)];
+    group.drain_total += group.rate * dt;
   }
 }
 
@@ -263,11 +280,14 @@ void Fabric::flush_if_dirty() {
   dirty_ = false;
   settle_progress();
   clear_pending_event();
+  // With no flow left there is no remote group to rate; the next one to
+  // form marks the rates stale again.
+  const bool stale = std::exchange(rates_stale_, false);
   if (active_flows_ == 0) return;
-  solve_grouped();
+  if (stale) solve_grouped();
   double earliest_s = std::numeric_limits<double>::infinity();
-  for (Group& group : groups_) {
-    if (group.size == 0) continue;
+  for (const int gi : live_groups_) {
+    Group& group = groups_[static_cast<std::size_t>(gi)];
     if (group.rate <= 0) {
       throw std::logic_error("flow with zero rate would never complete");
     }
@@ -287,11 +307,11 @@ void Fabric::solve_grouped() {
   loaded_scratch_.clear();
   pending_scratch_.clear();
   std::int64_t remaining = 0;
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    Group& group = groups_[gi];
-    if (group.size == 0 || group.path.empty()) continue;
+  for (const int gi : live_groups_) {
+    Group& group = groups_[static_cast<std::size_t>(gi)];
+    if (group.path.empty()) continue;
     group.rate = -1.0;  // unfixed marker
-    pending_scratch_.push_back(static_cast<int>(gi));
+    pending_scratch_.push_back(gi);
     remaining += group.size;
     for (LinkId l : group.path) {
       const auto idx = static_cast<std::size_t>(l);
@@ -319,7 +339,10 @@ void Fabric::solve_grouped() {
     }
     // Fix every unfixed group crossing a link at the bottleneck share. The
     // residual capacity is drained with one subtraction per member flow so
-    // the arithmetic matches the per-flow reference solver bit for bit.
+    // the arithmetic matches the per-flow reference solver bit for bit,
+    // except on a link this fix leaves with no unfixed flow: nothing reads
+    // its residual again in this solve (both scans above skip or never
+    // reach it), and the next solve re-reads its capacity on first touch.
     bool fixed_any = false;
     for (int gi : pending_scratch_) {
       Group& group = groups_[static_cast<std::size_t>(gi)];
@@ -340,8 +363,9 @@ void Fabric::solve_grouped() {
       remaining -= group.size;
       for (LinkId l : group.path) {
         const auto idx = static_cast<std::size_t>(l);
-        for (int k = 0; k < group.size; ++k) cap_scratch_[idx] -= best_share;
         unfixed_scratch_[idx] -= group.size;
+        if (unfixed_scratch_[idx] == 0) continue;
+        for (int k = 0; k < group.size; ++k) cap_scratch_[idx] -= best_share;
       }
     }
     if (!fixed_any) {
@@ -354,9 +378,11 @@ void Fabric::on_completion_event() {
   has_pending_event_ = false;
   settle_progress();
   done_scratch_.clear();
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    Group& group = groups_[gi];
-    if (group.size == 0) continue;
+  // leave_group erases a recycled group from live_groups_, so the index
+  // advances only past a group that is still live.
+  for (std::size_t i = 0; i < live_groups_.size();) {
+    const int gi = live_groups_[i];
+    Group& group = groups_[static_cast<std::size_t>(gi)];
     const bool remote = !group.path.empty();
     for (;;) {
       purge_dead_members(group);
@@ -373,9 +399,10 @@ void Fabric::on_completion_event() {
       ++stats_.flows_completed;
       --stats_.flows_in_flight;
       --active_flows_;
-      leave_group(static_cast<int>(gi));
+      leave_group(gi);
       if (group.size == 0) break;  // group recycled; its heap was cleared
     }
+    if (group.size > 0) ++i;
   }
   // Completion callbacks fire in flow-id order — the determinism contract.
   std::sort(done_scratch_.begin(), done_scratch_.end(),
@@ -451,22 +478,8 @@ void Fabric::resume_flow(FlowId id, ParkedFlow p) {
     deliver(p.bytes, remote, p.latency, std::move(p.cb));
     return;
   }
-  const int slot = acquire_flow_slot();
-  const auto si = static_cast<std::size_t>(slot);
-  const int gi = group_for_pair(p.src, p.dst);
-  Group& group = groups_[static_cast<std::size_t>(gi)];
-  flow_id_[si] = id;
-  flow_group_[si] = gi;
-  flow_bytes_[si] = p.bytes;
-  flow_latency_[si] = p.latency;
-  flow_src_[si] = p.src;
-  flow_dst_[si] = p.dst;
-  flow_finish_drain_[si] = group.drain_total + p.remaining;
-  flow_cb_[si] = std::move(p.cb);
-  push_member(group, Member{flow_finish_drain_[si], id, slot});
-  ++group.size;
-  live_.try_emplace(id, LiveFlow{slot, 0});
-  ++active_flows_;
+  admit_flow(id, p.src, p.dst, p.remaining, p.bytes, p.latency,
+             std::move(p.cb));
 }
 
 // ---------------------------------------------------------------------------

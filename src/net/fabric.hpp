@@ -10,15 +10,21 @@
 //  * Flows are grouped by path signature — all flows sharing a path have
 //    identical max-min rates, so the water-filling solver iterates groups,
 //    not flows, and only the links those groups load:
-//    O(groups · path + loaded links · rounds) per solve.
+//    O(live groups · path + loaded links · rounds) per solve.
 //  * Progress settling is lazy: each group keeps a cumulative
 //    "bytes drained per member flow" counter; a flow records the counter
 //    value when it joins and completes when the counter passes
-//    join_value + bytes. Churn events therefore touch O(groups) state,
-//    never O(flows).
+//    join_value + bytes. Churn events therefore touch O(live groups)
+//    state, never O(flows): the solve, the settle and the completion
+//    scans walk live_groups_ (ascending live group indices), not every
+//    group slot ever allocated.
 //  * Same-timestamp churn (a shuffle wave, a collective fan-out) is
 //    batched: transfer()/cancel() only mark the fabric dirty and a
 //    deferred same-time event runs a single recompute for the whole wave.
+//    The solve itself runs only when one of its inputs changed (a remote
+//    group's membership, or a link capacity factor): loopback groups
+//    have a fixed rate, so loopback churn re-times the next completion
+//    without re-solving.
 //  * Flow state lives in flat structure-of-arrays slot columns with a
 //    free list (no std::map node churn, and the solver/completion scans
 //    touch only the columns they need); solver scratch buffers are
@@ -186,6 +192,11 @@ class Fabric {
   /// The group of flows from `src` to `dst`; creates it (and computes
   /// its path) when no live flow uses the pair.
   int group_for_pair(cluster::NodeId src, cluster::NodeId dst);
+  /// Puts a flow with `remaining` bytes left into its pair's group (the
+  /// one path for new and resumed flows).
+  void admit_flow(FlowId id, cluster::NodeId src, cluster::NodeId dst,
+                  double remaining, util::Bytes bytes, util::TimeNs latency,
+                  FlowCallback cb);
   int acquire_flow_slot();
   void release_flow_slot(int slot);
   void leave_group(int group_index);
@@ -194,14 +205,15 @@ class Fabric {
   /// Drops cancelled members off a group's heap top.
   void purge_dead_members(Group& group);
 
-  /// Folds elapsed time into every group's drain counter — O(groups).
+  /// Folds elapsed time into every live group's drain counter.
   void settle_progress();
 
   /// Marks rates stale and schedules a single same-time recompute event
   /// for the current timestamp batch.
   void mark_dirty();
 
-  /// Runs the solver and reschedules the next completion if dirty.
+  /// If dirty: runs the solver when the rates are stale, then reschedules
+  /// the next completion.
   void flush_if_dirty();
 
   /// Completion event body: completes all flows that have drained.
@@ -264,6 +276,9 @@ class Fabric {
   util::FlatIdMap<LiveFlow> live_;
   std::vector<Group> groups_;
   std::vector<int> free_groups_;
+  // Indices of the groups with members, ascending: the order of a walk
+  // over groups_ that skips empty slots.
+  std::vector<int> live_groups_;
   // Live groups by endpoint pair: distinct remote pairs have distinct
   // paths (host uplink first, host downlink last), and every loopback
   // pair shares the key ~0, as it shared the empty path.
@@ -274,6 +289,11 @@ class Fabric {
   bool any_extra_latency_ = false;
   bool dirty_ = false;
   bool flush_scheduled_ = false;
+  // Set when an input of the solve changes: a remote group gains or loses
+  // a member, or a link capacity factor is set. The solve is a pure
+  // function of the remote groups' sizes, paths and order and of the
+  // link capacities, so a flush that finds it clear keeps every rate.
+  bool rates_stale_ = false;
   // Reusable solver scratch (avoids per-recompute allocation);
   // unfixed_scratch_ is zero on every link between solves.
   std::vector<double> cap_scratch_;

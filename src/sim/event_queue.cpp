@@ -6,8 +6,8 @@
 
 namespace evolve::sim {
 
-void EventQueue::heap_push(std::vector<Entry>& h, Entry&& e) {
-  h.push_back(std::move(e));
+void EventQueue::heap_push(std::vector<Entry>& h, const Entry& e) {
+  h.push_back(e);
   sift_up(h, h.size() - 1);
 }
 
@@ -35,37 +35,35 @@ void EventQueue::sift_down(std::vector<Entry>& h, std::size_t i) {
 }
 
 void EventQueue::heap_remove_top(std::vector<Entry>& h) {
-  h.front() = std::move(h.back());
+  h.front() = h.back();
   h.pop_back();
   if (!h.empty()) sift_down(h, 0);
 }
 
-void EventQueue::place(util::TimeNs time, std::uint64_t seq,
-                       std::uint32_t slot, EventFn&& fn) {
+void EventQueue::place(const Entry& e) {
   ++entry_count_;
-  if (time < loaded_end_) {  // already inside the loaded band (or past)
-    current_.emplace_back(time, seq, slot, std::move(fn));
-    sift_up(current_, current_.size() - 1);
+  if (e.time < loaded_end_) {  // already inside the loaded band (or past)
+    heap_push(current_, e);
     return;
   }
   for (int level = 0; level < kLevels; ++level) {
-    if (time < window_end(level)) {
-      const int rel = static_cast<int>((time >> kShift[level]) &
+    if (e.time < window_end(level)) {
+      const int rel = static_cast<int>((e.time >> kShift[level]) &
                                        (kBucketsPerLevel - 1));
       occupancy_[level] |= std::uint64_t{1} << rel;
-      buckets_[level][rel].emplace_back(time, seq, slot, std::move(fn));
+      buckets_[level][rel].push_back(e);
       return;
     }
   }
-  far_.emplace_back(time, seq, slot, std::move(fn));  // beyond the horizon
-  sift_up(far_, far_.size() - 1);
+  heap_push(far_, e);  // beyond the horizon
 }
 
 bool EventQueue::advance() {
   // Every physical move below drops cancelled entries on the spot
-  // (recycling their slots) instead of hauling dead 88-byte entries
-  // through the remaining levels — in cancel-heavy workloads roughly
-  // half of all scheduled timeouts die before their band ever loads.
+  // (recycling their slots and destroying their callbacks) instead of
+  // hauling dead entries through the remaining levels — in cancel-heavy
+  // workloads roughly half of all scheduled timeouts die before their
+  // band ever loads.
   const auto dead = [this](const Entry& e) {
     if (slots_[e.slot].live) return false;
     recycle(e.slot);
@@ -81,9 +79,9 @@ bool EventQueue::advance() {
           static_cast<std::uint64_t>(abs_bucket + 1) << kShift[0]);
       auto& src = buckets_[0][rel];
       bool loaded = false;
-      for (Entry& e : src) {
+      for (const Entry& e : src) {
         if (dead(e)) continue;
-        heap_push(current_, std::move(e));
+        heap_push(current_, e);
         loaded = true;
       }
       src.clear();
@@ -99,12 +97,12 @@ bool EventQueue::advance() {
       // This bucket becomes the whole window one level down.
       window_base_[level - 1] = abs_bucket * kBucketsPerLevel;
       auto& src = buckets_[level][rel];
-      for (Entry& e : src) {
+      for (const Entry& e : src) {
         if (dead(e)) continue;
         const int down = static_cast<int>((e.time >> kShift[level - 1]) &
                                           (kBucketsPerLevel - 1));
         occupancy_[level - 1] |= std::uint64_t{1} << down;
-        buckets_[level - 1][down].push_back(std::move(e));
+        buckets_[level - 1][down].push_back(e);
       }
       src.clear();
       cascaded = true;
@@ -120,13 +118,13 @@ bool EventQueue::advance() {
         (far_.front().time >> kShift[kLevels - 1]) & ~std::int64_t{63};
     const util::TimeNs horizon = window_end(kLevels - 1);
     while (!far_.empty() && far_.front().time < horizon) {
-      Entry e = std::move(far_.front());
+      const Entry e = far_.front();
       heap_remove_top(far_);
       if (dead(e)) continue;
       const int rel = static_cast<int>((e.time >> kShift[kLevels - 1]) &
                                        (kBucketsPerLevel - 1));
       occupancy_[kLevels - 1] |= std::uint64_t{1} << rel;
-      buckets_[kLevels - 1][rel].push_back(std::move(e));
+      buckets_[kLevels - 1][rel].push_back(e);
     }
   }
 }
@@ -145,7 +143,7 @@ void EventQueue::settle() {
 
 void EventQueue::purge() {
   auto discard = [this](std::vector<Entry>& v) {
-    for (Entry& e : v) recycle(e.slot);
+    for (const Entry& e : v) recycle(e.slot);
     v.clear();
   };
   discard(current_);
@@ -166,12 +164,14 @@ EventId EventQueue::push(util::TimeNs time, EventFn fn) {
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(Slot{});
+    fns_.emplace_back();
   }
   Slot& s = slots_[slot];
   ++s.gen;
   s.live = true;
+  fns_[slot] = std::move(fn);
 
-  place(time, next_seq_++, slot, std::move(fn));
+  place(Entry{time, next_seq_++, slot});
   ++live_count_;
   return make_id(slot, s.gen);
 }
@@ -201,9 +201,9 @@ util::TimeNs EventQueue::next_time() const {
 Event EventQueue::pop() {
   settle();
   if (current_.empty()) throw std::logic_error("EventQueue::pop on empty");
-  Entry& top = current_.front();
-  Slot& s = slots_[top.slot];
-  Event event{top.time, make_id(top.slot, s.gen), std::move(top.fn)};
+  const Entry& top = current_.front();
+  Event event{top.time, make_id(top.slot, slots_[top.slot].gen),
+              std::move(fns_[top.slot])};
   recycle(top.slot);
   heap_remove_top(current_);
   --entry_count_;

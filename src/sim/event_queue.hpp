@@ -27,13 +27,19 @@
 // next_time() and pop()), or wholesale by purge() the moment the live
 // count hits zero.
 //
-// Callbacks are util::SmallFn<void()>: captures up to 48 bytes live inline in the
-// entry, so push/pop perform no per-event heap allocation on the common
-// capture sizes (std::function spills to the heap past 16 bytes).
+// Entries carry no callback: an Entry is {time, seq, slot}, 24 trivially
+// copyable bytes, and the callback (a util::SmallFn<void()>, captures up
+// to 48 bytes inline, so no per-event heap allocation on the common
+// capture sizes) is stored once, by slot, in fns_ beside slots_, so a
+// move through the wheel or a heap swap copies only the 24 bytes. pop()
+// moves the callback out of its slot and recycle() destroys what is
+// left, so a cancelled callback is destroyed when its entry is
+// reclaimed.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "util/small_fn.hpp"
@@ -83,12 +89,13 @@ class EventQueue {
   /// Level-l bucket covers 2^kShift[l] ns.
   static constexpr std::array<int, kLevels> kShift = {10, 16, 22, 28};
 
+  // The 4 padding bytes after `slot` are free for a future per-entry tag.
   struct Entry {
     util::TimeNs time;
     std::uint64_t seq;   // monotonic schedule order; breaks time ties FIFO
-    std::uint32_t slot;  // index into slots_
-    EventFn fn;
+    std::uint32_t slot;  // index into slots_ and fns_
   };
+  static_assert(sizeof(Entry) == 24 && std::is_trivially_copyable_v<Entry>);
   // A slot is owned by exactly one entry from push() until that entry is
   // physically reclaimed; only then is it recycled (generation bump + free
   // list), so a stale EventId can never alias a newer event.
@@ -107,7 +114,7 @@ class EventQueue {
   }
 
   // Binary min-heap primitives shared by current_ and far_.
-  static void heap_push(std::vector<Entry>& h, Entry&& e);
+  static void heap_push(std::vector<Entry>& h, const Entry& e);
   static void heap_remove_top(std::vector<Entry>& h);
   static void sift_up(std::vector<Entry>& h, std::size_t i);
   static void sift_down(std::vector<Entry>& h, std::size_t i);
@@ -119,11 +126,8 @@ class EventQueue {
         << kShift[level]);
   }
 
-  /// Routes a new entry to current_, a wheel bucket, or far_. Takes the
-  /// fields rather than an Entry so the entry is constructed exactly once,
-  /// in its destination container.
-  void place(util::TimeNs time, std::uint64_t seq, std::uint32_t slot,
-             EventFn&& fn);
+  /// Routes a new entry to current_, a wheel bucket, or far_.
+  void place(const Entry& e);
   /// Loads the next occupied band into current_ (cascading wheel levels
   /// and refilling from far_ as needed). False if nothing remains.
   bool advance();
@@ -136,6 +140,7 @@ class EventQueue {
   void purge();
   void recycle(std::uint32_t slot) {
     slots_[slot].live = false;
+    fns_[slot] = nullptr;
     free_slots_.push_back(slot);
   }
 
@@ -154,6 +159,7 @@ class EventQueue {
   util::TimeNs loaded_end_ = 0;
 
   std::vector<Slot> slots_;
+  std::vector<EventFn> fns_;  // by slot; empty once the slot is recycled
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;

@@ -18,8 +18,9 @@
 // Any callable converts, a std::function included; an empty
 // std::function or null function pointer makes an empty SmallFn.
 // Trivially copyable captures are flagged at construction and moved with
-// a plain memcpy, so relocating events inside the queue's buckets and
-// heaps never runs user code.
+// a plain memcpy, so moving a callback into its slot (the event queue's
+// callback column, the fabric's per-flow column) and back out runs no
+// user code.
 #pragma once
 
 #include <cstddef>
@@ -177,7 +178,7 @@ class SmallFn<R(Args...)> {
   }
 
   // Pointer-aligned, not max_align_t: keeps sizeof(SmallFn) == 64 with no
-  // padding inside the queue's Entry. Captures needing stricter alignment
+  // padding in a callback column. Captures needing stricter alignment
   // (e.g. SIMD members) take the heap path via fits_inline().
   alignas(void*) unsigned char buf_[kInlineBytes];
   Invoke invoke_ = nullptr;

@@ -15,9 +15,11 @@
 // ring allreduce allocates as much at 16 ranks as at 4: nothing per
 // message. Through a warm TabletClient, memtable reads, not-found reads
 // and WrongShard retries allocate nothing, and a WAL group commit of 64
-// writes allocates what one of a single write does.
+// writes allocates what one of a single write does. A warm
+// sim::EventQueue pushes, cancels and pops events without allocating.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -33,6 +35,7 @@
 #include "orch/scheduler.hpp"
 #include "serve/service.hpp"
 #include "serve/signal.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "storage/io_model.hpp"
 #include "storage/object_store.hpp"
@@ -160,6 +163,51 @@ TEST(RegistryAllocation, RecordingUnderAnExistingLongNameAllocatesNothing) {
 
 }  // namespace
 }  // namespace evolve::metrics
+
+namespace evolve::sim {
+namespace {
+
+/// One round of queue traffic from `base`: 256 events spread over every
+/// wheel level with same-time ties, a third of them cancelled, then 64
+/// popped, 64 pushed into the loaded band and a quarter of those
+/// cancelled, then the rest popped. Returns the number of events run.
+int queue_round(EventQueue& q, util::TimeNs base) {
+  int ran = 0;
+  std::array<EventId, 256> ids{};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto shift = static_cast<int>(4 + i % 29);
+    const util::TimeNs offset =
+        i % 4 == 0 ? 0
+                   : (util::TimeNs{1} << shift) + static_cast<util::TimeNs>(i);
+    ids[i] = q.push(base + offset, [&ran] { ++ran; });
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+  for (int i = 0; i < 64; ++i) q.pop().fn();
+  const util::TimeNs now = q.next_time();
+  for (std::size_t i = 0; i < 64; ++i) {
+    ids[i] = q.push(now + static_cast<util::TimeNs>(i % 8), [&ran] { ++ran; });
+  }
+  for (std::size_t i = 0; i < 64; i += 4) q.cancel(ids[i]);
+  while (!q.empty()) q.pop().fn();
+  return ran;
+}
+
+TEST(EventQueueAllocation, WarmPushPopCancelAllocatesNothing) {
+  // Rounds a whole wheel horizon apart use the same buckets, and the
+  // second round reuses the first one's slots, callback column, bucket
+  // and heap capacity.
+  constexpr util::TimeNs kHorizon = util::TimeNs{1} << 34;
+  EventQueue q;
+  const int warm = queue_round(q, kHorizon);
+  const std::size_t before = g_allocs.load();
+  const int ran = queue_round(q, 2 * kHorizon);
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(ran, warm);
+  EXPECT_EQ(ran, 256 - 86 + 64 - 16);
+}
+
+}  // namespace
+}  // namespace evolve::sim
 
 namespace evolve::net {
 namespace {

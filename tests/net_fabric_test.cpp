@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "sim/simulation.hpp"
+#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace evolve::net {
@@ -263,6 +267,155 @@ TEST(Fabric, CapacityFactorMidFlightReRatesLiveFlows) {
   for (TimeNs t : done) {
     EXPECT_NEAR(util::to_seconds(t), expected_s, 0.01 * expected_s + 1e-4);
   }
+}
+
+struct FlowDigest {
+  std::uint64_t value = 1469598103934665603ull;
+  void mix(std::int64_t v) {
+    value = (value ^ static_cast<std::uint64_t>(v)) * 1099511628211ull;
+  }
+};
+
+/// A seeded stream of remote, loopback and zero-byte flows on 8 hosts in
+/// two racks: single arrivals, same-time waves, cancels, a capacity
+/// factor set and lifted mid-flight, and a partition healed later. The
+/// digest folds each completion's (arrival index, time), the bit pattern
+/// of every probed flow_rate and the final FlowStats, except
+/// rate_recomputations (a count of solves, not of results), so any change
+/// to what the fabric delivers, or when, moves it.
+TEST(Fabric, MixedStreamDigestIsPinned) {
+  FabricFixture f(8, 2);
+  FlowDigest d;
+  util::Rng rng(31);
+  std::vector<FlowId> ids;
+  const auto start = [&](cluster::NodeId src, cluster::NodeId dst,
+                         Bytes bytes) {
+    const auto index = static_cast<std::int64_t>(ids.size());
+    ids.push_back(f.fabric.transfer(src, dst, bytes, [&, index] {
+      d.mix(index);
+      d.mix(f.sim.now());
+    }));
+  };
+  const auto random_flow = [&] {
+    const auto src = static_cast<cluster::NodeId>(rng.uniform_int(0, 7));
+    const auto dst = rng.chance(0.2)
+                         ? src
+                         : static_cast<cluster::NodeId>(rng.uniform_int(0, 7));
+    const Bytes bytes =
+        rng.chance(0.1) ? 0 : rng.uniform_int(util::kKiB, 64 * util::kMiB);
+    start(src, dst, bytes);
+  };
+  constexpr int kSingles = 300;
+  for (int i = 0; i < kSingles; ++i) {
+    f.sim.at(util::micros(rng.uniform_int(0, 1'999'999)), random_flow);
+  }
+  for (const TimeNs wave : {util::millis(150), util::millis(650),
+                            util::millis(1100)}) {
+    f.sim.at(wave, [&] {
+      for (int i = 0; i < 24; ++i) random_flow();
+    });
+  }
+  // Cancel a random earlier arrival; most have finished, some are live,
+  // parked or waiting out their latency.
+  for (int i = 0; i < 60; ++i) {
+    f.sim.at(util::micros(rng.uniform_int(1, 2'200'000)), [&] {
+      if (ids.empty()) return;
+      const auto pick =
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1);
+      d.mix(f.fabric.cancel(ids[static_cast<std::size_t>(pick)]) ? 1 : 0);
+    });
+  }
+  for (int i = 0; i < 80; ++i) {
+    f.sim.at(util::micros(rng.uniform_int(0, 2'500'000)), [&] {
+      for (int k = 0; k < 4 && !ids.empty(); ++k) {
+        const auto pick =
+            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1);
+        d.mix(std::bit_cast<std::int64_t>(
+            f.fabric.flow_rate(ids[static_cast<std::size_t>(pick)])));
+      }
+    });
+  }
+  const LinkId degraded = f.topology.host_links(3)[0];
+  f.sim.at(util::millis(400), [&] {
+    f.fabric.set_link_capacity_factor(degraded, 0.3);
+  });
+  f.sim.at(util::millis(900), [&] {
+    f.fabric.set_link_capacity_factor(degraded, 1.0);
+  });
+  // Hosts 0-3 and 4-7 are cut off from each other from 700 ms to 1.3 s.
+  f.sim.at(util::millis(700), [&] {
+    f.fabric.set_reachability({0, 0, 0, 0, 1, 1, 1, 1}, {{0, 1}, {1, 0}});
+  });
+  f.sim.at(util::millis(1300), [&] { f.fabric.clear_partitions(); });
+  f.sim.run();
+
+  const FlowStats& s = f.fabric.stats();
+  EXPECT_EQ(s.flows_in_flight, 0);
+  EXPECT_GT(s.flows_parked, 0);
+  EXPECT_GT(s.flows_cancelled, 0);
+  for (const std::int64_t v :
+       {s.flows_started, s.flows_completed, s.flows_cancelled,
+        s.flows_in_flight, s.bytes_delivered, s.bytes_remote, s.flows_parked,
+        s.flows_resumed}) {
+    d.mix(v);
+  }
+  EXPECT_EQ(d.value, 0xe10ba384306825efull);
+}
+
+// Two flows on disjoint paths finish at the same instant, and the one
+// with the higher id sits in the lower group slot (it reuses the slot of
+// a flow that finished earlier). The completion scan recycles that
+// group and must still complete the other group's flow in the same
+// event, so the callbacks fire in flow-id order. Rates and times are
+// dyadic, so both finishes land on the same nanosecond.
+TEST(Fabric, SameInstantCompletionsAcrossARecycledGroupFireInIdOrder) {
+  FabricFixture f;
+  std::vector<int> order;
+  f.fabric.transfer(0, 1, 625'000'000, [] {});  // done at 0.5 s
+  f.fabric.transfer(2, 3, 2'500'000'000, [&] { order.push_back(2); });
+  f.sim.at(util::millis(1000), [&] {
+    f.fabric.transfer(1, 0, 1'250'000'000, [&] { order.push_back(3); });
+  });
+  f.sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+}
+
+// Loopback groups have an empty path and a fixed rate, so loopback churn
+// changes no input of the max-min solve and must not trigger one.
+TEST(Fabric, LoopbackChurnDoesNotResolve) {
+  // All times and rates are dyadic (2.5e9 B at 1.25e9 B/s, 2e9 B at
+  // 16e9 B/s, starts on 125 ms ticks), so settling progress at the extra
+  // loopback instants cannot round the remote flow's drain differently.
+  const auto run = [](bool loopback) {
+    FabricFixture f;
+    TimeNs done = -1;
+    f.fabric.transfer(0, 2, 2'500'000'000, [&] { done = f.sim.now(); });
+    if (loopback) {
+      for (int i = 1; i <= 6; ++i) {
+        f.sim.at(util::millis(125 * i), [&f, i] {
+          f.fabric.transfer(i % 4, i % 4, 2'000'000'000, [] {});
+        });
+      }
+    }
+    f.sim.run();
+    return std::pair{done, f.fabric.stats().rate_recomputations};
+  };
+  const auto [alone_done, alone_solves] = run(false);
+  const auto [churn_done, churn_solves] = run(true);
+  EXPECT_EQ(churn_solves, alone_solves);
+  EXPECT_EQ(churn_done, alone_done);
+
+  FabricFixture f;
+  int completed = 0;
+  for (int i = 0; i < 4; ++i) {
+    f.fabric.transfer(i, i, 64 * util::kMiB, [&] { ++completed; });
+    f.sim.at(util::millis(i), [&f, &completed, i] {
+      f.fabric.transfer(i, i, util::kMiB, [&] { ++completed; });
+    });
+  }
+  f.sim.run();
+  EXPECT_EQ(completed, 8);
+  EXPECT_EQ(f.fabric.stats().rate_recomputations, 0);
 }
 
 // Property check across flow counts: n same-path flows take ~n * solo time.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -233,6 +234,60 @@ TEST(EventQueue, MoveOnlyCallbacksWork) {
   q.push(1, [&fired] { ++fired; });
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, 11);
+}
+
+TEST(EventQueue, CallbackCapturesReleasedOnRunAndOnReclaim) {
+  // The shared_ptr's use count is the number of live captures: the queue
+  // must drop its copy when the event is popped, when a cancelled entry
+  // is reclaimed on any path (settle, advance, purge), and when it is
+  // destroyed with entries still queued.
+  const auto token = std::make_shared<int>(0);
+  const auto capture = [&token] { return [t = token] { ++*t; }; };
+  {
+    EventQueue q;
+    q.push(5, capture());
+    EXPECT_EQ(token.use_count(), 2);
+    Event event = q.pop();
+    EXPECT_EQ(token.use_count(), 2);  // moved out, not copied
+    event.fn();
+    event.fn = nullptr;
+    EXPECT_EQ(token.use_count(), 1) << "after its event runs";
+  }
+  {
+    EventQueue q;
+    const EventId dead = q.push(5, capture());
+    q.push(10, [] {});
+    EXPECT_EQ(q.next_time(), 5);  // both now in the loaded band
+    EXPECT_TRUE(q.cancel(dead));
+    EXPECT_EQ(token.use_count(), 2);  // reclaimed lazily
+    EXPECT_EQ(q.next_time(), 10);
+    EXPECT_EQ(token.use_count(), 1) << "reclaimed by settle";
+  }
+  {
+    EventQueue q;
+    const EventId dead = q.push(5, capture());
+    q.push(1'000'000, [] {});  // a later wheel bucket
+    EXPECT_TRUE(q.cancel(dead));
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(q.next_time(), 1'000'000);
+    EXPECT_EQ(token.use_count(), 1) << "reclaimed by advance";
+  }
+  {
+    EventQueue q;
+    const EventId dead = q.push(5, capture());
+    EXPECT_TRUE(q.cancel(dead));
+    EXPECT_EQ(token.use_count(), 1) << "reclaimed by purge";
+  }
+  {
+    EventQueue q;
+    q.push(5, capture());
+    const EventId cancelled = q.push(7, capture());
+    q.push(std::int64_t{1} << 40, capture());  // beyond the wheel horizon
+    EXPECT_TRUE(q.cancel(cancelled));
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "released with the queue";
+  EXPECT_EQ(*token, 1);
 }
 
 }  // namespace
