@@ -165,6 +165,38 @@ gate f17_tablets 'm["on_splits"] >= 1 && m["on_moves"] >= 1' \
   '"F17 balancer idle: %d splits, %d moves — nothing was balanced", m["on_splits"], m["on_moves"]'
 echo "check.sh: F17 tablet gate ok"
 
+# -- F10 fault-recovery gate --------------------------------------------
+# Recovery on must finish every job and lose no object; recovery off must
+# fail jobs and lose objects, and leave data under-replicated longer and
+# HPC work lost larger. All values are simulation-deterministic.
+gate f10_faults 'm["recovery_jobs_failed"] == 0 && m["norecovery_jobs_failed"] > 0' \
+  '"F10 jobs failed: %d with recovery, %d without (want 0 and > 0)", m["recovery_jobs_failed"], m["norecovery_jobs_failed"]'
+gate f10_faults 'm["recovery_objects_lost"] == 0 && m["norecovery_objects_lost"] > 0' \
+  '"F10 objects lost: %d with recovery, %d without (want 0 and > 0)", m["recovery_objects_lost"], m["norecovery_objects_lost"]'
+gate f10_faults 'm["norecovery_under_replicated_object_s"] > m["recovery_under_replicated_object_s"]' \
+  '"F10 recovery-off under-replication %.3f object-s does not exceed recovery-on %.3f", m["norecovery_under_replicated_object_s"], m["recovery_under_replicated_object_s"]'
+gate f10_faults 'm["norecovery_hpc_work_lost_s"] > m["recovery_hpc_work_lost_s"]' \
+  '"F10 recovery-off HPC work lost %.3f s does not exceed recovery-on %.3f s", m["norecovery_hpc_work_lost_s"], m["recovery_hpc_work_lost_s"]'
+echo "check.sh: F10 fault-recovery gate ok"
+
+# -- F14 durability gate ------------------------------------------------
+# Rack-aware placement must lose nothing and put at most 2 fragments of
+# an object in one rack, where rack-oblivious placement loses objects.
+# For every layout, throttling the rebuild must lower the GET p99 and
+# pay for it in longer at-risk fragment-seconds. All values are
+# simulation-deterministic.
+gate f14_durability 'm["aware_objects_lost"] == 0 && m["oblivious_objects_lost"] > 0' \
+  '"F14 objects lost: %d rack-aware, %d rack-oblivious (want 0 and > 0)", m["aware_objects_lost"], m["oblivious_objects_lost"]'
+gate f14_durability 'm["aware_worst_frags_per_rack"] <= 2' \
+  '"F14 rack-aware placement put %d fragments in one rack (> 2)", m["aware_worst_frags_per_rack"]'
+for layout in r2 r3 ec4_2 ec8_3; do
+  gate f14_durability "m[\"${layout}_get_p99_us_throttled\"] < m[\"${layout}_get_p99_us\"]" \
+    "\"F14 $layout throttled GET p99 %d us is not below unthrottled %d us\", m[\"${layout}_get_p99_us_throttled\"], m[\"${layout}_get_p99_us\"]"
+  gate f14_durability "m[\"${layout}_at_risk_fragment_s_throttled\"] > m[\"${layout}_at_risk_fragment_s\"]" \
+    "\"F14 $layout throttled at-risk %.3f fragment-s does not exceed unthrottled %.3f\", m[\"${layout}_at_risk_fragment_s_throttled\"], m[\"${layout}_at_risk_fragment_s\"]"
+done
+echo "check.sh: F14 durability gate ok"
+
 # -- F9 churn-kernel gate -----------------------------------------------
 # The flow, recompute and event counts of both engines are
 # simulation-deterministic. The filtered diff above already covers them;

@@ -357,7 +357,9 @@ void Platform::run_step(const workflow::Step& step,
         start_dataflow(
             step.plan, step.dataflow_executors, step.dataflow_slots,
             step.input_datasets,
-            [on_done](const dataflow::JobStats&) { on_done(true); });
+            [on_done](const dataflow::JobStats& stats) {
+              on_done(!stats.failed);
+            });
         return;
       case StepKind::kHpc:
         start_hpc(

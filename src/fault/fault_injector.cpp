@@ -89,6 +89,7 @@ void FaultInjector::arm_recovery(std::size_t process) {
 void FaultInjector::kill(cluster::NodeId node) {
   if (!down_.insert(node).second) return;
   down_since_[node] = sim_.now();
+  down_nodes_.add(sim_.now(), +1);
   metrics_.count("node_failures");
   metrics_.set_gauge("nodes_down", static_cast<double>(down_.size()));
   tables_.set_down(node, true);
@@ -97,7 +98,7 @@ void FaultInjector::kill(cluster::NodeId node) {
 void FaultInjector::restore(cluster::NodeId node) {
   if (down_.erase(node) == 0) return;
   const auto it = down_since_.find(node);
-  downtime_ns_ += sim_.now() - it->second;
+  down_nodes_.add(sim_.now(), -1);
   metrics_.observe("downtime_ms", (sim_.now() - it->second) / util::kMillisecond);
   down_since_.erase(it);
   metrics_.count("node_recoveries");
@@ -107,12 +108,6 @@ void FaultInjector::restore(cluster::NodeId node) {
 
 void FaultInjector::restore_all() {
   while (!down_.empty()) restore(*down_.begin());
-}
-
-double FaultInjector::downtime_node_seconds() const {
-  util::TimeNs open = 0;
-  for (const auto& [node, since] : down_since_) open += sim_.now() - since;
-  return util::to_seconds(downtime_ns_ + open);
 }
 
 }  // namespace evolve::fault

@@ -16,6 +16,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
+#include "metrics/timeseries.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
@@ -88,7 +89,9 @@ class FaultInjector {
   }
   /// Accumulated node-seconds of downtime (downed intervals only; open
   /// intervals are charged up to `now`).
-  double downtime_node_seconds() const;
+  double downtime_node_seconds() const {
+    return down_nodes_.integral(sim_.now()) / 1e9;
+  }
 
   metrics::Registry& metrics() { return metrics_; }
   const metrics::Registry& metrics() const { return metrics_; }
@@ -111,11 +114,12 @@ class FaultInjector {
   cluster::ConditionTables tables_;
   std::vector<Process> processes_;
   std::set<cluster::NodeId> down_;
+  // Start of each open outage, for the per-outage downtime_ms histogram.
   std::map<cluster::NodeId, util::TimeNs> down_since_;
+  metrics::UsageTracker down_nodes_;
   // Latest scheduled-outage end per node; an outage recovery only
   // restores once the hold has elapsed, so overlapping outages coalesce.
   std::map<cluster::NodeId, util::TimeNs> outage_hold_until_;
-  util::TimeNs downtime_ns_ = 0;
   metrics::Registry metrics_;
 };
 

@@ -5,6 +5,25 @@
 
 namespace evolve::fault {
 
+namespace {
+
+struct KindInfo {
+  const char* counter;
+  const char* gauge;
+  trace::Layer layer;
+  const char* name;
+  const char* annotation;  // cpu_factor or loss, read from the Level
+};
+
+constexpr KindInfo kKinds[] = {
+    {"slow_node_degradations", "slowed_nodes", trace::Layer::kDataflow,
+     "slow_node", "cpu_factor"},
+    {"nic_degradations", "nic_degraded_nodes", trace::Layer::kNetwork, "nic",
+     "loss"},
+};
+
+}  // namespace
+
 void GrayInjector::schedule_slow_node(cluster::NodeId node, double cpu_factor,
                                       double accel_factor, util::TimeNs at,
                                       util::TimeNs duration) {
@@ -14,41 +33,9 @@ void GrayInjector::schedule_slow_node(cluster::NodeId node, double cpu_factor,
   if (duration <= 0) throw std::invalid_argument("slowdown needs duration > 0");
   const util::TimeNs end = at + duration;
   sim_.at(at, [this, node, cpu_factor, accel_factor, end] {
-    apply_slowdown(node, cpu_factor, accel_factor, end);
+    apply(kSlow, node, Level{cpu_factor, accel_factor, {}}, end);
   });
-  sim_.at(end, [this, node, end] { clear_slowdown(node, end); });
-}
-
-void GrayInjector::apply_slowdown(cluster::NodeId node, double cpu,
-                                  double accel, util::TimeNs until) {
-  Active& a = slow_until_[node];
-  const bool fresh = a.until == 0;
-  if (fresh) {
-    a.since = sim_.now();
-    metrics_.count("slow_node_degradations");
-    if (tracer_) {
-      a.span = tracer_->begin(trace::Layer::kDataflow, "fault.degrade",
-                              trace::kNoSpan);
-      tracer_->annotate(a.span, "kind", "slow_node");
-      tracer_->annotate(a.span, "node", std::to_string(node));
-      tracer_->annotate(a.span, "cpu_factor", std::to_string(cpu));
-    }
-  }
-  // Overlapping slowdowns: the strongest factor wins, the longest holds.
-  a.cpu = std::max(a.cpu, cpu);
-  a.accel = std::max(a.accel, accel);
-  a.until = std::max(a.until, until);
-  metrics_.set_gauge("slowed_nodes", static_cast<double>(slow_until_.size()));
-  tables_.set_slowdown(node, a.cpu, a.accel);
-}
-
-void GrayInjector::clear_slowdown(cluster::NodeId node, util::TimeNs end) {
-  const auto it = slow_until_.find(node);
-  if (it == slow_until_.end() || it->second.until > end) return;
-  if (tracer_) tracer_->end(it->second.span);
-  slow_until_.erase(it);
-  metrics_.set_gauge("slowed_nodes", static_cast<double>(slow_until_.size()));
-  tables_.set_slowdown(node, 1.0, 1.0);
+  sim_.at(end, [this, node, end] { clear(kSlow, node, end); });
 }
 
 void GrayInjector::schedule_nic_degradation(cluster::NodeId node,
@@ -65,47 +52,58 @@ void GrayInjector::schedule_nic_degradation(cluster::NodeId node,
   }
   if (duration <= 0) throw std::invalid_argument("nic needs duration > 0");
   const util::TimeNs end = at + duration;
-  sim_.at(at, [this, node, nic, end] { apply_nic(node, nic, end); });
-  sim_.at(end, [this, node, end] { clear_nic(node, end); });
+  sim_.at(at, [this, node, nic, end] {
+    apply(kNic, node, Level{1.0, 1.0, nic}, end);
+  });
+  sim_.at(end, [this, node, end] { clear(kNic, node, end); });
 }
 
-void GrayInjector::apply_nic(cluster::NodeId node, const NicDegradation& nic,
-                             util::TimeNs until) {
-  Active& a = nic_until_[node];
-  const bool fresh = a.until == 0;
-  if (fresh) {
+void GrayInjector::apply(Kind kind, cluster::NodeId node, const Level& level,
+                         util::TimeNs until) {
+  const KindInfo& info = kKinds[kind];
+  ActiveMap& map = active_[kind];
+  Active& a = map[node];
+  if (a.until == 0) {
     a.since = sim_.now();
-    a.nic = nic;
-    metrics_.count("nic_degradations");
+    metrics_.count(info.counter);
     if (tracer_) {
-      a.span = tracer_->begin(trace::Layer::kNetwork, "fault.degrade",
-                              trace::kNoSpan);
-      tracer_->annotate(a.span, "kind", "nic");
+      a.span = tracer_->begin(info.layer, "fault.degrade", trace::kNoSpan);
+      tracer_->annotate(a.span, "kind", info.name);
       tracer_->annotate(a.span, "node", std::to_string(node));
-      tracer_->annotate(a.span, "loss", std::to_string(nic.loss));
+      tracer_->annotate(
+          a.span, info.annotation,
+          std::to_string(kind == kSlow ? level.cpu : level.nic.loss));
     }
-  } else {
-    // Strongest degradation wins across overlapping intervals.
-    a.nic.bandwidth_factor = std::min(a.nic.bandwidth_factor,
-                                      nic.bandwidth_factor);
-    a.nic.loss = std::max(a.nic.loss, nic.loss);
-    a.nic.extra_latency = std::max(a.nic.extra_latency, nic.extra_latency);
   }
+  // Overlapping degradations: the strongest wins, the longest holds.
+  a.level.cpu = std::max(a.level.cpu, level.cpu);
+  a.level.accel = std::max(a.level.accel, level.accel);
+  a.level.nic.bandwidth_factor =
+      std::min(a.level.nic.bandwidth_factor, level.nic.bandwidth_factor);
+  a.level.nic.loss = std::max(a.level.nic.loss, level.nic.loss);
+  a.level.nic.extra_latency =
+      std::max(a.level.nic.extra_latency, level.nic.extra_latency);
   a.until = std::max(a.until, until);
-  metrics_.set_gauge("nic_degraded_nodes",
-                     static_cast<double>(nic_until_.size()));
-  for (const NicFn& fn : nic_subs_) fn(node, a.nic);
+  metrics_.set_gauge(info.gauge, static_cast<double>(map.size()));
+  notify(kind, node, a.level);
 }
 
-void GrayInjector::clear_nic(cluster::NodeId node, util::TimeNs end) {
-  const auto it = nic_until_.find(node);
-  if (it == nic_until_.end() || it->second.until > end) return;
+void GrayInjector::clear(Kind kind, cluster::NodeId node, util::TimeNs end) {
+  ActiveMap& map = active_[kind];
+  const auto it = map.find(node);
+  if (it == map.end() || it->second.until > end) return;
   if (tracer_) tracer_->end(it->second.span);
-  nic_until_.erase(it);
-  metrics_.set_gauge("nic_degraded_nodes",
-                     static_cast<double>(nic_until_.size()));
-  const NicDegradation healthy;
-  for (const NicFn& fn : nic_subs_) fn(node, healthy);
+  map.erase(it);
+  metrics_.set_gauge(kKinds[kind].gauge, static_cast<double>(map.size()));
+  notify(kind, node, Level{});
+}
+
+void GrayInjector::notify(Kind kind, cluster::NodeId node, const Level& level) {
+  if (kind == kSlow) {
+    tables_.set_slowdown(node, level.cpu, level.accel);
+    return;
+  }
+  for (const NicFn& fn : nic_subs_) fn(node, level.nic);
 }
 
 void GrayInjector::schedule_bitrot(util::TimeNs at, std::uint64_t seed,
@@ -127,11 +125,10 @@ void GrayInjector::schedule_bitrot(util::TimeNs at, std::uint64_t seed,
 
 util::TimeNs GrayInjector::degraded_since(cluster::NodeId node) const {
   util::TimeNs since = -1;
-  const auto slow = slow_until_.find(node);
-  if (slow != slow_until_.end()) since = slow->second.since;
-  const auto nic = nic_until_.find(node);
-  if (nic != nic_until_.end()) {
-    since = since < 0 ? nic->second.since : std::min(since, nic->second.since);
+  for (const ActiveMap& map : active_) {
+    const auto it = map.find(node);
+    if (it == map.end()) continue;
+    since = since < 0 ? it->second.since : std::min(since, it->second.since);
   }
   return since;
 }

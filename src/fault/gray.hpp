@@ -76,10 +76,10 @@ class GrayInjector {
   void schedule_bitrot(util::TimeNs at, std::uint64_t seed, int replicas);
 
   bool is_slowed(cluster::NodeId node) const {
-    return slow_until_.count(node) != 0;
+    return active_[kSlow].count(node) != 0;
   }
   bool is_nic_degraded(cluster::NodeId node) const {
-    return nic_until_.count(node) != 0;
+    return active_[kNic].count(node) != 0;
   }
 
   std::int64_t degradations_injected() const {
@@ -100,28 +100,36 @@ class GrayInjector {
   const metrics::Registry& metrics() const { return metrics_; }
 
  private:
+  /// The two degradations share one state machine; the kind picks its
+  /// counter, gauge, span layer, annotation and consumers.
+  enum Kind { kSlow, kNic };
+  /// A node's degradation; the healthy defaults are the identity of the
+  /// strongest-wins merge, so a slowdown leaves `nic` healthy and a NIC
+  /// degradation leaves the factors at 1.
+  struct Level {
+    double cpu = 1.0;
+    double accel = 1.0;
+    NicDegradation nic;
+  };
   struct Active {
     util::TimeNs until = 0;
     util::TimeNs since = 0;
-    double cpu = 1.0;    // slowdown use
-    double accel = 1.0;  // slowdown use
-    NicDegradation nic;  // NIC use
+    Level level;
     trace::SpanId span = trace::kNoSpan;
   };
+  using ActiveMap = std::map<cluster::NodeId, Active>;
 
-  void apply_slowdown(cluster::NodeId node, double cpu, double accel,
-                      util::TimeNs until);
-  void clear_slowdown(cluster::NodeId node, util::TimeNs end);
-  void apply_nic(cluster::NodeId node, const NicDegradation& nic,
-                 util::TimeNs until);
-  void clear_nic(cluster::NodeId node, util::TimeNs end);
+  void apply(Kind kind, cluster::NodeId node, const Level& level,
+             util::TimeNs until);
+  /// Clears the node's degradation if no interval of it outlasts `end`.
+  void clear(Kind kind, cluster::NodeId node, util::TimeNs end);
+  void notify(Kind kind, cluster::NodeId node, const Level& level);
 
   sim::Simulation& sim_;
   cluster::ConditionTables tables_;
   std::vector<NicFn> nic_subs_;
   std::vector<BitrotFn> bitrot_subs_;
-  std::map<cluster::NodeId, Active> slow_until_;
-  std::map<cluster::NodeId, Active> nic_until_;
+  ActiveMap active_[2];  // by Kind
   trace::Tracer* tracer_ = nullptr;
   metrics::Registry metrics_;
 };

@@ -73,9 +73,7 @@ void PartitionInjector::heal(PartitionId id) {
   if (it == edicts_.end()) return;
   edicts_.erase(it);
   ++heals_;
-  if (edicts_.empty()) {
-    partition_ns_ += sim_.now() - any_since_;
-  }
+  if (edicts_.empty()) any_active_.add(sim_.now(), -1);
   rebuild();
   for (const PartitionFn& fn : heal_subs_) fn(sim_.now());
 }
@@ -143,15 +141,9 @@ void PartitionInjector::arm_random(std::size_t process) {
   });
 }
 
-double PartitionInjector::partition_seconds() const {
-  util::TimeNs total = partition_ns_;
-  if (!edicts_.empty()) total += sim_.now() - any_since_;
-  return util::to_seconds(total);
-}
-
 PartitionId PartitionInjector::install(Edict edict) {
   const PartitionId id = next_id_++;
-  if (edicts_.empty()) any_since_ = sim_.now();
+  if (edicts_.empty()) any_active_.add(sim_.now(), +1);
   edicts_.emplace(id, std::move(edict));
   ++partitions_injected_;
   rebuild();

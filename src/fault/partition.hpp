@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "metrics/timeseries.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
@@ -92,7 +93,9 @@ class PartitionInjector {
   std::int64_t heals() const { return heals_; }
   /// Accumulated seconds during which at least one partition was active
   /// (open intervals are charged up to `now`).
-  double partition_seconds() const;
+  double partition_seconds() const {
+    return any_active_.integral(sim_.now()) / 1e9;
+  }
 
  private:
   struct Edict {
@@ -128,8 +131,7 @@ class PartitionInjector {
   std::vector<RandomProcess> processes_;
   std::int64_t partitions_injected_ = 0;
   std::int64_t heals_ = 0;
-  util::TimeNs partition_ns_ = 0;  // closed any-partition-active intervals
-  util::TimeNs any_since_ = 0;     // start of the current open interval
+  metrics::UsageTracker any_active_;  // 1 while any edict is installed
 };
 
 }  // namespace evolve::fault

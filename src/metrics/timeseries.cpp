@@ -57,11 +57,14 @@ void UsageTracker::add(util::TimeNs time, double delta) {
   peak_ = std::max(peak_, level_);
 }
 
+double UsageTracker::integral(util::TimeNs end) const {
+  if (end <= last_time_) return weighted_sum_;
+  return weighted_sum_ + level_ * static_cast<double>(end - last_time_);
+}
+
 double UsageTracker::mean_usage(util::TimeNs end) const {
   if (end <= 0) return 0.0;
-  double sum = weighted_sum_;
-  if (end > last_time_) sum += level_ * static_cast<double>(end - last_time_);
-  return sum / static_cast<double>(end);
+  return integral(end) / static_cast<double>(end);
 }
 
 double UsageTracker::utilization(util::TimeNs end) const {

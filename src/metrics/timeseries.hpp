@@ -40,8 +40,8 @@ class TimeSeries {
   std::vector<Sample> samples_;
 };
 
-/// Tracks a level that goes up and down (e.g. cores in use) and computes
-/// time-weighted utilization against a capacity.
+/// Tracks a level that goes up and down (e.g. cores in use, nodes down)
+/// and computes its time integral and utilization against a capacity.
 class UsageTracker {
  public:
   explicit UsageTracker(double capacity = 0) : capacity_(capacity) {}
@@ -55,7 +55,12 @@ class UsageTracker {
   double current() const { return level_; }
   double peak() const { return peak_; }
 
-  /// Average in-use level over [0, end].
+  /// Integral of the level over [0, end] in level·ns; the level after
+  /// the last `add` is charged up to `end`. An integer level changed at
+  /// integer times sums exactly while the total stays below 2^53.
+  double integral(util::TimeNs end) const;
+
+  /// Average in-use level over [0, end]: integral(end) / end.
   double mean_usage(util::TimeNs end) const;
 
   /// mean_usage / capacity in [0, 1]; 0 if capacity is 0.

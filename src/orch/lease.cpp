@@ -56,9 +56,8 @@ void LeaseManager::stop() {
       l.pending = 0;
     }
     if (l.unreachable) {
-      unreachable_ns_ += sim_.now() - l.unreachable_since;
       l.unreachable = false;
-      --unreachable_count_;
+      unreachable_.add(sim_.now(), -1);
     }
   }
 }
@@ -108,8 +107,7 @@ void LeaseManager::handle_ack(cluster::NodeId node) {
   if (!l.unreachable) return;
   // First heartbeat through the healed network: the node reconnects.
   l.unreachable = false;
-  unreachable_ns_ += sim_.now() - l.unreachable_since;
-  --unreachable_count_;
+  unreachable_.add(sim_.now(), -1);
   ++reconnects_;
   if (l.has_grace_event) {
     sim_.cancel(l.grace_event);
@@ -131,8 +129,7 @@ void LeaseManager::handle_expiry(cluster::NodeId node) {
   l.has_expiry_event = false;
   if (stopped_ || l.paused || l.unreachable) return;
   l.unreachable = true;
-  l.unreachable_since = sim_.now();
-  ++unreachable_count_;
+  unreachable_.add(sim_.now(), +1);
   ++expiries_;
   // Bump the fencing epoch *before* notifying: everything the node wrote
   // under the old epoch is now rejectable, even though the node itself
@@ -191,14 +188,6 @@ std::int64_t LeaseManager::epoch(cluster::NodeId node) const {
 bool LeaseManager::is_unreachable(cluster::NodeId node) const {
   const auto it = leases_.find(node);
   return it != leases_.end() && it->second.unreachable;
-}
-
-double LeaseManager::unreachable_node_seconds() const {
-  util::TimeNs open = 0;
-  for (const auto& [node, l] : leases_) {
-    if (l.unreachable) open += sim_.now() - l.unreachable_since;
-  }
-  return util::to_seconds(unreachable_ns_ + open);
 }
 
 }  // namespace evolve::orch

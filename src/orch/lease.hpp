@@ -38,6 +38,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/conditions.hpp"
+#include "metrics/timeseries.hpp"
 #include "net/fabric.hpp"
 #include "orch/scheduler.hpp"
 #include "sim/simulation.hpp"
@@ -96,13 +97,17 @@ class LeaseManager {
   /// stamped with an older epoch are zombie writes.
   std::int64_t epoch(cluster::NodeId node) const;
   bool is_unreachable(cluster::NodeId node) const;
-  int unreachable_count() const { return unreachable_count_; }
+  int unreachable_count() const {
+    return static_cast<int>(unreachable_.current());
+  }
   std::int64_t expiries() const { return expiries_; }
   std::int64_t reconnects() const { return reconnects_; }
   std::int64_t evictions() const { return evictions_; }
   /// Accumulated node-seconds spent Unreachable (open intervals charged
   /// up to now).
-  double unreachable_node_seconds() const;
+  double unreachable_node_seconds() const {
+    return unreachable_.integral(sim_.now()) / 1e9;
+  }
 
  private:
   struct NodeLease {
@@ -116,7 +121,6 @@ class LeaseManager {
     bool has_renew_event = false;
     bool has_expiry_event = false;
     bool has_grace_event = false;
-    util::TimeNs unreachable_since = 0;
     util::Rng rng;  // per-node renewal phase jitter
   };
 
@@ -147,11 +151,10 @@ class LeaseManager {
   cluster::NodeConditions conditions_;
   std::vector<LeaseFn> evict_subs_;
   std::map<cluster::NodeId, NodeLease> leases_;
-  int unreachable_count_ = 0;
+  metrics::UsageTracker unreachable_;  // nodes Unreachable
   std::int64_t expiries_ = 0;
   std::int64_t reconnects_ = 0;
   std::int64_t evictions_ = 0;
-  util::TimeNs unreachable_ns_ = 0;
 };
 
 }  // namespace evolve::orch

@@ -785,32 +785,14 @@ std::vector<std::string> ObjectStore::list(const std::string& bucket,
 }
 
 void ObjectStore::shift_underrep(int delta) {
-  underrep_ns_ += static_cast<double>(underrep_count_) *
-                  static_cast<double>(sim_.now() - underrep_last_);
-  underrep_last_ = sim_.now();
-  underrep_count_ += delta;
-  metrics_.set_gauge("under_replicated_objects", underrep_count_);
-}
-
-double ObjectStore::under_replicated_object_seconds() const {
-  const double pending = static_cast<double>(underrep_count_) *
-                         static_cast<double>(sim_.now() - underrep_last_);
-  return (underrep_ns_ + pending) / 1e9;
+  underrep_.add(sim_.now(), delta);
+  metrics_.set_gauge("under_replicated_objects", underrep_.current());
 }
 
 void ObjectStore::shift_at_risk(int delta) {
   if (delta == 0) return;
-  at_risk_ns_ += static_cast<double>(at_risk_count_) *
-                 static_cast<double>(sim_.now() - at_risk_last_);
-  at_risk_last_ = sim_.now();
-  at_risk_count_ += delta;
-  metrics_.set_gauge("at_risk_fragments", at_risk_count_);
-}
-
-double ObjectStore::at_risk_fragment_seconds() const {
-  const double pending = static_cast<double>(at_risk_count_) *
-                         static_cast<double>(sim_.now() - at_risk_last_);
-  return (at_risk_ns_ + pending) / 1e9;
+  at_risk_.add(sim_.now(), delta);
+  metrics_.set_gauge("at_risk_fragments", at_risk_.current());
 }
 
 DurabilityStats ObjectStore::durability_stats() const {

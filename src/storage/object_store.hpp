@@ -31,6 +31,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/conditions.hpp"
 #include "metrics/registry.hpp"
+#include "metrics/timeseries.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/io_model.hpp"
@@ -302,16 +303,22 @@ class ObjectStore {
 
   /// Objects currently holding fewer live replicas/fragments than
   /// placed, but still readable.
-  int under_replicated_objects() const { return underrep_count_; }
+  int under_replicated_objects() const {
+    return static_cast<int>(underrep_.current());
+  }
   /// Objects that became permanently unreadable (cumulative).
   int lost_objects() const {
     return static_cast<int>(metrics_.counter("objects_lost"));
   }
   /// Time-weighted integral of under-replicated objects (object·s).
-  double under_replicated_object_seconds() const;
+  double under_replicated_object_seconds() const {
+    return underrep_.integral(sim_.now()) / 1e9;
+  }
   /// Time-weighted integral of missing fragments/replicas on degraded
   /// objects (fragment·s) — how long data sat one step closer to loss.
-  double at_risk_fragment_seconds() const;
+  double at_risk_fragment_seconds() const {
+    return at_risk_.integral(sim_.now()) / 1e9;
+  }
   /// Current + cumulative durability snapshot (see DurabilityStats).
   DurabilityStats durability_stats() const;
   /// Total time repairs spent waiting on the rebuild bandwidth cap.
@@ -472,10 +479,9 @@ class ObjectStore {
   void extend_placement(const std::vector<cluster::NodeId>& ranked,
                         int copies, std::size_t count,
                         std::vector<cluster::NodeId>& out) const;
-  /// Folds the running under-replication integral up to now, then
-  /// applies `delta` to the current count.
+  /// Applies `delta` to the under-replicated object count at now.
   void shift_underrep(int delta);
-  /// Same for the missing-fragment (at-risk) integral.
+  /// Same for the missing-fragment (at-risk) count.
   void shift_at_risk(int delta);
   /// Applies a replica-set health transition: under-replication and
   /// at-risk accounting, loss counting, and repair queueing.
@@ -546,12 +552,8 @@ class ObjectStore {
   /// they stay corrupted until the verification read completes).
   std::set<std::pair<ObjectKey, cluster::NodeId>> scrub_inflight_;
   bool scrub_armed_ = false;
-  int underrep_count_ = 0;
-  util::TimeNs underrep_last_ = 0;
-  double underrep_ns_ = 0;  // object·ns integral up to underrep_last_
-  int at_risk_count_ = 0;   // missing fragments on degraded objects
-  util::TimeNs at_risk_last_ = 0;
-  double at_risk_ns_ = 0;   // fragment·ns integral up to at_risk_last_
+  metrics::UsageTracker underrep_;  // under-replicated objects
+  metrics::UsageTracker at_risk_;   // missing fragments on degraded objects
   metrics::Registry metrics_;
   trace::Tracer* tracer_ = nullptr;
 };

@@ -49,16 +49,16 @@ void TieredCache::make_room(int tier_index, util::Bytes needed) {
     holding.splice(holding.begin(), tier.lru, victim);
     tier.stats.used -= victim->size;
     ++tier.stats.demotions_out;
-    place(tier_index + 1, index_.find(*victim->key), holding,
-          /*demotion=*/true);
+    place(tier_index + 1, *victim->node, holding, /*demotion=*/true);
   }
 }
 
-void TieredCache::place(int tier_index, Index::iterator at, Lru& holding,
+void TieredCache::place(int tier_index, Node& node, Lru& holding,
                         bool demotion) {
   // Entries move between tiers by splicing their list node, and the index
-  // node stays put: no demotion or promotion allocates.
-  const Lru::iterator entry = at->second.it;
+  // node stays put: no demotion or promotion allocates or hashes the key.
+  // Only a drop looks it up, to erase it.
+  const Lru::iterator entry = node.second.it;
   // Too big for a tier entirely: push further down, or drop.
   while (tier_index < tier_count() &&
          entry->size > config(tier_index).capacity) {
@@ -66,7 +66,8 @@ void TieredCache::place(int tier_index, Index::iterator at, Lru& holding,
   }
   if (tier_index == tier_count()) {
     ++drops_;
-    index_.erase(at);  // the caller's holding list frees the entry
+    // The caller's holding list frees the entry.
+    index_.erase(index_.find(node.first));
     return;
   }
   // The entry sits in `holding`, so the eviction cascade never selects it.
@@ -79,12 +80,11 @@ void TieredCache::place(int tier_index, Index::iterator at, Lru& holding,
     ++tier.stats.inserts;
   }
   tier.lru.splice(tier.lru.begin(), holding, entry);
-  at->second.tier = tier_index;
+  node.second.tier = tier_index;
 }
 
 bool TieredCache::put(const ObjectKey& key, util::Bytes size) {
   if (size < 0) throw std::invalid_argument("put: negative size");
-  erase(key);
   bool fits_somewhere = false;
   for (const Tier& tier : tiers_) {
     if (size <= tier.config.capacity) {
@@ -93,14 +93,16 @@ bool TieredCache::put(const ObjectKey& key, util::Bytes size) {
     }
   }
   if (!fits_somewhere) {
+    erase(key);
     ++drops_;
     return false;
   }
-  const Index::iterator at = index_.try_emplace(key).first;
+  const auto [at, fresh] = index_.try_emplace(key);
+  if (!fresh) unlink(at->second);  // overwrite: the index node stays
   Lru holding;
-  holding.push_front(Entry{&at->first, size});
+  holding.push_front(Entry{&*at, size});
   at->second.it = holding.begin();
-  place(0, at, holding, /*demotion=*/false);
+  place(0, *at, holding, /*demotion=*/false);
   return true;
 }
 
@@ -125,18 +127,22 @@ std::optional<int> TieredCache::get(const ObjectKey& key) {
   Lru holding;
   holding.splice(holding.begin(), tier.lru, entry);
   tier.stats.used -= entry->size;
-  place(0, it, holding, /*demotion=*/false);
+  place(0, *it, holding, /*demotion=*/false);
   return found_tier;
 }
 
 bool TieredCache::erase(const ObjectKey& key) {
   auto it = index_.find(key);
   if (it == index_.end()) return false;
-  Tier& tier = tiers_[static_cast<std::size_t>(it->second.tier)];
-  tier.stats.used -= it->second.it->size;
-  tier.lru.erase(it->second.it);
+  unlink(it->second);
   index_.erase(it);
   return true;
+}
+
+void TieredCache::unlink(const Location& at) {
+  Tier& tier = tiers_[static_cast<std::size_t>(at.tier)];
+  tier.stats.used -= at.it->size;
+  tier.lru.erase(at.it);
 }
 
 }  // namespace evolve::storage

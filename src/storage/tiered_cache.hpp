@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/object_key.hpp"
@@ -38,7 +39,7 @@ struct TierStats {
 class TieredCache {
  public:
   explicit TieredCache(std::vector<TierConfig> tiers);
-  // LRU entries point at index keys, which a copy would not re-point.
+  // LRU entries point at index elements, which a copy would not re-point.
   TieredCache(const TieredCache&) = delete;
   TieredCache& operator=(const TieredCache&) = delete;
   TieredCache(TieredCache&&) = default;
@@ -85,8 +86,10 @@ class TieredCache {
   std::size_t size() const { return index_.size(); }
 
  private:
+  struct Location;
+  using Node = std::pair<const ObjectKey, Location>;  // an index_ element
   struct Entry {
-    const ObjectKey* key;  // the index_ node's key (nodes never move)
+    Node* node;  // its index_ element (elements never move, even on rehash)
     util::Bytes size;
   };
   using Lru = std::list<Entry>;  // front = most recent
@@ -101,12 +104,14 @@ class TieredCache {
   };
   using Index = std::unordered_map<ObjectKey, Location, ObjectKeyHash>;
 
-  /// Moves the entry `at` (spliced into a holding list by the caller) to
-  /// the head of the first tier from `tier` on that can hold it,
-  /// evicting/demoting there as needed, or drops it when none can.
+  /// Moves the entry of `node` (spliced into a holding list by the
+  /// caller) to the head of the first tier from `tier` on that can hold
+  /// it, evicting/demoting there as needed, or drops it when none can.
   /// `demotion` marks whether it came from a higher tier.
-  void place(int tier, Index::iterator at, Lru& holding, bool demotion);
+  void place(int tier, Node& node, Lru& holding, bool demotion);
   void make_room(int tier, util::Bytes needed);
+  /// Frees the LRU entry at `at` and its bytes; the index node stays.
+  void unlink(const Location& at);
 
   std::vector<Tier> tiers_;
   Index index_;

@@ -200,6 +200,55 @@ TEST(Platform, NodeCrashFailsHpcStep) {
   EXPECT_EQ(orch.running_count(), 0);
 }
 
+TEST(Platform, FailedDataflowJobFailsItsStep) {
+  sim::Simulation sim;
+  PlatformConfig config = small_config();
+  config.dataflow.fault_recovery = false;
+  Platform platform(sim, config);
+  orch::Orchestrator& orch = platform.orchestrator(World::kBigData);
+  fault::FaultInjector injector(sim);
+  fault::connect(injector, orch);
+  fault::connect(injector, platform.dataflow());
+  platform.catalog().define(storage::DatasetSpec{"raw", 8, 256 * util::kMiB});
+  platform.catalog().preload("raw");
+
+  workflow::Workflow wf("lossy");
+  wf.add(workflow::dataflow_step(
+      "analytics", workloads::scan_filter_aggregate("raw", "agg", 4), 2, 4));
+  orch::PodSpec pod;
+  pod.name = "report";
+  pod.request = cluster::cpu_mem(1000, util::kGiB);
+  auto report = workflow::container_step("report", pod, util::seconds(1));
+  report.depends_on = {"analytics"};
+  wf.add(report);
+
+  int reports = 0;
+  workflow::WorkflowResult result;
+  platform.run_workflow(wf, [&](const workflow::WorkflowResult& r) {
+    result = r;
+    ++reports;
+  });
+  // Crash an executor's node while the job runs: without recovery the
+  // job fails, so the step fails and its dependent never starts.
+  sim.at(util::millis(200), [&] {
+    for (cluster::NodeId node : orch.managed_nodes()) {
+      if (orch.node_status(node).pod_count() > 0) {
+        injector.kill(node);
+        return;
+      }
+    }
+    FAIL() << "no executor pod running at the crash";
+  });
+  sim.run();
+  EXPECT_EQ(reports, 1);
+  EXPECT_EQ(platform.dataflow().metrics().counter("jobs_failed"), 1);
+  EXPECT_FALSE(result.success);
+  EXPECT_FALSE(result.steps.at("analytics").success);
+  EXPECT_FALSE(platform.catalog().defined("agg"));
+  const auto after = result.steps.find("report");
+  EXPECT_TRUE(after == result.steps.end() || after->second.attempts == 0);
+}
+
 TEST(Platform, RunDataflowValidatesArgs) {
   sim::Simulation sim;
   Platform platform(sim, small_config());

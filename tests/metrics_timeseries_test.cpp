@@ -94,5 +94,23 @@ TEST(UsageTracker, MeanExtendsToQueryTime) {
   EXPECT_NEAR(tracker.utilization(seconds(10)), 1.0, 1e-9);
 }
 
+TEST(UsageTracker, IntegralChargesOpenLevelExactly) {
+  UsageTracker tracker;
+  EXPECT_EQ(tracker.integral(seconds(5)), 0.0);
+  tracker.add(seconds(1), 2.0);   // level 2 during [1s, 3s)
+  tracker.add(seconds(3), 1.0);   // level 3 from 3s on
+  EXPECT_EQ(tracker.integral(seconds(3)), 4e9);
+  EXPECT_EQ(tracker.integral(seconds(4)), 7e9);  // open level charged
+  // A query before the last change sees the closed part only.
+  EXPECT_EQ(tracker.integral(seconds(2)), 4e9);
+  EXPECT_EQ(tracker.mean_usage(seconds(4)), 7e9 / 4e9);
+  // Integer levels at integer times: exact far beyond any run length.
+  UsageTracker nodes;
+  nodes.add(1, 1.0);
+  nodes.add(seconds(86400) + 3, -1.0);
+  EXPECT_EQ(nodes.integral(seconds(86400) + 7),
+            static_cast<double>(seconds(86400) + 2));
+}
+
 }  // namespace
 }  // namespace evolve::metrics

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <list>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace evolve::storage {
 namespace {
@@ -200,6 +208,152 @@ TEST_P(TieredCacheInvariants, UsageNeverExceedsCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TieredCacheInvariants,
                          ::testing::Values(1, 2, 3, 4, 5, 17, 99));
+
+/// The cache's contract restated as plain lists searched linearly: each
+/// tier is a list of (name, size), front = most recent.
+class NaiveTieredCache {
+ public:
+  explicit NaiveTieredCache(std::vector<util::Bytes> capacities)
+      : capacities_(std::move(capacities)),
+        lru_(capacities_.size()),
+        stats_(capacities_.size()) {}
+
+  bool put(const std::string& name, util::Bytes size) {
+    erase(name);
+    for (const util::Bytes capacity : capacities_) {
+      if (size <= capacity) {
+        place(0, {name, size}, /*demotion=*/false);
+        return true;
+      }
+    }
+    ++drops_;
+    return false;
+  }
+
+  std::optional<int> get(const std::string& name) {
+    const auto found = find(name);
+    if (!found) {
+      ++misses_;
+      return std::nullopt;
+    }
+    const auto [tier, it] = *found;
+    ++stats_[tier].hits;
+    const Item item = *it;
+    lru_[tier].erase(it);
+    if (tier == 0 || item.size > capacities_[0]) {
+      lru_[tier].push_front(item);
+    } else {
+      stats_[tier].used -= item.size;
+      place(0, item, /*demotion=*/false);
+    }
+    return tier;
+  }
+
+  std::optional<int> peek(const std::string& name) {
+    const auto found = find(name);
+    if (!found) return std::nullopt;
+    return found->first;
+  }
+
+  bool erase(const std::string& name) {
+    const auto found = find(name);
+    if (!found) return false;
+    stats_[found->first].used -= found->second->size;
+    lru_[found->first].erase(found->second);
+    return true;
+  }
+
+  const TierStats& stats(int tier) const { return stats_[tier]; }
+  std::int64_t misses() const { return misses_; }
+  std::int64_t drops() const { return drops_; }
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& tier : lru_) n += tier.size();
+    return n;
+  }
+
+ private:
+  struct Item {
+    std::string name;
+    util::Bytes size;
+  };
+  using List = std::list<Item>;
+
+  std::optional<std::pair<int, List::iterator>> find(const std::string& name) {
+    for (std::size_t t = 0; t < lru_.size(); ++t) {
+      for (auto it = lru_[t].begin(); it != lru_[t].end(); ++it) {
+        if (it->name == name) return std::make_pair(static_cast<int>(t), it);
+      }
+    }
+    return std::nullopt;
+  }
+
+  void place(std::size_t tier, const Item& item, bool demotion) {
+    while (tier < capacities_.size() && item.size > capacities_[tier]) ++tier;
+    if (tier == capacities_.size()) {
+      ++drops_;
+      return;
+    }
+    while (stats_[tier].used + item.size > capacities_[tier] &&
+           !lru_[tier].empty()) {
+      const Item victim = lru_[tier].back();
+      lru_[tier].pop_back();
+      stats_[tier].used -= victim.size;
+      ++stats_[tier].demotions_out;
+      place(tier + 1, victim, /*demotion=*/true);
+    }
+    stats_[tier].used += item.size;
+    ++(demotion ? stats_[tier].demotions_in : stats_[tier].inserts);
+    lru_[tier].push_front(item);
+  }
+
+  std::vector<util::Bytes> capacities_;
+  std::vector<List> lru_;
+  std::vector<TierStats> stats_;
+  std::int64_t misses_ = 0;
+  std::int64_t drops_ = 0;
+};
+
+// Seeded put/get/peek/erase streams (overwrites and objects too big for
+// some or every tier included) against the naive model, compared after
+// every operation.
+class TieredCacheModel : public ::testing::TestWithParam<int> {};
+
+TEST_P(TieredCacheModel, MatchesNaiveModel) {
+  auto cache = three_tier(100, 400, 1000);
+  NaiveTieredCache model({100, 400, 1000});
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  for (int i = 0; i < 3000; ++i) {
+    const std::string name = util::numbered("k", rng.uniform_int(0, 15));
+    const auto size = rng.uniform_int(0, 9) == 0 ? rng.uniform_int(0, 1200)
+                                                 : rng.uniform_int(0, 120);
+    const std::int64_t op = rng.uniform_int(0, 19);
+    if (op < 7) {
+      ASSERT_EQ(cache.put(k(name), size), model.put(name, size)) << i;
+    } else if (op < 14) {
+      ASSERT_EQ(cache.get(k(name)), model.get(name)) << i;
+    } else if (op < 17) {
+      ASSERT_EQ(cache.peek(k(name)), model.peek(name)) << i;
+    } else {
+      ASSERT_EQ(cache.erase(k(name)), model.erase(name)) << i;
+    }
+    for (int t = 0; t < cache.tier_count(); ++t) {
+      const TierStats& got = cache.stats(t);
+      const TierStats& want = model.stats(t);
+      ASSERT_EQ(got.hits, want.hits) << i << " tier " << t;
+      ASSERT_EQ(got.inserts, want.inserts) << i << " tier " << t;
+      ASSERT_EQ(got.demotions_in, want.demotions_in) << i << " tier " << t;
+      ASSERT_EQ(got.demotions_out, want.demotions_out) << i << " tier " << t;
+      ASSERT_EQ(got.used, want.used) << i << " tier " << t;
+    }
+    ASSERT_EQ(cache.misses(), model.misses()) << i;
+    ASSERT_EQ(cache.drops(), model.drops()) << i;
+    ASSERT_EQ(cache.size(), model.size()) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TieredCacheModel,
+                         ::testing::Values(1, 2, 3, 7, 42));
 
 }  // namespace
 }  // namespace evolve::storage
