@@ -20,9 +20,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "common.hpp"
+#include "workloads.hpp"
 
 extern "C" {
 std::uint64_t alloc_count_total();
@@ -32,17 +31,6 @@ void alloc_count_weight(int weight);
 namespace {
 
 using namespace perfbench;
-
-struct Workload {
-  const char* name;
-  RunResult (*run)(const RunOptions&);
-};
-
-const Workload kWorkloads[] = {
-    {"tablet-skew", run_tablet_skew},
-    {"converged-pipelines", run_converged_pipelines},
-    {"serve-spike", run_serve_spike},
-};
 
 constexpr int kSetups = 10;
 
@@ -61,10 +49,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: alloc_phases <workload> [seed]\n");
     return 2;
   }
-  const Workload* workload = nullptr;
-  for (const Workload& w : kWorkloads) {
-    if (std::strcmp(argv[1], w.name) == 0) workload = &w;
-  }
+  const scripts::Workload* workload = scripts::find_workload(argv[1]);
   if (!workload) {
     std::fprintf(stderr, "unknown workload: %s\n", argv[1]);
     return 2;

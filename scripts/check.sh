@@ -197,6 +197,53 @@ for layout in r2 r3 ec4_2 ec8_3; do
 done
 echo "check.sh: F14 durability gate ok"
 
+# -- F5 storage-tiering gate -------------------------------------------
+# A working set that outgrows DRAM must cost more: mean GET latency and
+# HDD reads rise strictly with it, and eight storage servers stream at
+# least six times the bytes of one. All values are
+# simulation-deterministic.
+for pair in "4g 16g" "16g 48g" "48g 128g"; do
+  read -r lo hi <<< "$pair"
+  for key in mean_latency_us hdd_reads; do
+    gate f5_storage "m[\"ws_${lo}_$key\"] < m[\"ws_${hi}_$key\"]" \
+      "\"F5 ws_${hi}_$key %.3f does not exceed ws_${lo}_$key %.3f\", m[\"ws_${hi}_$key\"], m[\"ws_${lo}_$key\"]"
+  done
+done
+gate f5_storage 'm["scale_8_gib_per_s"] >= 6 * m["scale_1_gib_per_s"]' \
+  '"F5 8 servers stream %.3f GiB/s, under 6x the %.3f of one", m["scale_8_gib_per_s"], m["scale_1_gib_per_s"]'
+echo "check.sh: F5 storage gate ok"
+
+# -- A3 tier-sizing gate ------------------------------------------------
+# Larger cache tiers must pay: DRAM hits rise strictly, HDD reads never
+# rise, and mean GET latency falls strictly from 5 to 15 to 40 to 100
+# percent of the working set. All values are simulation-deterministic.
+for pair in "5pct 15pct" "15pct 40pct" "40pct 100pct"; do
+  read -r lo hi <<< "$pair"
+  gate a3_tiers "m[\"${lo}_dram_hits\"] < m[\"${hi}_dram_hits\"]" \
+    "\"A3 $hi DRAM hits %d do not exceed $lo's %d\", m[\"${hi}_dram_hits\"], m[\"${lo}_dram_hits\"]"
+  gate a3_tiers "m[\"${hi}_hdd_reads\"] <= m[\"${lo}_hdd_reads\"]" \
+    "\"A3 $hi HDD reads %d exceed $lo's %d\", m[\"${hi}_hdd_reads\"], m[\"${lo}_hdd_reads\"]"
+  gate a3_tiers "m[\"${hi}_mean_get_us\"] < m[\"${lo}_mean_get_us\"]" \
+    "\"A3 $hi mean GET %.3f us is not below $lo's %.3f us\", m[\"${hi}_mean_get_us\"], m[\"${lo}_mean_get_us\"]"
+done
+echo "check.sh: A3 tier-sizing gate ok"
+
+# -- A5 redundancy gate -------------------------------------------------
+# At 64 MiB both erasure-coded schemes (2: EC(4,2), 3: EC(8,3)) store
+# less and PUT faster than both replication schemes (0: R2, 1: R3), and
+# pay for it with a slower cold GET. All values are
+# simulation-deterministic.
+for ec in 2 3; do
+  for rep in 0 1; do
+    e="mib_64_scheme_$ec" r="mib_64_scheme_$rep"
+    gate a5_redundancy "m[\"${e}_overhead\"] < m[\"${r}_overhead\"] && m[\"${e}_put_ms\"] < m[\"${r}_put_ms\"]" \
+      "\"A5 scheme $ec (overhead %.3f, PUT %.3f ms) does not beat scheme $rep (%.3f, %.3f ms)\", m[\"${e}_overhead\"], m[\"${e}_put_ms\"], m[\"${r}_overhead\"], m[\"${r}_put_ms\"]"
+    gate a5_redundancy "m[\"${e}_get_cold_ms\"] > m[\"${r}_get_cold_ms\"]" \
+      "\"A5 scheme $ec cold GET %.3f ms is not above scheme $rep's %.3f ms\", m[\"${e}_get_cold_ms\"], m[\"${r}_get_cold_ms\"]"
+  done
+done
+echo "check.sh: A5 redundancy gate ok"
+
 # -- F9 churn-kernel gate -----------------------------------------------
 # The flow, recompute and event counts of both engines are
 # simulation-deterministic. The filtered diff above already covers them;

@@ -3,26 +3,28 @@
 #
 #   scripts/profile.sh <workload> [seed]
 #
-# Configures perfbench/ into build-pg with -pg compile and link flags
-# (plain CMake cache variables, so neither perfbench/ nor the library
-# needs a profiling option), runs the workload untraced for three
-# seconds of host time from inside build-pg, where gmon.out lands, and
-# prints the top 15 entries of the flat profile. It then prints the
-# call-graph entry (caller lines above the entry's own line) of the top
-# 5 self-time entries, so a symbol gprof mislabels shows its real
-# caller.
+# perfbench makes ten set-up-only passes before each measured run, so
+# neither its profile nor its allocation count shows a run as measured.
+# The script instead builds two drivers from scripts/CMakeLists.txt over
+# perfbench's unchanged workload sources. It configures scripts/ into
+# build-pg-runs with -pg compile and link flags (plain CMake cache
+# variables, so neither scripts/ nor the library needs a profiling
+# option), runs scripts/full_runs.cpp (whole runs, set-up included,
+# nothing else) for three seconds of host time from inside
+# build-pg-runs, where gmon.out lands, and prints the top 15 entries of
+# the flat profile. It then prints the call-graph entry (caller lines
+# above the entry's own line) of the top 5 self-time entries, so a
+# symbol gprof mislabels shows its real caller.
 #
 # gprof does not see time spent inside libc malloc, so the script then
-# counts heap allocations. perfbench makes ten set-up passes before each
-# measured run, so its own count mixes set-up and run; instead the script
-# builds scripts/alloc_phases.cpp (perfbench's workload sources with
-# scripts/alloc_count.cpp linked in, from scripts/CMakeLists.txt) into
-# build-alloc and runs it. It prints allocations per set-up, per full run
-# and per run without its set-up, then the 10 call sites with the most
-# sampled allocations of the run alone. A call site is the innermost
-# function of the library or perfbench (inlined frames included) on the
-# sampled stack, shown with its nearest different caller. Workloads:
-# tablet-skew, converged-pipelines, serve-spike. Seed defaults to 1.
+# counts heap allocations: it builds scripts/alloc_phases.cpp (with
+# scripts/alloc_count.cpp linked in) into build-alloc and runs it. It
+# prints allocations per set-up, per full run and per run without its
+# set-up, then the 10 call sites with the most sampled allocations of
+# the run alone. A call site is the innermost function of the library or
+# perfbench (inlined frames included) on the sampled stack, shown with
+# its nearest different caller. Workloads: tablet-skew,
+# converged-pipelines, serve-spike. Seed defaults to 1.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -33,23 +35,22 @@ WORKLOAD=$1
 SEED=${2:-1}
 
 cd "$(dirname "$0")/.."
-PG_DIR=build-pg
-cmake -S perfbench -B "$PG_DIR" -DCMAKE_CXX_FLAGS=-pg \
+PG_DIR=build-pg-runs
+cmake -S scripts -B "$PG_DIR" -DCMAKE_CXX_FLAGS=-pg \
   -DCMAKE_EXE_LINKER_FLAGS=-pg > /dev/null
-cmake --build "$PG_DIR" --target perfbench -j "$(nproc)" > /dev/null
+cmake --build "$PG_DIR" --target full_runs -j "$(nproc)" > /dev/null
 
 cd "$PG_DIR"
 rm -f gmon.out
-./perfbench --workload "$WORKLOAD" --seed "$SEED" --seconds 3 --trace 0 \
-  > /dev/null
+./full_runs "$WORKLOAD" "$SEED" 3
 # Five header lines, then the 15 functions with the most self time.
-FLAT=$(gprof -b -p perfbench gmon.out)
+FLAT=$(gprof -b -p full_runs gmon.out)
 head -n 20 <<< "$FLAT"
 # Flat-profile names start at column 55; keep the top 5.
 TOP5=$(sed -n '6,10p' <<< "$FLAT" | cut -c55-)
 echo
 echo "Callers of the top 5 (gprof -b -q):"
-gprof -b -q perfbench gmon.out | TOP5=$TOP5 awk '
+gprof -b -q full_runs gmon.out | TOP5=$TOP5 awk '
   BEGIN { n = split(ENVIRON["TOP5"], want, "\n") }
   /^index/ { started = 1; block = ""; next }
   !started { next }

@@ -21,12 +21,15 @@ DeviceQueue::DeviceQueue(sim::Simulation& sim,
     : sim_(sim), spec_(std::move(spec)) {}
 
 void DeviceQueue::submit(IoKind kind, util::Bytes bytes,
-                         std::function<void()> on_done) {
+                         util::SmallFn<void()> on_done) {
   const util::TimeNs start = std::max(sim_.now(), busy_until_);
   const util::TimeNs done = start + service_time(spec_, kind, bytes);
   busy_until_ = done;
-  sim_.at(done, [this, cb = std::move(on_done)]() mutable {
+  pending_.push_back(std::move(on_done));
+  sim_.at(done, [this] {
     ++completed_;
+    util::SmallFn<void()> cb = std::move(pending_.front());
+    pending_.pop_front();
     cb();
   });
 }

@@ -7,12 +7,13 @@
 // hitting one NVMe) without per-sector detail.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "sim/simulation.hpp"
+#include "util/ring_queue.hpp"
+#include "util/small_fn.hpp"
 #include "util/types.hpp"
 
 namespace evolve::storage {
@@ -30,7 +31,7 @@ class DeviceQueue {
   DeviceQueue(sim::Simulation& sim, cluster::StorageDeviceSpec spec);
 
   /// Enqueues an I/O; `on_done` fires when it completes.
-  void submit(IoKind kind, util::Bytes bytes, std::function<void()> on_done);
+  void submit(IoKind kind, util::Bytes bytes, util::SmallFn<void()> on_done);
 
   const cluster::StorageDeviceSpec& spec() const { return spec_; }
   std::int64_t completed_requests() const { return completed_; }
@@ -43,6 +44,11 @@ class DeviceQueue {
   cluster::StorageDeviceSpec spec_;
   util::TimeNs busy_until_ = 0;
   std::int64_t completed_ = 0;
+  /// Callbacks of the requests in service, oldest first. Completion
+  /// times never decrease in submit order and same-time events run in
+  /// schedule order, so requests complete first in, first out: each
+  /// completion event pops the front and carries no callback itself.
+  util::RingQueue<util::SmallFn<void()>> pending_;
 };
 
 /// Per-cluster registry of device queues, keyed by (node, device name).

@@ -13,6 +13,12 @@
 
 namespace evolve::storage {
 
+/// Dense id of an object inside one ObjectStore, assigned on the key's
+/// first put or preload and kept for the store's lifetime, so one key is
+/// always one id. Below its API the store and its caches name objects by
+/// id; only the key index compares or hashes key strings.
+using ObjectId = std::uint32_t;
+
 struct ObjectKey {
   std::string bucket;
   std::string name;

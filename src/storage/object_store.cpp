@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
@@ -164,11 +165,29 @@ bool ObjectStore::bucket_exists(const std::string& bucket) const {
   return buckets_.count(bucket) != 0;
 }
 
+ObjectId ObjectStore::find_id(const ObjectKey& key) const {
+  const auto it = ids_.find(key);
+  return it == ids_.end() ? kNoObject : it->second;
+}
+
+ObjectId ObjectStore::find_live(const ObjectKey& key) const {
+  const ObjectId id = find_id(key);
+  return id != kNoObject && objects_[id].live ? id : kNoObject;
+}
+
+ObjectId ObjectStore::add_key(std::map<ObjectKey, ObjectId>::iterator hint,
+                              const ObjectKey& key) {
+  const auto id = static_cast<ObjectId>(objects_.size());
+  ObjectMeta& meta = objects_.emplace_back();
+  meta.key = &ids_.emplace_hint(hint, key, id)->first;
+  meta.key_hash = key_hash(key);
+  return id;
+}
+
 const std::vector<cluster::NodeId>& ObjectStore::ranked_servers(
-    const ObjectKey& key) const {
+    std::uint64_t kh) const {
   // Rendezvous hashing: rank live servers by hash(key, server).
   rank_keys_.clear();
-  const std::uint64_t kh = key_hash(key);
   for (cluster::NodeId node : servers_) {
     if (!server_alive(node)) continue;
     rank_keys_.emplace_back(
@@ -225,15 +244,14 @@ int ObjectStore::at_risk_fragments(const ObjectMeta& meta) const {
   return std::max(0, placed_copies() - live);
 }
 
-std::vector<cluster::NodeId> ObjectStore::place_copies(
-    const ObjectKey& key) const {
-  const auto& ranked = ranked_servers(key);
+void ObjectStore::place_copies(std::uint64_t key_hash,
+                               std::vector<cluster::NodeId>& out) const {
+  const auto& ranked = ranked_servers(key_hash);
   const int count =
       std::min<int>(placed_copies(), static_cast<int>(ranked.size()));
-  std::vector<cluster::NodeId> out;
+  out.clear();
   out.reserve(static_cast<std::size_t>(count));
   extend_placement(ranked, count, static_cast<std::size_t>(count), out);
-  return out;
 }
 
 void ObjectStore::extend_placement(const std::vector<cluster::NodeId>& ranked,
@@ -266,7 +284,9 @@ void ObjectStore::extend_placement(const std::vector<cluster::NodeId>& ranked,
 }
 
 std::vector<cluster::NodeId> ObjectStore::locate(const ObjectKey& key) const {
-  return place_copies(key);
+  std::vector<cluster::NodeId> out;
+  place_copies(key_hash(key), out);
+  return out;
 }
 
 int ObjectStore::proximity(cluster::NodeId holder,
@@ -275,9 +295,9 @@ int ObjectStore::proximity(cluster::NodeId holder,
   return fabric_.topology().same_rack(holder, reader) ? 1 : 2;
 }
 
-void ObjectStore::write_durable(cluster::NodeId server, const ObjectKey& key,
+void ObjectStore::write_durable(cluster::NodeId server, ObjectId id,
                                 util::Bytes size,
-                                std::function<void()> on_done) {
+                                util::SmallFn<void()> on_done) {
   // A write that raced a crash lands nowhere: the crash handler already
   // dropped this server from the object's replica set (and wiped its
   // accounting), so skipping keeps durable_used consistent even if the
@@ -286,18 +306,18 @@ void ObjectStore::write_durable(cluster::NodeId server, const ObjectKey& key,
     sim_.defer(std::move(on_done));
     return;
   }
-  if (auto it = objects_.find(key); it != objects_.end()) {
-    const auto& replicas = it->second.replicas;
-    if (std::find(replicas.begin(), replicas.end(), server) ==
-        replicas.end()) {
-      sim_.defer(std::move(on_done));
-      return;
-    }
+  const ObjectMeta& meta = objects_[id];
+  if (meta.live && std::find(meta.replicas.begin(), meta.replicas.end(),
+                             server) == meta.replicas.end()) {
+    sim_.defer(std::move(on_done));
+    return;
   }
   ServerState& state = server_state(server);
   state.durable->submit(IoKind::kWrite, size, std::move(on_done));
+  // A removed object's fragment still lands: remove() already subtracted
+  // its bytes, so charging them balances. It is not cached, though.
   state.durable_used += size;
-  state.cache->put(key, size);  // write-through into the cache tiers
+  if (meta.live) state.cache->put(id, size);  // write-through
 }
 
 util::Bytes ObjectStore::per_server_bytes(util::Bytes size) const {
@@ -311,10 +331,17 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
     throw std::invalid_argument("bucket does not exist: " + key.bucket);
   }
   if (size < 0) throw std::invalid_argument("put: negative size");
-  const auto replicas = locate(key);
+  // The one key lookup: a known key keeps its id and its hash; a new key
+  // gets an id only once placement has succeeded.
+  const auto slot = ids_.lower_bound(key);
+  const bool known = slot != ids_.end() && !(key < slot->first);
+  std::vector<cluster::NodeId> replicas;
+  place_copies(known ? objects_[slot->second].key_hash : key_hash(key),
+               replicas);
   if (static_cast<int>(replicas.size()) < min_live_copies()) {
     throw std::runtime_error("put: not enough live storage servers");
   }
+  const ObjectId id = known ? slot->second : add_key(slot, key);
   const util::TimeNs start = sim_.now();
   metrics_.count("put_requests");
   metrics_.count("put_bytes", size);
@@ -327,78 +354,93 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
 
   // If overwriting, reclaim the old durable bytes first.
   int version = 0;
-  const auto [it, fresh] = objects_.try_emplace(key);
-  ObjectMeta& meta = it->second;
-  if (!fresh) {
+  ObjectMeta& meta = objects_[id];
+  if (meta.live) {
     for (cluster::NodeId r : meta.replicas) {
       ServerState& state = server_state(r);
       state.durable_used -= meta.per_server_bytes;
-      state.cache->erase(key);
+      state.cache->erase(id);
     }
     if (health(meta) == Health::kDegraded) shift_underrep(-1);
     shift_at_risk(-at_risk_fragments(meta));
     version = meta.version + 1;
-    purge_corrupted(key);  // the overwrite replaces any rotten payload
+    purge_corrupted(id);  // the overwrite replaces any rotten payload
   }
-  const util::Bytes per_server = per_server_bytes(size);
-  std::vector<int> fragments(replicas.size());
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    fragments[i] = static_cast<int>(i);
-  }
-  meta = ObjectMeta{size, per_server, replicas, std::move(fragments), version};
-  sync_queued(key);
-  // Born degraded when live servers cannot host every copy.
-  shift_at_risk(at_risk_fragments(meta));
-  if (health(meta) == Health::kDegraded) {
-    shift_underrep(+1);
-    enqueue_repair(key);
-  }
-
-  auto remaining = std::make_shared<int>(static_cast<int>(replicas.size()));
-  auto finish = [this, remaining, start, span,
-                 cb = std::move(on_done)]() mutable {
-    if (--*remaining > 0) return;
-    metrics_.observe("put_latency_us",
-                     (sim_.now() - start) / util::kMicrosecond);
-    trace::end_span(tracer_, span);
-    cb();
-  };
-  const cluster::NodeId primary = replicas.front();
+  install(id, replicas, size, version);
 
   // Metadata round, then client -> primary (the full body); an
   // erasure-coded primary encodes first. The primary then fans its
   // per-server payload (a full copy, or one fragment) out in parallel;
   // done when every server holds it durably. Replication is the k = 1
   // case, with no encode step.
-  auto fan_out = [this, primary, key, per_server, replicas, span,
-                  finish]() mutable {
-    write_durable(primary, key, per_server, finish);
-    trace::ScopedContext tctx(tracer_, span);
-    for (std::size_t i = 1; i < replicas.size(); ++i) {
-      const cluster::NodeId peer = replicas[i];
-      fabric_.transfer(primary, peer, per_server,
-                       [this, peer, key, per_server, finish]() mutable {
-                         write_durable(peer, key, per_server, finish);
-                       });
+  const auto fragments = static_cast<int>(replicas.size());
+  const PutSlot op = puts_.acquire(PutOp{id, client, size,
+                                         objects_[id].per_server_bytes,
+                                         fragments, start, span,
+                                         std::move(on_done),
+                                         std::move(replicas)});
+  sim_.after(kMetadataLatency, [this, op] { put_send(op); });
+}
+
+void ObjectStore::install(ObjectId id,
+                          const std::vector<cluster::NodeId>& replicas,
+                          util::Bytes size, int version) {
+  ObjectMeta& meta = objects_[id];
+  meta.live = true;
+  meta.size = size;
+  meta.per_server_bytes = per_server_bytes(size);
+  meta.replicas.assign(replicas.begin(), replicas.end());
+  meta.fragments.resize(replicas.size());
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    meta.fragments[i] = static_cast<int>(i);
+  }
+  meta.version = version;
+  requeue(id);
+  // Born degraded when live servers cannot host every copy.
+  shift_at_risk(at_risk_fragments(meta));
+  if (health(meta) == Health::kDegraded) {
+    shift_underrep(+1);
+    enqueue_repair(id);
+  }
+}
+
+void ObjectStore::put_send(PutSlot op) {
+  const PutOp& put = puts_[op];
+  trace::ScopedContext tctx(tracer_, put.span);
+  fabric_.transfer(put.client, put.replicas.front(), put.size, [this, op] {
+    if (config_.redundancy == Redundancy::kErasure) {
+      const auto encode_ns = static_cast<util::TimeNs>(
+          std::ceil(static_cast<double>(puts_[op].size) * kEcNsPerByte));
+      sim_.after(encode_ns, [this, op] { put_fan_out(op); });
+    } else {
+      put_fan_out(op);
     }
-  };
-  const bool encode = config_.redundancy == Redundancy::kErasure;
-  const auto encode_ns = static_cast<util::TimeNs>(
-      std::ceil(static_cast<double>(size) * kEcNsPerByte));
-  sim_.after(kMetadataLatency, [this, client, primary, size, span, encode,
-                                encode_ns,
-                                fan_out = std::move(fan_out)]() mutable {
-    trace::ScopedContext tctx(tracer_, span);
-    fabric_.transfer(client, primary, size,
-                     [this, encode, encode_ns,
-                      fan_out = std::move(fan_out)]() mutable {
-                       if (encode) {
-                         sim_.after(encode_ns, std::move(fan_out));
-                       } else {
-                         fan_out();
-                       }
-                     });
   });
+}
+
+void ObjectStore::put_fan_out(PutSlot op) {
+  const cluster::NodeId primary = puts_[op].replicas.front();
+  write_durable(primary, puts_[op].id, puts_[op].per_server,
+                [this, op] { put_landed(op); });
+  trace::ScopedContext tctx(tracer_, puts_[op].span);
+  for (std::size_t i = 1; i < puts_[op].replicas.size(); ++i) {
+    const cluster::NodeId peer = puts_[op].replicas[i];
+    fabric_.transfer(primary, peer, puts_[op].per_server, [this, op, peer] {
+      write_durable(peer, puts_[op].id, puts_[op].per_server,
+                    [this, op] { put_landed(op); });
+    });
+  }
+}
+
+void ObjectStore::put_landed(PutSlot op) {
+  PutOp& put = puts_[op];
+  if (--put.remaining > 0) return;
+  metrics_.observe("put_latency_us", (sim_.now() - put.start) /
+                                         util::kMicrosecond);
+  trace::end_span(tracer_, put.span);
+  PutCallback cb = std::move(put.cb);
+  puts_.release(op);
+  cb();
 }
 
 void ObjectStore::get(cluster::NodeId client, const ObjectKey& key,
@@ -424,26 +466,26 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
       trace::begin_span(tracer_, trace::Layer::kStorage,
                         block > 0 ? "store.read_block" : "store.get");
   if (span != trace::kNoSpan) tracer_->annotate(span, "key", key.full());
-  auto it = objects_.find(key);
-  if (it == objects_.end() || health(it->second) == Health::kLost) {
+  const ObjectId id = find_live(key);
+  if (id == kNoObject || health(objects_[id]) == Health::kLost) {
     // Unknown, or every replica (too many fragments) died with its node:
     // unreadable until someone re-writes it.
-    const bool lost = it != objects_.end();
+    const bool lost = id != kNoObject;
     metrics_.count(lost ? "get_lost" : "get_misses");
     if (span != trace::kNoSpan) {
       tracer_->annotate(span, "result", lost ? "lost" : "miss");
     }
     sim_.after(kMetadataLatency,
-               [this, span, cb = std::move(on_done)] {
+               [this, span, cb = std::move(on_done)]() mutable {
                  trace::end_span(tracer_, span);
                  cb(GetResult{});
                });
     return;
   }
-  const ObjectMeta& meta = it->second;
+  const ObjectMeta& meta = objects_[id];
   const bool ec = config_.redundancy == Redundancy::kErasure;
   auto f = std::make_shared<Fetch>();
-  f->key = key;
+  f->id = id;
   f->client = client;
   f->block = block > 0;
   f->size = f->block ? std::min(block, meta.size) : meta.size;
@@ -463,6 +505,7 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
   f->cb = std::move(on_done);
   f->waiting = f->k;
   f->inflight = f->k;
+  f->branches.reserve(meta.replicas.size());
   if (f->degraded) {
     metrics_.count("degraded_reads");
     if (span != trace::kNoSpan) tracer_->annotate(span, "degraded", "1");
@@ -504,13 +547,13 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
                            config_.hedge_min_delay, kHedgeMinSamples);
   sim_.after(delay, [this, f, ec] {
     if (f->done || f->hedged) return;
-    auto obj = objects_.find(f->key);
-    if (obj == objects_.end()) return;
-    const auto& holders = obj->second.replicas;
+    const ObjectMeta& obj = objects_[f->id];
+    if (!obj.live) return;
+    const auto& holders = obj.replicas;
     // Clean before rotten (the checksum path fails over from a rotten
     // one); an erasure-coded hedge then takes the nearest fragment.
     const int pick = untried_holder(holders, f->branches, [&](std::size_t i) {
-      const int rotten = replica_corrupted(f->key, holders[i]) ? 3 : 0;
+      const int rotten = replica_corrupted(f->id, holders[i]) ? 3 : 0;
       return ec ? rotten + proximity(holders[i], f->client) : rotten;
     });
     if (pick < 0) return;
@@ -524,7 +567,7 @@ void ObjectStore::start_fetch(cluster::NodeId client, const ObjectKey& key,
       tracer_->annotate(f->hedge_span, "server", std::to_string(target));
     }
     ++f->inflight;
-    launch_branch(f, target, obj->second.fragments[i], /*hedge=*/true);
+    launch_branch(f, target, obj.fragments[i], /*hedge=*/true);
   });
 }
 
@@ -540,9 +583,9 @@ void ObjectStore::launch_branch(const std::shared_ptr<Fetch>& f,
   // Which tier serves the read? A GET's cache miss admits the object; a
   // block read comes from wherever the object already is.
   ServerState& state = server_state(server);
-  const std::optional<int> cached = f->block ? state.cache->peek(f->key)
-                                             : state.cache->get(f->key);
-  if (!f->block && !cached) state.cache->put(f->key, f->branch_bytes);
+  const std::optional<int> cached = f->block ? state.cache->peek(f->id)
+                                             : state.cache->get(f->id);
+  if (!f->block && !cached) state.cache->put(f->id, f->branch_bytes);
   branch.device = state.durable;
   if (cached) {
     branch.device =
@@ -562,29 +605,30 @@ void ObjectStore::launch_branch(const std::shared_ptr<Fetch>& f,
             return;
           }
           // Checksum verification as the payload leaves the media.
-          if (replica_corrupted(f->key, server)) {
+          if (replica_corrupted(f->id, server)) {
             if (!config_.checksum_reads) {
               f->branches[b].rotten = true;  // served as-is
             } else {
               metrics_.count("checksum_failures");
-              drop_corrupted_replica(f->key, server);
+              drop_corrupted_replica(f->id, server);
               // Transparent failover to the first untried clean holder
               // in replica order; any fragment substitutes in the decode.
               int next = -1;
-              auto obj = objects_.find(f->key);
-              if (obj != objects_.end()) {
-                const auto& holders = obj->second.replicas;
-                next = untried_holder(holders, f->branches, [&](std::size_t i) {
-                  return replica_corrupted(f->key, holders[i]) ? -1 : 0;
-                });
+              const ObjectMeta& obj = objects_[f->id];
+              if (obj.live) {
+                next = untried_holder(
+                    obj.replicas, f->branches, [&](std::size_t i) {
+                      return replica_corrupted(f->id, obj.replicas[i]) ? -1
+                                                                      : 0;
+                    });
               }
               if (next < 0) {
                 branch_abandoned(f);
                 return;
               }
               const auto i = static_cast<std::size_t>(next);
-              launch_branch(f, obj->second.replicas[i],
-                            obj->second.fragments[i], f->branches[b].hedge);
+              launch_branch(f, obj.replicas[i], obj.fragments[i],
+                            f->branches[b].hedge);
               return;
             }
           }
@@ -621,7 +665,7 @@ void ObjectStore::branch_landed(const std::shared_ptr<Fetch>& f,
   // an erasure-coded read counts the flows it tears off, and a rotten
   // fragment already on the wire still corrupts its decode.
   if (!ec && f->inflight > 0) metrics_.count("hedges_cancelled");
-  GetResult result;
+  GetResult& result = f->result;
   for (Fetch::Branch& s : f->branches) {
     if (s.landed) {
       result.hedge_won = result.hedge_won || s.hedge;
@@ -673,22 +717,22 @@ void ObjectStore::branch_landed(const std::shared_ptr<Fetch>& f,
                         std::to_string(result.parity_fragments_used));
     }
   }
-  auto deliver = [this, f, result] {
+  auto deliver = [this, f] {
     const auto latency_us = (sim_.now() - f->start) / util::kMicrosecond;
     if (f->block) {
       // Never feeds get_latency_us: the hedge delay is a GET quantile.
       metrics_.observe("block_read_latency_us", latency_us);
     } else {
       metrics_.observe("get_latency_us", latency_us);
-      if (result.degraded) {
+      if (f->result.degraded) {
         metrics_.observe("degraded_get_latency_us", latency_us);
       }
     }
     if (f->span != trace::kNoSpan) {
-      tracer_->annotate(f->span, "tier", result.tier);
+      tracer_->annotate(f->span, "tier", f->result.tier);
     }
     trace::end_span(tracer_, f->span);
-    f->cb(result);
+    f->cb(f->result);
   };
   if (ec) {
     sim_.after(decode_ns, std::move(deliver));
@@ -717,67 +761,62 @@ void ObjectStore::preload(const ObjectKey& key, util::Bytes size,
                           bool warm_cache) {
   if (!bucket_exists(key.bucket)) create_bucket(key.bucket);
   if (size < 0) throw std::invalid_argument("preload: negative size");
-  const auto [it, fresh] = objects_.try_emplace(key);
-  if (!fresh) {
+  const auto slot = ids_.lower_bound(key);
+  const bool known = slot != ids_.end() && !(key < slot->first);
+  if (known && objects_[slot->second].live) {
     throw std::invalid_argument("preload: object already exists: " +
                                 key.full());
   }
-  ObjectMeta& meta = it->second;
-  const auto replicas = locate(key);
-  const util::Bytes per_server = per_server_bytes(size);
-  std::vector<int> fragments(replicas.size());
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    fragments[i] = static_cast<int>(i);
-  }
-  meta = ObjectMeta{size, per_server, replicas, std::move(fragments), 0};
-  sync_queued(key);
-  for (cluster::NodeId r : replicas) {
+  const ObjectId id = known ? slot->second : add_key(slot, key);
+  std::vector<cluster::NodeId>& replicas = placement_;
+  place_copies(objects_[id].key_hash, replicas);
+  install(id, replicas, size, 0);
+  const ObjectMeta& meta = objects_[id];
+  for (cluster::NodeId r : meta.replicas) {
     ServerState& state = server_state(r);
-    state.durable_used += per_server;
-    if (warm_cache) state.cache->put(key, per_server);
-  }
-  shift_at_risk(at_risk_fragments(meta));
-  if (health(meta) == Health::kDegraded) {
-    shift_underrep(+1);
-    enqueue_repair(key);
+    state.durable_used += meta.per_server_bytes;
+    if (warm_cache) state.cache->put(id, meta.per_server_bytes);
   }
 }
 
 void ObjectStore::remove(cluster::NodeId /*client*/, const ObjectKey& key,
                          PutCallback on_done) {
-  auto it = objects_.find(key);
-  if (it != objects_.end()) {
-    for (cluster::NodeId r : it->second.replicas) {
+  const ObjectId id = find_live(key);
+  if (id != kNoObject) {
+    ObjectMeta& meta = objects_[id];
+    for (cluster::NodeId r : meta.replicas) {
       ServerState& state = server_state(r);
-      state.durable_used -= it->second.per_server_bytes;
-      state.cache->erase(key);
+      state.durable_used -= meta.per_server_bytes;
+      state.cache->erase(id);
     }
-    if (health(it->second) == Health::kDegraded) shift_underrep(-1);
-    shift_at_risk(-at_risk_fragments(it->second));
-    purge_corrupted(key);
-    objects_.erase(it);
-    sync_queued(key);
+    if (health(meta) == Health::kDegraded) shift_underrep(-1);
+    shift_at_risk(-at_risk_fragments(meta));
+    purge_corrupted(id);
+    meta.live = false;
+    meta.replicas.clear();
+    meta.fragments.clear();
+    requeue(id);
     metrics_.count("delete_requests");
   }
   sim_.after(kMetadataLatency, std::move(on_done));
 }
 
 bool ObjectStore::exists(const ObjectKey& key) const {
-  return objects_.count(key) != 0;
+  return find_live(key) != kNoObject;
 }
 
 std::optional<util::Bytes> ObjectStore::object_size(
     const ObjectKey& key) const {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return std::nullopt;
-  return it->second.size;
+  const ObjectId id = find_live(key);
+  if (id == kNoObject) return std::nullopt;
+  return objects_[id].size;
 }
 
 std::vector<std::string> ObjectStore::list(const std::string& bucket,
                                            const std::string& prefix) const {
   std::vector<std::string> out;
-  for (const auto& [key, meta] : objects_) {
-    if (key.bucket != bucket) continue;
+  for (const auto& [key, id] : ids_) {
+    if (!objects_[id].live || key.bucket != bucket) continue;
     if (key.name.compare(0, prefix.size(), prefix) != 0) continue;
     out.push_back(key.name);
   }
@@ -797,7 +836,8 @@ void ObjectStore::shift_at_risk(int delta) {
 
 DurabilityStats ObjectStore::durability_stats() const {
   DurabilityStats stats;
-  for (const auto& [key, meta] : objects_) {
+  for (const ObjectMeta& meta : objects_) {
+    if (!meta.live) continue;
     switch (health(meta)) {
       case Health::kFull:
         ++stats.objects_full;
@@ -816,10 +856,10 @@ DurabilityStats ObjectStore::durability_stats() const {
   return stats;
 }
 
-void ObjectStore::note_health_change(const ObjectKey& key,
-                                     const ObjectMeta& meta, Health before,
+void ObjectStore::note_health_change(ObjectId id, Health before,
                                      int risk_before) {
-  requeue(key, static_cast<int>(meta.replicas.size()));
+  requeue(id);
+  const ObjectMeta& meta = objects_[id];
   const Health after = health(meta);
   if (before == Health::kDegraded && after != Health::kDegraded) {
     shift_underrep(-1);
@@ -831,13 +871,13 @@ void ObjectStore::note_health_change(const ObjectKey& key,
     metrics_.count("objects_lost");
     metrics_.count("bytes_lost", meta.size);
   }
-  if (after == Health::kDegraded) enqueue_repair(key);
+  if (after == Health::kDegraded) enqueue_repair(id);
 }
 
 util::Bytes ObjectStore::expected_durable_bytes(cluster::NodeId server) const {
   util::Bytes total = 0;
-  for (const auto& [key, meta] : objects_) {
-    for (cluster::NodeId r : meta.replicas) {
+  for (const ObjectMeta& meta : objects_) {
+    for (cluster::NodeId r : meta.replicas) {  // empty once removed
       if (r == server) total += meta.per_server_bytes;
     }
   }
@@ -873,7 +913,9 @@ void ObjectStore::handle_node_failure(ServerState& state) {
       ++corrupt;
     }
   }
-  for (auto& [key, meta] : objects_) {
+  // In key order: each degraded object's repair enqueue draws the jitter.
+  for (const auto& [key, id] : ids_) {
+    ObjectMeta& meta = objects_[id];
     auto rep = std::find(meta.replicas.begin(), meta.replicas.end(), node);
     if (rep == meta.replicas.end()) continue;
     const Health before = health(meta);
@@ -882,14 +924,14 @@ void ObjectStore::handle_node_failure(ServerState& state) {
                          (rep - meta.replicas.begin()));
     meta.replicas.erase(rep);
     ++meta.version;
-    note_health_change(key, meta, before, risk_before);
+    note_health_change(id, before, risk_before);
   }
 }
 
 void ObjectStore::handle_node_recovery() {
   metrics_.count("server_recoveries");
   // The node rejoins empty; repairs that had no live target re-arm.
-  for (const ObjectKey& key : repair_stalled_) enqueue_repair(key);
+  for (const KeyedId& stalled : repair_stalled_) enqueue_repair(stalled.id);
   repair_stalled_.clear();
   // With jitter configured the re-enqueues above scheduled their own
   // staggered pumps — skipping the synchronous pump here is what spreads
@@ -897,15 +939,21 @@ void ObjectStore::handle_node_recovery() {
   if (config_.repair_jitter <= 0) pump_repairs();
 }
 
+bool ObjectStore::replica_corrupted(const ObjectKey& key,
+                                    cluster::NodeId server) const {
+  const ObjectId id = find_id(key);
+  return id != kNoObject && replica_corrupted(id, server);
+}
+
 bool ObjectStore::corrupt_replica(const ObjectKey& key,
                                   cluster::NodeId server) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return false;
-  const auto& replicas = it->second.replicas;
+  const ObjectId id = find_live(key);
+  if (id == kNoObject) return false;
+  const auto& replicas = objects_[id].replicas;
   if (std::find(replicas.begin(), replicas.end(), server) == replicas.end()) {
     return false;
   }
-  if (!corrupted_replicas_.insert({key, server}).second) return false;
+  if (!corrupted_replicas_.insert({keyed(id), server}).second) return false;
   metrics_.count("replicas_corrupted");
   arm_scrub();
   return true;
@@ -913,12 +961,13 @@ bool ObjectStore::corrupt_replica(const ObjectKey& key,
 
 int ObjectStore::corrupt_random_replicas(std::uint64_t seed, int count,
                                          bool spare_last_clean) {
-  // Candidates in deterministic metadata order, sampled with a seeded RNG.
-  std::vector<std::pair<ObjectKey, cluster::NodeId>> candidates;
-  for (const auto& [key, meta] : objects_) {
-    for (cluster::NodeId r : meta.replicas) {
-      if (corrupted_replicas_.count({key, r}) != 0) continue;
-      candidates.emplace_back(key, r);
+  // Candidates in deterministic metadata (key) order, sampled with a
+  // seeded RNG.
+  std::vector<std::pair<ObjectId, cluster::NodeId>> candidates;
+  for (const auto& [key, id] : ids_) {
+    for (cluster::NodeId r : objects_[id].replicas) {
+      if (replica_corrupted(id, r)) continue;
+      candidates.emplace_back(id, r);
     }
   }
   util::Rng rng(seed);
@@ -926,19 +975,19 @@ int ObjectStore::corrupt_random_replicas(std::uint64_t seed, int count,
   while (corrupted < count && !candidates.empty()) {
     const auto pick = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(candidates.size()) - 1));
-    const auto [key, server] = candidates[pick];
+    const auto [id, server] = candidates[pick];
     candidates.erase(candidates.begin() +
                      static_cast<std::ptrdiff_t>(pick));
     if (spare_last_clean) {
       int clean = 0;
-      for (cluster::NodeId r : objects_.at(key).replicas) {
-        if (corrupted_replicas_.count({key, r}) == 0) ++clean;
+      for (cluster::NodeId r : objects_[id].replicas) {
+        if (!replica_corrupted(id, r)) ++clean;
       }
       // Keep the object recoverable: one clean copy for replication,
       // k clean fragments for erasure coding.
       if (clean <= min_live_copies()) continue;
     }
-    corrupted_replicas_.insert({key, server});
+    corrupted_replicas_.insert({keyed(id), server});
     metrics_.count("replicas_corrupted");
     ++corrupted;
   }
@@ -946,14 +995,12 @@ int ObjectStore::corrupt_random_replicas(std::uint64_t seed, int count,
   return corrupted;
 }
 
-void ObjectStore::drop_corrupted_replica(const ObjectKey& key,
+void ObjectStore::drop_corrupted_replica(ObjectId id,
                                          cluster::NodeId server) {
-  corrupted_replicas_.erase({key, server});
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return;
-  ObjectMeta& meta = it->second;
+  corrupted_replicas_.erase({keyed(id), server});
+  ObjectMeta& meta = objects_[id];
   auto rep = std::find(meta.replicas.begin(), meta.replicas.end(), server);
-  if (rep == meta.replicas.end()) return;
+  if (rep == meta.replicas.end()) return;  // absent, or not a holder
   const Health before = health(meta);
   const int risk_before = at_risk_fragments(meta);
   meta.fragments.erase(meta.fragments.begin() + (rep - meta.replicas.begin()));
@@ -962,17 +1009,17 @@ void ObjectStore::drop_corrupted_replica(const ObjectKey& key,
   if (server_alive(server)) {
     ServerState& state = server_state(server);
     state.durable_used -= meta.per_server_bytes;
-    state.cache->erase(key);
+    state.cache->erase(id);
   }
   metrics_.count("corrupted_replicas_dropped");
-  note_health_change(key, meta, before, risk_before);
+  note_health_change(id, before, risk_before);
 }
 
-void ObjectStore::purge_corrupted(const ObjectKey& key) {
+void ObjectStore::purge_corrupted(ObjectId id) {
+  // One key is one id, so the object's entries are one run in the set.
   auto it = corrupted_replicas_.lower_bound(
-      {key, std::numeric_limits<cluster::NodeId>::min()});
-  while (it != corrupted_replicas_.end() && !(key < it->first) &&
-         !(it->first < key)) {
+      {keyed(id), std::numeric_limits<cluster::NodeId>::min()});
+  while (it != corrupted_replicas_.end() && it->first.id == id) {
     scrub_inflight_.erase(*it);
     it = corrupted_replicas_.erase(it);
   }
@@ -999,13 +1046,12 @@ void ObjectStore::scrub_pass() {
       ++it;
       continue;
     }
-    const auto [key, server] = *it;
-    const auto obj = objects_.find(key);
-    const bool live =
-        obj != objects_.end() &&
-        std::find(obj->second.replicas.begin(), obj->second.replicas.end(),
-                  server) != obj->second.replicas.end() &&
-        server_alive(server);
+    const ObjectId id = it->first.id;
+    const cluster::NodeId server = it->second;
+    const ObjectMeta& meta = objects_[id];
+    const bool live = std::find(meta.replicas.begin(), meta.replicas.end(),
+                                server) != meta.replicas.end() &&
+                      server_alive(server);
     if (!live) {
       // Stale entry (object deleted, replica already dropped, or the
       // server crashed): nothing on media left to verify.
@@ -1018,15 +1064,14 @@ void ObjectStore::scrub_pass() {
     const trace::SpanId span = trace::begin_span(
         tracer_, trace::Layer::kStorage, "store.scrub", trace::kNoSpan);
     if (span != trace::kNoSpan) {
-      tracer_->annotate(span, "key", key.full());
+      tracer_->annotate(span, "key", meta.key->full());
       tracer_->annotate(span, "server", std::to_string(server));
     }
     // Verification read off the durable device, then drop + re-replicate.
     server_state(server).durable->submit(
-        IoKind::kRead, obj->second.per_server_bytes,
-        [this, key, server, span] {
-          scrub_inflight_.erase({key, server});
-          drop_corrupted_replica(key, server);
+        IoKind::kRead, meta.per_server_bytes, [this, id, server, span] {
+          scrub_inflight_.erase({keyed(id), server});
+          drop_corrupted_replica(id, server);
           trace::end_span(tracer_, span);
           arm_scrub();
         });
@@ -1035,11 +1080,12 @@ void ObjectStore::scrub_pass() {
   arm_scrub();  // re-arm if more corruption than this pass could take
 }
 
-void ObjectStore::enqueue_repair(const ObjectKey& key) {
+void ObjectStore::enqueue_repair(ObjectId id) {
   if (!config_.repair) return;
-  const auto [queued, fresh] = repair_queued_.try_emplace(key);
-  if (!fresh) return;
-  queued->second = repair_order_.emplace(queued_count(key), key).first;
+  ObjectMeta& meta = objects_[id];
+  if (meta.queued) return;
+  meta.queued = true;
+  meta.queued_at = repair_order_.emplace(queued_count(id), keyed(id)).first;
   // Detection + scheduling grace before the repair traffic starts; the
   // optional seeded jitter keeps a mass-recovery repair wave from firing
   // as one synchronized pump.
@@ -1050,22 +1096,19 @@ void ObjectStore::enqueue_repair(const ObjectKey& key) {
   sim_.after(delay, [this] { pump_repairs(); });
 }
 
-int ObjectStore::queued_count(const ObjectKey& key) const {
-  const auto obj = objects_.find(key);
-  return obj == objects_.end()
-             ? -1
-             : static_cast<int>(obj->second.replicas.size());
+int ObjectStore::queued_count(ObjectId id) const {
+  const ObjectMeta& meta = objects_[id];
+  return meta.live ? static_cast<int>(meta.replicas.size()) : -1;
 }
 
-void ObjectStore::requeue(const ObjectKey& key, int count) {
-  const auto queued = repair_queued_.find(key);
-  if (queued == repair_queued_.end() || queued->second->first == count) {
-    return;
-  }
+void ObjectStore::requeue(ObjectId id) {
+  ObjectMeta& meta = objects_[id];
+  const int count = queued_count(id);
+  if (!meta.queued || meta.queued_at->first == count) return;
   // Move the set node to its new position; nothing is allocated.
-  auto node = repair_order_.extract(queued->second);
+  auto node = repair_order_.extract(meta.queued_at);
   node.value().first = count;
-  queued->second = repair_order_.insert(std::move(node)).position;
+  meta.queued_at = repair_order_.insert(std::move(node)).position;
 }
 
 void ObjectStore::pump_repairs() {
@@ -1076,7 +1119,7 @@ void ObjectStore::pump_repairs() {
   // degraded, so the stale entries sit at the two ends of the order:
   // absent and lost objects at the front, full ones at the back.
   const auto drop = [this](RepairOrder::iterator entry) {
-    repair_queued_.erase(entry->second);
+    objects_[entry->second.id].queued = false;
     repair_order_.erase(entry);
   };
   while (repairs_in_flight_ < config_.repair_concurrency &&
@@ -1090,16 +1133,15 @@ void ObjectStore::pump_repairs() {
       drop(std::prev(repair_order_.end()));
     }
     if (repair_order_.empty()) return;
-    const ObjectKey key = repair_order_.begin()->second;
+    const ObjectId id = repair_order_.begin()->second.id;
     drop(repair_order_.begin());
-    start_repair(key);
+    start_repair(id);
   }
 }
 
-void ObjectStore::start_repair(const ObjectKey& key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return;  // deleted while queued
-  ObjectMeta& meta = it->second;
+void ObjectStore::start_repair(ObjectId id) {
+  const ObjectMeta& meta = objects_[id];
+  if (!meta.live) return;  // deleted while queued
   if (health(meta) != Health::kDegraded) return;  // repaired or lost
   const int version = meta.version;
   ++repairs_in_flight_;
@@ -1127,50 +1169,46 @@ void ObjectStore::start_repair(const ObjectKey& key) {
     }
   }
   if (wait > 0) {
-    sim_.after(wait, [this, key, version] {
-      begin_repair_transfers(key, version);
+    sim_.after(wait, [this, id, version] {
+      begin_repair_transfers(id, version);
     });
   } else {
-    begin_repair_transfers(key, version);
+    begin_repair_transfers(id, version);
   }
 }
 
-void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
+void ObjectStore::begin_repair_transfers(ObjectId id, int version) {
   // Revalidate after the admission wait: the object may have been
   // deleted, fully repaired, or lost while the repair sat in the
   // throttle. The slot is released on every abort path.
-  auto it = objects_.find(key);
-  if (it == objects_.end() || health(it->second) != Health::kDegraded ||
-      it->second.version != version) {
+  const ObjectMeta& meta = objects_[id];
+  if (!meta.live || health(meta) != Health::kDegraded ||
+      meta.version != version) {
     --repairs_in_flight_;
     metrics_.count("repairs_abandoned");
-    if (it != objects_.end() && health(it->second) == Health::kDegraded) {
-      enqueue_repair(key);
-    }
+    if (meta.live && health(meta) == Health::kDegraded) enqueue_repair(id);
     pump_repairs();
     return;
   }
-  ObjectMeta& meta = it->second;
   // Target: the next server placement would add to the live copies.
-  std::vector<cluster::NodeId>& placed = repair_placement_;
+  std::vector<cluster::NodeId>& placed = placement_;
   placed = meta.replicas;
-  extend_placement(ranked_servers(key), placed_copies(), placed.size() + 1,
-                   placed);
+  extend_placement(ranked_servers(meta.key_hash), placed_copies(),
+                   placed.size() + 1, placed);
   if (placed.size() == meta.replicas.size()) {
     // Every live server already holds a copy; retry on the next recovery.
     --repairs_in_flight_;
-    repair_stalled_.insert(key);
+    repair_stalled_.insert(keyed(id));
     pump_repairs();
     return;
   }
   const cluster::NodeId target = placed.back();
-  const util::Bytes fragment = meta.per_server_bytes;
   // Re-replication runs in the background, so the span is a root.
   const trace::SpanId span =
       trace::begin_span(tracer_, trace::Layer::kStorage, "store.repair",
                         trace::kNoSpan);
   if (span != trace::kNoSpan) {
-    tracer_->annotate(span, "key", key.full());
+    tracer_->annotate(span, "key", meta.key->full());
     tracer_->annotate(span, "target", std::to_string(target));
   }
 
@@ -1179,7 +1217,8 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
   // the target (erasure coding only), then persist.
   const bool ec = config_.redundancy == Redundancy::kErasure;
   const int k = ec ? config_.ec_data : 1;
-  std::vector<cluster::NodeId> sources = meta.replicas;
+  std::vector<cluster::NodeId>& sources = repair_sources_;
+  sources = meta.replicas;
   std::stable_sort(sources.begin(), sources.end(),
                    [&](cluster::NodeId a, cluster::NodeId b) {
                      return proximity(a, target) < proximity(b, target);
@@ -1189,51 +1228,52 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
       ec ? static_cast<util::TimeNs>(
                std::ceil(static_cast<double>(meta.size) * kEcNsPerByte))
          : 0;
-  auto remaining = std::make_shared<int>(k);
+  const util::Bytes fragment = meta.per_server_bytes;
+  const RepairSlot op = repairs_.acquire(
+      RepairOp{id, target, version, k, fragment, decode_ns, span});
   for (cluster::NodeId source : sources) {
     server_state(source).durable->submit(
-        IoKind::kRead, fragment,
-        [this, key, source, target, fragment, version, remaining, decode_ns,
-         span] {
-          trace::ScopedContext tctx(tracer_, span);
-          fabric_.transfer(
-              source, target, fragment,
-              [this, key, target, version, remaining, decode_ns, span] {
-                if (--*remaining > 0) return;
-                const auto persist = [this, key, target, version, span] {
-                  trace::end_span(tracer_, span);
-                  finish_repair(key, target, version);
-                };
-                if (decode_ns > 0) {
-                  sim_.after(decode_ns, persist);
-                } else {
-                  persist();
-                }
-              });
+        IoKind::kRead, fragment, [this, op, source] {
+          const RepairOp& repair = repairs_[op];
+          trace::ScopedContext tctx(tracer_, repair.span);
+          fabric_.transfer(source, repair.target, repair.fragment,
+                           [this, op] { repair_landed(op); });
         });
   }
 }
 
-void ObjectStore::finish_repair(const ObjectKey& key, cluster::NodeId target,
+void ObjectStore::repair_landed(RepairSlot op) {
+  RepairOp& repair = repairs_[op];
+  if (--repair.remaining > 0) return;
+  const auto persist = [this, op] {
+    const RepairOp done = repairs_[op];
+    repairs_.release(op);
+    trace::end_span(tracer_, done.span);
+    finish_repair(done.id, done.target, done.version);
+  };
+  if (repair.decode_ns > 0) {
+    sim_.after(repair.decode_ns, persist);
+  } else {
+    persist();
+  }
+}
+
+void ObjectStore::finish_repair(ObjectId id, cluster::NodeId target,
                                 int version) {
   --repairs_in_flight_;
-  auto it = objects_.find(key);
+  ObjectMeta& meta = objects_[id];
   const bool valid =
-      it != objects_.end() && it->second.version == version &&
-      server_alive(target) &&
-      std::find(it->second.replicas.begin(), it->second.replicas.end(),
-                target) == it->second.replicas.end();
+      meta.live && meta.version == version && server_alive(target) &&
+      std::find(meta.replicas.begin(), meta.replicas.end(), target) ==
+          meta.replicas.end();
   if (!valid) {
     // The replica set moved (another failure, overwrite, delete) or the
     // target died mid-repair; whoever moved it re-queued as needed.
     metrics_.count("repairs_abandoned");
-    if (it != objects_.end() && health(it->second) == Health::kDegraded) {
-      enqueue_repair(key);
-    }
+    if (meta.live && health(meta) == Health::kDegraded) enqueue_repair(id);
     pump_repairs();
     return;
   }
-  ObjectMeta& meta = it->second;
   const Health before = health(meta);
   const int risk_before = at_risk_fragments(meta);
   meta.replicas.push_back(target);
@@ -1247,9 +1287,9 @@ void ObjectStore::finish_repair(const ObjectKey& key, cluster::NodeId target,
   }
   meta.fragments.push_back(rebuilt);
   ++meta.version;
-  write_durable(target, key, meta.per_server_bytes, [] {});
+  write_durable(target, id, meta.per_server_bytes, [] {});
   metrics_.count("objects_repaired");
-  note_health_change(key, meta, before, risk_before);
+  note_health_change(id, before, risk_before);
   pump_repairs();
 }
 

@@ -16,11 +16,14 @@
 // All data movement goes through the shared network fabric and the
 // per-device queues, so storage traffic contends with shuffle and
 // collective traffic — the central "converged storage" property of EVOLVE.
+//
+// The API names objects by ObjectKey; below it everything runs on dense
+// ObjectIds. Each public call resolves its key once through the key
+// index, and the op state, caches and repair queue carry the id.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,6 +42,8 @@
 #include "storage/tiered_cache.hpp"
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
+#include "util/slot_table.hpp"
+#include "util/small_fn.hpp"
 #include "util/types.hpp"
 
 namespace evolve::storage {
@@ -157,8 +162,8 @@ struct DurabilityStats {
   std::int64_t objects_lost_total = 0;  // cumulative loss transitions
 };
 
-using PutCallback = std::function<void()>;
-using GetCallback = std::function<void(const GetResult&)>;
+using PutCallback = util::SmallFn<void()>;
+using GetCallback = util::SmallFn<void(const GetResult&)>;
 
 class ObjectStore {
  public:
@@ -273,9 +278,7 @@ class ObjectStore {
   /// many replicas were actually corrupted.
   int corrupt_random_replicas(std::uint64_t seed, int count,
                               bool spare_last_clean = true);
-  bool replica_corrupted(const ObjectKey& key, cluster::NodeId server) const {
-    return corrupted_replicas_.count({key, server}) != 0;
-  }
+  bool replica_corrupted(const ObjectKey& key, cluster::NodeId server) const;
   int corrupted_replica_count() const {
     return static_cast<int>(corrupted_replicas_.size());
   }
@@ -330,7 +333,36 @@ class ObjectStore {
   util::Bytes expected_durable_bytes(cluster::NodeId server) const;
 
  private:
+  static constexpr ObjectId kNoObject = ~ObjectId{0};
+
+  /// An object id that sorts by its object's key. The sets whose walks
+  /// reach simulated behaviour (the repair order, the stalled repairs and
+  /// the corruption sets) hold these, so they visit objects in ObjectKey
+  /// order. One key is one id, so equal ids need no string compare.
+  struct KeyedId {
+    const ObjectKey* key;
+    ObjectId id;
+    bool operator<(const KeyedId& other) const {
+      return id != other.id && *key < *other.key;
+    }
+  };
+  /// Pending repairs, drained risk-first: the object with the fewest
+  /// surviving spare copies (an EC stripe one fragment from loss) is
+  /// repaired before a freshly degraded one, ties in key order. Indexed
+  /// by (live copies, key), with -1 for an absent object; every
+  /// replica-set change re-keys its entry. Stale entries (absent, lost
+  /// or full) stay until the next pump trims them from the two ends
+  /// (DESIGN §13).
+  using RepairOrder = std::set<std::pair<int, KeyedId>>;
+
+  /// One slot per id, assigned on the key's first put or preload. A
+  /// removed object keeps its slot (and its repair-queue entry) with
+  /// `live` false, so a late fragment, repair or queue entry still finds
+  /// the same object its key named.
   struct ObjectMeta {
+    const ObjectKey* key = nullptr;  // its ids_ entry; map nodes never move
+    std::uint64_t key_hash = 0;      // rendezvous hash of *key
+    bool live = false;               // stored now: put and not removed since
     util::Bytes size = 0;
     /// Durable bytes held per server (== size for replication, the
     /// fragment size for erasure coding).
@@ -344,9 +376,25 @@ class ObjectStore {
     /// Bumped on every replica-set change; in-flight repairs abandon
     /// their result when the version moved under them.
     int version = 0;
+    bool queued = false;            // has an entry in repair_order_ ...
+    RepairOrder::iterator queued_at;  // ... here
   };
 
   enum class Health { kFull, kDegraded, kLost };
+
+  /// The id of `key`, or kNoObject when it was never stored.
+  ObjectId find_id(const ObjectKey& key) const;
+  /// The id of `key` if it is stored now, else kNoObject.
+  ObjectId find_live(const ObjectKey& key) const;
+  /// Gives `key` (absent from ids_, which holds `hint` as its lower
+  /// bound) the next id, with its rendezvous hash.
+  ObjectId add_key(std::map<ObjectKey, ObjectId>::iterator hint,
+                   const ObjectKey& key);
+  KeyedId keyed(ObjectId id) const { return {objects_[id].key, id}; }
+  /// Installs a fresh replica set from `replicas` (fragment ids in
+  /// order), marks the object live, and starts its health accounting.
+  void install(ObjectId id, const std::vector<cluster::NodeId>& replicas,
+               util::Bytes size, int version);
 
   /// Durable bytes one server holds for an object of `size`.
   util::Bytes per_server_bytes(util::Bytes size) const;
@@ -379,9 +427,33 @@ class ObjectStore {
   ServerState& server_state(cluster::NodeId node);
   const ServerState& server_state(cluster::NodeId node) const;
 
-  /// Writes `size` bytes durably on `server`, then `on_done`.
-  void write_durable(cluster::NodeId server, const ObjectKey& key,
-                     util::Bytes size, std::function<void()> on_done);
+  /// Writes `size` bytes of object `id` durably on `server`, then
+  /// `on_done`. A server outside a live object's replica set takes
+  /// nothing; a removed object's late fragment is charged (balancing the
+  /// remove) but never admitted into the cache.
+  void write_durable(cluster::NodeId server, ObjectId id, util::Bytes size,
+                     util::SmallFn<void()> on_done);
+
+  /// One PUT in flight, shared by its fragments: each fragment's events
+  /// carry the slot index, not a copy of the key, placement or callback.
+  struct PutOp {
+    ObjectId id = kNoObject;
+    cluster::NodeId client = cluster::kInvalidNode;
+    util::Bytes size = 0;
+    util::Bytes per_server = 0;
+    int remaining = 0;  // fragments not yet durable
+    util::TimeNs start = 0;
+    trace::SpanId span = trace::kNoSpan;
+    PutCallback cb;
+    std::vector<cluster::NodeId> replicas;  // placement at put time
+  };
+  using PutSlot = util::SlotTable<PutOp>::Id;
+  /// The body travels client -> primary (then the encode, for EC) ...
+  void put_send(PutSlot op);
+  /// ... the primary fans each server's payload out ...
+  void put_fan_out(PutSlot op);
+  /// ... and the last durable fragment completes the PUT.
+  void put_landed(PutSlot op);
 
   /// How near a holder is to a reader: 0 same node, 1 same rack, 2 other.
   int proximity(cluster::NodeId holder, cluster::NodeId reader) const;
@@ -406,7 +478,7 @@ class ObjectStore {
       DeviceQueue* device = nullptr;  // the tier the branch reads from
     };
     // The plan: plain data fixed when the read starts.
-    ObjectKey key;
+    ObjectId id = kNoObject;
     cluster::NodeId client = cluster::kInvalidNode;
     util::Bytes size = 0;          // bytes the caller is told it got
     util::Bytes branch_bytes = 0;  // bytes every branch reads and ships
@@ -427,6 +499,7 @@ class ObjectStore {
     int waiting = 0;   // landings still required
     int inflight = 0;  // live branches, a not-yet-launched primary included
     std::vector<Branch> branches;  // every holder tried, in launch order
+    GetResult result;              // what the k-th landing delivers
   };
   /// Plans the read (`block` > 0 reads that many bytes, else the whole
   /// object), launches the first k branches and arms the hedge.
@@ -443,10 +516,14 @@ class ObjectStore {
   /// reports not-found once fewer than the missing landings remain live.
   void branch_abandoned(const std::shared_ptr<Fetch>& fetch);
 
+  bool replica_corrupted(ObjectId id, cluster::NodeId server) const {
+    return !corrupted_replicas_.empty() &&
+           corrupted_replicas_.count({keyed(id), server}) != 0;
+  }
   /// Drops a corrupted replica from its object's replica set and queues
   /// re-replication (the checksum-detected analogue of a media crash).
-  void drop_corrupted_replica(const ObjectKey& key, cluster::NodeId server);
-  void purge_corrupted(const ObjectKey& key);
+  void drop_corrupted_replica(ObjectId id, cluster::NodeId server);
+  void purge_corrupted(ObjectId id);
   void arm_scrub();
   void scrub_pass();
   /// Replicas/fragments the object should hold (capped by server count).
@@ -457,10 +534,10 @@ class ObjectStore {
   /// Missing fragments/replicas a degraded object owes the rebuild
   /// queue (0 when full or lost).
   int at_risk_fragments(const ObjectMeta& meta) const;
-  /// All live servers ranked by rendezvous hash for `key`, in a scratch
-  /// vector that the next call overwrites.
+  /// All live servers ranked by rendezvous hash for a key of hash
+  /// `key_hash`, in a scratch vector that the next call overwrites.
   const std::vector<cluster::NodeId>& ranked_servers(
-      const ObjectKey& key) const;
+      std::uint64_t key_hash) const;
   /// Per-rack copy cap for `copies` spread over the racks of `ranked`:
   /// ceil(copies / distinct racks).
   int rack_cap(const std::vector<cluster::NodeId>& ranked, int copies) const;
@@ -469,8 +546,10 @@ class ObjectStore {
     return rack_load_[static_cast<std::size_t>(cluster_.node(node).rack)];
   }
   /// HRW ranking filtered by the per-rack placement cap (when enabled):
-  /// the first placed_copies() entries are where the object goes.
-  std::vector<cluster::NodeId> place_copies(const ObjectKey& key) const;
+  /// `out` becomes the first placed_copies() entries, where a key of
+  /// hash `key_hash` goes.
+  void place_copies(std::uint64_t key_hash,
+                    std::vector<cluster::NodeId>& out) const;
   /// Appends servers of `ranked` (HRW order) that `out` does not hold
   /// until it has `count`. With rack-aware placement no rack may exceed
   /// rack_cap(ranked, copies) servers of `out`, the ones it already held
@@ -485,25 +564,33 @@ class ObjectStore {
   void shift_at_risk(int delta);
   /// Applies a replica-set health transition: under-replication and
   /// at-risk accounting, loss counting, and repair queueing.
-  void note_health_change(const ObjectKey& key, const ObjectMeta& meta,
-                          Health before, int risk_before);
-  void enqueue_repair(const ObjectKey& key);
-  /// Live copies `key` is indexed under in the repair queue: its replica
+  void note_health_change(ObjectId id, Health before, int risk_before);
+  void enqueue_repair(ObjectId id);
+  /// Live copies `id` is indexed under in the repair queue: its replica
   /// count, or -1 when the object is absent.
-  int queued_count(const ObjectKey& key) const;
-  /// Re-keys a queued repair entry to `count`; no-op for unqueued keys.
-  void requeue(const ObjectKey& key, int count);
-  /// Re-keys a queued entry after an objects_ insert, overwrite or erase.
-  void sync_queued(const ObjectKey& key) {
-    if (!repair_queued_.empty()) requeue(key, queued_count(key));
-  }
+  int queued_count(ObjectId id) const;
+  /// Re-keys a queued repair entry to queued_count(id) after a replica
+  /// set, put or remove changed it; no-op for unqueued objects.
+  void requeue(ObjectId id);
   void pump_repairs();
   /// Claims a concurrency slot and (if capped) waits out the rebuild
   /// bandwidth admission before starting the transfers.
-  void start_repair(const ObjectKey& key);
-  void begin_repair_transfers(const ObjectKey& key, int version);
-  void finish_repair(const ObjectKey& key, cluster::NodeId target,
-                     int version);
+  void start_repair(ObjectId id);
+  void begin_repair_transfers(ObjectId id, int version);
+  /// One repair's transfers in flight: k source reads feed one target.
+  struct RepairOp {
+    ObjectId id = kNoObject;
+    cluster::NodeId target = cluster::kInvalidNode;
+    int version = 0;
+    int remaining = 0;  // source fragments not yet at the target
+    util::Bytes fragment = 0;
+    util::TimeNs decode_ns = 0;
+    trace::SpanId span = trace::kNoSpan;
+  };
+  using RepairSlot = util::SlotTable<RepairOp>::Id;
+  /// A source fragment arrived; the last one decodes, then persists.
+  void repair_landed(RepairSlot op);
+  void finish_repair(ObjectId id, cluster::NodeId target, int version);
 
   sim::Simulation& sim_;
   const cluster::Cluster& cluster_;
@@ -512,7 +599,13 @@ class ObjectStore {
   std::vector<cluster::NodeId> servers_;
   ObjectStoreConfig config_;
   std::map<std::string, bool> buckets_;
-  std::map<ObjectKey, ObjectMeta> objects_;
+  /// The key index: every key ever stored, with its id, in ObjectKey
+  /// order (so walking it visits objects in key order). Keys with the
+  /// same full() are one entry, hence one id.
+  std::map<ObjectKey, ObjectId> ids_;
+  std::vector<ObjectMeta> objects_;  // by id
+  util::SlotTable<PutOp> puts_;
+  util::SlotTable<RepairOp> repairs_;
   std::vector<ServerState> server_states_;  // one per distinct server
   std::vector<int> state_of_;  // index into server_states_ by node id, or -1
   /// Cache-tier device queues of every server, contiguous per server.
@@ -523,22 +616,13 @@ class ObjectStore {
   mutable std::vector<cluster::NodeId> ranked_;
   /// Copies per rack id while placing; all zero between calls.
   mutable std::vector<int> rack_load_;
-  std::vector<cluster::NodeId> repair_placement_;  // begin_repair_transfers
+  std::vector<cluster::NodeId> placement_;  // preload, repair targets
+  std::vector<cluster::NodeId> repair_sources_;  // begin_repair_transfers
   /// Scratch for per-tier metric names ("get_tier_<device>").
   std::string metric_name_;
   // Failure/repair state.
-  /// Pending repairs, drained risk-first: the object with the fewest
-  /// surviving spare copies (an EC stripe one fragment from loss) is
-  /// repaired before a freshly degraded one, ties in key order. Indexed
-  /// by (live copies, key), with -1 for an absent object; every
-  /// replica-set change re-keys its entry. Stale entries (absent, lost
-  /// or full) stay until the next pump trims them from the two ends
-  /// (DESIGN §13).
-  using RepairOrder = std::set<std::pair<int, ObjectKey>>;
   RepairOrder repair_order_;
-  /// Each queued key's entry in repair_order_.
-  std::map<ObjectKey, RepairOrder::iterator> repair_queued_;
-  std::set<ObjectKey> repair_stalled_;  // no live target; retry on recovery
+  std::set<KeyedId> repair_stalled_;  // no live target; retry on recovery
   int repairs_in_flight_ = 0;
   /// Token-bucket edge for the rebuild bandwidth cap: the sim time at
   /// which the next repair's fabric bytes may be admitted.
@@ -546,11 +630,12 @@ class ObjectStore {
   util::TimeNs rebuild_throttle_wait_ns_ = 0;
   util::Rng repair_rng_;  // repair-delay jitter (config.repair_seed)
   cluster::NodeConditions conditions_;
-  // Gray-failure state: replicas whose stored payload is bit-rotten.
-  std::set<std::pair<ObjectKey, cluster::NodeId>> corrupted_replicas_;
+  // Gray-failure state: replicas whose stored payload is bit-rotten, in
+  // (key, server) order.
+  std::set<std::pair<KeyedId, cluster::NodeId>> corrupted_replicas_;
   /// Entries under scrub verification right now (subset of the above;
   /// they stay corrupted until the verification read completes).
-  std::set<std::pair<ObjectKey, cluster::NodeId>> scrub_inflight_;
+  std::set<std::pair<KeyedId, cluster::NodeId>> scrub_inflight_;
   bool scrub_armed_ = false;
   metrics::UsageTracker underrep_;  // under-replicated objects
   metrics::UsageTracker at_risk_;   // missing fragments on degraded objects

@@ -30,14 +30,18 @@ util::Bytes TieredCache::used(int tier) const {
   return tiers_.at(static_cast<std::size_t>(tier)).stats.used;
 }
 
-bool TieredCache::contains(const ObjectKey& key) const {
-  return index_.count(key) != 0;
+std::optional<int> TieredCache::peek(ObjectId id) const {
+  const Lru::iterator* at = index_.find(id);
+  if (at == nullptr) return std::nullopt;
+  return (*at)->tier;
 }
 
-std::optional<int> TieredCache::peek(const ObjectKey& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return it->second.tier;
+void TieredCache::clear() {
+  for (Tier& tier : tiers_) {
+    spare_.splice(spare_.end(), tier.lru);
+    tier.stats.used = 0;
+  }
+  index_.clear();
 }
 
 void TieredCache::make_room(int tier_index, util::Bytes needed) {
@@ -49,16 +53,15 @@ void TieredCache::make_room(int tier_index, util::Bytes needed) {
     holding.splice(holding.begin(), tier.lru, victim);
     tier.stats.used -= victim->size;
     ++tier.stats.demotions_out;
-    place(tier_index + 1, *victim->node, holding, /*demotion=*/true);
+    place(tier_index + 1, holding, /*demotion=*/true);
   }
 }
 
-void TieredCache::place(int tier_index, Node& node, Lru& holding,
-                        bool demotion) {
+void TieredCache::place(int tier_index, Lru& holding, bool demotion) {
   // Entries move between tiers by splicing their list node, and the index
-  // node stays put: no demotion or promotion allocates or hashes the key.
-  // Only a drop looks it up, to erase it.
-  const Lru::iterator entry = node.second.it;
+  // keeps pointing at it: no demotion or promotion allocates or probes
+  // the index. Only a drop erases the id.
+  const Lru::iterator entry = holding.begin();
   // Too big for a tier entirely: push further down, or drop.
   while (tier_index < tier_count() &&
          entry->size > config(tier_index).capacity) {
@@ -66,8 +69,8 @@ void TieredCache::place(int tier_index, Node& node, Lru& holding,
   }
   if (tier_index == tier_count()) {
     ++drops_;
-    // The caller's holding list frees the entry.
-    index_.erase(index_.find(node.first));
+    index_.erase(entry->id);
+    spare_.splice(spare_.begin(), holding, entry);
     return;
   }
   // The entry sits in `holding`, so the eviction cascade never selects it.
@@ -80,10 +83,10 @@ void TieredCache::place(int tier_index, Node& node, Lru& holding,
     ++tier.stats.inserts;
   }
   tier.lru.splice(tier.lru.begin(), holding, entry);
-  node.second.tier = tier_index;
+  entry->tier = tier_index;
 }
 
-bool TieredCache::put(const ObjectKey& key, util::Bytes size) {
+bool TieredCache::put(ObjectId id, util::Bytes size) {
   if (size < 0) throw std::invalid_argument("put: negative size");
   bool fits_somewhere = false;
   for (const Tier& tier : tiers_) {
@@ -93,29 +96,35 @@ bool TieredCache::put(const ObjectKey& key, util::Bytes size) {
     }
   }
   if (!fits_somewhere) {
-    erase(key);
+    erase(id);
     ++drops_;
     return false;
   }
-  const auto [at, fresh] = index_.try_emplace(key);
-  if (!fresh) unlink(at->second);  // overwrite: the index node stays
   Lru holding;
-  holding.push_front(Entry{&*at, size});
-  at->second.it = holding.begin();
-  place(0, *at, holding, /*demotion=*/false);
+  const auto [at, fresh] = index_.try_emplace(id, Lru::iterator{});
+  if (!fresh) {
+    unlink(*at, holding);  // overwrite: the entry is reused
+  } else {
+    if (spare_.empty()) spare_.emplace_front();
+    holding.splice(holding.begin(), spare_, spare_.begin());
+    *at = holding.begin();
+  }
+  holding.front().id = id;
+  holding.front().size = size;
+  place(0, holding, /*demotion=*/false);
   return true;
 }
 
-std::optional<int> TieredCache::get(const ObjectKey& key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+std::optional<int> TieredCache::get(ObjectId id) {
+  const Lru::iterator* at = index_.find(id);
+  if (at == nullptr) {
     ++misses_;
     return std::nullopt;
   }
-  const int found_tier = it->second.tier;
+  const Lru::iterator entry = *at;
+  const int found_tier = entry->tier;
   Tier& tier = tiers_[static_cast<std::size_t>(found_tier)];
   ++tier.stats.hits;
-  const Lru::iterator entry = it->second.it;
   if (found_tier == 0 || entry->size > tiers_[0].config.capacity) {
     // A DRAM hit, or an object that can never fit DRAM: refresh the LRU
     // position in place. Nothing changes tier, so nothing is inserted.
@@ -125,24 +134,23 @@ std::optional<int> TieredCache::get(const ObjectKey& key) {
   // Promote to tier 0 through a holding list, so the eviction cascade in
   // make_room can never select the entry.
   Lru holding;
-  holding.splice(holding.begin(), tier.lru, entry);
-  tier.stats.used -= entry->size;
-  place(0, *it, holding, /*demotion=*/false);
+  unlink(entry, holding);
+  place(0, holding, /*demotion=*/false);
   return found_tier;
 }
 
-bool TieredCache::erase(const ObjectKey& key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  unlink(it->second);
-  index_.erase(it);
+bool TieredCache::erase(ObjectId id) {
+  const Lru::iterator* at = index_.find(id);
+  if (at == nullptr) return false;
+  unlink(*at, spare_);
+  index_.erase(id);
   return true;
 }
 
-void TieredCache::unlink(const Location& at) {
-  Tier& tier = tiers_[static_cast<std::size_t>(at.tier)];
-  tier.stats.used -= at.it->size;
-  tier.lru.erase(at.it);
+void TieredCache::unlink(Lru::iterator entry, Lru& to) {
+  Tier& tier = tiers_[static_cast<std::size_t>(entry->tier)];
+  tier.stats.used -= entry->size;
+  to.splice(to.begin(), tier.lru, entry);
 }
 
 }  // namespace evolve::storage

@@ -10,11 +10,10 @@
 #include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "storage/object_key.hpp"
+#include "util/flat_id_map.hpp"
 #include "util/types.hpp"
 
 namespace evolve::storage {
@@ -35,11 +34,14 @@ struct TierStats {
 /// Multi-tier LRU. Tier 0 is fastest. An object lives in exactly one tier.
 /// Inserts land in tier 0; eviction demotes the LRU object to the next
 /// tier (possibly cascading); the last tier evicts to nowhere (drop).
-/// Keys are ObjectKeys, so keys with the same full() are one object.
+/// Objects are named by the store's dense ObjectIds, so no probe,
+/// promotion or demotion hashes or compares a key string; the store maps
+/// each key to its one id.
 class TieredCache {
  public:
   explicit TieredCache(std::vector<TierConfig> tiers);
-  // LRU entries point at index elements, which a copy would not re-point.
+  // The index holds iterators into this cache's lists, which a copy
+  // would not re-point (a move carries them along).
   TieredCache(const TieredCache&) = delete;
   TieredCache& operator=(const TieredCache&) = delete;
   TieredCache(TieredCache&&) = default;
@@ -48,31 +50,25 @@ class TieredCache {
   /// Inserts or refreshes an object in tier 0. Objects larger than tier 0
   /// land in the first tier that can ever hold them; objects larger than
   /// every tier are not cached (returns false).
-  bool put(const ObjectKey& key, util::Bytes size);
+  bool put(ObjectId id, util::Bytes size);
 
   /// Looks up an object. On a hit, promotes it to tier 0 (if it fits) and
   /// returns the tier index it was found in *before* promotion. An object
   /// too big for tier 0 is refreshed in its own tier; that is a hit, not
   /// an insert.
-  std::optional<int> get(const ObjectKey& key);
+  std::optional<int> get(ObjectId id);
 
   /// Looks up without promoting or touching LRU order.
-  std::optional<int> peek(const ObjectKey& key) const;
+  std::optional<int> peek(ObjectId id) const;
 
   /// Removes an object from whatever tier holds it.
-  bool erase(const ObjectKey& key);
+  bool erase(ObjectId id);
 
   /// Drops every cached object (node crash: volatile tiers are gone and
   /// restart starts cold). Cumulative hit/miss counters are preserved.
-  void clear() {
-    for (Tier& tier : tiers_) {
-      tier.lru.clear();
-      tier.stats.used = 0;
-    }
-    index_.clear();
-  }
+  void clear();
 
-  bool contains(const ObjectKey& key) const;
+  bool contains(ObjectId id) const { return index_.find(id) != nullptr; }
 
   int tier_count() const { return static_cast<int>(tiers_.size()); }
   const TierStats& stats(int tier) const;
@@ -86,10 +82,9 @@ class TieredCache {
   std::size_t size() const { return index_.size(); }
 
  private:
-  struct Location;
-  using Node = std::pair<const ObjectKey, Location>;  // an index_ element
   struct Entry {
-    Node* node;  // its index_ element (elements never move, even on rehash)
+    ObjectId id;
+    int tier;  // the tier whose list holds the entry
     util::Bytes size;
   };
   using Lru = std::list<Entry>;  // front = most recent
@@ -98,23 +93,23 @@ class TieredCache {
     TierStats stats;
     Lru lru;
   };
-  struct Location {
-    int tier;
-    Lru::iterator it;
-  };
-  using Index = std::unordered_map<ObjectKey, Location, ObjectKeyHash>;
 
-  /// Moves the entry of `node` (spliced into a holding list by the
-  /// caller) to the head of the first tier from `tier` on that can hold
-  /// it, evicting/demoting there as needed, or drops it when none can.
+  /// Moves the one entry of `holding` (spliced there by the caller) to
+  /// the head of the first tier from `tier` on that can hold it,
+  /// evicting/demoting there as needed, or drops it when none can.
   /// `demotion` marks whether it came from a higher tier.
-  void place(int tier, Node& node, Lru& holding, bool demotion);
+  void place(int tier, Lru& holding, bool demotion);
   void make_room(int tier, util::Bytes needed);
-  /// Frees the LRU entry at `at` and its bytes; the index node stays.
-  void unlink(const Location& at);
+  /// Moves `entry` out of its tier into `to`, releasing its bytes.
+  void unlink(Lru::iterator entry, Lru& to);
 
   std::vector<Tier> tiers_;
-  Index index_;
+  /// Each cached object's LRU entry. List iterators survive every splice,
+  /// so an entry changes tier without touching the index.
+  util::FlatIdMap<Lru::iterator> index_;
+  /// Entries of erased and dropped objects, reused by the next inserts:
+  /// once the cache has held its peak count, nothing allocates.
+  Lru spare_;
   std::int64_t misses_ = 0;
   std::int64_t drops_ = 0;
 };

@@ -82,6 +82,12 @@ class FlatIdMap {
     return true;
   }
 
+  /// Removes every entry; the table keeps its size.
+  void clear() {
+    for (Slot& s : slots_) s = Slot{};
+    size_ = 0;
+  }
+
   /// Calls fn(key, value) for every entry, in table order.
   template <typename F>
   void for_each(F&& fn) {

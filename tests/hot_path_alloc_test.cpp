@@ -11,7 +11,8 @@
 // cancels and completes flows without allocating, and a warm
 // serve::Service (hedging and batching on, feeding a ScalingSignal and
 // a HealthScorer) serves requests without allocating. A warm
-// ObjectStore::locate allocates only the vector it returns, and a warm
+// ObjectStore::locate allocates only the vector it returns, a warm
+// erasure-coded PUT or GET as much at 11 fragments as at 6, and a warm
 // ring allreduce allocates as much at 16 ranks as at 4: nothing per
 // message. Through a warm TabletClient, memtable reads, not-found reads
 // and WrongShard retries allocate nothing, and a WAL group commit of 64
@@ -405,6 +406,69 @@ TEST(StoreAllocation, WarmLocateAllocatesOnlyItsResult) {
   EXPECT_EQ(after - before, 1u) << "only the returned vector may allocate";
   EXPECT_EQ(placed, warm);
   EXPECT_EQ(placed.size(), 6u);
+}
+
+struct PutGetAllocations {
+  std::size_t put = 0;
+  std::size_t get = 0;
+};
+
+/// Allocations of a warm 8 MiB PUT (an overwrite) and a warm GET of one
+/// object on an EC(k, m) store over 12 servers on 4 racks.
+PutGetAllocations warm_put_get_allocations(int k, int m) {
+  sim::Simulation sim;
+  cluster::Cluster cluster = cluster::make_testbed(2, 12, 0, 4);
+  net::Topology topology(cluster);
+  net::Fabric fabric(sim, topology);
+  IoSubsystem io(sim, cluster);
+  ObjectStoreConfig config;
+  config.redundancy = Redundancy::kErasure;
+  config.ec_data = k;
+  config.ec_parity = m;
+  ObjectStore store(sim, cluster, fabric, io,
+                    cluster.nodes_with_label("role=storage"), config);
+  const ObjectKey key{"a-bucket-with-a-long-name",
+                      "partition-000042.parquet"};
+  store.create_bucket(key.bucket);
+  const cluster::NodeId client = cluster.nodes_with_label("role=compute")[0];
+  int puts = 0;
+  int gets = 0;
+  auto put = [&] {
+    store.put(client, key, 8 * util::kMiB, [&puts] { ++puts; });
+  };
+  auto get = [&] {
+    store.get(client, key, [&gets](const GetResult& r) { gets += r.found; });
+  };
+  // The first PUT assigns the id; the second and the first GET warm the
+  // overwrite and read paths, the fabric and the event queue.
+  net::run_round(sim, put);
+  net::run_round(sim, put);
+  net::run_round(sim, get);
+  PutGetAllocations out;
+  std::size_t before = g_allocs.load();
+  net::run_round(sim, put);
+  out.put = g_allocs.load() - before;
+  before = g_allocs.load();
+  net::run_round(sim, get);
+  out.get = g_allocs.load() - before;
+  EXPECT_EQ(puts, 3);
+  EXPECT_EQ(gets, 2);
+  EXPECT_EQ(store.metrics().counter("get_tier_dram"), 2 * k);
+  return out;
+}
+
+TEST(StoreAllocation, WarmPutAndGetCostIsIndependentOfFragments) {
+  // 6 fragments against 11: any per-fragment or per-branch allocation
+  // (a key copy, a closure past SmallFn's inline budget, a cache entry)
+  // makes the counts differ.
+  const PutGetAllocations narrow = warm_put_get_allocations(4, 2);
+  const PutGetAllocations wide = warm_put_get_allocations(8, 3);
+  EXPECT_EQ(narrow.put, wide.put);
+  EXPECT_EQ(narrow.get, wide.get);
+  // What is left per call: a PUT's placement vector; a GET's shared
+  // fetch state and its branch list.
+  EXPECT_EQ(narrow.put, 1u);
+  EXPECT_EQ(narrow.get, 2u);
 }
 
 }  // namespace

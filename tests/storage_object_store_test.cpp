@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -537,6 +538,226 @@ TEST(ObjectStore, ReplicatedRepairScheduleDigestIsPinned) {
   EXPECT_GT(run.repairs, 150u);
   EXPECT_EQ(run.digest, kPinnedReplicatedRepairDigest)
       << run.repairs << " repairs, the last at " << run.last_start;
+}
+
+// -- Cache state ----------------------------------------------------------
+
+/// FNV-1a over the cache and durability state a run of
+/// run_cache_state() below leaves behind, EC(4,2) folded before
+/// three-way replication. Recorded before the store moved below its API
+/// onto dense object ids; any change to cache admission, LRU order,
+/// demotion, durable accounting or the walks in key order moves it.
+constexpr std::uint64_t kPinnedCacheStateDigest = 14711601158431456984ULL;
+
+/// Appends the 8 bytes of `value` to the FNV-1a `digest`.
+void fold(std::uint64_t& digest, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    digest ^= (value >> (8 * i)) & 0xff;
+    digest *= 0x100000001b3ULL;
+  }
+}
+
+void fold(std::uint64_t& digest, const std::string& text) {
+  for (unsigned char c : text) fold(digest, c);
+  fold(digest, 0);
+}
+
+// A seeded mixed stream over 8 servers on 4 racks with cache tiers cut
+// to a few fragments each, so admission, promotion, demotion and drops
+// all happen: preloads (half warm), overwriting PUTs of sizes from a few
+// KiB to more than every tier, hedged GETs and (replicated) block reads,
+// bit-rot found by the scrubber and by checksummed reads, a server crash
+// and its recovery with repair, and removes only once every PUT drained.
+// Returns the state digest; GET results are folded as they land.
+std::uint64_t run_cache_state(ObjectStoreConfig config) {
+  sim::Simulation sim;
+  auto cluster = cluster::make_testbed(2, 8, 0, /*racks=*/4);
+  net::Topology topology(cluster);
+  net::Fabric fabric(sim, topology);
+  IoSubsystem io(sim, cluster);
+  config.cache_capacity_fraction = 2e-6;  // ~137 KB DRAM, ~17 MB NVMe
+  config.hedged_reads = true;
+  config.checksum_reads = true;
+  config.scrub = true;
+  config.scrub_interval = util::millis(20);
+  config.repair_delay = util::millis(30);
+  ObjectStore store(sim, cluster, fabric, io,
+                    cluster.nodes_with_label("role=storage"), config);
+  const bool replicated = config.redundancy == Redundancy::kReplication;
+  store.create_bucket("b");
+  store.create_bucket("b-x");
+  constexpr int kObjects = 80;
+  const auto key = [](std::int64_t i) {
+    return ObjectKey{i % 2 == 0 ? "b" : "b-x", "obj-" + std::to_string(i)};
+  };
+  for (int i = 0; i < kObjects; i += 2) {
+    store.preload(key(i), (16 + 48 * (i % 5)) * util::kKiB,
+                  /*warm_cache=*/i % 4 == 0);
+  }
+  const auto clients = cluster.nodes_with_label("role=compute");
+  const auto& servers = store.servers();
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto on_get = [&digest](const GetResult& r) {
+    fold(digest, r.found);
+    fold(digest, static_cast<std::uint64_t>(r.size));
+    fold(digest, static_cast<std::uint64_t>(r.served_by));
+    fold(digest, r.tier);
+    fold(digest, r.hedged + 2 * r.hedge_won + 4 * r.degraded);
+  };
+
+  util::Rng rng(5);
+  for (int op = 0; op < 900; ++op) {
+    const util::TimeNs at = util::millis(2) * op;
+    const std::int64_t i = rng.uniform_int(0, kObjects - 1);
+    const cluster::NodeId client =
+        clients[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    const util::Bytes size =
+        rng.uniform_int(0, 19) == 0
+            ? rng.uniform_int(24, 40) * util::kMiB  // beyond every tier
+            : rng.uniform_int(4, 600) * util::kKiB;
+    sim.at(at, [&store, &on_get, &key, replicated, i, client, kind, size] {
+      if (kind < 3) {
+        store.put(client, key(i), size, [] {});
+      } else if (kind < 8 || !replicated) {
+        store.get(client, key(i), on_get);
+      } else {
+        store.read_block(client, key(i), 64 * util::kKiB, on_get);
+      }
+    });
+  }
+  sim.at(util::millis(150), [&] { store.corrupt_random_replicas(3, 12); });
+  sim.at(util::millis(600),
+         [&] { store.conditions().set_down(servers[2], true); });
+  sim.at(util::millis(1100),
+         [&] { store.conditions().set_down(servers[2], false); });
+  sim.at(util::millis(1300), [&] { store.corrupt_random_replicas(4, 8); });
+  sim.run();
+  for (std::int64_t i = 1; i < kObjects; i += 9) {
+    store.remove(clients[0], key(i), [] {});
+  }
+  for (std::int64_t i = 0; i < kObjects; i += 3) {
+    store.get(clients[1], key(i), on_get);
+  }
+  sim.run();
+
+  for (cluster::NodeId server : servers) {
+    const TieredCache& cache = store.cache(server);
+    for (int t = 0; t < cache.tier_count(); ++t) {
+      const TierStats& s = cache.stats(t);
+      for (std::int64_t v : {s.hits, s.inserts, s.demotions_in,
+                             s.demotions_out, s.used}) {
+        fold(digest, static_cast<std::uint64_t>(v));
+      }
+    }
+    fold(digest, static_cast<std::uint64_t>(cache.misses()));
+    fold(digest, static_cast<std::uint64_t>(cache.drops()));
+    fold(digest, cache.size());
+    fold(digest, static_cast<std::uint64_t>(store.durable_bytes(server)));
+  }
+  const DurabilityStats d = store.durability_stats();
+  for (std::int64_t v : {std::int64_t{d.objects_full},
+                         std::int64_t{d.objects_degraded},
+                         std::int64_t{d.objects_lost},
+                         std::int64_t{d.missing_fragments},
+                         d.objects_lost_total}) {
+    fold(digest, static_cast<std::uint64_t>(v));
+  }
+  std::uint64_t at_risk_bits = 0;
+  std::memcpy(&at_risk_bits, &d.at_risk_fragment_seconds, sizeof(double));
+  fold(digest, at_risk_bits);
+  for (const char* bucket : {"b", "b-x"}) {
+    for (const std::string& name : store.list(bucket)) fold(digest, name);
+  }
+  // The stream reached every mechanism it is meant to pin.
+  EXPECT_GT(store.metrics().counter("objects_repaired"), 0);
+  EXPECT_GT(store.replicas_scrubbed(), 0);
+  EXPECT_GT(store.hedges_launched(), 0);
+  EXPECT_GT(store.metrics().counter("delete_requests"), 0);
+  std::int64_t demotions = 0;
+  std::int64_t drops = 0;
+  for (cluster::NodeId server : servers) {
+    demotions += store.cache(server).stats(0).demotions_out;
+    drops += store.cache(server).drops();
+  }
+  EXPECT_GT(demotions, 0);
+  EXPECT_GT(drops, 0);
+  expect_durable_accounting(store);
+  return digest;
+}
+
+TEST(ObjectStore, CacheStateDigestIsPinned) {
+  ObjectStoreConfig ec;
+  ec.redundancy = Redundancy::kErasure;
+  ec.ec_data = 4;
+  ec.ec_parity = 2;
+  ObjectStoreConfig r3;
+  r3.replicas = 3;
+  std::uint64_t digest = run_cache_state(ec);
+  fold(digest, run_cache_state(r3));
+  EXPECT_EQ(digest, kPinnedCacheStateDigest);
+}
+
+/// `key` written and removed in the same instant, then drained: every
+/// fragment lands after the remove.
+void put_then_remove(ObjectStoreConfig config) {
+  StoreFixture f(2, 6, config);
+  const ObjectKey key{"data", "gone"};
+  f.store.put(0, key, 64 * util::kMiB, [] {});
+  f.store.remove(0, key, [] {});
+  f.sim.run();
+  EXPECT_FALSE(f.store.exists(key));
+  for (cluster::NodeId server : f.store.servers()) {
+    EXPECT_EQ(f.store.cache(server).size(), 0u) << "server " << server;
+  }
+  expect_durable_accounting(f.store);
+}
+
+TEST(ObjectStore, RemovedObjectIsNotCachedByItsLateFragments) {
+  ObjectStoreConfig ec;
+  ec.redundancy = Redundancy::kErasure;
+  ec.ec_data = 4;
+  ec.ec_parity = 2;
+  put_then_remove(ec);
+}
+
+TEST(ObjectStore, RemovedObjectIsNotCachedByItsLateReplicas) {
+  put_then_remove(three_replicas());
+}
+
+TEST(ObjectStore, KeysWithTheSameFullStringAreOneObject) {
+  StoreFixture f;
+  f.store.create_bucket("a");
+  f.store.create_bucket("a/b");
+  const ObjectKey early_split{"a", "b/c"};
+  const ObjectKey late_split{"a/b", "c"};
+  f.store.put(0, early_split, util::kMiB, [] {});
+  f.sim.run();
+  EXPECT_TRUE(f.store.exists(late_split));
+  EXPECT_EQ(f.store.locate(late_split), f.store.locate(early_split));
+  GetResult result;
+  f.store.get(0, late_split, [&](const GetResult& r) { result = r; });
+  f.sim.run();
+  EXPECT_TRUE(result.found);
+  EXPECT_EQ(result.size, util::kMiB);
+  EXPECT_EQ(result.tier, "dram");  // the PUT's write-through copy
+  // An overwrite under the other spelling replaces it, not a second one.
+  f.store.put(0, late_split, 2 * util::kMiB, [] {});
+  f.sim.run();
+  EXPECT_EQ(f.store.object_size(early_split), 2 * util::kMiB);
+  std::size_t cached = 0;
+  for (cluster::NodeId server : f.store.servers()) {
+    cached += f.store.cache(server).size();
+  }
+  EXPECT_EQ(cached, 2u);  // one object on each of its two replicas
+  expect_durable_accounting(f.store);
+  f.store.remove(0, early_split, [] {});
+  f.sim.run();
+  EXPECT_FALSE(f.store.exists(late_split));
+  for (cluster::NodeId server : f.store.servers()) {
+    EXPECT_EQ(f.store.cache(server).size(), 0u);
+    EXPECT_EQ(f.store.durable_bytes(server), 0);
+  }
 }
 
 // -- ObjectKey order ------------------------------------------------------

@@ -10,13 +10,12 @@
 #include <vector>
 
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace evolve::storage {
 namespace {
 
-// Cache keys are object keys; every test object lives in one bucket.
-ObjectKey k(const std::string& name) { return ObjectKey{"b", name}; }
+// Cache keys are the store's object ids; the tests name theirs by letter.
+ObjectId k(char name) { return static_cast<ObjectId>(name); }
 
 TieredCache three_tier(util::Bytes dram = 100, util::Bytes nvme = 1000,
                        util::Bytes hdd = 10000) {
@@ -30,83 +29,83 @@ TEST(TieredCache, RejectsEmptyTiers) {
 
 TEST(TieredCache, PutLandsInTierZero) {
   auto cache = three_tier();
-  EXPECT_TRUE(cache.put(k("a"), 50));
-  EXPECT_EQ(cache.peek(k("a")), 0);
+  EXPECT_TRUE(cache.put(k('a'), 50));
+  EXPECT_EQ(cache.peek(k('a')), 0);
   EXPECT_EQ(cache.used(0), 50);
 }
 
 TEST(TieredCache, GetHitReportsTierAndPromotes) {
   auto cache = three_tier();
-  cache.put(k("a"), 60);
-  cache.put(k("b"), 60);  // evicts "a" to nvme
-  EXPECT_EQ(cache.peek(k("a")), 1);
-  const auto hit = cache.get(k("a"));
+  cache.put(k('a'), 60);
+  cache.put(k('b'), 60);  // evicts "a" to nvme
+  EXPECT_EQ(cache.peek(k('a')), 1);
+  const auto hit = cache.get(k('a'));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 1);            // found in nvme...
-  EXPECT_EQ(cache.peek(k("a")), 0);  // ...now promoted to dram
+  EXPECT_EQ(cache.peek(k('a')), 0);  // ...now promoted to dram
 }
 
 TEST(TieredCache, MissCounts) {
   auto cache = three_tier();
-  EXPECT_FALSE(cache.get(k("nope")).has_value());
+  EXPECT_FALSE(cache.get(k('n')).has_value());
   EXPECT_EQ(cache.misses(), 1);
 }
 
 TEST(TieredCache, EvictionCascadesDown) {
   auto cache = three_tier(100, 100, 100);
-  cache.put(k("a"), 100);
-  cache.put(k("b"), 100);  // a -> nvme
-  cache.put(k("c"), 100);  // b -> nvme evicts a -> hdd
-  EXPECT_EQ(cache.peek(k("c")), 0);
-  EXPECT_EQ(cache.peek(k("b")), 1);
-  EXPECT_EQ(cache.peek(k("a")), 2);
-  cache.put(k("d"), 100);  // c->nvme, b->hdd, a dropped
-  EXPECT_FALSE(cache.contains(k("a")));
+  cache.put(k('a'), 100);
+  cache.put(k('b'), 100);  // a -> nvme
+  cache.put(k('c'), 100);  // b -> nvme evicts a -> hdd
+  EXPECT_EQ(cache.peek(k('c')), 0);
+  EXPECT_EQ(cache.peek(k('b')), 1);
+  EXPECT_EQ(cache.peek(k('a')), 2);
+  cache.put(k('d'), 100);  // c->nvme, b->hdd, a dropped
+  EXPECT_FALSE(cache.contains(k('a')));
   EXPECT_EQ(cache.drops(), 1);
-  EXPECT_EQ(cache.peek(k("b")), 2);
+  EXPECT_EQ(cache.peek(k('b')), 2);
 }
 
 TEST(TieredCache, LruOrderWithinTier) {
   auto cache = three_tier(100, 1000, 10000);
-  cache.put(k("a"), 40);
-  cache.put(k("b"), 40);
-  ASSERT_TRUE(cache.get(k("a")).has_value());  // refresh a
-  cache.put(k("c"), 40);                       // evicts b (LRU), not a
-  EXPECT_EQ(cache.peek(k("a")), 0);
-  EXPECT_EQ(cache.peek(k("b")), 1);
-  EXPECT_EQ(cache.peek(k("c")), 0);
+  cache.put(k('a'), 40);
+  cache.put(k('b'), 40);
+  ASSERT_TRUE(cache.get(k('a')).has_value());  // refresh a
+  cache.put(k('c'), 40);                       // evicts b (LRU), not a
+  EXPECT_EQ(cache.peek(k('a')), 0);
+  EXPECT_EQ(cache.peek(k('b')), 1);
+  EXPECT_EQ(cache.peek(k('c')), 0);
 }
 
 TEST(TieredCache, ObjectTooBigForAnyTierDrops) {
   auto cache = three_tier(100, 1000, 10000);
-  EXPECT_FALSE(cache.put(k("huge"), 20000));
-  EXPECT_FALSE(cache.contains(k("huge")));
+  EXPECT_FALSE(cache.put(k('h'), 20000));
+  EXPECT_FALSE(cache.contains(k('h')));
   EXPECT_EQ(cache.drops(), 1);
 }
 
 TEST(TieredCache, ObjectTooBigForTierZeroLandsLower) {
   auto cache = three_tier(100, 1000, 10000);
-  EXPECT_TRUE(cache.put(k("mid"), 500));
-  EXPECT_EQ(cache.peek(k("mid")), 1);
-  EXPECT_TRUE(cache.put(k("big"), 5000));
-  EXPECT_EQ(cache.peek(k("big")), 2);
+  EXPECT_TRUE(cache.put(k('m'), 500));
+  EXPECT_EQ(cache.peek(k('m')), 1);
+  EXPECT_TRUE(cache.put(k('g'), 5000));
+  EXPECT_EQ(cache.peek(k('g')), 2);
 }
 
 TEST(TieredCache, BigObjectStaysInItsTierOnHit) {
   auto cache = three_tier(100, 1000, 10000);
-  cache.put(k("big"), 500);
-  const auto hit = cache.get(k("big"));
+  cache.put(k('g'), 500);
+  const auto hit = cache.get(k('g'));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 1);
-  EXPECT_EQ(cache.peek(k("big")), 1);  // can never fit dram; stays in nvme
+  EXPECT_EQ(cache.peek(k('g')), 1);  // can never fit dram; stays in nvme
 }
 
 TEST(TieredCache, RefreshInOwnTierIsNotAnInsert) {
   TieredCache cache({TierConfig{"dram", 100}, TierConfig{"nvme", 1000}});
-  cache.put(k("big"), 500);  // too big for dram: lands in nvme
+  cache.put(k('g'), 500);  // too big for dram: lands in nvme
   EXPECT_EQ(cache.stats(1).inserts, 1);
-  ASSERT_EQ(cache.get(k("big")), 1);
-  ASSERT_EQ(cache.get(k("big")), 1);
+  ASSERT_EQ(cache.get(k('g')), 1);
+  ASSERT_EQ(cache.get(k('g')), 1);
   // Two hits refreshed it where it was; nothing changed tier.
   EXPECT_EQ(cache.stats(1).hits, 2);
   EXPECT_EQ(cache.stats(1).inserts, 1);
@@ -116,47 +115,36 @@ TEST(TieredCache, RefreshInOwnTierIsNotAnInsert) {
 
 TEST(TieredCache, PromotionCountsOneInsertInTierZero) {
   auto cache = three_tier(100, 1000, 10000);
-  cache.put(k("a"), 60);
-  cache.put(k("b"), 60);  // a -> nvme
-  ASSERT_EQ(cache.get(k("a")), 1);  // a -> dram, b -> nvme
+  cache.put(k('a'), 60);
+  cache.put(k('b'), 60);  // a -> nvme
+  ASSERT_EQ(cache.get(k('a')), 1);  // a -> dram, b -> nvme
   EXPECT_EQ(cache.stats(0).inserts, 3);
   EXPECT_EQ(cache.stats(1).inserts, 0);
   EXPECT_EQ(cache.stats(1).demotions_in, 2);
 }
 
-TEST(TieredCache, KeysWithTheSameFullStringAreOneObject) {
-  auto cache = three_tier();
-  cache.put(ObjectKey{"a", "b/c"}, 40);
-  EXPECT_TRUE(cache.contains(ObjectKey{"a/b", "c"}));
-  cache.put(ObjectKey{"a/b", "c"}, 70);  // overwrites, not a second object
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.used(0), 70);
-  EXPECT_TRUE(cache.erase(ObjectKey{"a", "b/c"}));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(TieredCache, EraseFreesSpace) {
   auto cache = three_tier();
-  cache.put(k("a"), 100);
-  EXPECT_TRUE(cache.erase(k("a")));
-  EXPECT_FALSE(cache.erase(k("a")));
+  cache.put(k('a'), 100);
+  EXPECT_TRUE(cache.erase(k('a')));
+  EXPECT_FALSE(cache.erase(k('a')));
   EXPECT_EQ(cache.used(0), 0);
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(TieredCache, PutOverwriteReplacesSize) {
   auto cache = three_tier();
-  cache.put(k("a"), 30);
-  cache.put(k("a"), 70);
+  cache.put(k('a'), 30);
+  cache.put(k('a'), 70);
   EXPECT_EQ(cache.used(0), 70);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(TieredCache, StatsTrackHitsAndDemotions) {
   auto cache = three_tier(100, 100, 100);
-  cache.put(k("a"), 100);
-  cache.put(k("b"), 100);
-  ASSERT_TRUE(cache.get(k("b")).has_value());
+  cache.put(k('a'), 100);
+  cache.put(k('b'), 100);
+  ASSERT_TRUE(cache.get(k('b')).has_value());
   EXPECT_EQ(cache.stats(0).hits, 1);
   EXPECT_EQ(cache.stats(0).inserts, 2);
   EXPECT_EQ(cache.stats(0).demotions_out, 1);
@@ -165,13 +153,13 @@ TEST(TieredCache, StatsTrackHitsAndDemotions) {
 
 TEST(TieredCache, ZeroSizeObjectsAllowed) {
   auto cache = three_tier();
-  EXPECT_TRUE(cache.put(k("empty"), 0));
-  EXPECT_TRUE(cache.get(k("empty")).has_value());
+  EXPECT_TRUE(cache.put(k('e'), 0));
+  EXPECT_TRUE(cache.get(k('e')).has_value());
 }
 
 TEST(TieredCache, NegativeSizeRejected) {
   auto cache = three_tier();
-  EXPECT_THROW(cache.put(k("bad"), -1), std::invalid_argument);
+  EXPECT_THROW(cache.put(k('x'), -1), std::invalid_argument);
 }
 
 // Invariant sweep: usage never exceeds capacity under random workloads.
@@ -187,7 +175,7 @@ TEST_P(TieredCacheInvariants, UsageNeverExceedsCapacity) {
     return state >> 33;
   };
   for (int i = 0; i < 2000; ++i) {
-    const ObjectKey key = k("k" + std::to_string(next() % 100));
+    const auto key = static_cast<ObjectId>(next() % 100);
     switch (next() % 3) {
       case 0:
         cache.put(key, static_cast<util::Bytes>(next() % 600));
@@ -210,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TieredCacheInvariants,
                          ::testing::Values(1, 2, 3, 4, 5, 17, 99));
 
 /// The cache's contract restated as plain lists searched linearly: each
-/// tier is a list of (name, size), front = most recent.
+/// tier is a list of (id, size), front = most recent.
 class NaiveTieredCache {
  public:
   explicit NaiveTieredCache(std::vector<util::Bytes> capacities)
@@ -218,7 +206,7 @@ class NaiveTieredCache {
         lru_(capacities_.size()),
         stats_(capacities_.size()) {}
 
-  bool put(const std::string& name, util::Bytes size) {
+  bool put(ObjectId name, util::Bytes size) {
     erase(name);
     for (const util::Bytes capacity : capacities_) {
       if (size <= capacity) {
@@ -230,7 +218,7 @@ class NaiveTieredCache {
     return false;
   }
 
-  std::optional<int> get(const std::string& name) {
+  std::optional<int> get(ObjectId name) {
     const auto found = find(name);
     if (!found) {
       ++misses_;
@@ -249,13 +237,13 @@ class NaiveTieredCache {
     return tier;
   }
 
-  std::optional<int> peek(const std::string& name) {
+  std::optional<int> peek(ObjectId name) {
     const auto found = find(name);
     if (!found) return std::nullopt;
     return found->first;
   }
 
-  bool erase(const std::string& name) {
+  bool erase(ObjectId name) {
     const auto found = find(name);
     if (!found) return false;
     stats_[found->first].used -= found->second->size;
@@ -274,12 +262,12 @@ class NaiveTieredCache {
 
  private:
   struct Item {
-    std::string name;
+    ObjectId name;
     util::Bytes size;
   };
   using List = std::list<Item>;
 
-  std::optional<std::pair<int, List::iterator>> find(const std::string& name) {
+  std::optional<std::pair<int, List::iterator>> find(ObjectId name) {
     for (std::size_t t = 0; t < lru_.size(); ++t) {
       for (auto it = lru_[t].begin(); it != lru_[t].end(); ++it) {
         if (it->name == name) return std::make_pair(static_cast<int>(t), it);
@@ -324,18 +312,18 @@ TEST_P(TieredCacheModel, MatchesNaiveModel) {
   NaiveTieredCache model({100, 400, 1000});
   util::Rng rng(static_cast<std::uint64_t>(GetParam()));
   for (int i = 0; i < 3000; ++i) {
-    const std::string name = util::numbered("k", rng.uniform_int(0, 15));
+    const auto name = static_cast<ObjectId>(rng.uniform_int(0, 15));
     const auto size = rng.uniform_int(0, 9) == 0 ? rng.uniform_int(0, 1200)
                                                  : rng.uniform_int(0, 120);
     const std::int64_t op = rng.uniform_int(0, 19);
     if (op < 7) {
-      ASSERT_EQ(cache.put(k(name), size), model.put(name, size)) << i;
+      ASSERT_EQ(cache.put(name, size), model.put(name, size)) << i;
     } else if (op < 14) {
-      ASSERT_EQ(cache.get(k(name)), model.get(name)) << i;
+      ASSERT_EQ(cache.get(name), model.get(name)) << i;
     } else if (op < 17) {
-      ASSERT_EQ(cache.peek(k(name)), model.peek(name)) << i;
+      ASSERT_EQ(cache.peek(name), model.peek(name)) << i;
     } else {
-      ASSERT_EQ(cache.erase(k(name)), model.erase(name)) << i;
+      ASSERT_EQ(cache.erase(name), model.erase(name)) << i;
     }
     for (int t = 0; t < cache.tier_count(); ++t) {
       const TierStats& got = cache.stats(t);
